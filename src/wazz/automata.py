@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .formats import LineReader, ParseError, fmt_rat, fmt_vec, parse_rat
-from .linalg import Mat, closure_under_maps, is_integral, vdot, vector, zeros
+from .linalg import (Mat, closure_under_maps, first_word_off, vdot, vector, word_closure,
+                     zeros)
 
 
 class SemiringTag(Enum):
@@ -68,9 +68,9 @@ _COMPLETION = {
 
 
 class NotEquivalent(Exception):
-    """Raised where equal traces are a precondition and they are not equal."""
+    """Raised where equal traces are a precondition and they are not; `word` separates them."""
 
-    def __init__(self, message="traces differ", word=None):
+    def __init__(self, message, word):
         super().__init__(message)
         self.word = word
 
@@ -169,26 +169,30 @@ def trace(aut, x, depth):
     return Trace(depth, values)
 
 
-def separating_word(aut1, x1, aut2, x2, maxlen):
-    """Shortest word (alphabet-order tie break) where the weights differ."""
-    frontier = [((), vector(x1), vector(x2))]
-    while frontier:
-        nxt = []
-        for word, v1, v2 in frontier:
-            if vdot(aut1.out, v1) != vdot(aut2.out, v2):
-                return word
-            if len(word) < maxlen:
-                for a in aut1.alphabet:
-                    nxt.append((word + (a,), aut1.mat(a).apply(v1), aut2.mat(a).apply(v2)))
-        frontier = nxt
-    return None
-
-
-def _check_compatible(aut1, aut2):
+def _paired(aut1, x1, aut2, x2):
+    """Block-diagonal letter maps, start vector and output difference of the
+    pair: the weights agree on a word iff the difference annihilates its image."""
     if aut1.tag is not aut2.tag:
         raise ValueError("automata have different semiring tags")
     if aut1.alphabet != aut2.alphabet:
         raise ValueError("automata have different alphabets")
+    if len(x1) != aut1.n or len(x2) != aut2.n:
+        raise ValueError("configuration has wrong length")
+    maps = [Mat.block_diag(aut1.mat(a), aut2.mat(a)) for a in aut1.alphabet]
+    difference = vector(aut1.out) + tuple(-q for q in vector(aut2.out))
+    return maps, vector(tuple(x1) + tuple(x2)), difference
+
+
+def _letters(alphabet, word):
+    return tuple(alphabet[i] for i in word)
+
+
+def separating_word(aut1, x1, aut2, x2):
+    """Shortest word (alphabet-order tie break) where the weights differ,
+    or None when the traces agree."""
+    maps, start, difference = _paired(aut1, x1, aut2, x2)
+    word = first_word_off(difference, start, maps)
+    return None if word is None else _letters(aut1.alphabet, word)
 
 
 def pair_submodule(aut1, x1, aut2, x2):
@@ -197,22 +201,28 @@ def pair_submodule(aut1, x1, aut2, x2):
     Returns (generators of Z over the ring completion, d), where Z is the
     submodule generated by all word images of (x1, x2) under the paired
     transitions, and d restricts both output functionals (they agree on Z).
-    Raises NotEquivalent if they do not agree on some generator, which
-    happens exactly when the traces differ.
+    Raises NotEquivalent, carrying the shortlex-least separating word, if
+    they do not agree on some generator, which happens exactly when the
+    traces differ.
     """
-    _check_compatible(aut1, aut2)
-    if len(x1) != aut1.n or len(x2) != aut2.n:
-        raise ValueError("configuration has wrong length")
-    completion = aut1.tag.completion
-    maps = [Mat.block_diag(aut1.mat(a), aut2.mat(a)) for a in aut1.alphabet]
-    start = tuple(x1) + tuple(x2)
-    basis = closure_under_maps(start, maps, aut1.tag.closure_ring)
-    difference = vector(aut1.out) + tuple(-q for q in vector(aut2.out))
-    for g in basis:
-        if vdot(difference, g) != 0:
-            raise NotEquivalent("output functionals differ on the pair closure")
+    maps, start, difference = _paired(aut1, x1, aut2, x2)
+    if aut1.tag.closure_ring == "Q":
+        # one closure decides and, at its first disagreeing vector, names the word
+        basis = []
+        for word, g in word_closure(start, maps):
+            if vdot(difference, g) != 0:
+                raise NotEquivalent("output functionals differ on the pair closure",
+                                    word=_letters(aut1.alphabet, word))
+            basis.append(g)
+    else:
+        basis = closure_under_maps(start, maps, "Z")
+        if any(vdot(difference, g) != 0 for g in basis):
+            # the lattice spans the rational closure, so the word exists
+            word = first_word_off(difference, start, maps)
+            raise NotEquivalent("output functionals differ on the pair closure",
+                                word=_letters(aut1.alphabet, word))
     paired = WeightedAutomaton(
-        tag=completion,
+        tag=aut1.tag.completion,
         n=aut1.n + aut2.n,
         alphabet=aut1.alphabet,
         out=vector(aut1.out) + zeros(aut2.n),
@@ -233,14 +243,10 @@ class EquivResult:
 
 def equivalent(aut1, x1, aut2, x2):
     """Exact trace-equivalence decision with a checkable certificate."""
-    _check_compatible(aut1, aut2)
     try:
         basis, _ = pair_submodule(aut1, x1, aut2, x2)
-    except NotEquivalent:
-        word = separating_word(aut1, x1, aut2, x2, aut1.n + aut2.n)
-        if word is None:
-            raise AssertionError("closure rejected but no separating word found")
-        return EquivResult(False, word=word)
+    except NotEquivalent as exc:
+        return EquivResult(False, word=exc.word)
     return EquivResult(True, basis=tuple(basis))
 
 
@@ -308,6 +314,9 @@ def parse_automaton(text, source="<automaton>"):
             if state is not None:
                 r.error("duplicate state line")
             state = r.parse_rats(toks[1:], n)
+            for q in state:
+                if not tag.scalar_ok(q):
+                    r.error(f"state entry {fmt_rat(q)} violates tag {tag.value}")
         else:
             r.error(f"unexpected directive {toks[0]!r}")
     missing = [a for a in alphabet if a not in trans]

@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .automata import NotEquivalent, SemiringTag, equivalent, parse_automaton, trace
-from .formats import ParseError, fmt_rat, fmt_vec, parse_rat
+from .formats import ParseError, fmt_rat, fmt_vec, parse_rat, word_text
 from .hilbert import IntConeSpec, hilbert_basis
 from .linalg import Mat, unit
 from .polyhedra import (INFINITY, dd_h_to_v, dd_v_to_h, gauge, hrep_to_text,
@@ -42,21 +42,13 @@ def _pick_state(aut, state, index, path):
     return unit(aut.n, 0)
 
 
-def _word_text(word, alphabet):
-    if not word:
-        return "eps"
-    if all(len(a) == 1 for a in alphabet):
-        return "".join(word)
-    return " ".join(word)
-
-
 def _cmd_trace(args):
     aut, state = _load_automaton(args.automaton)
     x = _pick_state(aut, state, args.state_index, args.automaton)
     depth = args.depth if args.depth is not None else aut.n
     tr = trace(aut, x, depth)
     for word, value in tr.items():
-        print(f"{_word_text(word, aut.alphabet)} {fmt_rat(value)}")
+        print(f"{word_text(word, aut.alphabet)} {fmt_rat(value)}")
     return 0
 
 
@@ -77,7 +69,7 @@ def _cmd_equiv(args):
         for g in result.basis:
             print("  " + fmt_vec(g))
         return 0
-    print(f"NOT EQUIVALENT, separating word: {_word_text(result.word, aut1.alphabet)}")
+    print(f"NOT EQUIVALENT, separating word: {word_text(result.word, aut1.alphabet)}")
     return 1
 
 
@@ -95,8 +87,7 @@ def _cmd_zigzag(args):
     try:
         witness = builder(aut1, x1, aut2, x2)
     except NotEquivalent as exc:
-        word = "?" if exc.word is None else _word_text(exc.word, aut1.alphabet)
-        print(f"NOT EQUIVALENT, separating word: {word}")
+        print(f"NOT EQUIVALENT, separating word: {word_text(exc.word, aut1.alphabet)}")
         return 1
     text = zigzag_to_text(witness)
     if args.output:

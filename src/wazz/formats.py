@@ -44,6 +44,14 @@ def fmt_vec(v):
     return " ".join(fmt_rat(x) for x in v)
 
 
+def word_text(word, alphabet):
+    """A word as printed: "eps" when empty, letters run together when all
+    symbols are one character, else separated by spaces."""
+    if not word:
+        return "eps"
+    return ("" if all(len(a) == 1 for a in alphabet) else " ").join(word)
+
+
 class LineReader:
     """Iterates meaningful lines of a text body, tracking line numbers.
 

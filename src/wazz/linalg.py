@@ -8,11 +8,10 @@ pure and exact; dimensions must match, there is no broadcasting.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-
-Rat = Fraction
 
 
 def vector(entries):
@@ -25,18 +24,6 @@ def zeros(n):
 
 def unit(n, i):
     return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
-
-
-def vadd(u, v):
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u, v):
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vneg(v):
@@ -383,28 +370,46 @@ class _Echelon:
         return all(a == 0 for a in self.residue(v))
 
 
+def _check_square(start, maps):
+    if any(m.nrows != len(start) or m.ncols != len(start) for m in maps):
+        raise ValueError("maps must be square of matching dimension")
+
+
+def word_closure(start, maps):
+    """Q-basis of the closure of `start` under all maps, breadth first, with
+    provenance: yields (word, vector), word being the map indices (first
+    applied first) that send `start` to vector.  Words come in shortlex order
+    and span(images of words <= w) = span(basis vectors of words <= w), so
+    the first basis vector a functional does not annihilate carries the
+    shortlex-least word on which it is nonzero."""
+    _check_square(start, maps)
+    ech = _Echelon()
+    queue = deque([((), vector(start))])
+    while queue:
+        word, v = queue.popleft()
+        if ech.add(v):
+            yield word, v
+            queue.extend((word + (i,), m.apply(v)) for i, m in enumerate(maps))
+
+
+def first_word_off(functional, start, maps):
+    """Shortlex-least word (map indices) whose image of `start` the
+    functional does not annihilate, or None if it vanishes on the closure."""
+    return next((w for w, v in word_closure(start, maps) if vdot(functional, v) != 0), None)
+
+
 def closure_under_maps(start, maps, ring):
     """Generators of the smallest `ring`-submodule containing `start` and
     closed under all maps.
 
-    ring "Q": returns a linearly independent list (iterate order, breadth
-    first).  ring "Z": returns the HNF basis of the closure lattice; the
-    ascending chain of sublattices stabilizes, detected by an unchanged HNF.
+    ring "Q": the vectors of `word_closure`, linearly independent.  ring "Z":
+    the HNF basis of the closure lattice; the ascending chain of sublattices
+    stabilizes, detected by an unchanged HNF.
     """
-    n = len(start)
-    for m in maps:
-        if m.nrows != n or m.ncols != n:
-            raise ValueError("maps must be square of matching dimension")
     if ring == "Q":
-        ech = _Echelon()
-        basis = []
-        queue = [vector(start)]
-        while queue:
-            v = queue.pop(0)
-            if ech.add(v):
-                basis.append(v)
-                queue.extend(m.apply(v) for m in maps)
-        return basis
+        return [v for _, v in word_closure(start, maps)]
+    _check_square(start, maps)
+    n = len(start)
     if ring == "Z":
         if not is_integral(start):
             raise ValueError("ring Z needs integral start")

@@ -80,8 +80,14 @@ class TestPairing:
     def test_tampered_output(self):
         bad = WeightedAutomaton(tag=T.QPLUS, n=2, alphabet=("a",),
                                 out=vector(["1/2", 1]), trans=swap_pair().trans)
-        with pytest.raises(NotEquivalent):
+        with pytest.raises(NotEquivalent) as err:
             pair_submodule(half_loop(), vector([1]), bad, unit(2, 0))
+        assert err.value.word == ("a",)
+
+    def test_not_equivalent_needs_a_word(self):
+        # a rejection without a word must fail where it is raised
+        with pytest.raises(TypeError):
+            NotEquivalent("traces differ")
 
 
 class TestEquivalent:
@@ -252,6 +258,16 @@ state 1 0
         with pytest.raises(ParseError) as err:
             parse_automaton(text)
         assert err.value.line == 6
+
+    @pytest.mark.parametrize("tag, entry", [("nat", "1/2"), ("nat", "-1"), ("int", "1/3"),
+                                            ("qplus", "-1/2"), ("unit", "2"), ("pca", "3/2")])
+    def test_state_violating_tag(self, tag, entry):
+        text = (f"semiring {tag}\nalphabet a\nstates 2\noutput 0 0\ntrans a\n0 0\n0 0\n"
+                f"# the distinguished configuration\nstate 0 {entry}\n")
+        with pytest.raises(ParseError) as err:
+            parse_automaton(text, "state.wa")
+        assert (err.value.source, err.value.line) == ("state.wa", 9)
+        assert f"state entry {entry} violates tag {tag}" in err.value.message
 
     def test_missing_block(self):
         text = "semiring q\nalphabet a b\nstates 1\noutput 1\ntrans a\n0\n"

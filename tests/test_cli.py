@@ -70,6 +70,12 @@ class TestEquiv:
         assert main(["equiv", a, b]) == 2
         assert "semiring mismatch" in capsys.readouterr().err
 
+    def test_state_outside_tag_is_parse_error(self, tmp_path, capsys):
+        text = "semiring nat\nalphabet a\nstates 1\noutput 1\ntrans a\n1\nstate 1/2\n"
+        bad = write(tmp_path, "half.wa", text)
+        assert main(["equiv", bad, bad]) == 2
+        assert "half.wa:7: state entry 1/2 violates tag nat" in capsys.readouterr().err
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = write(tmp_path, "bad.wa", "semiring nope\n")
         assert main(["equiv", bad, bad]) == 2
@@ -109,6 +115,22 @@ class TestZigzagVerify:
         (tmp_path / "w.zz").write_text(tampered)
         assert main(["verify", out]) == 1
         assert "INVALID" in capsys.readouterr().out
+
+    def test_verify_names_the_separating_word(self, tmp_path, capsys):
+        a = write(tmp_path, "a.wa", HALF_LOOP)
+        b = write(tmp_path, "b.wa", SWAP)
+        out = str(tmp_path / "w.zz")
+        assert main(["zigzag", a, b, "-o", out]) == 0
+        text = (tmp_path / "w.zz").read_text()
+        # the right endpoint is the last node, so its output line comes last
+        head, sep, tail = text.rpartition("out 1/2 1/2\n")
+        assert sep
+        (tmp_path / "w.zz").write_text(head + "out 1/2 1\n" + tail)
+        capsys.readouterr()
+        assert main(["verify", out]) == 1
+        stdout = capsys.readouterr().out
+        assert "INVALID" in stdout
+        assert 'trace-agreement: endpoint traces differ on word "a"' in stdout
 
     def test_roundtrip_through_cli_files(self, tmp_path):
         rng = random.Random("cli-roundtrip")

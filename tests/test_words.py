@@ -1,0 +1,238 @@
+"""The word closure against the exhaustive word enumerations it replaced."""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from wazz.automata import (NotEquivalent, SemiringTag, WeightedAutomaton, equivalent,
+                           separating_word)
+from wazz.formats import word_text
+from wazz.linalg import Mat, closure_under_maps, vector, word_closure, zeros
+from wazz.zigzag import (CUBIC, FREE_MODULE, GENERATED_MODULE, Morphism, ZigZag,
+                         ZigZagNode, cubic_zigzag, ghat_zigzag, verify_zigzag)
+
+from genrandom import lifted_pair, rand_automaton, rand_config
+from word_oracles import bfs_separating_word, raw_trace
+
+T = SemiringTag
+
+
+def zero_one_weight(rng, aut):
+    """A copy of aut with one nonzero weight set to zero (valid for every tag)."""
+    slots = [("out", i, None) for i, q in enumerate(aut.out) if q]
+    slots += [(k, i, j) for k, m in enumerate(aut.trans)
+              for i, row in enumerate(m.rows) for j, q in enumerate(row) if q]
+    if not slots:
+        return aut
+    k, i, j = rng.choice(slots)
+    out = list(aut.out)
+    rows = [[list(r) for r in m.rows] for m in aut.trans]
+    if k == "out":
+        out[i] = 0
+    else:
+        rows[k][i][j] = 0
+    return WeightedAutomaton(tag=aut.tag, n=aut.n, alphabet=aut.alphabet, out=out,
+                             trans=tuple(Mat(r) for r in rows))
+
+
+def word_pairs(tag, count):
+    """Random, lifted and perturbed lifted pairs: 1-2 letters, up to 3 states
+    a side."""
+    rng = random.Random("word-closure-" + tag.value)
+    for i in range(count):
+        alphabet = ("a", "b")[: rng.randint(1, 2)]
+        if i % 3 == 0:
+            n1, n2 = rng.randint(1, 3), rng.randint(1, 3)
+            yield (rand_automaton(rng, tag, n1, alphabet), rand_config(rng, tag, n1),
+                   rand_automaton(rng, tag, n2, alphabet), rand_config(rng, tag, n2))
+            continue
+        k = rng.randint(1, 2)
+        aut1, x1, aut2, x2 = lifted_pair(rng, tag, k, rng.randint(0, 3 - k), alphabet)
+        if i % 3 == 2:
+            if rng.random() < 0.5:
+                aut1 = zero_one_weight(rng, aut1)
+            else:
+                aut2 = zero_one_weight(rng, aut2)
+        yield aut1, x1, aut2, x2
+
+
+@pytest.mark.parametrize("tag", list(T))
+def test_same_word_as_exhaustive_bfs(tag):
+    lengths = []
+    for aut1, x1, aut2, x2 in word_pairs(tag, 150):
+        expected = bfs_separating_word(aut1, x1, aut2, x2, aut1.n + aut2.n)
+        assert separating_word(aut1, x1, aut2, x2) == expected
+        res = equivalent(aut1, x1, aut2, x2)
+        assert res.equivalent == (expected is None)
+        assert res.word == expected
+        if expected is not None:
+            builder = ghat_zigzag if tag is T.PCA else cubic_zigzag
+            with pytest.raises(NotEquivalent) as err:
+                builder(aut1, x1, aut2, x2)
+            assert err.value.word == expected
+            lengths.append(len(expected))
+    # the sample reaches both verdicts and words past the empty one
+    assert 0 < len(lengths) < 150 and max(lengths) >= 2
+
+
+def _elementary_pair(rng, n):
+    """A random unimodular basis change P and its inverse, as row lists."""
+    p = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    p_inv = [row[:] for row in p]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = F(rng.choice([-1, 1]))
+        p[i] = [a + c * b for a, b in zip(p[i], p[j])]
+        for row in p_inv:
+            row[j] -= c * row[i]
+    return p, p_inv
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def planted_chain(rng, tag, length):
+    """Two L-state chains over a, b that differ only in the output of the
+    last state, each disguised by its own unimodular change of basis, so
+    that a^(L-1) is the unique shortest separating word."""
+    n = length
+    sides = []
+    for final in (F(1), F(rng.choice([2, 3, -1]))):
+        base = {
+            "a": [[F(int(i + 1 == j)) for j in range(n)] for i in range(n)],
+            "b": [[F(int(i == j and i < n - 1)) for j in range(n)] for i in range(n)],
+        }
+        out = [F(0)] * (n - 1) + [final]
+        p, p_inv = _elementary_pair(rng, n)
+        # rows are images of basis states: conjugate to P T P^-1, output P out,
+        # start e_0 P^-1
+        trans = tuple(Mat(_matmul(_matmul(p, base[a]), p_inv)).transpose() for a in "ab")
+        new_out = [sum(r * o for r, o in zip(row, out)) for row in p]
+        aut = WeightedAutomaton(tag=tag, n=n, alphabet=("a", "b"), out=new_out, trans=trans)
+        sides.append((aut, vector(p_inv[0])))
+    (aut1, x1), (aut2, x2) = sides
+    return aut1, x1, aut2, x2
+
+
+@pytest.mark.parametrize("tag", [T.Q, T.INT, T.REAL])
+def test_planted_chains(tag):
+    rng = random.Random("planted-" + tag.value)
+    for length in range(4, 9):
+        aut1, x1, aut2, x2 = planted_chain(rng, tag, length)
+        expected = bfs_separating_word(aut1, x1, aut2, x2, aut1.n + aut2.n)
+        assert expected == ("a",) * (length - 1)
+        assert separating_word(aut1, x1, aut2, x2) == expected
+        assert equivalent(aut1, x1, aut2, x2).word == expected
+
+
+def trace_check(report):
+    return next(c for c in report.checks if c.name == "trace-agreement")
+
+
+def shortlex_least_difference(tr1, tr2, alphabet):
+    differ = [w for w in tr1 if tr1[w] != tr2[w]]
+    if not differ:
+        return None
+    return min(differ, key=lambda w: (len(w), [alphabet.index(a) for a in w]))
+
+
+def assert_trace_check_matches_raw_traces(z):
+    x1, x2 = z.endpoints
+    depth = z.nodes[0].dim + z.nodes[-1].dim
+    tr1 = raw_trace(z.nodes[0], x1, depth, z.alphabet)
+    tr2 = raw_trace(z.nodes[-1], x2, depth, z.alphabet)
+    check = trace_check(verify_zigzag(z))
+    assert check.ok == (tr1 == tr2)
+    word = shortlex_least_difference(tr1, tr2, z.alphabet)
+    if word is not None:
+        assert check.detail == f'endpoint traces differ on word "{word_text(word, z.alphabet)}"'
+    return check.ok
+
+
+def with_right_output(z, out):
+    right = z.nodes[-1]
+    node = ZigZagNode(kind=right.kind, dim=right.dim, generators=right.generators,
+                      out=out, trans=right.trans)
+    return ZigZag(functor=z.functor, tag=z.tag, alphabet=z.alphabet,
+                  nodes=z.nodes[:-1] + (node,), morphisms=z.morphisms,
+                  relating=z.relating, endpoints=z.endpoints)
+
+
+@pytest.mark.parametrize("tag", list(T))
+def test_trace_agreement_matches_raw_traces_on_tampered_witnesses(tag):
+    rng = random.Random("tampered-right-output-" + tag.value)
+    verdicts = []
+    for _ in range(6 if tag is T.PCA else 10):
+        alphabet = ("a", "b")[: rng.randint(1, 2)]
+        aut1, x1, aut2, x2 = lifted_pair(rng, tag, rng.randint(1, 2), rng.randint(0, 1),
+                                         alphabet)
+        builder = ghat_zigzag if tag is T.PCA else cubic_zigzag
+        z = builder(aut1, x1, aut2, x2)
+        assert assert_trace_check_matches_raw_traces(z)
+        out = list(z.nodes[-1].out)
+        out[rng.randrange(len(out))] += rng.choice([F(1), F(-1), F(1, 2)])
+        verdicts.append(assert_trace_check_matches_raw_traces(with_right_output(z, out)))
+    assert not all(verdicts)
+
+
+class TestDegenerateClosures:
+    def test_zero_start_vector(self):
+        maps = [Mat([[1, 2], [3, 4]]), Mat.identity(2)]
+        assert list(word_closure(zeros(2), maps)) == []
+        assert closure_under_maps(zeros(2), maps, "Q") == []
+        rng = random.Random("zero-start")
+        for tag in T:
+            aut1 = rand_automaton(rng, tag, 2, ("a", "b"))
+            aut2 = rand_automaton(rng, tag, 1, ("a", "b"))
+            assert bfs_separating_word(aut1, zeros(2), aut2, zeros(1), 3) is None
+            assert separating_word(aut1, zeros(2), aut2, zeros(1)) is None
+            res = equivalent(aut1, zeros(2), aut2, zeros(1))
+            assert res.equivalent and res.basis == ()
+
+    def test_zero_dimensional_start(self):
+        assert list(word_closure((), [Mat((), ncols=0)])) == []
+
+    def _witness(self, right_dim, right_out, x2):
+        def node(kind, dim, out):
+            return ZigZagNode(kind=kind, dim=dim, generators=(), out=out,
+                              trans=(Mat([[0] * dim] * dim, ncols=dim),))
+
+        return ZigZag(functor=CUBIC, tag=T.Q, alphabet=("a",),
+                      nodes=(node(FREE_MODULE, 0, ()), node(GENERATED_MODULE, 0, ()),
+                             node(FREE_MODULE, right_dim, right_out)),
+                      morphisms=(Morphism(1, 0, Mat((), ncols=0)),
+                                 Morphism(1, 2, Mat([()] * right_dim, ncols=0))),
+                      relating=((1, ()),), endpoints=((), x2))
+
+    def test_zero_dimensional_endpoints(self):
+        z = self._witness(0, (), ())
+        assert assert_trace_check_matches_raw_traces(z)
+        report = verify_zigzag(z)
+        assert report.valid, [c for c in report.failures()]
+
+    def test_zero_dimensional_left_endpoint(self):
+        assert assert_trace_check_matches_raw_traces(self._witness(1, (0,), (1,)))
+        z = self._witness(1, (1,), (1,))
+        assert not assert_trace_check_matches_raw_traces(z)
+        assert trace_check(verify_zigzag(z)).detail == 'endpoint traces differ on word "eps"'
+
+
+class TestWordClosure:
+    def test_provenance_and_order(self):
+        rng = random.Random("word-closure-provenance")
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            maps = [Mat([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)])
+                    for _ in range(rng.randint(1, 3))]
+            start = vector([rng.randint(-1, 1) for _ in range(n)])
+            pairs = list(word_closure(start, maps))
+            assert [v for _, v in pairs] == closure_under_maps(start, maps, "Q")
+            words = [w for w, _ in pairs]
+            assert words == sorted(words, key=lambda w: (len(w), w))
+            for word, v in pairs:
+                image = start
+                for i in word:
+                    image = maps[i].apply(image)
+                assert image == v

@@ -7,8 +7,8 @@ from wazz.automata import NotEquivalent, SemiringTag, WeightedAutomaton, trace
 from wazz.linalg import Mat, unit, vector, zeros
 from wazz.zigzag import (CUBIC, FREE_MODULE, FREE_PCA, GENERATED_MODULE,
                          GENERATED_PCA, GHAT, Morphism, ZigZag, ZigZagNode,
-                         cubic_zigzag, ghat_zigzag, parse_zigzag, verify_zigzag,
-                         zigzag_to_text)
+                         _nat_monoid_member, cubic_zigzag, ghat_zigzag, parse_zigzag,
+                         verify_zigzag, zigzag_to_text)
 
 from genrandom import lifted_pair, rand_automaton, rand_config
 
@@ -357,3 +357,43 @@ class TestMalformedWitnesses:
         report = verify_zigzag(tampered)
         assert not report.valid
         assert "shape" in failing_names(report)
+
+
+def box_monoid_member(gens, target):
+    """Every N-combination of gens below target, enumerated outright."""
+    reached = {tuple(0 for _ in target)}
+    frontier = list(reached)
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for g in gens:
+                s = tuple(a + b for a, b in zip(t, g))
+                if s not in reached and all(a <= b for a, b in zip(s, target)):
+                    reached.add(s)
+                    nxt.append(s)
+        frontier = nxt
+    return tuple(target) in reached
+
+
+class TestNatMonoidMember:
+    def test_deep_descent_does_not_recurse(self):
+        assert _nat_monoid_member(((2, 3), (3, 2)), (4000, 4000))
+
+    def test_matches_box_enumeration(self):
+        rng = random.Random("nat-monoid")
+        verdicts = set()
+        for _ in range(300):
+            dim = rng.randint(1, 3)
+            gens = [tuple(rng.randint(0, 3) for _ in range(dim))
+                    for _ in range(rng.randint(1, 4))]
+            target = tuple(rng.randint(0, 9) for _ in range(dim))
+            nonzero = [g for g in gens if any(g)]
+            verdict = _nat_monoid_member(gens, target)
+            assert verdict == box_monoid_member(nonzero, target)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_rejects_non_naturals(self):
+        assert not _nat_monoid_member(((1, 0), (0, 1)), (F(1, 2), 1))
+        assert not _nat_monoid_member(((1, 0), (0, 1)), (-1, 1))
+        assert _nat_monoid_member((), (0, 0))

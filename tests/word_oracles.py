@@ -1,0 +1,38 @@
+"""Exhaustive word enumerations kept as differential test oracles.
+
+Both walk all |alphabet|^k words up to a depth, so they are only usable at
+test sizes.  The library answers the same questions from one word closure
+(`wazz.linalg.word_closure`); the tests require equal answers.
+"""
+
+from wazz.linalg import vdot, vector
+
+
+def bfs_separating_word(aut1, x1, aut2, x2, maxlen):
+    """Shortest word (alphabet-order tie break) where the weights differ."""
+    frontier = [((), vector(x1), vector(x2))]
+    while frontier:
+        nxt = []
+        for word, v1, v2 in frontier:
+            if vdot(aut1.out, v1) != vdot(aut2.out, v2):
+                return word
+            if len(word) < maxlen:
+                for a in aut1.alphabet:
+                    nxt.append((word + (a,), aut1.mat(a).apply(v1), aut2.mat(a).apply(v2)))
+        frontier = nxt
+    return None
+
+
+def raw_trace(node, x, depth, alphabet):
+    """Word weights of a witness node from x, for every word up to depth."""
+    values = {(): vdot(node.out, x)}
+    frontier = [((), vector(x))]
+    for _ in range(depth):
+        nxt = []
+        for word, v in frontier:
+            for idx, a in enumerate(alphabet):
+                image = node.trans[idx].apply(v)
+                values[word + (a,)] = vdot(node.out, image)
+                nxt.append((word + (a,), image))
+        frontier = nxt
+    return values
