@@ -6,9 +6,10 @@ from .automata import (SemiringTag, WeightedAutomaton, Trace, NotEquivalent,
                        step, trace, pair_submodule, equivalent, extend_scalars,
                        parse_automaton, automaton_to_text)
 from .hilbert import (IntConeSpec, hilbert_basis, nat_restriction,
-                      qplus_restriction_by_scaling, hilbert_bruteforce_oracle)
-from .polyhedra import (HRep, VRep, PcaPolytope, INFINITY, dd_h_to_v, dd_v_to_h,
-                        gauge, lp_feasible, cone_restriction, simplex_restriction)
+                      qplus_restriction_by_scaling)
+from .polyhedra import (HRep, VRep, PcaPolytope, INFINITY, InternalError, dd_h_to_v,
+                        dd_v_to_h, gauge, lp_feasible, cone_restriction,
+                        simplex_restriction)
 from .pca import (GhatElement, LinearCoalgebra, PyramidCert, InconsistentValues,
                   InvariantZeroSet, ghat_member, linear_extension,
                   is_ghat_coalgebra, pyramid_extension, reduce_invariant_set,
@@ -24,8 +25,8 @@ __all__ = [
     "step", "trace", "pair_submodule", "equivalent", "extend_scalars",
     "parse_automaton", "automaton_to_text",
     "IntConeSpec", "hilbert_basis", "nat_restriction",
-    "qplus_restriction_by_scaling", "hilbert_bruteforce_oracle",
-    "HRep", "VRep", "PcaPolytope", "INFINITY", "dd_h_to_v", "dd_v_to_h",
+    "qplus_restriction_by_scaling",
+    "HRep", "VRep", "PcaPolytope", "INFINITY", "InternalError", "dd_h_to_v", "dd_v_to_h",
     "gauge", "lp_feasible", "cone_restriction", "simplex_restriction",
     "GhatElement", "LinearCoalgebra", "PyramidCert", "InconsistentValues",
     "InvariantZeroSet", "ghat_member", "linear_extension", "is_ghat_coalgebra",

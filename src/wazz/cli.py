@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success or a positive verdict, 1 for a negative result
 (not equivalent, invalid witness, empty polyhedron), 2 for usage or parse
-errors.  Output uses exact rational literals throughout.
+errors, 3 for an internal error (a bug, reported as `internal error: ...`
+on stderr).  Output uses exact rational literals throughout.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from .automata import NotEquivalent, SemiringTag, equivalent, parse_automaton, t
 from .formats import ParseError, fmt_rat, fmt_vec, parse_rat, word_text
 from .hilbert import IntConeSpec, hilbert_basis
 from .linalg import Mat, unit
-from .polyhedra import (INFINITY, dd_h_to_v, dd_v_to_h, gauge, hrep_to_text,
-                        parse_hrep, parse_pca_polytope, parse_vrep, vrep_to_text)
+from .polyhedra import (INFINITY, InternalError, dd_h_to_v, dd_v_to_h, gauge,
+                        hrep_to_text, parse_hrep, parse_pca_polytope, parse_vrep,
+                        vrep_to_text)
 from .zigzag import cubic_zigzag, ghat_zigzag, parse_zigzag, verify_zigzag, zigzag_to_text
 
 
@@ -227,6 +229,9 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

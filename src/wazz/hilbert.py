@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from dataclasses import dataclass
-from itertools import count, product
+from itertools import count
 
 from .linalg import (Lattice, Mat, as_int_vec, hnf, hnf_with_transform,
                      lattice_coords, lattice_reduce)
@@ -178,32 +178,3 @@ def qplus_restriction_by_scaling(gens):
     lat = hnf(ints, dim=len(ints[0]))
     return [tuple(v) for v in nat_restriction(lat)]
 
-
-def hilbert_bruteforce_oracle(spec, box):
-    """Minimal cone points with coordinates in [-box, box]; test oracle only.
-
-    Lines found inside the box are canonicalized to +/- pairs of the lattice
-    they generate, and the remaining points are compared modulo that lattice.
-    Agrees with hilbert_basis whenever the true basis fits in the box.
-    """
-    if box < 1:
-        raise ValueError("box must be >= 1")
-    pts = [p for p in product(range(-box, box + 1), repeat=spec.k)
-           if any(p) and spec.contains(p)]
-    units = [p for p in pts if spec.contains(tuple(-a for a in p))]
-    line_lat = hnf(units, dim=spec.k) if units else Lattice(spec.k, ())
-    out = []
-    for u in line_lat.basis:
-        out.append(tuple(u))
-        out.append(tuple(-a for a in u))
-    reduced = sorted({lattice_reduce(p, line_lat) for p in pts}, key=graded_lex_key)
-    reduced = [p for p in reduced if any(p)]
-    for v in reduced:
-        dominated = False
-        for u in reduced:
-            if u != v and spec.contains(tuple(a - b for a, b in zip(v, u))):
-                dominated = True
-                break
-        if not dominated:
-            out.append(v)
-    return sorted(set(out), key=graded_lex_key)

@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from .automata import SemiringTag, WeightedAutomaton
 from .linalg import Mat, solve, unit, vdot, vector, zeros
-from .polyhedra import HRep, INFINITY, PcaPolytope, gauge, lp_feasible, pca_member
+from .polyhedra import (HRep, INFINITY, InternalError, PcaPolytope, gauge, lp_feasible,
+                        pca_member)
 
 
 class InconsistentValues(ValueError):
@@ -221,10 +222,10 @@ def pyramid_extension(polytope, coalg):
         ineqs.append((normal, -coalg.out[j]))
     u = lp_feasible(HRep(n, tuple(ineqs)))
     if u is None:
-        raise RuntimeError("fixed-point system infeasible on a valid coalgebra")
+        raise InternalError("fixed-point system infeasible on a valid coalgebra")
     if any(q <= 0 for q in u):
-        raise RuntimeError("fixed point with a zero coordinate despite the "
-                           "nonvanishing condition")
+        raise InternalError("fixed point with a zero coordinate despite the "
+                            "nonvanishing condition")
     gens = tuple(vector([Fraction(1, 1) / u[j] if i == j else 0 for i in range(n)])
                  for j in range(n))
     return PyramidCert(u=vector(u), generators=gens)

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from wazz.automata import SemiringTag, WeightedAutomaton, equivalent, trace
-from wazz.hilbert import IntConeSpec, hilbert_basis, hilbert_bruteforce_oracle
+from wazz.hilbert import IntConeSpec, hilbert_basis
 from wazz.linalg import Mat, unit, vdot, vector, zeros
 from wazz.pca import (GhatElement, LinearCoalgebra, ghat_apply, ghat_member,
                       invariant_zero_set, pyramid_extension, reduce_invariant_set)
@@ -22,6 +22,7 @@ from wazz.zigzag import (FREE_PCA, GENERATED_MODULE, Morphism, ZigZag,
                          ZigZagNode, cubic_zigzag, ghat_zigzag, verify_zigzag)
 
 from genrandom import lifted_pair, rand_automaton, rand_config
+from hilbert_oracle import hilbert_bruteforce_oracle
 from test_hilbert import monoid_member, spec_of
 
 T = SemiringTag

@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+from wazz import pca
 from wazz.cli import main
 from wazz.automata import SemiringTag, automaton_to_text
 from wazz.zigzag import parse_zigzag
@@ -132,6 +135,15 @@ class TestZigzagVerify:
         assert "INVALID" in stdout
         assert 'trace-agreement: endpoint traces differ on word "a"' in stdout
 
+    def test_internal_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        # an infeasible fixed-point system on a valid coalgebra is a bug
+        monkeypatch.setattr(pca, "lp_feasible", lambda h: None)
+        a = write(tmp_path, "a.wa", PCA_LOOP)
+        assert main(["zigzag", a, a, "-o", str(tmp_path / "w.zz")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: fixed-point system infeasible")
+        assert "Traceback" not in err
+
     def test_roundtrip_through_cli_files(self, tmp_path):
         rng = random.Random("cli-roundtrip")
         for tag in (SemiringTag.NAT, SemiringTag.UNIT, SemiringTag.PCA):
@@ -205,16 +217,29 @@ class TestTraceDefaults:
         assert len(lines) == 3  # eps, a, aa for 2 states over one letter
 
 
+def _determinism_pair(tag):
+    """A qplus pair that takes the Hilbert route, and lifted pairs whose
+    witnesses go through cone_restriction (rplus), simplex_restriction with
+    PRODUCT (unit) and the five-node pipeline (pca)."""
+    if tag == "qplus":
+        return HALF_LOOP, SWAP
+    rng = random.Random(f"determinism/{tag}")
+    aut1, x1, aut2, x2 = lifted_pair(rng, SemiringTag(tag), 3, 1, ("a",))
+    return automaton_to_text(aut1, x1), automaton_to_text(aut2, x2)
+
+
 class TestCrossProcessDeterminism:
-    def test_witness_bytes_stable_under_hash_seeds(self, tmp_path):
+    @pytest.mark.parametrize("tag", ["qplus", "rplus", "unit", "pca"])
+    def test_witness_bytes_stable_under_hash_seeds(self, tmp_path, tag):
         import os, subprocess, sys
         import wazz
         # The children must import the same wazz as this process, installed
         # or not, so the directory holding the package goes on PYTHONPATH.
         package_root = os.path.dirname(os.path.dirname(
             os.path.abspath(wazz.__file__)))
-        a = write(tmp_path, "a.wa", HALF_LOOP)
-        b = write(tmp_path, "b.wa", SWAP)
+        left, right = _determinism_pair(tag)
+        a = write(tmp_path, "a.wa", left)
+        b = write(tmp_path, "b.wa", right)
         outputs = set()
         for seed in ("0", "1", "2"):
             out = tmp_path / f"w{seed}.zz"

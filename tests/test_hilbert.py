@@ -1,9 +1,10 @@
 import random
 
 from wazz.linalg import Lattice, Mat, hnf, lattice_member, vector
-from wazz.hilbert import (IntConeSpec, graded_lex_key, hilbert_basis,
-                          hilbert_bruteforce_oracle, nat_restriction,
+from wazz.hilbert import (IntConeSpec, graded_lex_key, hilbert_basis, nat_restriction,
                           qplus_restriction_by_scaling)
+
+from hilbert_oracle import hilbert_bruteforce_oracle
 
 
 def spec_of(rows):

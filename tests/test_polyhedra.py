@@ -3,9 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from wazz import polyhedra
 from wazz.linalg import Mat, vdot, vector, unit, zeros
-from wazz.polyhedra import (HRep, INFINITY, PRODUCT, SCALED, PcaPolytope, VRep,
-                            cone_member, cone_restriction, dd_h_to_v, dd_v_to_h,
+from wazz.polyhedra import (HRep, INFINITY, PRODUCT, SCALED, InternalError, PcaPolytope,
+                            VRep, cone_member, cone_restriction, dd_h_to_v, dd_v_to_h,
                             gauge, lp_feasible, pca_member, simplex_restriction)
 from wazz.hilbert import qplus_restriction_by_scaling
 
@@ -286,6 +287,25 @@ class TestRestrictions:
     def test_simplex_scaled_diagonal(self):
         p = simplex_restriction([vector([1, 1])], SCALED, 1, 1)
         assert p.generators == (vector([1, 1]),)
+
+    def test_unbounded_simplex_intersection_is_internal_error(self, monkeypatch):
+        monkeypatch.setattr(polyhedra, "dd_h_to_v",
+                            lambda h: VRep(h.dim, (zeros(h.dim),), (unit(h.dim, 0),)))
+        with pytest.raises(InternalError, match="must be bounded"):
+            simplex_restriction([vector([1, 1])], SCALED, 1, 1)
+
+
+class TestFacetCaches:
+    def test_bounded_under_many_polytopes(self):
+        size = polyhedra.FACET_CACHE_SIZE
+        for cached in (polyhedra._subconvex_facets, polyhedra._cone_facet_normals):
+            assert cached.cache_info().maxsize == size
+        for k in range(1, size + 6):
+            p = PcaPolytope(2, (vector([1, 0]), vector([F(1, k), 1])))
+            assert gauge(p, vector([1, 0])) == 1
+            assert cone_member(p.generators, vector([1, 0]))
+        for cached in (polyhedra._subconvex_facets, polyhedra._cone_facet_normals):
+            assert cached.cache_info().currsize <= size
 
 
 class TestTextFormats:
