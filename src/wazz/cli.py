@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from .automata import NotEquivalent, SemiringTag, equivalent, parse_automaton, trace
 from .formats import ParseError, fmt_rat, fmt_vec, parse_rat, word_text
@@ -164,7 +165,10 @@ def _cmd_gauge(args):
     return 0
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser, built once: each `parse_args` fills a fresh
+    namespace, so no option of one call reaches the next."""
     parser = argparse.ArgumentParser(
         prog="wazz",
         description="Exact trace equivalence of weighted automata with "

@@ -4,6 +4,14 @@ Scalars are arbitrary-precision rationals (`fractions.Fraction`); vectors are
 plain tuples.  Integer lattice vectors are tuples of `int`, which mix freely
 with Fraction in arithmetic, equality and hashing.  Every operation here is
 pure and exact; dimensions must match, there is no broadcasting.
+
+Matrix-vector products run fraction-free.  On its first `apply` a `Mat`
+caches its scaled-integer row form: per row, the least common denominator d
+of its entries and the integer numerators d * entry of its nonzero entries
+with their column indices.  `apply(x)` scales x once to integers over its own
+common denominator e, takes each output entry as one integer sum over the
+row's nonzeros, and makes a single `Fraction(sum, d * e)` of it: the same
+values as the entrywise product, with one normalizing gcd per entry.
 """
 
 from __future__ import annotations
@@ -11,7 +19,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 
 def vector(entries):
@@ -85,7 +94,7 @@ def primitive(v, flip_sign=False):
 class Mat:
     """Dense exact-rational matrix; `rows[i][j]` is the entry in row i, col j."""
 
-    __slots__ = ("rows", "ncols")
+    __slots__ = ("rows", "ncols", "_int_rows")
 
     def __init__(self, rows, ncols=None):
         rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
@@ -101,6 +110,7 @@ class Mat:
             raise ValueError("empty matrix needs an explicit column count")
         self.rows = rows
         self.ncols = ncols
+        self._int_rows = None
 
     @property
     def nrows(self):
@@ -130,19 +140,25 @@ class Mat:
         return [self.col(j) for j in range(self.ncols)]
 
     def apply(self, x):
-        """Matrix times column vector."""
+        """Matrix times column vector, a tuple of Fraction (see the module
+        docstring for the scaled-integer form it runs on)."""
         if len(x) != self.ncols:
             raise ValueError(f"dimension mismatch: {self.ncols} cols vs vector of {len(x)}")
-        return tuple(vdot(r, x) for r in self.rows)
+        int_rows = self._int_rows
+        if int_rows is None:
+            int_rows = self._int_rows = tuple(_scaled_row(r) for r in self.rows)
+        x_den = lcm(*(a.denominator for a in x))
+        xs = [a.numerator * (x_den // a.denominator) for a in x]
+        pick = xs.__getitem__
+        return tuple(Fraction(sum(map(mul, nums, map(pick, cols))), den * x_den)
+                     for den, cols, nums in int_rows)
 
     def __matmul__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions disagree")
-        ocols = other.cols()
-        return Mat(tuple(tuple(vdot(r, c) for c in ocols) for r in self.rows),
-                   ncols=other.ncols)
+        return Mat.from_cols([self.apply(c) for c in other.cols()], nrows=self.nrows)
 
     def transpose(self):
         return Mat(tuple(self.col(j) for j in range(self.ncols)), ncols=self.nrows)
@@ -161,6 +177,14 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({[list(map(str, r)) for r in self.rows]})"
+
+
+def _scaled_row(row):
+    """(d, column indices, integer numerators) of a row's nonzero entries,
+    d being the least common denominator of the row."""
+    den = lcm(*(a.denominator for a in row))
+    cols = tuple(j for j, a in enumerate(row) if a)
+    return den, cols, tuple(row[j].numerator * (den // row[j].denominator) for j in cols)
 
 
 def rref(m):

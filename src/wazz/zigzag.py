@@ -11,13 +11,14 @@ and the relating chain by direct evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .automata import NotEquivalent, SemiringTag, pair_submodule, separating_word
 from .formats import LineReader, fmt_rat, fmt_vec, word_text
 from .hilbert import nat_restriction, qplus_restriction_by_scaling
 from .linalg import (Lattice, Mat, as_int_vec, closure_under_maps, first_word_off,
-                     hnf, is_integral, is_nonneg, lattice_member, rref, solve, unit,
-                     vdot, vector, zeros)
+                     hnf, is_integral, is_nonneg, lattice_member, rref, unit, vdot,
+                     vector, zeros)
 from .pca import LinearCoalgebra, pyramid_extension, reduce_invariant_set
 from .polyhedra import (PRODUCT, SCALED, INFINITY, PcaPolytope, cone_member,
                         cone_restriction, gauge, pca_member, simplex_restriction)
@@ -231,9 +232,22 @@ class Report:
         return [c for c in self.checks if not c.ok]
 
 
+# Targets a single N-monoid membership search may enter.  Each one costs at
+# most one comparison per generator, so an overrun ends a search that could
+# otherwise run for as long as the monoid below the target is large.
+MONOID_STEP_BUDGET = 300_000
+
+
+class SearchBudgetExceeded(Exception):
+    """A membership search overran its step budget; the verifier reports it
+    as a failed check."""
+
+
 def _nat_monoid_member(gens, v):
     """v in the N-span of nonnegative integer generators (depth-first descent
-    on an explicit stack, largest generators first)."""
+    on an explicit stack, largest generators first).  Raises
+    SearchBudgetExceeded once it would enter more than MONOID_STEP_BUDGET
+    targets."""
     if not (is_integral(v) and is_nonneg(v)):
         return False
     gens = sorted({as_int_vec(g) for g in gens if any(g)},
@@ -253,6 +267,10 @@ def _nat_monoid_member(gens, v):
                 if not any(rest):
                     return True
                 if rest not in seen:
+                    if len(seen) == MONOID_STEP_BUDGET:
+                        raise SearchBudgetExceeded(
+                            f"N-monoid membership search exceeded its budget of "
+                            f"{MONOID_STEP_BUDGET} steps")
                     seen.add(rest)
                     stack.append((rest, iter(gens)))
                     break
@@ -261,44 +279,72 @@ def _nat_monoid_member(gens, v):
     return False
 
 
-def _carrier_member(tag, node, v):
-    """Membership of v in the algebra spanned by the node's generators."""
-    if node.is_pca:
-        if not is_nonneg(v):
-            return False
-        if not all(is_nonneg(g) for g in node.generators):
-            return False  # malformed carrier; node-kind reports the cause
-        return pca_member(PcaPolytope(node.dim, node.generators), v)
+def _span_coordinates(gens, dim):
+    """Coordinates in the generators: a function taking v to the x with
+    G x = v, G having the generators as columns and x's free variables zero
+    as in `solve`, or to None if v is outside the span.
+
+    G is factored once: the rref of [G | I] is [R | E] with E G = R, so
+    G x = v exactly when E v vanishes below the rank of G, and then x's pivot
+    entries are read off E v.  The product G x is checked against v again."""
+    k = len(gens)
+    g_mat = Mat.from_cols(gens, nrows=dim)
+    red, pivots, _ = rref(Mat(tuple(r + unit(dim, i) for i, r in enumerate(g_mat.rows)),
+                              ncols=k + dim))
+    g_pivots = tuple(p for p in pivots if p < k)
+    rank = len(g_pivots)
+    e_mat = Mat(tuple(r[k:] for r in red.rows), ncols=dim)
+
+    def coordinates(v):
+        w = e_mat.apply(v)
+        if any(w[rank:]):
+            return None
+        x = [Fraction(0)] * k
+        for i, p in enumerate(g_pivots):
+            x[p] = w[i]
+        x = tuple(x)
+        return x if g_mat.apply(x) == tuple(v) else None
+
+    return coordinates
+
+
+def _never(v):
+    return False
+
+
+def _carrier_tester(tag, node):
+    """Membership test for the algebra spanned by the node's generators, with
+    the generators checked and factored once for every vector it is asked
+    about."""
     gens = node.generators
-    if node.kind == FREE_MODULE:
-        if not gens:
-            return all(a == 0 for a in v)
-        coords = solve(Mat.from_cols(gens, nrows=node.dim), v)
-        if coords is None:
-            return False
-        back = Mat.from_cols(gens, nrows=node.dim).apply(coords)
-        return back == vector(v) and all(tag.scalar_ok(c) for c in coords)
+    if node.is_pca:
+        if not all(is_nonneg(g) for g in gens):
+            return _never  # malformed carrier; node-kind reports the cause
+        poly = PcaPolytope(node.dim, gens)
+        return lambda v: is_nonneg(v) and pca_member(poly, v)
+    if node.kind == FREE_MODULE or tag in (SemiringTag.Q, SemiringTag.REAL):
+        coordinates = _span_coordinates(gens, node.dim)
+        if node.kind == GENERATED_MODULE:
+            return lambda v: coordinates(v) is not None
+
+        def free_member(v):
+            x = coordinates(v)
+            return x is not None and all(tag.scalar_ok(c) for c in x)
+
+        return free_member
     # generated module, by tag
     if tag is SemiringTag.NAT:
         if not all(is_integral(g) and is_nonneg(g) for g in gens):
-            return False
-        return _nat_monoid_member(gens, v)
+            return _never
+        return lambda v: _nat_monoid_member(gens, v)
     if tag is SemiringTag.INT:
         if not all(is_integral(g) for g in gens):
-            return False
-        if not is_integral(v):
-            return False
+            return _never
         lat = hnf([as_int_vec(g) for g in gens], dim=node.dim) if gens else Lattice(node.dim, ())
-        return lattice_member(v, lat)
+        return lambda v: lattice_member(v, lat)
     if tag in (SemiringTag.QPLUS, SemiringTag.RPLUS):
-        return cone_member(gens, v)
-    if tag in (SemiringTag.Q, SemiringTag.REAL):
-        if not gens:
-            return all(a == 0 for a in v)
-        mat = Mat.from_cols(gens, nrows=node.dim)
-        coords = solve(mat, v)
-        return coords is not None and mat.apply(coords) == vector(v)
-    return False
+        return lambda v: cone_member(gens, v)
+    return _never
 
 
 def _kind_ok(node):
@@ -315,8 +361,9 @@ def _kind_ok(node):
     return True, ""
 
 
-def _coalgebra_self_map_ok(z, node):
-    """The structure map sends every generator into the functor at the carrier."""
+def _coalgebra_self_map_ok(z, node, member):
+    """The structure map sends every generator into the functor at the carrier;
+    `member` tests membership in the node's carrier."""
     if node.is_pca and not all(is_nonneg(g) for g in node.generators):
         return False, "carrier generators must be nonnegative"
     poly = PcaPolytope(node.dim, node.generators) if node.is_pca else None
@@ -337,8 +384,28 @@ def _coalgebra_self_map_ok(z, node):
             if not z.tag.scalar_ok(o):
                 return False, f"output weight {fmt_rat(o)} outside the semiring"
             for m in node.trans:
-                if not _carrier_member(z.tag, node, m.apply(g)):
+                if not member(m.apply(g)):
                     return False, f"transition image of {fmt_vec(g)} leaves the carrier"
+    return True, ""
+
+
+def _morphism_carrier_ok(mor, src, member):
+    """The morphism sends every source generator into the target carrier."""
+    for g in src.generators:
+        if not member(mor.matrix.apply(g)):
+            return False, f"image of generator {fmt_vec(g)} not in target carrier"
+    return True, ""
+
+
+def _relating_ok(element, node, member, endpoint, side):
+    """A source node's relating element lies in its carrier and, at an end of
+    the chain, is that side's endpoint."""
+    if element is None or len(element) != node.dim:
+        return False, "source node lacks a relating element"
+    if not member(element):
+        return False, "relating element outside the carrier"
+    if endpoint is not None and element != endpoint:
+        return False, f"{side} endpoint does not match its relating element"
     return True, ""
 
 
@@ -349,6 +416,14 @@ def verify_zigzag(z):
     def add(name, ok, detail=""):
         checks.append(CheckResult(name, bool(ok), detail))
         return bool(ok)
+
+    def add_guarded(name, check, *args):
+        """Add a check that tests carrier membership; an overrun search fails it."""
+        try:
+            ok, detail = check(*args)
+        except SearchBudgetExceeded as exc:
+            ok, detail = False, str(exc)
+        add(name, ok, detail)
 
     nodes = z.nodes
     n = len(nodes)
@@ -388,6 +463,7 @@ def verify_zigzag(z):
     if not shape_ok:
         return Report(False, checks)
 
+    members = [_carrier_tester(z.tag, node) for node in nodes]
     for i, node in enumerate(nodes):
         ok, detail = _kind_ok(node)
         if ok and i in sinks and not node.is_free:
@@ -395,18 +471,11 @@ def verify_zigzag(z):
         if ok and z.functor == GHAT and not node.is_pca:
             ok, detail = False, "subconvex witnesses need subconvex carriers"
         add(f"node-kind[{i}]", ok, detail)
-        ok, detail = _coalgebra_self_map_ok(z, node)
-        add(f"node-coalgebra[{i}]", ok, detail)
+        add_guarded(f"node-coalgebra[{i}]", _coalgebra_self_map_ok, z, node, members[i])
 
     for k, mor in enumerate(z.morphisms):
         src, dst = nodes[mor.src], nodes[mor.dst]
-        carrier_ok, carrier_detail = True, ""
-        for g in src.generators:
-            if not _carrier_member(z.tag, dst, mor.matrix.apply(g)):
-                carrier_ok = False
-                carrier_detail = f"image of generator {fmt_vec(g)} not in target carrier"
-                break
-        add(f"morphism-carrier[{k}]", carrier_ok, carrier_detail)
+        add_guarded(f"morphism-carrier[{k}]", _morphism_carrier_ok, mor, src, members[mor.dst])
         square_ok, square_detail = True, ""
         for g in src.generators:
             fg = mor.matrix.apply(g)
@@ -427,16 +496,10 @@ def verify_zigzag(z):
         add(f"morphism-square[{k}]", square_ok, square_detail)
 
     relating = dict(z.relating)
+    ends = {0: (vector(x1), "left"), n - 1: (vector(x2), "right")}
     for i in sources:
-        present = i in relating and len(relating[i]) == nodes[i].dim
-        detail = "" if present else "source node lacks a relating element"
-        if present and not _carrier_member(z.tag, nodes[i], relating[i]):
-            present, detail = False, "relating element outside the carrier"
-        if present and i == 0 and relating[i] != vector(x1):
-            present, detail = False, "left endpoint does not match its relating element"
-        if present and i == n - 1 and relating[i] != vector(x2):
-            present, detail = False, "right endpoint does not match its relating element"
-        add(f"relating[{i}]", present, detail)
+        add_guarded(f"relating[{i}]", _relating_ok, relating.get(i), nodes[i], members[i],
+                    *ends.get(i, (None, None)))
     for i in sinks:
         if i in relating:
             add(f"relating[{i}]", False, "sink nodes carry no relating element")

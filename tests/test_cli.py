@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from wazz import pca
-from wazz.cli import main
+from wazz import pca, zigzag
+from wazz.cli import build_parser, main
 from wazz.automata import SemiringTag, automaton_to_text
-from wazz.zigzag import parse_zigzag
+from wazz.zigzag import parse_zigzag, zigzag_to_text
 
 from genrandom import lifted_pair
+from test_zigzag import deep_nat_witness
 
 HALF_LOOP = """\
 semiring qplus
@@ -33,6 +34,18 @@ state 1 0
 SWAP_BAD = SWAP.replace("output 1/2 1/2", "output 1/2 1")
 
 PCA_LOOP = HALF_LOOP.replace("semiring qplus", "semiring pca")
+
+# state 1 behaves like HALF_LOOP, state 2 does not
+HALF_OR_ONE = """\
+semiring qplus
+alphabet a
+states 2
+output 1/2 1
+trans a
+1/2 0
+0 1/2
+state 1 0
+"""
 
 
 def write(tmp_path, name, text):
@@ -135,6 +148,17 @@ class TestZigzagVerify:
         assert "INVALID" in stdout
         assert 'trace-agreement: endpoint traces differ on word "a"' in stdout
 
+    def test_monoid_budget_overrun_is_a_failed_check(self, tmp_path, capsys):
+        path = write(tmp_path, "deep.zz",
+                     zigzag_to_text(deep_nat_witness(zigzag.MONOID_STEP_BUDGET + 1)))
+        assert main(["verify", path]) == 1
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert lines[0].startswith("INVALID (1 of ")
+        assert lines[1:] == ["  relating[1]: N-monoid membership search exceeded its "
+                             f"budget of {zigzag.MONOID_STEP_BUDGET} steps"]
+        assert err == ""
+
     def test_internal_error_exit_code(self, tmp_path, capsys, monkeypatch):
         # an infeasible fixed-point system on a valid coalgebra is a bug
         monkeypatch.setattr(pca, "lp_feasible", lambda h: None)
@@ -209,6 +233,36 @@ class TestGauge:
         assert main(["gauge", p, "1", "2"]) == 2
 
 
+class TestParserBuiltOnce:
+    def test_nothing_leaks_between_calls(self, tmp_path, capsys, monkeypatch):
+        parser = build_parser()
+        assert build_parser() is parser
+        parsed = []  # what each main call parsed, as it was then
+        parse = parser.parse_args
+
+        def spy(*args, **kwargs):
+            namespace = parse(*args, **kwargs)
+            parsed.append(dict(vars(namespace)))
+            return namespace
+
+        monkeypatch.setattr(parser, "parse_args", spy)
+        a = write(tmp_path, "a.wa", HALF_OR_ONE)
+        b = write(tmp_path, "b.wa", HALF_LOOP)
+        out = tmp_path / "w.zz"
+        # from state 2 the pair differs at once, and no witness is written
+        assert main(["zigzag", a, b, "--left-state", "2", "-o", str(out)]) == 1
+        assert "separating word: eps" in capsys.readouterr().out
+        assert parsed[0]["left_state"] == 2 and parsed[0]["output"] == str(out)
+        # the next calls start afresh: the file's state line, and no -o
+        assert main(["equiv", a, b]) == 0
+        assert capsys.readouterr().out.startswith("EQUIVALENT")
+        assert "output" not in parsed[1] and parsed[1]["left_state"] is None
+        assert main(["zigzag", a, b]) == 0
+        assert capsys.readouterr().out.startswith("zigzag cubic qplus")
+        assert parsed[2]["output"] is None and parsed[2]["left_state"] is None
+        assert not out.exists()
+
+
 class TestTraceDefaults:
     def test_default_depth_is_state_count(self, tmp_path, capsys):
         path = write(tmp_path, "b.wa", SWAP)
@@ -220,7 +274,8 @@ class TestTraceDefaults:
 def _determinism_pair(tag):
     """A qplus pair that takes the Hilbert route, and lifted pairs whose
     witnesses go through cone_restriction (rplus), simplex_restriction with
-    PRODUCT (unit) and the five-node pipeline (pca)."""
+    PRODUCT (unit), the five-node pipeline (pca), Hilbert bases (nat) and
+    the kernel's closures and carrier coordinates (int, q, real)."""
     if tag == "qplus":
         return HALF_LOOP, SWAP
     rng = random.Random(f"determinism/{tag}")
@@ -229,7 +284,8 @@ def _determinism_pair(tag):
 
 
 class TestCrossProcessDeterminism:
-    @pytest.mark.parametrize("tag", ["qplus", "rplus", "unit", "pca"])
+    @pytest.mark.parametrize("tag", ["qplus", "rplus", "unit", "pca",
+                                     "nat", "int", "q", "real"])
     def test_witness_bytes_stable_under_hash_seeds(self, tmp_path, tag):
         import os, subprocess, sys
         import wazz

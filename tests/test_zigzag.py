@@ -5,10 +5,11 @@ import pytest
 
 from wazz.automata import NotEquivalent, SemiringTag, WeightedAutomaton, trace
 from wazz.linalg import Mat, unit, vector, zeros
+from wazz import zigzag
 from wazz.zigzag import (CUBIC, FREE_MODULE, FREE_PCA, GENERATED_MODULE,
-                         GENERATED_PCA, GHAT, Morphism, ZigZag, ZigZagNode,
-                         _nat_monoid_member, cubic_zigzag, ghat_zigzag, parse_zigzag,
-                         verify_zigzag, zigzag_to_text)
+                         GENERATED_PCA, GHAT, Morphism, SearchBudgetExceeded, ZigZag,
+                         ZigZagNode, _nat_monoid_member, cubic_zigzag, ghat_zigzag,
+                         parse_zigzag, verify_zigzag, zigzag_to_text)
 
 from genrandom import lifted_pair, rand_automaton, rand_config
 
@@ -375,6 +376,19 @@ def box_monoid_member(gens, target):
     return tuple(target) in reached
 
 
+def deep_nat_witness(k):
+    """A nat span witness relating the one-state counters x = k and y = k
+    through the middle carrier N(1, 1): everything checks at once except
+    that (k, k) is in the carrier, which takes a descent of k targets."""
+    end = ZigZagNode(kind=FREE_MODULE, dim=1, generators=((1,),), out=(1,),
+                     trans=(Mat([[1]]),))
+    middle = ZigZagNode(kind=GENERATED_MODULE, dim=2, generators=((1, 1),),
+                        out=(1, 0), trans=(Mat.identity(2),))
+    return ZigZag(functor=CUBIC, tag=T.NAT, alphabet=("a",), nodes=(end, middle, end),
+                  morphisms=(Morphism(1, 0, Mat([[1, 0]])), Morphism(1, 2, Mat([[0, 1]]))),
+                  relating=((1, (k, k)),), endpoints=((k,), (k,)))
+
+
 class TestNatMonoidMember:
     def test_deep_descent_does_not_recurse(self):
         assert _nat_monoid_member(((2, 3), (3, 2)), (4000, 4000))
@@ -392,6 +406,20 @@ class TestNatMonoidMember:
             assert verdict == box_monoid_member(nonzero, target)
             verdicts.add(verdict)
         assert verdicts == {True, False}
+
+    def test_budget_counts_targets_entered(self, monkeypatch):
+        # the descent from (k, k) by (1, 1) enters exactly k targets
+        monkeypatch.setattr(zigzag, "MONOID_STEP_BUDGET", 50)
+        assert _nat_monoid_member(((1, 1),), (50, 50))
+        with pytest.raises(SearchBudgetExceeded, match="budget of 50 steps"):
+            _nat_monoid_member(((1, 1),), (51, 51))
+
+    def test_overrun_fails_only_its_check(self, monkeypatch):
+        monkeypatch.setattr(zigzag, "MONOID_STEP_BUDGET", 50)
+        assert verify_zigzag(deep_nat_witness(50)).valid
+        report = verify_zigzag(deep_nat_witness(51))
+        assert [(c.name, c.detail) for c in report.failures()] == [
+            ("relating[1]", "N-monoid membership search exceeded its budget of 50 steps")]
 
     def test_rejects_non_naturals(self):
         assert not _nat_monoid_member(((1, 0), (0, 1)), (F(1, 2), 1))
