@@ -8,12 +8,10 @@ from .automata import (SemiringTag, WeightedAutomaton, Trace, NotEquivalent,
 from .hilbert import (IntConeSpec, hilbert_basis, nat_restriction,
                       qplus_restriction_by_scaling)
 from .polyhedra import (HRep, VRep, PcaPolytope, INFINITY, InternalError, dd_h_to_v,
-                        dd_v_to_h, gauge, lp_feasible, cone_restriction,
-                        simplex_restriction)
-from .pca import (GhatElement, LinearCoalgebra, PyramidCert, InconsistentValues,
-                  InvariantZeroSet, ghat_member, linear_extension,
-                  is_ghat_coalgebra, pyramid_extension, reduce_invariant_set,
-                  ghat_apply)
+                        dd_v_to_h, gauge, cone_restriction, simplex_restriction)
+from .pca import (GhatElement, LinearCoalgebra, PyramidCert, InvariantZeroSet,
+                  ghat_member, is_ghat_coalgebra, pyramid_extension,
+                  reduce_invariant_set, ghat_apply)
 from .zigzag import (ZigZag, ZigZagNode, cubic_zigzag, ghat_zigzag, verify_zigzag,
                      parse_zigzag, zigzag_to_text)
 
@@ -27,10 +25,10 @@ __all__ = [
     "IntConeSpec", "hilbert_basis", "nat_restriction",
     "qplus_restriction_by_scaling",
     "HRep", "VRep", "PcaPolytope", "INFINITY", "InternalError", "dd_h_to_v", "dd_v_to_h",
-    "gauge", "lp_feasible", "cone_restriction", "simplex_restriction",
-    "GhatElement", "LinearCoalgebra", "PyramidCert", "InconsistentValues",
-    "InvariantZeroSet", "ghat_member", "linear_extension", "is_ghat_coalgebra",
-    "pyramid_extension", "reduce_invariant_set", "ghat_apply",
+    "gauge", "cone_restriction", "simplex_restriction",
+    "GhatElement", "LinearCoalgebra", "PyramidCert", "InvariantZeroSet",
+    "ghat_member", "is_ghat_coalgebra", "pyramid_extension", "reduce_invariant_set",
+    "ghat_apply",
     "ZigZag", "ZigZagNode", "cubic_zigzag", "ghat_zigzag", "verify_zigzag",
     "parse_zigzag", "zigzag_to_text",
 ]

@@ -97,7 +97,9 @@ class Mat:
     __slots__ = ("rows", "ncols", "_int_rows")
 
     def __init__(self, rows, ncols=None):
-        rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
+        # Fractions are immutable, so entries that already are one are shared
+        rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in r)
+                     for r in rows)
         if rows:
             width = len(rows[0])
             for r in rows:

@@ -5,8 +5,9 @@ output weight and one vector per letter, subject to the joint budget
 o >= 0 and o + sum_a mu_X(phi(a)) <= 1, where mu_X is the Minkowski
 functional of X.  Coalgebras for it live on simplices and, more generally,
 on compact polytopes between the simplex and the positive orthant; those can
-always be enlarged to a free carrier, a pyramid, by solving the fixed-point
-system below exactly.
+always be enlarged to a free carrier, a pyramid {x >= 0 : <x, u> <= 1}, whose
+normal u is the least solution of a fixed-point system and is found by one
+exact linear solve (see `pyramid_extension`).
 """
 
 from __future__ import annotations
@@ -15,13 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .automata import SemiringTag, WeightedAutomaton
-from .linalg import Mat, solve, unit, vdot, vector, zeros
-from .polyhedra import (HRep, INFINITY, InternalError, PcaPolytope, gauge, lp_feasible,
-                        pca_member)
-
-
-class InconsistentValues(ValueError):
-    """The requested generator values admit no linear extension."""
+from .linalg import Mat, solve, unit, vdot, vector
+from .polyhedra import INFINITY, InternalError, PcaPolytope, gauge, pca_member
 
 
 class InvariantZeroSet(Exception):
@@ -85,11 +81,6 @@ class PyramidCert:
     def polytope(self):
         return PcaPolytope(len(self.u), self.generators)
 
-    def serialize(self):
-        """Text form: the normal vector as rational literals."""
-        from .formats import fmt_vec
-        return fmt_vec(self.u)
-
 
 def ghat_member(polytope, element):
     """Exact membership test: o >= 0 and o + sum of letter gauges <= 1."""
@@ -107,36 +98,6 @@ def ghat_member(polytope, element):
 def ghat_apply(matrix, element):
     """Functor action on a convex map: keep o, push the letter vectors."""
     return GhatElement(element.o, {a: matrix.apply(v) for a, v in element.phi.items()})
-
-
-def linear_extension(polytope, values, alphabet):
-    """The linear map agreeing with the given values on the generators.
-
-    `values` pairs up with polytope.generators; each entry is (o, vecs) with
-    one image vector per letter.  If the generators do not span the whole
-    space the extension is completed by zero on a complement.  Raises
-    InconsistentValues when no linear map matches.
-    """
-    gens = polytope.generators
-    if len(values) != len(gens):
-        raise ValueError("one value per generator required")
-    n = polytope.dim
-    alphabet = tuple(alphabet)
-    gen_rows = Mat(tuple(gens), ncols=n)
-    out = solve(gen_rows, vector([o for o, _ in values]))
-    if out is None:
-        raise InconsistentValues("output values are not linear in the generators")
-    mats = []
-    for a in alphabet:
-        rows = []
-        for i in range(n):
-            rhs = vector([vector(vecs[a])[i] for _, vecs in values])
-            row = solve(gen_rows, rhs)
-            if row is None:
-                raise InconsistentValues(f"letter {a!r} values are not linear")
-            rows.append(row)
-        mats.append(Mat(rows, ncols=n))
-    return LinearCoalgebra(n=n, alphabet=alphabet, out=out, trans=tuple(mats))
 
 
 def is_ghat_coalgebra(x_poly, y_poly, coalg):
@@ -192,11 +153,19 @@ def pyramid_extension(polytope, coalg):
     """A free enlargement of the carrier: a pyramid Y with X inside Y and the
     linear map sending Y into the functor at Y.
 
-    The normal vector u solves, exactly over the rationals:
+    The normal vector u has to satisfy, exactly over the rationals:
       u >= 0;  <g, u> <= 1 for every generator g of X;
-      out_j + sum_a <M_a e_j, u> <= u_j for every coordinate j.
-    Any solution is strictly positive once the invariant-zero-set condition
-    holds, and one exists whenever the map is a coalgebra on X.
+      out_j + sum_a <M_a e_j, u> <= u_j for every coordinate j,
+    the last rows being u >= out + N u with N = sum_a M_a^T >= 0.  Every
+    solution lies componentwise above the Neumann sum u* = sum_k N^k out, and
+    u* satisfies the rows <g, u> <= 1 (g >= 0) whenever any solution does, so
+    u* is the least solution.  A solution u > 0 with no invariant zero set
+    forces spectral radius rho(N) < 1 (a left Perron vector of N for the
+    eigenvalue 1 would have an invariant zero set as its support), so I - N
+    is invertible and u* is the one solution of (I - N) u = out.  That
+    system is solved once; its solution is then checked to be positive and
+    to keep X inside the pyramid.  A failure of either, or of the solve, means
+    no positive solution exists, which the preconditions rule out.
     """
     n = polytope.dim
     if coalg.n != n:
@@ -209,23 +178,23 @@ def pyramid_extension(polytope, coalg):
     bad = invariant_zero_set(coalg.out, coalg.trans)
     if bad:
         raise InvariantZeroSet(bad)
-    ineqs = []
+    # row j of I - N is e_j minus the sum over letters of column j of M_a
+    rows = []
     for j in range(n):
-        ineqs.append((tuple(-q for q in unit(n, j)), Fraction(0)))
-    for g in polytope.generators:
-        ineqs.append((g, Fraction(1)))
-    for j in range(n):
-        total = zeros(n)
+        row = list(unit(n, j))
         for m in coalg.trans:
-            total = tuple(t + c for t, c in zip(total, m.col(j)))
-        normal = tuple(t - u for t, u in zip(total, unit(n, j)))
-        ineqs.append((normal, -coalg.out[j]))
-    u = lp_feasible(HRep(n, tuple(ineqs)))
+            for i, c in enumerate(m.col(j)):
+                row[i] -= c
+        rows.append(row)
+    u = solve(Mat(rows, ncols=n), coalg.out)
     if u is None:
-        raise InternalError("fixed-point system infeasible on a valid coalgebra")
+        raise InternalError("fixed-point system infeasible: (I - N) u = out has no "
+                            "solution on a valid coalgebra")
     if any(q <= 0 for q in u):
-        raise InternalError("fixed point with a zero coordinate despite the "
+        raise InternalError("fixed point with a nonpositive coordinate despite the "
                             "nonvanishing condition")
+    if any(vdot(g, u) > 1 for g in polytope.generators):
+        raise InternalError("fixed point puts a carrier generator outside the pyramid")
     gens = tuple(vector([Fraction(1, 1) / u[j] if i == j else 0 for i in range(n)])
                  for j in range(n))
     return PyramidCert(u=vector(u), generators=gens)

@@ -244,8 +244,9 @@ class SearchBudgetExceeded(Exception):
 
 
 def _nat_monoid_member(gens, v):
-    """v in the N-span of nonnegative integer generators (depth-first descent
-    on an explicit stack, largest generators first).  Raises
+    """v in the N-span of nonnegative integer generators.  One generator g is
+    decided exactly (v = c g for a natural c); with more, by depth-first
+    descent on an explicit stack, largest generators first, which raises
     SearchBudgetExceeded once it would enter more than MONOID_STEP_BUDGET
     targets."""
     if not (is_integral(v) and is_nonneg(v)):
@@ -255,6 +256,10 @@ def _nat_monoid_member(gens, v):
     target = as_int_vec(v)
     if not any(target):
         return True
+    if len(gens) == 1:
+        (g,) = gens
+        c = sum(target) // sum(g)  # the only candidate, as c g sums to c sum(g)
+        return all(c * a == b for a, b in zip(g, target))
     # targets entered once: each one is either on the stack or refuted, since
     # a descent that reaches zero returns at once
     seen = {target}

@@ -17,12 +17,13 @@ from wazz.linalg import Mat, unit, vdot, vector, zeros
 from wazz.pca import (GhatElement, LinearCoalgebra, ghat_apply, ghat_member,
                       invariant_zero_set, pyramid_extension, reduce_invariant_set)
 from wazz.polyhedra import (HRep, INFINITY, PcaPolytope, VRep, dd_h_to_v,
-                            dd_v_to_h, gauge, lp_feasible, pca_member)
+                            dd_v_to_h, gauge, pca_member)
 from wazz.zigzag import (FREE_PCA, GENERATED_MODULE, Morphism, ZigZag,
                          ZigZagNode, cubic_zigzag, ghat_zigzag, verify_zigzag)
 
 from genrandom import lifted_pair, rand_automaton, rand_config
 from hilbert_oracle import hilbert_bruteforce_oracle
+from lp_oracle import lp_feasible
 from test_hilbert import monoid_member, spec_of
 
 T = SemiringTag

@@ -8,7 +8,7 @@ from wazz.automata import SemiringTag, automaton_to_text
 from wazz.zigzag import parse_zigzag, zigzag_to_text
 
 from genrandom import lifted_pair
-from test_zigzag import deep_nat_witness
+from test_zigzag import two_generator_nat_witness
 
 HALF_LOOP = """\
 semiring qplus
@@ -150,7 +150,9 @@ class TestZigzagVerify:
 
     def test_monoid_budget_overrun_is_a_failed_check(self, tmp_path, capsys):
         path = write(tmp_path, "deep.zz",
-                     zigzag_to_text(deep_nat_witness(zigzag.MONOID_STEP_BUDGET + 1)))
+                     zigzag_to_text(two_generator_nat_witness(
+                         zigzag.MONOID_STEP_BUDGET // 2,
+                         zigzag.MONOID_STEP_BUDGET - zigzag.MONOID_STEP_BUDGET // 2 + 1)))
         assert main(["verify", path]) == 1
         out, err = capsys.readouterr()
         lines = out.splitlines()
@@ -160,8 +162,8 @@ class TestZigzagVerify:
         assert err == ""
 
     def test_internal_error_exit_code(self, tmp_path, capsys, monkeypatch):
-        # an infeasible fixed-point system on a valid coalgebra is a bug
-        monkeypatch.setattr(pca, "lp_feasible", lambda h: None)
+        # a fixed-point system without solution on a valid coalgebra is a bug
+        monkeypatch.setattr(pca, "solve", lambda m, b: None)
         a = write(tmp_path, "a.wa", PCA_LOOP)
         assert main(["zigzag", a, a, "-o", str(tmp_path / "w.zz")]) == 3
         err = capsys.readouterr().err

@@ -90,6 +90,40 @@ class TestApplyMatchesOracle:
             assert left @ right == want
 
 
+class TestMatEntries:
+    """`Mat` keeps entries that already are `Fraction` and converts the rest;
+    the matrix is the same whichever form its entries come in."""
+
+    def test_int_str_and_fraction_entries_agree(self):
+        rng = random.Random("kernel/entries")
+        for _ in range(50):
+            nrows, ncols = rng.randint(0, 4), rng.randint(1, 4)
+            fracs = [[rand_entry(rng, 0.6, 6) for _ in range(ncols)] for _ in range(nrows)]
+            forms = [
+                Mat([[F(a) for a in r] for r in fracs], ncols=ncols),
+                Mat([[str(a) for a in r] for r in fracs], ncols=ncols),
+                # integral entries as int, the rest as Fraction
+                Mat([[int(a) if a.denominator == 1 else a for a in r] for r in fracs],
+                    ncols=ncols),
+            ]
+            x = rand_vector(rng, ncols, 5)
+            for m in forms:
+                assert all(type(a) is F for r in m.rows for a in r)
+                assert m == forms[0] and hash(m) == hash(forms[0])
+                assert same(m.apply(x), entrywise_apply(forms[0], x))
+
+    def test_fraction_entries_are_kept_and_subclasses_converted(self):
+        class Sub(F):
+            pass
+
+        half = F(1, 2)
+        m = Mat([[half, Sub(1, 3), 2]])
+        assert m.rows[0][0] is half
+        assert [type(a) for a in m.rows[0]] == [F, F, F]
+        assert m == Mat([["1/2", "1/3", "2"]])
+        assert m.transpose().rows[0][0] is half
+
+
 def solve_coordinates(gens, dim, v):
     """What the verifier did per vector before: a fresh `solve` and the
     entrywise back-check."""

@@ -3,15 +3,18 @@ from fractions import Fraction as F
 
 import pytest
 
+from wazz import pca, zigzag
 from wazz.automata import SemiringTag, WeightedAutomaton, trace
-from wazz.linalg import Mat, unit, vdot, vector, zeros
-from wazz.pca import (GhatElement, InconsistentValues, InvariantZeroSet,
-                      LinearCoalgebra, ghat_apply, ghat_member, invariant_zero_set,
-                      is_ghat_coalgebra, linear_extension, pyramid_extension,
-                      reduce_invariant_set)
-from wazz.polyhedra import HRep, INFINITY, PcaPolytope, gauge, lp_feasible, pca_member
+from wazz.formats import fmt_vec, parse_rat
+from wazz.linalg import Mat, solve, unit, vdot, vector, zeros
+from wazz.pca import (GhatElement, InvariantZeroSet, LinearCoalgebra, ghat_apply,
+                      ghat_member, invariant_zero_set, is_ghat_coalgebra,
+                      pyramid_extension, reduce_invariant_set)
+from wazz.polyhedra import HRep, INFINITY, InternalError, PcaPolytope, gauge, pca_member
+from wazz.zigzag import ghat_zigzag
 
-from genrandom import rand_automaton
+from genrandom import lifted_pair, rand_automaton
+from lp_oracle import lp_feasible, pyramid_normal
 
 T = SemiringTag
 
@@ -53,6 +56,40 @@ class TestMembership:
 
     def test_outside_cone(self):
         assert not ghat_member(delta(1), GhatElement(0, {"a": vector([-1])}))
+
+
+class InconsistentValues(ValueError):
+    """The requested generator values admit no linear extension."""
+
+
+def linear_extension(polytope, values, alphabet):
+    """The linear map agreeing with the given values on the generators.
+
+    `values` pairs up with polytope.generators; each entry is (o, vecs) with
+    one image vector per letter.  If the generators do not span the whole
+    space the extension is completed by zero on a complement.  Raises
+    InconsistentValues when no linear map matches.
+    """
+    gens = polytope.generators
+    if len(values) != len(gens):
+        raise ValueError("one value per generator required")
+    n = polytope.dim
+    alphabet = tuple(alphabet)
+    gen_rows = Mat(tuple(gens), ncols=n)
+    out = solve(gen_rows, vector([o for o, _ in values]))
+    if out is None:
+        raise InconsistentValues("output values are not linear in the generators")
+    mats = []
+    for a in alphabet:
+        rows = []
+        for i in range(n):
+            rhs = vector([vector(vecs[a])[i] for _, vecs in values])
+            row = solve(gen_rows, rhs)
+            if row is None:
+                raise InconsistentValues(f"letter {a!r} values are not linear")
+            rows.append(row)
+        mats.append(Mat(rows, ncols=n))
+    return LinearCoalgebra(n=n, alphabet=alphabet, out=out, trans=tuple(mats))
 
 
 class TestLinearExtension:
@@ -167,6 +204,104 @@ class TestPyramid:
             assert is_ghat_coalgebra(pyr, pyr, c)
             for g in poly.generators:
                 assert pca_member(pyr, g)  # X inside Y
+
+
+def fm_pyramid_u(polytope, coalg):
+    """The normal the Fourier-Motzkin pyramid gave, or None where it raised
+    InternalError (no point, or a point with a zero coordinate)."""
+    u = pyramid_normal(polytope, coalg)
+    return None if u is None or any(q <= 0 for q in u) else u
+
+
+def reduced_coalgebra(aut):
+    _, q, _ = reduce_invariant_set(aut)
+    return coalg_of(q)
+
+
+def sparsified(rng, aut, keep):
+    """The automaton with each transition entry kept with probability `keep`;
+    dropping mass keeps every joint budget."""
+    trans = tuple(Mat([[x if rng.random() < keep else 0 for x in r] for r in m.rows],
+                      ncols=aut.n) for m in aut.trans)
+    return WeightedAutomaton(tag=T.PCA, n=aut.n, alphabet=aut.alphabet, out=aut.out,
+                             trans=trans)
+
+
+class TestPyramidMatchesFourierMotzkin:
+    """The one linear solve gives exactly the point Fourier-Motzkin gave, the
+    least solution of the fixed-point system, and fails where it failed."""
+
+    def assert_same(self, polytope, coalg):
+        expected = fm_pyramid_u(polytope, coalg)
+        if expected is None:
+            with pytest.raises(InternalError):
+                pyramid_extension(polytope, coalg)
+            return False
+        assert pyramid_extension(polytope, coalg).u == expected
+        return True
+
+    def test_random_reduced_coalgebras(self):
+        rng = random.Random("pyramid-vs-fm")
+        dims, larger = set(), 0
+        for n in range(0, 6):
+            for trial in range(12):
+                alphabet = ("a", "b")[: 1 + trial % 2]
+                c = reduced_coalgebra(rand_automaton(rng, T.PCA, n, alphabet))
+                poly = rand_pca_polytope(rng, c.n) if trial % 3 else delta(c.n)
+                if not is_ghat_coalgebra(poly, poly, c):
+                    poly = delta(c.n)
+                assert self.assert_same(poly, c)
+                dims.add(c.n)
+                larger += len(poly.generators) > c.n
+        assert dims == set(range(0, 6)) and larger >= 10
+
+    def test_sparse_six_states(self):
+        # dense six-state systems are out of the oracle's reach
+        rng = random.Random("pyramid-vs-fm-6")
+        done = 0
+        while done < 6:
+            c = reduced_coalgebra(sparsified(rng, rand_automaton(rng, T.PCA, 6, ("a",)), 0.3))
+            if c.n == 6:
+                assert self.assert_same(delta(6), c)
+                done += 1
+
+    def test_hulls_built_by_ghat_zigzag(self, monkeypatch):
+        calls = []
+        original = zigzag.pyramid_extension
+
+        def spy(polytope, coalg):
+            calls.append((polytope, coalg))
+            return original(polytope, coalg)
+
+        monkeypatch.setattr(zigzag, "pyramid_extension", spy)
+        rng = random.Random("pyramid-vs-fm-hulls")
+        for k, extra in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)):
+            for _ in range(4):
+                aut1, x1, aut2, x2 = lifted_pair(rng, T.PCA, k, extra,
+                                                 ("a", "b")[: rng.randint(1, 2)])
+                ghat_zigzag(aut1, x1, aut2, x2)
+        assert {p.dim for p, _ in calls} >= {0, 1, 2, 3, 4, 5}
+        assert any(len(p.generators) > p.dim for p, _ in calls)
+        for polytope, coalg in calls:
+            assert self.assert_same(polytope, coalg)
+
+    def test_infeasible_systems_fail_on_both_paths(self, monkeypatch):
+        # without the coalgebra precondition, over-budget maps reach the solve;
+        # where FM finds no point, the solve, positivity or containment fails
+        monkeypatch.setattr(pca, "is_ghat_coalgebra", lambda x, y, c: True)
+        rng = random.Random("pyramid-vs-fm-infeasible")
+        outcomes = []
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            out = vector([F(rng.randint(0, 2), 2) for _ in range(n)])
+            trans = tuple(Mat([[F(rng.choice([0, 0, 1, 2, 3]), 4) for _ in range(n)]
+                               for _ in range(n)]) for _ in range(rng.randint(1, 2)))
+            c = LinearCoalgebra(n=n, alphabet=("a", "b")[: len(trans)], out=out,
+                                trans=trans)
+            if invariant_zero_set(c.out, c.trans):
+                continue
+            outcomes.append(self.assert_same(rand_pca_polytope(rng, n), c))
+        assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
 
 
 class TestReduction:
@@ -348,8 +483,7 @@ class TestCertSerialization:
         c = LinearCoalgebra(n=2, alphabet=("a",), out=vector(["1/2", "1/3"]),
                             trans=(Mat([["1/2", 0], [0, "1/3"]]),))
         cert = pyramid_extension(delta(2), c)
-        text = cert.serialize()
-        from wazz.formats import parse_rat
+        text = fmt_vec(cert.u)  # the normal vector as rational literals
         assert tuple(parse_rat(t) for t in text.split()) == cert.u
 
 

@@ -7,8 +7,10 @@ from wazz import polyhedra
 from wazz.linalg import Mat, vdot, vector, unit, zeros
 from wazz.polyhedra import (HRep, INFINITY, PRODUCT, SCALED, InternalError, PcaPolytope,
                             VRep, cone_member, cone_restriction, dd_h_to_v, dd_v_to_h,
-                            gauge, lp_feasible, pca_member, simplex_restriction)
+                            gauge, pca_member, simplex_restriction)
 from wazz.hilbert import qplus_restriction_by_scaling
+
+from lp_oracle import lp_feasible
 
 
 def H(dim, rows):
@@ -249,6 +251,29 @@ class TestLP:
             found += 1
             assert h.member(x)
             assert x in v.points  # lexicographic minimum is a vertex
+
+    def test_dd_point_agrees_with_oracle(self):
+        # polyhedra.lp_feasible reads a point off the double description
+        rng = random.Random(59)
+        feasible = {True: 0, False: 0}  # by whether the box bounds h
+        for _ in range(60):
+            dim = rng.randint(0, 3)
+            rows = [([rng.randint(-3, 3) for _ in range(dim)], rng.randint(-2, 3))
+                    for _ in range(rng.randint(1, 5))]
+            box = rng.random() < 0.5
+            if box:
+                for i in range(dim):
+                    rows.append(([1 if j == i else 0 for j in range(dim)], 5))
+                    rows.append(([-1 if j == i else 0 for j in range(dim)], 5))
+            h = H(dim, rows)
+            x, y = polyhedra.lp_feasible(h), lp_feasible(h)
+            assert (x is None) == (y is None)
+            if x is not None:
+                assert h.member(x)
+                if box:
+                    assert x == y  # both the lexicographic minimum
+                feasible[box] += 1
+        assert min(feasible.values()) >= 5
 
 
 class TestRestrictions:

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -129,6 +130,21 @@ class TestGhat:
             assert z.nodes[1].kind == FREE_PCA and z.nodes[3].kind == FREE_PCA
             report = verify_zigzag(z)
             assert report.valid, failing_names(report)
+
+    @pytest.mark.parametrize("k, extra", [(7, 1), (12, 2)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lifted_pairs_at_scale(self, k, extra, seed):
+        # the pyramid normal is one linear solve, so ghat_zigzag takes well
+        # under a second here; the bound leaves room for a slow machine
+        rng = random.Random(f"ghat-scale-{k}+{extra}-{seed}")
+        aut1, x1, aut2, x2 = lifted_pair(rng, T.PCA, k, extra, ("a",))
+        start = time.perf_counter()
+        z = ghat_zigzag(aut1, x1, aut2, x2)
+        elapsed = time.perf_counter() - start
+        assert [node.dim for node in z.nodes[1:4]] == [k + extra, 2 * k + extra, k]
+        report = verify_zigzag(z)
+        assert report.valid, failing_names(report)
+        assert elapsed < 5
 
 
 class TestVerifierNegativeControls:
@@ -376,17 +392,34 @@ def box_monoid_member(gens, target):
     return tuple(target) in reached
 
 
+COUNTER = ZigZagNode(kind=FREE_MODULE, dim=1, generators=((1,),), out=(1,),
+                     trans=(Mat([[1]]),))
+
+
 def deep_nat_witness(k):
     """A nat span witness relating the one-state counters x = k and y = k
     through the middle carrier N(1, 1): everything checks at once except
-    that (k, k) is in the carrier, which takes a descent of k targets."""
-    end = ZigZagNode(kind=FREE_MODULE, dim=1, generators=((1,),), out=(1,),
-                     trans=(Mat([[1]]),))
+    that (k, k) is in the carrier, which is k times its one generator."""
     middle = ZigZagNode(kind=GENERATED_MODULE, dim=2, generators=((1, 1),),
                         out=(1, 0), trans=(Mat.identity(2),))
-    return ZigZag(functor=CUBIC, tag=T.NAT, alphabet=("a",), nodes=(end, middle, end),
+    return ZigZag(functor=CUBIC, tag=T.NAT, alphabet=("a",),
+                  nodes=(COUNTER, middle, COUNTER),
                   morphisms=(Morphism(1, 0, Mat([[1, 0]])), Morphism(1, 2, Mat([[0, 1]]))),
                   relating=((1, (k, k)),), endpoints=((k,), (k,)))
+
+
+def two_generator_nat_witness(k, m):
+    """A nat span witness relating the counters x = y = k + m through the
+    middle carrier N{(1, 1, 0), (0, 0, 1)}, mapped to each counter by
+    (x, y, z) -> x + z and y + z.  The hard check is (k, k, m) in the
+    carrier, a descent that enters k + m targets."""
+    middle = ZigZagNode(kind=GENERATED_MODULE, dim=3, generators=((1, 1, 0), (0, 0, 1)),
+                        out=(1, 0, 1), trans=(Mat.identity(3),))
+    return ZigZag(functor=CUBIC, tag=T.NAT, alphabet=("a",),
+                  nodes=(COUNTER, middle, COUNTER),
+                  morphisms=(Morphism(1, 0, Mat([[1, 0, 1]])),
+                             Morphism(1, 2, Mat([[0, 1, 1]]))),
+                  relating=((1, (k, k, m)),), endpoints=((k + m,), (k + m,)))
 
 
 class TestNatMonoidMember:
@@ -408,18 +441,56 @@ class TestNatMonoidMember:
         assert verdicts == {True, False}
 
     def test_budget_counts_targets_entered(self, monkeypatch):
-        # the descent from (k, k) by (1, 1) enters exactly k targets
+        # the descent from (a, b) by the unit vectors enters exactly a + b targets
         monkeypatch.setattr(zigzag, "MONOID_STEP_BUDGET", 50)
-        assert _nat_monoid_member(((1, 1),), (50, 50))
+        assert _nat_monoid_member(((1, 0), (0, 1)), (25, 25))
         with pytest.raises(SearchBudgetExceeded, match="budget of 50 steps"):
-            _nat_monoid_member(((1, 1),), (51, 51))
+            _nat_monoid_member(((1, 0), (0, 1)), (25, 26))
 
     def test_overrun_fails_only_its_check(self, monkeypatch):
         monkeypatch.setattr(zigzag, "MONOID_STEP_BUDGET", 50)
-        assert verify_zigzag(deep_nat_witness(50)).valid
-        report = verify_zigzag(deep_nat_witness(51))
+        assert verify_zigzag(two_generator_nat_witness(25, 25)).valid
+        report = verify_zigzag(two_generator_nat_witness(25, 26))
         assert [(c.name, c.detail) for c in report.failures()] == [
             ("relating[1]", "N-monoid membership search exceeded its budget of 50 steps")]
+
+    def test_one_generator_decided_exactly(self, monkeypatch):
+        monkeypatch.setattr(zigzag, "MONOID_STEP_BUDGET", 50)
+        big = 10 ** 12
+        assert _nat_monoid_member(((1, 1),), (big, big))
+        assert not _nat_monoid_member(((1, 1),), (big, big + 1))
+        assert _nat_monoid_member(((0, 0), (2, 4), (2, 4)), (6, 12))  # one after dedup
+        assert not _nat_monoid_member(((2, 4),), (3, 6))  # 3/2 times the generator
+        assert not _nat_monoid_member(((2, 0, 1),), (4, 1, 2))
+        assert not _nat_monoid_member(((0, 3),), (1, 3))
+        assert not _nat_monoid_member(((0, 3),), (0, 4))
+        assert _nat_monoid_member(((0, 3),), (0, 9))
+
+    def test_one_generator_matches_box_enumeration(self):
+        rng = random.Random("nat-monoid-one")
+        verdicts = set()
+        for _ in range(300):
+            dim = rng.randint(1, 3)
+            g = tuple(rng.randint(0, 3) for _ in range(dim))
+            if not any(g):
+                continue
+            if rng.random() < 0.5:
+                c = rng.randint(0, 3)
+                target = tuple(c * a for a in g)
+            else:
+                target = tuple(rng.randint(0, 9) for _ in g)
+            verdict = _nat_monoid_member((g,), target)
+            assert verdict == box_monoid_member([g], target)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_deep_one_generator_witness_is_valid_at_once(self):
+        witness = deep_nat_witness(10 ** 6)
+        start = time.perf_counter()
+        report = verify_zigzag(witness)
+        elapsed = time.perf_counter() - start
+        assert report.valid, report.failures()
+        assert elapsed < 0.1
 
     def test_rejects_non_naturals(self):
         assert not _nat_monoid_member(((1, 0), (0, 1)), (F(1, 2), 1))
