@@ -5,13 +5,20 @@ plain tuples.  Integer lattice vectors are tuples of `int`, which mix freely
 with Fraction in arithmetic, equality and hashing.  Every operation here is
 pure and exact; dimensions must match, there is no broadcasting.
 
-Matrix-vector products run fraction-free.  On its first `apply` a `Mat`
-caches its scaled-integer row form: per row, the least common denominator d
-of its entries and the integer numerators d * entry of its nonzero entries
-with their column indices.  `apply(x)` scales x once to integers over its own
-common denominator e, takes each output entry as one integer sum over the
-row's nonzeros, and makes a single `Fraction(sum, d * e)` of it: the same
-values as the entrywise product, with one normalizing gcd per entry.
+The kernel runs on integers; `Fraction` appears only in inputs and results.
+A vector is scaled once to integers over the least common denominator of its
+entries, which changes no direction, no sign and no rank.
+
+- Matrix-vector products: on its first `apply` a `Mat` caches, per row, the
+  least common denominator d of its entries and the integer numerators
+  d * entry of its nonzero entries with their column indices.  `apply(x)`
+  scales x to integers over its own common denominator e, takes each output
+  entry as one integer sum over the row's nonzeros, and makes a single
+  `Fraction(sum, d * e)` of it.
+- Elimination (`rref`, `_Echelon`) is fraction-free: a row update is the
+  integer combination that clears one entry, divided by the gcd of the
+  result, so rows stay primitive.  `rref` divides a pivot row by its pivot
+  only when it builds the returned matrix.
 """
 
 from __future__ import annotations
@@ -67,6 +74,16 @@ def as_int_vec(v):
     return tuple(int(a) for a in v)
 
 
+def _clear_denominators(v):
+    """(d, integers d * a for each entry a of v), d being the least common
+    denominator of v's entries (int or Fraction)."""
+    ratios = [a.as_integer_ratio() for a in v]
+    den = lcm(*[d for _, d in ratios])
+    if den == 1:
+        return 1, [n for n, _ in ratios]
+    return den, [n * (den // d) for n, d in ratios]
+
+
 def primitive(v, flip_sign=False):
     """Scale a rational vector to coprime integers.
 
@@ -74,21 +91,32 @@ def primitive(v, flip_sign=False):
     `flip_sign` the first nonzero entry is additionally made positive
     (canonical form for basis vectors, not for rays).
     """
-    if is_zero(v):
-        return tuple(0 for _ in v)
-    den = 1
-    for a in v:
-        den = den * Fraction(a).denominator // gcd(den, Fraction(a).denominator)
-    ints = [int(a * den) for a in v]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
-    ints = [a // g for a in ints]
-    if flip_sign:
-        lead = next(a for a in ints if a != 0)
-        if lead < 0:
-            ints = [-a for a in ints]
-    return tuple(ints)
+    ints = _clear_denominators(v)[1]
+    g = gcd(*ints)
+    if g == 0:
+        return tuple(ints)
+    if flip_sign and next(a for a in ints if a) < 0:
+        g = -g
+    return tuple(a // g for a in ints)
+
+
+def _eliminate(v, row, p):
+    """The primitive integer vector along row[p] * v - v[p] * row, whose entry
+    p is 0; a positive multiple of v - (v[p] / row[p]) * row when row[p] > 0."""
+    d, f = row[p], v[p]
+    g = gcd(d, f)
+    d //= g
+    f //= g
+    w = [d * a - f * b for a, b in zip(v, row)]
+    g = gcd(*w)
+    return [a // g for a in w] if g > 1 else w
+
+
+def _over(row, d):
+    """The row of Fractions a / d of an integer row."""
+    if d == 1:
+        return tuple(map(Fraction, row))
+    return tuple(Fraction(a, d) for a in row)
 
 
 class Mat:
@@ -149,8 +177,7 @@ class Mat:
         int_rows = self._int_rows
         if int_rows is None:
             int_rows = self._int_rows = tuple(_scaled_row(r) for r in self.rows)
-        x_den = lcm(*(a.denominator for a in x))
-        xs = [a.numerator * (x_den // a.denominator) for a in x]
+        x_den, xs = _clear_denominators(x)
         pick = xs.__getitem__
         return tuple(Fraction(sum(map(mul, nums, map(pick, cols))), den * x_den)
                      for den, cols, nums in int_rows)
@@ -184,33 +211,37 @@ class Mat:
 def _scaled_row(row):
     """(d, column indices, integer numerators) of a row's nonzero entries,
     d being the least common denominator of the row."""
-    den = lcm(*(a.denominator for a in row))
-    cols = tuple(j for j, a in enumerate(row) if a)
-    return den, cols, tuple(row[j].numerator * (den // row[j].denominator) for j in cols)
+    den, nums = _clear_denominators(row)
+    cols = tuple(j for j, a in enumerate(nums) if a)
+    return den, cols, tuple(nums[j] for j in cols)
 
 
 def rref(m):
-    """Reduced row echelon form: returns (R, pivot columns, rank)."""
-    rows = [list(map(Fraction, r)) for r in m.rows]
+    """Reduced row echelon form: returns (R, pivot columns, rank).
+
+    Fraction-free Gauss-Jordan on the rows scaled to primitive integers (see
+    the module docstring); R, its pivots and its rank are unique, so they are
+    those of the rational elimination."""
+    rows = [primitive(r) for r in m.rows]
     nr, nc = m.nrows, m.ncols
     pivots = []
     r = 0
     for c in range(nc):
-        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [a * inv for a in rows[r]]
+        prow = rows[r]
         for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            if i != r and rows[i][c]:
+                rows[i] = _eliminate(rows[i], prow, c)
         pivots.append(c)
         r += 1
-        if r == nr:
-            break
-    return Mat(rows, ncols=nc), tuple(pivots), len(pivots)
+    red = [_over(row, row[c]) for row, c in zip(rows, pivots)]
+    red += [_over(row, 1) for row in rows[r:]]
+    return Mat(red, ncols=nc), tuple(pivots), r
 
 
 def kernel_basis(m):
@@ -369,31 +400,35 @@ def lattice_coords(v, lattice):
 
 
 class _Echelon:
-    """Incremental echelon form used to test membership in a Q-span."""
+    """Incremental echelon form used to test membership in a Q-span, on
+    primitive integer rows with positive pivots."""
 
     def __init__(self):
-        self.rows = []  # (pivot index, vector with pivot entry 1)
+        self.rows = []  # (pivot index, primitive integer row, row[pivot] > 0)
 
     def residue(self, v):
-        v = list(v)
+        """A positive multiple of v minus its reduction against the rows, as
+        integers: v is scaled once and eliminated fraction-free."""
+        v = _clear_denominators(v)[1]
         for p, row in self.rows:
-            if v[p] != 0:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
+            if v[p]:
+                v = _eliminate(v, row, p)
         return v
 
     def add(self, v):
         """Insert v; returns False if v was already in the span."""
         res = self.residue(v)
-        p = next((i for i, a in enumerate(res) if a != 0), None)
+        p = next((i for i, a in enumerate(res) if a), None)
         if p is None:
             return False
-        inv = 1 / Fraction(res[p])
-        self.rows.append((p, [a * inv for a in res]))
+        g = gcd(*res)
+        if res[p] < 0:
+            g = -g
+        self.rows.append((p, [a // g for a in res]))
         return True
 
     def contains(self, v):
-        return all(a == 0 for a in self.residue(v))
+        return not any(self.residue(v))
 
 
 def _check_square(start, maps):
@@ -429,8 +464,10 @@ def closure_under_maps(start, maps, ring):
     closed under all maps.
 
     ring "Q": the vectors of `word_closure`, linearly independent.  ring "Z":
-    the HNF basis of the closure lattice; the ascending chain of sublattices
-    stabilizes, detected by an unchanged HNF.
+    the HNF basis of the closure lattice, grown from a worklist: the maps go
+    only to vectors that enlarged the lattice, and an image outside the
+    current lattice enlarges it.  The result is generated by vectors whose
+    images all lie in it, so it is closed, and its HNF basis is unique.
     """
     if ring == "Q":
         return [v for _, v in word_closure(start, maps)]
@@ -443,14 +480,17 @@ def closure_under_maps(start, maps, ring):
             for r in m.rows:
                 if not is_integral(r):
                     raise ValueError("ring Z needs integral maps")
-        lat = hnf([as_int_vec(start)], dim=n) if not is_zero(start) else Lattice(n, ())
-        while True:
-            new_rows = list(lat.basis)
-            for b in lat.basis:
-                for m in maps:
-                    new_rows.append(as_int_vec(m.apply(b)))
-            nxt = hnf(new_rows, dim=n) if new_rows else Lattice(n, ())
-            if nxt == lat:
-                return [tuple(r) for r in lat.basis]
-            lat = nxt
+        if is_zero(start):
+            return []
+        start = as_int_vec(start)
+        lat = hnf([start], dim=n)
+        work = deque([start])
+        while work:
+            v = work.popleft()
+            for m in maps:
+                w = as_int_vec(m.apply(v))
+                if not lattice_member(w, lat):
+                    lat = hnf(lat.basis + (w,), dim=n)
+                    work.append(w)
+        return [tuple(r) for r in lat.basis]
     raise ValueError(f"unknown ring {ring!r}")

@@ -12,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
-from .linalg import (Mat, _Echelon, is_nonneg, is_zero, kernel_basis, primitive,
-                     rref, unit, vdot, vector, vneg, vscale, zeros)
+from .linalg import (Mat, _clear_denominators, _eliminate, as_int_vec, is_nonneg, is_zero,
+                     kernel_basis, primitive, unit, vdot, vector, vneg, vscale, zeros)
 
 
 class InternalError(Exception):
@@ -85,7 +87,10 @@ class VRep:
 @dataclass(frozen=True)
 class PcaPolytope:
     """Subconvex hull {sum c_i g_i : c_i >= 0, sum c_i <= 1} of nonnegative
-    generators; always contains 0."""
+    generators; always contains 0.
+
+    The hash is computed once, at construction, since every gauge looks the
+    polytope up in the facet cache; equality stays field-wise."""
 
     dim: int
     generators: tuple
@@ -98,6 +103,10 @@ class PcaPolytope:
                 raise ValueError("generator of wrong dimension")
             if not is_nonneg(g):
                 raise ValueError("generators must be nonnegative")
+        object.__setattr__(self, "_hash", hash((self.dim, self.generators)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def canonical_ineq(normal, bound):
@@ -111,15 +120,41 @@ def canonical_ineq(normal, bound):
 
 
 def _initial_simplex(normals, dim):
-    """Indices of `dim` linearly independent normals (requires full rank)."""
-    ech = _Echelon()
-    chosen = []
+    """(indices of the first `dim` linearly independent integer normals,
+    extreme rays of the cone {x : Bx <= 0} of those normals B), from one
+    fraction-free Gauss-Jordan pass (requires full rank).
+
+    Each row carries, after its dim entries, its coefficients over the chosen
+    normals.  Once fully reduced, row k reads d_k e_(p_k) = c_k B, so entry
+    p_k of column j of B^-1 is c_k[j] / d_k, and the ray of the j-th chosen
+    normal, -B^-1 e_j, is primitive in the integers -c_k[j] * (L / d_k) with L
+    the (positive) lcm of the d_k.
+    """
+    rows, chosen = [], []  # rows: (pivot p, row)
     for i, a in enumerate(normals):
-        if ech.add(a):
-            chosen.append(i)
-            if len(chosen) == dim:
-                return chosen
-    raise ValueError("constraint matrix does not have full rank")
+        v = list(a) + [0] * dim
+        v[dim + len(chosen)] = 1
+        for p, row in rows:
+            if v[p]:
+                v = _eliminate(v, row, p)
+        p = next((c for c in range(dim) if v[c]), None)
+        if p is None:
+            continue
+        rows = [(q, _eliminate(row, v, p) if row[p] else row) for q, row in rows]
+        rows.append((p, v))
+        chosen.append(i)
+        if len(chosen) == dim:
+            break
+    else:
+        raise ValueError("constraint matrix does not have full rank")
+    scale = lcm(*(row[p] for p, row in rows))
+    rays = []
+    for j in range(dim):
+        ray = [0] * dim
+        for p, row in rows:
+            ray[p] = -row[dim + j] * (scale // row[p])
+        rays.append(primitive(ray))
+    return chosen, rays
 
 
 def _pointed_cone_rays(normals, dim):
@@ -139,14 +174,9 @@ def _pointed_cone_rays(normals, dim):
     if dim == 0:
         return []
     normals = [primitive(a) for a in normals]
-    base = _initial_simplex(normals, dim)
-    # the rays of {x : Bx <= 0} are the columns of -B^-1, read off rref[B | I]
-    red, _, _ = rref(Mat([normals[k] + unit(dim, j) for j, k in enumerate(base)]))
+    base, first_rays = _initial_simplex(normals, dim)
     base_mask = sum(1 << k for k in base)
-    rays = {}
-    for j, k in enumerate(base):
-        ray = primitive(tuple(-row[dim + j] for row in red.rows))
-        rays[ray] = base_mask & ~(1 << k)
+    rays = {ray: base_mask & ~(1 << k) for ray, k in zip(first_rays, base)}
     base = set(base)
     for i, a in enumerate(normals):
         if i in base:
@@ -256,8 +286,10 @@ FACET_CACHE_SIZE = 128
 
 @lru_cache(maxsize=FACET_CACHE_SIZE)
 def _subconvex_facets(polytope):
-    """H-form of the subconvex hull (the hull of the generators and 0)."""
-    return dd_v_to_h(VRep(polytope.dim, (zeros(polytope.dim),) + polytope.generators, ()))
+    """Facets <a, x> <= b of the subconvex hull (the hull of the generators
+    and 0) as integer rows (a, b), coprime; b >= 0 as the hull holds 0."""
+    h = dd_v_to_h(VRep(polytope.dim, (zeros(polytope.dim),) + polytope.generators, ()))
+    return tuple((as_int_vec(a), int(b)) for a, b in h.ineqs)
 
 
 def gauge(polytope, x):
@@ -265,21 +297,23 @@ def gauge(polytope, x):
 
     Equals min{sum c_i : x = sum c_i g_i, c_i >= 0} whenever that program is
     feasible (facet ratios and the LP have the same optimum for a compact
-    convex set containing 0).
+    convex set containing 0).  With x scaled once to integers x' = e x, the
+    result is the largest <a, x'> / b over the facets with b > 0 (compared
+    by cross-multiplication) divided by e; x is outside the cone when a
+    facet with b = 0 has <a, x'> > 0.
     """
     if len(x) != polytope.dim:
         raise ValueError("point of wrong dimension")
-    best = Fraction(0)
-    for a, b in _subconvex_facets(polytope).ineqs:
-        value = vdot(a, x)
-        if b == 0:
+    den, xs = _clear_denominators(x)
+    best, best_b = 0, 1
+    for a, b in _subconvex_facets(polytope):
+        value = sum(map(mul, a, xs))
+        if not b:
             if value > 0:
                 return INFINITY
-        else:
-            ratio = value / b
-            if ratio > best:
-                best = ratio
-    return best
+        elif value * best_b > best * b:
+            best, best_b = value, b
+    return Fraction(best, best_b * den)
 
 
 def pca_member(polytope, x):
@@ -289,19 +323,21 @@ def pca_member(polytope, x):
 
 @lru_cache(maxsize=FACET_CACHE_SIZE)
 def _cone_facet_normals(gens, dim):
-    """Normals n with cone(gens) = {x : <n, x> <= 0 for all n}."""
-    lineality, rays = cone_rays(tuple(gens), dim)
-    normals = list(rays)
+    """Primitive integer normals n with cone(gens) = {x : <n, x> <= 0 for all n}."""
+    lineality, rays = cone_rays(tuple(vector(g) for g in gens), dim)
+    normals = [as_int_vec(r) for r in rays]
     for l in lineality:
-        normals.append(vector(primitive(l)))
-        normals.append(vector(primitive(vneg(l))))
+        normals.append(primitive(l))
+        normals.append(primitive(vneg(l)))
     return tuple(sorted(set(normals)))
 
 
 def cone_member(gens, x):
-    """Exact membership of x in the convex cone spanned by gens."""
-    dim = len(x)
-    return all(vdot(n, x) <= 0 for n in _cone_facet_normals(tuple(vector(g) for g in gens), dim))
+    """Exact membership of x in the convex cone spanned by gens, tested on
+    the integer normals with x scaled once to integers."""
+    xs = _clear_denominators(x)[1]
+    return all(sum(map(mul, n, xs)) <= 0
+               for n in _cone_facet_normals(tuple(map(tuple, gens)), len(x)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """The double description that recomputed every ray's tight set at every
-step, kept as a differential oracle for `wazz.polyhedra._pointed_cone_rays`."""
+step, kept as a differential oracle for `wazz.polyhedra._pointed_cone_rays`.
+Its initial simplex and ray scaling use the `Fraction` kernel oracles."""
 
-from wazz.linalg import (Mat, _Echelon, kernel_basis, primitive, solve, unit, vdot,
-                         vector, vneg)
+from wazz.linalg import Mat, kernel_basis, solve, unit, vdot, vector, vneg
+
+from kernel_oracle import Echelon, primitive
 
 
 def _initial_simplex(normals, dim):
     """Indices of `dim` linearly independent normals (requires full rank)."""
-    ech = _Echelon()
+    ech = Echelon()
     chosen = []
     for i, a in enumerate(normals):
         if ech.add(a):

@@ -201,7 +201,7 @@ def test_criterion_6_gauge_laws():
             Y = rand_poly()
             from wazz.polyhedra import _subconvex_facets
             hx, hy = _subconvex_facets(X), _subconvex_facets(Y)
-            both = dd_h_to_v(HRep(dim, hx.ineqs + hy.ineqs))
+            both = dd_h_to_v(HRep(dim, hx + hy))
             XY = PcaPolytope(dim, tuple(pt for pt in both.points if any(pt)))
             gxI, gyI, gI = gauge(X, x), gauge(Y, x), gauge(XY, x)
             if gxI is INFINITY or gyI is INFINITY:

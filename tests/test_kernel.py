@@ -1,17 +1,23 @@
-"""Differential tests of the scaled-integer kernel: `Mat.apply` against the
-entrywise oracle, and the verifier's per-node carrier tester against a fresh
-`solve` for every vector."""
+"""Differential tests of the integer kernel: `Mat.apply` against the
+entrywise oracle, the verifier's per-node carrier tester against a fresh
+`solve` for every vector, and the fraction-free `rref`, `_Echelon`,
+`primitive`, DD initial simplex, gauge, cone membership and Z closure
+against their `Fraction` versions in `kernel_oracle`."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import kernel_oracle
+from wazz import polyhedra, zigzag
 from wazz.automata import SemiringTag
-from wazz.linalg import Mat, solve, unit, vector
+from wazz.linalg import Mat, _Echelon, closure_under_maps, primitive, rref, solve, unit, vector
+from wazz.polyhedra import INFINITY, PcaPolytope, cone_member, gauge
 from wazz.zigzag import (FREE_MODULE, GENERATED_MODULE, ZigZagNode, _carrier_tester,
-                         _span_coordinates)
+                         _span_coordinates, ghat_zigzag)
 
+from genrandom import lifted_pair
 from matvec_oracle import entrywise_apply
 
 T = SemiringTag
@@ -199,3 +205,220 @@ class TestCarrierTesterMatchesSolve:
                 assert member(v) == want
                 verdicts.add(want)
         assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# fraction-free elimination, scaling and facet evaluation
+
+
+def rand_scalar(rng):
+    """0, a small int, a small fraction, or one with a denominator up to 10**6."""
+    roll = rng.random()
+    if roll < 0.3:
+        return 0
+    if roll < 0.5:
+        return rng.randint(-9, 9)
+    if roll < 0.8:
+        return F(rng.randint(-9, 9), rng.randint(1, 9))
+    return F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+
+
+def rand_rows(rng, nr, nc):
+    """nr rows of nc entries, int and Fraction, with zero rows and columns and
+    rows that are combinations of earlier ones."""
+    zero_cols = set(rng.sample(range(nc), rng.randint(0, nc // 2))) if nc else set()
+    rows = []
+    for _ in range(nr):
+        roll = rng.random()
+        if roll < 0.15:
+            row = [0] * nc
+        elif rows and roll < 0.4:
+            a, b = rng.choice(rows), rng.choice(rows)
+            c, d = rand_scalar(rng), F(rng.randint(-3, 3), rng.randint(1, 4))
+            row = [c * x + d * y for x, y in zip(a, b)]
+        else:
+            row = [0 if j in zero_cols else rand_scalar(rng) for j in range(nc)]
+        rows.append(row)
+    return rows
+
+
+def all_fractions(m):
+    return all(type(a) is F for r in m.rows for a in r)
+
+
+class TestRrefMatchesOracle:
+    @pytest.mark.parametrize("nr", range(8))
+    def test_random_shapes(self, nr):
+        rng = random.Random(f"kernel/rref/{nr}")
+        for nc in range(9):
+            for _ in range(12):
+                m = Mat(rand_rows(rng, nr, nc), ncols=nc)
+                got, want = rref(m), kernel_oracle.rref(m)
+                assert got == want, m
+                assert all_fractions(got[0])
+
+    def test_rank_and_pivots_of_known_matrix(self):
+        m = Mat([[0, 0, 0, 0], [0, 2, 4, F(1, 3)], [0, 1, 2, 5], [0, 0, 0, 0]])
+        red, pivots, rank = rref(m)
+        assert (pivots, rank) == ((1, 3), 2)
+        assert red.rows[0] == (0, 1, 2, 0) and red.rows[1] == (0, 0, 0, 1)
+        assert red == kernel_oracle.rref(m)[0] and all_fractions(red)
+
+
+class TestEchelonMatchesOracle:
+    @pytest.mark.parametrize("dim", range(9))
+    def test_add_and_contains_sequences(self, dim):
+        rng = random.Random(f"kernel/echelon/{dim}")
+        for _ in range(25):
+            ech, oracle = _Echelon(), kernel_oracle.Echelon()
+            seen = []
+            for _ in range(rng.randint(0, 2 * dim + 3)):
+                if seen and rng.random() < 0.4:  # a combination: in the span
+                    c = [rand_scalar(rng) for _ in seen]
+                    v = tuple(sum((x * s[i] for x, s in zip(c, seen)), F(0))
+                              for i in range(dim))
+                else:
+                    v = tuple(rand_scalar(rng) for _ in range(dim))
+                assert ech.contains(v) == oracle.contains(v)
+                assert ech.add(v) == oracle.add(v)
+                seen.append(v)
+            assert len(ech.rows) == len(oracle.rows)
+            for (p, row), (q, _) in zip(ech.rows, oracle.rows):
+                assert p == q and row[p] > 0 and all(type(a) is int for a in row)
+
+
+class TestPrimitiveMatchesOracle:
+    def test_random_vectors(self):
+        rng = random.Random("kernel/primitive")
+        for _ in range(2000):
+            v = tuple(rand_scalar(rng) for _ in range(rng.randint(0, 8)))
+            for flip in (False, True):
+                got = primitive(v, flip_sign=flip)
+                assert got == kernel_oracle.primitive(v, flip_sign=flip)
+                assert all(type(a) is int for a in got)
+
+    def test_zero_vectors(self):
+        for v in ((), (0,), (F(0), 0, F(0))):
+            for flip in (False, True):
+                assert primitive(v, flip_sign=flip) == (0,) * len(v)
+
+
+class TestInitialSimplexMatchesOracle:
+    def test_random_normals(self):
+        rng = random.Random("kernel/simplex")
+        done = 0
+        while done < 300:
+            dim = rng.randint(1, 6)
+            normals = [primitive(r) for r in rand_rows(rng, rng.randint(1, dim + 4), dim)]
+            try:
+                want = kernel_oracle.initial_simplex_rays(normals, dim)
+            except ValueError:
+                with pytest.raises(ValueError, match="full rank"):
+                    polyhedra._initial_simplex(normals, dim)
+                continue
+            assert polyhedra._initial_simplex(normals, dim) == want
+            done += 1
+
+
+def rand_polytope(rng):
+    dim = rng.randint(1, 4)
+    gens = [tuple(abs(rand_scalar(rng)) for _ in range(dim))
+            for _ in range(rng.randint(0, dim + 2))]
+    return PcaPolytope(dim, tuple(gens))
+
+
+def gauge_points(rng, polytope):
+    """The generators and their combinations, scaled, plus random points of
+    either sign, so that the results cover 0, values on both sides of 1 and
+    INFINITY."""
+    dim, gens = polytope.dim, polytope.generators
+    points = [(0,) * dim, *gens]
+    for _ in range(4):
+        c = [abs(rand_scalar(rng)) for _ in gens]
+        points.append(tuple(sum((x * g[i] for x, g in zip(c, gens)), F(0))
+                            for i in range(dim)))
+    points += [tuple(rand_scalar(rng) for _ in range(dim)) for _ in range(3)]
+    points += [tuple(abs(rand_scalar(rng)) for _ in range(dim)) for _ in range(3)]
+    return points
+
+
+def same_gauge(got, want):
+    if want is INFINITY:
+        return got is INFINITY
+    return got == want and type(got) is F
+
+
+class TestGaugeMatchesOracle:
+    def test_random_polytopes(self):
+        rng = random.Random("kernel/gauge")
+        kinds = set()
+        for _ in range(150):
+            p = rand_polytope(rng)
+            for x in gauge_points(rng, p):
+                want = kernel_oracle.gauge(p, x)
+                assert same_gauge(gauge(p, x), want), (p, x)
+                kinds.add("inf" if want is INFINITY else (want > 1) - (want < 1))
+        assert kinds == {"inf", -1, 0, 1}
+
+    def test_hulls_built_by_ghat_zigzag(self, monkeypatch):
+        hulls = []
+        original = zigzag.pyramid_extension
+
+        def spy(polytope, coalg):
+            hulls.append(polytope)
+            return original(polytope, coalg)
+
+        monkeypatch.setattr(zigzag, "pyramid_extension", spy)
+        rng = random.Random("kernel/gauge/ghat")
+        for k, extra in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)) * 2:
+            aut1, x1, aut2, x2 = lifted_pair(rng, T.PCA, k, extra,
+                                             ("a", "b")[: rng.randint(1, 2)])
+            z = ghat_zigzag(aut1, x1, aut2, x2)
+            hulls += [PcaPolytope(n.dim, n.generators) for n in z.nodes if n.is_pca]
+        assert len(hulls) >= 12 * 5
+        for p in hulls:
+            for x in gauge_points(rng, p):
+                assert same_gauge(gauge(p, x), kernel_oracle.gauge(p, x)), (p, x)
+
+    def test_hash_and_equality_follow_the_fields(self):
+        p = PcaPolytope(2, ((1, F(1, 2)), (0, 3)))
+        q = PcaPolytope(2, ((F(1), F(1, 2)), (F(0), F(3))))
+        assert p == q and hash(p) == hash(q) == hash((2, q.generators))
+        assert p != PcaPolytope(2, ((0, 3), (1, F(1, 2))))
+
+
+class TestConeMemberMatchesOracle:
+    def test_random_cones(self):
+        rng = random.Random("kernel/cone")
+        verdicts = set()
+        for _ in range(200):
+            dim = rng.randint(1, 4)
+            gens = [tuple(rand_scalar(rng) for _ in range(dim))
+                    for _ in range(rng.randint(0, dim + 2))]
+            if rng.random() < 0.5:  # the nonnegative cones the verifier sees
+                gens = [tuple(abs(a) for a in g) for g in gens]
+            points = [tuple(rand_scalar(rng) for _ in range(dim)) for _ in range(4)]
+            for _ in range(4):
+                c = [abs(rand_scalar(rng)) for _ in gens]
+                points.append(tuple(sum((x * g[i] for x, g in zip(c, gens)), F(0))
+                                    for i in range(dim)))
+            for x in points:
+                want = kernel_oracle.cone_member(gens, x)
+                assert cone_member(gens, x) is want
+                verdicts.add(want)
+        assert verdicts == {True, False}
+
+
+class TestZClosureMatchesOracle:
+    def test_random_maps(self):
+        rng = random.Random("kernel/zclosure")
+        ranks = set()
+        for _ in range(150):
+            dim = rng.randint(1, 5)
+            maps = [Mat([[rng.choice((0, 0, 1, -1, 2, 3, -4)) for _ in range(dim)]
+                         for _ in range(dim)]) for _ in range(rng.randint(1, 3))]
+            start = tuple(rng.randint(-3, 3) for _ in range(dim))
+            got = closure_under_maps(start, maps, "Z")
+            assert got == kernel_oracle.z_closure(start, maps)
+            ranks.add(len(got))
+        assert len(ranks) >= 4
