@@ -2,14 +2,14 @@
 
 from .formats import ParseError
 from .linalg import Mat, Lattice, rref, kernel_basis, solve, hnf, closure_under_maps
-from .automata import (SemiringTag, WeightedAutomaton, Trace, NotEquivalent,
-                       step, trace, pair_submodule, equivalent, extend_scalars,
+from .automata import (SemiringTag, LinearCoalgebra, WeightedAutomaton, Trace,
+                       NotEquivalent, step, trace, pair_submodule, equivalent,
                        parse_automaton, automaton_to_text)
 from .hilbert import (IntConeSpec, hilbert_basis, nat_restriction,
                       qplus_restriction_by_scaling)
 from .polyhedra import (HRep, VRep, PcaPolytope, INFINITY, InternalError, dd_h_to_v,
                         dd_v_to_h, gauge, cone_restriction, simplex_restriction)
-from .pca import (GhatElement, LinearCoalgebra, PyramidCert, InvariantZeroSet,
+from .pca import (GhatElement, PyramidCert, InvariantZeroSet,
                   ghat_member, is_ghat_coalgebra, pyramid_extension,
                   reduce_invariant_set, ghat_apply)
 from .zigzag import (ZigZag, ZigZagNode, cubic_zigzag, ghat_zigzag, verify_zigzag,
@@ -19,14 +19,14 @@ __all__ = [
     "ParseError",
     "Mat", "Lattice", "rref", "kernel_basis", "solve", "hnf",
     "closure_under_maps",
-    "SemiringTag", "WeightedAutomaton", "Trace", "NotEquivalent",
-    "step", "trace", "pair_submodule", "equivalent", "extend_scalars",
+    "SemiringTag", "LinearCoalgebra", "WeightedAutomaton", "Trace", "NotEquivalent",
+    "step", "trace", "pair_submodule", "equivalent",
     "parse_automaton", "automaton_to_text",
     "IntConeSpec", "hilbert_basis", "nat_restriction",
     "qplus_restriction_by_scaling",
     "HRep", "VRep", "PcaPolytope", "INFINITY", "InternalError", "dd_h_to_v", "dd_v_to_h",
     "gauge", "cone_restriction", "simplex_restriction",
-    "GhatElement", "LinearCoalgebra", "PyramidCert", "InvariantZeroSet",
+    "GhatElement", "PyramidCert", "InvariantZeroSet",
     "ghat_member", "is_ghat_coalgebra", "pyramid_extension", "reduce_invariant_set",
     "ghat_apply",
     "ZigZag", "ZigZagNode", "cubic_zigzag", "ghat_zigzag", "verify_zigzag",

@@ -4,6 +4,10 @@ An automaton is the structure map of a coalgebra on S^n (or Delta^n for the
 subconvex tags): an output functional plus one transition matrix per letter,
 with c_a(e_j) stored as column j.  Words act by left matrix products, so the
 weight of w = a1..ak from configuration x is out . (M_ak ... M_a1 x).
+
+`LinearCoalgebra` is that data on any carrier and checks only its shapes; a
+witness node holds one as it is.  `WeightedAutomaton` adds a semiring tag,
+whose weight rules `check_weights` states once.
 """
 
 from __future__ import annotations
@@ -11,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .formats import LineReader, ParseError, fmt_rat, fmt_vec, parse_rat
-from .linalg import (Mat, closure_under_maps, first_word_off, vdot, vector, word_closure,
-                     zeros)
+from .formats import LineReader, ParseError, fmt_rat, fmt_vec
+from .linalg import (Mat, closure_under_maps, first_word_off, vdot, vector, vneg,
+                     word_closure, zeros)
 
 
 class SemiringTag(Enum):
@@ -45,14 +49,15 @@ class SemiringTag(Enum):
     def closure_ring(self):
         return "Z" if self.completion is SemiringTag.INT else "Q"
 
+    def entry_ok(self, q):
+        """Whether q may be a letter-matrix entry: an integer for the
+        integral tags, nonnegative for the nonnegative ones."""
+        return ((not self.integral or q.denominator == 1)
+                and (not self.nonneg or q >= 0))
+
     def scalar_ok(self, q):
-        if self.integral and not (isinstance(q, int) or q.denominator == 1):
-            return False
-        if self.nonneg and q < 0:
-            return False
-        if self in (SemiringTag.UNIT, SemiringTag.PCA) and not 0 <= q <= 1:
-            return False
-        return True
+        """Whether q is a scalar of the tag: an entry, within 1 for UNIT and PCA."""
+        return self.entry_ok(q) and (self not in (SemiringTag.UNIT, SemiringTag.PCA) or q <= 1)
 
 
 _COMPLETION = {
@@ -75,9 +80,47 @@ class NotEquivalent(Exception):
         self.word = word
 
 
+class TagViolation(ValueError):
+    """A weight rule of the tag fails; `cells` are the (letter index, state
+    index) positions it reads, letter None standing for the output."""
+
+    def __init__(self, message, cells):
+        super().__init__(message)
+        self.cells = cells
+
+
+def check_weights(tag, out, trans):
+    """Raise TagViolation at the first weight rule of the tag that the output
+    functional or a letter matrix breaks: output entries are scalars of the
+    tag, letter entries are entries of it, each letter's column sums stay
+    within 1 (UNIT), and each state's output plus transition mass stays
+    within 1 (PCA)."""
+    for j, q in enumerate(out):
+        if not tag.scalar_ok(q):
+            raise TagViolation(f"output entry {fmt_rat(q)} violates tag {tag.value}",
+                               ((None, j),))
+    for k, m in enumerate(trans):
+        for j, col in enumerate(m.cols()):
+            for q in col:
+                if not tag.entry_ok(q):
+                    raise TagViolation(f"entry {fmt_rat(q)} violates tag {tag.value}",
+                                       ((k, j),))
+            if tag is SemiringTag.UNIT and sum(col) > 1:
+                raise TagViolation("column sums must stay within 1 for unit tag", ((k, j),))
+    if tag is SemiringTag.PCA:
+        for j in range(len(out)):
+            if out[j] + sum(sum(m.col(j)) for m in trans) > 1:
+                raise TagViolation(f"state {j + 1}: output plus transition mass exceeds 1",
+                                   ((None, j),) + tuple((k, j) for k in range(len(trans))))
+
+
 @dataclass(frozen=True)
-class WeightedAutomaton:
-    tag: SemiringTag
+class LinearCoalgebra:
+    """A linear structure map on ambient coordinates: an output functional
+    and one square matrix per letter.  It checks shapes only; the weights are
+    the holder's business (a `WeightedAutomaton` adds a tag, a witness node
+    carrier generators)."""
+
     n: int
     alphabet: tuple
     out: tuple
@@ -96,33 +139,39 @@ class WeightedAutomaton:
         for m in self.trans:
             if m.nrows != self.n or m.ncols != self.n:
                 raise ValueError("transition matrix has wrong shape")
-        for q in self.out:
-            if not self.tag.scalar_ok(q):
-                raise ValueError(f"output entry {fmt_rat(q)} violates tag {self.tag.value}")
-        for m in self.trans:
-            for row in m.rows:
-                for q in row:
-                    if self.tag.integral and not (isinstance(q, int) or q.denominator == 1):
-                        raise ValueError(f"entry {fmt_rat(q)} violates tag {self.tag.value}")
-                    if self.tag.nonneg and q < 0:
-                        raise ValueError(f"entry {fmt_rat(q)} violates tag {self.tag.value}")
-        if self.tag is SemiringTag.UNIT:
-            for m in self.trans:
-                for j in range(self.n):
-                    if sum(m.col(j)) > 1:
-                        raise ValueError("column sums must stay within 1 for unit tag")
-        if self.tag is SemiringTag.PCA:
-            for j in range(self.n):
-                total = self.out[j] + sum(sum(m.col(j)) for m in self.trans)
-                if total > 1:
-                    raise ValueError(
-                        f"state {j + 1}: output plus transition mass exceeds 1")
 
     def mat(self, symbol):
         try:
             return self.trans[self.alphabet.index(symbol)]
         except ValueError:
             raise ValueError(f"unknown symbol {symbol!r}") from None
+
+    def paired(self, other):
+        """The block-diagonal coalgebra on the product of both carriers, with
+        this side's output extended by zeros."""
+        if self.alphabet != other.alphabet:
+            raise ValueError("automata have different alphabets")
+        return LinearCoalgebra(n=self.n + other.n, alphabet=self.alphabet,
+                               out=self.out + zeros(other.n),
+                               trans=tuple(Mat.block_diag(a, b)
+                                           for a, b in zip(self.trans, other.trans)))
+
+
+@dataclass(frozen=True)
+class WeightedAutomaton(LinearCoalgebra):
+    """A linear coalgebra whose weights keep the rules of a semiring tag."""
+
+    tag: SemiringTag
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_weights(self.tag, self.out, self.trans)
+
+    @property
+    def coalgebra(self):
+        """The same maps without the tag."""
+        return LinearCoalgebra(n=self.n, alphabet=self.alphabet, out=self.out,
+                               trans=self.trans)
 
 
 @dataclass
@@ -137,10 +186,6 @@ class Trace:
 
     def items(self):
         return sorted(self.values.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def __eq__(self, other):
-        return (isinstance(other, Trace) and self.depth == other.depth
-                and self.values == other.values)
 
 
 def step(aut, x, symbol):
@@ -170,17 +215,13 @@ def trace(aut, x, depth):
 
 
 def _paired(aut1, x1, aut2, x2):
-    """Block-diagonal letter maps, start vector and output difference of the
+    """Block-diagonal coalgebra, start vector and output difference of the
     pair: the weights agree on a word iff the difference annihilates its image."""
     if aut1.tag is not aut2.tag:
         raise ValueError("automata have different semiring tags")
-    if aut1.alphabet != aut2.alphabet:
-        raise ValueError("automata have different alphabets")
     if len(x1) != aut1.n or len(x2) != aut2.n:
         raise ValueError("configuration has wrong length")
-    maps = [Mat.block_diag(aut1.mat(a), aut2.mat(a)) for a in aut1.alphabet]
-    difference = vector(aut1.out) + tuple(-q for q in vector(aut2.out))
-    return maps, vector(tuple(x1) + tuple(x2)), difference
+    return aut1.paired(aut2), vector(tuple(x1) + tuple(x2)), aut1.out + vneg(aut2.out)
 
 
 def _letters(alphabet, word):
@@ -190,8 +231,8 @@ def _letters(alphabet, word):
 def separating_word(aut1, x1, aut2, x2):
     """Shortest word (alphabet-order tie break) where the weights differ,
     or None when the traces agree."""
-    maps, start, difference = _paired(aut1, x1, aut2, x2)
-    word = first_word_off(difference, start, maps)
+    pair, start, difference = _paired(aut1, x1, aut2, x2)
+    word = first_word_off(difference, start, pair.trans)
     return None if word is None else _letters(aut1.alphabet, word)
 
 
@@ -205,7 +246,8 @@ def pair_submodule(aut1, x1, aut2, x2):
     they do not agree on some generator, which happens exactly when the
     traces differ.
     """
-    maps, start, difference = _paired(aut1, x1, aut2, x2)
+    pair, start, difference = _paired(aut1, x1, aut2, x2)
+    maps = pair.trans
     if aut1.tag.closure_ring == "Q":
         # one closure decides and, at its first disagreeing vector, names the word
         basis = []
@@ -221,13 +263,8 @@ def pair_submodule(aut1, x1, aut2, x2):
             word = first_word_off(difference, start, maps)
             raise NotEquivalent("output functionals differ on the pair closure",
                                 word=_letters(aut1.alphabet, word))
-    paired = WeightedAutomaton(
-        tag=aut1.tag.completion,
-        n=aut1.n + aut2.n,
-        alphabet=aut1.alphabet,
-        out=vector(aut1.out) + zeros(aut2.n),
-        trans=tuple(maps),
-    )
+    paired = WeightedAutomaton(tag=aut1.tag.completion, n=pair.n, alphabet=pair.alphabet,
+                               out=pair.out, trans=pair.trans)
     return [vector(g) for g in basis], paired
 
 
@@ -248,12 +285,6 @@ def equivalent(aut1, x1, aut2, x2):
     except NotEquivalent as exc:
         return EquivResult(False, word=exc.word)
     return EquivResult(True, basis=tuple(basis))
-
-
-def extend_scalars(aut):
-    """The same matrices read over the ring completion of the tag."""
-    return WeightedAutomaton(tag=aut.tag.completion, n=aut.n,
-                             alphabet=aut.alphabet, out=aut.out, trans=aut.trans)
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +315,8 @@ def parse_automaton(text, source="<automaton>"):
         r.error("expected exactly one state count")
     n = r.parse_int(toks[0], minimum=1)
     out = r.parse_rats(r.next_keyword("output"), n)
-    for q in out:
-        if not tag.scalar_ok(q):
-            r.error(f"output entry {fmt_rat(q)} violates tag {tag.value}")
+    # the line of each (letter index, state) cell, None standing for the output
+    lines = {(None, j): r.last_line for j in range(n)}
     trans = {}
     state = None
     while r:
@@ -300,14 +330,9 @@ def parse_automaton(text, source="<automaton>"):
             if sym in trans:
                 r.error(f"duplicate transition block for {sym!r}")
             rows = []
-            for _ in range(n):
-                row = r.next_rat_row(n)
-                for q in row:
-                    if tag.integral and q.denominator != 1:
-                        r.error(f"entry {fmt_rat(q)} must be an integer")
-                    if tag.nonneg and q < 0:
-                        r.error(f"entry {fmt_rat(q)} must be nonnegative")
-                rows.append(row)
+            for j in range(n):
+                rows.append(r.next_rat_row(n))
+                lines[alphabet.index(sym), j] = r.last_line
             # file rows are images of basis vectors; columns internally
             trans[sym] = Mat(rows).transpose()
         elif toks[0] == "state":
@@ -325,8 +350,9 @@ def parse_automaton(text, source="<automaton>"):
     try:
         aut = WeightedAutomaton(tag=tag, n=n, alphabet=alphabet, out=out,
                                 trans=tuple(trans[a] for a in alphabet))
-    except ValueError as exc:
-        raise ParseError(source, r.last_line, str(exc)) from None
+    except TagViolation as exc:
+        # reported where reading the file top down first shows the fault
+        raise ParseError(source, max(lines[c] for c in exc.cells), str(exc)) from None
     return aut, state
 
 

@@ -30,11 +30,6 @@ def _read(path):
         raise ParseError(path, 0, f"cannot read file: {exc.strerror}") from None
 
 
-def _load_automaton(path):
-    aut, state = parse_automaton(_read(path), path)
-    return aut, state
-
-
 def _pick_state(aut, state, index, path):
     if index is not None:
         if not 1 <= index <= aut.n:
@@ -45,8 +40,23 @@ def _pick_state(aut, state, index, path):
     return unit(aut.n, 0)
 
 
+def _load_pair(args):
+    """Both automata of `equiv` and `zigzag`, which must agree in tag and
+    alphabet, with their chosen states."""
+    aut1, state1 = parse_automaton(_read(args.left), args.left)
+    aut2, state2 = parse_automaton(_read(args.right), args.right)
+    if aut1.tag is not aut2.tag:
+        raise ParseError(args.right, 0,
+                         f"semiring mismatch: {aut1.tag.value} vs {aut2.tag.value}")
+    if aut1.alphabet != aut2.alphabet:
+        raise ParseError(args.right, 0, "alphabet mismatch")
+    x1 = _pick_state(aut1, state1, args.left_state, args.left)
+    x2 = _pick_state(aut2, state2, args.right_state, args.right)
+    return aut1, x1, aut2, x2
+
+
 def _cmd_trace(args):
-    aut, state = _load_automaton(args.automaton)
+    aut, state = parse_automaton(_read(args.automaton), args.automaton)
     x = _pick_state(aut, state, args.state_index, args.automaton)
     depth = args.depth if args.depth is not None else aut.n
     tr = trace(aut, x, depth)
@@ -56,15 +66,7 @@ def _cmd_trace(args):
 
 
 def _cmd_equiv(args):
-    aut1, state1 = _load_automaton(args.left)
-    aut2, state2 = _load_automaton(args.right)
-    if aut1.tag is not aut2.tag:
-        raise ParseError(args.right, 0,
-                         f"semiring mismatch: {aut1.tag.value} vs {aut2.tag.value}")
-    if aut1.alphabet != aut2.alphabet:
-        raise ParseError(args.right, 0, "alphabet mismatch")
-    x1 = _pick_state(aut1, state1, args.left_state, args.left)
-    x2 = _pick_state(aut2, state2, args.right_state, args.right)
+    aut1, x1, aut2, x2 = _load_pair(args)
     result = equivalent(aut1, x1, aut2, x2)
     if result.equivalent:
         print("EQUIVALENT")
@@ -77,15 +79,7 @@ def _cmd_equiv(args):
 
 
 def _cmd_zigzag(args):
-    aut1, state1 = _load_automaton(args.left)
-    aut2, state2 = _load_automaton(args.right)
-    if aut1.tag is not aut2.tag:
-        raise ParseError(args.right, 0,
-                         f"semiring mismatch: {aut1.tag.value} vs {aut2.tag.value}")
-    if aut1.alphabet != aut2.alphabet:
-        raise ParseError(args.right, 0, "alphabet mismatch")
-    x1 = _pick_state(aut1, state1, args.left_state, args.left)
-    x2 = _pick_state(aut2, state2, args.right_state, args.right)
+    aut1, x1, aut2, x2 = _load_pair(args)
     builder = ghat_zigzag if aut1.tag is SemiringTag.PCA else cubic_zigzag
     try:
         witness = builder(aut1, x1, aut2, x2)

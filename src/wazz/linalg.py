@@ -31,7 +31,8 @@ from operator import mul
 
 
 def vector(entries):
-    return tuple(Fraction(e) for e in entries)
+    # Fractions are immutable, so entries that already are one are shared
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def zeros(n):

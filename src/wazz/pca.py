@@ -41,36 +41,6 @@ class GhatElement:
 
 
 @dataclass(frozen=True)
-class LinearCoalgebra:
-    """Linear structure map on ambient coordinates: an output functional and
-    one square matrix per letter."""
-
-    n: int
-    alphabet: tuple
-    out: tuple
-    trans: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "out", vector(self.out))
-        object.__setattr__(self, "trans", tuple(self.trans))
-        if len(self.out) != self.n:
-            raise ValueError("output functional has wrong length")
-        if len(self.trans) != len(self.alphabet):
-            raise ValueError("one matrix per letter required")
-        for m in self.trans:
-            if m.nrows != self.n or m.ncols != self.n:
-                raise ValueError("transition matrix has wrong shape")
-
-    def mat(self, symbol):
-        return self.trans[self.alphabet.index(symbol)]
-
-    def element_at(self, x):
-        return GhatElement(vdot(self.out, x),
-                           {a: self.mat(a).apply(x) for a in self.alphabet})
-
-
-@dataclass(frozen=True)
 class PyramidCert:
     """A strictly positive normal vector u and the free generators e_j / u_j
     of the pyramid {x >= 0 : <x, u> <= 1}."""
@@ -103,7 +73,12 @@ def ghat_apply(matrix, element):
 def is_ghat_coalgebra(x_poly, y_poly, coalg):
     """Whether the linear map sends the subconvex hull of X into the functor
     applied to Y; checking generators suffices by convexity."""
-    return all(ghat_member(y_poly, coalg.element_at(g)) for g in x_poly.generators)
+    for g in x_poly.generators:
+        element = GhatElement(vdot(coalg.out, g),
+                              {a: m.apply(g) for a, m in zip(coalg.alphabet, coalg.trans)})
+        if not ghat_member(y_poly, element):
+            return False
+    return True
 
 
 def invariant_zero_set(out, trans):

@@ -13,13 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automata import NotEquivalent, SemiringTag, pair_submodule, separating_word
+from .automata import (LinearCoalgebra, NotEquivalent, SemiringTag, pair_submodule,
+                       separating_word)
 from .formats import LineReader, fmt_rat, fmt_vec, word_text
 from .hilbert import nat_restriction, qplus_restriction_by_scaling
 from .linalg import (Lattice, Mat, as_int_vec, closure_under_maps, first_word_off,
                      hnf, is_integral, is_nonneg, lattice_member, rref, unit, vdot,
-                     vector, zeros)
-from .pca import LinearCoalgebra, pyramid_extension, reduce_invariant_set
+                     vector, vneg)
+from .pca import pyramid_extension, reduce_invariant_set
 from .polyhedra import (PRODUCT, SCALED, INFINITY, PcaPolytope, cone_member,
                         cone_restriction, gauge, pca_member, simplex_restriction)
 
@@ -36,28 +37,24 @@ GHAT = "ghat"
 @dataclass(frozen=True)
 class ZigZagNode:
     """A coalgebra node: carrier kind and generators, plus the structure map
-    acting on ambient coordinates."""
+    acting on ambient coordinates, an untagged record whose weights only the
+    verifier judges."""
 
     kind: str
-    dim: int
     generators: tuple
-    out: tuple
-    trans: tuple
+    coalgebra: LinearCoalgebra
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(vector(g) for g in self.generators))
-        object.__setattr__(self, "out", vector(self.out))
-        object.__setattr__(self, "trans", tuple(self.trans))
         if self.kind not in KINDS:
             raise ValueError(f"unknown node kind {self.kind!r}")
         for g in self.generators:
             if len(g) != self.dim:
                 raise ValueError("generator of wrong dimension")
-        if len(self.out) != self.dim:
-            raise ValueError("output functional of wrong dimension")
-        for m in self.trans:
-            if m.nrows != self.dim or m.ncols != self.dim:
-                raise ValueError("transition matrix of wrong shape")
+
+    @property
+    def dim(self):
+        return self.coalgebra.n
 
     @property
     def is_pca(self):
@@ -116,10 +113,9 @@ def _projections(n1, n2):
 
 
 def _endpoint_node(aut, pca):
-    kind = FREE_PCA if pca else FREE_MODULE
-    return ZigZagNode(kind=kind, dim=aut.n,
+    return ZigZagNode(kind=FREE_PCA if pca else FREE_MODULE,
                       generators=tuple(unit(aut.n, i) for i in range(aut.n)),
-                      out=aut.out, trans=aut.trans)
+                      coalgebra=aut.coalgebra)
 
 
 def cubic_zigzag(aut1, x1, aut2, x2):
@@ -153,8 +149,7 @@ def cubic_zigzag(aut1, x1, aut2, x2):
         gens = list(simplex_restriction(basis, PRODUCT, n1, n2).generators)
         middle_kind = GENERATED_PCA
     pca = tag is SemiringTag.UNIT
-    middle = ZigZagNode(kind=middle_kind, dim=m, generators=tuple(gens),
-                        out=paired.out, trans=paired.trans)
+    middle = ZigZagNode(kind=middle_kind, generators=tuple(gens), coalgebra=paired.coalgebra)
     p1, p2 = _projections(n1, n2)
     return ZigZag(
         functor=CUBIC, tag=tag, alphabet=aut1.alphabet,
@@ -182,13 +177,11 @@ def ghat_zigzag(aut1, x1, aut2, x2):
     _, q1, psi1 = reduce_invariant_set(aut1)
     _, q2, psi2 = reduce_invariant_set(aut2)
     y1, y2 = psi1.apply(x1), psi2.apply(x2)
-    k1, k2, m = q1.n, q2.n, q1.n + q2.n
-    maps = [Mat.block_diag(q1.mat(a), q2.mat(a)) for a in alphabet]
-    zbasis = closure_under_maps(tuple(y1) + tuple(y2), maps, "Q")
-    mid_poly = simplex_restriction(zbasis, SCALED, k1, k2)
-    middle = ZigZagNode(kind=GENERATED_PCA, dim=m, generators=mid_poly.generators,
-                        out=vector(q1.out) + zeros(k2), trans=tuple(maps))
-    p1, p2 = _projections(k1, k2)
+    pair = q1.paired(q2)
+    zbasis = closure_under_maps(tuple(y1) + tuple(y2), pair.trans, "Q")
+    mid_poly = simplex_restriction(zbasis, SCALED, q1.n, q2.n)
+    middle = ZigZagNode(kind=GENERATED_PCA, generators=mid_poly.generators, coalgebra=pair)
+    p1, p2 = _projections(q1.n, q2.n)
     free_nodes = []
     for q, proj in ((q1, p1), (q2, p2)):
         hull = list(unit(q.n, i) for i in range(q.n))
@@ -196,11 +189,9 @@ def ghat_zigzag(aut1, x1, aut2, x2):
             img = proj.apply(g)
             if any(img) and img not in hull:
                 hull.append(img)
-        coalg = LinearCoalgebra(n=q.n, alphabet=alphabet, out=q.out, trans=q.trans)
-        cert = pyramid_extension(PcaPolytope(q.n, tuple(hull)), coalg)
-        free_nodes.append(ZigZagNode(kind=FREE_PCA, dim=q.n,
-                                     generators=cert.generators,
-                                     out=q.out, trans=q.trans))
+        cert = pyramid_extension(PcaPolytope(q.n, tuple(hull)), q)
+        free_nodes.append(ZigZagNode(kind=FREE_PCA, generators=cert.generators,
+                                     coalgebra=q.coalgebra))
     return ZigZag(
         functor=GHAT, tag=SemiringTag.PCA, alphabet=alphabet,
         nodes=(_endpoint_node(aut1, True), free_nodes[0], middle,
@@ -372,13 +363,14 @@ def _coalgebra_self_map_ok(z, node, member):
     if node.is_pca and not all(is_nonneg(g) for g in node.generators):
         return False, "carrier generators must be nonnegative"
     poly = PcaPolytope(node.dim, node.generators) if node.is_pca else None
+    coalg = node.coalgebra
     for g in node.generators:
-        o = vdot(node.out, g)
+        o = vdot(coalg.out, g)
         if z.functor == GHAT:
             if o < 0:
                 return False, f"negative output weight at generator {fmt_vec(g)}"
             total = o
-            for m in node.trans:
+            for m in coalg.trans:
                 gg = gauge(poly, m.apply(g))
                 if gg is INFINITY:
                     return False, f"letter image of {fmt_vec(g)} leaves the carrier cone"
@@ -388,7 +380,7 @@ def _coalgebra_self_map_ok(z, node, member):
         else:
             if not z.tag.scalar_ok(o):
                 return False, f"output weight {fmt_rat(o)} outside the semiring"
-            for m in node.trans:
+            for m in coalg.trans:
                 if not member(m.apply(g)):
                     return False, f"transition image of {fmt_vec(g)} leaves the carrier"
     return True, ""
@@ -399,6 +391,20 @@ def _morphism_carrier_ok(mor, src, member):
     for g in src.generators:
         if not member(mor.matrix.apply(g)):
             return False, f"image of generator {fmt_vec(g)} not in target carrier"
+    return True, ""
+
+
+def _morphism_square_ok(mor, src, dst):
+    """The morphism commutes with the output weights and the letter maps on
+    every source generator."""
+    f, c_src, c_dst = mor.matrix, src.coalgebra, dst.coalgebra
+    for g in src.generators:
+        fg = f.apply(g)
+        if vdot(c_src.out, g) != vdot(c_dst.out, fg):
+            return False, f"output weight changes along generator {fmt_vec(g)}"
+        for a, m_src, m_dst in zip(c_src.alphabet, c_src.trans, c_dst.trans):
+            if f.apply(m_src.apply(g)) != m_dst.apply(fg):
+                return False, f"letter {a!r} square fails at generator {fmt_vec(g)}"
     return True, ""
 
 
@@ -463,6 +469,8 @@ def verify_zigzag(z):
         shape_ok = False
     if z.functor == CUBIC and z.tag is SemiringTag.PCA:
         shape_ok = False
+    if any(node.coalgebra.alphabet != z.alphabet for node in nodes):
+        shape_ok = False
     add("shape", shape_ok,
         "" if shape_ok else "not an alternating chain of adjacent morphisms")
     if not shape_ok:
@@ -481,24 +489,7 @@ def verify_zigzag(z):
     for k, mor in enumerate(z.morphisms):
         src, dst = nodes[mor.src], nodes[mor.dst]
         add_guarded(f"morphism-carrier[{k}]", _morphism_carrier_ok, mor, src, members[mor.dst])
-        square_ok, square_detail = True, ""
-        for g in src.generators:
-            fg = mor.matrix.apply(g)
-            if vdot(src.out, g) != vdot(dst.out, fg):
-                square_ok = False
-                square_detail = f"output weight changes along generator {fmt_vec(g)}"
-                break
-            for a_index in range(len(z.alphabet)):
-                lhs = mor.matrix.apply(src.trans[a_index].apply(g))
-                rhs = dst.trans[a_index].apply(fg)
-                if lhs != rhs:
-                    square_ok = False
-                    square_detail = (f"letter {z.alphabet[a_index]!r} square fails "
-                                     f"at generator {fmt_vec(g)}")
-                    break
-            if not square_ok:
-                break
-        add(f"morphism-square[{k}]", square_ok, square_detail)
+        add(f"morphism-square[{k}]", *_morphism_square_ok(mor, src, dst))
 
     relating = dict(z.relating)
     ends = {0: (vector(x1), "left"), n - 1: (vector(x2), "right")}
@@ -530,9 +521,8 @@ def verify_zigzag(z):
     # the difference of the endpoint outputs must vanish on the Q word closure
     # of (x1, x2) under the block-diagonal endpoint maps: as strong as
     # comparing traces up to depth n1 + n2, in polynomial time
-    left, right = nodes[0], nodes[-1]
-    maps = [Mat.block_diag(left.trans[i], right.trans[i]) for i in range(len(z.alphabet))]
-    word = first_word_off(left.out + tuple(-q for q in right.out), x1 + x2, maps)
+    left, right = nodes[0].coalgebra, nodes[-1].coalgebra
+    word = first_word_off(left.out + vneg(right.out), x1 + x2, left.paired(right).trans)
     add("trace-agreement", word is None, "" if word is None else "endpoint traces differ "
         f'on word "{word_text(tuple(z.alphabet[i] for i in word), z.alphabet)}"')
 
@@ -551,8 +541,8 @@ def zigzag_to_text(z):
         lines.append(f"node {i} {node.kind} dim {node.dim} generators {len(node.generators)}")
         for g in node.generators:
             lines.append(fmt_vec(g))
-        lines.append(("out " + fmt_vec(node.out)).rstrip())
-        for a, m in zip(z.alphabet, node.trans):
+        lines.append(("out " + fmt_vec(node.coalgebra.out)).rstrip())
+        for a, m in zip(z.alphabet, node.coalgebra.trans):
             lines.append(f"trans {a}")
             for row in m.transpose().rows:
                 lines.append(fmt_vec(row))
@@ -613,8 +603,8 @@ def parse_zigzag(text, source="<witness>"):
             if toks != [a]:
                 r.error(f"expected transition block for {a!r}")
             trans.append(_parse_matrix_rows(r, dim, dim).transpose())
-        nodes.append(ZigZagNode(kind=kind, dim=dim, generators=tuple(gens),
-                                out=out, trans=tuple(trans)))
+        coalg = LinearCoalgebra(n=dim, alphabet=alphabet, out=out, trans=tuple(trans))
+        nodes.append(ZigZagNode(kind=kind, generators=tuple(gens), coalgebra=coalg))
     toks = r.next_keyword("morphisms")
     mcount = r.parse_int(toks[0], minimum=0) if len(toks) == 1 else r.error("expected a count")
     morphisms = []

@@ -7,19 +7,21 @@ are asserted.
 
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from wazz.automata import SemiringTag, WeightedAutomaton, equivalent, trace
+from wazz.automata import (LinearCoalgebra, SemiringTag, WeightedAutomaton, equivalent,
+                           trace)
 from wazz.hilbert import IntConeSpec, hilbert_basis
 from wazz.linalg import Mat, unit, vdot, vector, zeros
-from wazz.pca import (GhatElement, LinearCoalgebra, ghat_apply, ghat_member,
+from wazz.pca import (GhatElement, ghat_apply, ghat_member,
                       invariant_zero_set, pyramid_extension, reduce_invariant_set)
 from wazz.polyhedra import (HRep, INFINITY, PcaPolytope, VRep, dd_h_to_v,
                             dd_v_to_h, gauge, pca_member)
-from wazz.zigzag import (FREE_PCA, GENERATED_MODULE, Morphism, ZigZag,
-                         ZigZagNode, cubic_zigzag, ghat_zigzag, verify_zigzag)
+from wazz.zigzag import (FREE_PCA, GENERATED_MODULE, Morphism, ZigZag, cubic_zigzag,
+                         ghat_zigzag, verify_zigzag)
 
 from genrandom import lifted_pair, rand_automaton, rand_config
 from hilbert_oracle import hilbert_bruteforce_oracle
@@ -378,17 +380,14 @@ def test_criterion_9_negative_controls():
 
         # node kind tampering: a sink claimed generated, a dependent set claimed free
         sink = z.nodes[0]
-        bad_sink = ZigZagNode(kind=GENERATED_MODULE, dim=sink.dim,
-                              generators=sink.generators, out=sink.out,
-                              trans=sink.trans)
+        bad_sink = replace(sink, kind=GENERATED_MODULE)
         report = verify_zigzag(rebuilt(nodes=(bad_sink,) + z.nodes[1:]))
         assert not report.valid
         assert any(c.name == "node-kind[0]" for c in report.failures())
 
         mid = z.nodes[1]
         dependent = mid.generators + (tuple(2 * q for q in mid.generators[0]),)
-        bad_mid = ZigZagNode(kind="FREE_MODULE", dim=mid.dim, generators=dependent,
-                             out=mid.out, trans=mid.trans)
+        bad_mid = replace(mid, kind="FREE_MODULE", generators=dependent)
         report = verify_zigzag(rebuilt(nodes=(z.nodes[0], bad_mid, z.nodes[2])))
         assert not report.valid
         assert any(c.name == "node-kind[1]" for c in report.failures())

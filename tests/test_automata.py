@@ -4,9 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from wazz.automata import (NotEquivalent, SemiringTag, WeightedAutomaton,
-                           automaton_to_text, equivalent, extend_scalars,
-                           pair_submodule, parse_automaton, separating_word,
-                           step, trace)
+                           automaton_to_text, equivalent, pair_submodule,
+                           parse_automaton, separating_word, step, trace)
 from wazz.formats import ParseError
 from wazz.linalg import Mat, unit, vector, zeros
 
@@ -149,17 +148,22 @@ class TestEquivalent:
 
 
 class TestExtendScalars:
+    """Extension of scalars to the ring completion: the tag map, and the pair
+    coalgebra that `pair_submodule` reads over it."""
+
     def test_tag_map(self):
         rng = random.Random(73)
-        for tag, target in [(T.NAT, T.INT), (T.QPLUS, T.Q), (T.RPLUS, T.REAL),
-                            (T.UNIT, T.REAL), (T.PCA, T.REAL)]:
+        for tag, target in [(T.NAT, T.INT), (T.INT, T.INT), (T.QPLUS, T.Q), (T.Q, T.Q),
+                            (T.RPLUS, T.REAL), (T.REAL, T.REAL), (T.UNIT, T.REAL),
+                            (T.PCA, T.REAL)]:
+            assert tag.completion is target
+            assert target.completion is target  # idempotent on completions
             aut = rand_automaton(rng, tag, 2, ("a",))
-            ext = extend_scalars(aut)
-            assert ext.tag is target
-            assert ext.out == aut.out and ext.trans == aut.trans
-            assert extend_scalars(ext).tag is target  # idempotent on completions
             x = rand_config(rng, tag, 2)
-            assert trace(ext, x, 4) == trace(aut, x, 4)
+            _, paired = pair_submodule(aut, x, aut, x)
+            assert paired.tag is target
+            assert paired.coalgebra == aut.paired(aut)
+            assert trace(paired, x + x, 4) == trace(aut, x, 4)
 
 
 class TestCubicTupleFormer:
@@ -258,6 +262,25 @@ state 1 0
         with pytest.raises(ParseError) as err:
             parse_automaton(text)
         assert err.value.line == 6
+
+    @pytest.mark.parametrize("text, lineno, message", [
+        # blocks out of alphabet order: the entry's own row is named
+        ("semiring nat\nalphabet a b\nstates 2\noutput 1 0\ntrans b\n1 0\n0 -1\n"
+         "trans a\n0 0\n1 1\n", 7, "entry -1 violates tag nat"),
+        ("semiring qplus\nalphabet a\nstates 1\noutput -1\ntrans a\n0\n", 4,
+         "output entry -1 violates tag qplus"),
+        ("semiring unit\nalphabet a b\nstates 2\noutput 1 0\ntrans b\n1/2 0\n0 1\n"
+         "# a comment\ntrans a\n0 0\n1 1/2\n", 11,
+         "column sums must stay within 1 for unit tag"),
+        # the mass of state 1 is complete at its row of the last block read
+        ("semiring pca\nalphabet a b\nstates 2\noutput 1/2 0\ntrans a\n1/4 1/8\n0 0\n"
+         "trans b\n1/4 0\n0 0\nstate 1 0\n", 9,
+         "state 1: output plus transition mass exceeds 1"),
+    ])
+    def test_weight_rules_name_their_line(self, text, lineno, message):
+        with pytest.raises(ParseError) as err:
+            parse_automaton(text, "w.wa")
+        assert (err.value.line, err.value.message) == (lineno, message)
 
     @pytest.mark.parametrize("tag, entry", [("nat", "1/2"), ("nat", "-1"), ("int", "1/3"),
                                             ("qplus", "-1/2"), ("unit", "2"), ("pca", "3/2")])

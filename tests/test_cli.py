@@ -80,11 +80,28 @@ class TestEquiv:
         assert main(["equiv", a, b]) == 1
         assert "NOT EQUIVALENT, separating word: a" in capsys.readouterr().out
 
-    def test_tag_mismatch_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["equiv", "zigzag"])
+    def test_tag_mismatch_is_usage_error(self, tmp_path, capsys, command):
         a = write(tmp_path, "a.wa", HALF_LOOP)
         b = write(tmp_path, "b.wa", PCA_LOOP)
-        assert main(["equiv", a, b]) == 2
+        assert main([command, a, b]) == 2
         assert "semiring mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["equiv", "zigzag"])
+    def test_alphabet_mismatch_is_usage_error(self, tmp_path, capsys, command):
+        a = write(tmp_path, "a.wa", HALF_LOOP)
+        b = write(tmp_path, "b.wa", HALF_LOOP.replace(" a\n", " b\n"))
+        assert main([command, a, b]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"{b}:0: alphabet mismatch\n")
+
+    @pytest.mark.parametrize("command", ["equiv", "zigzag"])
+    def test_left_state_out_of_range_is_usage_error(self, tmp_path, capsys, command):
+        a = write(tmp_path, "a.wa", HALF_LOOP)
+        b = write(tmp_path, "b.wa", SWAP)
+        assert main([command, a, b, "--left-state", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"{a}:0: state index 2 out of range 1..1\n")
 
     def test_state_outside_tag_is_parse_error(self, tmp_path, capsys):
         text = "semiring nat\nalphabet a\nstates 1\noutput 1\ntrans a\n1\nstate 1/2\n"
@@ -147,6 +164,23 @@ class TestZigzagVerify:
         stdout = capsys.readouterr().out
         assert "INVALID" in stdout
         assert 'trace-agreement: endpoint traces differ on word "a"' in stdout
+
+    def test_tag_breaking_node_map_is_a_failed_check(self, tmp_path, capsys):
+        # witness nodes carry no tag rules: a nat witness whose first node
+        # map has a negative entry parses, and the verifier rejects it
+        a = write(tmp_path, "a.wa", "semiring nat\nalphabet a\nstates 2\noutput 1 1\n"
+                                    "trans a\n0 1\n1 0\nstate 1 0\n")
+        out = tmp_path / "w.zz"
+        assert main(["zigzag", a, a, "-o", str(out)]) == 0
+        text = out.read_text()
+        assert text.startswith("zigzag cubic nat\n")
+        out.write_text(text.replace("trans a\n0 1\n", "trans a\n0 -1\n", 1))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout.startswith("INVALID")
+        assert "  node-coalgebra[0]: transition image of 1 0 leaves the carrier" in stdout
+        assert err == ""
 
     def test_monoid_budget_overrun_is_a_failed_check(self, tmp_path, capsys):
         path = write(tmp_path, "deep.zz",

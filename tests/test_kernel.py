@@ -11,7 +11,7 @@ import pytest
 
 import kernel_oracle
 from wazz import polyhedra, zigzag
-from wazz.automata import SemiringTag
+from wazz.automata import LinearCoalgebra, SemiringTag
 from wazz.linalg import Mat, _Echelon, closure_under_maps, primitive, rref, solve, unit, vector
 from wazz.polyhedra import INFINITY, PcaPolytope, cone_member, gauge
 from wazz.zigzag import (FREE_MODULE, GENERATED_MODULE, ZigZagNode, _carrier_tester,
@@ -129,6 +129,25 @@ class TestMatEntries:
         assert m == Mat([["1/2", "1/3", "2"]])
         assert m.transpose().rows[0][0] is half
 
+    def test_vector_int_str_and_fraction_entries_agree(self):
+        rng = random.Random("kernel/vector-entries")
+        for _ in range(50):
+            fracs = [rand_entry(rng, 0.6, 6) for _ in range(rng.randint(0, 5))]
+            want = vector(fracs)
+            assert same(want, tuple(fracs))
+            assert same(vector(str(a) for a in fracs), want)
+            assert same(vector(int(a) if a.denominator == 1 else a for a in fracs), want)
+
+    def test_vector_keeps_fraction_entries_and_converts_subclasses(self):
+        class Sub(F):
+            pass
+
+        half = F(1, 2)
+        v = vector([half, Sub(1, 3), 2, "3/4"])
+        assert v[0] is half
+        assert [type(a) for a in v] == [F, F, F, F]
+        assert v == (F(1, 2), F(1, 3), F(2), F(3, 4))
+
 
 def solve_coordinates(gens, dim, v):
     """What the verifier did per vector before: a fresh `solve` and the
@@ -193,8 +212,9 @@ class TestCarrierTesterMatchesSolve:
                 gens = [unit(dim, i) for i in range(dim)]
             else:
                 gens = rand_generators(rng, dim)
-            node = ZigZagNode(kind=kind, dim=dim, generators=tuple(gens),
-                              out=(F(0),) * dim, trans=(Mat.identity(dim),))
+            coalg = LinearCoalgebra(n=dim, alphabet=("a",), out=(F(0),) * dim,
+                                    trans=(Mat.identity(dim),))
+            node = ZigZagNode(kind=kind, generators=tuple(gens), coalgebra=coalg)
             member = _carrier_tester(tag, node)
             targets = rand_targets(rng, gens, dim)
             targets.append(tuple(F(rng.randint(-3, 3)) for _ in range(dim)))

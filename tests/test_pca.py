@@ -4,10 +4,10 @@ from fractions import Fraction as F
 import pytest
 
 from wazz import pca, zigzag
-from wazz.automata import SemiringTag, WeightedAutomaton, trace
+from wazz.automata import LinearCoalgebra, SemiringTag, WeightedAutomaton, trace
 from wazz.formats import fmt_vec, parse_rat
 from wazz.linalg import Mat, solve, unit, vdot, vector, zeros
-from wazz.pca import (GhatElement, InvariantZeroSet, LinearCoalgebra, ghat_apply,
+from wazz.pca import (GhatElement, InvariantZeroSet, ghat_apply,
                       ghat_member, invariant_zero_set, is_ghat_coalgebra,
                       pyramid_extension, reduce_invariant_set)
 from wazz.polyhedra import HRep, INFINITY, InternalError, PcaPolytope, gauge, pca_member

@@ -1,12 +1,13 @@
 """The word closure against the exhaustive word enumerations it replaced."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from wazz.automata import (NotEquivalent, SemiringTag, WeightedAutomaton, equivalent,
-                           separating_word)
+from wazz.automata import (LinearCoalgebra, NotEquivalent, SemiringTag, WeightedAutomaton,
+                           equivalent, separating_word)
 from wazz.formats import word_text
 from wazz.linalg import Mat, closure_under_maps, vector, word_closure, zeros
 from wazz.zigzag import (CUBIC, FREE_MODULE, GENERATED_MODULE, Morphism, ZigZag,
@@ -141,8 +142,8 @@ def shortlex_least_difference(tr1, tr2, alphabet):
 def assert_trace_check_matches_raw_traces(z):
     x1, x2 = z.endpoints
     depth = z.nodes[0].dim + z.nodes[-1].dim
-    tr1 = raw_trace(z.nodes[0], x1, depth, z.alphabet)
-    tr2 = raw_trace(z.nodes[-1], x2, depth, z.alphabet)
+    tr1 = raw_trace(z.nodes[0].coalgebra, x1, depth)
+    tr2 = raw_trace(z.nodes[-1].coalgebra, x2, depth)
     check = trace_check(verify_zigzag(z))
     assert check.ok == (tr1 == tr2)
     word = shortlex_least_difference(tr1, tr2, z.alphabet)
@@ -153,8 +154,7 @@ def assert_trace_check_matches_raw_traces(z):
 
 def with_right_output(z, out):
     right = z.nodes[-1]
-    node = ZigZagNode(kind=right.kind, dim=right.dim, generators=right.generators,
-                      out=out, trans=right.trans)
+    node = replace(right, coalgebra=replace(right.coalgebra, out=out))
     return ZigZag(functor=z.functor, tag=z.tag, alphabet=z.alphabet,
                   nodes=z.nodes[:-1] + (node,), morphisms=z.morphisms,
                   relating=z.relating, endpoints=z.endpoints)
@@ -171,7 +171,7 @@ def test_trace_agreement_matches_raw_traces_on_tampered_witnesses(tag):
         builder = ghat_zigzag if tag is T.PCA else cubic_zigzag
         z = builder(aut1, x1, aut2, x2)
         assert assert_trace_check_matches_raw_traces(z)
-        out = list(z.nodes[-1].out)
+        out = list(z.nodes[-1].coalgebra.out)
         out[rng.randrange(len(out))] += rng.choice([F(1), F(-1), F(1, 2)])
         verdicts.append(assert_trace_check_matches_raw_traces(with_right_output(z, out)))
     assert not all(verdicts)
@@ -196,8 +196,9 @@ class TestDegenerateClosures:
 
     def _witness(self, right_dim, right_out, x2):
         def node(kind, dim, out):
-            return ZigZagNode(kind=kind, dim=dim, generators=(), out=out,
-                              trans=(Mat([[0] * dim] * dim, ncols=dim),))
+            coalg = LinearCoalgebra(n=dim, alphabet=("a",), out=out,
+                                    trans=(Mat([[0] * dim] * dim, ncols=dim),))
+            return ZigZagNode(kind=kind, generators=(), coalgebra=coalg)
 
         return ZigZag(functor=CUBIC, tag=T.Q, alphabet=("a",),
                       nodes=(node(FREE_MODULE, 0, ()), node(GENERATED_MODULE, 0, ()),

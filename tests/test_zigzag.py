@@ -1,10 +1,13 @@
+import hashlib
 import random
+from dataclasses import replace
 import time
 from fractions import Fraction as F
 
 import pytest
 
-from wazz.automata import NotEquivalent, SemiringTag, WeightedAutomaton, trace
+from wazz.automata import (LinearCoalgebra, NotEquivalent, SemiringTag, WeightedAutomaton,
+                           trace)
 from wazz.linalg import Mat, unit, vector, zeros
 from wazz import zigzag
 from wazz.zigzag import (CUBIC, FREE_MODULE, FREE_PCA, GENERATED_MODULE,
@@ -182,9 +185,7 @@ class TestVerifierNegativeControls:
     def test_tampered_node_kind_on_sink(self):
         z = self.make()
         sink = z.nodes[0]
-        tampered_node = ZigZagNode(kind=GENERATED_MODULE, dim=sink.dim,
-                                   generators=sink.generators, out=sink.out,
-                                   trans=sink.trans)
+        tampered_node = replace(sink, kind=GENERATED_MODULE)
         tampered = ZigZag(functor=z.functor, tag=z.tag, alphabet=z.alphabet,
                           nodes=(tampered_node,) + z.nodes[1:],
                           morphisms=z.morphisms, relating=z.relating,
@@ -196,9 +197,8 @@ class TestVerifierNegativeControls:
     def test_tampered_free_claim_with_dependent_generators(self):
         z = self.make()
         mid = z.nodes[1]
-        fake = ZigZagNode(kind=FREE_MODULE, dim=mid.dim,
-                          generators=mid.generators + (vector([2, 1, 1]),),
-                          out=mid.out, trans=mid.trans)
+        fake = replace(mid, kind=FREE_MODULE,
+                       generators=mid.generators + (vector([2, 1, 1]),))
         tampered = ZigZag(functor=z.functor, tag=z.tag, alphabet=z.alphabet,
                           nodes=(z.nodes[0], fake, z.nodes[2]),
                           morphisms=z.morphisms, relating=z.relating,
@@ -254,6 +254,29 @@ class TestWitnessFormat:
         z = cubic_zigzag(*qplus_pair())
         report = verify_zigzag(parse_zigzag(zigzag_to_text(z)))
         assert report.valid
+
+    # sha256 of the witness text for lifted_pair(Random("golden/<tag>"), tag,
+    # 3, 2, ("a", "b")); a change here changes the bytes every witness file has
+    GOLDEN_SHA256 = {
+        "nat": "8c7f962578bb769c2ce0e43a55d82354b4bbe49f78f01f30e55be9376fbff4b6",
+        "int": "ae716ea903e9d96c6a2019b0daea40685b733e5507f04c6dfc3e576ea5ce548b",
+        "qplus": "53fca44903d5291f63c27eebc13d84bbabb8ce28bbc9db5784623ecf0bfb35ec",
+        "q": "a768815721c3ca2507b2adfadf71f4b2e3dee901960e326dce1b95935aa4644d",
+        "rplus": "82a0a3a27defb0326f34a83de8a709b62b7ed9ac73a0408e453c83d81fc67f05",
+        "real": "515b530e041e7ba2223d4472ed7eaf44b23dab7356e58d6ab2c2618c2dff3160",
+        "unit": "3ab5c1801e02afeda02eacb0e27faa04dd8166e601148e853561ce980eb2353d",
+        "pca": "999d6b7b753daff18b3cff17f74ba3ed90552ecb6eca2787359aa609335fb634",
+    }
+
+    @pytest.mark.parametrize("tag", sorted(GOLDEN_SHA256))
+    def test_golden_witness_bytes(self, tag):
+        rng = random.Random(f"golden/{tag}")
+        aut1, x1, aut2, x2 = lifted_pair(rng, T(tag), 3, 2, ("a", "b"))
+        build = ghat_zigzag if tag == "pca" else cubic_zigzag
+        z = build(aut1, x1, aut2, x2)
+        text = zigzag_to_text(z)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.GOLDEN_SHA256[tag]
+        assert parse_zigzag(text) == z
 
 
 class TestParseErrors:
@@ -318,8 +341,8 @@ class TestGhatNegativeControls:
     def test_overbudget_pyramid_node(self):
         z = self.make()
         u1 = z.nodes[1]
-        bumped = ZigZagNode(kind=u1.kind, dim=u1.dim, generators=u1.generators,
-                            out=tuple(q + 1 for q in u1.out), trans=u1.trans)
+        bumped = replace(u1, coalgebra=replace(u1.coalgebra,
+                                               out=tuple(q + 1 for q in u1.coalgebra.out)))
         report = verify_zigzag(self.rebuilt(z, nodes=(z.nodes[0], bumped) + z.nodes[2:]))
         assert not report.valid
         names = failing_names(report)
@@ -339,10 +362,8 @@ class TestGhatNegativeControls:
     def test_shrunk_pyramid_loses_morphism_carrier(self):
         z = self.make()
         u1 = z.nodes[1]
-        shrunk = ZigZagNode(kind=u1.kind, dim=u1.dim,
-                            generators=tuple(tuple(q / 2 for q in g)
-                                             for g in u1.generators),
-                            out=u1.out, trans=u1.trans)
+        shrunk = replace(u1, generators=tuple(tuple(q / 2 for q in g)
+                                              for g in u1.generators))
         report = verify_zigzag(self.rebuilt(z, nodes=(z.nodes[0], shrunk) + z.nodes[2:]))
         assert not report.valid
         assert any(n.startswith("morphism-carrier") or n.startswith("node-coalgebra")
@@ -354,9 +375,7 @@ class TestMalformedWitnesses:
         aut = pca_half_loop()
         z = ghat_zigzag(aut, vector([1]), aut, vector([1]))
         mid = z.nodes[2]
-        poisoned = ZigZagNode(kind=mid.kind, dim=mid.dim,
-                              generators=mid.generators + (vector([-1, 0]),),
-                              out=mid.out, trans=mid.trans)
+        poisoned = replace(mid, generators=mid.generators + (vector([-1, 0]),))
         tampered = ZigZag(functor=z.functor, tag=z.tag, alphabet=z.alphabet,
                           nodes=z.nodes[:2] + (poisoned,) + z.nodes[3:],
                           morphisms=z.morphisms, relating=z.relating,
@@ -392,16 +411,21 @@ def box_monoid_member(gens, target):
     return tuple(target) in reached
 
 
-COUNTER = ZigZagNode(kind=FREE_MODULE, dim=1, generators=((1,),), out=(1,),
-                     trans=(Mat([[1]]),))
+def identity_coalgebra(out):
+    """One letter acting as the identity, and the output functional `out`."""
+    return LinearCoalgebra(n=len(out), alphabet=("a",), out=out,
+                           trans=(Mat.identity(len(out)),))
+
+
+COUNTER = ZigZagNode(kind=FREE_MODULE, generators=((1,),), coalgebra=identity_coalgebra((1,)))
 
 
 def deep_nat_witness(k):
     """A nat span witness relating the one-state counters x = k and y = k
     through the middle carrier N(1, 1): everything checks at once except
     that (k, k) is in the carrier, which is k times its one generator."""
-    middle = ZigZagNode(kind=GENERATED_MODULE, dim=2, generators=((1, 1),),
-                        out=(1, 0), trans=(Mat.identity(2),))
+    middle = ZigZagNode(kind=GENERATED_MODULE, generators=((1, 1),),
+                        coalgebra=identity_coalgebra((1, 0)))
     return ZigZag(functor=CUBIC, tag=T.NAT, alphabet=("a",),
                   nodes=(COUNTER, middle, COUNTER),
                   morphisms=(Morphism(1, 0, Mat([[1, 0]])), Morphism(1, 2, Mat([[0, 1]]))),
@@ -413,8 +437,8 @@ def two_generator_nat_witness(k, m):
     middle carrier N{(1, 1, 0), (0, 0, 1)}, mapped to each counter by
     (x, y, z) -> x + z and y + z.  The hard check is (k, k, m) in the
     carrier, a descent that enters k + m targets."""
-    middle = ZigZagNode(kind=GENERATED_MODULE, dim=3, generators=((1, 1, 0), (0, 0, 1)),
-                        out=(1, 0, 1), trans=(Mat.identity(3),))
+    middle = ZigZagNode(kind=GENERATED_MODULE, generators=((1, 1, 0), (0, 0, 1)),
+                        coalgebra=identity_coalgebra((1, 0, 1)))
     return ZigZag(functor=CUBIC, tag=T.NAT, alphabet=("a",),
                   nodes=(COUNTER, middle, COUNTER),
                   morphisms=(Morphism(1, 0, Mat([[1, 0, 1]])),

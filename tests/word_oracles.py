@@ -23,16 +23,16 @@ def bfs_separating_word(aut1, x1, aut2, x2, maxlen):
     return None
 
 
-def raw_trace(node, x, depth, alphabet):
-    """Word weights of a witness node from x, for every word up to depth."""
-    values = {(): vdot(node.out, x)}
+def raw_trace(coalg, x, depth):
+    """Word weights of a linear coalgebra from x, for every word up to depth."""
+    values = {(): vdot(coalg.out, x)}
     frontier = [((), vector(x))]
     for _ in range(depth):
         nxt = []
         for word, v in frontier:
-            for idx, a in enumerate(alphabet):
-                image = node.trans[idx].apply(v)
-                values[word + (a,)] = vdot(node.out, image)
+            for a, m in zip(coalg.alphabet, coalg.trans):
+                image = m.apply(v)
+                values[word + (a,)] = vdot(coalg.out, image)
                 nxt.append((word + (a,), image))
         frontier = nxt
     return values
