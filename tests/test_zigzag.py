@@ -8,7 +8,7 @@ import pytest
 
 from wazz.automata import (LinearCoalgebra, NotEquivalent, SemiringTag, WeightedAutomaton,
                            trace)
-from wazz.linalg import Mat, unit, vector, zeros
+from wazz.linalg import Mat, unit, vector, vneg, zeros
 from wazz import zigzag
 from wazz.zigzag import (CUBIC, FREE_MODULE, FREE_PCA, GENERATED_MODULE,
                          GENERATED_PCA, GHAT, Morphism, SearchBudgetExceeded, ZigZag,
@@ -36,6 +36,51 @@ def pca_half_loop():
 
 def failing_names(report):
     return {c.name for c in report.failures()}
+
+
+SWAPPED_KIND = {FREE_MODULE: GENERATED_MODULE, GENERATED_MODULE: FREE_MODULE,
+                FREE_PCA: GENERATED_PCA, GENERATED_PCA: FREE_PCA}
+
+
+def report_witnesses(z):
+    """(label, witness) for z and for each of a fixed list of mutations of it:
+    per node, negate its first generator, drop its last one, add a dependent
+    one (free nodes), swap FREE_* and GENERATED_*, and bump its first output;
+    double the first column of each morphism; add e_0 to each relating
+    element."""
+    def with_node(i, **fields):
+        nodes = list(z.nodes)
+        nodes[i] = replace(nodes[i], **fields)
+        return replace(z, nodes=tuple(nodes))
+
+    yield "valid", z
+    for i, node in enumerate(z.nodes):
+        gens = node.generators
+        if gens:
+            yield f"negate generator 0 of node {i}", with_node(
+                i, generators=(vneg(gens[0]),) + gens[1:])
+            yield f"drop the last generator of node {i}", with_node(i, generators=gens[:-1])
+            if node.is_free:
+                dependent = tuple(a + b for a, b in zip(gens[0], gens[-1]))
+                yield f"dependent generator on node {i}", with_node(
+                    i, generators=gens + (dependent,))
+        yield f"swap the kind of node {i}", with_node(i, kind=SWAPPED_KIND[node.kind])
+        if node.dim:
+            out = node.coalgebra.out
+            yield f"bump output 0 of node {i}", with_node(
+                i, coalgebra=replace(node.coalgebra, out=(out[0] + 1,) + out[1:]))
+    for k, mor in enumerate(z.morphisms):
+        m = mor.matrix
+        if m.ncols:
+            morphisms = list(z.morphisms)
+            morphisms[k] = replace(mor, matrix=Mat([(2 * r[0],) + r[1:] for r in m.rows],
+                                                   ncols=m.ncols))
+            yield f"double column 0 of morphism {k}", replace(z, morphisms=tuple(morphisms))
+    for j, (i, v) in enumerate(z.relating):
+        if v:
+            relating = list(z.relating)
+            relating[j] = (i, tuple(a + b for a, b in zip(v, unit(len(v), 0))))
+            yield f"replace relating element {j}", replace(z, relating=tuple(relating))
 
 
 class TestCubic:
@@ -277,6 +322,44 @@ class TestWitnessFormat:
         text = zigzag_to_text(z)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.GOLDEN_SHA256[tag]
         assert parse_zigzag(text) == z
+
+    # sha256 over every report that `report_witnesses` yields for the
+    # witnesses of lifted_pair(Random("report/<tag>/<s>"), tag, k, extra,
+    # ("a", "b")) over REPORT_SIZES: each check's name, verdict and detail
+    # string, on valid and mutated witnesses alike
+    REPORT_SIZES = ((2, 1), (3, 1), (2, 2))
+    GOLDEN_REPORT_SHA256 = {
+        "nat": "87e3bb55c5cae420406a9916e75af5d7412e53dc20985b6d4ad9b48cdadc8017",
+        "int": "45ec27ee8618a10266591621a6d9d5656630bfeb508369cfd6934d2caf733931",
+        "qplus": "5da11ab011ea4bca412a785c5e32bfc69adfa09f4e18a07c53b2febe4baf023f",
+        "q": "8db70882a448db50343769ef5e4ced31d28fecac59f7b110b4332215b5446826",
+        "rplus": "5c347c8f0df95891a984a4df222183042e699716986d1cc07931c1afaa53a293",
+        "real": "a9d2f42d3abdba84a53177710e37d1d3091d599392d257a1f9b91978ad563e30",
+        "unit": "5adc88e4ee14628e23ecfff391c1a8df816e939a4dfe76d901caa5165f969a57",
+        "pca": "321aa0d70fac10d66e23dafbc1c683037ba24b0f56c922d21d5a936623aabef0",
+    }
+
+    @staticmethod
+    def report_digest(tag):
+        digest = hashlib.sha256()
+        verdicts = []
+        for s, (k, extra) in enumerate(TestWitnessFormat.REPORT_SIZES):
+            rng = random.Random(f"report/{tag}/{s}")
+            aut1, x1, aut2, x2 = lifted_pair(rng, T(tag), k, extra, ("a", "b"))
+            build = ghat_zigzag if tag == "pca" else cubic_zigzag
+            for label, w in report_witnesses(build(aut1, x1, aut2, x2)):
+                report = verify_zigzag(w)
+                verdicts.append((label, report.valid))
+                checks = [(c.name, c.ok, c.detail) for c in report.checks]
+                digest.update(repr((label, checks)).encode("utf-8"))
+        return digest.hexdigest(), verdicts
+
+    @pytest.mark.parametrize("tag", sorted(GOLDEN_REPORT_SHA256))
+    def test_golden_reports(self, tag):
+        digest, verdicts = self.report_digest(tag)
+        assert all(valid for label, valid in verdicts if label == "valid")
+        assert not all(valid for _, valid in verdicts)
+        assert digest == self.GOLDEN_REPORT_SHA256[tag]
 
 
 class TestParseErrors:
