@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .automata import SemiringTag, WeightedAutomaton
 from .linalg import Mat, solve, unit, vdot, vector
@@ -52,17 +53,27 @@ class PyramidCert:
         return PcaPolytope(len(self.u), self.generators)
 
 
-def ghat_member(polytope, element):
-    """Exact membership test: o >= 0 and o + sum of letter gauges <= 1."""
-    if element.o < 0:
-        return False
-    total = element.o
-    for v in element.phi.values():
-        g = gauge(polytope, v)
+def ghat_breach(o, images, mu):
+    """How the candidate element (o, images) of the functor at a carrier with
+    Minkowski functional mu breaks the joint budget o >= 0 and
+    o + sum_a mu(images_a) <= 1: None if it keeps it, else "output" for
+    o < 0, "cone" at the first image with an infinite gauge, or the total
+    when it exceeds 1.  The gauge is the caller's, so no facets are needed
+    here."""
+    if o < 0:
+        return "output"
+    total = o
+    for v in images:
+        g = mu(v)
         if g is INFINITY:
-            return False
+            return "cone"
         total += g
-    return total <= 1
+    return total if total > 1 else None
+
+
+def ghat_member(polytope, element):
+    """Exact membership test of an element in the functor at the polytope."""
+    return ghat_breach(element.o, element.phi.values(), partial(gauge, polytope)) is None
 
 
 def ghat_apply(matrix, element):
@@ -73,12 +84,9 @@ def ghat_apply(matrix, element):
 def is_ghat_coalgebra(x_poly, y_poly, coalg):
     """Whether the linear map sends the subconvex hull of X into the functor
     applied to Y; checking generators suffices by convexity."""
-    for g in x_poly.generators:
-        element = GhatElement(vdot(coalg.out, g),
-                              {a: m.apply(g) for a, m in zip(coalg.alphabet, coalg.trans)})
-        if not ghat_member(y_poly, element):
-            return False
-    return True
+    mu = partial(gauge, y_poly)
+    return all(ghat_breach(vdot(coalg.out, g), (m.apply(g) for m in coalg.trans), mu) is None
+               for g in x_poly.generators)
 
 
 def invariant_zero_set(out, trans):
@@ -101,27 +109,24 @@ def reduce_invariant_set(aut):
 
     Returns (dropped original indices, quotient automaton, projection f);
     f deletes the dropped coordinates and is a coalgebra morphism onto the
-    quotient.  The quotient admits no further nonempty invariant zero set.
+    quotient.  One pass suffices: if S were an invariant zero set of the
+    quotient, S with the dropped set D would be one of the original (the
+    quotient's outputs and columns on S are the original's with the rows in
+    D deleted), and D is the greatest, so S is empty.
     """
     if aut.tag is not SemiringTag.PCA:
         raise ValueError("reduction expects the subconvex automaton tag")
-    keep = list(range(aut.n))
-    current = aut
-    while True:
-        dropped = invariant_zero_set(current.out, current.trans)
-        if not dropped:
-            break
-        kept = [j for j in range(current.n) if j not in dropped]
-        k = len(kept)
-        out = vector(current.out[j] for j in kept)
-        trans = tuple(Mat([[m.rows[i][j] for j in kept] for i in kept], ncols=k)
-                      for m in current.trans)
-        current = WeightedAutomaton(tag=SemiringTag.PCA, n=k,
-                                    alphabet=current.alphabet, out=out, trans=trans)
-        keep = [keep[j] for j in kept]
+    dropped = invariant_zero_set(aut.out, aut.trans)
+    keep = [j for j in range(aut.n) if j not in dropped]
+    quotient = aut
+    if dropped:
+        quotient = WeightedAutomaton(
+            tag=SemiringTag.PCA, n=len(keep), alphabet=aut.alphabet,
+            out=vector(aut.out[j] for j in keep),
+            trans=tuple(Mat([[m.rows[i][j] for j in keep] for i in keep], ncols=len(keep))
+                        for m in aut.trans))
     proj = Mat([unit(aut.n, j) for j in keep], ncols=aut.n)
-    dropped_total = frozenset(range(aut.n)) - frozenset(keep)
-    return dropped_total, current, proj
+    return frozenset(dropped), quotient, proj
 
 
 def pyramid_extension(polytope, coalg):

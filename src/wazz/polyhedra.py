@@ -15,6 +15,7 @@ from functools import lru_cache
 from math import lcm
 from operator import mul
 
+from .formats import LineReader, fmt_vec
 from .linalg import (Mat, _clear_denominators, _eliminate, as_int_vec, is_nonneg, is_zero,
                      kernel_basis, primitive, unit, vdot, vector, vneg, vscale, zeros)
 
@@ -78,10 +79,6 @@ class VRep:
     @property
     def is_empty(self):
         return not self.points
-
-    @property
-    def is_bounded(self):
-        return not self.directions
 
 
 @dataclass(frozen=True)
@@ -219,6 +216,13 @@ def cone_rays(normals, dim):
     return lineality, rays
 
 
+def _cone_generators(normals, dim):
+    """Conic generators of {x : Ax <= 0}: the extreme rays of its pointed
+    part and both signs of each lineality basis vector."""
+    lineality, rays = cone_rays(normals, dim)
+    return rays + [d for l in lineality for d in (l, vneg(l))]
+
+
 def dd_h_to_v(h):
     """Vertices and directions of an H-polyhedron (Minkowski direction)."""
     if h.dim == 0:
@@ -226,18 +230,12 @@ def dd_h_to_v(h):
         return VRep(0, ((),) if feasible else (), ())
     normals = [tuple(a) + (-b,) for a, b in h.ineqs]
     normals.append(zeros(h.dim) + (Fraction(-1),))
-    lineality, rays = cone_rays(normals, h.dim + 1)
     points, directions = [], []
-    for r in rays:
-        t = r[-1]
-        if t > 0:
-            points.append(vscale(1 / t, r[:-1]))
+    for r in _cone_generators(normals, h.dim + 1):  # lineality lies in t = 0
+        if r[-1] > 0:
+            points.append(vscale(1 / r[-1], r[:-1]))
         else:
             directions.append(vector(primitive(r[:-1])))
-    for l in lineality:
-        v = l[:-1]
-        directions.append(vector(primitive(v)))
-        directions.append(vector(primitive(vneg(v))))
     if not points:
         return VRep(h.dim, (), ())
     return VRep(h.dim, tuple(sorted(set(points))), tuple(sorted(set(directions))))
@@ -251,18 +249,9 @@ def dd_v_to_h(v):
         return HRep(v.dim, ((zeros(v.dim), Fraction(-1)),))
     gens = [tuple(p) + (Fraction(1),) for p in v.points]
     gens += [tuple(d) + (Fraction(0),) for d in v.directions]
-    lineality, rays = cone_rays(gens, v.dim + 1)
-    ineqs = []
-    for r in rays:
-        normal, bound = r[:-1], -r[-1]
-        if not is_zero(normal):
-            ineqs.append(canonical_ineq(normal, bound))
-    for l in lineality:
-        normal, bound = l[:-1], -l[-1]
-        if not is_zero(normal):
-            ineqs.append(canonical_ineq(normal, bound))
-            ineqs.append(canonical_ineq(vneg(normal), -bound))
-    return HRep(v.dim, tuple(sorted(set(ineqs))))
+    ineqs = {canonical_ineq(r[:-1], -r[-1])
+             for r in _cone_generators(gens, v.dim + 1) if not is_zero(r[:-1])}
+    return HRep(v.dim, tuple(sorted(ineqs)))
 
 
 def lp_feasible(h):
@@ -324,12 +313,7 @@ def pca_member(polytope, x):
 @lru_cache(maxsize=FACET_CACHE_SIZE)
 def _cone_facet_normals(gens, dim):
     """Primitive integer normals n with cone(gens) = {x : <n, x> <= 0 for all n}."""
-    lineality, rays = cone_rays(tuple(vector(g) for g in gens), dim)
-    normals = [as_int_vec(r) for r in rays]
-    for l in lineality:
-        normals.append(primitive(l))
-        normals.append(primitive(vneg(l)))
-    return tuple(sorted(set(normals)))
+    return tuple(sorted({primitive(d) for d in _cone_generators(tuple(map(vector, gens)), dim)}))
 
 
 def cone_member(gens, x):
@@ -367,12 +351,7 @@ def cone_restriction(span_vectors):
     dim = len(span_vectors[0])
     system = _with_equations([(vneg(unit(dim, i)), Fraction(0)) for i in range(dim)],
                              subspace_equations(span_vectors, dim))
-    lineality, rays = cone_rays([a for a, _ in system], dim)
-    out = [vector(r) for r in rays]
-    for l in lineality:
-        out.append(vector(primitive(l)))
-        out.append(vector(primitive(vneg(l))))
-    return sorted(set(out))
+    return sorted({vector(primitive(d)) for d in _cone_generators([a for a, _ in system], dim)})
 
 
 PRODUCT = "PRODUCT"
@@ -409,13 +388,17 @@ def simplex_restriction(span_vectors, family, n1, n2):
 # text formats
 
 
-def parse_hrep(text, source="<hrep>"):
-    from .formats import LineReader
+def _reader(text, source, keyword):
+    """A reader past the header line `<keyword> <dim>`, and dim."""
     r = LineReader(text, source)
-    toks = r.next_keyword("hrep")
+    toks = r.next_keyword(keyword)
     if len(toks) != 1:
-        r.error("expected: hrep <dim>")
-    dim = r.parse_int(toks[0], minimum=0)
+        r.error(f"expected: {keyword} <dim>")
+    return r, r.parse_int(toks[0], minimum=0)
+
+
+def parse_hrep(text, source="<hrep>"):
+    r, dim = _reader(text, source, "hrep")
     ineqs = []
     while r:
         toks = r.next_tokens()
@@ -427,7 +410,6 @@ def parse_hrep(text, source="<hrep>"):
 
 
 def hrep_to_text(h):
-    from .formats import fmt_vec
     lines = [f"hrep {h.dim}"]
     for a, b in h.ineqs:
         lines.append("ineq " + fmt_vec(tuple(a) + (b,)))
@@ -435,12 +417,7 @@ def hrep_to_text(h):
 
 
 def parse_vrep(text, source="<vrep>"):
-    from .formats import LineReader
-    r = LineReader(text, source)
-    toks = r.next_keyword("vrep")
-    if len(toks) != 1:
-        r.error("expected: vrep <dim>")
-    dim = r.parse_int(toks[0], minimum=0)
+    r, dim = _reader(text, source, "vrep")
     points, directions = [], []
     while r:
         toks = r.next_tokens()
@@ -454,7 +431,6 @@ def parse_vrep(text, source="<vrep>"):
 
 
 def vrep_to_text(v):
-    from .formats import fmt_vec
     lines = [f"vrep {v.dim}"]
     for p in v.points:
         lines.append(("point " + fmt_vec(p)).rstrip())
@@ -464,12 +440,7 @@ def vrep_to_text(v):
 
 
 def parse_pca_polytope(text, source="<pca>"):
-    from .formats import LineReader
-    r = LineReader(text, source)
-    toks = r.next_keyword("pca")
-    if len(toks) != 1:
-        r.error("expected: pca <dim>")
-    dim = r.parse_int(toks[0], minimum=0)
+    r, dim = _reader(text, source, "pca")
     gens = []
     while r:
         toks = r.next_tokens()
@@ -483,7 +454,6 @@ def parse_pca_polytope(text, source="<pca>"):
 
 
 def pca_polytope_to_text(p):
-    from .formats import fmt_vec
     lines = [f"pca {p.dim}"]
     for g in p.generators:
         lines.append(("gen " + fmt_vec(g)).rstrip())

@@ -10,8 +10,10 @@ and the relating chain by direct evaluation.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .automata import (LinearCoalgebra, NotEquivalent, SemiringTag, pair_submodule,
                        separating_word)
@@ -20,9 +22,9 @@ from .hilbert import nat_restriction, qplus_restriction_by_scaling
 from .linalg import (Lattice, Mat, as_int_vec, closure_under_maps, first_word_off,
                      hnf, is_integral, is_nonneg, lattice_member, rref, unit, vdot,
                      vector, vneg)
-from .pca import pyramid_extension, reduce_invariant_set
+from .pca import ghat_breach, pyramid_extension, reduce_invariant_set
 from .polyhedra import (PRODUCT, SCALED, INFINITY, PcaPolytope, cone_member,
-                        cone_restriction, gauge, pca_member, simplex_restriction)
+                        cone_restriction, gauge, simplex_restriction)
 
 FREE_MODULE = "FREE_MODULE"
 GENERATED_MODULE = "GENERATED_MODULE"
@@ -90,12 +92,6 @@ class ZigZag:
                            tuple((i, vector(v)) for i, v in self.relating))
         x1, x2 = self.endpoints
         object.__setattr__(self, "endpoints", (vector(x1), vector(x2)))
-
-    def relating_at(self, index):
-        for i, v in self.relating:
-            if i == index:
-                return v
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +272,15 @@ def _nat_monoid_member(gens, v):
 
 
 def _span_coordinates(gens, dim):
-    """Coordinates in the generators: a function taking v to the x with
-    G x = v, G having the generators as columns and x's free variables zero
-    as in `solve`, or to None if v is outside the span.
+    """The coordinates in the generators, their rank and a matrix E: the
+    coordinates are a function taking v to the x with G x = v, G having the
+    generators as columns and x's free variables zero as in `solve`, or to
+    None if v is outside the span.
 
     G is factored once: the rref of [G | I] is [R | E] with E G = R, so
     G x = v exactly when E v vanishes below the rank of G, and then x's pivot
-    entries are read off E v.  The product G x is checked against v again."""
+    entries are read off E v.  The product G x is checked against v again.
+    When G is invertible, E is its inverse."""
     k = len(gens)
     g_mat = Mat.from_cols(gens, nrows=dim)
     red, pivots, _ = rref(Mat(tuple(r + unit(dim, i) for i, r in enumerate(g_mat.rows)),
@@ -301,87 +299,89 @@ def _span_coordinates(gens, dim):
         x = tuple(x)
         return x if g_mat.apply(x) == tuple(v) else None
 
-    return coordinates
+    return coordinates, rank, e_mat
 
 
 def _never(v):
     return False
 
 
-def _carrier_tester(tag, node):
-    """Membership test for the algebra spanned by the node's generators, with
-    the generators checked and factored once for every vector it is asked
-    about."""
-    gens = node.generators
-    if node.is_pca:
-        if not all(is_nonneg(g) for g in gens):
-            return _never  # malformed carrier; node-kind reports the cause
-        poly = PcaPolytope(node.dim, gens)
-        return lambda v: is_nonneg(v) and pca_member(poly, v)
-    if node.kind == FREE_MODULE or tag in (SemiringTag.Q, SemiringTag.REAL):
-        coordinates = _span_coordinates(gens, node.dim)
-        if node.kind == GENERATED_MODULE:
-            return lambda v: coordinates(v) is not None
-
-        def free_member(v):
-            x = coordinates(v)
-            return x is not None and all(tag.scalar_ok(c) for c in x)
-
-        return free_member
-    # generated module, by tag
-    if tag is SemiringTag.NAT:
-        if not all(is_integral(g) and is_nonneg(g) for g in gens):
-            return _never
-        return lambda v: _nat_monoid_member(gens, v)
-    if tag is SemiringTag.INT:
-        if not all(is_integral(g) for g in gens):
-            return _never
-        lat = hnf([as_int_vec(g) for g in gens], dim=node.dim) if gens else Lattice(node.dim, ())
-        return lambda v: lattice_member(v, lat)
-    if tag in (SemiringTag.QPLUS, SemiringTag.RPLUS):
-        return lambda v: cone_member(gens, v)
-    return _never
+# A node's carrier as the verifier sees it: the node-kind failure ("" if the
+# generators fit the kind), the membership test and, for a subconvex node with
+# nonnegative generators, the gauge (Minkowski functional).
+_Carrier = namedtuple("_Carrier", "kind_detail member gauge", defaults=(None,))
 
 
-def _kind_ok(node):
-    gens = node.generators
+def _carrier(tag, node):
+    """The node's carrier, from its generators checked once and factored at
+    most once.
+
+    A free carrier is decided by one factorization: its rank answers
+    node-kind, and a well-formed FREE_PCA carrier is the simplex on its
+    generators, whose gauge is the sum of the coordinates when none is
+    negative.  Any other subconvex carrier, a FREE_PCA one that fails its
+    kind check included, is the hull of its generators, gauged by facets."""
+    gens, dim = node.generators, node.dim
     if node.is_pca and not all(is_nonneg(g) for g in gens):
-        return False, "generators must be nonnegative"
+        return _Carrier("generators must be nonnegative", _never)
+    detail = ""
     if node.is_free:
-        if gens:
-            _, _, rank = rref(Mat(gens, ncols=node.dim))
-            if rank != len(gens):
-                return False, "generators are linearly dependent"
-        if node.kind == FREE_PCA and len(gens) != node.dim:
-            return False, "free subconvex carrier needs dim-many generators"
-    return True, ""
+        coordinates, rank, e_mat = _span_coordinates(gens, dim)
+        if rank != len(gens):
+            detail = "generators are linearly dependent"
+        elif node.is_pca and len(gens) != dim:
+            detail = "free subconvex carrier needs dim-many generators"
+    if node.is_pca:
+        if node.is_free and not detail:
+            # G is invertible, so E = G^-1: the coordinates E v and their
+            # sum come out of one product
+            coords_and_sum = Mat(e_mat.rows + (tuple(map(sum, zip(*e_mat.rows))),), ncols=dim)
+
+            def mu(v):
+                *x, total = coords_and_sum.apply(v)
+                return total if min(x, default=0) >= 0 else INFINITY
+        else:
+            mu = partial(gauge, PcaPolytope(dim, gens))
+        return _Carrier(detail, lambda v: (g := mu(v)) is not INFINITY and g <= 1, mu)
+    if node.is_free:
+        return _Carrier(detail, lambda v: (x := coordinates(v)) is not None
+                       and all(tag.scalar_ok(c) for c in x))
+    # generated module, by tag
+    member = _never
+    if tag in (SemiringTag.Q, SemiringTag.REAL):
+        coordinates = _span_coordinates(gens, dim)[0]
+        member = lambda v: coordinates(v) is not None
+    elif tag is SemiringTag.NAT and all(is_integral(g) and is_nonneg(g) for g in gens):
+        member = lambda v: _nat_monoid_member(gens, v)
+    elif tag is SemiringTag.INT and all(is_integral(g) for g in gens):
+        lat = hnf([as_int_vec(g) for g in gens], dim=dim) if gens else Lattice(dim, ())
+        member = lambda v: lattice_member(v, lat)
+    elif tag in (SemiringTag.QPLUS, SemiringTag.RPLUS):
+        member = lambda v: cone_member(gens, v)
+    return _Carrier("", member)
 
 
-def _coalgebra_self_map_ok(z, node, member):
-    """The structure map sends every generator into the functor at the carrier;
-    `member` tests membership in the node's carrier."""
-    if node.is_pca and not all(is_nonneg(g) for g in node.generators):
+def _coalgebra_self_map_ok(z, node, carrier):
+    """The structure map sends every generator into the functor at the
+    node's carrier."""
+    if node.is_pca and carrier.gauge is None:
         return False, "carrier generators must be nonnegative"
-    poly = PcaPolytope(node.dim, node.generators) if node.is_pca else None
     coalg = node.coalgebra
     for g in node.generators:
         o = vdot(coalg.out, g)
-        if z.functor == GHAT:
-            if o < 0:
+        if z.functor == GHAT and node.is_pca:
+            breach = ghat_breach(o, (m.apply(g) for m in coalg.trans), carrier.gauge)
+            if breach == "output":
                 return False, f"negative output weight at generator {fmt_vec(g)}"
-            total = o
-            for m in coalg.trans:
-                gg = gauge(poly, m.apply(g))
-                if gg is INFINITY:
-                    return False, f"letter image of {fmt_vec(g)} leaves the carrier cone"
-                total += gg
-            if total > 1:
-                return False, f"budget {fmt_rat(total)} exceeds 1 at generator {fmt_vec(g)}"
+            if breach == "cone":
+                return False, f"letter image of {fmt_vec(g)} leaves the carrier cone"
+            if breach is not None:
+                return False, f"budget {fmt_rat(breach)} exceeds 1 at generator {fmt_vec(g)}"
         else:
             if not z.tag.scalar_ok(o):
                 return False, f"output weight {fmt_rat(o)} outside the semiring"
             for m in coalg.trans:
-                if not member(m.apply(g)):
+                if not carrier.member(m.apply(g)):
                     return False, f"transition image of {fmt_vec(g)} leaves the carrier"
     return True, ""
 
@@ -426,7 +426,6 @@ def verify_zigzag(z):
 
     def add(name, ok, detail=""):
         checks.append(CheckResult(name, bool(ok), detail))
-        return bool(ok)
 
     def add_guarded(name, check, *args):
         """Add a check that tests carrier membership; an overrun search fails it."""
@@ -476,26 +475,27 @@ def verify_zigzag(z):
     if not shape_ok:
         return Report(False, checks)
 
-    members = [_carrier_tester(z.tag, node) for node in nodes]
+    carriers = [_carrier(z.tag, node) for node in nodes]
     for i, node in enumerate(nodes):
-        ok, detail = _kind_ok(node)
-        if ok and i in sinks and not node.is_free:
-            ok, detail = False, "nodes with incoming arrows must be free"
-        if ok and z.functor == GHAT and not node.is_pca:
-            ok, detail = False, "subconvex witnesses need subconvex carriers"
-        add(f"node-kind[{i}]", ok, detail)
-        add_guarded(f"node-coalgebra[{i}]", _coalgebra_self_map_ok, z, node, members[i])
+        detail = carriers[i].kind_detail
+        if not detail and i in sinks and not node.is_free:
+            detail = "nodes with incoming arrows must be free"
+        if not detail and z.functor == GHAT and not node.is_pca:
+            detail = "subconvex witnesses need subconvex carriers"
+        add(f"node-kind[{i}]", not detail, detail)
+        add_guarded(f"node-coalgebra[{i}]", _coalgebra_self_map_ok, z, node, carriers[i])
 
     for k, mor in enumerate(z.morphisms):
         src, dst = nodes[mor.src], nodes[mor.dst]
-        add_guarded(f"morphism-carrier[{k}]", _morphism_carrier_ok, mor, src, members[mor.dst])
+        add_guarded(f"morphism-carrier[{k}]", _morphism_carrier_ok, mor, src,
+                    carriers[mor.dst].member)
         add(f"morphism-square[{k}]", *_morphism_square_ok(mor, src, dst))
 
     relating = dict(z.relating)
-    ends = {0: (vector(x1), "left"), n - 1: (vector(x2), "right")}
+    ends = {0: (x1, "left"), n - 1: (x2, "right")}
     for i in sources:
-        add_guarded(f"relating[{i}]", _relating_ok, relating.get(i), nodes[i], members[i],
-                    *ends.get(i, (None, None)))
+        add_guarded(f"relating[{i}]", _relating_ok, relating.get(i), nodes[i],
+                    carriers[i].member, *ends.get(i, (None, None)))
     for i in sinks:
         if i in relating:
             add(f"relating[{i}]", False, "sink nodes carry no relating element")
@@ -512,10 +512,8 @@ def verify_zigzag(z):
             pushed.append(mor.matrix.apply(zsrc))
         if ok and len(set(pushed)) > 1:
             ok, detail = False, "incoming relating images disagree"
-        if ok and s == 0 and pushed and pushed[0] != vector(x1):
-            ok, detail = False, "chain does not reach the left endpoint"
-        if ok and s == n - 1 and pushed and pushed[0] != vector(x2):
-            ok, detail = False, "chain does not reach the right endpoint"
+        if ok and s in ends and pushed and pushed[0] != ends[s][0]:
+            ok, detail = False, f"chain does not reach the {ends[s][1]} endpoint"
         add(f"chain[{s}]", ok, detail)
 
     # the difference of the endpoint outputs must vanish on the Q word closure

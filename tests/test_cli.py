@@ -322,7 +322,7 @@ def _determinism_pair(tag):
 class TestCrossProcessDeterminism:
     @pytest.mark.parametrize("tag", ["qplus", "rplus", "unit", "pca",
                                      "nat", "int", "q", "real"])
-    def test_witness_bytes_stable_under_hash_seeds(self, tmp_path, tag):
+    def test_witness_bytes_stable_under_hash_seeds(self, tmp_path, tag, capsys):
         import os, subprocess, sys
         import wazz
         # The children must import the same wazz as this process, installed
@@ -332,7 +332,7 @@ class TestCrossProcessDeterminism:
         left, right = _determinism_pair(tag)
         a = write(tmp_path, "a.wa", left)
         b = write(tmp_path, "b.wa", right)
-        outputs = set()
+        outputs, verdicts = set(), set()
         for seed in ("0", "1", "2"):
             out = tmp_path / f"w{seed}.zz"
             env = {"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin",
@@ -342,7 +342,15 @@ class TestCrossProcessDeterminism:
                                   capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
             outputs.add(out.read_bytes())
+            proc = subprocess.run([sys.executable, "-m", "wazz.cli", "verify", str(out)],
+                                  env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            verdicts.add(proc.stdout)
         assert len(outputs) == 1
+        assert len(verdicts) == 1
         in_process = tmp_path / "w_in_process.zz"
         assert main(["zigzag", a, b, "-o", str(in_process)]) == 0
         assert outputs == {in_process.read_bytes()}
+        capsys.readouterr()
+        assert main(["verify", str(in_process)]) == 0
+        assert verdicts == {capsys.readouterr().out}

@@ -1,6 +1,7 @@
 """Differential tests of the integer kernel: `Mat.apply` against the
-entrywise oracle, the verifier's per-node carrier tester against a fresh
-`solve` for every vector, and the fraction-free `rref`, `_Echelon`,
+entrywise oracle, the verifier's per-node carrier record against a fresh
+`solve` for every vector and, on free subconvex carriers, against the
+facet gauge, and the fraction-free `rref`, `_Echelon`,
 `primitive`, DD initial simplex, gauge, cone membership and Z closure
 against their `Fraction` versions in `kernel_oracle`."""
 
@@ -13,8 +14,8 @@ import kernel_oracle
 from wazz import polyhedra, zigzag
 from wazz.automata import LinearCoalgebra, SemiringTag
 from wazz.linalg import Mat, _Echelon, closure_under_maps, primitive, rref, solve, unit, vector
-from wazz.polyhedra import INFINITY, PcaPolytope, cone_member, gauge
-from wazz.zigzag import (FREE_MODULE, GENERATED_MODULE, ZigZagNode, _carrier_tester,
+from wazz.polyhedra import INFINITY, PcaPolytope, cone_member, gauge, pca_member
+from wazz.zigzag import (FREE_MODULE, FREE_PCA, GENERATED_MODULE, ZigZagNode, _carrier,
                          _span_coordinates, ghat_zigzag)
 
 from genrandom import lifted_pair
@@ -192,7 +193,8 @@ class TestCarrierTesterMatchesSolve:
         for _ in range(300):
             dim = rng.randint(0, 4)
             gens = rand_generators(rng, dim)
-            coordinates = _span_coordinates(gens, dim)
+            coordinates, rank, _ = _span_coordinates(gens, dim)
+            assert rank == (rref(Mat(gens, ncols=dim))[2] if gens else 0)
             for v in rand_targets(rng, gens, dim):
                 got = coordinates(v)
                 assert got == solve_coordinates(gens, dim, v)
@@ -215,7 +217,7 @@ class TestCarrierTesterMatchesSolve:
             coalg = LinearCoalgebra(n=dim, alphabet=("a",), out=(F(0),) * dim,
                                     trans=(Mat.identity(dim),))
             node = ZigZagNode(kind=kind, generators=tuple(gens), coalgebra=coalg)
-            member = _carrier_tester(tag, node)
+            member = _carrier(tag, node).member
             targets = rand_targets(rng, gens, dim)
             targets.append(tuple(F(rng.randint(-3, 3)) for _ in range(dim)))
             for v in targets:
@@ -225,6 +227,44 @@ class TestCarrierTesterMatchesSolve:
                 assert member(v) == want
                 verdicts.add(want)
         assert verdicts == {True, False}
+
+
+    def test_free_subconvex_gauge_matches_facets(self, monkeypatch):
+        """A well-formed FREE_PCA carrier is gauged by its coordinates, with no
+        polytope built; on pyramids, simplices and other invertible
+        nonnegative carriers that is the facet gauge of the hull."""
+        rng = random.Random("carrier/free-pca")
+        monkeypatch.setattr(zigzag, "PcaPolytope", None)
+        kinds, points = set(), 0
+        for _ in range(400):
+            dim = rng.randint(1, 4)
+            roll = rng.random()
+            if roll < 0.3:  # a pyramid's generators e_j / u_j
+                gens = [tuple(F(rng.randint(1, 5), rng.randint(1, 5)) if i == j else F(0)
+                              for i in range(dim)) for j in range(dim)]
+            elif roll < 0.5:  # the standard simplex, in some order
+                gens = [unit(dim, j) for j in rng.sample(range(dim), dim)]
+            else:
+                gens = []
+                while len(gens) < dim:
+                    g = tuple(abs(rand_scalar(rng)) for _ in range(dim))
+                    if rref(Mat(gens + [g], ncols=dim))[2] > len(gens):
+                        gens.append(g)
+            node = ZigZagNode(kind=FREE_PCA, generators=tuple(gens),
+                              coalgebra=LinearCoalgebra(n=dim, alphabet=("a",),
+                                                        out=(F(0),) * dim,
+                                                        trans=(Mat.identity(dim),)))
+            carrier = _carrier(T.PCA, node)
+            assert carrier.kind_detail == ""
+            polytope = PcaPolytope(dim, tuple(gens))
+            for x in gauge_points(rng, polytope):
+                want = gauge(polytope, x)
+                assert same_gauge(carrier.gauge(x), want), (gens, x)
+                assert carrier.member(x) == pca_member(polytope, x)
+                kinds.add("inf" if want is INFINITY else (want > 1) - (want < 1))
+                points += 1
+        assert kinds == {"inf", -1, 0, 1}
+        assert points >= 4000
 
 
 # ---------------------------------------------------------------------------

@@ -304,7 +304,49 @@ class TestPyramidMatchesFourierMotzkin:
         assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
 
 
+def looped_reduce_invariant_set(aut):
+    """The reduction as it was first written: quotient, then look for a zero
+    set again until none is left.  Oracle for the one-pass version; also
+    returns the number of quotients it took."""
+    keep = list(range(aut.n))
+    current, rounds = aut, 0
+    while True:
+        dropped = invariant_zero_set(current.out, current.trans)
+        if not dropped:
+            break
+        kept = [j for j in range(current.n) if j not in dropped]
+        k = len(kept)
+        out = vector(current.out[j] for j in kept)
+        trans = tuple(Mat([[m.rows[i][j] for j in kept] for i in kept], ncols=k)
+                      for m in current.trans)
+        current = WeightedAutomaton(tag=T.PCA, n=k, alphabet=current.alphabet,
+                                    out=out, trans=trans)
+        keep = [keep[j] for j in kept]
+        rounds += 1
+    proj = Mat([unit(aut.n, j) for j in keep], ncols=aut.n)
+    return (frozenset(range(aut.n)) - frozenset(keep), current, proj), rounds
+
+
 class TestReduction:
+    def test_one_pass_matches_the_loop(self):
+        rng = random.Random("reduce/one-pass")
+        rounds = []
+        for _ in range(400):
+            n = rng.randint(1, 5)
+            aut = rand_automaton(rng, T.PCA, n, ("a", "b")[: rng.randint(1, 2)])
+            if rng.random() < 0.5:
+                # zero some outputs, so that invariant zero sets are common
+                silent = set(rng.sample(range(n), rng.randint(1, n)))
+                aut = WeightedAutomaton(tag=T.PCA, n=n, alphabet=aut.alphabet,
+                                        out=tuple(0 if j in silent else q
+                                                  for j, q in enumerate(aut.out)),
+                                        trans=aut.trans)
+            want, count = looped_reduce_invariant_set(aut)
+            assert reduce_invariant_set(aut) == want
+            rounds.append(count)
+        assert rounds.count(1) >= 50
+        assert max(rounds) == 1
+
     def test_worked_example(self):
         aut = WeightedAutomaton(tag=T.PCA, n=2, alphabet=("a",),
                                 out=vector(["1/2", 0]),

@@ -9,7 +9,7 @@ import pytest
 from wazz.automata import (LinearCoalgebra, NotEquivalent, SemiringTag, WeightedAutomaton,
                            trace)
 from wazz.linalg import Mat, unit, vector, vneg, zeros
-from wazz import zigzag
+from wazz import polyhedra, zigzag
 from wazz.zigzag import (CUBIC, FREE_MODULE, FREE_PCA, GENERATED_MODULE,
                          GENERATED_PCA, GHAT, Morphism, SearchBudgetExceeded, ZigZag,
                          ZigZagNode, _nat_monoid_member, cubic_zigzag, ghat_zigzag,
@@ -92,7 +92,7 @@ class TestCubic:
         assert len(z.nodes) == 3
         assert z.nodes[1].kind == GENERATED_MODULE
         # the diagonal element relates the endpoints
-        assert z.relating_at(1) == tuple(x) + tuple(x)
+        assert dict(z.relating)[1] == tuple(x) + tuple(x)
         report = verify_zigzag(z)
         assert report.valid, failing_names(report)
 
@@ -467,6 +467,16 @@ class TestMalformedWitnesses:
         assert not report.valid
         assert "node-kind[2]" in failing_names(report)
 
+    def test_module_node_in_subconvex_witness_reports_instead_of_crashing(self):
+        rng = random.Random("report/pca/0")
+        z = ghat_zigzag(*lifted_pair(rng, T.PCA, 2, 1, ("a", "b")))
+        moved = replace(z.nodes[0], kind=FREE_MODULE)
+        assert moved.generators
+        report = verify_zigzag(replace(z, nodes=(moved,) + z.nodes[1:]))
+        assert not report.valid
+        (kind,) = [c for c in report.checks if c.name == "node-kind[0]"]
+        assert kind.detail == "subconvex witnesses need subconvex carriers"
+
     def test_duplicate_relating_entries_rejected(self):
         z = cubic_zigzag(*qplus_pair())
         doubled = z.relating + ((1, vector([0, 0, 0])),)
@@ -476,6 +486,62 @@ class TestMalformedWitnesses:
         report = verify_zigzag(tampered)
         assert not report.valid
         assert "shape" in failing_names(report)
+
+
+class TestCarrierWorkedOutOnce:
+    """During one verification each subconvex node's generators are checked
+    for nonnegativity once, and a polytope is built only for a carrier that
+    is not a well-formed free one: one per such node, none for the rest."""
+
+    def witnesses(self):
+        for tag, build in ((T.PCA, ghat_zigzag), (T.UNIT, cubic_zigzag)):
+            rng = random.Random(f"carrier-once/{tag.value}")
+            for k, extra in ((1, 1), (2, 1), (2, 2), (3, 1)):
+                z = build(*lifted_pair(rng, tag, k, extra, ("a", "b")))
+                yield z
+                # a FREE_PCA node whose kind check fails is judged as a hull
+                bad = replace(z.nodes[0], generators=z.nodes[0].generators[1:])
+                yield replace(z, nodes=(bad,) + z.nodes[1:])
+
+    def test_nonnegativity_and_polytopes(self, monkeypatch):
+        checked, built = [], []
+        original_is_nonneg, original_polytope = zigzag.is_nonneg, zigzag.PcaPolytope
+
+        def is_nonneg(v):
+            checked.append(v)
+            return original_is_nonneg(v)
+
+        def polytope(dim, gens):
+            built.append(gens)
+            return original_polytope(dim, gens)
+
+        monkeypatch.setattr(zigzag, "is_nonneg", is_nonneg)
+        monkeypatch.setattr(zigzag, "PcaPolytope", polytope)
+        hulls = 0
+        for z in self.witnesses():
+            checked.clear()
+            built.clear()
+            report = verify_zigzag(z)
+            assert report.valid == (len(z.nodes[0].generators) == z.nodes[0].dim)
+            assert sorted(checked) == sorted(g for n in z.nodes for g in n.generators)
+            hull_nodes = [n.generators for n in z.nodes
+                          if n.kind == GENERATED_PCA or len(n.generators) != n.dim]
+            assert built == hull_nodes
+            hulls += len(built)
+        assert hulls >= 16
+
+    def test_well_formed_free_carriers_run_no_double_description(self, monkeypatch):
+        calls = []
+        original = polyhedra.dd_v_to_h
+        monkeypatch.setattr(polyhedra, "dd_v_to_h", lambda v: calls.append(v) or original(v))
+        rng = random.Random("carrier-once/dd")
+        z = ghat_zigzag(*lifted_pair(rng, T.PCA, 2, 1, ("a", "b")))
+        free = [n for n in z.nodes if n.kind == FREE_PCA]
+        assert all(n.generators for n in free)
+        polyhedra._subconvex_facets.cache_clear()
+        calls.clear()
+        assert verify_zigzag(z).valid
+        assert [v.points[1:] for v in calls] == [z.nodes[2].generators]
 
 
 def box_monoid_member(gens, target):
