@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import lcm
 
 from .formats import LineReader, ParseError, fmt_rat, fmt_vec
-from .linalg import (Mat, closure_under_maps, first_word_off, vdot, vector, vneg,
-                     word_closure, zeros)
+from .linalg import (Mat, _clear_denominators, closure_under_maps, first_word_off, vdot,
+                     vector, vneg, word_closure, zeros)
 
 
 class SemiringTag(Enum):
@@ -94,22 +95,45 @@ def check_weights(tag, out, trans):
     functional or a letter matrix breaks: output entries are scalars of the
     tag, letter entries are entries of it, each letter's column sums stay
     within 1 (UNIT), and each state's output plus transition mass stays
-    within 1 (PCA)."""
+    within 1 (PCA).
+
+    The letter rules read each matrix scaled once to integers over its common
+    denominator d (`Mat.scaled`): an entry a / d is integral when d divides
+    a, and a column sum stays within 1 when its integer sum is at most d.
+    Entries are checked column by column, each column before its sum, and
+    only an entry that breaks a rule becomes a Fraction, for the message."""
     for j, q in enumerate(out):
         if not tag.scalar_ok(q):
             raise TagViolation(f"output entry {fmt_rat(q)} violates tag {tag.value}",
                                ((None, j),))
+    integral, nonneg, unit_sums = tag.integral, tag.nonneg, tag is SemiringTag.UNIT
+    mass = []  # per letter, its denominator and integer column sums
     for k, m in enumerate(trans):
-        for j, col in enumerate(m.cols()):
-            for q in col:
-                if not tag.entry_ok(q):
-                    raise TagViolation(f"entry {fmt_rat(q)} violates tag {tag.value}",
-                                       ((k, j),))
-            if tag is SemiringTag.UNIT and sum(col) > 1:
-                raise TagViolation("column sums must stay within 1 for unit tag", ((k, j),))
+        den, rows = m.scaled()
+        sums = [0] * m.ncols
+        bad = None  # (column, row) of the first entry that breaks a rule
+        for i, (cols, nums) in enumerate(rows):
+            for j, a in zip(cols, nums):
+                sums[j] += a
+                if (integral and a % den or nonneg and a < 0) and (bad is None or (j, i) < bad):
+                    bad = (j, i)
+        over = None
+        if unit_sums:
+            over = next((j for j, total in enumerate(sums) if total > den), None)
+        if bad is not None and (over is None or bad[0] <= over):
+            j, i = bad
+            raise TagViolation(f"entry {fmt_rat(m.rows[i][j])} violates tag {tag.value}",
+                               ((k, j),))
+        if over is not None:
+            raise TagViolation("column sums must stay within 1 for unit tag", ((k, over),))
+        mass.append((den, sums))
     if tag is SemiringTag.PCA:
+        out_den, outs = _clear_denominators(out)
+        scale = lcm(out_den, *(den for den, _ in mass))
         for j in range(len(out)):
-            if out[j] + sum(sum(m.col(j)) for m in trans) > 1:
+            total = outs[j] * (scale // out_den) + sum(sums[j] * (scale // den)
+                                                       for den, sums in mass)
+            if total > scale:
                 raise TagViolation(f"state {j + 1}: output plus transition mass exceeds 1",
                                    ((None, j),) + tuple((k, j) for k in range(len(trans))))
 

@@ -36,7 +36,11 @@ def parse_rat(token):
 
 
 def fmt_rat(value):
-    """Canonical text for a rational; parse_rat(fmt_rat(x)) == x."""
+    """Canonical text for a rational; parse_rat(fmt_rat(x)) == x.  A Fraction
+    or int already prints canonically; bools and other rationals go through
+    Fraction ("1", not "True")."""
+    if type(value) is Fraction or type(value) is int:
+        return str(value)
     return str(Fraction(value))
 
 

@@ -7,18 +7,24 @@ pure and exact; dimensions must match, there is no broadcasting.
 
 The kernel runs on integers; `Fraction` appears only in inputs and results.
 A vector is scaled once to integers over the least common denominator of its
-entries, which changes no direction, no sign and no rank.
+entries, which changes no direction, no sign and no rank.  Such a scaled
+vector travels as (d, ints), standing for ints / d with d > 0; two scaled
+vectors are compared by cross-multiplication, never by building Fractions.
 
-- Matrix-vector products: on its first `apply` a `Mat` caches, per row, the
-  least common denominator d of its entries and the integer numerators
-  d * entry of its nonzero entries with their column indices.  `apply(x)`
-  scales x to integers over its own common denominator e, takes each output
-  entry as one integer sum over the row's nonzeros, and makes a single
-  `Fraction(sum, d * e)` of it.
+- Matrix-vector products: a `Mat` scales itself once, on first use, to the
+  least common denominator d of all its entries and keeps, per row, the
+  integer numerators d * entry of its nonzero entries with their column
+  indices.  `apply_scaled((e, xs))` takes each output entry as one integer
+  sum over a row's nonzeros and returns the image as (d * e, sums);
+  `apply(x)` scales x once and makes one `Fraction` per output entry.
+  `vdot` is one integer sum over both vectors scaled once.
 - Elimination (`rref`, `_Echelon`) is fraction-free: a row update is the
   integer combination that clears one entry, divided by the gcd of the
   result, so rows stay primitive.  `rref` divides a pivot row by its pivot
   only when it builds the returned matrix.
+- The word closure queues scaled images, reduced to lowest terms, and
+  builds the `Fraction` vector of a word only when it yields one;
+  `first_word_off` builds none.
 """
 
 from __future__ import annotations
@@ -52,9 +58,12 @@ def vscale(c, v):
 
 
 def vdot(u, v):
+    """<u, v> as a Fraction: one integer sum over both vectors scaled once."""
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    u_den, us = _clear_denominators(u)
+    v_den, vs = _clear_denominators(v)
+    return Fraction(sum(map(mul, us, vs)), u_den * v_den)
 
 
 def is_zero(v):
@@ -83,6 +92,25 @@ def _clear_denominators(v):
     if den == 1:
         return 1, [n for n, _ in ratios]
     return den, [n * (den // d) for n, d in ratios]
+
+
+def _lowest_terms(v):
+    """The scaled vector v = (d, ints) with d and the ints made coprime."""
+    den, ints = v
+    g = gcd(den, *ints)
+    return v if g == 1 else (den // g, [a // g for a in ints])
+
+
+def scaled_dot(u, v):
+    """<u, v> of two scaled vectors as an integer ratio (num, den), den > 0."""
+    return sum(map(mul, u[1], v[1])), u[0] * v[0]
+
+
+def scaled_equal(u, v):
+    """Whether two scaled vectors (d, ints) of one length stand for the same
+    vector, by cross-multiplication."""
+    (u_den, us), (v_den, vs) = u, v
+    return all(a * v_den == b * u_den for a, b in zip(us, vs))
 
 
 def primitive(v, flip_sign=False):
@@ -123,7 +151,7 @@ def _over(row, d):
 class Mat:
     """Dense exact-rational matrix; `rows[i][j]` is the entry in row i, col j."""
 
-    __slots__ = ("rows", "ncols", "_int_rows")
+    __slots__ = ("rows", "ncols", "_scaled")
 
     def __init__(self, rows, ncols=None):
         # Fractions are immutable, so entries that already are one are shared
@@ -141,7 +169,7 @@ class Mat:
             raise ValueError("empty matrix needs an explicit column count")
         self.rows = rows
         self.ncols = ncols
-        self._int_rows = None
+        self._scaled = None
 
     @property
     def nrows(self):
@@ -170,18 +198,31 @@ class Mat:
     def cols(self):
         return [self.col(j) for j in range(self.ncols)]
 
-    def apply(self, x):
-        """Matrix times column vector, a tuple of Fraction (see the module
-        docstring for the scaled-integer form it runs on)."""
-        if len(x) != self.ncols:
-            raise ValueError(f"dimension mismatch: {self.ncols} cols vs vector of {len(x)}")
-        int_rows = self._int_rows
-        if int_rows is None:
-            int_rows = self._int_rows = tuple(_scaled_row(r) for r in self.rows)
-        x_den, xs = _clear_denominators(x)
+    def scaled(self):
+        """(d, rows): the least common denominator d of all entries and, per
+        row, the column indices of its nonzero entries with the integers
+        d * entry there.  Computed once; every product reads it."""
+        form = self._scaled
+        if form is None:
+            den = lcm(*(a.denominator for r in self.rows for a in r))
+            form = self._scaled = (den, tuple(_sparse_row(r, den) for r in self.rows))
+        return form
+
+    def apply_scaled(self, x):
+        """Matrix times the scaled column vector x = (e, xs), as the scaled
+        vector (d * e, one integer sum per row)."""
+        x_den, xs = x
+        if len(xs) != self.ncols:
+            raise ValueError(f"dimension mismatch: {self.ncols} cols vs vector of {len(xs)}")
+        den, rows = self.scaled()
         pick = xs.__getitem__
-        return tuple(Fraction(sum(map(mul, nums, map(pick, cols))), den * x_den)
-                     for den, cols, nums in int_rows)
+        return den * x_den, [sum(map(mul, nums, map(pick, cols))) for cols, nums in rows]
+
+    def apply(self, x):
+        """Matrix times column vector, a tuple of Fraction: x is scaled once
+        and each entry of the integer image becomes one Fraction."""
+        den, ys = self.apply_scaled(_clear_denominators(x))
+        return tuple(Fraction(y, den) for y in ys)
 
     def __matmul__(self, other):
         if not isinstance(other, Mat):
@@ -209,12 +250,11 @@ class Mat:
         return f"Mat({[list(map(str, r)) for r in self.rows]})"
 
 
-def _scaled_row(row):
-    """(d, column indices, integer numerators) of a row's nonzero entries,
-    d being the least common denominator of the row."""
-    den, nums = _clear_denominators(row)
-    cols = tuple(j for j, a in enumerate(nums) if a)
-    return den, cols, tuple(nums[j] for j in cols)
+def _sparse_row(row, den):
+    """(column indices, integers den * entry) of a Fraction row's nonzero
+    entries; den is a multiple of every entry's denominator."""
+    cols = tuple(j for j, a in enumerate(row) if a)
+    return cols, tuple(row[j].numerator * (den // row[j].denominator) for j in cols)
 
 
 def rref(m):
@@ -402,23 +442,23 @@ def lattice_coords(v, lattice):
 
 class _Echelon:
     """Incremental echelon form used to test membership in a Q-span, on
-    primitive integer rows with positive pivots."""
+    primitive integer rows with positive pivots.  Vectors come in scaled to
+    integers (a positive scale changes no span)."""
 
     def __init__(self):
         self.rows = []  # (pivot index, primitive integer row, row[pivot] > 0)
 
-    def residue(self, v):
-        """A positive multiple of v minus its reduction against the rows, as
-        integers: v is scaled once and eliminated fraction-free."""
-        v = _clear_denominators(v)[1]
+    def residue(self, ints):
+        """A positive multiple of ints minus its reduction against the rows,
+        eliminated fraction-free."""
         for p, row in self.rows:
-            if v[p]:
-                v = _eliminate(v, row, p)
-        return v
+            if ints[p]:
+                ints = _eliminate(ints, row, p)
+        return ints
 
-    def add(self, v):
-        """Insert v; returns False if v was already in the span."""
-        res = self.residue(v)
+    def add(self, ints):
+        """Insert ints; returns False if it was already in the span."""
+        res = self.residue(ints)
         p = next((i for i, a in enumerate(res) if a), None)
         if p is None:
             return False
@@ -428,13 +468,27 @@ class _Echelon:
         self.rows.append((p, [a // g for a in res]))
         return True
 
-    def contains(self, v):
-        return not any(self.residue(v))
+    def contains(self, ints):
+        return not any(self.residue(ints))
 
 
 def _check_square(start, maps):
     if any(m.nrows != len(start) or m.ncols != len(start) for m in maps):
         raise ValueError("maps must be square of matching dimension")
+
+
+def _scaled_word_closure(start, maps):
+    """`word_closure` on scaled images: yields (word, (d, ints)) with ints / d
+    the image of `start`, in lowest terms."""
+    _check_square(start, maps)
+    ech = _Echelon()
+    queue = deque([((), _lowest_terms(_clear_denominators(start)))])
+    while queue:
+        word, v = queue.popleft()
+        if ech.add(v[1]):
+            yield word, v
+            queue.extend((word + (i,), _lowest_terms(m.apply_scaled(v)))
+                         for i, m in enumerate(maps))
 
 
 def word_closure(start, maps):
@@ -444,20 +498,21 @@ def word_closure(start, maps):
     and span(images of words <= w) = span(basis vectors of words <= w), so
     the first basis vector a functional does not annihilate carries the
     shortlex-least word on which it is nonzero."""
-    _check_square(start, maps)
-    ech = _Echelon()
-    queue = deque([((), vector(start))])
-    while queue:
-        word, v = queue.popleft()
-        if ech.add(v):
-            yield word, v
-            queue.extend((word + (i,), m.apply(v)) for i, m in enumerate(maps))
+    for word, (den, ints) in _scaled_word_closure(start, maps):
+        yield word, tuple(Fraction(a, den) for a in ints)
 
 
 def first_word_off(functional, start, maps):
     """Shortlex-least word (map indices) whose image of `start` the
-    functional does not annihilate, or None if it vanishes on the closure."""
-    return next((w for w, v in word_closure(start, maps) if vdot(functional, v) != 0), None)
+    functional does not annihilate, or None if it vanishes on the closure.
+    The images stay integer: a positive scale changes no sign of a sum."""
+    fs = _clear_denominators(functional)[1]
+    for word, (_, xs) in _scaled_word_closure(start, maps):
+        if len(xs) != len(fs):
+            raise ValueError(f"dimension mismatch: {len(fs)} vs {len(xs)}")
+        if sum(map(mul, fs, xs)):
+            return word
+    return None
 
 
 def closure_under_maps(start, maps, ring):

@@ -286,14 +286,21 @@ def gauge(polytope, x):
 
     Equals min{sum c_i : x = sum c_i g_i, c_i >= 0} whenever that program is
     feasible (facet ratios and the LP have the same optimum for a compact
-    convex set containing 0).  With x scaled once to integers x' = e x, the
-    result is the largest <a, x'> / b over the facets with b > 0 (compared
-    by cross-multiplication) divided by e; x is outside the cone when a
-    facet with b = 0 has <a, x'> > 0.
+    convex set containing 0).  x is scaled once to integers x' = e x and
+    gauged by `gauge_scaled`; the result is one Fraction p / (q e).
     """
     if len(x) != polytope.dim:
         raise ValueError("point of wrong dimension")
     den, xs = _clear_denominators(x)
+    ratio = gauge_scaled(polytope, xs)
+    return ratio if ratio is INFINITY else Fraction(ratio[0], ratio[1] * den)
+
+
+def gauge_scaled(polytope, xs):
+    """The gauge of the integer vector xs as an integer ratio (p, q), q > 0,
+    or INFINITY: the largest <a, xs> / b over the facets with b > 0,
+    compared by cross-multiplication; xs is outside the cone when a facet
+    with b = 0 has <a, xs> > 0.  For xs = e x the gauge of x is p / (q e)."""
     best, best_b = 0, 1
     for a, b in _subconvex_facets(polytope):
         value = sum(map(mul, a, xs))
@@ -302,7 +309,7 @@ def gauge(polytope, x):
                 return INFINITY
         elif value * best_b > best * b:
             best, best_b = value, b
-    return Fraction(best, best_b * den)
+    return best, best_b
 
 
 def pca_member(polytope, x):
@@ -319,9 +326,13 @@ def _cone_facet_normals(gens, dim):
 def cone_member(gens, x):
     """Exact membership of x in the convex cone spanned by gens, tested on
     the integer normals with x scaled once to integers."""
-    xs = _clear_denominators(x)[1]
-    return all(sum(map(mul, n, xs)) <= 0
-               for n in _cone_facet_normals(tuple(map(tuple, gens)), len(x)))
+    return cone_member_scaled(tuple(map(tuple, gens)), _clear_denominators(x)[1])
+
+
+def cone_member_scaled(gens, xs):
+    """`cone_member` for a tuple of generator tuples and a point scaled to
+    the integers xs by a positive factor, which keeps every sign."""
+    return all(sum(map(mul, n, xs)) <= 0 for n in _cone_facet_normals(gens, len(xs)))
 
 
 # ---------------------------------------------------------------------------

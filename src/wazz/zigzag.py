@@ -6,6 +6,14 @@ nodes (incoming arrows, which must have free carriers).  The verifier
 re-checks every claim from the witness data alone: carrier memberships by
 exact LP / lattice / monoid tests, morphism squares by matrix identities,
 and the relating chain by direct evaluation.
+
+Every check runs on integer images.  Each node's generators and output
+functional, the relating elements and the endpoints are scaled once to
+integers over a common denominator and travel as (d, ints); the letter and
+morphism matrices are scaled once by `Mat`.  A check applies matrices with
+one integer sum per output entry and compares two sides by
+cross-multiplication.  A `Fraction` is built only where a value meets a tag
+rule or the subconvex budget, or where it is quoted in a report detail.
 """
 
 from __future__ import annotations
@@ -13,18 +21,17 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .automata import (LinearCoalgebra, NotEquivalent, SemiringTag, pair_submodule,
                        separating_word)
 from .formats import LineReader, fmt_rat, fmt_vec, word_text
 from .hilbert import nat_restriction, qplus_restriction_by_scaling
-from .linalg import (Lattice, Mat, as_int_vec, closure_under_maps, first_word_off,
-                     hnf, is_integral, is_nonneg, lattice_member, rref, unit, vdot,
-                     vector, vneg)
+from .linalg import (Lattice, Mat, _clear_denominators, as_int_vec, closure_under_maps,
+                     first_word_off, hnf, is_integral, is_nonneg, lattice_member, rref,
+                     scaled_dot, scaled_equal, unit, vector, vneg)
 from .pca import ghat_breach, pyramid_extension, reduce_invariant_set
-from .polyhedra import (PRODUCT, SCALED, INFINITY, PcaPolytope, cone_member,
-                        cone_restriction, gauge, simplex_restriction)
+from .polyhedra import (PRODUCT, SCALED, INFINITY, PcaPolytope, cone_member_scaled,
+                        cone_restriction, gauge_scaled, simplex_restriction)
 
 FREE_MODULE = "FREE_MODULE"
 GENERATED_MODULE = "GENERATED_MODULE"
@@ -273,14 +280,14 @@ def _nat_monoid_member(gens, v):
 
 def _span_coordinates(gens, dim):
     """The coordinates in the generators, their rank and a matrix E: the
-    coordinates are a function taking v to the x with G x = v, G having the
-    generators as columns and x's free variables zero as in `solve`, or to
-    None if v is outside the span.
+    coordinates are a function taking a scaled vector v to the scaled x with
+    G x = v, G having the generators as columns and x's free variables zero
+    as in `solve`, or to None if v is outside the span.
 
     G is factored once: the rref of [G | I] is [R | E] with E G = R, so
     G x = v exactly when E v vanishes below the rank of G, and then x's pivot
-    entries are read off E v.  The product G x is checked against v again.
-    When G is invertible, E is its inverse."""
+    entries are read off E v.  The product G x is checked against v again,
+    by cross-multiplication.  When G is invertible, E is its inverse."""
     k = len(gens)
     g_mat = Mat.from_cols(gens, nrows=dim)
     red, pivots, _ = rref(Mat(tuple(r + unit(dim, i) for i, r in enumerate(g_mat.rows)),
@@ -290,14 +297,14 @@ def _span_coordinates(gens, dim):
     e_mat = Mat(tuple(r[k:] for r in red.rows), ncols=dim)
 
     def coordinates(v):
-        w = e_mat.apply(v)
+        den, w = e_mat.apply_scaled(v)
         if any(w[rank:]):
             return None
-        x = [Fraction(0)] * k
+        x = [0] * k
         for i, p in enumerate(g_pivots):
             x[p] = w[i]
-        x = tuple(x)
-        return x if g_mat.apply(x) == tuple(v) else None
+        x = (den, x)
+        return x if scaled_equal(g_mat.apply_scaled(x), v) else None
 
     return coordinates, rank, e_mat
 
@@ -306,9 +313,19 @@ def _never(v):
     return False
 
 
+def _integral(v):
+    """The integer vector a scaled vector stands for, or None if it has a
+    fractional entry."""
+    den, ints = v
+    if den == 1:
+        return tuple(ints)
+    return None if any(a % den for a in ints) else tuple(a // den for a in ints)
+
+
 # A node's carrier as the verifier sees it: the node-kind failure ("" if the
-# generators fit the kind), the membership test and, for a subconvex node with
-# nonnegative generators, the gauge (Minkowski functional).
+# generators fit the kind), the membership test on scaled vectors and, for a
+# subconvex node with nonnegative generators, the gauge (Minkowski functional)
+# of a scaled vector as a Fraction or INFINITY.
 _Carrier = namedtuple("_Carrier", "kind_detail member gauge", defaults=(None,))
 
 
@@ -320,7 +337,9 @@ def _carrier(tag, node):
     node-kind, and a well-formed FREE_PCA carrier is the simplex on its
     generators, whose gauge is the sum of the coordinates when none is
     negative.  Any other subconvex carrier, a FREE_PCA one that fails its
-    kind check included, is the hull of its generators, gauged by facets."""
+    kind check included, is the hull of its generators, gauged by facets.
+    A subconvex member test compares the gauge, an integer ratio, with 1 by
+    cross-multiplication."""
     gens, dim = node.generators, node.dim
     if node.is_pca and not all(is_nonneg(g) for g in gens):
         return _Carrier("generators must be nonnegative", _never)
@@ -337,40 +356,52 @@ def _carrier(tag, node):
             # sum come out of one product
             coords_and_sum = Mat(e_mat.rows + (tuple(map(sum, zip(*e_mat.rows))),), ncols=dim)
 
-            def mu(v):
-                *x, total = coords_and_sum.apply(v)
-                return total if min(x, default=0) >= 0 else INFINITY
+            def ratio(v):
+                den, (*x, total) = coords_and_sum.apply_scaled(v)
+                return (total, den) if min(x, default=0) >= 0 else INFINITY
         else:
-            mu = partial(gauge, PcaPolytope(dim, gens))
-        return _Carrier(detail, lambda v: (g := mu(v)) is not INFINITY and g <= 1, mu)
+            polytope = PcaPolytope(dim, gens)
+
+            def ratio(v):
+                r = gauge_scaled(polytope, v[1])
+                return r if r is INFINITY else (r[0], r[1] * v[0])
+
+        def mu(v):
+            r = ratio(v)
+            return r if r is INFINITY else Fraction(*r)
+
+        return _Carrier(detail, lambda v: (r := ratio(v)) is not INFINITY and r[0] <= r[1], mu)
     if node.is_free:
         return _Carrier(detail, lambda v: (x := coordinates(v)) is not None
-                       and all(tag.scalar_ok(c) for c in x))
+                       and all(tag.scalar_ok(Fraction(c, x[0])) for c in x[1]))
     # generated module, by tag
     member = _never
     if tag in (SemiringTag.Q, SemiringTag.REAL):
         coordinates = _span_coordinates(gens, dim)[0]
         member = lambda v: coordinates(v) is not None
     elif tag is SemiringTag.NAT and all(is_integral(g) and is_nonneg(g) for g in gens):
-        member = lambda v: _nat_monoid_member(gens, v)
+        member = lambda v: (t := _integral(v)) is not None and _nat_monoid_member(gens, t)
     elif tag is SemiringTag.INT and all(is_integral(g) for g in gens):
         lat = hnf([as_int_vec(g) for g in gens], dim=dim) if gens else Lattice(dim, ())
-        member = lambda v: lattice_member(v, lat)
+        member = lambda v: (t := _integral(v)) is not None and lattice_member(t, lat)
     elif tag in (SemiringTag.QPLUS, SemiringTag.RPLUS):
-        member = lambda v: cone_member(gens, v)
+        cone = tuple(map(tuple, gens))
+        member = lambda v: cone_member_scaled(cone, v[1])
     return _Carrier("", member)
 
 
-def _coalgebra_self_map_ok(z, node, carrier):
+def _coalgebra_self_map_ok(z, node, carrier, gens, out):
     """The structure map sends every generator into the functor at the
-    node's carrier."""
+    node's carrier; gens and out are the node's generators and output
+    functional, scaled."""
     if node.is_pca and carrier.gauge is None:
         return False, "carrier generators must be nonnegative"
-    coalg = node.coalgebra
-    for g in node.generators:
-        o = vdot(coalg.out, g)
+    trans = node.coalgebra.trans
+    for g, sg in zip(node.generators, gens):
+        o = Fraction(*scaled_dot(out, sg))
+        images = (m.apply_scaled(sg) for m in trans)
         if z.functor == GHAT and node.is_pca:
-            breach = ghat_breach(o, (m.apply(g) for m in coalg.trans), carrier.gauge)
+            breach = ghat_breach(o, images, carrier.gauge)
             if breach == "output":
                 return False, f"negative output weight at generator {fmt_vec(g)}"
             if breach == "cone":
@@ -380,42 +411,43 @@ def _coalgebra_self_map_ok(z, node, carrier):
         else:
             if not z.tag.scalar_ok(o):
                 return False, f"output weight {fmt_rat(o)} outside the semiring"
-            for m in coalg.trans:
-                if not carrier.member(m.apply(g)):
-                    return False, f"transition image of {fmt_vec(g)} leaves the carrier"
+            if not all(map(carrier.member, images)):
+                return False, f"transition image of {fmt_vec(g)} leaves the carrier"
     return True, ""
 
 
-def _morphism_carrier_ok(mor, src, member):
-    """The morphism sends every source generator into the target carrier."""
-    for g in src.generators:
-        if not member(mor.matrix.apply(g)):
+def _morphism_carrier_ok(mor, src, member, gens):
+    """The morphism sends every (scaled) source generator into the target
+    carrier."""
+    for g, sg in zip(src.generators, gens):
+        if not member(mor.matrix.apply_scaled(sg)):
             return False, f"image of generator {fmt_vec(g)} not in target carrier"
     return True, ""
 
 
-def _morphism_square_ok(mor, src, dst):
+def _morphism_square_ok(mor, src, dst, gens, out_src, out_dst):
     """The morphism commutes with the output weights and the letter maps on
-    every source generator."""
+    every (scaled) source generator."""
     f, c_src, c_dst = mor.matrix, src.coalgebra, dst.coalgebra
-    for g in src.generators:
-        fg = f.apply(g)
-        if vdot(c_src.out, g) != vdot(c_dst.out, fg):
+    for g, sg in zip(src.generators, gens):
+        fg = f.apply_scaled(sg)
+        (p, q), (r, s) = scaled_dot(out_src, sg), scaled_dot(out_dst, fg)
+        if p * s != r * q:
             return False, f"output weight changes along generator {fmt_vec(g)}"
         for a, m_src, m_dst in zip(c_src.alphabet, c_src.trans, c_dst.trans):
-            if f.apply(m_src.apply(g)) != m_dst.apply(fg):
+            if not scaled_equal(f.apply_scaled(m_src.apply_scaled(sg)), m_dst.apply_scaled(fg)):
                 return False, f"letter {a!r} square fails at generator {fmt_vec(g)}"
     return True, ""
 
 
 def _relating_ok(element, node, member, endpoint, side):
-    """A source node's relating element lies in its carrier and, at an end of
-    the chain, is that side's endpoint."""
-    if element is None or len(element) != node.dim:
+    """A source node's (scaled) relating element lies in its carrier and, at
+    an end of the chain, is that side's (scaled) endpoint."""
+    if element is None or len(element[1]) != node.dim:
         return False, "source node lacks a relating element"
     if not member(element):
         return False, "relating element outside the carrier"
-    if endpoint is not None and element != endpoint:
+    if endpoint is not None and not scaled_equal(element, endpoint):
         return False, f"{side} endpoint does not match its relating element"
     return True, ""
 
@@ -476,6 +508,8 @@ def verify_zigzag(z):
         return Report(False, checks)
 
     carriers = [_carrier(z.tag, node) for node in nodes]
+    gens = [[_clear_denominators(g) for g in node.generators] for node in nodes]
+    outs = [_clear_denominators(node.coalgebra.out) for node in nodes]
     for i, node in enumerate(nodes):
         detail = carriers[i].kind_detail
         if not detail and i in sinks and not node.is_free:
@@ -483,16 +517,18 @@ def verify_zigzag(z):
         if not detail and z.functor == GHAT and not node.is_pca:
             detail = "subconvex witnesses need subconvex carriers"
         add(f"node-kind[{i}]", not detail, detail)
-        add_guarded(f"node-coalgebra[{i}]", _coalgebra_self_map_ok, z, node, carriers[i])
+        add_guarded(f"node-coalgebra[{i}]", _coalgebra_self_map_ok, z, node, carriers[i],
+                    gens[i], outs[i])
 
     for k, mor in enumerate(z.morphisms):
-        src, dst = nodes[mor.src], nodes[mor.dst]
-        add_guarded(f"morphism-carrier[{k}]", _morphism_carrier_ok, mor, src,
-                    carriers[mor.dst].member)
-        add(f"morphism-square[{k}]", *_morphism_square_ok(mor, src, dst))
+        i, j = mor.src, mor.dst
+        add_guarded(f"morphism-carrier[{k}]", _morphism_carrier_ok, mor, nodes[i],
+                    carriers[j].member, gens[i])
+        add(f"morphism-square[{k}]", *_morphism_square_ok(mor, nodes[i], nodes[j], gens[i],
+                                                          outs[i], outs[j]))
 
-    relating = dict(z.relating)
-    ends = {0: (x1, "left"), n - 1: (x2, "right")}
+    relating = {i: _clear_denominators(v) for i, v in z.relating}
+    ends = {0: (_clear_denominators(x1), "left"), n - 1: (_clear_denominators(x2), "right")}
     for i in sources:
         add_guarded(f"relating[{i}]", _relating_ok, relating.get(i), nodes[i],
                     carriers[i].member, *ends.get(i, (None, None)))
@@ -509,10 +545,10 @@ def verify_zigzag(z):
             if zsrc is None:
                 ok, detail = False, "missing relating element upstream"
                 break
-            pushed.append(mor.matrix.apply(zsrc))
-        if ok and len(set(pushed)) > 1:
+            pushed.append(mor.matrix.apply_scaled(zsrc))
+        if ok and not all(scaled_equal(p, pushed[0]) for p in pushed[1:]):
             ok, detail = False, "incoming relating images disagree"
-        if ok and s in ends and pushed and pushed[0] != ends[s][0]:
+        if ok and s in ends and pushed and not scaled_equal(pushed[0], ends[s][0]):
             ok, detail = False, f"chain does not reach the {ends[s][1]} endpoint"
         add(f"chain[{s}]", ok, detail)
 

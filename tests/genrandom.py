@@ -1,9 +1,12 @@
-"""Seeded random automata and forced-equivalent pairs for the test suites."""
+"""Seeded random automata, forced-equivalent pairs and witness mutations for
+the test suites."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 from wazz.automata import SemiringTag, WeightedAutomaton
-from wazz.linalg import Mat, vdot, vector, zeros
+from wazz.linalg import Mat, unit, vdot, vector, vneg, zeros
+from wazz.zigzag import FREE_MODULE, FREE_PCA, GENERATED_MODULE, GENERATED_PCA
 
 T = SemiringTag
 
@@ -76,22 +79,28 @@ def rand_config(rng, tag, n):
 
 def lifted_pair(rng, tag, k, extra, alphabet):
     """A forced-equivalent pair: a k-state automaton and its (k+extra)-state
-    lift along the surjection [I | R], plus related configurations.
-
-    With B_a = [[C_a, C_a R], [0, 0]] and out_B = (out_C, out_C . R) the
-    surjection is a coalgebra morphism, so x and f(x) have equal traces.
-    """
+    lift along the surjection [I | R], plus related configurations (`lift`)."""
     alphabet = tuple(alphabet)
     small = rand_automaton(rng, tag, k, alphabet)
-    n = k + extra
     if tag in (T.UNIT, T.PCA):
         r_cols = _subconvex_cols(rng, k, extra)
     else:
         r_cols = [vector([rand_scalar(rng, tag) for _ in range(k)]) for _ in range(extra)]
+    return lift(small, r_cols, rand_config(rng, tag, k + extra))
+
+
+def lift(small, r_cols, x_big):
+    """(big, x_big, small, f(x_big)): the lift of the k-state automaton small
+    along the surjection f = [I | R], R having the columns r_cols.
+
+    With B_a = [[C_a, C_a R], [0, 0]] and out_B = (out_C, out_C . R) the
+    surjection is a coalgebra morphism, so x and f(x) have equal traces.
+    """
+    k, extra = small.n, len(r_cols)
+    n = k + extra
     r_mat = Mat.from_cols(r_cols, nrows=k)
     big_trans = []
-    for a in alphabet:
-        c = small.mat(a)
+    for c in small.trans:
         cr = c @ r_mat if extra else None
         rows = []
         for i in range(k):
@@ -100,8 +109,52 @@ def lifted_pair(rng, tag, k, extra, alphabet):
             rows.append(zeros(n))
         big_trans.append(Mat(rows, ncols=n))
     out_big = vector(small.out) + tuple(vdot(small.out, col) for col in r_cols)
-    big = WeightedAutomaton(tag=tag, n=n, alphabet=alphabet, out=out_big,
+    big = WeightedAutomaton(tag=small.tag, n=n, alphabet=small.alphabet, out=out_big,
                             trans=tuple(big_trans))
-    x_big = rand_config(rng, tag, n)
     x_small = tuple(x_big[i] + vdot([c[i] for c in r_cols], x_big[k:]) for i in range(k))
-    return big, x_big, small, vector(x_small)
+    return big, vector(x_big), small, vector(x_small)
+
+
+SWAPPED_KIND = {FREE_MODULE: GENERATED_MODULE, GENERATED_MODULE: FREE_MODULE,
+                FREE_PCA: GENERATED_PCA, GENERATED_PCA: FREE_PCA}
+
+
+def report_witnesses(z):
+    """(label, witness) for z and for each of a fixed list of mutations of it:
+    per node, negate its first generator, drop its last one, add a dependent
+    one (free nodes), swap FREE_* and GENERATED_*, and bump its first output;
+    double the first column of each morphism; add e_0 to each relating
+    element."""
+    def with_node(i, **fields):
+        nodes = list(z.nodes)
+        nodes[i] = replace(nodes[i], **fields)
+        return replace(z, nodes=tuple(nodes))
+
+    yield "valid", z
+    for i, node in enumerate(z.nodes):
+        gens = node.generators
+        if gens:
+            yield f"negate generator 0 of node {i}", with_node(
+                i, generators=(vneg(gens[0]),) + gens[1:])
+            yield f"drop the last generator of node {i}", with_node(i, generators=gens[:-1])
+            if node.is_free:
+                dependent = tuple(a + b for a, b in zip(gens[0], gens[-1]))
+                yield f"dependent generator on node {i}", with_node(
+                    i, generators=gens + (dependent,))
+        yield f"swap the kind of node {i}", with_node(i, kind=SWAPPED_KIND[node.kind])
+        if node.dim:
+            out = node.coalgebra.out
+            yield f"bump output 0 of node {i}", with_node(
+                i, coalgebra=replace(node.coalgebra, out=(out[0] + 1,) + out[1:]))
+    for k, mor in enumerate(z.morphisms):
+        m = mor.matrix
+        if m.ncols:
+            morphisms = list(z.morphisms)
+            morphisms[k] = replace(mor, matrix=Mat([(2 * r[0],) + r[1:] for r in m.rows],
+                                                   ncols=m.ncols))
+            yield f"double column 0 of morphism {k}", replace(z, morphisms=tuple(morphisms))
+    for j, (i, v) in enumerate(z.relating):
+        if v:
+            relating = list(z.relating)
+            relating[j] = (i, tuple(a + b for a, b in zip(v, unit(len(v), 0))))
+            yield f"replace relating element {j}", replace(z, relating=tuple(relating))

@@ -13,8 +13,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from matvec_oracle import entrywise_dot
 from wazz.linalg import (Lattice, Mat, as_int_vec, hnf, is_integral, is_zero, unit,
-                         vdot, vector, vneg, zeros)
+                         vector, vneg, zeros)
 from wazz.polyhedra import INFINITY, VRep, cone_rays, dd_v_to_h
 
 
@@ -118,7 +119,7 @@ def gauge(polytope, x):
         raise ValueError("point of wrong dimension")
     best = Fraction(0)
     for a, b in subconvex_facets(polytope).ineqs:
-        value = vdot(a, x)
+        value = entrywise_dot(a, x)
         if b == 0:
             if value > 0:
                 return INFINITY
@@ -143,7 +144,8 @@ def cone_facet_normals(gens, dim):
 def cone_member(gens, x):
     """Exact membership of x in the convex cone spanned by gens."""
     dim = len(x)
-    return all(vdot(n, x) <= 0 for n in cone_facet_normals(tuple(vector(g) for g in gens), dim))
+    return all(entrywise_dot(n, x) <= 0
+               for n in cone_facet_normals(tuple(vector(g) for g in gens), dim))
 
 
 def z_closure(start, maps):

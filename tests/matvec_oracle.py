@@ -1,15 +1,22 @@
-"""The entrywise `Fraction` matrix-vector product, kept as a differential
-test oracle.
+"""The entrywise `Fraction` dot and matrix-vector products, kept as
+differential test oracles.
 
-`Mat.apply` runs on a cached scaled-integer form of the rows; this is the
-product it replaced, one `Fraction` multiply and add per entry, zeros
-included.  The tests require equal values of equal type.
+`vdot` and `Mat.apply` run on vectors and matrices scaled to integers; these
+are the products they replaced, one `Fraction` multiply and add per entry,
+zeros included, with no call into the kernel they check.  The tests require
+equal values of equal type.
 """
 
-from wazz.linalg import vdot
+from fractions import Fraction
+
+
+def entrywise_dot(u, v):
+    if len(u) != len(v):
+        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def entrywise_apply(m, x):
     if len(x) != m.ncols:
         raise ValueError(f"dimension mismatch: {m.ncols} cols vs vector of {len(x)}")
-    return tuple(vdot(r, x) for r in m.rows)
+    return tuple(entrywise_dot(r, x) for r in m.rows)

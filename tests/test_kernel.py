@@ -13,7 +13,8 @@ import pytest
 import kernel_oracle
 from wazz import polyhedra, zigzag
 from wazz.automata import LinearCoalgebra, SemiringTag
-from wazz.linalg import Mat, _Echelon, closure_under_maps, primitive, rref, solve, unit, vector
+from wazz.linalg import (Mat, _clear_denominators as scaled, _Echelon, closure_under_maps,
+                         primitive, rref, solve, unit, vector)
 from wazz.polyhedra import INFINITY, PcaPolytope, cone_member, gauge, pca_member
 from wazz.zigzag import (FREE_MODULE, FREE_PCA, GENERATED_MODULE, ZigZagNode, _carrier,
                          _span_coordinates, ghat_zigzag)
@@ -71,10 +72,12 @@ class TestApplyMatchesOracle:
 
     def test_large_coprime_denominators(self):
         primes = [1000003, 998244353, 2147483647, 1000000007]
-        m = Mat([[F(-p, q) for q in primes] for p in (3, 5, 7)])
-        for x in [tuple(F(1, p) for p in reversed(primes)),
-                  (F(-2, 1000003), 7, F(11, 2147483647), -1)]:
-            assert same(m.apply(x), entrywise_apply(m, x))
+        by_column = Mat([[F(-p, q) for q in primes] for p in (3, 5, 7)])
+        by_row = Mat([[F(p, q) for p in (3, -5, 7, 0)] for q in primes])
+        for m in (by_column, by_row):
+            for x in [tuple(F(1, p) for p in reversed(primes)),
+                      (F(-2, 1000003), 7, F(11, 2147483647), -1)]:
+                assert same(m.apply(x), entrywise_apply(m, x))
 
     def test_int_and_fraction_vectors_agree(self):
         m = Mat([[F(1, 3), -2, 0], [0, F(-5, 6), F(7, 4)]])
@@ -196,7 +199,9 @@ class TestCarrierTesterMatchesSolve:
             coordinates, rank, _ = _span_coordinates(gens, dim)
             assert rank == (rref(Mat(gens, ncols=dim))[2] if gens else 0)
             for v in rand_targets(rng, gens, dim):
-                got = coordinates(v)
+                got = coordinates(scaled(v))
+                if got is not None:  # scaled too: x = ints / d
+                    got = tuple(F(a, got[0]) for a in got[1])
                 assert got == solve_coordinates(gens, dim, v)
                 verdicts.add(got is not None)
         assert verdicts == {True, False}
@@ -224,7 +229,7 @@ class TestCarrierTesterMatchesSolve:
                 coords = solve_coordinates(gens, dim, v)
                 want = coords is not None and (kind == GENERATED_MODULE
                                                or all(tag.scalar_ok(c) for c in coords))
-                assert member(v) == want
+                assert member(scaled(v)) == want
                 verdicts.add(want)
         assert verdicts == {True, False}
 
@@ -259,8 +264,8 @@ class TestCarrierTesterMatchesSolve:
             polytope = PcaPolytope(dim, tuple(gens))
             for x in gauge_points(rng, polytope):
                 want = gauge(polytope, x)
-                assert same_gauge(carrier.gauge(x), want), (gens, x)
-                assert carrier.member(x) == pca_member(polytope, x)
+                assert same_gauge(carrier.gauge(scaled(x)), want), (gens, x)
+                assert carrier.member(scaled(x)) == pca_member(polytope, x)
                 kinds.add("inf" if want is INFINITY else (want > 1) - (want < 1))
                 points += 1
         assert kinds == {"inf", -1, 0, 1}
@@ -339,8 +344,9 @@ class TestEchelonMatchesOracle:
                               for i in range(dim))
                 else:
                     v = tuple(rand_scalar(rng) for _ in range(dim))
-                assert ech.contains(v) == oracle.contains(v)
-                assert ech.add(v) == oracle.add(v)
+                ints = scaled(v)[1]
+                assert ech.contains(ints) == oracle.contains(v)
+                assert ech.add(ints) == oracle.add(v)
                 seen.append(v)
             assert len(ech.rows) == len(oracle.rows)
             for (p, row), (q, _) in zip(ech.rows, oracle.rows):

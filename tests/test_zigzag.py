@@ -15,7 +15,7 @@ from wazz.zigzag import (CUBIC, FREE_MODULE, FREE_PCA, GENERATED_MODULE,
                          ZigZagNode, _nat_monoid_member, cubic_zigzag, ghat_zigzag,
                          parse_zigzag, verify_zigzag, zigzag_to_text)
 
-from genrandom import lifted_pair, rand_automaton, rand_config
+from genrandom import lifted_pair, rand_automaton, rand_config, report_witnesses
 
 T = SemiringTag
 
@@ -36,51 +36,6 @@ def pca_half_loop():
 
 def failing_names(report):
     return {c.name for c in report.failures()}
-
-
-SWAPPED_KIND = {FREE_MODULE: GENERATED_MODULE, GENERATED_MODULE: FREE_MODULE,
-                FREE_PCA: GENERATED_PCA, GENERATED_PCA: FREE_PCA}
-
-
-def report_witnesses(z):
-    """(label, witness) for z and for each of a fixed list of mutations of it:
-    per node, negate its first generator, drop its last one, add a dependent
-    one (free nodes), swap FREE_* and GENERATED_*, and bump its first output;
-    double the first column of each morphism; add e_0 to each relating
-    element."""
-    def with_node(i, **fields):
-        nodes = list(z.nodes)
-        nodes[i] = replace(nodes[i], **fields)
-        return replace(z, nodes=tuple(nodes))
-
-    yield "valid", z
-    for i, node in enumerate(z.nodes):
-        gens = node.generators
-        if gens:
-            yield f"negate generator 0 of node {i}", with_node(
-                i, generators=(vneg(gens[0]),) + gens[1:])
-            yield f"drop the last generator of node {i}", with_node(i, generators=gens[:-1])
-            if node.is_free:
-                dependent = tuple(a + b for a, b in zip(gens[0], gens[-1]))
-                yield f"dependent generator on node {i}", with_node(
-                    i, generators=gens + (dependent,))
-        yield f"swap the kind of node {i}", with_node(i, kind=SWAPPED_KIND[node.kind])
-        if node.dim:
-            out = node.coalgebra.out
-            yield f"bump output 0 of node {i}", with_node(
-                i, coalgebra=replace(node.coalgebra, out=(out[0] + 1,) + out[1:]))
-    for k, mor in enumerate(z.morphisms):
-        m = mor.matrix
-        if m.ncols:
-            morphisms = list(z.morphisms)
-            morphisms[k] = replace(mor, matrix=Mat([(2 * r[0],) + r[1:] for r in m.rows],
-                                                   ncols=m.ncols))
-            yield f"double column 0 of morphism {k}", replace(z, morphisms=tuple(morphisms))
-    for j, (i, v) in enumerate(z.relating):
-        if v:
-            relating = list(z.relating)
-            relating[j] = (i, tuple(a + b for a, b in zip(v, unit(len(v), 0))))
-            yield f"replace relating element {j}", replace(z, relating=tuple(relating))
 
 
 class TestCubic:
@@ -300,8 +255,11 @@ class TestWitnessFormat:
         report = verify_zigzag(parse_zigzag(zigzag_to_text(z)))
         assert report.valid
 
-    # sha256 of the witness text for lifted_pair(Random("golden/<tag>"), tag,
-    # 3, 2, ("a", "b")); a change here changes the bytes every witness file has
+    # sha256 of the witness text for lifted_pair(Random("golden/<key>"), tag,
+    # 3, 2, ("a", "b")), the tag being the key up to a "-"; a change here
+    # changes the bytes every witness file has.  The "pca" pair reduces every
+    # state away, so nodes 1-3 of its witness have dimension 0; "pca-pyramid"
+    # pins pyramid normals and middle generators on nodes of dimension 3 to 8
     GOLDEN_SHA256 = {
         "nat": "8c7f962578bb769c2ce0e43a55d82354b4bbe49f78f01f30e55be9376fbff4b6",
         "int": "ae716ea903e9d96c6a2019b0daea40685b733e5507f04c6dfc3e576ea5ce548b",
@@ -311,16 +269,21 @@ class TestWitnessFormat:
         "real": "515b530e041e7ba2223d4472ed7eaf44b23dab7356e58d6ab2c2618c2dff3160",
         "unit": "3ab5c1801e02afeda02eacb0e27faa04dd8166e601148e853561ce980eb2353d",
         "pca": "999d6b7b753daff18b3cff17f74ba3ed90552ecb6eca2787359aa609335fb634",
+        "pca-pyramid": "e84c970302cc9a7a4c2dba3c8f3d723a84f9aa530f0b77b0412d9d4a36a99a12",
     }
 
-    @pytest.mark.parametrize("tag", sorted(GOLDEN_SHA256))
-    def test_golden_witness_bytes(self, tag):
-        rng = random.Random(f"golden/{tag}")
+    @pytest.mark.parametrize("key", sorted(GOLDEN_SHA256))
+    def test_golden_witness_bytes(self, key):
+        tag = key.split("-")[0]
+        rng = random.Random(f"golden/{key}")
         aut1, x1, aut2, x2 = lifted_pair(rng, T(tag), 3, 2, ("a", "b"))
         build = ghat_zigzag if tag == "pca" else cubic_zigzag
         z = build(aut1, x1, aut2, x2)
+        if key == "pca-pyramid":
+            assert [n.dim for n in z.nodes] == [5, 5, 8, 3, 3]
+            assert len(z.nodes[2].generators) == 4
         text = zigzag_to_text(z)
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.GOLDEN_SHA256[tag]
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.GOLDEN_SHA256[key]
         assert parse_zigzag(text) == z
 
     # sha256 over every report that `report_witnesses` yields for the
