@@ -5,8 +5,7 @@ from .linalg import Mat, Lattice, rref, kernel_basis, solve, hnf, closure_under_
 from .automata import (SemiringTag, LinearCoalgebra, WeightedAutomaton, Trace,
                        NotEquivalent, step, trace, pair_submodule, equivalent,
                        parse_automaton, automaton_to_text)
-from .hilbert import (IntConeSpec, hilbert_basis, nat_restriction,
-                      qplus_restriction_by_scaling)
+from .hilbert import IntConeSpec, hilbert_basis, nat_restriction
 from .polyhedra import (HRep, VRep, PcaPolytope, INFINITY, InternalError, dd_h_to_v,
                         dd_v_to_h, gauge, cone_restriction, simplex_restriction)
 from .pca import (GhatElement, PyramidCert, InvariantZeroSet,
@@ -23,7 +22,6 @@ __all__ = [
     "step", "trace", "pair_submodule", "equivalent",
     "parse_automaton", "automaton_to_text",
     "IntConeSpec", "hilbert_basis", "nat_restriction",
-    "qplus_restriction_by_scaling",
     "HRep", "VRep", "PcaPolytope", "INFINITY", "InternalError", "dd_h_to_v", "dd_v_to_h",
     "gauge", "cone_restriction", "simplex_restriction",
     "GhatElement", "PyramidCert", "InvariantZeroSet",

@@ -46,10 +46,6 @@ class SemiringTag(Enum):
         stand-in for the reals in the RPLUS/UNIT/PCA cases)."""
         return _COMPLETION[self]
 
-    @property
-    def closure_ring(self):
-        return "Z" if self.completion is SemiringTag.INT else "Q"
-
     def entry_ok(self, q):
         """Whether q may be a letter-matrix entry: an integer for the
         integral tags, nonnegative for the nonnegative ones."""
@@ -272,7 +268,7 @@ def pair_submodule(aut1, x1, aut2, x2):
     """
     pair, start, difference = _paired(aut1, x1, aut2, x2)
     maps = pair.trans
-    if aut1.tag.closure_ring == "Q":
+    if not aut1.tag.integral:
         # one closure decides and, at its first disagreeing vector, names the word
         basis = []
         for word, g in word_closure(start, maps):
@@ -366,6 +362,10 @@ def parse_automaton(text, source="<automaton>"):
             for q in state:
                 if not tag.scalar_ok(q):
                     r.error(f"state entry {fmt_rat(q)} violates tag {tag.value}")
+            # the endpoint carrier of the subconvex tags is the subsimplex
+            total = sum(state)
+            if tag in (SemiringTag.UNIT, SemiringTag.PCA) and total > 1:
+                r.error(f"state entries sum to {fmt_rat(total)}, above 1 for tag {tag.value}")
         else:
             r.error(f"unexpected directive {toks[0]!r}")
     missing = [a for a in alphabet if a not in trans]

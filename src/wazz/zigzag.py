@@ -22,11 +22,10 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automata import (LinearCoalgebra, NotEquivalent, SemiringTag, pair_submodule,
-                       separating_word)
+from .automata import LinearCoalgebra, SemiringTag, pair_submodule
 from .formats import LineReader, fmt_rat, fmt_vec, word_text
-from .hilbert import nat_restriction, qplus_restriction_by_scaling
-from .linalg import (Lattice, Mat, _clear_denominators, as_int_vec, closure_under_maps,
+from .hilbert import nat_restriction
+from .linalg import (Lattice, Mat, _clear_denominators, as_int_vec,
                      first_word_off, hnf, is_integral, is_nonneg, lattice_member, rref,
                      scaled_dot, scaled_equal, unit, vector, vneg)
 from .pca import ghat_breach, pyramid_extension, reduce_invariant_set
@@ -125,34 +124,29 @@ def cubic_zigzag(aut1, x1, aut2, x2):
     """Span witness for the cubic functor tags: both endpoints receive a
     projection from the restricted pair closure.
 
-    The middle carrier is Z ∩ (S^n1 x S^n2), with generators computed per
-    tag: the N-monoid generators (Hilbert) for NAT, the module basis itself
-    for the ring tags, cone generators for the nonnegative field tags, and
-    the product-of-simplices vertices for the unit interval.
+    The middle carrier is Z ∩ (S^n1 x S^n2), with generators chosen by the
+    tag's properties: the product-of-simplices vertices for the unit
+    interval, the N-monoid generators (Hilbert) for NAT, the extreme rays of
+    the cone (Minkowski-Weyl) for the other nonnegative tags, and the module
+    basis itself for the ring tags.
     """
     if aut1.tag not in _CUBIC_TAGS:
         raise ValueError(f"tag {aut1.tag.value} is not a cubic-pipeline tag")
     basis, paired = pair_submodule(aut1, x1, aut2, x2)
     tag = aut1.tag
     n1, n2, m = aut1.n, aut2.n, aut1.n + aut2.n
-    if tag is SemiringTag.NAT:
-        lat = hnf([as_int_vec(g) for g in basis], dim=m) if basis else Lattice(m, ())
-        gens = [vector(g) for g in nat_restriction(lat)]
-        middle_kind = GENERATED_MODULE
-    elif tag in (SemiringTag.INT, SemiringTag.Q, SemiringTag.REAL):
-        gens = list(basis)
-        middle_kind = GENERATED_MODULE
-    elif tag is SemiringTag.QPLUS:
-        gens = [vector(g) for g in qplus_restriction_by_scaling(basis)]
-        middle_kind = GENERATED_MODULE
-    elif tag is SemiringTag.RPLUS:
-        gens = cone_restriction(basis)
-        middle_kind = GENERATED_MODULE
-    else:  # UNIT
-        gens = list(simplex_restriction(basis, PRODUCT, n1, n2).generators)
-        middle_kind = GENERATED_PCA
     pca = tag is SemiringTag.UNIT
-    middle = ZigZagNode(kind=middle_kind, generators=tuple(gens), coalgebra=paired.coalgebra)
+    if pca:
+        gens = simplex_restriction(basis, PRODUCT, n1, n2).generators
+    elif tag is SemiringTag.NAT:
+        lat = hnf([as_int_vec(g) for g in basis], dim=m) if basis else Lattice(m, ())
+        gens = nat_restriction(lat)
+    elif tag.nonneg:
+        gens = cone_restriction(basis)
+    else:
+        gens = basis
+    middle = ZigZagNode(kind=GENERATED_PCA if pca else GENERATED_MODULE,
+                        generators=tuple(gens), coalgebra=paired.coalgebra)
     p1, p2 = _projections(n1, n2)
     return ZigZag(
         functor=CUBIC, tag=tag, alphabet=aut1.alphabet,
@@ -170,20 +164,21 @@ def ghat_zigzag(aut1, x1, aut2, x2):
     pair the quotients over the rationals, restrict the pair space to the
     doubled simplex (the span's middle node), hull each projection with the
     simplex, and enlarge those hulls to free pyramids.
+
+    Each quotient map is a coalgebra morphism, so the quotients have the
+    traces of the original pair, and the one pair closure of the quotients
+    raises NotEquivalent with the shortlex-least word that separates the
+    original pair.
     """
     if aut1.tag is not SemiringTag.PCA or aut2.tag is not SemiringTag.PCA:
         raise ValueError("both automata must carry the subconvex tag")
-    word = separating_word(aut1, x1, aut2, x2)
-    if word is not None:
-        raise NotEquivalent("traces differ", word=word)
-    alphabet = aut1.alphabet
     _, q1, psi1 = reduce_invariant_set(aut1)
     _, q2, psi2 = reduce_invariant_set(aut2)
     y1, y2 = psi1.apply(x1), psi2.apply(x2)
-    pair = q1.paired(q2)
-    zbasis = closure_under_maps(tuple(y1) + tuple(y2), pair.trans, "Q")
+    zbasis, paired = pair_submodule(q1, y1, q2, y2)
     mid_poly = simplex_restriction(zbasis, SCALED, q1.n, q2.n)
-    middle = ZigZagNode(kind=GENERATED_PCA, generators=mid_poly.generators, coalgebra=pair)
+    middle = ZigZagNode(kind=GENERATED_PCA, generators=mid_poly.generators,
+                        coalgebra=paired.coalgebra)
     p1, p2 = _projections(q1.n, q2.n)
     free_nodes = []
     for q, proj in ((q1, p1), (q2, p2)):
@@ -196,7 +191,7 @@ def ghat_zigzag(aut1, x1, aut2, x2):
         free_nodes.append(ZigZagNode(kind=FREE_PCA, generators=cert.generators,
                                      coalgebra=q.coalgebra))
     return ZigZag(
-        functor=GHAT, tag=SemiringTag.PCA, alphabet=alphabet,
+        functor=GHAT, tag=SemiringTag.PCA, alphabet=aut1.alphabet,
         nodes=(_endpoint_node(aut1, True), free_nodes[0], middle,
                free_nodes[1], _endpoint_node(aut2, True)),
         morphisms=(Morphism(0, 1, psi1), Morphism(2, 1, p1),

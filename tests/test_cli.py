@@ -109,6 +109,28 @@ class TestEquiv:
         assert main(["equiv", bad, bad]) == 2
         assert "half.wa:7: state entry 1/2 violates tag nat" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["equiv", "zigzag"])
+    def test_state_above_the_subsimplex_is_parse_error(self, tmp_path, capsys, command):
+        # the traces agree, but the state 1 1 lies outside the unit tag's
+        # endpoint carrier, the subsimplex, so no witness could verify
+        left = ("semiring unit\nalphabet a\nstates 2\noutput 1/2 1/2\n"
+                "trans a\n1/2 0\n0 1/2\nstate 1 1\n")
+        right = "semiring unit\nalphabet a\nstates 1\noutput 1\ntrans a\n1/2\nstate 1\n"
+        a = write(tmp_path, "a.wa", left)
+        b = write(tmp_path, "b.wa", right)
+        assert main([command, a, b]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"{a}:8: state entries sum to 2, above 1 for tag unit\n")
+
+    def test_pca_state_above_the_subsimplex_is_parse_error(self, tmp_path, capsys):
+        text = "semiring pca\nalphabet a\nstates 2\noutput 1/2 0\ntrans a\n0 0\n0 0\n"
+        a = write(tmp_path, "a.wa", text + "state 1/2 2/3\n")
+        assert main(["equiv", a, a]) == 2
+        assert capsys.readouterr().err == (
+            f"{a}:8: state entries sum to 7/6, above 1 for tag pca\n")
+        b = write(tmp_path, "b.wa", text + "state 1/2 1/2\n")
+        assert main(["equiv", b, b]) == 0
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = write(tmp_path, "bad.wa", "semiring nope\n")
         assert main(["equiv", bad, bad]) == 2
@@ -308,10 +330,11 @@ class TestTraceDefaults:
 
 
 def _determinism_pair(tag):
-    """A qplus pair that takes the Hilbert route, and lifted pairs whose
-    witnesses go through cone_restriction (rplus), simplex_restriction with
-    PRODUCT (unit), the five-node pipeline (pca), Hilbert bases (nat) and
-    the kernel's closures and carrier coordinates (int, q, real)."""
+    """A qplus pair whose middle node takes the extreme rays from
+    cone_restriction, and lifted pairs whose witnesses go through
+    cone_restriction (rplus), simplex_restriction with PRODUCT (unit), the
+    five-node pipeline (pca), Hilbert bases (nat) and the kernel's closures
+    and carrier coordinates (int, q, real)."""
     if tag == "qplus":
         return HALF_LOOP, SWAP
     rng = random.Random(f"determinism/{tag}")

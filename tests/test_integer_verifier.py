@@ -247,9 +247,7 @@ class TestEdgeCases:
             z = build(*lift(small, r_cols, x_big))
             assert assert_same_reports(z) >= 1
 
-    # qplus is left out: its middle node comes from Hilbert completion, which
-    # does not finish on a 1 + 1 pair with denominators near 10**12
-    @pytest.mark.parametrize("tag", [T.Q, T.REAL, T.RPLUS, T.UNIT, T.PCA],
+    @pytest.mark.parametrize("tag", [T.Q, T.REAL, T.QPLUS, T.RPLUS, T.UNIT, T.PCA],
                              ids=lambda t: t.value)
     def test_denominators_up_to_10_12(self, tag):
         rng = random.Random(f"big-denominators/{tag.value}")
