@@ -40,12 +40,6 @@ class SemiringTag(Enum):
         return self in (SemiringTag.NAT, SemiringTag.QPLUS, SemiringTag.RPLUS,
                         SemiringTag.UNIT, SemiringTag.PCA)
 
-    @property
-    def completion(self):
-        """The ring completion the tag embeds into (an exactly representable
-        stand-in for the reals in the RPLUS/UNIT/PCA cases)."""
-        return _COMPLETION[self]
-
     def entry_ok(self, q):
         """Whether q may be a letter-matrix entry: an integer for the
         integral tags, nonnegative for the nonnegative ones."""
@@ -55,18 +49,6 @@ class SemiringTag(Enum):
     def scalar_ok(self, q):
         """Whether q is a scalar of the tag: an entry, within 1 for UNIT and PCA."""
         return self.entry_ok(q) and (self not in (SemiringTag.UNIT, SemiringTag.PCA) or q <= 1)
-
-
-_COMPLETION = {
-    SemiringTag.NAT: SemiringTag.INT,
-    SemiringTag.INT: SemiringTag.INT,
-    SemiringTag.QPLUS: SemiringTag.Q,
-    SemiringTag.Q: SemiringTag.Q,
-    SemiringTag.RPLUS: SemiringTag.REAL,
-    SemiringTag.REAL: SemiringTag.REAL,
-    SemiringTag.UNIT: SemiringTag.REAL,
-    SemiringTag.PCA: SemiringTag.REAL,
-}
 
 
 class NotEquivalent(Exception):
@@ -257,14 +239,16 @@ def separating_word(aut1, x1, aut2, x2):
 
 
 def pair_submodule(aut1, x1, aut2, x2):
-    """Closure of the paired configuration orbit, with the common coalgebra.
+    """Closure of the paired configuration orbit, with the paired coalgebra.
 
-    Returns (generators of Z over the ring completion, d), where Z is the
-    submodule generated by all word images of (x1, x2) under the paired
-    transitions, and d restricts both output functionals (they agree on Z).
-    Raises NotEquivalent, carrying the shortlex-least separating word, if
-    they do not agree on some generator, which happens exactly when the
-    traces differ.
+    Returns (generators of Z, the block-diagonal `LinearCoalgebra` of both
+    automata), where Z is the submodule generated by all word images of
+    (x1, x2) under the paired transitions: a Q-basis for the tags that are
+    not integral, the HNF lattice basis for the integral ones.  It checks
+    that both sides share tag and alphabet and that the configurations fit,
+    and that the output functionals agree on every generator, which happens
+    exactly when the traces agree; otherwise it raises NotEquivalent,
+    carrying the shortlex-least separating word.
     """
     pair, start, difference = _paired(aut1, x1, aut2, x2)
     maps = pair.trans
@@ -277,15 +261,13 @@ def pair_submodule(aut1, x1, aut2, x2):
                                     word=_letters(aut1.alphabet, word))
             basis.append(g)
     else:
-        basis = closure_under_maps(start, maps, "Z")
+        basis = closure_under_maps(start, maps)
         if any(vdot(difference, g) != 0 for g in basis):
             # the lattice spans the rational closure, so the word exists
             word = first_word_off(difference, start, maps)
             raise NotEquivalent("output functionals differ on the pair closure",
                                 word=_letters(aut1.alphabet, word))
-    paired = WeightedAutomaton(tag=aut1.tag.completion, n=pair.n, alphabet=pair.alphabet,
-                               out=pair.out, trans=pair.trans)
-    return [vector(g) for g in basis], paired
+    return [vector(g) for g in basis], pair
 
 
 @dataclass(frozen=True)

@@ -515,38 +515,34 @@ def first_word_off(functional, start, maps):
     return None
 
 
-def closure_under_maps(start, maps, ring):
-    """Generators of the smallest `ring`-submodule containing `start` and
-    closed under all maps.
+def closure_under_maps(start, maps):
+    """HNF basis of the smallest lattice (Z-submodule) containing the
+    integral `start` and closed under the integral maps.
 
-    ring "Q": the vectors of `word_closure`, linearly independent.  ring "Z":
-    the HNF basis of the closure lattice, grown from a worklist: the maps go
-    only to vectors that enlarged the lattice, and an image outside the
-    current lattice enlarges it.  The result is generated by vectors whose
-    images all lie in it, so it is closed, and its HNF basis is unique.
+    The lattice is grown from a worklist: the maps go only to vectors that
+    enlarged the lattice, and an image outside the current lattice enlarges
+    it.  The result is generated by vectors whose images all lie in it, so
+    it is closed, and its HNF basis is unique.  (Over Q the closure is the
+    vectors of `word_closure`.)
     """
-    if ring == "Q":
-        return [v for _, v in word_closure(start, maps)]
     _check_square(start, maps)
     n = len(start)
-    if ring == "Z":
-        if not is_integral(start):
-            raise ValueError("ring Z needs integral start")
+    if not is_integral(start):
+        raise ValueError("lattice closure needs integral start")
+    for m in maps:
+        for r in m.rows:
+            if not is_integral(r):
+                raise ValueError("lattice closure needs integral maps")
+    if is_zero(start):
+        return []
+    start = as_int_vec(start)
+    lat = hnf([start], dim=n)
+    work = deque([start])
+    while work:
+        v = work.popleft()
         for m in maps:
-            for r in m.rows:
-                if not is_integral(r):
-                    raise ValueError("ring Z needs integral maps")
-        if is_zero(start):
-            return []
-        start = as_int_vec(start)
-        lat = hnf([start], dim=n)
-        work = deque([start])
-        while work:
-            v = work.popleft()
-            for m in maps:
-                w = as_int_vec(m.apply(v))
-                if not lattice_member(w, lat):
-                    lat = hnf(lat.basis + (w,), dim=n)
-                    work.append(w)
-        return [tuple(r) for r in lat.basis]
-    raise ValueError(f"unknown ring {ring!r}")
+            w = as_int_vec(m.apply(v))
+            if not lattice_member(w, lat):
+                lat = hnf(lat.basis + (w,), dim=n)
+                work.append(w)
+    return [tuple(r) for r in lat.basis]

@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import partial
 
 from .automata import SemiringTag, WeightedAutomaton
-from .linalg import Mat, solve, unit, vdot, vector
-from .polyhedra import INFINITY, InternalError, PcaPolytope, gauge, pca_member
+from .linalg import Mat, is_nonneg, solve, unit, vdot, vector
+from .polyhedra import INFINITY, InternalError, PcaPolytope, gauge
 
 
 class InvariantZeroSet(Exception):
@@ -136,25 +136,27 @@ def pyramid_extension(polytope, coalg):
     The normal vector u has to satisfy, exactly over the rationals:
       u >= 0;  <g, u> <= 1 for every generator g of X;
       out_j + sum_a <M_a e_j, u> <= u_j for every coordinate j,
-    the last rows being u >= out + N u with N = sum_a M_a^T >= 0.  Every
-    solution lies componentwise above the Neumann sum u* = sum_k N^k out, and
-    u* satisfies the rows <g, u> <= 1 (g >= 0) whenever any solution does, so
-    u* is the least solution.  A solution u > 0 with no invariant zero set
-    forces spectral radius rho(N) < 1 (a left Perron vector of N for the
-    eigenvalue 1 would have an invariant zero set as its support), so I - N
-    is invertible and u* is the one solution of (I - N) u = out.  That
-    system is solved once; its solution is then checked to be positive and
-    to keep X inside the pyramid.  A failure of either, or of the solve, means
-    no positive solution exists, which the preconditions rule out.
+    the last rows being u >= out + N u with N = sum_a M_a^T.  Only the map
+    fixes that system, so the input checks are that out and N are entrywise
+    nonnegative (else ValueError) and have no invariant zero set (else
+    InvariantZeroSet).  Every solution lies componentwise above the Neumann
+    sum u* = sum_k N^k out, and u* satisfies the rows <g, u> <= 1 (g >= 0)
+    whenever any solution does, so u* is the least solution.  A solution
+    u > 0 with no invariant zero set forces spectral radius rho(N) < 1 (a
+    left Perron vector of N for the eigenvalue 1 would have an invariant
+    zero set as its support), so I - N is invertible and u* is the one
+    solution of (I - N) u = out.  That system is solved once; its solution
+    is then checked to be positive and to keep X inside the pyramid
+    (InternalError otherwise, which no coalgebra on a carrier containing the
+    simplex can cause).  With u = out + N u and u > 0, each generator
+    e_j / u_j spends a budget of exactly 1, so these checks establish the
+    whole postcondition.
     """
     n = polytope.dim
     if coalg.n != n:
         raise ValueError("dimension mismatch")
-    for j in range(n):
-        if not pca_member(polytope, unit(n, j)):
-            raise ValueError("carrier must contain the standard simplex")
-    if not is_ghat_coalgebra(polytope, polytope, coalg):
-        raise ValueError("map is not a coalgebra on the given carrier")
+    if not is_nonneg(coalg.out) or not all(is_nonneg(r) for m in coalg.trans for r in m.rows):
+        raise ValueError("output and letter entries must be nonnegative")
     bad = invariant_zero_set(coalg.out, coalg.trans)
     if bad:
         raise InvariantZeroSet(bad)
@@ -168,11 +170,9 @@ def pyramid_extension(polytope, coalg):
         rows.append(row)
     u = solve(Mat(rows, ncols=n), coalg.out)
     if u is None:
-        raise InternalError("fixed-point system infeasible: (I - N) u = out has no "
-                            "solution on a valid coalgebra")
+        raise InternalError("fixed-point system infeasible: (I - N) u = out has no solution")
     if any(q <= 0 for q in u):
-        raise InternalError("fixed point with a nonpositive coordinate despite the "
-                            "nonvanishing condition")
+        raise InternalError("fixed point with a nonpositive coordinate")
     if any(vdot(g, u) > 1 for g in polytope.generators):
         raise InternalError("fixed point puts a carrier generator outside the pyramid")
     gens = tuple(vector([Fraction(1, 1) / u[j] if i == j else 0 for i in range(n)])

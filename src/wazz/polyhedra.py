@@ -266,10 +266,11 @@ def lp_feasible(h):
 # ---------------------------------------------------------------------------
 # gauges
 
-# Bound of the facet caches.  The zigzag and verify of one benchmark pair touch
-# at most 7 distinct polytopes; 128 also keeps nearly all the reuse of common
-# polytopes across pairs (a ghat-pca pass missed 364 times, against 356
-# unbounded and 398 at 32).
+# Bound of the facet caches.  Only the verifier's generated carriers reach them
+# (GENERATED_PCA hulls, qplus and rplus cones), one per witness.  At 128 a
+# seed-1 benchmark pass misses as often as unbounded: hulls 66, 68 and 79 times
+# on ghat-pca, span-desk and restrict-unary, cones 106 times on each of the
+# last two; at 32, 67, 69, 81, 127 and 110.
 FACET_CACHE_SIZE = 128
 
 

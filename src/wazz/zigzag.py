@@ -4,8 +4,9 @@ A witness is a chain of coalgebra nodes connected by morphisms, alternating
 between source nodes (outgoing arrows, carrying a relating element) and sink
 nodes (incoming arrows, which must have free carriers).  The verifier
 re-checks every claim from the witness data alone: carrier memberships by
-exact LP / lattice / monoid tests, morphism squares by matrix identities,
-and the relating chain by direct evaluation.
+coordinates in one factorization of the generators, facets of the hull or
+cone, lattice reduction or a budgeted N-monoid search, morphism squares by
+matrix identities, and the relating chain by direct evaluation.
 
 Every check runs on integer images.  Each node's generators and output
 functional, the relating elements and the endpoints are scaled once to
@@ -146,7 +147,7 @@ def cubic_zigzag(aut1, x1, aut2, x2):
     else:
         gens = basis
     middle = ZigZagNode(kind=GENERATED_PCA if pca else GENERATED_MODULE,
-                        generators=tuple(gens), coalgebra=paired.coalgebra)
+                        generators=tuple(gens), coalgebra=paired)
     p1, p2 = _projections(n1, n2)
     return ZigZag(
         functor=CUBIC, tag=tag, alphabet=aut1.alphabet,
@@ -178,16 +179,13 @@ def ghat_zigzag(aut1, x1, aut2, x2):
     zbasis, paired = pair_submodule(q1, y1, q2, y2)
     mid_poly = simplex_restriction(zbasis, SCALED, q1.n, q2.n)
     middle = ZigZagNode(kind=GENERATED_PCA, generators=mid_poly.generators,
-                        coalgebra=paired.coalgebra)
+                        coalgebra=paired)
     p1, p2 = _projections(q1.n, q2.n)
     free_nodes = []
     for q, proj in ((q1, p1), (q2, p2)):
-        hull = list(unit(q.n, i) for i in range(q.n))
-        for g in mid_poly.generators:
-            img = proj.apply(g)
-            if any(img) and img not in hull:
-                hull.append(img)
-        cert = pyramid_extension(PcaPolytope(q.n, tuple(hull)), q)
+        images = tuple(proj.apply(g) for g in mid_poly.generators)
+        hull = PcaPolytope(q.n, tuple(unit(q.n, i) for i in range(q.n)) + images)
+        cert = pyramid_extension(hull, q)
         free_nodes.append(ZigZagNode(kind=FREE_PCA, generators=cert.generators,
                                      coalgebra=q.coalgebra))
     return ZigZag(

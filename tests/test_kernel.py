@@ -484,7 +484,7 @@ class TestZClosureMatchesOracle:
             maps = [Mat([[rng.choice((0, 0, 1, -1, 2, 3, -4)) for _ in range(dim)]
                          for _ in range(dim)]) for _ in range(rng.randint(1, 3))]
             start = tuple(rng.randint(-3, 3) for _ in range(dim))
-            got = closure_under_maps(start, maps, "Z")
+            got = closure_under_maps(start, maps)
             assert got == kernel_oracle.z_closure(start, maps)
             ranks.add(len(got))
         assert len(ranks) >= 4

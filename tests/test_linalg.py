@@ -6,7 +6,8 @@ import pytest
 import kernel_oracle
 from wazz.linalg import (Mat, Lattice, closure_under_maps, hnf, hnf_with_transform,
                          is_integral, kernel_basis, lattice_coords, lattice_member,
-                         lattice_reduce, primitive, rref, solve, unit, vector, zeros)
+                         lattice_reduce, primitive, rref, solve, unit, vector, word_closure,
+                         zeros)
 from wazz.formats import fmt_rat, parse_rat
 
 
@@ -141,21 +142,25 @@ class TestHnf:
         assert lattice_coords((5, 4), lat) is None
 
 
+def q_closure(start, maps):
+    return [v for _, v in word_closure(start, maps)]
+
+
 class TestClosure:
     def test_nilpotent_shift(self):
         maps = [M([[0, 1], [0, 0]])]
-        out = closure_under_maps(unit(2, 1), maps, "Q")
+        out = q_closure(unit(2, 1), maps)
         assert out == [unit(2, 1), unit(2, 0)]
 
     def test_zero_start(self):
-        assert closure_under_maps(zeros(2), [Mat.identity(2)], "Q") == []
-        assert closure_under_maps((0, 0), [Mat.identity(2)], "Z") == []
+        assert q_closure(zeros(2), [Mat.identity(2)]) == []
+        assert closure_under_maps((0, 0), [Mat.identity(2)]) == []
 
     def test_paired_example(self):
         # one-letter pairing of a 1-state and a 2-state machine; the third
         # iterate is 1/4 of the first, so the closure is 2-dimensional
         m = M([["1/2", 0, 0], [0, 0, "1/2"], [0, "1/2", 0]])
-        out = closure_under_maps(vector([1, 1, 0]), [m], "Q")
+        out = q_closure(vector([1, 1, 0]), [m])
         assert out == [vector([1, 1, 0]), vector(["1/2", 0, "1/2"])]
 
     def test_closed_under_maps(self):
@@ -167,12 +172,7 @@ class TestClosure:
                 if ring == "Q":
                     maps = [rand_mat(rng, dim, dim, span=2) for _ in range(nmaps)]
                     start = vector([rng.randint(-2, 2) for _ in range(dim)])
-                else:
-                    maps = [Mat([[F(rng.randint(-2, 2)) for _ in range(dim)]
-                                 for _ in range(dim)]) for _ in range(nmaps)]
-                    start = tuple(rng.randint(-2, 2) for _ in range(dim))
-                basis = closure_under_maps(start, maps, ring)
-                if ring == "Q":
+                    basis = q_closure(start, maps)
                     ech = kernel_oracle.Echelon()
                     for b in basis:
                         assert ech.add(b)
@@ -181,6 +181,10 @@ class TestClosure:
                             assert ech.contains(m.apply(b))
                     assert len(basis) <= dim
                 else:
+                    maps = [Mat([[F(rng.randint(-2, 2)) for _ in range(dim)]
+                                 for _ in range(dim)]) for _ in range(nmaps)]
+                    start = tuple(rng.randint(-2, 2) for _ in range(dim))
+                    basis = closure_under_maps(start, maps)
                     lat = Lattice(dim, tuple(basis)) if basis else Lattice(dim, ())
                     for b in basis:
                         for m in maps:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from wazz import pca, zigzag
+from wazz import pca, polyhedra, zigzag
 from wazz.automata import LinearCoalgebra, SemiringTag, WeightedAutomaton, trace
 from wazz.formats import fmt_vec, parse_rat
 from wazz.linalg import Mat, solve, unit, vdot, vector, zeros
@@ -11,7 +11,7 @@ from wazz.pca import (GhatElement, InvariantZeroSet, ghat_apply,
                       ghat_member, invariant_zero_set, is_ghat_coalgebra,
                       pyramid_extension, reduce_invariant_set)
 from wazz.polyhedra import HRep, INFINITY, InternalError, PcaPolytope, gauge, pca_member
-from wazz.zigzag import ghat_zigzag
+from wazz.zigzag import ghat_zigzag, verify_zigzag
 
 from genrandom import lifted_pair, rand_automaton
 from lp_oracle import lp_feasible, pyramid_normal
@@ -169,6 +169,17 @@ class TestPyramid:
         cert = pyramid_extension(delta(1), c)
         assert cert.u == vector([1])
 
+    def test_sign_and_shape_errors(self):
+        def coalg(out, rows):
+            return LinearCoalgebra(n=2, alphabet=("a",), out=vector(out), trans=(Mat(rows),))
+
+        with pytest.raises(ValueError, match="nonnegative"):
+            pyramid_extension(delta(2), coalg(["1/2", "-1/4"], [[0, 0], [0, 0]]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            pyramid_extension(delta(2), coalg(["1/2", "1/2"], [[0, "-1/4"], [0, 0]]))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            pyramid_extension(delta(3), coalg(["1/2", "1/2"], [[0, 0], [0, 0]]))
+
     def test_certificate_properties(self):
         rng = random.Random(127)
         done = 0
@@ -227,6 +238,14 @@ def sparsified(rng, aut, keep):
                              trans=trans)
 
 
+def hull_test_pairs():
+    """Lifted subconvex pairs whose ghat_zigzag hulls reach dimensions 0-5."""
+    rng = random.Random("pyramid-vs-fm-hulls")
+    for k, extra in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)):
+        for _ in range(4):
+            yield lifted_pair(rng, T.PCA, k, extra, ("a", "b")[: rng.randint(1, 2)])
+
+
 class TestPyramidMatchesFourierMotzkin:
     """The one linear solve gives exactly the point Fourier-Motzkin gave, the
     least solution of the fixed-point system, and fails where it failed."""
@@ -274,21 +293,28 @@ class TestPyramidMatchesFourierMotzkin:
             return original(polytope, coalg)
 
         monkeypatch.setattr(zigzag, "pyramid_extension", spy)
-        rng = random.Random("pyramid-vs-fm-hulls")
-        for k, extra in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)):
-            for _ in range(4):
-                aut1, x1, aut2, x2 = lifted_pair(rng, T.PCA, k, extra,
-                                                 ("a", "b")[: rng.randint(1, 2)])
-                ghat_zigzag(aut1, x1, aut2, x2)
+        for pair in hull_test_pairs():
+            ghat_zigzag(*pair)
         assert {p.dim for p, _ in calls} >= {0, 1, 2, 3, 4, 5}
         assert any(len(p.generators) > p.dim for p, _ in calls)
         for polytope, coalg in calls:
             assert self.assert_same(polytope, coalg)
 
-    def test_infeasible_systems_fail_on_both_paths(self, monkeypatch):
-        # without the coalgebra precondition, over-budget maps reach the solve;
-        # where FM finds no point, the solve, positivity or containment fails
-        monkeypatch.setattr(pca, "is_ghat_coalgebra", lambda x, y, c: True)
+    def test_hulls_need_no_facets(self, monkeypatch):
+        # the pyramid is checked on its normal alone: building the witnesses
+        # neither enumerates a hull's facets nor gauges a point
+        calls = []
+        with monkeypatch.context() as mp:
+            for module, name in ((polyhedra, "dd_v_to_h"), (polyhedra, "_subconvex_facets"),
+                                 (polyhedra, "gauge"), (pca, "gauge")):
+                original = getattr(module, name)
+                mp.setattr(module, name, lambda *args, name=name, original=original:
+                           calls.append(name) or original(*args))
+            witnesses = [ghat_zigzag(*pair) for pair in hull_test_pairs()]
+        assert calls == []
+        assert all(verify_zigzag(z).valid for z in witnesses)
+
+    def test_infeasible_systems_fail_on_both_paths(self):
         rng = random.Random("pyramid-vs-fm-infeasible")
         outcomes = []
         for _ in range(150):

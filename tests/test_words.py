@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import kernel_oracle
 from wazz.automata import (LinearCoalgebra, NotEquivalent, SemiringTag, WeightedAutomaton,
                            equivalent, separating_word)
 from wazz.formats import word_text
@@ -181,7 +182,7 @@ class TestDegenerateClosures:
     def test_zero_start_vector(self):
         maps = [Mat([[1, 2], [3, 4]]), Mat.identity(2)]
         assert list(word_closure(zeros(2), maps)) == []
-        assert closure_under_maps(zeros(2), maps, "Q") == []
+        assert closure_under_maps(zeros(2), maps) == []
         rng = random.Random("zero-start")
         for tag in T:
             aut1 = rand_automaton(rng, tag, 2, ("a", "b"))
@@ -229,7 +230,8 @@ class TestWordClosure:
                     for _ in range(rng.randint(1, 3))]
             start = vector([rng.randint(-1, 1) for _ in range(n)])
             pairs = list(word_closure(start, maps))
-            assert [v for _, v in pairs] == closure_under_maps(start, maps, "Q")
+            ech = kernel_oracle.Echelon()
+            assert all(ech.add(v) for _, v in pairs)  # a basis: independent vectors
             words = [w for w, _ in pairs]
             assert words == sorted(words, key=lambda w: (len(w), w))
             for word, v in pairs:
