@@ -335,8 +335,8 @@ def parse_automaton(text, source="<automaton>"):
             for j in range(n):
                 rows.append(r.next_rat_row(n))
                 lines[alphabet.index(sym), j] = r.last_line
-            # file rows are images of basis vectors; columns internally
-            trans[sym] = Mat(rows).transpose()
+            # file rows are images of basis vectors: the matrix's columns
+            trans[sym] = Mat._of_cols(rows, n)
         elif toks[0] == "state":
             if state is not None:
                 r.error("duplicate state line")
@@ -345,8 +345,7 @@ def parse_automaton(text, source="<automaton>"):
                 if not tag.scalar_ok(q):
                     r.error(f"state entry {fmt_rat(q)} violates tag {tag.value}")
             # the endpoint carrier of the subconvex tags is the subsimplex
-            total = sum(state)
-            if tag in (SemiringTag.UNIT, SemiringTag.PCA) and total > 1:
+            if tag in (SemiringTag.UNIT, SemiringTag.PCA) and (total := sum(state)) > 1:
                 r.error(f"state entries sum to {fmt_rat(total)}, above 1 for tag {tag.value}")
         else:
             r.error(f"unexpected directive {toks[0]!r}")

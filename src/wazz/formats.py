@@ -2,7 +2,13 @@
 
 Every file format in the package uses the same scalar syntax: an optional
 sign, an integer, and optionally ``/`` followed by a positive integer
-("3", "-1/2").  There is no floating point anywhere.
+("3", "-1/2"), written in ASCII decimal digits.  There is no floating point
+anywhere.  Lines end at a line feed alone.
+
+A `LineReader` reads one file and owns a literal table for it: each distinct
+literal text is parsed once, and a row of literals becomes one tuple of
+lookups.  Only a row with a token the table lacks goes through `parse_rat`
+token by token, which names the first bad token.
 """
 
 from __future__ import annotations
@@ -10,7 +16,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_RAT_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+_RAT_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
+_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 
 
 class ParseError(Exception):
@@ -25,14 +32,15 @@ class ParseError(Exception):
 
 def parse_rat(token):
     """Parse a rational literal. Raises ValueError on anything else."""
-    if not _RAT_RE.match(token):
+    match = _RAT_RE.match(token)
+    if not match:
         raise ValueError(f"not a rational literal: {token!r}")
-    if "/" in token:
-        num, den = token.split("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator: {token!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(token))
+    num, den = match.groups()
+    if den is None:
+        return Fraction(int(num))
+    if int(den) == 0:
+        raise ValueError(f"zero denominator: {token!r}")
+    return Fraction(int(num), int(den))
 
 
 def fmt_rat(value):
@@ -59,18 +67,21 @@ def word_text(word, alphabet):
 class LineReader:
     """Iterates meaningful lines of a text body, tracking line numbers.
 
-    Comments start with '#' and run to end of line; blank lines are skipped.
+    Lines end at a line feed alone; the strip that trims each line also
+    drops the carriage return of a CRLF file.  Comments start with '#' and
+    run to end of line; blank lines are skipped.
     """
 
     def __init__(self, text, source="<input>"):
         self.source = source
         self._items = []
-        for i, raw in enumerate(text.splitlines(), start=1):
+        for i, raw in enumerate(text.split("\n"), start=1):
             line = raw.split("#", 1)[0].strip()
             if line:
                 self._items.append((i, line))
         self._pos = 0
         self.last_line = 0
+        self._rats = {}  # literal text -> Fraction, for this file only
 
     def __bool__(self):
         return self._pos < len(self._items)
@@ -100,22 +111,28 @@ class LineReader:
     def parse_rats(self, tokens, count=None):
         if count is not None and len(tokens) != count:
             self.error(f"expected {count} rationals, got {len(tokens)}")
-        out = []
+        rats = self._rats
+        try:
+            return tuple(map(rats.__getitem__, tokens))
+        except KeyError:
+            pass
         for t in tokens:
-            try:
-                out.append(parse_rat(t))
-            except ValueError as exc:
-                self.error(str(exc))
-        return tuple(out)
+            if t not in rats:
+                try:
+                    rats[t] = parse_rat(t)
+                except ValueError as exc:
+                    self.error(str(exc))
+        return tuple(map(rats.__getitem__, tokens))
 
     def parse_int(self, token, minimum=None):
-        try:
-            value = int(token)
-        except ValueError:
+        if not _INT_RE.match(token):
             self.error(f"expected an integer, got {token!r}")
+        value = int(token)
         if minimum is not None and value < minimum:
             self.error(f"expected an integer >= {minimum}, got {value}")
         return value
 
     def next_rat_row(self, count):
-        return self.parse_rats(self.next_tokens(expect=f"{count} rationals"), count)
+        if self._pos == len(self._items):
+            self.next_line(f"{count} rationals")  # raises: the file ends here
+        return self.parse_rats(self.next_tokens(), count)

@@ -18,10 +18,19 @@ vectors are compared by cross-multiplication, never by building Fractions.
   sum over a row's nonzeros and returns the image as (d * e, sums);
   `apply(x)` scales x once and makes one `Fraction` per output entry.
   `vdot` is one integer sum over both vectors scaled once.
-- Elimination (`rref`, `_Echelon`) is fraction-free: a row update is the
-  integer combination that clears one entry, divided by the gcd of the
-  result, so rows stay primitive.  `rref` divides a pivot row by its pivot
-  only when it builds the returned matrix.
+- Elimination (`_int_rref`, `_Echelon`) is fraction-free: a row update is
+  the integer combination that clears one entry, divided by the gcd of the
+  result, so rows stay primitive.  `_int_rref` is the one Gauss-Jordan loop;
+  `rref` runs it on rows scaled to primitive integers and divides a pivot
+  row by its pivot only when it builds the returned matrix, and the
+  verifier's free-carrier factorization reads its integer rows directly.
+- A `Mat` is built once.  `transpose` and `from_cols` make the rows with
+  one `zip`; `transpose` re-checks no entry, and `from_cols` converts only
+  entries that are not `Fraction`s.  A text reader reads a letter or
+  morphism matrix as the images of basis vectors, which are its columns,
+  and builds it from them with the unchecked `_of_cols`: each entry is
+  already the `Fraction` of the reader's literal table (one per file, in
+  `wazz.formats`).
 - The word closure queues scaled images, reduced to lowest terms, and
   builds the `Fraction` vector of a word only when it yields one;
   `first_word_off` builds none.
@@ -185,12 +194,24 @@ class Mat:
 
     @classmethod
     def from_cols(cls, cols, nrows=None):
-        cols = [tuple(c) for c in cols]
+        cols = [vector(c) for c in cols]
         if cols:
             nrows = len(cols[0])
+            if any(len(c) != nrows for c in cols):
+                raise ValueError("ragged matrix")
         elif nrows is None:
             raise ValueError("empty column list needs an explicit row count")
-        return cls(tuple(tuple(c[i] for c in cols) for i in range(nrows)), ncols=len(cols))
+        return cls._of_cols(cols, nrows)
+
+    @classmethod
+    def _of_cols(cls, cols, nrows):
+        """The matrix with the given columns, unchecked: they must be
+        sequences of nrows Fractions each."""
+        m = object.__new__(cls)
+        m.rows = tuple(zip(*cols)) if cols else ((),) * nrows
+        m.ncols = len(cols)
+        m._scaled = None
+        return m
 
     def col(self, j):
         return tuple(r[j] for r in self.rows)
@@ -211,12 +232,8 @@ class Mat:
     def apply_scaled(self, x):
         """Matrix times the scaled column vector x = (e, xs), as the scaled
         vector (d * e, one integer sum per row)."""
-        x_den, xs = x
-        if len(xs) != self.ncols:
-            raise ValueError(f"dimension mismatch: {self.ncols} cols vs vector of {len(xs)}")
         den, rows = self.scaled()
-        pick = xs.__getitem__
-        return den * x_den, [sum(map(mul, nums, map(pick, cols))) for cols, nums in rows]
+        return _sparse_apply(den, rows, self.ncols, x)
 
     def apply(self, x):
         """Matrix times column vector, a tuple of Fraction: x is scaled once
@@ -232,7 +249,7 @@ class Mat:
         return Mat.from_cols([self.apply(c) for c in other.cols()], nrows=self.nrows)
 
     def transpose(self):
-        return Mat(tuple(self.col(j) for j in range(self.ncols)), ncols=self.nrows)
+        return Mat._of_cols(self.rows, self.ncols)
 
     @staticmethod
     def block_diag(a, b):
@@ -250,6 +267,17 @@ class Mat:
         return f"Mat({[list(map(str, r)) for r in self.rows]})"
 
 
+def _sparse_apply(den, rows, ncols, x):
+    """The matrix given by its scaled form (den, rows), rows as in
+    `Mat.scaled`, times the scaled vector x = (e, xs): the scaled vector
+    (den * e, one integer sum per row)."""
+    x_den, xs = x
+    if len(xs) != ncols:
+        raise ValueError(f"dimension mismatch: {ncols} cols vs vector of {len(xs)}")
+    pick = xs.__getitem__
+    return den * x_den, [sum(map(mul, nums, map(pick, cols))) for cols, nums in rows]
+
+
 def _sparse_row(row, den):
     """(column indices, integers den * entry) of a Fraction row's nonzero
     entries; den is a multiple of every entry's denominator."""
@@ -257,17 +285,17 @@ def _sparse_row(row, den):
     return cols, tuple(row[j].numerator * (den // row[j].denominator) for j in cols)
 
 
-def rref(m):
-    """Reduced row echelon form: returns (R, pivot columns, rank).
+def _int_rref(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place;
+    returns the pivot columns.
 
-    Fraction-free Gauss-Jordan on the rows scaled to primitive integers (see
-    the module docstring); R, its pivots and its rank are unique, so they are
-    those of the rational elimination."""
-    rows = [primitive(r) for r in m.rows]
-    nr, nc = m.nrows, m.ncols
+    Afterwards row i < rank has a nonzero entry at pivot i and zeros at every
+    other pivot column, and the rows from the rank on are zero; dividing row
+    i by its pivot entry gives the reduced row echelon form."""
+    nr = len(rows)
     pivots = []
     r = 0
-    for c in range(nc):
+    for c in range(ncols):
         if r == nr:
             break
         piv = next((i for i in range(r, nr) if rows[i][c]), None)
@@ -280,9 +308,21 @@ def rref(m):
                 rows[i] = _eliminate(rows[i], prow, c)
         pivots.append(c)
         r += 1
+    return pivots
+
+
+def rref(m):
+    """Reduced row echelon form: returns (R, pivot columns, rank).
+
+    `_int_rref` on the rows scaled to primitive integers, each pivot row then
+    divided by its pivot entry; R, its pivots and its rank are unique, so
+    they are those of the rational elimination."""
+    rows = [primitive(r) for r in m.rows]
+    pivots = _int_rref(rows, m.ncols)
+    r = len(pivots)
     red = [_over(row, row[c]) for row, c in zip(rows, pivots)]
     red += [_over(row, 1) for row in rows[r:]]
-    return Mat(red, ncols=nc), tuple(pivots), r
+    return Mat(red, ncols=m.ncols), tuple(pivots), r
 
 
 def kernel_basis(m):

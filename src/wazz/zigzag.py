@@ -13,8 +13,10 @@ functional, the relating elements and the endpoints are scaled once to
 integers over a common denominator and travel as (d, ints); the letter and
 morphism matrices are scaled once by `Mat`.  A check applies matrices with
 one integer sum per output entry and compares two sides by
-cross-multiplication.  A `Fraction` is built only where a value meets a tag
-rule or the subconvex budget, or where it is quoted in a report detail.
+cross-multiplication.  A free carrier is factored on integers, and its
+coordinates meet the tag's rules as integers.  A `Fraction` is built only
+where an output weight meets a tag rule, where the subconvex budget adds
+gauges up, or where a value is quoted in a report detail.
 """
 
 from __future__ import annotations
@@ -22,13 +24,15 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from math import lcm
 
 from .automata import LinearCoalgebra, SemiringTag, pair_submodule
 from .formats import LineReader, fmt_rat, fmt_vec, word_text
 from .hilbert import nat_restriction
-from .linalg import (Lattice, Mat, _clear_denominators, as_int_vec,
-                     first_word_off, hnf, is_integral, is_nonneg, lattice_member, rref,
-                     scaled_dot, scaled_equal, unit, vector, vneg)
+from .linalg import (Lattice, Mat, _clear_denominators, _int_rref, _sparse_apply,
+                     as_int_vec, first_word_off, hnf, is_integral, is_nonneg,
+                     lattice_member, scaled_dot, scaled_equal, unit, vector, vneg)
 from .pca import ghat_breach, pyramid_extension, reduce_invariant_set
 from .polyhedra import (PRODUCT, SCALED, INFINITY, PcaPolytope, cone_member_scaled,
                         cone_restriction, gauge_scaled, simplex_restriction)
@@ -272,25 +276,41 @@ def _nat_monoid_member(gens, v):
 
 
 def _span_coordinates(gens, dim):
-    """The coordinates in the generators, their rank and a matrix E: the
-    coordinates are a function taking a scaled vector v to the scaled x with
-    G x = v, G having the generators as columns and x's free variables zero
-    as in `solve`, or to None if v is outside the span.
+    """The coordinates in the generators, their rank and the product with a
+    matrix E: the coordinates are a function taking a scaled vector v to the
+    scaled x with G x = v, G having the generators as columns and x's free
+    variables zero as in `solve`, or to None if v is outside the span; the
+    product takes v to the scaled E v.
 
-    G is factored once: the rref of [G | I] is [R | E] with E G = R, so
-    G x = v exactly when E v vanishes below the rank of G, and then x's pivot
-    entries are read off E v.  The product G x is checked against v again,
-    by cross-multiplication.  When G is invertible, E is its inverse."""
+    G is factored once, on integers: the rref of [G | I] is [R | E] with
+    E G = R, so G x = v exactly when E v vanishes below the rank of G, and
+    then x's pivot entries are read off E v.  Each row of [G | I] is scaled
+    to integers, which changes no rref, and `_int_rref` eliminates them; E is
+    kept as the nonzero entries of integer rows over one common denominator.
+    The product G x is checked against v again, by cross-multiplication.
+    When G is invertible, E is its inverse."""
     k = len(gens)
-    g_mat = Mat.from_cols(gens, nrows=dim)
-    red, pivots, _ = rref(Mat(tuple(r + unit(dim, i) for i, r in enumerate(g_mat.rows)),
-                              ncols=k + dim))
+    g_mat = Mat._of_cols(gens, dim)  # a node has checked its generators
+    rows = []
+    for i, r in enumerate(g_mat.rows):
+        den, ints = _clear_denominators(r)
+        ints += [0] * dim
+        ints[k + i] = den
+        rows.append(ints)
+    pivots = _int_rref(rows, k + dim)
     g_pivots = tuple(p for p in pivots if p < k)
     rank = len(g_pivots)
-    e_mat = Mat(tuple(r[k:] for r in red.rows), ncols=dim)
+    # row i of E is row i of the elimination's E part over its pivot entry
+    e_den = lcm(*(row[p] for row, p in zip(rows, pivots)))
+    e_rows = []
+    for row, p in zip(rows, pivots):
+        scale = e_den // row[p]
+        cols = tuple(j for j in range(dim) if row[k + j])
+        e_rows.append((cols, tuple(row[k + j] * scale for j in cols)))
+    product = partial(_sparse_apply, e_den, e_rows, dim)
 
     def coordinates(v):
-        den, w = e_mat.apply_scaled(v)
+        den, w = product(v)
         if any(w[rank:]):
             return None
         x = [0] * k
@@ -299,7 +319,7 @@ def _span_coordinates(gens, dim):
         x = (den, x)
         return x if scaled_equal(g_mat.apply_scaled(x), v) else None
 
-    return coordinates, rank, e_mat
+    return coordinates, rank, product
 
 
 def _never(v):
@@ -338,20 +358,18 @@ def _carrier(tag, node):
         return _Carrier("generators must be nonnegative", _never)
     detail = ""
     if node.is_free:
-        coordinates, rank, e_mat = _span_coordinates(gens, dim)
+        coordinates, rank, product = _span_coordinates(gens, dim)
         if rank != len(gens):
             detail = "generators are linearly dependent"
         elif node.is_pca and len(gens) != dim:
             detail = "free subconvex carrier needs dim-many generators"
     if node.is_pca:
         if node.is_free and not detail:
-            # G is invertible, so E = G^-1: the coordinates E v and their
-            # sum come out of one product
-            coords_and_sum = Mat(e_mat.rows + (tuple(map(sum, zip(*e_mat.rows))),), ncols=dim)
+            # G is invertible, so E = G^-1 and E v are the coordinates of v
 
             def ratio(v):
-                den, (*x, total) = coords_and_sum.apply_scaled(v)
-                return (total, den) if min(x, default=0) >= 0 else INFINITY
+                den, x = product(v)
+                return (sum(x), den) if min(x, default=0) >= 0 else INFINITY
         else:
             polytope = PcaPolytope(dim, gens)
 
@@ -365,8 +383,21 @@ def _carrier(tag, node):
 
         return _Carrier(detail, lambda v: (r := ratio(v)) is not INFINITY and r[0] <= r[1], mu)
     if node.is_free:
-        return _Carrier(detail, lambda v: (x := coordinates(v)) is not None
-                       and all(tag.scalar_ok(Fraction(c, x[0])) for c in x[1]))
+        # the tag's scalar rules (`SemiringTag.scalar_ok`) on the coordinates
+        # c / d, d > 0, read once from the tag and tested on the integers
+        integral, nonneg = tag.integral, tag.nonneg
+        within_one = tag in (SemiringTag.UNIT, SemiringTag.PCA)
+
+        def member(v):
+            x = coordinates(v)
+            if x is None:
+                return False
+            d, cs = x
+            return ((not integral or all(c % d == 0 for c in cs))
+                    and (not nonneg or all(c >= 0 for c in cs))
+                    and (not within_one or all(c <= d for c in cs)))
+
+        return _Carrier(detail, member)
     # generated module, by tag
     member = _never
     if tag in (SemiringTag.Q, SemiringTag.REAL):
@@ -586,12 +617,11 @@ def zigzag_to_text(z):
     return "\n".join(line for line in lines if line) + "\n"
 
 
-def _parse_matrix_rows(r, nrows, ncols):
-    if ncols == 0:
-        # zero-width rows have no text representation; nothing to read
-        return Mat([()] * nrows, ncols=0) if nrows else Mat((), ncols=0)
-    rows = [r.next_rat_row(ncols) for _ in range(nrows)]
-    return Mat(rows, ncols=ncols) if rows else Mat((), ncols=ncols)
+def _parse_matrix(r, nrows, ncols):
+    """An nrows x ncols matrix from its block: one line per column, the image
+    of a basis vector.  Columns of height 0 have no text; nothing is read."""
+    cols = [r.next_rat_row(nrows) for _ in range(ncols)] if nrows else [()] * ncols
+    return Mat._of_cols(cols, nrows)
 
 
 def parse_zigzag(text, source="<witness>"):
@@ -629,7 +659,7 @@ def parse_zigzag(text, source="<witness>"):
             toks = r.next_keyword("trans")
             if toks != [a]:
                 r.error(f"expected transition block for {a!r}")
-            trans.append(_parse_matrix_rows(r, dim, dim).transpose())
+            trans.append(_parse_matrix(r, dim, dim))
         coalg = LinearCoalgebra(n=dim, alphabet=alphabet, out=out, trans=tuple(trans))
         nodes.append(ZigZagNode(kind=kind, generators=tuple(gens), coalgebra=coalg))
     toks = r.next_keyword("morphisms")
@@ -643,7 +673,7 @@ def parse_zigzag(text, source="<witness>"):
         dst = r.parse_int(toks[1], minimum=0)
         if src >= count or dst >= count:
             r.error("morphism endpoint out of range")
-        matrix = _parse_matrix_rows(r, nodes[src].dim, nodes[dst].dim).transpose()
+        matrix = _parse_matrix(r, nodes[dst].dim, nodes[src].dim)
         morphisms.append(Morphism(src, dst, matrix))
     toks = r.next_keyword("relating")
     rcount = r.parse_int(toks[0], minimum=0) if len(toks) == 1 else r.error("expected a count")

@@ -1,0 +1,304 @@
+"""The text readers: the literal grammar, line splitting, the row reader
+against its per-token oracle, and pinned diagnostics for mutated files."""
+
+import hashlib
+import random
+import re
+from fractions import Fraction as F
+
+import pytest
+
+from wazz.automata import SemiringTag, WeightedAutomaton, automaton_to_text, parse_automaton
+from wazz.formats import LineReader, ParseError, parse_rat
+from wazz.linalg import Mat, vector, zeros
+from wazz.zigzag import cubic_zigzag, ghat_zigzag, parse_zigzag, zigzag_to_text
+
+from genrandom import lifted_pair
+
+T = SemiringTag
+
+# A token the literal grammar accepts: the ones a mutation replaces
+_LITERAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
+_BAD_TOKENS = ("1/0", "1.5", "--1", "1/-2", "x1")
+_KEYWORD_ROWS = ("output", "state", "out", "at", "left", "right")
+
+
+def diagnostic_corpus():
+    """name -> (text, parser): a q 2+1 pair, its witness, a pca witness and
+    a witness whose nodes 1-3 have dimension 0, each under a comment line."""
+    a1, x1, a2, x2 = lifted_pair(random.Random("parse-golden/q"), T.Q, 2, 1, ("a", "b"))
+    p1, y1, p2, y2 = lifted_pair(random.Random("parse-golden/pca"), T.PCA, 2, 1, ("a", "b"))
+    dead = WeightedAutomaton(tag=T.PCA, n=1, alphabet=("a",), out=zeros(1),
+                             trans=(Mat([[1]]),))
+    texts = {
+        "q-left.wa": (automaton_to_text(a1, x1), parse_automaton),
+        "q-right.wa": (automaton_to_text(a2, x2), parse_automaton),
+        "q.zz": (zigzag_to_text(cubic_zigzag(a1, x1, a2, x2)), parse_zigzag),
+        "pca.zz": (zigzag_to_text(ghat_zigzag(p1, y1, p2, y2)), parse_zigzag),
+        "zero-dim.zz": (zigzag_to_text(ghat_zigzag(dead, vector([1]), dead,
+                                                   vector(["1/2"]))), parse_zigzag),
+    }
+    return {name: ("# " + name + "\n" + text, parse) for name, (text, parse) in texts.items()}
+
+
+def _is_row(toks):
+    return bool(toks) and all(_LITERAL.match(t) for t in toks)
+
+
+def mutations(text):
+    """family -> [(key, mutated text)]: each literal replaced in turn by an
+    ASCII bad token, each bare row dropped, and each bare or keyword row
+    given an extra entry."""
+    lines = text.split("\n")
+    out = {"literal": [], "drop-row": [], "extra-entry": []}
+    for i, line in enumerate(lines):
+        toks = line.split()
+        if line.startswith("#"):
+            continue
+        for j, t in enumerate(toks):
+            if _LITERAL.match(t):
+                bad = _BAD_TOKENS[len(out["literal"]) % len(_BAD_TOKENS)]
+                mutated = " ".join(toks[:j] + [bad] + toks[j + 1:])
+                out["literal"].append(((i, j, bad),
+                                       "\n".join(lines[:i] + [mutated] + lines[i + 1:])))
+        if _is_row(toks):
+            out["drop-row"].append(((i,), "\n".join(lines[:i] + lines[i + 1:])))
+        if _is_row(toks) or (toks and toks[0] in _KEYWORD_ROWS and _is_row(toks[1:] or ["0"])):
+            out["extra-entry"].append(((i,), "\n".join(lines[:i] + [line + " 0"]
+                                                       + lines[i + 1:])))
+    return out
+
+
+def diagnostics(name, parse, cases):
+    """(key, line, message) of each case's ParseError; any other outcome is
+    recorded by its exception type, or as parsed."""
+    found = []
+    for key, text in cases:
+        try:
+            parse(text, name)
+        except ParseError as exc:
+            assert exc.source == name
+            found.append((key, exc.line, exc.message))
+        except Exception as exc:  # recorded, so that a change of kind shows
+            found.append((key, type(exc).__name__, str(exc)))
+        else:
+            found.append((key, "parsed"))
+    return found
+
+
+def _digest(records):
+    return hashlib.sha256(repr(records).encode("utf-8")).hexdigest()
+
+
+class TestGoldenDiagnostics:
+    # (number of mutated files, sha256 of the repr of their (key, line,
+    # message) list), recorded before the row reader's literal table, the
+    # column-major matrix build and the ASCII and "\n" rules
+    GOLDEN = {
+        ("pca.zz", "drop-row"):
+            (58, "053ca503e3741683ba3818a9c535abf6d301b847ff38d964e6f0be5d4d224245"),
+        ("pca.zz", "extra-entry"):
+            (68, "75284f83ef0a671b1329c495060978c599b91d775d272ad54e55ad84c03791ae"),
+        ("pca.zz", "literal"):
+            (240, "a0968fb681efb302ef7df4aee065af58a6e265c20a705892e1336148d95cb50d"),
+        ("q-left.wa", "drop-row"):
+            (6, "591a621ecb30f31db1e5ec98b80094060c118536d2985cb3311a566f809daaf0"),
+        ("q-left.wa", "extra-entry"):
+            (8, "a20a5a4ed3ae6df4ebc069a04515163626b24bdfb01d7e564947543fa433c781"),
+        ("q-left.wa", "literal"):
+            (25, "9f7aa113b0712e896c86609c4103895ed9cf32c7d495db5ddf219fdaf22c6053"),
+        ("q-right.wa", "drop-row"):
+            (4, "3c2c707b2b26ba8389281f8df4a6efcf226b32b4fbec06d1c4a3365bcd535bc6"),
+        ("q-right.wa", "extra-entry"):
+            (6, "49bfaa8bdc323c9a15259874ef5dc3bfcd7788eeafa703e6cade0d99262be101"),
+        ("q-right.wa", "literal"):
+            (13, "fcd9d47d5d02eb866bdf451ee2e0038186e1b1052bcde0e972fddc2bdc2bfe18"),
+        ("q.zz", "drop-row"):
+            (38, "bfa5a363e64ff94aeb78e9cc77e2fc23c09f3fbfac990653ebc601cc7d089cdd"),
+        ("q.zz", "extra-entry"):
+            (44, "1c0b6511b59a7c119edc6adaffffad749b4c57db53f18682781a3f20a39efcc6"),
+        ("q.zz", "literal"):
+            (166, "15ca905bf89a47b27d741e2a767e29e71e29c84df78d3c9cb74ae5d537f398a1"),
+        ("zero-dim.zz", "drop-row"):
+            (4, "528a03a94a87e3a5c2639321c8571049c21898ea79523ea7029427492746a6fe"),
+        ("zero-dim.zz", "extra-entry"):
+            (14, "ae1d8ce5ab5c22e0cbd3881ba54e700a5e54dbc18d9e02a8c9557ef683d468e8"),
+        ("zero-dim.zz", "literal"):
+            (39, "7fe4b8c893612e24df028f6b8da0f3f38d4d814a01de825e904f21c03e75ea38"),
+    }
+
+    @pytest.mark.parametrize("name, family", sorted(GOLDEN))
+    def test_every_diagnostic_is_kept(self, name, family):
+        text, parse = diagnostic_corpus()[name]
+        records = diagnostics(name, parse, mutations(text)[family])
+        assert all(isinstance(r[1], int) for r in records), records
+        assert (len(records), _digest(records)) == self.GOLDEN[name, family]
+
+    def test_corpus_parses_unmutated(self):
+        for name, (text, parse) in diagnostic_corpus().items():
+            parse(text, name)
+
+
+def rand_literal(rng):
+    """A valid literal: a sign, leading zeros, a denominator not in lowest
+    terms, a zero numerator over any denominator, "-0"."""
+    sign = rng.choice(("", "", "+", "-"))
+    num = "0" * rng.randint(0, 2) + str(rng.randint(0, 12))
+    roll = rng.random()
+    if roll < 0.4:
+        return sign + num
+    den = rng.randint(1, 12)
+    if roll < 0.7:  # n/d not in lowest terms
+        num, den = str(int(num) * den), den * rng.randint(1, 3)
+    return f"{sign}{num}/{'0' * rng.randint(0, 1)}{den}"
+
+
+BAD_LITERALS = ("1/0", "-3/00", "1.5", "--1", "+-1", "1/-2", "1/+2", "/2", "1/", "1//2",
+                "x", "0x1", "1e3", "1_0", "٣", "１２", "3/٤")
+
+
+def rand_rows(rng, count):
+    """(tokens, expected count) rows: most valid, some with bad tokens
+    somewhere, some of the wrong length."""
+    rows = []
+    for _ in range(count):
+        width = rng.randint(0, 6)
+        toks = [rand_literal(rng) for _ in range(width)]
+        roll = rng.random()
+        if roll < 0.2 and toks:  # one or two bad tokens: the first is named
+            for _ in range(rng.randint(1, 2)):
+                toks[rng.randrange(width)] = rng.choice(BAD_LITERALS)
+        expect = width
+        if roll > 0.9:
+            expect = max(0, width + rng.choice((-1, 1)))
+        rows.append((toks, expect))
+    return rows
+
+
+class TestRowReaderMatchesOracle:
+    def test_rows_of_one_file(self):
+        """A reader reads every row of a file, failed rows included, and
+        gives the oracle's tuple or its line and message."""
+        import parse_oracle
+        rng = random.Random("formats/rows")
+        outcomes = set()
+        for _ in range(60):
+            rows = [(toks, expect) for toks, expect in rand_rows(rng, 40) if toks]
+            lines, where = [], []
+            for toks, _ in rows:
+                if rng.random() < 0.2:
+                    lines.append(rng.choice(("", "# a comment", "   ")))
+                lines.append(" ".join(toks) + rng.choice(("", "  # trailing comment")))
+                where.append(len(lines))
+            reader = LineReader("\n".join(lines), "rows.txt")
+            for (toks, expect), line in zip(rows, where):
+                try:
+                    want = parse_oracle.parse_rats("rows.txt", line, toks, expect)
+                except ParseError as exc:
+                    want = (exc.source, exc.line, exc.message)
+                try:
+                    got = reader.next_rat_row(expect)
+                    assert all(type(a) is F for a in got)
+                except ParseError as exc:
+                    got = (exc.source, exc.line, exc.message)
+                assert got == want
+                outcomes.add(type(want[0]))
+        assert outcomes == {F, str}
+
+    def test_parse_rats_on_token_lists(self):
+        import parse_oracle
+        rng = random.Random("formats/parse-rats")
+        reader = LineReader("", "tokens.txt")
+        for toks, expect in rand_rows(rng, 500):
+            count = rng.choice((None, expect))
+            try:
+                want = parse_oracle.parse_rats("tokens.txt", 0, toks, count)
+            except ParseError as exc:
+                want = str(exc)
+            try:
+                got = reader.parse_rats(toks, count)
+            except ParseError as exc:
+                got = str(exc)
+            assert got == want
+
+
+SAMPLE_WA = """\
+semiring q
+alphabet a
+states 2
+output 1/2 -1
+trans a
+0 1/2
+1/2 0
+state 1 0
+"""
+
+
+def _with_line(text, lineno, line):
+    lines = text.split("\n")
+    lines[lineno - 1] = line
+    return "\n".join(lines)
+
+
+class TestAsciiNumerals:
+    @pytest.mark.parametrize("token", ["٣", "１２", "3/٤", "1_0",
+                                       "١/2", "+٣"])
+    def test_parse_rat_rejects(self, token):
+        with pytest.raises(ValueError):
+            parse_rat(token)
+
+    @pytest.mark.parametrize("token, value", [("007", 7), ("+3", 3), ("-0", 0),
+                                              ("-04/06", F(-2, 3)), ("0/5", 0)])
+    def test_parse_rat_accepts(self, token, value):
+        assert parse_rat(token) == value
+
+    @pytest.mark.parametrize("lineno, line, message", [
+        (4, "output ٣ 0", "not a rational literal: '٣'"),
+        (4, "output １２ 0", "not a rational literal: '１２'"),
+        (6, "0 3/٤", "not a rational literal: '3/٤'"),
+        (3, "states ٢", "expected an integer, got '٢'"),
+        (3, "states 1_0", "expected an integer, got '1_0'"),
+        (3, "states ２", "expected an integer, got '２'"),
+    ])
+    def test_readers_name_file_and_line(self, lineno, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_automaton(_with_line(SAMPLE_WA, lineno, line), "num.wa")
+        assert str(err.value) == f"num.wa:{lineno}: {message}"
+
+    def test_witness_counts(self):
+        text = zigzag_to_text(cubic_zigzag(*lifted_pair(random.Random("formats/ascii"),
+                                                        T.Q, 1, 1, ("a",))))
+        for old, new in (("nodes 3", "nodes ٣"), ("morphisms 2", "morphisms 2_0")):
+            lineno = text.split("\n").index(old) + 1
+            with pytest.raises(ParseError) as err:
+                parse_zigzag(text.replace(old, new), "w.zz")
+            assert str(err.value) == f"w.zz:{lineno}: expected an integer, got {new.split()[1]!r}"
+
+    @pytest.mark.parametrize("token, value", [("+2", 2), ("002", 2), ("-1", -1)])
+    def test_parse_int_sign_rule(self, token, value):
+        assert LineReader("").parse_int(token) == value
+
+
+class TestLineEnds:
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c",
+                                     "\x1c", "\x1d", "\x1e", "\r"])
+    def test_separator_inside_a_comment(self, sep):
+        text = SAMPLE_WA.replace("semiring q", f"semiring q # note{sep}more")
+        assert parse_automaton(text, "f.wa") == parse_automaton(SAMPLE_WA, "f.wa")
+        # the line count is that of the line feeds
+        bad = text.replace("states 2", "states x")
+        with pytest.raises(ParseError) as err:
+            parse_automaton(bad, "f.wa")
+        assert str(err.value) == "f.wa:3: expected an integer, got 'x'"
+
+    def test_crlf_file(self):
+        crlf = SAMPLE_WA.replace("\n", "\r\n")
+        assert parse_automaton(crlf, "f.wa") == parse_automaton(SAMPLE_WA, "f.wa")
+        with pytest.raises(ParseError) as err:
+            parse_automaton(crlf.replace("0 1/2", "0 1/0"), "f.wa")
+        assert str(err.value) == "f.wa:6: zero denominator: '1/0'"
+
+    def test_crlf_witness(self):
+        z = cubic_zigzag(*lifted_pair(random.Random("formats/crlf"), T.Q, 2, 1, ("a",)))
+        text = zigzag_to_text(z)
+        assert parse_zigzag(text.replace("\n", "\r\n")) == parse_zigzag(text) == z

@@ -277,3 +277,25 @@ class TestEdgeCases:
             small = WeightedAutomaton(tag=tag, n=n, alphabet=("a", "b"), out=out, trans=trans)
             z = build(*lift(small, r_cols, x_big))
             assert assert_same_reports(z) >= 1
+
+
+@pytest.mark.parametrize("tag", [T.NAT, T.INT, T.Q, T.REAL], ids=lambda t: t.value)
+def test_free_carriers_factor_without_rref(tag, monkeypatch):
+    """The verifier factors carriers on integers alone: with `rref` (and so
+    `solve` and `kernel_basis`) unavailable, the witnesses of the tags whose
+    carriers need no facets still verify, mutated ones still fail, and the
+    reports are the oracle's."""
+    from wazz import linalg
+
+    def forbidden(*args):
+        raise AssertionError("the verifier called rref")
+
+    rng = random.Random(f"no-rref/{tag.value}")
+    witnesses = [w for k, extra in ((1, 1), (2, 1), (3, 2))
+                 for w in report_witnesses(cubic_zigzag(*lifted_pair(rng, tag, k, extra,
+                                                                      ("a", "b"))))]
+    want = [checks(verify_oracle.verify_zigzag(w)) for _, w in witnesses]
+    monkeypatch.setattr(linalg, "rref", forbidden)
+    got = [checks(verify_zigzag(w)) for _, w in witnesses]
+    assert got == want
+    assert {label for label, _ in witnesses} > {"valid"}

@@ -1,7 +1,7 @@
 """Differential tests of the integer kernel: `Mat.apply` against the
 entrywise oracle, the verifier's per-node carrier record against a fresh
-`solve` for every vector and, on free subconvex carriers, against the
-facet gauge, and the fraction-free `rref`, `_Echelon`,
+solve on the `Fraction` rref for every vector and, on free subconvex
+carriers, against the facet gauge, and the fraction-free `rref`, `_Echelon`,
 `primitive`, DD initial simplex, gauge, cone membership and Z closure
 against their `Fraction` versions in `kernel_oracle`."""
 
@@ -14,7 +14,7 @@ import kernel_oracle
 from wazz import polyhedra, zigzag
 from wazz.automata import LinearCoalgebra, SemiringTag
 from wazz.linalg import (Mat, _clear_denominators as scaled, _Echelon, closure_under_maps,
-                         primitive, rref, solve, unit, vector)
+                         primitive, rref, unit, vector)
 from wazz.polyhedra import INFINITY, PcaPolytope, cone_member, gauge, pca_member
 from wazz.zigzag import (FREE_MODULE, FREE_PCA, GENERATED_MODULE, ZigZagNode, _carrier,
                          _span_coordinates, ghat_zigzag)
@@ -154,13 +154,21 @@ class TestMatEntries:
 
 
 def solve_coordinates(gens, dim, v):
-    """What the verifier did per vector before: a fresh `solve` and the
-    entrywise back-check."""
+    """What the verifier did per vector before: a fresh `solve`, free
+    variables zero, and the entrywise back-check.  The solve runs on the
+    `Fraction` rref, because the verifier's factorization and `rref` share
+    one elimination."""
     mat = Mat.from_cols(gens, nrows=dim)
-    coords = solve(mat, v)
-    if coords is None or entrywise_apply(mat, coords) != tuple(v):
+    k = len(gens)
+    red, pivots, _ = kernel_oracle.rref(Mat(tuple(r + (b,) for r, b in zip(mat.rows, v)),
+                                            ncols=k + 1))
+    if pivots and pivots[-1] == k:
         return None
-    return coords
+    coords = [F(0)] * k
+    for i, p in enumerate(pivots):
+        coords[p] = red.rows[i][k]
+    coords = tuple(coords)
+    return coords if entrywise_apply(mat, coords) == tuple(v) else None
 
 
 def rand_generators(rng, dim):
@@ -197,7 +205,7 @@ class TestCarrierTesterMatchesSolve:
             dim = rng.randint(0, 4)
             gens = rand_generators(rng, dim)
             coordinates, rank, _ = _span_coordinates(gens, dim)
-            assert rank == (rref(Mat(gens, ncols=dim))[2] if gens else 0)
+            assert rank == (kernel_oracle.rref(Mat(gens, ncols=dim))[2] if gens else 0)
             for v in rand_targets(rng, gens, dim):
                 got = coordinates(scaled(v))
                 if got is not None:  # scaled too: x = ints / d
@@ -233,6 +241,36 @@ class TestCarrierTesterMatchesSolve:
                 verdicts.add(want)
         assert verdicts == {True, False}
 
+    def test_free_tag_rule_on_integers(self, monkeypatch):
+        """A free carrier tests the tag's scalar rules on its scaled integer
+        coordinates: no `Fraction` is built and `scalar_ok` is not called."""
+        rng = random.Random("carrier/free-tag-rule")
+        cases = []
+        for tag in T:
+            for _ in range(40):
+                dim = rng.randint(1, 3)
+                gens = ([unit(dim, i) for i in range(dim)] if rng.random() < 0.5
+                        else rand_generators(rng, dim))
+                node = ZigZagNode(kind=FREE_MODULE, generators=tuple(gens),
+                                  coalgebra=LinearCoalgebra(n=dim, alphabet=("a",),
+                                                            out=(F(0),) * dim,
+                                                            trans=(Mat.identity(dim),)))
+                targets = rand_targets(rng, gens, dim)
+                targets.append(tuple(F(rng.randint(-1, 2), rng.randint(1, 2))
+                                     for _ in range(dim)))
+                for v in targets:
+                    coords = solve_coordinates(gens, dim, v)
+                    want = coords is not None and all(tag.scalar_ok(c) for c in coords)
+                    cases.append((tag, node, v, want))
+
+        def forbidden(*args):
+            raise AssertionError("the free-carrier tag rule left the integers")
+
+        monkeypatch.setattr(SemiringTag, "scalar_ok", forbidden)
+        monkeypatch.setattr(zigzag, "Fraction", forbidden)
+        for tag, node, v, want in cases:
+            assert _carrier(tag, node).member(scaled(v)) == want
+        assert {want for *_, want in cases} == {True, False}
 
     def test_free_subconvex_gauge_matches_facets(self, monkeypatch):
         """A well-formed FREE_PCA carrier is gauged by its coordinates, with no

@@ -47,6 +47,30 @@ class TestRref:
             assert r1 == r2 and k1 == k2
 
 
+class TestTranspose:
+    """`transpose` and `from_cols` build the rows by one zip; the shapes of
+    empty matrices are where a zip loses track."""
+
+    @pytest.mark.parametrize("nr, nc", [(0, 0), (0, 3), (3, 0), (1, 4), (4, 1), (3, 3)])
+    def test_shapes_and_entries(self, nr, nc):
+        m = rand_mat(random.Random(f"transpose/{nr}/{nc}"), nr, nc) if nr else Mat((), ncols=nc)
+        t = m.transpose()
+        assert (t.nrows, t.ncols) == (nc, nr)
+        assert all(type(a) is F and a is m.rows[j][i]
+                   for i, r in enumerate(t.rows) for j, a in enumerate(r))
+        assert t.rows == tuple(m.cols()) and t.transpose() == m
+        assert Mat.from_cols(m.cols(), nrows=nr) == m
+
+    def test_from_cols_converts_and_checks(self):
+        assert Mat.from_cols([[1, "1/2"], [F(2), 0]]) == M([[1, 2], ["1/2", 0]])
+        assert Mat.from_cols([(), ()]) == Mat((), ncols=2)
+        assert Mat.from_cols([], nrows=2) == Mat([(), ()], ncols=0)
+        with pytest.raises(ValueError):
+            Mat.from_cols([[1, 2], [3]])
+        with pytest.raises(ValueError):
+            Mat.from_cols([])
+
+
 class TestKernel:
     def test_sum_functional(self):
         assert kernel_basis(M([[1, 1]])) == [vector([1, -1])]

@@ -3,10 +3,11 @@
 `wazz.zigzag.verify_zigzag` runs every check on integer images: generators,
 outputs and matrices scaled once, images compared by cross-multiplication.
 These are the check functions it replaced, which build one `Fraction` per
-entry of every image.  Their products, dot products, gauges, cone tests and
-word closure go through the entrywise `Fraction` oracles, so a fault in the
-integer kernel cannot reach both sides.  The tests require the same checks
-in the same order, with the same name, verdict and detail.
+entry of every image.  Their products, dot products, gauges, cone tests,
+carrier factorizations and word closure go through the entrywise `Fraction`
+oracles, so a fault in the integer kernel cannot reach both sides.  The tests
+require the same checks in the same order, with the same name, verdict and
+detail.
 """
 
 from collections import namedtuple
@@ -18,7 +19,7 @@ from matvec_oracle import entrywise_apply, entrywise_dot
 from wazz.automata import SemiringTag
 from wazz.formats import fmt_rat, fmt_vec, word_text
 from wazz.linalg import (Lattice, Mat, as_int_vec, hnf, is_integral, is_nonneg,
-                         lattice_member, rref, unit, vneg)
+                         lattice_member, unit, vneg)
 from wazz.pca import ghat_breach
 from wazz.polyhedra import INFINITY, PcaPolytope
 from wazz.zigzag import (CUBIC, GHAT, CheckResult, Report, SearchBudgetExceeded,
@@ -44,8 +45,9 @@ def first_word_off(functional, start, maps):
 def _span_coordinates(gens, dim):
     k = len(gens)
     g_mat = Mat.from_cols(gens, nrows=dim)
-    red, pivots, _ = rref(Mat(tuple(r + unit(dim, i) for i, r in enumerate(g_mat.rows)),
-                              ncols=k + dim))
+    red, pivots, _ = kernel_oracle.rref(Mat(tuple(r + unit(dim, i)
+                                                  for i, r in enumerate(g_mat.rows)),
+                                            ncols=k + dim))
     g_pivots = tuple(p for p in pivots if p < k)
     rank = len(g_pivots)
     e_mat = Mat(tuple(r[k:] for r in red.rows), ncols=dim)
