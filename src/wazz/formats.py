@@ -3,7 +3,8 @@
 Every file format in the package uses the same scalar syntax: an optional
 sign, an integer, and optionally ``/`` followed by a positive integer
 ("3", "-1/2"), written in ASCII decimal digits.  There is no floating point
-anywhere.  Lines end at a line feed alone.
+anywhere.  Lines end at a line feed alone; spaces and tabs alone separate
+tokens, and other whitespace in a line, outside a comment, is an error.
 
 A `LineReader` reads one file and owns a literal table for it: each distinct
 literal text is parsed once, and a row of literals becomes one tuple of
@@ -18,6 +19,7 @@ from fractions import Fraction
 
 _RAT_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
+_OTHER_SPACE = re.compile(r"[^\S \t]")  # whitespace but " " and "\t", all unprintable
 
 
 class ParseError(Exception):
@@ -76,7 +78,9 @@ class LineReader:
         self.source = source
         self._items = []
         for i, raw in enumerate(text.split("\n"), start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = raw.split("#", 1)[0].strip(" \t\r")
+            if not line.isprintable() and (m := _OTHER_SPACE.search(line)):
+                raise ParseError(source, i, f"whitespace other than space or tab: {m.group()!r}")
             if line:
                 self._items.append((i, line))
         self._pos = 0

@@ -16,8 +16,8 @@ from math import lcm
 from operator import mul
 
 from .formats import LineReader, fmt_vec
-from .linalg import (Mat, _clear_denominators, _eliminate, as_int_vec, is_nonneg, is_zero,
-                     kernel_basis, primitive, unit, vdot, vector, vneg, vscale, zeros)
+from .linalg import (Mat, _clear_denominators, _eliminate, _int_rref, as_int_vec, is_nonneg,
+                     is_zero, kernel_basis, primitive, vdot, vector, vneg, vscale, zeros)
 
 
 class InternalError(Exception):
@@ -155,10 +155,13 @@ def _initial_simplex(normals, dim):
 
 
 def _pointed_cone_rays(normals, dim):
-    """Extreme rays of the pointed cone {x : <a, x> <= 0 for all a}.
+    """Primitive integer extreme rays, in no fixed order, of the pointed
+    cone {x : <a, x> <= 0 for all a}, whose normals have rank dim; the
+    restrictions call it in the span's coordinates, in dimension r or r + 1.
 
     Incremental double description (Fukuda & Prodon 1996).  Normals are
-    scaled to primitive integers, which changes no sign and no primitive ray.
+    scaled to primitive integers, which changes no sign and no primitive
+    ray, and zero or repeated ones, which add no constraint, are dropped.
     Each ray carries the set of processed constraints tight at it as an int
     bitmask (bit k for normals[k]).  The masks stay exact without being
     recomputed: a ray built from r_in (value < 0) and r_out (value > 0) is
@@ -170,7 +173,7 @@ def _pointed_cone_rays(normals, dim):
     """
     if dim == 0:
         return []
-    normals = [primitive(a) for a in normals]
+    normals = list(dict.fromkeys(primitive(a) for a in normals if any(a)))
     base, first_rays = _initial_simplex(normals, dim)
     base_mask = sum(1 << k for k in base)
     rays = {ray: base_mask & ~(1 << k) for ray, k in zip(first_rays, base)}
@@ -201,19 +204,14 @@ def _pointed_cone_rays(normals, dim):
                 new = tuple(v_out * x - v_in * y for x, y in zip(r_in, r_out))
                 kept[primitive(new)] = common | bit
         rays = kept
-    return sorted(vector(r) for r in rays)
+    return list(rays)
 
 
 def cone_rays(normals, dim):
     """(lineality basis, extreme rays of the pointed part) of {x : Ax <= 0}."""
-    mat = Mat(tuple(normals), ncols=dim)
-    lineality = kernel_basis(mat)
-    full = list(normals)
-    for l in lineality:
-        full.append(l)
-        full.append(vneg(l))
-    rays = _pointed_cone_rays(full, dim)
-    return lineality, rays
+    lineality = kernel_basis(Mat(tuple(normals), ncols=dim))
+    both_ways = [d for l in lineality for d in (l, vneg(l))]
+    return lineality, sorted(map(vector, _pointed_cone_rays(list(normals) + both_ways, dim)))
 
 
 def _cone_generators(normals, dim):
@@ -340,30 +338,27 @@ def cone_member_scaled(gens, xs):
 # subspace restrictions
 
 
-def subspace_equations(span_vectors, dim):
-    """Normals whose common kernel is the span of the given vectors."""
-    if not span_vectors:
-        return [unit(dim, i) for i in range(dim)]
-    return kernel_basis(Mat(tuple(span_vectors), ncols=dim))
-
-
-def _with_equations(ineqs, normals):
-    out = list(ineqs)
-    for n in normals:
-        out.append((n, Fraction(0)))
-        out.append((vneg(n), Fraction(0)))
-    return out
+def _span_frame(span_vectors, dim):
+    """(r, the columns of R): r primitive integer rows R with row space span(Z)
+    from one fraction-free elimination; x = yR is one-to-one from Q^r onto it."""
+    rows = [primitive(v) for v in span_vectors]
+    if any(len(r) != dim for r in rows):
+        raise ValueError("span vector of wrong dimension")
+    rows = rows[:len(_int_rref(rows, dim))]
+    return len(rows), list(zip(*rows))
 
 
 def cone_restriction(span_vectors):
-    """Convex-cone generators of span(Z) ∩ Q+^m: the extreme rays of the
-    intersection, which is pointed because it lies in the orthant."""
+    """Convex-cone generators of span(Z) ∩ Q+^m: its extreme rays, primitive
+    and sorted.  In the span's coordinates y, x_i >= 0 is the normal -R[:, i]
+    and {y : yR >= 0} is pointed, as R has full row rank.  y -> yR is linear
+    and one-to-one, so it maps that cone's extreme rays onto those of the
+    intersection: lifted once and made primitive, they are the ambient ones."""
     if not span_vectors:
         return []
-    dim = len(span_vectors[0])
-    system = _with_equations([(vneg(unit(dim, i)), Fraction(0)) for i in range(dim)],
-                             subspace_equations(span_vectors, dim))
-    return sorted({vector(primitive(d)) for d in _cone_generators([a for a, _ in system], dim)})
+    r, cols = _span_frame(span_vectors, len(span_vectors[0]))
+    rays = _pointed_cone_rays([[-a for a in col] for col in cols], r)
+    return sorted(vector(primitive([sum(map(mul, y, col)) for col in cols])) for y in rays)
 
 
 PRODUCT = "PRODUCT"
@@ -372,28 +367,28 @@ SCALED = "SCALED"
 
 def simplex_restriction(span_vectors, family, n1, n2):
     """Vertex generators of span(Z) ∩ (Delta^n1 x Delta^n2) (PRODUCT) or of
-    span(Z) ∩ 2*Delta^(n1+n2) (SCALED), as a PcaPolytope.
-
-    The intersection is bounded, so the double description yields points
-    only; the zero vertex is dropped (it is implicit in every PcaPolytope).
-    """
+    span(Z) ∩ 2*Delta^(n1+n2) (SCALED), as a PcaPolytope (the zero vertex
+    left implicit).  In the span's coordinates, as in `cone_restriction`,
+    the polytope homogenizes to the pointed cone of (y, t) with normals
+    (-R[:, i], 0), (R's column sum over a block, -bound) and (0, -1).  It is
+    bounded, so every extreme ray has t > 0, and the yR / t are the vertices
+    of the ambient double description, as y -> yR is linear and one-to-one."""
     dim = n1 + n2
-    ineqs = [(vneg(unit(dim, i)), Fraction(0)) for i in range(dim)]
-    if family == PRODUCT:
-        ineqs.append((vector([1] * n1 + [0] * n2), Fraction(1)))
-        ineqs.append((vector([0] * n1 + [1] * n2), Fraction(1)))
-    elif family == SCALED:
-        ineqs.append((vector([1] * dim), Fraction(2)))
-    else:
+    blocks = {PRODUCT: ((0, n1, 1), (n1, dim, 1)), SCALED: ((0, dim, 2),)}.get(family)
+    if blocks is None:
         raise ValueError(f"unknown constraint family {family!r}")
-    ineqs = _with_equations(ineqs, subspace_equations(list(span_vectors), dim))
-    if dim == 0:
-        return PcaPolytope(0, ())
-    v = dd_h_to_v(HRep(dim, tuple(ineqs)))
-    if v.directions:
-        raise InternalError("simplex intersection must be bounded")
-    gens = tuple(p for p in v.points if not is_zero(p))
-    return PcaPolytope(dim, gens)
+    r, cols = _span_frame(span_vectors, dim)
+    normals = [[-a for a in col] + [0] for col in cols]
+    normals += [[*map(sum, zip(*cols[lo:hi])), -bound] for lo, hi, bound in blocks if lo < hi]
+    normals.append([0] * r + [-1])
+    vertices = []
+    for ray in _pointed_cone_rays(normals, r + 1):
+        if not ray[-1]:
+            raise InternalError("simplex intersection must be bounded")
+        x = [sum(map(mul, ray, col)) for col in cols]  # map stops at the end of y
+        if any(x):
+            vertices.append(tuple(Fraction(a, ray[-1]) for a in x))
+    return PcaPolytope(dim, tuple(sorted(vertices)))
 
 
 # ---------------------------------------------------------------------------

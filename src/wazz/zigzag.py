@@ -342,9 +342,9 @@ def _integral(v):
 _Carrier = namedtuple("_Carrier", "kind_detail member gauge", defaults=(None,))
 
 
-def _carrier(tag, node):
-    """The node's carrier, from its generators checked once and factored at
-    most once.
+def _carrier(tag, node, scaled):
+    """The node's carrier, from its generators checked once (signs read off
+    `scaled`, their integer images) and factored at most once.
 
     A free carrier is decided by one factorization: its rank answers
     node-kind, and a well-formed FREE_PCA carrier is the simplex on its
@@ -354,7 +354,7 @@ def _carrier(tag, node):
     A subconvex member test compares the gauge, an integer ratio, with 1 by
     cross-multiplication."""
     gens, dim = node.generators, node.dim
-    if node.is_pca and not all(is_nonneg(g) for g in gens):
+    if node.is_pca and not all(min(ints, default=0) >= 0 for _, ints in scaled):
         return _Carrier("generators must be nonnegative", _never)
     detail = ""
     if node.is_free:
@@ -531,8 +531,8 @@ def verify_zigzag(z):
     if not shape_ok:
         return Report(False, checks)
 
-    carriers = [_carrier(z.tag, node) for node in nodes]
     gens = [[_clear_denominators(g) for g in node.generators] for node in nodes]
+    carriers = [_carrier(z.tag, node, g) for node, g in zip(nodes, gens)]
     outs = [_clear_denominators(node.coalgebra.out) for node in nodes]
     for i, node in enumerate(nodes):
         detail = carriers[i].kind_detail

@@ -1,8 +1,20 @@
-"""The double description that recomputed every ray's tight set at every
-step, kept as a differential oracle for `wazz.polyhedra._pointed_cone_rays`.
-Its initial simplex and ray scaling use the `Fraction` kernel oracles."""
+"""Differential oracles for `wazz.polyhedra`'s double description.
 
-from wazz.linalg import Mat, kernel_basis, solve, unit, vdot, vector, vneg
+`pointed_cone_rays` and `cone_rays` are the double description that
+recomputed every ray's tight set at every step, kept as an oracle for
+`wazz.polyhedra._pointed_cone_rays`; their initial simplex and ray scaling
+use the `Fraction` kernel oracles.  `ambient_cone_restriction` and
+`ambient_simplex_restriction` are the restrictions that ran the double
+description in the ambient coordinates, on the sign rows plus each kernel
+equation of the span as a pair of inequalities; they reach the double
+description through the `wazz.polyhedra` module, so a test can route it
+through `cone_rays` above."""
+
+from fractions import Fraction
+
+from wazz import polyhedra
+from wazz.linalg import Mat, is_zero, kernel_basis, solve, unit, vdot, vector, vneg
+from wazz.polyhedra import HRep, InternalError, PcaPolytope, PRODUCT, SCALED
 
 from kernel_oracle import Echelon, primitive
 
@@ -68,3 +80,56 @@ def cone_rays(normals, dim):
         full.append(vneg(l))
     rays = pointed_cone_rays(full, dim)
     return lineality, rays
+
+
+def subspace_equations(span_vectors, dim):
+    """Normals whose common kernel is the span of the given vectors."""
+    if not span_vectors:
+        return [unit(dim, i) for i in range(dim)]
+    return kernel_basis(Mat(tuple(span_vectors), ncols=dim))
+
+
+def _with_equations(ineqs, normals):
+    out = list(ineqs)
+    for n in normals:
+        out.append((n, Fraction(0)))
+        out.append((vneg(n), Fraction(0)))
+    return out
+
+
+def ambient_cone_restriction(span_vectors):
+    """Convex-cone generators of span(Z) ∩ Q+^m: the extreme rays of the
+    intersection, which is pointed because it lies in the orthant."""
+    if not span_vectors:
+        return []
+    dim = len(span_vectors[0])
+    system = _with_equations([(vneg(unit(dim, i)), Fraction(0)) for i in range(dim)],
+                             subspace_equations(span_vectors, dim))
+    return sorted({vector(primitive(d))
+                   for d in polyhedra._cone_generators([a for a, _ in system], dim)})
+
+
+def ambient_simplex_restriction(span_vectors, family, n1, n2):
+    """Vertex generators of span(Z) ∩ (Delta^n1 x Delta^n2) (PRODUCT) or of
+    span(Z) ∩ 2*Delta^(n1+n2) (SCALED), as a PcaPolytope.
+
+    The intersection is bounded, so the double description yields points
+    only; the zero vertex is dropped (it is implicit in every PcaPolytope).
+    """
+    dim = n1 + n2
+    ineqs = [(vneg(unit(dim, i)), Fraction(0)) for i in range(dim)]
+    if family == PRODUCT:
+        ineqs.append((vector([1] * n1 + [0] * n2), Fraction(1)))
+        ineqs.append((vector([0] * n1 + [1] * n2), Fraction(1)))
+    elif family == SCALED:
+        ineqs.append((vector([1] * dim), Fraction(2)))
+    else:
+        raise ValueError(f"unknown constraint family {family!r}")
+    ineqs = _with_equations(ineqs, subspace_equations(list(span_vectors), dim))
+    if dim == 0:
+        return PcaPolytope(0, ())
+    v = polyhedra.dd_h_to_v(HRep(dim, tuple(ineqs)))
+    if v.directions:
+        raise InternalError("simplex intersection must be bounded")
+    gens = tuple(p for p in v.points if not is_zero(p))
+    return PcaPolytope(dim, gens)

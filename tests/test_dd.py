@@ -1,4 +1,6 @@
-"""The incremental double description against the recomputing one it replaced."""
+"""The incremental double description against the recomputing one it
+replaced, and the restrictions in the span's coordinates against the ambient
+ones they replaced."""
 
 import random
 from fractions import Fraction as F
@@ -61,8 +63,9 @@ def test_many_constraints_match_oracle():
 
 @pytest.fixture
 def checked_cone_rays(monkeypatch):
-    """Route every `cone_rays` call in polyhedra through an oracle comparison;
-    returns the list of systems seen."""
+    """Route every `cone_rays` call in polyhedra, which the ambient
+    restrictions make, through an oracle comparison; returns the list of
+    systems seen."""
     seen = []
 
     def checked(normals, dim):
@@ -75,14 +78,29 @@ def checked_cone_rays(monkeypatch):
     return seen
 
 
+def assert_restrictions_match_ambient(span, n1, n2, families=(PRODUCT, SCALED)):
+    """The restrictions in the span's coordinates equal the ambient ones."""
+    span = list(span)
+    assert cone_restriction(span) == dd_oracle.ambient_cone_restriction(span), span
+    for family in families:
+        got = simplex_restriction(span, family, n1, n2)
+        assert got == dd_oracle.ambient_simplex_restriction(span, family, n1, n2), \
+            (span, family, n1, n2)
+
+
+def lifted_bases(rng, tag, count):
+    """(pair closure basis, n1, n2) of `count` lifted pairs, 1-3 + 0-2 states."""
+    for _ in range(count):
+        aut1, x1, aut2, x2 = lifted_pair(rng, tag, rng.randint(1, 3), rng.randint(0, 2),
+                                         ("a", "b")[:rng.randint(1, 2)])
+        yield pair_submodule(aut1, x1, aut2, x2)[0], aut1.n, aut2.n
+
+
 @pytest.mark.parametrize("tag", [T.QPLUS, T.RPLUS])
 def test_cone_restriction_systems_match_oracle(tag, checked_cone_rays):
     rng = random.Random(f"dd-oracle/cone/{tag.value}")
-    for _ in range(15):
-        aut1, x1, aut2, x2 = lifted_pair(rng, tag, rng.randint(1, 3), rng.randint(0, 2),
-                                         ("a", "b")[:rng.randint(1, 2)])
-        basis, _ = pair_submodule(aut1, x1, aut2, x2)
-        cone_restriction(basis)
+    for basis, n1, n2 in lifted_bases(rng, tag, 15):
+        assert_restrictions_match_ambient(basis, n1, n2)
     assert checked_cone_rays
 
 
@@ -90,9 +108,56 @@ def test_cone_restriction_systems_match_oracle(tag, checked_cone_rays):
 @pytest.mark.parametrize("family", [PRODUCT, SCALED])
 def test_simplex_restriction_systems_match_oracle(tag, family, checked_cone_rays):
     rng = random.Random(f"dd-oracle/simplex/{tag.value}/{family}")
-    for _ in range(15):
-        aut1, x1, aut2, x2 = lifted_pair(rng, tag, rng.randint(1, 3), rng.randint(0, 2),
-                                         ("a", "b")[:rng.randint(1, 2)])
-        basis, _ = pair_submodule(aut1, x1, aut2, x2)
-        simplex_restriction(basis, family, aut1.n, aut2.n)
+    for basis, n1, n2 in lifted_bases(rng, tag, 15):
+        assert_restrictions_match_ambient(basis, n1, n2, families=(family,))
     assert checked_cone_rays
+
+
+def rand_span(rng, dim):
+    """Up to 5 small vectors of length dim, with repeats, dependent vectors
+    and now and then a coordinate on which all of them vanish."""
+    span = []
+    for _ in range(rng.randint(1, 5)):
+        roll = rng.random()
+        if span and roll < 0.2:
+            span.append(rng.choice(span))
+        elif len(span) > 1 and roll < 0.4:
+            a, b = rng.sample(span, 2)
+            c = F(rng.randint(-2, 2), rng.randint(1, 2))
+            span.append(tuple(x + c * y for x, y in zip(a, b)))
+        else:
+            span.append(tuple(F(rng.randint(-2, 3), rng.randint(1, 3)) for _ in range(dim)))
+    if dim and rng.random() < 0.3:
+        i = rng.randrange(dim)
+        span = [v[:i] + (F(0),) + v[i + 1:] for v in span]
+    return span
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_random_spans_match_ambient(dim):
+    rng = random.Random(f"dd-oracle/span/{dim}")
+    for _ in range(60):
+        n1 = rng.randint(0, dim)
+        assert_restrictions_match_ambient(rand_span(rng, dim), n1, dim - n1)
+
+
+@pytest.mark.parametrize("span, n1, n2", [
+    ([], 0, 0),
+    ([()], 0, 0),
+    ([], 2, 1),
+    ([(0, 0, 0)], 1, 2),
+    ([(1, 0, 2), (2, 0, 4)], 2, 1),         # a vanishing coordinate, duplicates
+    ([(1, -1, 0), (0, 1, 1)], 0, 3),
+    ([(1, 1, 0), (F(1, 2), 0, 3)], 3, 0),
+    ([(1, -1), (-1, 1)], 1, 1),             # meets the orthant in 0 only
+], ids=["empty-dim0", "dim0", "empty", "zero-vector", "vanishing-coordinate",
+        "n1-zero", "n2-zero", "origin-only"])
+def test_degenerate_spans_match_ambient(span, n1, n2):
+    assert_restrictions_match_ambient([tuple(map(F, v)) for v in span], n1, n2)
+
+
+@pytest.mark.parametrize("tag", [T.QPLUS, T.RPLUS, T.UNIT, T.PCA])
+def test_twelve_plus_two_pairs_match_ambient(tag):
+    rng = random.Random(f"dd-oracle/12+2/{tag.value}")
+    aut1, x1, aut2, x2 = lifted_pair(rng, tag, 12, 2, ("a", "b"))
+    assert_restrictions_match_ambient(pair_submodule(aut1, x1, aut2, x2)[0], aut1.n, aut2.n)

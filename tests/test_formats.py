@@ -302,3 +302,28 @@ class TestLineEnds:
         z = cubic_zigzag(*lifted_pair(random.Random("formats/crlf"), T.Q, 2, 1, ("a",)))
         text = zigzag_to_text(z)
         assert parse_zigzag(text.replace("\n", "\r\n")) == parse_zigzag(text) == z
+
+
+class TestTokenSeparators:
+    @pytest.mark.parametrize("lineno, line, char", [
+        (4, "output 1\u00a00", "\u00a0"),     # no-break space: was two entries
+        (2, "alphabet a\u2003b", "\u2003"),   # em space: was two letters
+        (4, "output 1/2\x0b-1", "\x0b"),
+        (6, "0\u30001/2", "\u3000"),
+        (2, "\u2028alphabet a", "\u2028"),   # at the ends too
+        (3, "states 2\x85", "\x85"),
+        (4, "output 1/2\r-1", "\r"),          # a CR only ends a CRLF line
+    ])
+    def test_other_whitespace_names_its_line(self, lineno, line, char):
+        with pytest.raises(ParseError) as err:
+            parse_automaton(_with_line(SAMPLE_WA, lineno, line), "ws.wa")
+        assert str(err.value) == f"ws.wa:{lineno}: whitespace other than space or tab: {char!r}"
+
+    def test_spaces_and_tabs_separate_tokens(self):
+        text = SAMPLE_WA.replace("output 1/2 -1", "\toutput \t1/2  -1\t ")
+        assert parse_automaton(text, "f.wa") == parse_automaton(SAMPLE_WA, "f.wa")
+        assert LineReader("a\tb  c \t d\n").next_tokens() == ["a", "b", "c", "d"]
+
+    def test_unprintable_non_space_stays_in_its_token(self):
+        # a zero-width space is no whitespace: the line reads as before
+        assert LineReader("a\u200bb c\n").next_tokens() == ["a\u200bb", "c"]

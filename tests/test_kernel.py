@@ -230,7 +230,7 @@ class TestCarrierTesterMatchesSolve:
             coalg = LinearCoalgebra(n=dim, alphabet=("a",), out=(F(0),) * dim,
                                     trans=(Mat.identity(dim),))
             node = ZigZagNode(kind=kind, generators=tuple(gens), coalgebra=coalg)
-            member = _carrier(tag, node).member
+            member = _carrier(tag, node, list(map(scaled, gens))).member
             targets = rand_targets(rng, gens, dim)
             targets.append(tuple(F(rng.randint(-3, 3)) for _ in range(dim)))
             for v in targets:
@@ -269,7 +269,8 @@ class TestCarrierTesterMatchesSolve:
         monkeypatch.setattr(SemiringTag, "scalar_ok", forbidden)
         monkeypatch.setattr(zigzag, "Fraction", forbidden)
         for tag, node, v, want in cases:
-            assert _carrier(tag, node).member(scaled(v)) == want
+            carrier = _carrier(tag, node, list(map(scaled, node.generators)))
+            assert carrier.member(scaled(v)) == want
         assert {want for *_, want in cases} == {True, False}
 
     def test_free_subconvex_gauge_matches_facets(self, monkeypatch):
@@ -297,7 +298,7 @@ class TestCarrierTesterMatchesSolve:
                               coalgebra=LinearCoalgebra(n=dim, alphabet=("a",),
                                                         out=(F(0),) * dim,
                                                         trans=(Mat.identity(dim),)))
-            carrier = _carrier(T.PCA, node)
+            carrier = _carrier(T.PCA, node, list(map(scaled, gens)))
             assert carrier.kind_detail == ""
             polytope = PcaPolytope(dim, tuple(gens))
             for x in gauge_points(rng, polytope):

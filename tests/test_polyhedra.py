@@ -314,8 +314,9 @@ class TestRestrictions:
         assert p.generators == (vector([1, 1]),)
 
     def test_unbounded_simplex_intersection_is_internal_error(self, monkeypatch):
-        monkeypatch.setattr(polyhedra, "dd_h_to_v",
-                            lambda h: VRep(h.dim, (zeros(h.dim),), (unit(h.dim, 0),)))
+        # a ray with t = 0 of the homogenized cone in the span's coordinates
+        rays = lambda normals, dim: [(0,) * (dim - 1) + (1,), (1,) * (dim - 1) + (0,)]
+        monkeypatch.setattr(polyhedra, "_pointed_cone_rays", rays)
         with pytest.raises(InternalError, match="must be bounded"):
             simplex_restriction([vector([1, 1])], SCALED, 1, 1)
 

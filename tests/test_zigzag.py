@@ -559,9 +559,10 @@ class TestMalformedWitnesses:
 
 
 class TestCarrierWorkedOutOnce:
-    """During one verification each subconvex node's generators are checked
-    for nonnegativity once, and a polytope is built only for a carrier that
-    is not a well-formed free one: one per such node, none for the rest."""
+    """During one verification the signs of the generators are read off
+    their scaled integers, with no `Fraction` sign test, and a polytope is
+    built only for a carrier that is not a well-formed free one: one per
+    such node, none for the rest."""
 
     def witnesses(self):
         for tag, build in ((T.PCA, ghat_zigzag), (T.UNIT, cubic_zigzag)):
@@ -593,12 +594,26 @@ class TestCarrierWorkedOutOnce:
             built.clear()
             report = verify_zigzag(z)
             assert report.valid == (len(z.nodes[0].generators) == z.nodes[0].dim)
-            assert sorted(checked) == sorted(g for n in z.nodes for g in n.generators)
+            assert checked == []
             hull_nodes = [n.generators for n in z.nodes
                           if n.kind == GENERATED_PCA or len(n.generators) != n.dim]
             assert built == hull_nodes
             hulls += len(built)
         assert hulls >= 16
+
+    @pytest.mark.parametrize("node", [1, 2])
+    def test_one_negative_fractional_entry_fails_node_kind(self, node):
+        # node 1 is FREE_PCA, node 2 GENERATED_PCA; the signs are read off the
+        # scaled integers, so a small negative entry over a large denominator
+        # must still show
+        z = ghat_zigzag(*lifted_pair(random.Random("carrier-once/sign"), T.PCA, 2, 1, ("a",)))
+        assert z.nodes[node].kind == (FREE_PCA, GENERATED_PCA)[node - 1]
+        gens = z.nodes[node].generators
+        bad = gens[:-1] + (gens[-1][:-1] + (F(-1, 10**9),),)
+        report = verify_zigzag(replace(z, nodes=z.nodes[:node] + (
+            replace(z.nodes[node], generators=bad),) + z.nodes[node + 1:]))
+        assert [(c.name, c.detail) for c in report.checks if c.name == f"node-kind[{node}]"] \
+            == [(f"node-kind[{node}]", "generators must be nonnegative")]
 
     def test_well_formed_free_carriers_run_no_double_description(self, monkeypatch):
         calls = []
