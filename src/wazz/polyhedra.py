@@ -3,25 +3,33 @@
 Polyhedra are handled homogeneously: a polyhedron {x : Ax <= b} lifts to the
 cone {(x,t) : Ax - tb <= 0, t >= 0}, whose extreme rays with positive last
 coordinate are the vertices and the rest the directions.  The double
-description runs on pointed cones only; lineality is split off first via the
-kernel of the constraint matrix.
+description runs on pointed cones only.  The ambient conversions
+(`dd_h_to_v`, `dd_v_to_h`, `cone_rays`) split lineality off through the
+kernel of the constraint matrix.  The restrictions and the gauged hulls and
+cones need no kernel: they run in the coordinates of a span, where their
+cones are pointed by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from functools import cached_property, lru_cache
+from math import inf, lcm
 from operator import mul
 
 from .formats import LineReader, fmt_vec
-from .linalg import (Mat, _clear_denominators, _eliminate, _int_rref, as_int_vec, is_nonneg,
+from .linalg import (Mat, _clear_denominators, _eliminate, _int_rref, is_nonneg,
                      is_zero, kernel_basis, primitive, vdot, vector, vneg, vscale, zeros)
 
 
 class InternalError(Exception):
     """A guarantee of the construction failed: a bug, not a property of the input."""
+
+
+class SearchBudgetExceeded(Exception):
+    """A budgeted search overran its step budget; the verifier reports it
+    as a failed check."""
 
 
 class _Infinity:
@@ -84,10 +92,8 @@ class VRep:
 @dataclass(frozen=True)
 class PcaPolytope:
     """Subconvex hull {sum c_i g_i : c_i >= 0, sum c_i <= 1} of nonnegative
-    generators; always contains 0.
-
-    The hash is computed once, at construction, since every gauge looks the
-    polytope up in the facet cache; equality stays field-wise."""
+    generators; always contains 0.  Its facets are looked up once, on the
+    first gauge."""
 
     dim: int
     generators: tuple
@@ -100,10 +106,11 @@ class PcaPolytope:
                 raise ValueError("generator of wrong dimension")
             if not is_nonneg(g):
                 raise ValueError("generators must be nonnegative")
-        object.__setattr__(self, "_hash", hash((self.dim, self.generators)))
 
-    def __hash__(self):
-        return self._hash
+    @cached_property
+    def _facets(self):
+        points = tuple((d, tuple(ints)) for d, ints in map(_clear_denominators, self.generators))
+        return _subconvex_facets(points, self.dim)
 
 
 def canonical_ineq(normal, bound):
@@ -154,10 +161,17 @@ def _initial_simplex(normals, dim):
     return chosen, rays
 
 
-def _pointed_cone_rays(normals, dim):
+def _facet_overrun(budget):
+    return SearchBudgetExceeded(f"facet enumeration exceeded its budget of {budget} steps")
+
+
+def _pointed_cone_rays(normals, dim, budget=inf):
     """Primitive integer extreme rays, in no fixed order, of the pointed
     cone {x : <a, x> <= 0 for all a}, whose normals have rank dim; the
-    restrictions call it in the span's coordinates, in dimension r or r + 1.
+    restrictions and the gauged carriers call it in the span's coordinates,
+    in dimension r or r + 1.  SearchBudgetExceeded is raised once the steps,
+    one per ray pair examined for adjacency and one per ray that pair's
+    combinatorial test may compare, would exceed the budget.
 
     Incremental double description (Fukuda & Prodon 1996).  Normals are
     scaled to primitive integers, which changes no sign and no primitive
@@ -178,6 +192,7 @@ def _pointed_cone_rays(normals, dim):
     base_mask = sum(1 << k for k in base)
     rays = {ray: base_mask & ~(1 << k) for ray, k in zip(first_rays, base)}
     base = set(base)
+    steps = 0
     for i, a in enumerate(normals):
         if i in base:
             continue
@@ -192,12 +207,18 @@ def _pointed_cone_rays(normals, dim):
                 kept[r] = mask | bit
             else:
                 violating.append((r, mask, value))
+        steps += len(inside) * len(violating)
+        if steps > budget:
+            raise _facet_overrun(budget)
         masks = list(rays.values())
         for r_in, m_in, v_in in inside:
             for r_out, m_out, v_out in violating:
                 common = m_in & m_out
                 if common.bit_count() < dim - 2:
                     continue
+                steps += len(masks)
+                if steps > budget:
+                    raise _facet_overrun(budget)
                 # distinct extreme rays of a pointed cone have distinct masks
                 if any(common & m == common for m in masks if m != m_in and m != m_out):
                     continue
@@ -262,22 +283,100 @@ def lp_feasible(h):
 
 
 # ---------------------------------------------------------------------------
-# gauges
+# gauges and cone membership
 
-# Bound of the facet caches.  Only the verifier's generated carriers reach them
-# (GENERATED_PCA hulls, qplus and rplus cones), one per witness.  At 128 a
-# seed-1 benchmark pass misses as often as unbounded: hulls 66, 68 and 79 times
-# on ghat-pca, span-desk and restrict-unary, cones 106 times on each of the
-# last two; at 32, 67, 69, 81, 127 and 110.
+# Steps (`_pointed_cone_rays`) the facet enumeration of one gauged hull or
+# cone may take.  The largest on a seed-1 pass of each benchmark workload takes
+# 12 and the largest in the tests 128.  The hull of n points on the moment curve
+# (t, ..., t^6) has on the order of n^3 facets; its enumeration takes 2.9
+# million steps at n = 32 and 27 million at n = 48, about 6 million a second
+# on a 2-core Xeon, so an overrun ends it within a few tenths of a second.
+# The producer's double description is not bounded.
+FACET_STEP_BUDGET = 1_000_000
+
+# Bound of the facet caches, keyed by the scaled generators.  Only generated
+# carriers reach them (GENERATED_PCA hulls, qplus and rplus cones), one per
+# witness.  At 128 a seed-1 benchmark pass misses as often as unbounded: hulls
+# 66, 68 and 79 times on ghat-pca, span-desk and restrict-unary, cones 106
+# times on each of the last two; at 32, 67, 69, 81, 127 and 110.
 FACET_CACHE_SIZE = 128
 
 
+class _SpanFacets:
+    """The facets of a generated carrier, the subconvex hull of 0 and its
+    points or the cone of its generators, in the span's own coordinates.
+
+    One fraction-free elimination of the generators gives the pivot columns
+    P and rows R, row i zero at every other pivot, so x -> x_P is linear and
+    one-to-one on the span and maps the hull and the cone onto
+    full-dimensional sets in Q^r.  Their polar cones are pointed, so one
+    double description of rank r finds the facets: the hull's in dimension
+    r + 1 on the normals (g_P, 1), each scaled by the denominator d of g as
+    ((d g)_P, d), and (0, 1); the cone's in dimension r on the normals g_P.
+    A point x is in the span when x_c = sum_i x_(p_i) R[i, c] / R[i, p_i]
+    for every other column c, tested as L x_c = <x_P, e_c> with L the lcm
+    of the pivot entries.
+
+    The facets are enumerated once, on first use, under FACET_STEP_BUDGET;
+    an overrun is kept and raised again at every later use."""
+
+    __slots__ = ("_args", "_frame", "_overrun")
+
+    def __init__(self, gens, dim, hull):
+        self._args = gens, dim, hull
+        self._frame = self._overrun = None
+
+    def project(self, xs):
+        """(x_P, or None if the integer point xs is off the span; the facet
+        rows (a, b) for a.x_P <= b of the hull, or the normals n for
+        n.x_P <= 0 of the cone)."""
+        if self._frame is None:
+            if self._overrun is not None:
+                raise SearchBudgetExceeded(self._overrun)
+            try:
+                self._frame = self._enumerate(*self._args)
+            except SearchBudgetExceeded as exc:
+                self._overrun = str(exc)
+                raise
+        pivots, den, equations, facets = self._frame
+        y = [xs[p] for p in pivots]
+        if any(den * xs[c] != sum(map(mul, e, y)) for c, e in equations):
+            return None, facets
+        return y, facets
+
+    @staticmethod
+    def _enumerate(gens, dim, hull):
+        """(P, L, the pairs (c, e_c) over the non-pivot columns, the facets)."""
+        points = [ints for _, ints in gens] if hull else gens
+        pivots, rows = _span_frame(points, dim)
+        den = lcm(*(row[p] for row, p in zip(rows, pivots)))
+        scales = [den // row[p] for row, p in zip(rows, pivots)]
+        equations = tuple((c, tuple(row[c] * s for row, s in zip(rows, scales)))
+                          for c in range(dim) if c not in pivots)
+        projected = [[g[p] for p in pivots] for g in points]
+        r = len(pivots)
+        if hull:
+            normals = [g + [d] for g, (d, _) in zip(projected, gens)] + [[0] * r + [1]]
+            rays = _pointed_cone_rays(normals, r + 1, FACET_STEP_BUDGET)
+            # the cone's facets (b = 0) first: a point outside it leaves early
+            facets = tuple(sorted(((ray[:-1], -ray[-1]) for ray in rays if any(ray[:-1])),
+                                  key=lambda f: f[1] > 0))
+        else:
+            facets = tuple(_pointed_cone_rays(projected, r, FACET_STEP_BUDGET))
+        return pivots, den, equations, facets
+
+
 @lru_cache(maxsize=FACET_CACHE_SIZE)
-def _subconvex_facets(polytope):
-    """Facets <a, x> <= b of the subconvex hull (the hull of the generators
-    and 0) as integer rows (a, b), coprime; b >= 0 as the hull holds 0."""
-    h = dd_v_to_h(VRep(polytope.dim, (zeros(polytope.dim),) + polytope.generators, ()))
-    return tuple((as_int_vec(a), int(b)) for a, b in h.ineqs)
+def _subconvex_facets(points, dim):
+    """The facets of the subconvex hull of points given scaled, each as
+    (d, the integers d g) for the point g."""
+    return _SpanFacets(points, dim, True)
+
+
+@lru_cache(maxsize=FACET_CACHE_SIZE)
+def _cone_facets(gens, dim):
+    """The facet normals of the cone of integer generators."""
+    return _SpanFacets(gens, dim, False)
 
 
 def gauge(polytope, x):
@@ -291,18 +390,28 @@ def gauge(polytope, x):
     if len(x) != polytope.dim:
         raise ValueError("point of wrong dimension")
     den, xs = _clear_denominators(x)
-    ratio = gauge_scaled(polytope, xs)
+    ratio = gauge_scaled(polytope._facets, xs)
     return ratio if ratio is INFINITY else Fraction(ratio[0], ratio[1] * den)
 
 
-def gauge_scaled(polytope, xs):
-    """The gauge of the integer vector xs as an integer ratio (p, q), q > 0,
-    or INFINITY: the largest <a, xs> / b over the facets with b > 0,
+def gauge_scaled(facets, xs):
+    """The gauge of the integer vector xs on the hull whose `_SpanFacets`
+    are given, as an integer ratio (p, q), q > 0, or INFINITY: INFINITY off
+    the span, else the largest <a, xs_P> / b over the facets with b > 0,
     compared by cross-multiplication; xs is outside the cone when a facet
-    with b = 0 has <a, xs> > 0.  For xs = e x the gauge of x is p / (q e)."""
+    with b = 0 has <a, xs_P> > 0.  For xs = e x the gauge of x is p / (q e).
+
+    A gauge is a function of the set, and x -> x_P maps the hull one-to-one
+    onto the set these facets bound, so the value is the one the ambient
+    facets (`dd_v_to_h`) give, whose equations put every point off the span
+    at INFINITY.  Raises SearchBudgetExceeded when the facet enumeration
+    overruns FACET_STEP_BUDGET."""
+    y, rows = facets.project(xs)
+    if y is None:
+        return INFINITY
     best, best_b = 0, 1
-    for a, b in _subconvex_facets(polytope):
-        value = sum(map(mul, a, xs))
+    for a, b in rows:
+        value = sum(map(mul, a, y))
         if not b:
             if value > 0:
                 return INFINITY
@@ -316,22 +425,23 @@ def pca_member(polytope, x):
     return g is not INFINITY and g <= 1
 
 
-@lru_cache(maxsize=FACET_CACHE_SIZE)
-def _cone_facet_normals(gens, dim):
-    """Primitive integer normals n with cone(gens) = {x : <n, x> <= 0 for all n}."""
-    return tuple(sorted({primitive(d) for d in _cone_generators(tuple(map(vector, gens)), dim)}))
-
-
 def cone_member(gens, x):
     """Exact membership of x in the convex cone spanned by gens, tested on
     the integer normals with x scaled once to integers."""
-    return cone_member_scaled(tuple(map(tuple, gens)), _clear_denominators(x)[1])
+    gens = tuple(tuple(_clear_denominators(g)[1]) for g in gens)
+    return cone_member_scaled(_cone_facets(gens, len(x)), _clear_denominators(x)[1])
 
 
-def cone_member_scaled(gens, xs):
-    """`cone_member` for a tuple of generator tuples and a point scaled to
-    the integers xs by a positive factor, which keeps every sign."""
-    return all(sum(map(mul, n, xs)) <= 0 for n in _cone_facet_normals(gens, len(xs)))
+def cone_member_scaled(facets, xs):
+    """`cone_member` for the cone whose `_SpanFacets` are given and a point
+    scaled to the integers xs by a positive factor, which keeps every sign:
+    xs is in the span and <n, xs_P> <= 0 for every facet normal n.  The cone
+    is the preimage of its projection within the span, so the answer is the
+    one the ambient normals give, whose lineality pairs reject every point
+    off the span.  Raises SearchBudgetExceeded when the facet enumeration
+    overruns FACET_STEP_BUDGET."""
+    y, normals = facets.project(xs)
+    return y is not None and all(sum(map(mul, n, y)) <= 0 for n in normals)
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +449,15 @@ def cone_member_scaled(gens, xs):
 
 
 def _span_frame(span_vectors, dim):
-    """(r, the columns of R): r primitive integer rows R with row space span(Z)
-    from one fraction-free elimination; x = yR is one-to-one from Q^r onto it."""
+    """(pivot columns P, integer rows R): r rows with row space span(Z), row i
+    nonzero at pivot i and zero at every other pivot, from one fraction-free
+    elimination of the vectors scaled to primitive integers; x = yR is
+    one-to-one from Q^r onto span(Z), and x -> x_P from span(Z) onto Q^r."""
     rows = [primitive(v) for v in span_vectors]
     if any(len(r) != dim for r in rows):
         raise ValueError("span vector of wrong dimension")
-    rows = rows[:len(_int_rref(rows, dim))]
-    return len(rows), list(zip(*rows))
+    pivots = _int_rref(rows, dim)
+    return pivots, rows[:len(pivots)]
 
 
 def cone_restriction(span_vectors):
@@ -356,7 +468,8 @@ def cone_restriction(span_vectors):
     intersection: lifted once and made primitive, they are the ambient ones."""
     if not span_vectors:
         return []
-    r, cols = _span_frame(span_vectors, len(span_vectors[0]))
+    rows = _span_frame(span_vectors, len(span_vectors[0]))[1]
+    r, cols = len(rows), list(zip(*rows))
     rays = _pointed_cone_rays([[-a for a in col] for col in cols], r)
     return sorted(vector(primitive([sum(map(mul, y, col)) for col in cols])) for y in rays)
 
@@ -377,7 +490,8 @@ def simplex_restriction(span_vectors, family, n1, n2):
     blocks = {PRODUCT: ((0, n1, 1), (n1, dim, 1)), SCALED: ((0, dim, 2),)}.get(family)
     if blocks is None:
         raise ValueError(f"unknown constraint family {family!r}")
-    r, cols = _span_frame(span_vectors, dim)
+    rows = _span_frame(span_vectors, dim)[1]
+    r, cols = len(rows), list(zip(*rows))
     normals = [[-a for a in col] + [0] for col in cols]
     normals += [[*map(sum, zip(*cols[lo:hi])), -bound] for lo, hi, bound in blocks if lo < hi]
     normals.append([0] * r + [-1])

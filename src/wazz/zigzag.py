@@ -34,7 +34,8 @@ from .linalg import (Lattice, Mat, _clear_denominators, _int_rref, _sparse_apply
                      as_int_vec, first_word_off, hnf, is_integral, is_nonneg,
                      lattice_member, scaled_dot, scaled_equal, unit, vector, vneg)
 from .pca import ghat_breach, pyramid_extension, reduce_invariant_set
-from .polyhedra import (PRODUCT, SCALED, INFINITY, PcaPolytope, cone_member_scaled,
+from .polyhedra import (PRODUCT, SCALED, INFINITY, PcaPolytope, SearchBudgetExceeded,
+                        _cone_facets, _subconvex_facets, cone_member_scaled,
                         cone_restriction, gauge_scaled, simplex_restriction)
 
 FREE_MODULE = "FREE_MODULE"
@@ -229,11 +230,6 @@ class Report:
 MONOID_STEP_BUDGET = 300_000
 
 
-class SearchBudgetExceeded(Exception):
-    """A membership search overran its step budget; the verifier reports it
-    as a failed check."""
-
-
 def _nat_monoid_member(gens, v):
     """v in the N-span of nonnegative integer generators.  One generator g is
     decided exactly (v = c g for a natural c); with more, by depth-first
@@ -371,10 +367,10 @@ def _carrier(tag, node, scaled):
                 den, x = product(v)
                 return (sum(x), den) if min(x, default=0) >= 0 else INFINITY
         else:
-            polytope = PcaPolytope(dim, gens)
+            facets = _subconvex_facets(tuple((d, tuple(ints)) for d, ints in scaled), dim)
 
             def ratio(v):
-                r = gauge_scaled(polytope, v[1])
+                r = gauge_scaled(facets, v[1])
                 return r if r is INFINITY else (r[0], r[1] * v[0])
 
         def mu(v):
@@ -409,8 +405,8 @@ def _carrier(tag, node, scaled):
         lat = hnf([as_int_vec(g) for g in gens], dim=dim) if gens else Lattice(dim, ())
         member = lambda v: (t := _integral(v)) is not None and lattice_member(t, lat)
     elif tag in (SemiringTag.QPLUS, SemiringTag.RPLUS):
-        cone = tuple(map(tuple, gens))
-        member = lambda v: cone_member_scaled(cone, v[1])
+        facets = _cone_facets(tuple(tuple(ints) for _, ints in scaled), dim)
+        member = lambda v: cone_member_scaled(facets, v[1])
     return _Carrier("", member)
 
 

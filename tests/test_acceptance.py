@@ -201,8 +201,8 @@ def test_criterion_6_gauge_laws():
                 pass  # INFINITY absorbs; nothing to compare exactly
             # intersection law via the double description
             Y = rand_poly()
-            from wazz.polyhedra import _subconvex_facets
-            hx, hy = _subconvex_facets(X), _subconvex_facets(Y)
+            hx, hy = (dd_v_to_h(VRep(dim, (zeros(dim),) + P.generators, ())).ineqs
+                      for P in (X, Y))
             both = dd_h_to_v(HRep(dim, hx + hy))
             XY = PcaPolytope(dim, tuple(pt for pt in both.points if any(pt)))
             gxI, gyI, gI = gauge(X, x), gauge(Y, x), gauge(XY, x)

@@ -16,6 +16,7 @@ import pytest
 import verify_oracle
 import weights_oracle
 from matvec_oracle import entrywise_dot
+from wazz import polyhedra
 from wazz.automata import SemiringTag, TagViolation, WeightedAutomaton, check_weights
 from wazz.formats import fmt_rat
 from wazz.linalg import Mat, vdot, vector, zeros
@@ -158,7 +159,16 @@ BENCH_SIZES = {
 
 
 @pytest.mark.parametrize("tag", list(T), ids=lambda t: t.value)
-def test_verifier_matches_oracle_at_bench_sizes(tag):
+def test_verifier_matches_oracle_at_bench_sizes(tag, monkeypatch):
+    """The oracle's gauges and cone tests are the ambient ones, so on the
+    generated hulls (unit, pca) and cones (qplus, rplus) the reports also
+    compare the span-coordinate facets with the ambient facets."""
+    enumerated = []
+    original = polyhedra._SpanFacets._enumerate
+    monkeypatch.setattr(polyhedra._SpanFacets, "_enumerate", staticmethod(
+        lambda gens, dim, hull: enumerated.append(hull) or original(gens, dim, hull)))
+    polyhedra._subconvex_facets.cache_clear()
+    polyhedra._cone_facets.cache_clear()
     sizes, letters = BENCH_SIZES[tag]
     rng = random.Random(f"integer-verifier/{tag.value}")
     witnesses = 0
@@ -168,6 +178,8 @@ def test_verifier_matches_oracle_at_bench_sizes(tag):
             assert assert_same_reports(z) >= 1
             witnesses += 1
     assert witnesses >= len(sizes)
+    if tag in (T.QPLUS, T.RPLUS, T.UNIT, T.PCA):
+        assert set(enumerated) == {tag in (T.UNIT, T.PCA)}
 
 
 def fractional_witnesses(z):

@@ -1,0 +1,233 @@
+"""The verifier's gauges and cone tests in the span's own coordinates against
+the ambient ones of `kernel_oracle` (facets from `dd_v_to_h`, normals from
+`cone_rays`, lineality split off through the kernel), and the budget of its
+facet enumeration.
+
+A gauge is a function of the set and x -> x_P is one-to-one on the span, so
+every value must be the ambient one, of the same type, on low-rank and
+dependent generators and on points just off the span.  Whole verifier
+reports are compared with the oracle verifier, whose gauges and cone tests
+are the ambient ones, in `test_integer_verifier.py`."""
+
+import random
+import time
+from dataclasses import replace
+from fractions import Fraction as F
+
+import pytest
+
+import kernel_oracle
+from wazz import polyhedra
+from wazz.automata import SemiringTag
+from wazz.cli import main
+from wazz.polyhedra import (INFINITY, PcaPolytope, SearchBudgetExceeded, cone_member,
+                            gauge)
+from wazz.zigzag import cubic_zigzag, ghat_zigzag, parse_zigzag, verify_zigzag, zigzag_to_text
+
+from genrandom import lifted_pair
+
+T = SemiringTag
+NUDGE = F(1, 10**9)
+
+
+def same_gauge(got, want):
+    if want is INFINITY:
+        return got is INFINITY
+    return got == want and type(got) is F
+
+
+def rand_entry(rng, signed):
+    a = F(rng.randint(-6 if signed else 0, 6), rng.randint(1, 4))
+    return a if rng.random() < 0.7 else F(0)
+
+
+def low_rank_gens(rng, dim, signed):
+    """Generators of rank at most dim: combinations of a few base vectors,
+    with zero and repeated generators among them."""
+    base = [tuple(rand_entry(rng, signed) for _ in range(dim))
+            for _ in range(rng.randint(0, min(dim, 3)))]
+    gens = []
+    for _ in range(rng.randint(0, 6)):
+        roll = rng.random()
+        if roll < 0.1 or not base:
+            gens.append((F(0),) * dim)
+        elif roll < 0.25 and gens:
+            gens.append(rng.choice(gens))
+        else:
+            c = [F(rng.randint(0, 3), rng.randint(1, 3)) for _ in base]
+            gens.append(tuple(sum((x * b[i] for x, b in zip(c, base)), F(0))
+                              for i in range(dim)))
+    return gens
+
+
+def probe_points(rng, gens, dim):
+    """0, the generators, nonnegative and signed combinations of them, each
+    also moved off the span by NUDGE in one entry, and random points."""
+    points = [(F(0),) * dim, *gens]
+    for _ in range(4):
+        c = [F(rng.randint(-1 if rng.random() < 0.3 else 0, 4), rng.randint(1, 3))
+             for _ in gens]
+        points.append(tuple(sum((x * g[i] for x, g in zip(c, gens)), F(0))
+                            for i in range(dim)))
+    if dim:
+        for x in list(points[1:]):
+            i = rng.randrange(dim)
+            points.append(x[:i] + (x[i] + rng.choice((NUDGE, -NUDGE)),) + x[i + 1:])
+    points += [tuple(rand_entry(rng, True) for _ in range(dim)) for _ in range(2)]
+    return points
+
+
+def assert_hull_matches(gens, dim, rng, kinds):
+    p = PcaPolytope(dim, tuple(gens))
+    for x in probe_points(rng, gens, dim):
+        want = kernel_oracle.gauge(p, x)
+        assert same_gauge(gauge(p, x), want), (gens, x)
+        kinds.add("inf" if want is INFINITY else (want > 1) - (want < 1))
+
+
+def assert_cone_matches(gens, dim, rng, verdicts):
+    for x in probe_points(rng, gens, dim):
+        want = kernel_oracle.cone_member(gens, x)
+        assert cone_member(gens, x) is want, (gens, x)
+        verdicts.add(want)
+
+
+class TestLowRankMatchesAmbient:
+    @pytest.mark.parametrize("dim", range(8))
+    def test_random_low_rank_hulls(self, dim):
+        rng = random.Random(f"span-facets/hull/{dim}")
+        kinds = set()
+        for _ in range(40):
+            assert_hull_matches(low_rank_gens(rng, dim, False), dim, rng, kinds)
+        assert kinds == ({-1} if dim == 0 else {"inf", -1, 0, 1})
+
+    @pytest.mark.parametrize("dim", range(8))
+    def test_random_low_rank_cones(self, dim):
+        rng = random.Random(f"span-facets/cone/{dim}")
+        verdicts = set()
+        for _ in range(40):
+            gens = low_rank_gens(rng, dim, rng.random() < 0.5)
+            assert_cone_matches(gens, dim, rng, verdicts)
+        assert verdicts == ({True} if dim == 0 else {True, False})
+
+
+class TestEdgeCases:
+    def cases(self):
+        one = F(1)
+        yield 0, []
+        yield 0, [(), ()]
+        for dim in (1, 2, 3):
+            zero = (F(0),) * dim
+            yield dim, []                                  # rank 0
+            yield dim, [zero, zero]                        # rank 0, zero generators
+            yield dim, [tuple(one if i == j else F(0) for i in range(dim))
+                        for j in range(dim)]               # independent, full rank
+        yield 3, [(F(1), F(2), F(0)), (F(1), F(2), F(0)), (F(0), F(0), F(0))]  # repeated
+        yield 3, [(F(1), F(0), F(2)), (F(0), F(1), F(3))]  # independent, rank 2
+        yield 4, [(F(1), F(1), F(0), F(0)), (F(2), F(2), F(0), F(0)), (F(0), F(0), F(1), F(1)),
+                  (F(1), F(1), F(1), F(1))]                # dependent, rank 2
+        yield 5, [(F(0), F(1, 3), F(0), F(2, 7), F(0))]   # rank 1, zero columns
+
+    def test_hulls_and_cones(self):
+        rng = random.Random("span-facets/edges")
+        kinds, verdicts = set(), set()
+        for dim, gens in self.cases():
+            assert_hull_matches(gens, dim, rng, kinds)
+            assert_cone_matches(gens, dim, rng, verdicts)
+        assert kinds == {"inf", -1, 0, 1} and verdicts == {True, False}
+
+    def test_points_just_off_the_span(self):
+        gens = [(F(1), F(1), F(0)), (F(0), F(1), F(1))]
+        p = PcaPolytope(3, tuple(gens))
+        on = (F(1, 2), F(1), F(1, 2))
+        assert gauge(p, on) == 1 and cone_member(gens, on)
+        for i in range(3):
+            off = on[:i] + (on[i] + NUDGE,) + on[i + 1:]
+            assert gauge(p, off) is INFINITY is kernel_oracle.gauge(p, off)
+            assert not cone_member(gens, off) and not kernel_oracle.cone_member(gens, off)
+
+    def test_dimension_zero(self):
+        assert gauge(PcaPolytope(0, ()), ()) == 0
+        assert cone_member([], ()) and cone_member([()], ())
+
+
+# ---------------------------------------------------------------------------
+# the budget
+
+
+def moment_curve_witness(n):
+    """The `ghat` 6+4 one-letter witness with its 16-dimensional middle node's
+    generators replaced by n points on the moment curve: (t, ..., t^6)
+    repeated across the coordinates and scaled to sum 1, t = 1..n.  Their
+    hull, a cyclic polytope, has on the order of n^3 facets."""
+    z = ghat_zigzag(*lifted_pair(random.Random(0), T.PCA, 6, 4, ("a",)))
+    middle = z.nodes[2]
+    assert middle.dim == 16
+    gens = []
+    for t in range(1, n + 1):
+        p = [t ** (i % 6 + 1) for i in range(16)]
+        gens.append(tuple(F(a, sum(p)) for a in p))
+    return replace(z, nodes=z.nodes[:2] + (replace(middle, generators=tuple(gens)),)
+                   + z.nodes[3:])
+
+
+BUDGET_DETAIL = f"facet enumeration exceeded its budget of {polyhedra.FACET_STEP_BUDGET} steps"
+
+
+@pytest.mark.parametrize("n", [48, 64])
+def test_moment_curve_overruns_the_budget_quickly(n, monkeypatch):
+    text = zigzag_to_text(moment_curve_witness(n))
+    polyhedra._subconvex_facets.cache_clear()
+    enumerations = []
+    original = polyhedra._SpanFacets._enumerate
+    monkeypatch.setattr(polyhedra._SpanFacets, "_enumerate", staticmethod(
+        lambda *args: enumerations.append(args[1]) or original(*args)))
+    start = time.perf_counter()
+    report = verify_zigzag(parse_zigzag(text))
+    elapsed = time.perf_counter() - start
+    assert not report.valid
+    overrun = [c.name for c in report.failures() if c.detail == BUDGET_DETAIL]
+    assert overrun == ["node-coalgebra[2]", "relating[2]"]
+    assert enumerations == [16]  # the overrun is kept, not enumerated again
+    assert elapsed < 1, elapsed
+
+
+@pytest.fixture
+def no_budget(monkeypatch):
+    """A facet step budget of 0, with the facet caches emptied before and
+    after, so that no overrun is kept for another test."""
+    def clear():
+        polyhedra._subconvex_facets.cache_clear()
+        polyhedra._cone_facets.cache_clear()
+
+    monkeypatch.setattr(polyhedra, "FACET_STEP_BUDGET", 0)
+    clear()
+    yield
+    clear()
+
+
+def test_overrun_is_raised_again_without_a_second_enumeration(no_budget):
+    square = PcaPolytope(2, ((F(1), F(0)), (F(0), F(1)), (F(1), F(1))))
+    for _ in range(2):
+        with pytest.raises(SearchBudgetExceeded, match="budget of 0 steps"):
+            gauge(square, (F(1), F(1)))
+    facets = polyhedra._subconvex_facets(((1, (1, 0)), (1, (0, 1)), (1, (1, 1))), 2)
+    assert facets._overrun == "facet enumeration exceeded its budget of 0 steps"
+    assert facets._frame is None
+
+
+def test_producer_double_description_is_unbounded(no_budget):
+    """The restrictions a witness is built from ignore the verifier's budget."""
+    rng = random.Random("span-facets/producer")
+    for tag in (T.QPLUS, T.UNIT, T.PCA):
+        z = (ghat_zigzag if tag is T.PCA else cubic_zigzag)(
+            *lifted_pair(rng, tag, 4, 2, ("a", "b")))
+        assert z.nodes[len(z.nodes) // 2].generators
+
+
+def test_gauge_command_reports_an_overrun(tmp_path, capsys, no_budget):
+    path = tmp_path / "square.pca"
+    path.write_text("pca 2\ngen 1 0\ngen 0 1\ngen 1 1\n")
+    assert main(["gauge", str(path), "1", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: facet enumeration exceeded its budget of 0 steps\n"

@@ -558,11 +558,17 @@ class TestMalformedWitnesses:
         assert "shape" in failing_names(report)
 
 
+def unscaled(points):
+    """The rational points of scaled ones (d, the integers d g)."""
+    return tuple(tuple(F(a, d) for a in ints) for d, ints in points)
+
+
 class TestCarrierWorkedOutOnce:
     """During one verification the signs of the generators are read off
-    their scaled integers, with no `Fraction` sign test, and a polytope is
-    built only for a carrier that is not a well-formed free one: one per
-    such node, none for the rest."""
+    their scaled integers, with no `Fraction` sign test, no polytope is
+    built, and hull facets are looked up only for a carrier that is not a
+    well-formed free one: one per such node, from its scaled generators,
+    none for the rest."""
 
     def witnesses(self):
         for tag, build in ((T.PCA, ghat_zigzag), (T.UNIT, cubic_zigzag)):
@@ -575,8 +581,9 @@ class TestCarrierWorkedOutOnce:
                 yield replace(z, nodes=(bad,) + z.nodes[1:])
 
     def test_nonnegativity_and_polytopes(self, monkeypatch):
-        checked, built = [], []
+        checked, built, hulls_seen = [], [], []
         original_is_nonneg, original_polytope = zigzag.is_nonneg, zigzag.PcaPolytope
+        original_facets = zigzag._subconvex_facets
 
         def is_nonneg(v):
             checked.append(v)
@@ -586,19 +593,25 @@ class TestCarrierWorkedOutOnce:
             built.append(gens)
             return original_polytope(dim, gens)
 
+        def facets(points, dim):
+            hulls_seen.append(unscaled(points))
+            return original_facets(points, dim)
+
         monkeypatch.setattr(zigzag, "is_nonneg", is_nonneg)
         monkeypatch.setattr(zigzag, "PcaPolytope", polytope)
+        monkeypatch.setattr(zigzag, "_subconvex_facets", facets)
         hulls = 0
         for z in self.witnesses():
             checked.clear()
             built.clear()
+            hulls_seen.clear()
             report = verify_zigzag(z)
             assert report.valid == (len(z.nodes[0].generators) == z.nodes[0].dim)
-            assert checked == []
+            assert checked == [] and built == []
             hull_nodes = [n.generators for n in z.nodes
                           if n.kind == GENERATED_PCA or len(n.generators) != n.dim]
-            assert built == hull_nodes
-            hulls += len(built)
+            assert hulls_seen == hull_nodes
+            hulls += len(hulls_seen)
         assert hulls >= 16
 
     @pytest.mark.parametrize("node", [1, 2])
@@ -617,8 +630,9 @@ class TestCarrierWorkedOutOnce:
 
     def test_well_formed_free_carriers_run_no_double_description(self, monkeypatch):
         calls = []
-        original = polyhedra.dd_v_to_h
-        monkeypatch.setattr(polyhedra, "dd_v_to_h", lambda v: calls.append(v) or original(v))
+        original = polyhedra._SpanFacets._enumerate
+        monkeypatch.setattr(polyhedra._SpanFacets, "_enumerate", staticmethod(
+            lambda gens, dim, hull: calls.append((gens, hull)) or original(gens, dim, hull)))
         rng = random.Random("carrier-once/dd")
         z = ghat_zigzag(*lifted_pair(rng, T.PCA, 2, 1, ("a", "b")))
         free = [n for n in z.nodes if n.kind == FREE_PCA]
@@ -626,7 +640,8 @@ class TestCarrierWorkedOutOnce:
         polyhedra._subconvex_facets.cache_clear()
         calls.clear()
         assert verify_zigzag(z).valid
-        assert [v.points[1:] for v in calls] == [z.nodes[2].generators]
+        assert [(unscaled(gens), hull) for gens, hull in calls] \
+            == [(z.nodes[2].generators, True)]
 
 
 def box_monoid_member(gens, target):
