@@ -331,12 +331,15 @@ def parse_automaton(text, source="<automaton>"):
                 r.error(f"unknown symbol {sym!r}")
             if sym in trans:
                 r.error(f"duplicate transition block for {sym!r}")
-            rows = []
+            rows, tokens = [], []
             for j in range(n):
-                rows.append(r.next_rat_row(n))
+                row, toks = r.next_rat_column(n)
+                rows.append(row)
+                tokens.append(toks)
                 lines[alphabet.index(sym), j] = r.last_line
-            # file rows are images of basis vectors: the matrix's columns
-            trans[sym] = Mat._of_cols(rows, n)
+            # file rows are images of basis vectors: the matrix's columns,
+            # whose literals' integers give the scaled form `check_weights` reads
+            trans[sym] = Mat._of_cols(rows, n, r.scaled_block(tokens))
         elif toks[0] == "state":
             if state is not None:
                 r.error("duplicate state line")

@@ -9,13 +9,18 @@ tokens, and other whitespace in a line, outside a comment, is an error.
 A `LineReader` reads one file and owns a literal table for it: each distinct
 literal text is parsed once, and a row of literals becomes one tuple of
 lookups.  Only a row with a token the table lacks goes through `parse_rat`
-token by token, which names the first bad token.
+token by token, which names the first bad token.  A block of rows (a
+matrix, column by column) is also given as integers over the least common
+denominator of its entries: the table keeps each block literal's numerator
+and denominator in lowest terms beside its `Fraction`, read once per file.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from operator import itemgetter
 
 _RAT_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
@@ -86,6 +91,9 @@ class LineReader:
         self._pos = 0
         self.last_line = 0
         self._rats = {}  # literal text -> Fraction, for this file only
+        # literal text of a block entry -> that Fraction's numerator, and its
+        # denominator, filled by the first block that holds the literal
+        self._nums, self._dens = {}, {}
 
     def __bool__(self):
         return self._pos < len(self._items)
@@ -137,6 +145,27 @@ class LineReader:
         return value
 
     def next_rat_row(self, count):
+        return self.next_rat_column(count)[0]
+
+    def next_rat_column(self, count):
+        """The next row of `count` rationals, with its tokens for
+        `scaled_block`."""
         if self._pos == len(self._items):
             self.next_line(f"{count} rationals")  # raises: the file ends here
-        return self.parse_rats(self.next_tokens(), count)
+        tokens = self.next_tokens()
+        return self.parse_rats(tokens, count), tokens
+
+    def scaled_block(self, token_rows):
+        """Rows of literals that `next_rat_column` read, as (d, integer
+        rows): d the least common denominator of all entries, and d times
+        each entry.  Each distinct literal of the block is scaled once."""
+        distinct = set().union(*token_rows)
+        nums, dens = self._nums, self._dens
+        for t in distinct.difference(nums):
+            nums[t], dens[t] = self._rats[t].as_integer_ratio()
+        den = lcm(*map(dens.__getitem__, distinct))
+        if den != 1:
+            nums = {t: nums[t] * (den // dens[t]) for t in distinct}
+        # itemgetter of one key gives the value, not a tuple
+        return den, [itemgetter(*row)(nums) if len(row) > 1 else
+                     tuple(map(nums.__getitem__, row)) for row in token_rows]

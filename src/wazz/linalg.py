@@ -30,7 +30,8 @@ vectors are compared by cross-multiplication, never by building Fractions.
   morphism matrix as the images of basis vectors, which are its columns,
   and builds it from them with the unchecked `_of_cols`: each entry is
   already the `Fraction` of the reader's literal table (one per file, in
-  `wazz.formats`).
+  `wazz.formats`), and the same table's integers give the scaled form at
+  once, so no `Fraction` of the matrix is read again.
 - The word closure queues scaled images, reduced to lowest terms, and
   builds the `Fraction` vector of a word only when it yields one;
   `first_word_off` builds none.
@@ -41,6 +42,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from operator import mul
 
@@ -204,13 +206,16 @@ class Mat:
         return cls._of_cols(cols, nrows)
 
     @classmethod
-    def _of_cols(cls, cols, nrows):
+    def _of_cols(cls, cols, nrows, scaled_cols=None):
         """The matrix with the given columns, unchecked: they must be
-        sequences of nrows Fractions each."""
+        sequences of nrows Fractions each.  `scaled_cols`, if given, is
+        (d, the columns times d as integers) for the least common
+        denominator d of all entries, and fills the scaled form at once, as
+        `scaled` would."""
         m = object.__new__(cls)
         m.rows = tuple(zip(*cols)) if cols else ((),) * nrows
         m.ncols = len(cols)
-        m._scaled = None
+        m._scaled = None if scaled_cols is None else _scaled_of_cols(*scaled_cols, nrows)
         return m
 
     def col(self, j):
@@ -276,6 +281,16 @@ def _sparse_apply(den, rows, ncols, x):
         raise ValueError(f"dimension mismatch: {ncols} cols vs vector of {len(xs)}")
     pick = xs.__getitem__
     return den * x_den, [sum(map(mul, nums, map(pick, cols))) for cols, nums in rows]
+
+
+def _scaled_of_cols(den, cols, nrows):
+    """`Mat.scaled` of the matrix with columns cols / den, cols being
+    integer columns and den a positive integer."""
+    if not cols:
+        return den, (((), ()),) * nrows
+    index = range(len(cols))
+    return den, tuple([(tuple(compress(index, row)), tuple(filter(None, row)))
+                       for row in zip(*cols)])
 
 
 def _sparse_row(row, den):

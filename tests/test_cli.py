@@ -185,7 +185,9 @@ class TestZigzagVerify:
         assert main(["verify", out]) == 1
         stdout = capsys.readouterr().out
         assert "INVALID" in stdout
-        assert 'trace-agreement: endpoint traces differ on word "a"' in stdout
+        # the verifier compares no traces: the new output breaks the square
+        # of the morphism into the right endpoint at a middle generator
+        assert "morphism-square[1]: output weight changes along generator 1 0 1" in stdout
 
     def test_tag_breaking_node_map_is_a_failed_check(self, tmp_path, capsys):
         # witness nodes carry no tag rules: a nat witness whose first node

@@ -8,10 +8,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from wazz.automata import SemiringTag, WeightedAutomaton, automaton_to_text, parse_automaton
+from wazz.automata import (LinearCoalgebra, SemiringTag, WeightedAutomaton, automaton_to_text,
+                           parse_automaton)
 from wazz.formats import LineReader, ParseError, parse_rat
 from wazz.linalg import Mat, vector, zeros
-from wazz.zigzag import cubic_zigzag, ghat_zigzag, parse_zigzag, zigzag_to_text
+from wazz.zigzag import (CUBIC, FREE_MODULE, GENERATED_MODULE, Morphism, ZigZag, ZigZagNode,
+                         _parse_matrix, cubic_zigzag, ghat_zigzag, parse_zigzag, zigzag_to_text)
 
 from genrandom import lifted_pair
 
@@ -220,6 +222,96 @@ class TestRowReaderMatchesOracle:
             except ParseError as exc:
                 got = str(exc)
             assert got == want
+
+
+def fresh_scaled(m):
+    """`Mat.scaled` computed from the matrix's Fractions alone."""
+    return Mat(m.rows, ncols=m.ncols).scaled()
+
+
+def matrices(parsed):
+    """Every matrix of a parsed witness or automaton."""
+    if isinstance(parsed, tuple):  # (automaton, state)
+        return list(parsed[0].trans)
+    return [m for n in parsed.nodes for m in n.coalgebra.trans] + [
+        mor.matrix for mor in parsed.morphisms]
+
+
+def zero_dim_middle():
+    """A q witness whose middle node has dimension 0, so the morphism into
+    the right endpoint has a row and no column."""
+    def node(kind, dim):
+        coalg = LinearCoalgebra(n=dim, alphabet=("a",), out=(F(1),) * dim,
+                                trans=(Mat([[F(1, 3)] * dim] * dim, ncols=dim),))
+        return ZigZagNode(kind=kind, generators=(), coalgebra=coalg)
+
+    return ZigZag(functor=CUBIC, tag=T.Q, alphabet=("a",),
+                  nodes=(node(FREE_MODULE, 0), node(GENERATED_MODULE, 0), node(FREE_MODULE, 1)),
+                  morphisms=(Morphism(1, 0, Mat((), ncols=0)), Morphism(1, 2, Mat([()], ncols=0))),
+                  relating=((1, ()),), endpoints=((), (F(1),)))
+
+
+class TestScaledFormAtParse:
+    """The readers fill each matrix's scaled form from the literal table's
+    integers: the least common denominator and sparse integer rows that
+    `Mat.scaled` computes from the matrix's Fractions."""
+
+    @staticmethod
+    def rand_block(rng, nrows, ncols):
+        """Column lines of literals: zero rows, all-integer blocks, literals
+        not in lowest terms, and denominators up to 10**12."""
+        zero_rows = {i for i in range(nrows) if rng.random() < 0.25}
+        integral, huge = rng.random() < 0.3, rng.random() < 0.3
+
+        def literal(i):
+            if i in zero_rows:
+                return rng.choice(("0", "-0", "00", "0/7"))
+            if integral:
+                return str(rng.randint(-9, 9))
+            if huge:
+                return f"{rng.randint(-10**12, 10**12)}/{rng.randint(1, 10**12)}"
+            return rand_literal(rng)
+
+        return [" ".join(literal(i) for i in range(nrows)) for _ in range(ncols)]
+
+    def test_random_blocks(self):
+        rng = random.Random("formats/scaled-blocks")
+        shapes, lines = [], []
+        for _ in range(300):
+            nrows, ncols = rng.randint(0, 6), rng.randint(0, 6)
+            block = self.rand_block(rng, nrows, ncols) if nrows else []
+            shapes.append((nrows, ncols))
+            lines += block + ["# between blocks"]
+        reader = LineReader("\n".join(lines), "blocks.txt")
+        dens = set()
+        for nrows, ncols in shapes:
+            m = _parse_matrix(reader, nrows, ncols)
+            assert (m.nrows, m.ncols) == (nrows, ncols)
+            assert m._scaled is not None and m._scaled == fresh_scaled(m)
+            dens.add(min(m._scaled[0], 10**6))
+        assert not reader
+        assert 1 in dens and 10**6 in dens and len(dens) > 10
+
+    def test_parsed_files(self):
+        rng = random.Random("formats/scaled-files")
+        dead = WeightedAutomaton(tag=T.PCA, n=1, alphabet=("a",), out=zeros(1),
+                                 trans=(Mat([[1]]),))
+        texts = [zigzag_to_text(ghat_zigzag(dead, vector([1]), dead, vector(["1/2"]))),
+                 zigzag_to_text(zero_dim_middle())]
+        for tag in T:
+            for k, extra in ((1, 0), (2, 1), (3, 2)):
+                a1, x1, a2, x2 = lifted_pair(rng, tag, k, extra, ("a", "b"))
+                build = ghat_zigzag if tag is T.PCA else cubic_zigzag
+                texts += [automaton_to_text(a1, x1), automaton_to_text(a2, x2),
+                          zigzag_to_text(build(a1, x1, a2, x2))]
+        shapes = set()
+        for text in texts:
+            parse = parse_zigzag if text.startswith("zigzag") else parse_automaton
+            for m in matrices(parse(text)):
+                assert m._scaled is not None and m._scaled == fresh_scaled(m)
+                shapes.add((m.nrows > 0, m.ncols > 0))
+        # dim-0 nodes and zero-column morphisms
+        assert shapes == {(True, True), (False, False), (False, True), (True, False)}
 
 
 SAMPLE_WA = """\

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from dataclasses import replace
 import time
 from fractions import Fraction as F
@@ -12,7 +13,7 @@ from wazz.hilbert import qplus_restriction_by_scaling
 from wazz.linalg import Mat, unit, vector, vneg, zeros
 from wazz.pca import invariant_zero_set
 from wazz.polyhedra import cone_member
-from wazz import polyhedra, zigzag
+from wazz import linalg, polyhedra, zigzag
 from wazz.zigzag import (CUBIC, FREE_MODULE, FREE_PCA, GENERATED_MODULE,
                          GENERATED_PCA, GHAT, Morphism, SearchBudgetExceeded, ZigZag,
                          ZigZagNode, _nat_monoid_member, cubic_zigzag, ghat_zigzag,
@@ -399,29 +400,34 @@ class TestWitnessFormat:
     # string, on valid and mutated witnesses alike
     REPORT_SIZES = ((2, 1), (3, 1), (2, 2))
     GOLDEN_REPORT_SHA256 = {
-        "nat": "87e3bb55c5cae420406a9916e75af5d7412e53dc20985b6d4ad9b48cdadc8017",
-        "int": "45ec27ee8618a10266591621a6d9d5656630bfeb508369cfd6934d2caf733931",
-        "qplus": "9f40b197e2e488528065e329a0c529c64e1f94cec993020b4b60f964fb9e35f3",
-        "q": "8db70882a448db50343769ef5e4ced31d28fecac59f7b110b4332215b5446826",
-        "rplus": "5c347c8f0df95891a984a4df222183042e699716986d1cc07931c1afaa53a293",
-        "real": "a9d2f42d3abdba84a53177710e37d1d3091d599392d257a1f9b91978ad563e30",
-        "unit": "5adc88e4ee14628e23ecfff391c1a8df816e939a4dfe76d901caa5165f969a57",
-        "pca": "321aa0d70fac10d66e23dafbc1c683037ba24b0f56c922d21d5a936623aabef0",
+        "nat": "0b74f22f8ecde7477d24e3e32f30089cd98bc1e0dffd1c54ccbf7fa7c08ab621",
+        "int": "426e379ae575e37bc3efebdf61547b110b2b0466d66fd6516188618a1b52b9c4",
+        "qplus": "fb70a058c622d17e21e49f1b533cc387d1b95e3c32bdb6665a7e248adec3d6b4",
+        "q": "afbd53759eb7878729a8108a4e8121deac850c4751a9cb74c725e8fb5a9ec235",
+        "rplus": "1d72e2eade4956950d3ccab7de6f200c1485cff3f1d8ba3144f24e1afde52a24",
+        "real": "36780191a2ac6f68fedb33c989f90da25054d965f629c8ce06f615d0bf41ef1e",
+        "unit": "8c5e274e2edc977f81cb233d8fd37bfe8ffbebdb216634a65ecc3eb7a57cf17f",
+        "pca": "0ba0246d00beb6d6c901eecf4abc5adcf611f930702c841a495435754e2806b9",
     }
+
+    @staticmethod
+    def golden_report_witnesses(tag):
+        """(label, witness) for every witness the golden reports cover."""
+        build = ghat_zigzag if tag == "pca" else cubic_zigzag
+        for s, (k, extra) in enumerate(TestWitnessFormat.REPORT_SIZES):
+            rng = random.Random(f"report/{tag}/{s}")
+            aut1, x1, aut2, x2 = lifted_pair(rng, T(tag), k, extra, ("a", "b"))
+            yield from report_witnesses(build(aut1, x1, aut2, x2))
 
     @staticmethod
     def report_digest(tag):
         digest = hashlib.sha256()
         verdicts = []
-        for s, (k, extra) in enumerate(TestWitnessFormat.REPORT_SIZES):
-            rng = random.Random(f"report/{tag}/{s}")
-            aut1, x1, aut2, x2 = lifted_pair(rng, T(tag), k, extra, ("a", "b"))
-            build = ghat_zigzag if tag == "pca" else cubic_zigzag
-            for label, w in report_witnesses(build(aut1, x1, aut2, x2)):
-                report = verify_zigzag(w)
-                verdicts.append((label, report.valid))
-                checks = [(c.name, c.ok, c.detail) for c in report.checks]
-                digest.update(repr((label, checks)).encode("utf-8"))
+        for label, w in TestWitnessFormat.golden_report_witnesses(tag):
+            report = verify_zigzag(w)
+            verdicts.append((label, report.valid))
+            checks = [(c.name, c.ok, c.detail) for c in report.checks]
+            digest.update(repr((label, checks)).encode("utf-8"))
         return digest.hexdigest(), verdicts
 
     @pytest.mark.parametrize("tag", sorted(GOLDEN_REPORT_SHA256))
@@ -430,6 +436,30 @@ class TestWitnessFormat:
         assert all(valid for label, valid in verdicts if label == "valid")
         assert not all(valid for _, valid in verdicts)
         assert digest == self.GOLDEN_REPORT_SHA256[tag]
+
+    @pytest.mark.parametrize("tag", sorted(GOLDEN_REPORT_SHA256))
+    def test_verifier_runs_no_word_closure(self, tag, monkeypatch):
+        """The verifier decides no equivalence: no word closure runs while it
+        checks the golden-report witnesses, whatever module calls it."""
+        witnesses = list(self.golden_report_witnesses(tag))
+        calls = []
+        for name in ("word_closure", "_scaled_word_closure", "first_word_off"):
+            original = getattr(linalg, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            for module in list(sys.modules.values()):
+                if (module is not None and module.__name__.split(".")[0] == "wazz"
+                        and getattr(module, name, None) is original):
+                    monkeypatch.setattr(module, name, spy)
+        verdicts = {verify_zigzag(w).valid for _, w in witnesses}
+        assert verdicts == {True, False}
+        assert calls == []
+        # the spies are in place: building a witness runs a word closure
+        cubic_zigzag(*qplus_pair())
+        assert calls
 
 
 class TestParseErrors:

@@ -8,6 +8,12 @@ carrier factorizations and word closure go through the entrywise `Fraction`
 oracles, so a fault in the integer kernel cannot reach both sides.  The tests
 require the same checks in the same order, with the same name, verdict and
 detail.
+
+The oracle ends with one check the verifier does not make,
+`trace-agreement`, which decides the endpoint traces outright by its own
+word closure.  The verifier's other checks imply it (the argument is in
+`wazz.zigzag.verify_zigzag`), and the tests hold the verifier to that: a
+witness whose endpoint traces differ fails one of its checks.
 """
 
 from collections import namedtuple
@@ -257,9 +263,18 @@ def verify_zigzag(z):
             ok, detail = False, f"chain does not reach the {ends[s][1]} endpoint"
         add(f"chain[{s}]", ok, detail)
 
-    left, right = nodes[0].coalgebra, nodes[-1].coalgebra
-    word = first_word_off(left.out + vneg(right.out), x1 + x2, left.paired(right).trans)
-    add("trace-agreement", word is None, "" if word is None else "endpoint traces differ "
-        f'on word "{word_text(tuple(z.alphabet[i] for i in word), z.alphabet)}"')
-
+    checks.append(trace_agreement(z))
     return Report(all(c.ok for c in checks), checks)
+
+
+def trace_agreement(z):
+    """The endpoint traces compared outright: the difference of the endpoint
+    outputs must vanish on the Q word closure of (x1, x2) under the
+    block-diagonal endpoint maps.  On failure the detail names the
+    shortlex-least separating word."""
+    left, right = z.nodes[0].coalgebra, z.nodes[-1].coalgebra
+    x1, x2 = z.endpoints
+    word = first_word_off(left.out + vneg(right.out), x1 + x2, left.paired(right).trans)
+    return CheckResult("trace-agreement", word is None, "" if word is None else
+                       "endpoint traces differ on word "
+                       f'"{word_text(tuple(z.alphabet[i] for i in word), z.alphabet)}"')
