@@ -14,11 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .formats import LineReader, ParseError, fmt_rat, fmt_vec
-from .linalg import (Mat, _clear_denominators, closure_under_maps, first_word_off, vdot,
-                     vector, vneg, word_closure, zeros)
+from .linalg import (Mat, _clear_denominators, _over_shared, _scaled_word_closure,
+                     closure_under_maps, first_word_off, vdot, vector, vneg, zeros)
 
 
 class SemiringTag(Enum):
@@ -33,22 +35,37 @@ class SemiringTag(Enum):
 
     @property
     def integral(self):
-        return self in (SemiringTag.NAT, SemiringTag.INT)
+        return _RULES[self][0]
 
     @property
     def nonneg(self):
-        return self in (SemiringTag.NAT, SemiringTag.QPLUS, SemiringTag.RPLUS,
-                        SemiringTag.UNIT, SemiringTag.PCA)
+        return _RULES[self][1]
+
+    @property
+    def within_one(self):
+        return _RULES[self][2]
 
     def entry_ok(self, q):
         """Whether q may be a letter-matrix entry: an integer for the
-        integral tags, nonnegative for the nonnegative ones."""
-        return ((not self.integral or q.denominator == 1)
-                and (not self.nonneg or q >= 0))
+        integral tags, nonnegative for the nonnegative ones.  Read off q's
+        numerator and denominator (> 0), as are the tag's other rules."""
+        integral, nonneg, _ = _RULES[self]
+        return (not integral or q.denominator == 1) and (not nonneg or q.numerator >= 0)
 
     def scalar_ok(self, q):
         """Whether q is a scalar of the tag: an entry, within 1 for UNIT and PCA."""
-        return self.entry_ok(q) and (self not in (SemiringTag.UNIT, SemiringTag.PCA) or q <= 1)
+        integral, nonneg, within_one = _RULES[self]
+        num, den = q.numerator, q.denominator
+        return ((not integral or den == 1) and (not nonneg or num >= 0)
+                and (not within_one or num <= den))
+
+
+# the scalar rules of each tag: whether its scalars are integers, are
+# nonnegative, and stay within 1
+_RULES = {SemiringTag.NAT: (True, True, False), SemiringTag.INT: (True, False, False),
+          SemiringTag.QPLUS: (False, True, False), SemiringTag.Q: (False, False, False),
+          SemiringTag.RPLUS: (False, True, False), SemiringTag.REAL: (False, False, False),
+          SemiringTag.UNIT: (False, True, True), SemiringTag.PCA: (False, True, True)}
 
 
 class NotEquivalent(Exception):
@@ -218,12 +235,14 @@ def trace(aut, x, depth):
 
 def _paired(aut1, x1, aut2, x2):
     """Block-diagonal coalgebra, start vector and output difference of the
-    pair: the weights agree on a word iff the difference annihilates its image."""
+    pair, the last scaled to integers: the weights agree on a word iff the
+    difference annihilates its image."""
     if aut1.tag is not aut2.tag:
         raise ValueError("automata have different semiring tags")
     if len(x1) != aut1.n or len(x2) != aut2.n:
         raise ValueError("configuration has wrong length")
-    return aut1.paired(aut2), vector(tuple(x1) + tuple(x2)), aut1.out + vneg(aut2.out)
+    return (aut1.paired(aut2), vector(tuple(x1) + tuple(x2)),
+            _clear_denominators(aut1.out + vneg(aut2.out))[1])
 
 
 def _letters(alphabet, word):
@@ -249,25 +268,32 @@ def pair_submodule(aut1, x1, aut2, x2):
     and that the output functionals agree on every generator, which happens
     exactly when the traces agree; otherwise it raises NotEquivalent,
     carrying the shortlex-least separating word.
+
+    The output difference is scaled to integers once, and each generator
+    is tested with one integer dot product, on its scaled image over Q (a
+    positive scale changes no zero) and on its lattice vector over Z; a
+    generator becomes a `Fraction` tuple once, when it is returned.
     """
     pair, start, difference = _paired(aut1, x1, aut2, x2)
     maps = pair.trans
     if not aut1.tag.integral:
         # one closure decides and, at its first disagreeing vector, names the word
         basis = []
-        for word, g in word_closure(start, maps):
-            if vdot(difference, g) != 0:
+        for word, (den, ints) in _scaled_word_closure(start, maps):
+            if sum(map(mul, difference, ints)):
                 raise NotEquivalent("output functionals differ on the pair closure",
                                     word=_letters(aut1.alphabet, word))
-            basis.append(g)
+            basis.append((den, ints))
     else:
-        basis = closure_under_maps(start, maps)
-        if any(vdot(difference, g) != 0 for g in basis):
+        lattice = closure_under_maps(start, maps)
+        if any(sum(map(mul, difference, g)) for g in lattice):
             # the lattice spans the rational closure, so the word exists
             word = first_word_off(difference, start, maps)
             raise NotEquivalent("output functionals differ on the pair closure",
                                 word=_letters(aut1.alphabet, word))
-    return [vector(g) for g in basis], pair
+        basis = [(1, g) for g in lattice]
+    table = {}  # the basis's Fractions, each distinct one built once
+    return [_over_shared(ints, den, table) for den, ints in basis], pair
 
 
 @dataclass(frozen=True)
@@ -347,9 +373,13 @@ def parse_automaton(text, source="<automaton>"):
             for q in state:
                 if not tag.scalar_ok(q):
                     r.error(f"state entry {fmt_rat(q)} violates tag {tag.value}")
-            # the endpoint carrier of the subconvex tags is the subsimplex
-            if tag in (SemiringTag.UNIT, SemiringTag.PCA) and (total := sum(state)) > 1:
-                r.error(f"state entries sum to {fmt_rat(total)}, above 1 for tag {tag.value}")
+            # the endpoint carrier of the subconvex tags is the subsimplex:
+            # the entries' integer sum over their common denominator d is at most d
+            if tag.within_one:
+                den, nums = _clear_denominators(state)
+                if (total := sum(nums)) > den:
+                    r.error(f"state entries sum to {fmt_rat(Fraction(total, den))}, "
+                            f"above 1 for tag {tag.value}")
         else:
             r.error(f"unexpected directive {toks[0]!r}")
     missing = [a for a in alphabet if a not in trans]

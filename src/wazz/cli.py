@@ -14,7 +14,7 @@ import sys
 from functools import lru_cache
 
 from .automata import NotEquivalent, SemiringTag, equivalent, parse_automaton, trace
-from .formats import ParseError, fmt_rat, fmt_vec, parse_rat, word_text
+from .formats import ParseError, fmt_rat, parse_rat, word_text
 from .hilbert import IntConeSpec, hilbert_basis
 from .linalg import Mat, unit
 from .polyhedra import (INFINITY, InternalError, SearchBudgetExceeded, dd_h_to_v,
@@ -70,10 +70,10 @@ def _cmd_equiv(args):
     aut1, x1, aut2, x2 = _load_pair(args)
     result = equivalent(aut1, x1, aut2, x2)
     if result.equivalent:
-        print("EQUIVALENT")
-        print(f"pair closure generated by {len(result.basis)} elements:")
-        for g in result.basis:
-            print("  " + fmt_vec(g))
+        lines = ["EQUIVALENT", f"pair closure generated by {len(result.basis)} elements:"]
+        # basis entries are Fractions, which print canonically (`fmt_rat`)
+        lines += ["  " + " ".join(map(str, g)) for g in result.basis]
+        print("\n".join(lines))
         return 0
     print(f"NOT EQUIVALENT, separating word: {word_text(result.word, aut1.alphabet)}")
     return 1

@@ -32,9 +32,13 @@ vectors are compared by cross-multiplication, never by building Fractions.
   already the `Fraction` of the reader's literal table (one per file, in
   `wazz.formats`), and the same table's integers give the scaled form at
   once, so no `Fraction` of the matrix is read again.
-- The word closure queues scaled images, reduced to lowest terms, and
-  builds the `Fraction` vector of a word only when it yields one;
-  `first_word_off` builds none.
+- The word closure queues scaled images, reduced to lowest terms.
+  `word_closure` builds the `Fraction` vector of a word only when it yields
+  one; `first_word_off`, like the pair closure of `wazz.automata`, builds
+  none and tests each scaled image against a functional scaled once.
+- The Z closure (`closure_under_maps`) runs on `int` rows throughout: it
+  applies integral maps through their scaled forms and grows the HNF in
+  place.  `Mat.block_diag` composes the scaled forms of its blocks.
 """
 
 from __future__ import annotations
@@ -159,6 +163,21 @@ def _over(row, d):
     return tuple(Fraction(a, d) for a in row)
 
 
+def _over_shared(row, d, table):
+    """`_over(row, d)`, each distinct entry built once per table: table maps
+    d to {a: Fraction(a, d)} and is filled as it goes."""
+    known = table.get(d)
+    if known is None:
+        known = table[d] = {}
+    fracs = []
+    for a in row:
+        q = known.get(a)
+        if q is None:
+            q = known[a] = Fraction(a, d)
+        fracs.append(q)
+    return tuple(fracs)
+
+
 class Mat:
     """Dense exact-rational matrix; `rows[i][j]` is the entry in row i, col j."""
 
@@ -258,9 +277,23 @@ class Mat:
 
     @staticmethod
     def block_diag(a, b):
-        top = tuple(tuple(r) + zeros(b.ncols) for r in a.rows)
-        bottom = tuple(zeros(a.ncols) + tuple(r) for r in b.rows)
-        return Mat(top + bottom, ncols=a.ncols + b.ncols)
+        """The block-diagonal matrix with blocks a and b, built from their
+        rows and scaled forms: the rows are joined with shared zeros, and the
+        scaled form is over lcm(d_a, d_b), each block's integers times the
+        quotient of that by its own d, b's column indices shifted past a's."""
+        n1 = a.ncols
+        right, left = zeros(b.ncols), zeros(n1)
+        (d1, rows1), (d2, rows2) = a.scaled(), b.scaled()
+        den = lcm(d1, d2)
+        s1, s2 = den // d1, den // d2
+        m = object.__new__(Mat)
+        m.rows = tuple([r + right for r in a.rows] + [left + r for r in b.rows])
+        m.ncols = n1 + b.ncols
+        m._scaled = den, tuple(
+            [(cols, nums if s1 == 1 else tuple([s1 * x for x in nums])) for cols, nums in rows1]
+            + [(tuple([n1 + j for j in cols]), nums if s2 == 1 else tuple([s2 * x for x in nums]))
+               for cols, nums in rows2])
+        return m
 
     def __eq__(self, other):
         return isinstance(other, Mat) and self.ncols == other.ncols and self.rows == other.rows
@@ -462,15 +495,20 @@ def hnf_with_transform(rows, dim):
     return Lattice(dim, basis), [tuple(r) for r in carry], len(basis)
 
 
-def lattice_reduce(v, lattice):
-    """Canonical representative of v modulo the lattice (HNF reduction)."""
-    v = list(as_int_vec(v))
-    for row in lattice.basis:
+def _hnf_reduce(v, basis):
+    """Canonical representative of the integer vector v modulo the lattice
+    of the HNF rows `basis`: zero exactly when v lies in it."""
+    for row in basis:
         p = next(j for j, a in enumerate(row) if a)
         q = v[p] // row[p]
         if q:
             v = [a - q * b for a, b in zip(v, row)]
-    return tuple(v)
+    return v
+
+
+def lattice_reduce(v, lattice):
+    """Canonical representative of v modulo the lattice (HNF reduction)."""
+    return tuple(_hnf_reduce(as_int_vec(v), lattice.basis))
 
 
 def lattice_member(v, lattice):
@@ -579,25 +617,31 @@ def closure_under_maps(start, maps):
     it.  The result is generated by vectors whose images all lie in it, so
     it is closed, and its HNF basis is unique.  (Over Q the closure is the
     vectors of `word_closure`.)
+
+    Everything runs on `int` rows: an integral map's scaled form has d = 1,
+    so its integers are its entries and an image is one integer sum per row;
+    an image is reduced against the HNF rows, and one that does not vanish
+    joins them and `_hnf_rows` restores the normal form in place.
     """
     _check_square(start, maps)
     n = len(start)
     if not is_integral(start):
         raise ValueError("lattice closure needs integral start")
-    for m in maps:
-        for r in m.rows:
-            if not is_integral(r):
-                raise ValueError("lattice closure needs integral maps")
-    if is_zero(start):
-        return []
+    forms = [m.scaled() for m in maps]
+    if any(den != 1 for den, _ in forms):
+        raise ValueError("lattice closure needs integral maps")
     start = as_int_vec(start)
-    lat = hnf([start], dim=n)
+    if not any(start):
+        return []
+    basis = [list(start)]
+    _hnf_rows(basis)
     work = deque([start])
     while work:
         v = work.popleft()
-        for m in maps:
-            w = as_int_vec(m.apply(v))
-            if not lattice_member(w, lat):
-                lat = hnf(lat.basis + (w,), dim=n)
+        for _, rows in forms:
+            w = _sparse_apply(1, rows, n, (1, v))[1]
+            if any(_hnf_reduce(w, basis)):
+                basis.append(w)
+                del basis[_hnf_rows(basis):]
                 work.append(w)
-    return [tuple(r) for r in lat.basis]
+    return [tuple(r) for r in basis]

@@ -381,8 +381,7 @@ def _carrier(tag, node, scaled):
     if node.is_free:
         # the tag's scalar rules (`SemiringTag.scalar_ok`) on the coordinates
         # c / d, d > 0, read once from the tag and tested on the integers
-        integral, nonneg = tag.integral, tag.nonneg
-        within_one = tag in (SemiringTag.UNIT, SemiringTag.PCA)
+        integral, nonneg, within_one = tag.integral, tag.nonneg, tag.within_one
 
         def member(v):
             x = coordinates(v)
@@ -578,6 +577,9 @@ def verify_zigzag(z):
             zsrc = relating.get(mor.src)
             if zsrc is None:
                 ok, detail = False, "missing relating element upstream"
+                break
+            if len(zsrc[1]) != mor.matrix.ncols:
+                ok, detail = False, f"relating element at node {mor.src} has the wrong length"
                 break
             pushed.append(mor.matrix.apply_scaled(zsrc))
         if ok and not all(scaled_equal(p, pushed[0]) for p in pushed[1:]):

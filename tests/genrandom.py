@@ -115,6 +115,24 @@ def lift(small, r_cols, x_big):
     return big, vector(x_big), small, vector(x_small)
 
 
+def zero_one_weight(rng, aut):
+    """A copy of aut with one nonzero weight set to zero (valid for every tag)."""
+    slots = [("out", i, None) for i, q in enumerate(aut.out) if q]
+    slots += [(k, i, j) for k, m in enumerate(aut.trans)
+              for i, row in enumerate(m.rows) for j, q in enumerate(row) if q]
+    if not slots:
+        return aut
+    k, i, j = rng.choice(slots)
+    out = list(aut.out)
+    rows = [[list(r) for r in m.rows] for m in aut.trans]
+    if k == "out":
+        out[i] = 0
+    else:
+        rows[k][i][j] = 0
+    return WeightedAutomaton(tag=aut.tag, n=aut.n, alphabet=aut.alphabet, out=out,
+                             trans=tuple(Mat(r) for r in rows))
+
+
 SWAPPED_KIND = {FREE_MODULE: GENERATED_MODULE, GENERATED_MODULE: FREE_MODULE,
                 FREE_PCA: GENERATED_PCA, GENERATED_PCA: FREE_PCA}
 

@@ -15,28 +15,10 @@ from wazz.linalg import Mat, closure_under_maps, vector, word_closure, zeros
 from wazz.zigzag import (CUBIC, FREE_MODULE, GENERATED_MODULE, Morphism, ZigZag,
                          ZigZagNode, cubic_zigzag, ghat_zigzag, verify_zigzag)
 
-from genrandom import lifted_pair, rand_automaton, rand_config
+from genrandom import lifted_pair, rand_automaton, rand_config, zero_one_weight
 from word_oracles import bfs_separating_word, raw_trace
 
 T = SemiringTag
-
-
-def zero_one_weight(rng, aut):
-    """A copy of aut with one nonzero weight set to zero (valid for every tag)."""
-    slots = [("out", i, None) for i, q in enumerate(aut.out) if q]
-    slots += [(k, i, j) for k, m in enumerate(aut.trans)
-              for i, row in enumerate(m.rows) for j, q in enumerate(row) if q]
-    if not slots:
-        return aut
-    k, i, j = rng.choice(slots)
-    out = list(aut.out)
-    rows = [[list(r) for r in m.rows] for m in aut.trans]
-    if k == "out":
-        out[i] = 0
-    else:
-        rows[k][i][j] = 0
-    return WeightedAutomaton(tag=aut.tag, n=aut.n, alphabet=aut.alphabet, out=out,
-                             trans=tuple(Mat(r) for r in rows))
 
 
 def word_pairs(tag, count):

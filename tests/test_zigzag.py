@@ -457,9 +457,10 @@ class TestWitnessFormat:
         verdicts = {verify_zigzag(w).valid for _, w in witnesses}
         assert verdicts == {True, False}
         assert calls == []
-        # the spies are in place: building a witness runs a word closure
+        # the spies are in place: building a witness runs the producer's word
+        # closure, which `automata` calls by name
         cubic_zigzag(*qplus_pair())
-        assert calls
+        assert calls == ["_scaled_word_closure"]
 
 
 class TestParseErrors:
@@ -586,6 +587,26 @@ class TestMalformedWitnesses:
         report = verify_zigzag(tampered)
         assert not report.valid
         assert "shape" in failing_names(report)
+
+    @staticmethod
+    def cut_relating(z, node):
+        """z with the relating element at `node` cut to two entries."""
+        relating = tuple((i, v[:2] if i == node else v) for i, v in z.relating)
+        assert len(dict(relating)[node]) == 2 != z.nodes[node].dim
+        return replace(z, relating=relating)
+
+    @pytest.mark.parametrize("witness, node, sink", [
+        (lambda: cubic_zigzag(*qplus_pair()), 1, 0),
+        (lambda: ghat_zigzag(*lifted_pair(random.Random("report/pca/0"), T.PCA, 2, 1,
+                                          ("a", "b"))), 2, 1),
+    ], ids=["cubic", "ghat"])
+    def test_wrong_length_relating_element_reports_instead_of_crashing(self, witness, node,
+                                                                        sink):
+        report = verify_zigzag(self.cut_relating(witness(), node))
+        assert not report.valid
+        assert {f"relating[{node}]", f"chain[{sink}]"} <= failing_names(report)
+        (chain,) = [c for c in report.checks if c.name == f"chain[{sink}]"]
+        assert chain.detail == f"relating element at node {node} has the wrong length"
 
 
 def unscaled(points):

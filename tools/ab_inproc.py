@@ -1,0 +1,156 @@
+#!/usr/bin/env python3
+"""Interleaved in-process A/B timing of two wazz source trees.
+
+    python3 tools/ab_inproc.py OLD NEW --workload ghat-pca --seed 1 --pairs 60
+
+OLD and NEW are checkouts (each with `src/wazz`).  Both packages are loaded
+side by side in this process, under the names `wazz_a` and `wazz_b`, and
+every op of the benchmark pipeline (`equiv A B`, `zigzag A B -o W`,
+`verify W`) runs on both, one right after the other, per pair and per
+round, the order alternating from pair to pair.  The two calls of one op
+thus meet the same machine state, which separate benchmark processes on a
+shared machine do not.
+
+The pairs are those of `bench/workloads.py` (read from this checkout, not
+changed).  Every op must give the same exit code and standard output on both
+trees, and `zigzag` the same witness bytes; a mismatch is printed and the
+command exits 1.  The report gives, per op, the median wall time of each
+tree and the median over pairs of the per-pair ratio NEW / OLD (each pair's
+time is its median over the rounds).  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib
+import importlib.util
+import io
+import os
+import shutil
+import statistics
+import sys
+import tempfile
+from time import perf_counter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+OPS = ("equiv", "zigzag", "verify")
+
+
+def load_module(name, path, package_dir=None):
+    spec = importlib.util.spec_from_file_location(
+        name, path, submodule_search_locations=None if package_dir is None else [package_dir])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_cli(tree, name):
+    """`cli.main` of the wazz package under tree/src, loaded as `name`."""
+    package_dir = os.path.join(os.path.abspath(tree), "src", "wazz")
+    if not os.path.isfile(os.path.join(package_dir, "cli.py")):
+        raise SystemExit(f"no wazz package at {package_dir}")
+    load_module(name, os.path.join(package_dir, "__init__.py"), package_dir)
+    return importlib.import_module(f"{name}.cli").main
+
+
+def call(main, argv):
+    """(exit code, stdout, seconds) of one `main(argv)` call."""
+    out = io.StringIO()
+    start = perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    return rc, out.getvalue(), perf_counter() - start
+
+
+def write_pairs(workloads, pairs, workdir):
+    files = []
+    for i, pair in enumerate(pairs):
+        paths = []
+        for side, aut, x in (("l", pair.left, pair.x_left), ("r", pair.right, pair.x_right)):
+            path = os.path.join(workdir, f"p{i}{side}.wa")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(workloads.to_text(aut, x))
+            paths.append(path)
+        files.append((paths[0], paths[1], os.path.join(workdir, f"p{i}.zz")))
+    return files
+
+
+def run_pair(mains, files, order, times, mismatches, label):
+    """The three ops of one pair on both trees, in `order`; records each
+    op's time per tree and every disagreement."""
+    left, right, witness = files
+    results = {}
+    for op, argv in (("equiv", ["equiv", left, right]),
+                     ("zigzag", ["zigzag", left, right, "-o", witness])):
+        for side in order:
+            rc, out, seconds = call(mains[side], argv)
+            data = None
+            if op == "zigzag" and rc == 0:
+                with open(witness, "rb") as fh:
+                    data = fh.read()
+            results[op, side] = (rc, out, data)
+            times[op][side].append(seconds)
+        if results[op, 0] != results[op, 1]:
+            mismatches.append(f"{label} {op}: {results[op, 0][:2]!r} vs {results[op, 1][:2]!r}")
+    if results["zigzag", 0][0] == 0 and results["zigzag", 0] == results["zigzag", 1]:
+        # both trees wrote the same bytes, so each verifies the same file
+        outs = []
+        for side in order:
+            rc, out, seconds = call(mains[side], ["verify", witness])
+            outs.append((rc, out))
+            times["verify"][side].append(seconds)
+        if outs[0] != outs[1]:
+            mismatches.append(f"{label} verify: {outs[0]!r} vs {outs[1]!r}")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", help="checkout of the baseline tree")
+    parser.add_argument("new", help="checkout of the changed tree")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", default="1")
+    parser.add_argument("--pairs", type=int, default=60)
+    parser.add_argument("--rounds", type=int, default=3)
+    args = parser.parse_args(argv)
+
+    workloads = load_module("bench_workloads", os.path.join(ROOT, "bench", "workloads.py"))
+    if args.workload not in workloads.WORKLOADS:
+        parser.error(f"unknown workload {args.workload!r}")
+    mains = (load_cli(args.old, "wazz_a"), load_cli(args.new, "wazz_b"))
+    pairs = workloads.make_pairs(args.workload, args.seed, args.pairs)
+    workdir = tempfile.mkdtemp(prefix="wazz-ab-")
+    try:
+        files = write_pairs(workloads, pairs, workdir)
+        # per op and pair: the times of each tree over the rounds
+        per_pair = {op: [[[], []] for _ in pairs] for op in OPS}
+        mismatches = []
+        for rnd in range(args.rounds):
+            for i, f in enumerate(files):
+                run_pair(mains, f, (0, 1) if (i + rnd) % 2 == 0 else (1, 0),
+                         {op: per_pair[op][i] for op in OPS}, mismatches, pairs[i].pid)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+
+    print(f"workload {args.workload}, seed {args.seed}, {len(pairs)} pairs, "
+          f"{args.rounds} rounds; {args.old} (old) vs {args.new} (new)")
+    for op in OPS:
+        timed = [(statistics.median(a), statistics.median(b))
+                 for a, b in per_pair[op] if a and b]
+        if not timed:
+            print(f"{op:7s} no samples")
+            continue
+        old_ms = statistics.median(a for a, _ in timed) * 1000
+        new_ms = statistics.median(b for _, b in timed) * 1000
+        ratio = statistics.median(b / a for a, b in timed)
+        print(f"{op:7s} n={len(timed):4d}  old {old_ms:8.3f} ms  new {new_ms:8.3f} ms  "
+              f"median per-pair ratio {ratio:.3f} ({(ratio - 1) * 100:+.1f}%)")
+    print(f"mismatches: {len(mismatches)}")
+    for line in mismatches[:20]:
+        print("  " + line)
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
