@@ -3,7 +3,9 @@
 Exit codes: 0 for success or a positive verdict, 1 for a negative result
 (not equivalent, invalid witness, empty polyhedron), 2 for usage or parse
 errors and for a `gauge` whose facet enumeration overran its budget, 3 for
-an internal error (a bug, reported as `internal error: ...` on stderr).
+an internal error (a bug, reported as `internal error: ...` on stderr), 4
+for an answer with a number of over MAX_DIGITS digits, the bound on an
+integer's text while `main` runs (a longer literal is a parse error).
 Output uses exact rational literals throughout.
 """
 
@@ -21,6 +23,8 @@ from .polyhedra import (INFINITY, InternalError, SearchBudgetExceeded, dd_h_to_v
                         dd_v_to_h, gauge, hrep_to_text, parse_hrep, parse_pca_polytope,
                         parse_vrep, vrep_to_text)
 from .zigzag import cubic_zigzag, ghat_zigzag, parse_zigzag, verify_zigzag, zigzag_to_text
+
+MAX_DIGITS = 100_000  # Python's default is 4300; a 100000-digit number prints in 0.2 s
 
 
 def _read(path):
@@ -220,17 +224,24 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_DIGITS)
     try:
         return args.func(args)
     except ParseError as exc:
         print(exc, file=sys.stderr)
         return 2
     except (ValueError, SearchBudgetExceeded) as exc:
+        if str(exc).startswith("Exceeds the limit"):  # an integer's text past MAX_DIGITS
+            print(f"error: the answer has a number of over {MAX_DIGITS} digits", file=sys.stderr)
+            return 4
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -60,7 +60,7 @@ def fmt_rat(value):
 
 
 def fmt_vec(v):
-    return " ".join(fmt_rat(x) for x in v)
+    return " ".join(map(fmt_rat, v))
 
 
 def word_text(word, alphabet):

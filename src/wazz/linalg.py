@@ -50,6 +50,8 @@ from itertools import compress
 from math import gcd, lcm
 from operator import mul
 
+_ZERO, _ONE = Fraction(0), Fraction(1)  # shared: a Fraction is immutable
+
 
 def vector(entries):
     # Fractions are immutable, so entries that already are one are shared
@@ -57,11 +59,11 @@ def vector(entries):
 
 
 def zeros(n):
-    return (Fraction(0),) * n
+    return (_ZERO,) * n
 
 
 def unit(n, i):
-    return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
+    return tuple(_ONE if j == i else _ZERO for j in range(n))
 
 
 def vneg(v):
@@ -86,7 +88,7 @@ def is_zero(v):
 
 
 def is_nonneg(v):
-    return all(a >= 0 for a in v)
+    return all(a.numerator >= 0 for a in v)
 
 
 def is_integral(v):

@@ -7,7 +7,7 @@ functional of X.  Coalgebras for it live on simplices and, more generally,
 on compact polytopes between the simplex and the positive orthant; those can
 always be enlarged to a free carrier, a pyramid {x >= 0 : <x, u> <= 1}, whose
 normal u is the least solution of a fixed-point system and is found by one
-exact linear solve (see `pyramid_extension`).
+fraction-free integer elimination (see `pyramid_extension`).
 """
 
 from __future__ import annotations
@@ -15,9 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import lcm
 
 from .automata import SemiringTag, WeightedAutomaton
-from .linalg import Mat, is_nonneg, solve, unit, vdot, vector
+from .linalg import (_ZERO, Mat, _clear_denominators, _int_rref, is_nonneg, scaled_dot, unit,
+                     vdot, vector, zeros)
 from .polyhedra import INFINITY, InternalError, PcaPolytope, gauge
 
 
@@ -92,12 +94,14 @@ def is_ghat_coalgebra(x_poly, y_poly, coalg):
 def invariant_zero_set(out, trans):
     """Greatest index set with zero outputs whose transition columns have
     support inside the set; empty iff the nonvanishing condition holds."""
-    n = len(out)
-    current = {j for j in range(n) if out[j] == 0}
+    supports = [set() for _ in out]
+    for m in trans:
+        for i, (cols, _) in enumerate(m.scaled()[1]):
+            for j in cols:
+                supports[j].add(i)
+    current = {j for j, q in enumerate(out) if not q}
     while True:
-        nxt = {j for j in current
-               if all(all(m.col(j)[i] == 0 or i in current for i in range(n))
-                      for m in trans)}
+        nxt = {j for j in current if supports[j] <= current}
         if nxt == current:
             return current
         current = nxt
@@ -129,6 +133,24 @@ def reduce_invariant_set(aut):
     return frozenset(dropped), quotient, proj
 
 
+def fixed_point(out, trans):
+    """Some u with (I - N) u = out (N = sum_a M_a^T, free coordinates 0) or None:
+    one `_int_rref` of d (I - N) u = d out, d the lcm of all denominators, whose
+    row j is d e_j minus every letter's column j, then d out_j, on integers."""
+    (d_out, outs), forms = _clear_denominators(out), [m.scaled() for m in trans]
+    n, den = len(out), lcm(d_out, *[d for d, _ in forms])
+    rows = [[den * (i == j) for i in range(n)] + [a * (den // d_out)] for j, a in enumerate(outs)]
+    for d, sparse in forms:
+        for i, (cols, nums) in enumerate(sparse):
+            for j, a in zip(cols, nums):
+                rows[j][i] -= a * (den // d)
+    pivots = _int_rref(rows, n + 1)
+    if pivots and pivots[-1] == n:
+        return None
+    u = {p: Fraction(row[n], row[p]) for row, p in zip(rows, pivots)}
+    return tuple(u.get(j, _ZERO) for j in range(n))
+
+
 def pyramid_extension(polytope, coalg):
     """A free enlargement of the carrier: a pyramid Y with X inside Y and the
     linear map sending Y into the functor at Y.
@@ -145,36 +167,31 @@ def pyramid_extension(polytope, coalg):
     u > 0 with no invariant zero set forces spectral radius rho(N) < 1 (a
     left Perron vector of N for the eigenvalue 1 would have an invariant
     zero set as its support), so I - N is invertible and u* is the one
-    solution of (I - N) u = out.  That system is solved once; its solution
-    is then checked to be positive and to keep X inside the pyramid
-    (InternalError otherwise, which no coalgebra on a carrier containing the
-    simplex can cause).  With u = out + N u and u > 0, each generator
-    e_j / u_j spends a budget of exactly 1, so these checks establish the
-    whole postcondition.
+    solution of (I - N) u = out.  One integer elimination solves it
+    (`fixed_point`); u is then checked to be positive and, by one integer dot
+    product per generator, to keep X inside the pyramid (InternalError
+    otherwise, which no coalgebra on a carrier containing the simplex can
+    cause).  With u = out + N u and u > 0, each generator e_j / u_j spends a
+    budget of exactly 1, so these checks establish the whole postcondition.
     """
     n = polytope.dim
     if coalg.n != n:
         raise ValueError("dimension mismatch")
-    if not is_nonneg(coalg.out) or not all(is_nonneg(r) for m in coalg.trans for r in m.rows):
+    if not is_nonneg(coalg.out) or any(a < 0 for m in coalg.trans
+                                       for _, nums in m.scaled()[1] for a in nums):
         raise ValueError("output and letter entries must be nonnegative")
     bad = invariant_zero_set(coalg.out, coalg.trans)
     if bad:
         raise InvariantZeroSet(bad)
-    # row j of I - N is e_j minus the sum over letters of column j of M_a
-    rows = []
-    for j in range(n):
-        row = list(unit(n, j))
-        for m in coalg.trans:
-            for i, c in enumerate(m.col(j)):
-                row[i] -= c
-        rows.append(row)
-    u = solve(Mat(rows, ncols=n), coalg.out)
+    u = fixed_point(coalg.out, coalg.trans)
     if u is None:
         raise InternalError("fixed-point system infeasible: (I - N) u = out has no solution")
-    if any(q <= 0 for q in u):
+    if any(q.numerator <= 0 for q in u):
         raise InternalError("fixed point with a nonpositive coordinate")
-    if any(vdot(g, u) > 1 for g in polytope.generators):
+    su = _clear_denominators(u)
+    if any(num > den for num, den in (scaled_dot(_clear_denominators(g), su)
+                                      for g in polytope.generators)):
         raise InternalError("fixed point puts a carrier generator outside the pyramid")
-    gens = tuple(vector([Fraction(1, 1) / u[j] if i == j else 0 for i in range(n)])
-                 for j in range(n))
-    return PyramidCert(u=vector(u), generators=gens)
+    zero = zeros(n)
+    return PyramidCert(u=u, generators=tuple(zero[:j] + (1 / q,) + zero[j + 1:]
+                                             for j, q in enumerate(u)))

@@ -19,7 +19,7 @@ from math import inf, lcm
 from operator import mul
 
 from .formats import LineReader, fmt_vec
-from .linalg import (Mat, _clear_denominators, _eliminate, _int_rref, is_nonneg,
+from .linalg import (Mat, _clear_denominators, _eliminate, _int_rref, _over_shared, is_nonneg,
                      is_zero, kernel_basis, primitive, vdot, vector, vneg, vscale, zeros)
 
 
@@ -495,13 +495,13 @@ def simplex_restriction(span_vectors, family, n1, n2):
     normals = [[-a for a in col] + [0] for col in cols]
     normals += [[*map(sum, zip(*cols[lo:hi])), -bound] for lo, hi, bound in blocks if lo < hi]
     normals.append([0] * r + [-1])
-    vertices = []
+    vertices, table = [], {}  # table: each distinct vertex entry built once
     for ray in _pointed_cone_rays(normals, r + 1):
         if not ray[-1]:
             raise InternalError("simplex intersection must be bounded")
         x = [sum(map(mul, ray, col)) for col in cols]  # map stops at the end of y
         if any(x):
-            vertices.append(tuple(Fraction(a, ray[-1]) for a in x))
+            vertices.append(_over_shared(x, ray[-1], table))
     return PcaPolytope(dim, tuple(sorted(vertices)))
 
 

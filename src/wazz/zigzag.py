@@ -174,25 +174,28 @@ def ghat_zigzag(aut1, x1, aut2, x2):
     Each quotient map is a coalgebra morphism, so the quotients have the
     traces of the original pair, and the one pair closure of the quotients
     raises NotEquivalent with the shortlex-least word that separates the
-    original pair.
+    original pair.  The quotient maps delete the dropped coordinates and the
+    projections keep one side's, so their images are taken by selection.
     """
     if aut1.tag is not SemiringTag.PCA or aut2.tag is not SemiringTag.PCA:
         raise ValueError("both automata must carry the subconvex tag")
-    _, q1, psi1 = reduce_invariant_set(aut1)
-    _, q2, psi2 = reduce_invariant_set(aut2)
-    y1, y2 = psi1.apply(x1), psi2.apply(x2)
+    d1, q1, psi1 = reduce_invariant_set(aut1)
+    d2, q2, psi2 = reduce_invariant_set(aut2)
+    for x, n in ((x1, aut1.n), (x2, aut2.n)):
+        if len(x) != n:
+            raise ValueError(f"dimension mismatch: {n} cols vs vector of {len(x)}")
+    y1, y2 = (vector(a for j, a in enumerate(x) if j not in d) for x, d in ((x1, d1), (x2, d2)))
     zbasis, paired = pair_submodule(q1, y1, q2, y2)
     mid_poly = simplex_restriction(zbasis, SCALED, q1.n, q2.n)
-    middle = ZigZagNode(kind=GENERATED_PCA, generators=mid_poly.generators,
-                        coalgebra=paired)
-    p1, p2 = _projections(q1.n, q2.n)
+    middle = ZigZagNode(kind=GENERATED_PCA, generators=mid_poly.generators, coalgebra=paired)
+    gens, n1 = mid_poly.generators, q1.n
     free_nodes = []
-    for q, proj in ((q1, p1), (q2, p2)):
-        images = tuple(proj.apply(g) for g in mid_poly.generators)
-        hull = PcaPolytope(q.n, tuple(unit(q.n, i) for i in range(q.n)) + images)
+    for q, images in ((q1, [g[:n1] for g in gens]), (q2, [g[n1:] for g in gens])):
+        hull = PcaPolytope(q.n, tuple(unit(q.n, i) for i in range(q.n)) + tuple(images))
         cert = pyramid_extension(hull, q)
         free_nodes.append(ZigZagNode(kind=FREE_PCA, generators=cert.generators,
                                      coalgebra=q.coalgebra))
+    p1, p2 = _projections(n1, q2.n)
     return ZigZag(
         functor=GHAT, tag=SemiringTag.PCA, alphabet=aut1.alphabet,
         nodes=(_endpoint_node(aut1, True), free_nodes[0], middle,
@@ -596,28 +599,25 @@ def verify_zigzag(z):
 
 
 def zigzag_to_text(z):
+    # every entry of a witness is a Fraction, which prints canonically (`fmt_rat`)
     lines = [f"zigzag {z.functor} {z.tag.value}",
              "alphabet " + " ".join(z.alphabet),
              f"nodes {len(z.nodes)}"]
     for i, node in enumerate(z.nodes):
         lines.append(f"node {i} {node.kind} dim {node.dim} generators {len(node.generators)}")
-        for g in node.generators:
-            lines.append(fmt_vec(g))
-        lines.append(("out " + fmt_vec(node.coalgebra.out)).rstrip())
+        lines += [" ".join(map(str, g)) for g in node.generators]
+        lines.append(("out " + " ".join(map(str, node.coalgebra.out))).rstrip())
         for a, m in zip(z.alphabet, node.coalgebra.trans):
             lines.append(f"trans {a}")
-            for row in m.transpose().rows:
-                lines.append(fmt_vec(row))
+            lines += [" ".join(map(str, row)) for row in m.transpose().rows]
     lines.append(f"morphisms {len(z.morphisms)}")
     for mor in z.morphisms:
         lines.append(f"morphism {mor.src} {mor.dst}")
-        for row in mor.matrix.transpose().rows:
-            lines.append(fmt_vec(row))
+        lines += [" ".join(map(str, row)) for row in mor.matrix.transpose().rows]
     lines.append(f"relating {len(z.relating)}")
-    for i, v in z.relating:
-        lines.append((f"at {i} " + fmt_vec(v)).rstrip())
-    lines.append(("left " + fmt_vec(z.endpoints[0])).rstrip())
-    lines.append(("right " + fmt_vec(z.endpoints[1])).rstrip())
+    lines += [(f"at {i} " + " ".join(map(str, v))).rstrip() for i, v in z.relating]
+    lines.append(("left " + " ".join(map(str, z.endpoints[0]))).rstrip())
+    lines.append(("right " + " ".join(map(str, z.endpoints[1]))).rstrip())
     return "\n".join(line for line in lines if line) + "\n"
 
 

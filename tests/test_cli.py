@@ -1,9 +1,10 @@
 import random
+import sys
 
 import pytest
 
 from wazz import pca, zigzag
-from wazz.cli import build_parser, main
+from wazz.cli import MAX_DIGITS, build_parser, main
 from wazz.automata import SemiringTag, automaton_to_text
 from wazz.zigzag import parse_zigzag, zigzag_to_text
 
@@ -221,7 +222,7 @@ class TestZigzagVerify:
 
     def test_internal_error_exit_code(self, tmp_path, capsys, monkeypatch):
         # a fixed-point system without solution on a valid coalgebra is a bug
-        monkeypatch.setattr(pca, "solve", lambda m, b: None)
+        monkeypatch.setattr(pca, "fixed_point", lambda out, trans: None)
         a = write(tmp_path, "a.wa", PCA_LOOP)
         assert main(["zigzag", a, a, "-o", str(tmp_path / "w.zz")]) == 3
         err = capsys.readouterr().err
@@ -321,6 +322,48 @@ class TestParserBuiltOnce:
         assert capsys.readouterr().out.startswith("zigzag cubic qplus")
         assert parsed[2]["output"] is None and parsed[2]["left_state"] is None
         assert not out.exists()
+
+
+def shift_automaton(n, weight):
+    """One-letter `q` automaton e_i -> weight * e_(i+1), output on the last
+    state: the word a^k maps e_1 to weight^k e_(k+1)."""
+    rows = [" ".join(weight if j == i + 1 else "0" for j in range(n)) for i in range(n)]
+    return "\n".join(["semiring q", "alphabet a", f"states {n}",
+                      "output " + " ".join(["0"] * (n - 1) + ["1"]), "trans a", *rows]) + "\n"
+
+
+class TestDigitBound:
+    def test_answers_beyond_the_interpreter_default(self, tmp_path, capsys):
+        # the basis vector of a^79 has a 4757-digit entry, past Python's
+        # default bound of 4300 digits on an integer's text
+        before = sys.get_int_max_str_digits()
+        a = write(tmp_path, "a.wa", shift_automaton(80, str(2 ** 200)))
+        w = str(tmp_path / "w.zz")
+        assert main(["equiv", a, a]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("EQUIVALENT\npair closure generated by 80 elements:")
+        assert max(len(t) for t in out.split()) == 4757
+        assert main(["zigzag", a, a, "-o", w]) == 0
+        assert main(["verify", w]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("VALID")
+        assert sys.get_int_max_str_digits() == before
+
+    def test_answer_over_the_bound_is_its_own_exit_code(self, tmp_path, capsys):
+        # a 60001-digit weight is a valid literal; its square is not printable
+        before = sys.get_int_max_str_digits()
+        a = write(tmp_path, "a.wa", shift_automaton(3, "1" + "0" * 60000))
+        w = tmp_path / "w.zz"
+        for argv in (["equiv", a, a], ["zigzag", a, a, "-o", str(w)]):
+            assert main(argv) == 4
+            err = capsys.readouterr().err
+            assert err == f"error: the answer has a number of over {MAX_DIGITS} digits\n"
+        assert not w.exists()
+        assert sys.get_int_max_str_digits() == before
+
+    def test_literal_over_the_bound_is_a_parse_error(self, tmp_path, capsys):
+        a = write(tmp_path, "a.wa", shift_automaton(2, "1" * (MAX_DIGITS + 1)))
+        assert main(["equiv", a, a]) == 2
+        assert f"a.wa:6: Exceeds the limit ({MAX_DIGITS} digits)" in capsys.readouterr().err
 
 
 class TestTraceDefaults:

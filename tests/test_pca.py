@@ -3,17 +3,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from wazz import pca, polyhedra, zigzag
+from wazz import automata, linalg, pca, polyhedra, zigzag
 from wazz.automata import LinearCoalgebra, SemiringTag, WeightedAutomaton, trace
 from wazz.formats import fmt_vec, parse_rat
 from wazz.linalg import Mat, solve, unit, vdot, vector, zeros
-from wazz.pca import (GhatElement, InvariantZeroSet, ghat_apply,
+from wazz.pca import (GhatElement, InvariantZeroSet, PyramidCert, ghat_apply,
                       ghat_member, invariant_zero_set, is_ghat_coalgebra,
                       pyramid_extension, reduce_invariant_set)
 from wazz.polyhedra import HRep, INFINITY, InternalError, PcaPolytope, gauge, pca_member
 from wazz.zigzag import ghat_zigzag, verify_zigzag
 
 from genrandom import lifted_pair, rand_automaton
+import pyramid_oracle
 from lp_oracle import lp_feasible, pyramid_normal
 
 T = SemiringTag
@@ -328,6 +329,120 @@ class TestPyramidMatchesFourierMotzkin:
                 continue
             outcomes.append(self.assert_same(rand_pca_polytope(rng, n), c))
         assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
+
+
+def pyramid_outcome(route, polytope, coalg):
+    """The certificate, or the error's type, message and indices."""
+    try:
+        return route(polytope, coalg)
+    except (ValueError, InvariantZeroSet, InternalError) as exc:
+        return type(exc), str(exc), getattr(exc, "indices", None)
+
+
+def with_entry(coalg, letter, i, j, value):
+    """The coalgebra with entry (i, j) of one letter matrix replaced."""
+    rows = [list(r) for r in coalg.trans[letter].rows]
+    rows[i][j] = value
+    trans = list(coalg.trans)
+    trans[letter] = Mat(rows, ncols=coalg.n)
+    return LinearCoalgebra(n=coalg.n, alphabet=coalg.alphabet, out=coalg.out,
+                           trans=tuple(trans))
+
+
+class TestPyramidMatchesFractionOracle:
+    """The integer elimination gives the certificate the `Fraction` solve
+    gave, of the same type, and fails where it failed with the same error."""
+
+    def assert_same(self, polytope, coalg):
+        got = pyramid_outcome(pyramid_extension, polytope, coalg)
+        want = pyramid_outcome(pyramid_oracle.pyramid_extension, polytope, coalg)
+        assert got == want
+        if isinstance(want, PyramidCert):
+            assert all(type(q) is F for v in (got.u, *got.generators) for q in v)
+            return "cert"
+        return want[0].__name__ + ": " + want[1].split(":")[0]
+
+    def test_random_coalgebras(self):
+        outcomes = []
+        for seed in range(4):
+            rng = random.Random(f"pyramid-vs-fraction-{seed}")
+            for _ in range(60):
+                n = rng.randint(1, 6)
+                aut = rand_automaton(rng, T.PCA, n, ("a", "b")[: rng.randint(1, 2)])
+                out = [q if rng.random() < 0.7 else 0 for q in aut.out]
+                c = LinearCoalgebra(n=n, alphabet=aut.alphabet, out=out, trans=aut.trans)
+                if rng.random() < 0.1:
+                    c = with_entry(c, 0, rng.randrange(n), rng.randrange(n), F(-1, 3))
+                poly = rand_pca_polytope(rng, n, extra=3) if rng.random() < 0.5 else delta(n)
+                outcomes.append(self.assert_same(poly, c))
+        assert {"cert", "ValueError: output and letter entries must be nonnegative",
+                "InvariantZeroSet: zero-output invariant coordinates [0]",
+                "InternalError: fixed point puts a carrier generator outside the pyramid"
+                } <= set(outcomes)
+
+    def test_invariant_sets_agree(self):
+        rng = random.Random("invariant-set-vs-column-scan")
+        sizes = set()
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            aut = rand_automaton(rng, T.PCA, n, ("a", "b")[: rng.randint(1, 2)])
+            out = [q if rng.random() < 0.4 else 0 for q in aut.out]
+            found = invariant_zero_set(out, aut.trans)
+            assert found == pyramid_oracle.invariant_zero_set(out, aut.trans)
+            sizes.add(len(found))
+        assert {0, 1, 2, 3} <= sizes
+
+    def test_each_error(self):
+        def coalg(out, *letters):
+            return LinearCoalgebra(n=len(out), alphabet=("a", "b")[: len(letters)],
+                                   out=vector(out), trans=tuple(map(Mat, letters)))
+
+        cases = {
+            "ValueError: output and letter entries must be nonnegative":
+                (delta(2), coalg(["1/2", "-1/4"], [[0, 0], [0, 0]])),
+            "ValueError: dimension mismatch": (delta(3), coalg(["1/2", "1/2"], [[0, 0], [0, 0]])),
+            "InvariantZeroSet: zero-output invariant coordinates [1, 2]":
+                (delta(3), coalg(["1/2", 0, 0], [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
+                                 [[0, 0, 0], [0, 1, 0], [0, 0, 0]])),
+            # (I - N) u = out has no solution
+            "InternalError: fixed-point system infeasible":
+                (delta(1), coalg(["1/2"], [[1]])),
+            # singular and consistent: the free coordinate is 0
+            "InternalError: fixed point with a nonpositive coordinate":
+                (delta(2), coalg([1, 1], [[2, 1], [1, 2]])),
+            "InternalError: fixed point puts a carrier generator outside the pyramid":
+                (PcaPolytope(1, ((1,), (3,))), coalg(["1/2"], [[0]])),
+        }
+        for expected, (polytope, c) in cases.items():
+            assert self.assert_same(polytope, c) == expected
+        # invertible, with a negative solution
+        negative = coalg(["1/2"], [[2]])
+        assert self.assert_same(delta(1), negative).endswith("nonpositive coordinate")
+        # a free coordinate is 0, as in `linalg.solve`
+        assert pca.fixed_point(vector([1, 1]), (Mat([[2, 1], [1, 2]]),)) == (-1, 0)
+
+    def test_ghat_zigzag_builds_no_fraction_solve(self, monkeypatch):
+        # the pyramid, the quotients and the projections run on integers and
+        # coordinate selection: no Gauss-Jordan on Fractions, no matrix image
+        calls = []
+        for name in ("solve", "rref"):
+            original = getattr(linalg, name)
+            for module in (linalg, pca, polyhedra, zigzag, automata):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, lambda *args, name=name, original=original:
+                                        calls.append(name) or original(*args))
+        apply = Mat.apply
+        monkeypatch.setattr(Mat, "apply", lambda m, x: calls.append("apply") or apply(m, x))
+        rng = random.Random("ghat-no-fraction-solve")
+        pairs = [lifted_pair(rng, T.PCA, rng.randint(1, 3), rng.randint(1, 2),
+                             ("a", "b")[: rng.randint(1, 2)]) for _ in range(30)]
+        assert sum(any(reduce_invariant_set(aut)[0] for aut in pair[::2])
+                   for pair in pairs) >= 5
+        calls.clear()  # lifting the pairs multiplies matrices
+        witnesses = [ghat_zigzag(*pair) for pair in pairs]
+        assert calls == []
+        monkeypatch.undo()
+        assert all(verify_zigzag(z).valid for z in witnesses)
 
 
 def looped_reduce_invariant_set(aut):

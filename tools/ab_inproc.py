@@ -9,14 +9,17 @@ every op of the benchmark pipeline (`equiv A B`, `zigzag A B -o W`,
 `verify W`) runs on both, one right after the other, per pair and per
 round, the order alternating from pair to pair.  The two calls of one op
 thus meet the same machine state, which separate benchmark processes on a
-shared machine do not.
+shared machine do not.  Every round starts from empty `functools` caches in
+both trees, as each pass of `bench/run.py` does.
 
 The pairs are those of `bench/workloads.py` (read from this checkout, not
 changed).  Every op must give the same exit code and standard output on both
 trees, and `zigzag` the same witness bytes; a mismatch is printed and the
 command exits 1.  The report gives, per op, the median wall time of each
 tree and the median over pairs of the per-pair ratio NEW / OLD (each pair's
-time is its median over the rounds).  Standard library only.
+time is its median over the rounds), and the ratio of the two trees' times
+at the tail percentile `bench/run.py` reports for that many samples.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -53,6 +56,16 @@ def load_cli(tree, name):
         raise SystemExit(f"no wazz package at {package_dir}")
     load_module(name, os.path.join(package_dir, "__init__.py"), package_dir)
     return importlib.import_module(f"{name}.cli").main
+
+
+def clear_caches(package):
+    """Empty every functools cache of the loaded package, as in a fresh
+    process."""
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == package or name.startswith(package + ".")):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
 
 
 def call(main, argv):
@@ -115,7 +128,8 @@ def main(argv=None):
     parser.add_argument("--rounds", type=int, default=3)
     args = parser.parse_args(argv)
 
-    workloads = load_module("bench_workloads", os.path.join(ROOT, "bench", "workloads.py"))
+    bench = load_module("bench_run", os.path.join(ROOT, "bench", "run.py"))
+    workloads = bench.workloads
     if args.workload not in workloads.WORKLOADS:
         parser.error(f"unknown workload {args.workload!r}")
     mains = (load_cli(args.old, "wazz_a"), load_cli(args.new, "wazz_b"))
@@ -127,6 +141,8 @@ def main(argv=None):
         per_pair = {op: [[[], []] for _ in pairs] for op in OPS}
         mismatches = []
         for rnd in range(args.rounds):
+            clear_caches("wazz_a")
+            clear_caches("wazz_b")
             for i, f in enumerate(files):
                 run_pair(mains, f, (0, 1) if (i + rnd) % 2 == 0 else (1, 0),
                          {op: per_pair[op][i] for op in OPS}, mismatches, pairs[i].pid)
@@ -144,8 +160,12 @@ def main(argv=None):
         old_ms = statistics.median(a for a, _ in timed) * 1000
         new_ms = statistics.median(b for _, b in timed) * 1000
         ratio = statistics.median(b / a for a, b in timed)
+        pct = bench.tail_percentile(len(timed))
+        tail = (bench.percentile([b for _, b in timed], pct)
+                / bench.percentile([a for a, _ in timed], pct))
         print(f"{op:7s} n={len(timed):4d}  old {old_ms:8.3f} ms  new {new_ms:8.3f} ms  "
-              f"median per-pair ratio {ratio:.3f} ({(ratio - 1) * 100:+.1f}%)")
+              f"median per-pair ratio {ratio:.3f} ({(ratio - 1) * 100:+.1f}%)  "
+              f"p{pct:g} ratio {tail:.3f} ({(tail - 1) * 100:+.1f}%)")
     print(f"mismatches: {len(mismatches)}")
     for line in mismatches[:20]:
         print("  " + line)
