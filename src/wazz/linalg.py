@@ -54,7 +54,9 @@ _ZERO, _ONE = Fraction(0), Fraction(1)  # shared: a Fraction is immutable
 
 
 def vector(entries):
-    # Fractions are immutable, so entries that already are one are shared
+    # a tuple of exact Fractions comes back as it is; Fraction entries are shared
+    if type(entries) is tuple and {Fraction}.issuperset(map(type, entries)):
+        return entries
     return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 

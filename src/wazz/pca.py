@@ -60,22 +60,29 @@ def ghat_breach(o, images, mu):
     Minkowski functional mu breaks the joint budget o >= 0 and
     o + sum_a mu(images_a) <= 1: None if it keeps it, else "output" for
     o < 0, "cone" at the first image with an infinite gauge, or the total
-    when it exceeds 1.  The gauge is the caller's, so no facets are needed
-    here."""
-    if o < 0:
+    when it exceeds 1.  o, the total and every finite gauge are integer
+    ratios (p, q), q > 0, summed by cross-multiplication.  The gauge is the
+    caller's, so no facets are needed here."""
+    num, den = o
+    if num < 0:
         return "output"
-    total = o
     for v in images:
         g = mu(v)
         if g is INFINITY:
             return "cone"
-        total += g
-    return total if total > 1 else None
+        num, den = num * g[1] + g[0] * den, den * g[1]
+    return (num, den) if num > den else None
+
+
+def _gauge_ratio(polytope, x):
+    g = gauge(polytope, x)  # as an integer ratio, or INFINITY
+    return g if g is INFINITY else g.as_integer_ratio()
 
 
 def ghat_member(polytope, element):
     """Exact membership test of an element in the functor at the polytope."""
-    return ghat_breach(element.o, element.phi.values(), partial(gauge, polytope)) is None
+    return ghat_breach(element.o.as_integer_ratio(), element.phi.values(),
+                       partial(_gauge_ratio, polytope)) is None
 
 
 def ghat_apply(matrix, element):
@@ -86,8 +93,9 @@ def ghat_apply(matrix, element):
 def is_ghat_coalgebra(x_poly, y_poly, coalg):
     """Whether the linear map sends the subconvex hull of X into the functor
     applied to Y; checking generators suffices by convexity."""
-    mu = partial(gauge, y_poly)
-    return all(ghat_breach(vdot(coalg.out, g), (m.apply(g) for m in coalg.trans), mu) is None
+    mu = partial(_gauge_ratio, y_poly)
+    return all(ghat_breach(vdot(coalg.out, g).as_integer_ratio(),
+                           (m.apply(g) for m in coalg.trans), mu) is None
                for g in x_poly.generators)
 
 

@@ -11,12 +11,13 @@ matrix identities, and the relating chain by direct evaluation.
 Every check runs on integer images.  Each node's generators and output
 functional, the relating elements and the endpoints are scaled once to
 integers over a common denominator and travel as (d, ints); the letter and
-morphism matrices are scaled once by `Mat`.  A check applies matrices with
-one integer sum per output entry and compares two sides by
-cross-multiplication.  A free carrier is factored on integers, and its
-coordinates meet the tag's rules as integers.  A `Fraction` is built only
-where an output weight meets a tag rule, where the subconvex budget adds
-gauges up, or where a value is quoted in a report detail.
+morphism matrices are scaled once by `Mat`.  Each letter image of a scaled
+generator and each morphism image of a scaled source generator is computed
+once, with one integer sum per entry; the checks compare two sides by
+cross-multiplication.  A free carrier is factored on integers from the
+scaled generators, and its coordinates and the output weights meet the
+tag's rules as integers.  The subconvex budget sums integer ratios.  A
+`Fraction` is built only where a value is quoted in a failure detail.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from math import lcm
 from .automata import LinearCoalgebra, SemiringTag, pair_submodule
 from .formats import LineReader, fmt_rat, fmt_vec
 from .hilbert import nat_restriction
-from .linalg import (Lattice, Mat, _clear_denominators, _int_rref, _sparse_apply,
-                     as_int_vec, hnf, is_integral, is_nonneg, lattice_member,
+from .linalg import (Lattice, Mat, _clear_denominators, _int_rref, _scaled_of_cols,
+                     _sparse_apply, as_int_vec, hnf, is_integral, is_nonneg, lattice_member,
                      scaled_dot, scaled_equal, unit, vector)
 from .pca import ghat_breach, pyramid_extension, reduce_invariant_set
 from .polyhedra import (PRODUCT, SCALED, INFINITY, PcaPolytope, SearchBudgetExceeded,
@@ -279,23 +280,23 @@ def _span_coordinates(gens, dim):
     matrix E: the coordinates are a function taking a scaled vector v to the
     scaled x with G x = v, G having the generators as columns and x's free
     variables zero as in `solve`, or to None if v is outside the span; the
-    product takes v to the scaled E v.
+    product takes v to the scaled E v.  Generator j comes scaled, (d_j, ints_j).
 
     G is factored once, on integers: the rref of [G | I] is [R | E] with
     E G = R, so G x = v exactly when E v vanishes below the rank of G, and
-    then x's pivot entries are read off E v.  Each row of [G | I] is scaled
-    to integers, which changes no rref, and `_int_rref` eliminates them; E is
-    kept as the nonzero entries of integer rows over one common denominator.
-    The product G x is checked against v again, by cross-multiplication.
-    When G is invertible, E is its inverse."""
+    then x's pivot entries are read off E v.  The columns of G are put over
+    D = lcm(d_j) as integers, so D [G | I] has integer rows and the same
+    rref, and `_int_rref` eliminates them; E is kept as the nonzero entries
+    of integer rows over one common denominator.  The product G x is checked
+    against v again, by cross-multiplication, with G read off the same
+    integer columns.  When G is invertible, E is its inverse."""
     k = len(gens)
-    g_mat = Mat._of_cols(gens, dim)  # a node has checked its generators
-    rows = []
-    for i, r in enumerate(g_mat.rows):
-        den, ints = _clear_denominators(r)
-        ints += [0] * dim
-        ints[k + i] = den
-        rows.append(ints)
+    g_den = lcm(*[d for d, _ in gens])
+    cols = [ints if d == g_den else [a * (g_den // d) for a in ints] for d, ints in gens]
+    rows = [list(r) + [0] * dim for r in zip(*cols)] if cols else [[0] * dim for _ in range(dim)]
+    for i, row in enumerate(rows):
+        row[k + i] = g_den
+    g_form = _scaled_of_cols(g_den, cols, dim)
     pivots = _int_rref(rows, k + dim)
     g_pivots = tuple(p for p in pivots if p < k)
     rank = len(g_pivots)
@@ -316,7 +317,7 @@ def _span_coordinates(gens, dim):
         for i, p in enumerate(g_pivots):
             x[p] = w[i]
         x = (den, x)
-        return x if scaled_equal(g_mat.apply_scaled(x), v) else None
+        return x if scaled_equal(_sparse_apply(*g_form, k, x), v) else None
 
     return coordinates, rank, product
 
@@ -334,10 +335,19 @@ def _integral(v):
     return None if any(a % den for a in ints) else tuple(a // den for a in ints)
 
 
+def _scalar_rules(tag):
+    """The tag's scalar rules (`SemiringTag.scalar_ok`) as a test of integers
+    cs over one d > 0, read once from the tag and run on the integers."""
+    integral, nonneg, within_one = tag.integral, tag.nonneg, tag.within_one
+    return lambda d, cs: ((not integral or all(c % d == 0 for c in cs))
+                          and (not nonneg or all(c >= 0 for c in cs))
+                          and (not within_one or all(c <= d for c in cs)))
+
+
 # A node's carrier as the verifier sees it: the node-kind failure ("" if the
 # generators fit the kind), the membership test on scaled vectors and, for a
 # subconvex node with nonnegative generators, the gauge (Minkowski functional)
-# of a scaled vector as a Fraction or INFINITY.
+# of a scaled vector as an integer ratio (p, q), q > 0, or INFINITY.
 _Carrier = namedtuple("_Carrier", "kind_detail member gauge", defaults=(None,))
 
 
@@ -357,7 +367,7 @@ def _carrier(tag, node, scaled):
         return _Carrier("generators must be nonnegative", _never)
     detail = ""
     if node.is_free:
-        coordinates, rank, product = _span_coordinates(gens, dim)
+        coordinates, rank, product = _span_coordinates(scaled, dim)
         if rank != len(gens):
             detail = "generators are linearly dependent"
         elif node.is_pca and len(gens) != dim:
@@ -376,30 +386,15 @@ def _carrier(tag, node, scaled):
                 r = gauge_scaled(facets, v[1])
                 return r if r is INFINITY else (r[0], r[1] * v[0])
 
-        def mu(v):
-            r = ratio(v)
-            return r if r is INFINITY else Fraction(*r)
-
-        return _Carrier(detail, lambda v: (r := ratio(v)) is not INFINITY and r[0] <= r[1], mu)
+        return _Carrier(detail, lambda v: (r := ratio(v)) is not INFINITY and r[0] <= r[1],
+                        ratio)
     if node.is_free:
-        # the tag's scalar rules (`SemiringTag.scalar_ok`) on the coordinates
-        # c / d, d > 0, read once from the tag and tested on the integers
-        integral, nonneg, within_one = tag.integral, tag.nonneg, tag.within_one
-
-        def member(v):
-            x = coordinates(v)
-            if x is None:
-                return False
-            d, cs = x
-            return ((not integral or all(c % d == 0 for c in cs))
-                    and (not nonneg or all(c >= 0 for c in cs))
-                    and (not within_one or all(c <= d for c in cs)))
-
-        return _Carrier(detail, member)
+        rules = _scalar_rules(tag)
+        return _Carrier(detail, lambda v: (x := coordinates(v)) is not None and rules(*x))
     # generated module, by tag
     member = _never
     if tag in (SemiringTag.Q, SemiringTag.REAL):
-        coordinates = _span_coordinates(gens, dim)[0]
+        coordinates = _span_coordinates(scaled, dim)[0]
         member = lambda v: coordinates(v) is not None
     elif tag is SemiringTag.NAT and all(is_integral(g) and is_nonneg(g) for g in gens):
         member = lambda v: (t := _integral(v)) is not None and _nat_monoid_member(gens, t)
@@ -412,52 +407,52 @@ def _carrier(tag, node, scaled):
     return _Carrier("", member)
 
 
-def _coalgebra_self_map_ok(z, node, carrier, gens, out):
+def _coalgebra_self_map_ok(z, node, carrier, gens, out, images):
     """The structure map sends every generator into the functor at the
     node's carrier; gens and out are the node's generators and output
-    functional, scaled."""
+    functional, scaled, and images the letter images of each scaled
+    generator."""
     if node.is_pca and carrier.gauge is None:
         return False, "carrier generators must be nonnegative"
-    trans = node.coalgebra.trans
-    for g, sg in zip(node.generators, gens):
-        o = Fraction(*scaled_dot(out, sg))
-        images = (m.apply_scaled(sg) for m in trans)
+    rules = _scalar_rules(z.tag)
+    for g, sg, letter_images in zip(node.generators, gens, images):
+        o = scaled_dot(out, sg)
         if z.functor == GHAT and node.is_pca:
-            breach = ghat_breach(o, images, carrier.gauge)
+            breach = ghat_breach(o, letter_images, carrier.gauge)
             if breach == "output":
                 return False, f"negative output weight at generator {fmt_vec(g)}"
             if breach == "cone":
                 return False, f"letter image of {fmt_vec(g)} leaves the carrier cone"
             if breach is not None:
-                return False, f"budget {fmt_rat(breach)} exceeds 1 at generator {fmt_vec(g)}"
+                return False, (f"budget {fmt_rat(Fraction(*breach))} exceeds 1 "
+                               f"at generator {fmt_vec(g)}")
         else:
-            if not z.tag.scalar_ok(o):
-                return False, f"output weight {fmt_rat(o)} outside the semiring"
-            if not all(map(carrier.member, images)):
+            if not rules(o[1], (o[0],)):
+                return False, f"output weight {fmt_rat(Fraction(*o))} outside the semiring"
+            if not all(map(carrier.member, letter_images)):
                 return False, f"transition image of {fmt_vec(g)} leaves the carrier"
     return True, ""
 
 
-def _morphism_carrier_ok(mor, src, member, gens):
+def _morphism_carrier_ok(src, member, images):
     """The morphism sends every (scaled) source generator into the target
-    carrier."""
-    for g, sg in zip(src.generators, gens):
-        if not member(mor.matrix.apply_scaled(sg)):
+    carrier; images are the morphism images of the scaled generators."""
+    for g, fg in zip(src.generators, images):
+        if not member(fg):
             return False, f"image of generator {fmt_vec(g)} not in target carrier"
     return True, ""
 
 
-def _morphism_square_ok(mor, src, dst, gens, out_src, out_dst):
+def _morphism_square_ok(mor, src, dst, gens, f_images, letter_images, out_src, out_dst):
     """The morphism commutes with the output weights and the letter maps on
-    every (scaled) source generator."""
+    every (scaled) source generator, given its morphism and letter images."""
     f, c_src, c_dst = mor.matrix, src.coalgebra, dst.coalgebra
-    for g, sg in zip(src.generators, gens):
-        fg = f.apply_scaled(sg)
+    for g, sg, fg, m_images in zip(src.generators, gens, f_images, letter_images):
         (p, q), (r, s) = scaled_dot(out_src, sg), scaled_dot(out_dst, fg)
         if p * s != r * q:
             return False, f"output weight changes along generator {fmt_vec(g)}"
-        for a, m_src, m_dst in zip(c_src.alphabet, c_src.trans, c_dst.trans):
-            if not scaled_equal(f.apply_scaled(m_src.apply_scaled(sg)), m_dst.apply_scaled(fg)):
+        for a, mg, m_dst in zip(c_src.alphabet, m_images, c_dst.trans):
+            if not scaled_equal(f.apply_scaled(mg), m_dst.apply_scaled(fg)):
                 return False, f"letter {a!r} square fails at generator {fmt_vec(g)}"
     return True, ""
 
@@ -544,6 +539,9 @@ def verify_zigzag(z):
         return Report(False, checks)
 
     gens = [[_clear_denominators(g) for g in node.generators] for node in nodes]
+    letter_images = [[[m.apply_scaled(sg) for m in node.coalgebra.trans] for sg in g]
+                     for node, g in zip(nodes, gens)]
+    mor_images = [[mor.matrix.apply_scaled(sg) for sg in gens[mor.src]] for mor in z.morphisms]
     carriers = [_carrier(z.tag, node, g) for node, g in zip(nodes, gens)]
     outs = [_clear_denominators(node.coalgebra.out) for node in nodes]
     for i, node in enumerate(nodes):
@@ -554,14 +552,15 @@ def verify_zigzag(z):
             detail = "subconvex witnesses need subconvex carriers"
         add(f"node-kind[{i}]", not detail, detail)
         add_guarded(f"node-coalgebra[{i}]", _coalgebra_self_map_ok, z, node, carriers[i],
-                    gens[i], outs[i])
+                    gens[i], outs[i], letter_images[i])
 
     for k, mor in enumerate(z.morphisms):
         i, j = mor.src, mor.dst
-        add_guarded(f"morphism-carrier[{k}]", _morphism_carrier_ok, mor, nodes[i],
-                    carriers[j].member, gens[i])
-        add(f"morphism-square[{k}]", *_morphism_square_ok(mor, nodes[i], nodes[j], gens[i],
-                                                          outs[i], outs[j]))
+        add_guarded(f"morphism-carrier[{k}]", _morphism_carrier_ok, nodes[i],
+                    carriers[j].member, mor_images[k])
+        add(f"morphism-square[{k}]", *_morphism_square_ok(
+            mor, nodes[i], nodes[j], gens[i], mor_images[k], letter_images[i],
+            outs[i], outs[j]))
 
     relating = {i: _clear_denominators(v) for i, v in z.relating}
     ends = {0: (_clear_denominators(x1), "left"), n - 1: (_clear_denominators(x2), "right")}
@@ -603,17 +602,21 @@ def zigzag_to_text(z):
     lines = [f"zigzag {z.functor} {z.tag.value}",
              "alphabet " + " ".join(z.alphabet),
              f"nodes {len(z.nodes)}"]
+    blocks = {}  # id of a Mat -> its lines: nodes may share a letter matrix, formatted once
+    for m in [m for nd in z.nodes for m in nd.coalgebra.trans] + [f.matrix for f in z.morphisms]:
+        if id(m) not in blocks:
+            blocks[id(m)] = [" ".join(map(str, row)) for row in m.transpose().rows]
     for i, node in enumerate(z.nodes):
         lines.append(f"node {i} {node.kind} dim {node.dim} generators {len(node.generators)}")
         lines += [" ".join(map(str, g)) for g in node.generators]
         lines.append(("out " + " ".join(map(str, node.coalgebra.out))).rstrip())
         for a, m in zip(z.alphabet, node.coalgebra.trans):
             lines.append(f"trans {a}")
-            lines += [" ".join(map(str, row)) for row in m.transpose().rows]
+            lines += blocks[id(m)]
     lines.append(f"morphisms {len(z.morphisms)}")
     for mor in z.morphisms:
         lines.append(f"morphism {mor.src} {mor.dst}")
-        lines += [" ".join(map(str, row)) for row in mor.matrix.transpose().rows]
+        lines += blocks[id(mor.matrix)]
     lines.append(f"relating {len(z.relating)}")
     lines += [(f"at {i} " + " ".join(map(str, v))).rstrip() for i, v in z.relating]
     lines.append(("left " + " ".join(map(str, z.endpoints[0]))).rstrip())

@@ -176,3 +176,15 @@ def report_witnesses(z):
             relating = list(z.relating)
             relating[j] = (i, tuple(a + b for a, b in zip(v, unit(len(v), 0))))
             yield f"replace relating element {j}", replace(z, relating=tuple(relating))
+
+
+def negative_output_witnesses(z):
+    """(label, witness) for each node of positive dimension with every output
+    weight set to -1: a subconvex node then has a negative output weight at
+    every nonzero nonnegative generator, a mutation `report_witnesses` lacks."""
+    for i, node in enumerate(z.nodes):
+        if node.dim:
+            nodes = list(z.nodes)
+            nodes[i] = replace(node, coalgebra=replace(node.coalgebra,
+                                                       out=(F(-1),) * node.dim))
+            yield f"negative outputs at node {i}", replace(z, nodes=tuple(nodes))

@@ -12,19 +12,22 @@ must fail some check wherever that check fails."""
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import chain
 
 import pytest
 
 import verify_oracle
 import weights_oracle
 from matvec_oracle import entrywise_dot
-from wazz import polyhedra
+from wazz import pca, polyhedra, zigzag
 from wazz.automata import SemiringTag, TagViolation, WeightedAutomaton, check_weights
 from wazz.formats import fmt_rat
 from wazz.linalg import Mat, vdot, vector, zeros
+from wazz.polyhedra import INFINITY
 from wazz.zigzag import cubic_zigzag, ghat_zigzag, verify_zigzag
 
-from genrandom import lift, lifted_pair, rand_automaton, report_witnesses
+from genrandom import (lift, lifted_pair, negative_output_witnesses, rand_automaton,
+                       report_witnesses)
 
 T = SemiringTag
 BIG = 10**12
@@ -301,6 +304,86 @@ class TestEdgeCases:
             small = WeightedAutomaton(tag=tag, n=n, alphabet=("a", "b"), out=out, trans=trans)
             z = build(*lift(small, r_cols, x_big))
             assert assert_same_reports(z) >= 1
+
+
+# ---------------------------------------------------------------------------
+# the subconvex budget on integer ratios
+
+
+def test_ghat_breach_matches_fraction_oracle():
+    """The integer budget sums ratios (p, q), q > 0, in any terms, as the
+    verifier's gauges and output weights come; its verdict is the `Fraction`
+    oracle's, and a breaching total stands for the oracle's total."""
+    rng = random.Random("ghat-breach")
+
+    def ratio(q):
+        c = rng.choice([1, 1, 2, 6, BIG])  # unreduced terms, as scaled_dot gives
+        return q.numerator * c, q.denominator * c
+
+    kinds = set()
+    for _ in range(3000):
+        o = F(rng.randint(-3, 9), rng.choice([1, 2, 7, 9, BIG]))
+        gauges = [INFINITY if rng.random() < 0.1
+                  else F(rng.randint(0, 9), rng.choice([1, 3, 10, BIG]))
+                  for _ in range(rng.randint(0, 3))]
+        want = verify_oracle.ghat_breach(o, gauges, lambda g: g)
+        got = pca.ghat_breach(ratio(o), gauges,
+                              lambda g: g if g is INFINITY else ratio(g))
+        if isinstance(want, F):
+            assert type(got) is tuple and got[1] > 0 and F(*got) == want, (o, gauges)
+            kinds.add("total")
+        else:
+            assert got == want, (o, gauges)
+            kinds.add(want)
+    assert kinds == {None, "output", "cone", "total"}
+
+
+def test_pca_mutations_reach_every_coalgebra_detail():
+    """On subconvex witnesses, `report_witnesses` reaches the cone and budget
+    failures of `node-coalgebra` and `negative_output_witnesses` its negative
+    output weight, each with the oracle's report."""
+    rng = random.Random("coalgebra-details/pca")
+    details = {"report": set(), "negative": set()}
+    for k, extra in ((2, 1), (3, 1), (2, 2)):
+        for alphabet in (("a",), ("a", "b")):
+            z = ghat_zigzag(*lifted_pair(rng, T.PCA, k, extra, alphabet))
+            for source, mutations in (("report", report_witnesses(z)),
+                                      ("negative", negative_output_witnesses(z))):
+                for label, w in mutations:
+                    got = assert_oracle_report(w, label)
+                    details[source].update(c.detail.split(" ")[0] for c in got.checks
+                                           if c.name.startswith("node-coalgebra")
+                                           and not c.ok)
+    assert {"letter", "budget"} <= details["report"]
+    assert "negative" in details["negative"]
+
+
+@pytest.mark.parametrize("tag", list(T), ids=lambda t: t.value)
+def test_verifier_applies_each_image_once(tag, monkeypatch):
+    """On a valid witness the verifier takes every letter image of a scaled
+    generator and every morphism image of a scaled source generator once:
+    k |Sigma| products per node with k generators, k_src (1 + 2 |Sigma|) per
+    morphism (f g, then f (M g) and M' (f g) for its square) and one per
+    morphism into a sink (the image of a relating element for `chain`).  It
+    builds no `Fraction`, which only a failure detail quotes."""
+    rng = random.Random(f"images-once/{tag.value}")
+    witnesses = [build(*lifted_pair(rng, tag, k, extra, alphabet))
+                 for k, extra in ((2, 1), (3, 1)) for alphabet in (("a",), ("a", "b"))]
+    calls = []
+    original = Mat.apply_scaled
+    monkeypatch.setattr(Mat, "apply_scaled",
+                        lambda self, x: calls.append(self) or original(self, x))
+    monkeypatch.setattr(zigzag, "Fraction", None)
+    for z in witnesses:
+        calls.clear()
+        assert verify_zigzag(z).valid
+        letters = len(z.alphabet)
+        ks = [len(node.generators) for node in z.nodes]
+        sinks = {mor.dst for mor in z.morphisms} - {mor.src for mor in z.morphisms}
+        into_sinks = sum(mor.dst in sinks for mor in z.morphisms)
+        assert len(calls) == (sum(k * letters for k in ks)
+                              + sum(ks[mor.src] * (1 + 2 * letters) for mor in z.morphisms)
+                              + into_sinks)
 
 
 @pytest.mark.parametrize("tag", [T.NAT, T.INT, T.Q, T.REAL], ids=lambda t: t.value)

@@ -204,7 +204,7 @@ class TestCarrierTesterMatchesSolve:
         for _ in range(300):
             dim = rng.randint(0, 4)
             gens = rand_generators(rng, dim)
-            coordinates, rank, _ = _span_coordinates(gens, dim)
+            coordinates, rank, _ = _span_coordinates(list(map(scaled, gens)), dim)
             assert rank == (kernel_oracle.rref(Mat(gens, ncols=dim))[2] if gens else 0)
             for v in rand_targets(rng, gens, dim):
                 got = coordinates(scaled(v))
@@ -303,7 +303,9 @@ class TestCarrierTesterMatchesSolve:
             polytope = PcaPolytope(dim, tuple(gens))
             for x in gauge_points(rng, polytope):
                 want = gauge(polytope, x)
-                assert same_gauge(carrier.gauge(scaled(x)), want), (gens, x)
+                got = carrier.gauge(scaled(x))  # an integer ratio (p, q), or INFINITY
+                got = got if got is INFINITY else F(*got)
+                assert same_gauge(got, want), (gens, x)
                 assert carrier.member(scaled(x)) == pca_member(polytope, x)
                 kinds.add("inf" if want is INFINITY else (want > 1) - (want < 1))
                 points += 1

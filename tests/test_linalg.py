@@ -20,6 +20,27 @@ def rand_mat(rng, nr, nc, span=3):
                 for _ in range(nr)])
 
 
+class TestVector:
+    def test_fraction_tuple_comes_back_as_is(self):
+        v = (F(1, 2), F(0), F(-3))
+        assert vector(v) is v
+        assert vector(()) == ()
+
+    def test_other_entries_are_converted(self):
+        class Sub(F):
+            pass
+
+        half = F(1, 2)
+        for entries in ([half, F(3)], (1, half), (Sub(1, 2), F(1)), [2, "1/3"], (True,),
+                        iter([half])):
+            got = vector(entries)
+            assert type(got) is tuple and all(type(e) is F for e in got)
+        assert vector([half, F(3)]) == (half, 3) and vector([half])[0] is half
+        assert vector((1, half)) == (1, half)
+        assert vector((Sub(1, 2), F(1))) == (half, 1)
+        assert vector([2, "1/3"]) == (2, F(1, 3))
+
+
 class TestRref:
     def test_identity(self):
         r, pivots, rank = rref(Mat.identity(2))

@@ -353,6 +353,23 @@ class TestWitnessFormat:
         back = parse_zigzag(zigzag_to_text(z))
         assert back == z
 
+    def test_shared_matrices_formatted_once(self, monkeypatch):
+        """Nodes 0/1 and 3/4 of a ghat witness with nothing dropped share
+        their letter matrices; each distinct `Mat` is formatted once."""
+        rng = random.Random("shared-blocks")
+        z = ghat_zigzag(*lifted_pair(rng, T.PCA, 3, 1, ("a", "b")))
+        mats = [m for node in z.nodes for m in node.coalgebra.trans]
+        mats += [mor.matrix for mor in z.morphisms]
+        assert z.nodes[0].coalgebra.trans[0] is z.nodes[1].coalgebra.trans[0]
+        text = zigzag_to_text(z)
+        formatted = []
+        original = Mat.transpose
+        monkeypatch.setattr(Mat, "transpose",
+                            lambda self: formatted.append(id(self)) or original(self))
+        assert zigzag_to_text(z) == text
+        assert sorted(formatted) == sorted({id(m) for m in mats})
+        assert len(formatted) < len(mats)
+
     def test_deterministic_output(self):
         a1, x1, a2, x2 = qplus_pair()
         assert zigzag_to_text(cubic_zigzag(a1, x1, a2, x2)) == \

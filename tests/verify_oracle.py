@@ -26,13 +26,27 @@ from wazz.automata import SemiringTag
 from wazz.formats import fmt_rat, fmt_vec, word_text
 from wazz.linalg import (Lattice, Mat, as_int_vec, hnf, is_integral, is_nonneg,
                          lattice_member, unit, vneg)
-from wazz.pca import ghat_breach
 from wazz.polyhedra import INFINITY, PcaPolytope
 from wazz.zigzag import (CUBIC, GHAT, CheckResult, Report, SearchBudgetExceeded,
                          _nat_monoid_member)
 
 gauge = kernel_oracle.gauge
 cone_member = kernel_oracle.cone_member
+
+
+def ghat_breach(o, images, mu):
+    """The subconvex budget on `Fraction`s: None if o >= 0 and
+    o + sum_a mu(images_a) <= 1, else "output" for o < 0, "cone" at the
+    first image with an infinite gauge, or the total when it exceeds 1."""
+    if o < 0:
+        return "output"
+    total = o
+    for v in images:
+        g = mu(v)
+        if g is INFINITY:
+            return "cone"
+        total += g
+    return total if total > 1 else None
 
 
 def first_word_off(functional, start, maps):

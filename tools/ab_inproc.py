@@ -16,9 +16,10 @@ The pairs are those of `bench/workloads.py` (read from this checkout, not
 changed).  Every op must give the same exit code and standard output on both
 trees, and `zigzag` the same witness bytes; a mismatch is printed and the
 command exits 1.  The report gives, per op, the median wall time of each
-tree and the median over pairs of the per-pair ratio NEW / OLD (each pair's
-time is its median over the rounds), and the ratio of the two trees' times
-at the tail percentile `bench/run.py` reports for that many samples.
+tree, the median over pairs of the per-pair ratio NEW / OLD (each pair's
+time is its median over the rounds), the ratio of the two trees' times at
+the tail percentile `bench/run.py` reports for that many samples, and the
+share of pairs on which NEW was faster than OLD (ties count for neither).
 Standard library only.
 """
 
@@ -163,9 +164,11 @@ def main(argv=None):
         pct = bench.tail_percentile(len(timed))
         tail = (bench.percentile([b for _, b in timed], pct)
                 / bench.percentile([a for a, _ in timed], pct))
+        wins = sum(b < a for a, b in timed)
         print(f"{op:7s} n={len(timed):4d}  old {old_ms:8.3f} ms  new {new_ms:8.3f} ms  "
               f"median per-pair ratio {ratio:.3f} ({(ratio - 1) * 100:+.1f}%)  "
-              f"p{pct:g} ratio {tail:.3f} ({(tail - 1) * 100:+.1f}%)")
+              f"p{pct:g} ratio {tail:.3f} ({(tail - 1) * 100:+.1f}%)  "
+              f"new faster on {wins}/{len(timed)} pairs ({wins / len(timed):.0%})")
     print(f"mismatches: {len(mismatches)}")
     for line in mismatches[:20]:
         print("  " + line)
