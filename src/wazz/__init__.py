@@ -8,9 +8,7 @@ from .automata import (SemiringTag, LinearCoalgebra, WeightedAutomaton, Trace,
 from .hilbert import IntConeSpec, hilbert_basis, nat_restriction
 from .polyhedra import (HRep, VRep, PcaPolytope, INFINITY, InternalError, dd_h_to_v,
                         dd_v_to_h, gauge, cone_restriction, simplex_restriction)
-from .pca import (GhatElement, PyramidCert, InvariantZeroSet,
-                  ghat_member, is_ghat_coalgebra, pyramid_extension,
-                  reduce_invariant_set, ghat_apply)
+from .pca import PyramidCert, InvariantZeroSet, pyramid_extension, reduce_invariant_set
 from .zigzag import (ZigZag, ZigZagNode, cubic_zigzag, ghat_zigzag, verify_zigzag,
                      parse_zigzag, zigzag_to_text)
 
@@ -24,9 +22,7 @@ __all__ = [
     "IntConeSpec", "hilbert_basis", "nat_restriction",
     "HRep", "VRep", "PcaPolytope", "INFINITY", "InternalError", "dd_h_to_v", "dd_v_to_h",
     "gauge", "cone_restriction", "simplex_restriction",
-    "GhatElement", "PyramidCert", "InvariantZeroSet",
-    "ghat_member", "is_ghat_coalgebra", "pyramid_extension", "reduce_invariant_set",
-    "ghat_apply",
+    "PyramidCert", "InvariantZeroSet", "pyramid_extension", "reduce_invariant_set",
     "ZigZag", "ZigZagNode", "cubic_zigzag", "ghat_zigzag", "verify_zigzag",
     "parse_zigzag", "zigzag_to_text",
 ]

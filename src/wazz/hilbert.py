@@ -16,8 +16,8 @@ from bisect import insort
 from dataclasses import dataclass
 from itertools import count
 
-from .linalg import (Lattice, Mat, as_int_vec, hnf, hnf_with_transform,
-                     lattice_coords, lattice_reduce)
+from .linalg import (Lattice, Mat, _int_rref, as_int_vec, hnf, hnf_with_transform, is_zero,
+                     lattice_coords, lattice_reduce, primitive)
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,6 @@ class IntConeSpec:
             raise ValueError("dimension mismatch")
         return as_int_vec(tuple(sum(x[i] * self.w.rows[i][j] for i in range(self.k))
                                 for j in range(self.m)))
-
-    def contains(self, x):
-        return all(c >= 0 for c in self.image(x))
 
 
 def graded_lex_key(v):
@@ -168,16 +165,14 @@ def qplus_restriction_by_scaling(gens):
     Clears denominators to get an integer lattice inside the span, takes its
     N-generators, and returns those; every nonnegative rational element of
     the span is a positive rational multiple of a lattice element, so the
-    same set generates over Q+.  The span basis is canonicalized first
-    (reduced echelon, scaled primitive), which keeps the lattice entries
+    same set generates over Q+.  The span basis is canonicalized first (the
+    primitive echelon rows of `_int_rref`), which keeps the lattice entries
     small; any integer lattice spanning the same subspace works.
     """
-    from .linalg import Mat, is_zero, primitive, rref
-    cleaned = [g for g in gens if not is_zero(g)]
-    if not cleaned:
+    rows = [primitive(g) for g in gens if not is_zero(g)]
+    if not rows:
         return []
-    echelon, _, rank = rref(Mat(tuple(cleaned), ncols=len(cleaned[0])))
-    ints = [primitive(r) for r in echelon.rows[:rank]]
-    lat = hnf(ints, dim=len(ints[0]))
+    pivots = _int_rref(rows, len(rows[0]))
+    lat = hnf(rows[:len(pivots)], dim=len(rows[0]))
     return [tuple(v) for v in nat_restriction(lat)]
 

@@ -20,10 +20,10 @@ vectors are compared by cross-multiplication, never by building Fractions.
   `vdot` is one integer sum over both vectors scaled once.
 - Elimination (`_int_rref`, `_Echelon`) is fraction-free: a row update is
   the integer combination that clears one entry, divided by the gcd of the
-  result, so rows stay primitive.  `_int_rref` is the one Gauss-Jordan loop;
-  `rref` runs it on rows scaled to primitive integers and divides a pivot
-  row by its pivot only when it builds the returned matrix, and the
-  verifier's free-carrier factorization reads its integer rows directly.
+  result, so rows stay primitive.  `_int_rref` is the one Gauss-Jordan loop:
+  `rref` divides a pivot row by its pivot only to build the returned
+  matrix, and `kernel_basis`, the double description and the verifier's
+  free-carrier factorization read the integer rows directly.
 - A `Mat` is built once.  `transpose` and `from_cols` make the rows with
   one `zip`; `transpose` re-checks no entry, and `from_cols` converts only
   entries that are not `Fraction`s.  A text reader reads a letter or
@@ -32,10 +32,10 @@ vectors are compared by cross-multiplication, never by building Fractions.
   already the `Fraction` of the reader's literal table (one per file, in
   `wazz.formats`), and the same table's integers give the scaled form at
   once, so no `Fraction` of the matrix is read again.
-- The word closure queues scaled images, reduced to lowest terms.
-  `word_closure` builds the `Fraction` vector of a word only when it yields
-  one; `first_word_off`, like the pair closure of `wazz.automata`, builds
-  none and tests each scaled image against a functional scaled once.
+- The word closure (`_scaled_word_closure`) queues scaled images, reduced
+  to lowest terms, and builds no `Fraction`; `first_word_off`, like the
+  pair closure of `wazz.automata`, tests each scaled image against a
+  functional scaled once.
 - The Z closure (`closure_under_maps`) runs on `int` rows throughout: it
   applies integral maps through their scaled forms and grows the HNF in
   place.  `Mat.block_diag` composes the scaled forms of its blocks.
@@ -210,14 +210,6 @@ class Mat:
         return len(self.rows)
 
     @classmethod
-    def identity(cls, n):
-        return cls(tuple(unit(n, i) for i in range(n)), ncols=n)
-
-    @classmethod
-    def zero(cls, nrows, ncols):
-        return cls(tuple(zeros(ncols) for _ in range(nrows)), ncols=ncols)
-
-    @classmethod
     def from_cols(cls, cols, nrows=None):
         cols = [vector(c) for c in cols]
         if cols:
@@ -377,20 +369,43 @@ def rref(m):
     return Mat(red, ncols=m.ncols), tuple(pivots), r
 
 
-def kernel_basis(m):
-    """Basis of {x : Mx = 0}, one primitive vector per free column."""
-    red, pivots, rank = rref(m)
-    pivot_set = set(pivots)
+def _rref_beside_identity(cols, nrows, d=1):
+    """(pivot columns, rows) of one `_int_rref` of [G | d I], G having the
+    integer columns cols of length nrows: the rows read [R | d E] with
+    E G = R, R being G's rref up to a nonzero factor per row."""
+    rows = [list(r) + [0] * nrows for r in zip(*cols)] or [[0] * nrows for _ in range(nrows)]
+    for j, row in enumerate(rows, len(cols)):
+        row[j] = d
+    return _int_rref(rows, len(cols) + nrows), rows
+
+
+def _span_equations(rows, pivots, ncols):
+    """(L, the pairs (c, e_c) over the non-pivot columns c) of rows that
+    `_int_rref` left with the given pivots: L x_c = <x_P, e_c> on their row
+    space, L the lcm of the pivot entries and e_c[i] = rows[i][c] L / rows[i][p_i]."""
+    den = lcm(*(row[p] for row, p in zip(rows, pivots)))
+    scales = [den // row[p] for row, p in zip(rows, pivots)]
+    return den, tuple((c, tuple(row[c] * s for row, s in zip(rows, scales)))
+                      for c in range(ncols) if c not in pivots)
+
+
+def _kernel_vectors(rows, pivots, ncols):
+    """Basis of the kernel of rows that `_int_rref` left with the given pivots:
+    per non-pivot column c, L at c and -e_c at the pivots (`_span_equations`),
+    made primitive with its first nonzero entry positive."""
+    den, equations = _span_equations(rows, pivots, ncols)
     basis = []
-    for free in range(m.ncols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * m.ncols
-        v[free] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red.rows[i][free]
-        basis.append(vector(primitive(v, flip_sign=True)))
+    for c, e in equations:
+        at = dict(zip(pivots, e))
+        basis.append(primitive([den if j == c else -at.get(j, 0) for j in range(ncols)],
+                               flip_sign=True))
     return basis
+
+
+def kernel_basis(m):
+    """Basis of {x : Mx = 0}, one primitive vector per free column, on integers."""
+    rows = [primitive(r) for r in m.rows]
+    return [vector(v) for v in _kernel_vectors(rows, _int_rref(rows, m.ncols), m.ncols)]
 
 
 def solve(m, b):
@@ -565,9 +580,6 @@ class _Echelon:
         self.rows.append((p, [a // g for a in res]))
         return True
 
-    def contains(self, ints):
-        return not any(self.residue(ints))
-
 
 def _check_square(start, maps):
     if any(m.nrows != len(start) or m.ncols != len(start) for m in maps):
@@ -575,8 +587,12 @@ def _check_square(start, maps):
 
 
 def _scaled_word_closure(start, maps):
-    """`word_closure` on scaled images: yields (word, (d, ints)) with ints / d
-    the image of `start`, in lowest terms."""
+    """Q-basis of the closure of `start` under all maps, breadth first:
+    yields (word, (d, ints)), the map indices (first applied first) that send
+    `start` to ints / d, in lowest terms.  Words come in shortlex order and
+    span(images of words <= w) = span(basis vectors of words <= w), so the
+    first basis vector a functional does not annihilate has the
+    shortlex-least word on which it is nonzero."""
     _check_square(start, maps)
     ech = _Echelon()
     queue = deque([((), _lowest_terms(_clear_denominators(start)))])
@@ -586,17 +602,6 @@ def _scaled_word_closure(start, maps):
             yield word, v
             queue.extend((word + (i,), _lowest_terms(m.apply_scaled(v)))
                          for i, m in enumerate(maps))
-
-
-def word_closure(start, maps):
-    """Q-basis of the closure of `start` under all maps, breadth first, with
-    provenance: yields (word, vector), word being the map indices (first
-    applied first) that send `start` to vector.  Words come in shortlex order
-    and span(images of words <= w) = span(basis vectors of words <= w), so
-    the first basis vector a functional does not annihilate carries the
-    shortlex-least word on which it is nonzero."""
-    for word, (den, ints) in _scaled_word_closure(start, maps):
-        yield word, tuple(Fraction(a, den) for a in ints)
 
 
 def first_word_off(functional, start, maps):
@@ -620,7 +625,7 @@ def closure_under_maps(start, maps):
     enlarged the lattice, and an image outside the current lattice enlarges
     it.  The result is generated by vectors whose images all lie in it, so
     it is closed, and its HNF basis is unique.  (Over Q the closure is the
-    vectors of `word_closure`.)
+    span of `_scaled_word_closure`'s vectors.)
 
     Everything runs on `int` rows: an integral map's scaled form has d = 1,
     so its integers are its entries and an image is one integer sum per row;

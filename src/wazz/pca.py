@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import lcm
 
 from .automata import SemiringTag, WeightedAutomaton
 from .linalg import (_ZERO, Mat, _clear_denominators, _int_rref, is_nonneg, scaled_dot, unit,
-                     vdot, vector, zeros)
-from .polyhedra import INFINITY, InternalError, PcaPolytope, gauge
+                     vector, zeros)
+from .polyhedra import INFINITY, InternalError, PcaPolytope
 
 
 class InvariantZeroSet(Exception):
@@ -29,18 +28,6 @@ class InvariantZeroSet(Exception):
     def __init__(self, indices):
         super().__init__(f"zero-output invariant coordinates {sorted(indices)}")
         self.indices = frozenset(indices)
-
-
-@dataclass
-class GhatElement:
-    """A candidate functor element: output weight plus one vector per letter."""
-
-    o: Fraction
-    phi: dict
-
-    def __post_init__(self):
-        self.o = Fraction(self.o)
-        self.phi = {a: vector(v) for a, v in self.phi.items()}
 
 
 @dataclass(frozen=True)
@@ -72,31 +59,6 @@ def ghat_breach(o, images, mu):
             return "cone"
         num, den = num * g[1] + g[0] * den, den * g[1]
     return (num, den) if num > den else None
-
-
-def _gauge_ratio(polytope, x):
-    g = gauge(polytope, x)  # as an integer ratio, or INFINITY
-    return g if g is INFINITY else g.as_integer_ratio()
-
-
-def ghat_member(polytope, element):
-    """Exact membership test of an element in the functor at the polytope."""
-    return ghat_breach(element.o.as_integer_ratio(), element.phi.values(),
-                       partial(_gauge_ratio, polytope)) is None
-
-
-def ghat_apply(matrix, element):
-    """Functor action on a convex map: keep o, push the letter vectors."""
-    return GhatElement(element.o, {a: matrix.apply(v) for a, v in element.phi.items()})
-
-
-def is_ghat_coalgebra(x_poly, y_poly, coalg):
-    """Whether the linear map sends the subconvex hull of X into the functor
-    applied to Y; checking generators suffices by convexity."""
-    mu = partial(_gauge_ratio, y_poly)
-    return all(ghat_breach(vdot(coalg.out, g).as_integer_ratio(),
-                           (m.apply(g) for m in coalg.trans), mu) is None
-               for g in x_poly.generators)
 
 
 def invariant_zero_set(out, trans):

@@ -3,11 +3,12 @@
 Polyhedra are handled homogeneously: a polyhedron {x : Ax <= b} lifts to the
 cone {(x,t) : Ax - tb <= 0, t >= 0}, whose extreme rays with positive last
 coordinate are the vertices and the rest the directions.  The double
-description runs on pointed cones only.  The ambient conversions
-(`dd_h_to_v`, `dd_v_to_h`, `cone_rays`) split lineality off through the
-kernel of the constraint matrix.  The restrictions and the gauged hulls and
-cones need no kernel: they run in the coordinates of a span, where their
-cones are pointed by construction.
+description runs on pointed cones only, in the coordinates of a span, and
+every elimination is one fraction-free `_int_rref`.  The conversions
+(`dd_h_to_v`, `dd_v_to_h`, `cone_rays`) split the lineality of {x : Ax <= 0}
+off as the kernel of A's echelon rows and run in A's row space; the
+restrictions and the gauged hulls and cones run in the span of their
+generators.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import inf, lcm
+from math import inf
 from operator import mul
 
 from .formats import LineReader, fmt_vec
-from .linalg import (Mat, _clear_denominators, _eliminate, _int_rref, _over_shared, is_nonneg,
-                     is_zero, kernel_basis, primitive, vdot, vector, vneg, vscale, zeros)
+from .linalg import (_clear_denominators, _int_rref, _kernel_vectors, _over_shared,
+                     _rref_beside_identity, _span_equations, is_nonneg, is_zero, primitive,
+                     vdot, vector, vneg, vscale, zeros)
 
 
 class InternalError(Exception):
@@ -113,12 +115,6 @@ class PcaPolytope:
         return _subconvex_facets(points, self.dim)
 
 
-def canonical_ineq(normal, bound):
-    """Scale an inequality by a positive rational to coprime integers."""
-    scaled = primitive(tuple(normal) + (bound,))
-    return (vector(scaled[:-1]), Fraction(scaled[-1]))
-
-
 # ---------------------------------------------------------------------------
 # double description
 
@@ -126,39 +122,17 @@ def canonical_ineq(normal, bound):
 def _initial_simplex(normals, dim):
     """(indices of the first `dim` linearly independent integer normals,
     extreme rays of the cone {x : Bx <= 0} of those normals B), from one
-    fraction-free Gauss-Jordan pass (requires full rank).
-
-    Each row carries, after its dim entries, its coefficients over the chosen
-    normals.  Once fully reduced, row k reads d_k e_(p_k) = c_k B, so entry
-    p_k of column j of B^-1 is c_k[j] / d_k, and the ray of the j-th chosen
-    normal, -B^-1 e_j, is primitive in the integers -c_k[j] * (L / d_k) with L
-    the (positive) lcm of the d_k.
+    `_rref_beside_identity` of [A^T | I] (requires full rank): the pivot
+    columns are the chosen normals, and row k reads d_k on the k-th of them
+    and E_k in the identity part, E B^T = D being diagonal, so the ray of the
+    k-th chosen normal, -B^-1 e_k = -E_k / d_k, is primitive(-sign(d_k) E_k).
     """
-    rows, chosen = [], []  # rows: (pivot p, row)
-    for i, a in enumerate(normals):
-        v = list(a) + [0] * dim
-        v[dim + len(chosen)] = 1
-        for p, row in rows:
-            if v[p]:
-                v = _eliminate(v, row, p)
-        p = next((c for c in range(dim) if v[c]), None)
-        if p is None:
-            continue
-        rows = [(q, _eliminate(row, v, p) if row[p] else row) for q, row in rows]
-        rows.append((p, v))
-        chosen.append(i)
-        if len(chosen) == dim:
-            break
-    else:
+    pivots, rows = _rref_beside_identity(normals, dim)
+    m = len(normals)
+    if pivots[-1] >= m:
         raise ValueError("constraint matrix does not have full rank")
-    scale = lcm(*(row[p] for p, row in rows))
-    rays = []
-    for j in range(dim):
-        ray = [0] * dim
-        for p, row in rows:
-            ray[p] = -row[dim + j] * (scale // row[p])
-        rays.append(primitive(ray))
-    return chosen, rays
+    return pivots, [primitive([-a for a in row[m:]] if row[p] > 0 else row[m:])
+                    for row, p in zip(rows, pivots)]
 
 
 def _facet_overrun(budget):
@@ -228,11 +202,23 @@ def _pointed_cone_rays(normals, dim, budget=inf):
     return list(rays)
 
 
+def _lifted(rays, rows):
+    """The rays y in the coordinates of rows R lifted to x = yR, primitive and sorted."""
+    cols = list(zip(*rows))
+    return sorted(vector(primitive([sum(map(mul, y, col)) for col in cols])) for y in rays)
+
+
 def cone_rays(normals, dim):
-    """(lineality basis, extreme rays of the pointed part) of {x : Ax <= 0}."""
-    lineality = kernel_basis(Mat(tuple(normals), ncols=dim))
-    both_ways = [d for l in lineality for d in (l, vneg(l))]
-    return lineality, sorted(map(vector, _pointed_cone_rays(list(normals) + both_ways, dim)))
+    """(lineality basis, extreme rays of the pointed part) of {x : Ax <= 0}.
+
+    The r rows R of A's frame span its row space, and their kernel is the
+    lineality, as in `kernel_basis`.  The pointed part is the cone's part in
+    the row space, onto which x = yR maps the pointed cone of the normals Ra
+    in Q^r one-to-one, so its extreme rays are that cone's, lifted."""
+    ints = [primitive(a) for a in normals]
+    pivots, rows = _span_frame(ints, dim)
+    rays = _pointed_cone_rays([[sum(map(mul, r, a)) for r in rows] for a in ints], len(rows))
+    return list(map(vector, _kernel_vectors(rows, pivots, dim))), _lifted(rays, rows)
 
 
 def _cone_generators(normals, dim):
@@ -268,9 +254,9 @@ def dd_v_to_h(v):
         return HRep(v.dim, ((zeros(v.dim), Fraction(-1)),))
     gens = [tuple(p) + (Fraction(1),) for p in v.points]
     gens += [tuple(d) + (Fraction(0),) for d in v.directions]
-    ineqs = {canonical_ineq(r[:-1], -r[-1])
-             for r in _cone_generators(gens, v.dim + 1) if not is_zero(r[:-1])}
-    return HRep(v.dim, tuple(sorted(ineqs)))
+    facets = {primitive(r[:-1] + (-r[-1],))
+              for r in _cone_generators(gens, v.dim + 1) if not is_zero(r[:-1])}
+    return HRep(v.dim, tuple(sorted((vector(f[:-1]), Fraction(f[-1])) for f in facets)))
 
 
 def lp_feasible(h):
@@ -349,10 +335,7 @@ class _SpanFacets:
         """(P, L, the pairs (c, e_c) over the non-pivot columns, the facets)."""
         points = [ints for _, ints in gens] if hull else gens
         pivots, rows = _span_frame(points, dim)
-        den = lcm(*(row[p] for row, p in zip(rows, pivots)))
-        scales = [den // row[p] for row, p in zip(rows, pivots)]
-        equations = tuple((c, tuple(row[c] * s for row, s in zip(rows, scales)))
-                          for c in range(dim) if c not in pivots)
+        den, equations = _span_equations(rows, pivots, dim)
         projected = [[g[p] for p in pivots] for g in points]
         r = len(pivots)
         if hull:
@@ -420,11 +403,6 @@ def gauge_scaled(facets, xs):
     return best, best_b
 
 
-def pca_member(polytope, x):
-    g = gauge(polytope, x)
-    return g is not INFINITY and g <= 1
-
-
 def cone_member(gens, x):
     """Exact membership of x in the convex cone spanned by gens, tested on
     the integer normals with x scaled once to integers."""
@@ -469,9 +447,7 @@ def cone_restriction(span_vectors):
     if not span_vectors:
         return []
     rows = _span_frame(span_vectors, len(span_vectors[0]))[1]
-    r, cols = len(rows), list(zip(*rows))
-    rays = _pointed_cone_rays([[-a for a in col] for col in cols], r)
-    return sorted(vector(primitive([sum(map(mul, y, col)) for col in cols])) for y in rays)
+    return _lifted(_pointed_cone_rays([[-a for a in col] for col in zip(*rows)], len(rows)), rows)
 
 
 PRODUCT = "PRODUCT"

@@ -31,7 +31,7 @@ from math import lcm
 from .automata import LinearCoalgebra, SemiringTag, pair_submodule
 from .formats import LineReader, fmt_rat, fmt_vec
 from .hilbert import nat_restriction
-from .linalg import (Lattice, Mat, _clear_denominators, _int_rref, _scaled_of_cols,
+from .linalg import (Lattice, Mat, _clear_denominators, _rref_beside_identity, _scaled_of_cols,
                      _sparse_apply, as_int_vec, hnf, is_integral, is_nonneg, lattice_member,
                      scaled_dot, scaled_equal, unit, vector)
 from .pca import ghat_breach, pyramid_extension, reduce_invariant_set
@@ -286,18 +286,16 @@ def _span_coordinates(gens, dim):
     E G = R, so G x = v exactly when E v vanishes below the rank of G, and
     then x's pivot entries are read off E v.  The columns of G are put over
     D = lcm(d_j) as integers, so D [G | I] has integer rows and the same
-    rref, and `_int_rref` eliminates them; E is kept as the nonzero entries
-    of integer rows over one common denominator.  The product G x is checked
-    against v again, by cross-multiplication, with G read off the same
-    integer columns.  When G is invertible, E is its inverse."""
+    rref, and `_rref_beside_identity` eliminates them; E is kept as the
+    nonzero entries of integer rows over one common denominator.  The
+    product G x is checked against v again, by cross-multiplication, with G
+    read off the same integer columns.  When G is invertible, E is its
+    inverse."""
     k = len(gens)
     g_den = lcm(*[d for d, _ in gens])
     cols = [ints if d == g_den else [a * (g_den // d) for a in ints] for d, ints in gens]
-    rows = [list(r) + [0] * dim for r in zip(*cols)] if cols else [[0] * dim for _ in range(dim)]
-    for i, row in enumerate(rows):
-        row[k + i] = g_den
     g_form = _scaled_of_cols(g_den, cols, dim)
-    pivots = _int_rref(rows, k + dim)
+    pivots, rows = _rref_beside_identity(cols, dim, g_den)
     g_pivots = tuple(p for p in pivots if p < k)
     rank = len(g_pivots)
     # row i of E is row i of the elimination's E part over its pivot entry

@@ -8,15 +8,20 @@ use the `Fraction` kernel oracles.  `ambient_cone_restriction` and
 description in the ambient coordinates, on the sign rows plus each kernel
 equation of the span as a pair of inequalities; they reach the double
 description through the `wazz.polyhedra` module, so a test can route it
-through `cone_rays` above."""
+through `cone_rays` above.
+
+`dd_h_to_v` and `dd_v_to_h` are the conversions `wazz polytope` ran in the
+ambient coordinates: the lineality is the `Fraction` kernel of the
+constraint matrix, and each lineality vector enters the double description
+as a pair of opposite normals."""
 
 from fractions import Fraction
 
 from wazz import polyhedra
-from wazz.linalg import Mat, is_zero, kernel_basis, solve, unit, vdot, vector, vneg
-from wazz.polyhedra import HRep, InternalError, PcaPolytope, PRODUCT, SCALED
+from wazz.linalg import Mat, is_zero, solve, unit, vdot, vector, vneg, vscale, zeros
+from wazz.polyhedra import HRep, InternalError, PcaPolytope, PRODUCT, SCALED, VRep
 
-from kernel_oracle import Echelon, primitive
+from kernel_oracle import Echelon, kernel_basis, primitive
 
 
 def _initial_simplex(normals, dim):
@@ -133,3 +138,46 @@ def ambient_simplex_restriction(span_vectors, family, n1, n2):
         raise InternalError("simplex intersection must be bounded")
     gens = tuple(p for p in v.points if not is_zero(p))
     return PcaPolytope(dim, gens)
+
+
+def _ambient_cone_generators(normals, dim):
+    """Conic generators of {x : Ax <= 0}: both signs of each lineality basis
+    vector, and the extreme rays of the cone with those as extra normals."""
+    lineality = kernel_basis(Mat(tuple(normals), ncols=dim))
+    both_ways = [d for l in lineality for d in (l, vneg(l))]
+    rays = polyhedra._pointed_cone_rays(list(normals) + both_ways, dim)
+    return sorted(map(vector, rays)) + both_ways
+
+
+def dd_h_to_v(h):
+    """Vertices and directions of an H-polyhedron (Minkowski direction)."""
+    if h.dim == 0:
+        feasible = all(b >= 0 for _, b in h.ineqs)
+        return VRep(0, ((),) if feasible else (), ())
+    normals = [tuple(a) + (-b,) for a, b in h.ineqs]
+    normals.append(zeros(h.dim) + (Fraction(-1),))
+    points, directions = [], []
+    for r in _ambient_cone_generators(normals, h.dim + 1):  # lineality lies in t = 0
+        if r[-1] > 0:
+            points.append(vscale(1 / r[-1], r[:-1]))
+        else:
+            directions.append(vector(primitive(r[:-1])))
+    if not points:
+        return VRep(h.dim, (), ())
+    return VRep(h.dim, tuple(sorted(set(points))), tuple(sorted(set(directions))))
+
+
+def dd_v_to_h(v):
+    """Facet inequalities of a V-polyhedron, via the polar cone."""
+    if v.dim == 0:
+        return HRep(0, ()) if v.points else HRep(0, (((), Fraction(-1)),))
+    if v.is_empty:
+        return HRep(v.dim, ((zeros(v.dim), Fraction(-1)),))
+    gens = [tuple(p) + (Fraction(1),) for p in v.points]
+    gens += [tuple(d) + (Fraction(0),) for d in v.directions]
+    ineqs = set()
+    for r in _ambient_cone_generators(gens, v.dim + 1):
+        if not is_zero(r[:-1]):
+            scaled = primitive(tuple(r[:-1]) + (-r[-1],))
+            ineqs.add((vector(scaled[:-1]), Fraction(scaled[-1])))
+    return HRep(v.dim, tuple(sorted(ineqs)))

@@ -1,10 +1,16 @@
 """Brute-force Hilbert bases by box enumeration, kept as a differential
-oracle for `wazz.hilbert.hilbert_basis`."""
+oracle for `wazz.hilbert.hilbert_basis`, and the cone membership test they
+run on an `IntConeSpec`."""
 
 from itertools import product
 
 from wazz.hilbert import graded_lex_key
 from wazz.linalg import Lattice, hnf, lattice_reduce
+
+
+def in_cone(spec, x):
+    """Whether the integer vector x lies in the cone {x : x . W >= 0}."""
+    return all(c >= 0 for c in spec.image(x))
 
 
 def hilbert_bruteforce_oracle(spec, box):
@@ -17,8 +23,8 @@ def hilbert_bruteforce_oracle(spec, box):
     if box < 1:
         raise ValueError("box must be >= 1")
     pts = [p for p in product(range(-box, box + 1), repeat=spec.k)
-           if any(p) and spec.contains(p)]
-    units = [p for p in pts if spec.contains(tuple(-a for a in p))]
+           if any(p) and in_cone(spec, p)]
+    units = [p for p in pts if in_cone(spec, tuple(-a for a in p))]
     line_lat = hnf(units, dim=spec.k) if units else Lattice(spec.k, ())
     out = []
     for u in line_lat.basis:
@@ -29,7 +35,7 @@ def hilbert_bruteforce_oracle(spec, box):
     for v in reduced:
         dominated = False
         for u in reduced:
-            if u != v and spec.contains(tuple(a - b for a, b in zip(v, u))):
+            if u != v and in_cone(spec, tuple(a - b for a, b in zip(v, u))):
                 dominated = True
                 break
         if not dominated:

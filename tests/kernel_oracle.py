@@ -2,11 +2,11 @@
 
 `wazz.linalg` and `wazz.polyhedra` now eliminate, scale and evaluate facets
 on integers.  These are the routines they replaced, one `Fraction` operation
-per entry: `rref`, `_Echelon`, `primitive`, the gauge and cone-membership
-evaluations over `Fraction` facets, the Z closure that re-applied every map
-to the whole basis each round, and the double description's initial simplex
-(an `_Echelon` pass, then the rref of [B | I]).  The tests require equal
-values of equal type.
+per entry: `rref`, `kernel_basis`, `_Echelon`, `primitive`, the gauge and
+cone-membership evaluations over `Fraction` facets, the Z closure that
+re-applied every map to the whole basis each round, and the double
+description's initial simplex (an `_Echelon` pass, then the rref of
+[B | I]).  The tests require equal values of equal type.
 """
 
 from fractions import Fraction
@@ -61,6 +61,22 @@ def rref(m):
     return Mat(rows, ncols=nc), tuple(pivots), len(pivots)
 
 
+def kernel_basis(m):
+    """Basis of {x : Mx = 0}, one primitive vector per free column, from the
+    `Fraction` rref."""
+    red, pivots, _ = rref(m)
+    basis = []
+    for free in range(m.ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * m.ncols
+        v[free] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red.rows[i][free]
+        basis.append(vector(primitive(v, flip_sign=True)))
+    return basis
+
+
 class Echelon:
     """Incremental echelon form used to test membership in a Q-span."""
 
@@ -87,6 +103,12 @@ class Echelon:
 
     def contains(self, v):
         return all(a == 0 for a in self.residue(v))
+
+
+def echelon_contains(ech, ints):
+    """Whether the integer vector lies in the span of `wazz.linalg._Echelon`'s
+    rows: its residue against them vanishes."""
+    return not any(ech.residue(ints))
 
 
 def initial_simplex_rays(normals, dim):

@@ -8,8 +8,14 @@ feasibility programs the membership tests write out.
 
 from fractions import Fraction
 
-from wazz.linalg import is_zero, unit, vdot, vector, zeros
-from wazz.polyhedra import HRep, canonical_ineq
+from wazz.linalg import is_zero, primitive, unit, vdot, vector, zeros
+from wazz.polyhedra import HRep
+
+
+def canonical_ineq(normal, bound):
+    """Scale an inequality by a positive rational to coprime integers."""
+    scaled = primitive(tuple(normal) + (bound,))
+    return (vector(scaled[:-1]), Fraction(scaled[-1]))
 
 
 def _clean_system(ineqs):

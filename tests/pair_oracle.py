@@ -16,7 +16,9 @@ from collections import deque
 
 from wazz.automata import LinearCoalgebra, NotEquivalent
 from wazz.linalg import (Mat, as_int_vec, first_word_off, hnf, is_integral, is_zero,
-                         lattice_member, vdot, vector, vneg, word_closure, zeros)
+                         lattice_member, vdot, vector, vneg, zeros)
+
+from word_oracles import word_closure
 
 
 def block_diag(a, b):

@@ -10,6 +10,7 @@ from wazz.formats import ParseError
 from wazz.linalg import Mat, unit, vector, zeros
 
 from genrandom import lifted_pair, rand_automaton, rand_config
+from matvec_oracle import identity
 
 T = SemiringTag
 
@@ -37,7 +38,7 @@ class TestStepTrace:
 
     def test_identity_matrix(self):
         aut = WeightedAutomaton(tag=T.Q, n=2, alphabet=("a",),
-                                out=vector([1, 0]), trans=(Mat.identity(2),))
+                                out=vector([1, 0]), trans=(identity(2),))
         x = vector(["2/3", 5])
         assert step(aut, x, "a") == x
 

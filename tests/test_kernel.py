@@ -14,13 +14,15 @@ import kernel_oracle
 from wazz import polyhedra, zigzag
 from wazz.automata import LinearCoalgebra, SemiringTag
 from wazz.linalg import (Mat, _clear_denominators as scaled, _Echelon, closure_under_maps,
-                         primitive, rref, unit, vector)
-from wazz.polyhedra import INFINITY, PcaPolytope, cone_member, gauge, pca_member
+                         kernel_basis, primitive, rref, unit, vector)
+from wazz.polyhedra import INFINITY, PcaPolytope, cone_member, gauge
 from wazz.zigzag import (FREE_MODULE, FREE_PCA, GENERATED_MODULE, ZigZagNode, _carrier,
                          _span_coordinates, ghat_zigzag)
 
 from genrandom import lifted_pair
-from matvec_oracle import entrywise_apply
+from ghat_oracle import pca_member
+from kernel_oracle import echelon_contains
+from matvec_oracle import entrywise_apply, identity, zero
 
 T = SemiringTag
 
@@ -60,12 +62,12 @@ class TestApplyMatchesOracle:
         m = Mat([[0, 0, 0], [F(1, 2), 0, -3], [0, 0, 0]])
         x = (F(2, 3), 5, F(-7, 4))
         assert same(m.apply(x), entrywise_apply(m, x))
-        z = Mat.zero(3, 4)
+        z = zero(3, 4)
         assert same(z.apply((1, F(1, 2), -3, 0)), (F(0),) * 3)
 
     @pytest.mark.parametrize("nrows, ncols", [(0, 3), (3, 0), (0, 0)])
     def test_empty_shapes(self, nrows, ncols):
-        m = Mat.zero(nrows, ncols)
+        m = zero(nrows, ncols)
         x = tuple(F(i + 1, 7) for i in range(ncols))
         assert same(m.apply(x), entrywise_apply(m, x))
         assert m.apply(x) == (F(0),) * nrows
@@ -87,7 +89,7 @@ class TestApplyMatchesOracle:
 
     def test_dimension_check(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            Mat.identity(2).apply((1, 2, 3))
+            identity(2).apply((1, 2, 3))
 
     def test_matmul_matches_oracle(self):
         rng = random.Random("kernel/matmul")
@@ -228,7 +230,7 @@ class TestCarrierTesterMatchesSolve:
             else:
                 gens = rand_generators(rng, dim)
             coalg = LinearCoalgebra(n=dim, alphabet=("a",), out=(F(0),) * dim,
-                                    trans=(Mat.identity(dim),))
+                                    trans=(identity(dim),))
             node = ZigZagNode(kind=kind, generators=tuple(gens), coalgebra=coalg)
             member = _carrier(tag, node, list(map(scaled, gens))).member
             targets = rand_targets(rng, gens, dim)
@@ -254,7 +256,7 @@ class TestCarrierTesterMatchesSolve:
                 node = ZigZagNode(kind=FREE_MODULE, generators=tuple(gens),
                                   coalgebra=LinearCoalgebra(n=dim, alphabet=("a",),
                                                             out=(F(0),) * dim,
-                                                            trans=(Mat.identity(dim),)))
+                                                            trans=(identity(dim),)))
                 targets = rand_targets(rng, gens, dim)
                 targets.append(tuple(F(rng.randint(-1, 2), rng.randint(1, 2))
                                      for _ in range(dim)))
@@ -297,7 +299,7 @@ class TestCarrierTesterMatchesSolve:
             node = ZigZagNode(kind=FREE_PCA, generators=tuple(gens),
                               coalgebra=LinearCoalgebra(n=dim, alphabet=("a",),
                                                         out=(F(0),) * dim,
-                                                        trans=(Mat.identity(dim),)))
+                                                        trans=(identity(dim),)))
             carrier = _carrier(T.PCA, node, list(map(scaled, gens)))
             assert carrier.kind_detail == ""
             polytope = PcaPolytope(dim, tuple(gens))
@@ -371,6 +373,18 @@ class TestRrefMatchesOracle:
         assert red == kernel_oracle.rref(m)[0] and all_fractions(red)
 
 
+class TestKernelBasisMatchesOracle:
+    @pytest.mark.parametrize("nr", range(8))
+    def test_random_shapes(self, nr):
+        rng = random.Random(f"kernel/kernel-basis/{nr}")
+        for nc in range(9):
+            for _ in range(12):
+                m = Mat(rand_rows(rng, nr, nc), ncols=nc)
+                got = kernel_basis(m)
+                assert got == kernel_oracle.kernel_basis(m), m
+                assert all(type(a) is F for v in got for a in v)
+
+
 class TestEchelonMatchesOracle:
     @pytest.mark.parametrize("dim", range(9))
     def test_add_and_contains_sequences(self, dim):
@@ -386,7 +400,7 @@ class TestEchelonMatchesOracle:
                 else:
                     v = tuple(rand_scalar(rng) for _ in range(dim))
                 ints = scaled(v)[1]
-                assert ech.contains(ints) == oracle.contains(v)
+                assert echelon_contains(ech, ints) == oracle.contains(v)
                 assert ech.add(ints) == oracle.add(v)
                 seen.append(v)
             assert len(ech.rows) == len(oracle.rows)

@@ -7,9 +7,10 @@ from wazz import polyhedra
 from wazz.linalg import Mat, vdot, vector, unit, zeros
 from wazz.polyhedra import (HRep, INFINITY, PRODUCT, SCALED, InternalError, PcaPolytope,
                             VRep, cone_member, cone_restriction, dd_h_to_v, dd_v_to_h,
-                            gauge, pca_member, simplex_restriction)
+                            gauge, simplex_restriction)
 from wazz.hilbert import qplus_restriction_by_scaling
 
+from ghat_oracle import pca_member
 from lp_oracle import lp_feasible
 
 

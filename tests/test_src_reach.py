@@ -1,0 +1,87 @@
+"""Every public name in `src/wazz` is reached: referenced from another place
+in the package, exported in `__all__`, or timed by the benchmark's tracer
+(`bench/tracing.py`'s `TRACED`).  A name only the tests use belongs in
+`tests/`, as an oracle or a helper."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import wazz
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "wazz"
+TRACING = ROOT / "bench" / "tracing.py"
+
+# Kept although only the tests call them.
+ALLOWED = {
+    # the writer of the `pca` text format that `wazz gauge` reads; a round trip pins it
+    "polyhedra.pca_polytope_to_text",
+    # the letter-entry rule on one Fraction, beside `scalar_ok`; `automata`'s
+    # matrix check applies the same rule to scaled integers
+    "automata.SemiringTag.entry_ok",
+}
+
+
+def public_definitions(tree):
+    """(qualified name, short name, def node) of every public top-level
+    function and class and every public method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def references(tree, owners):
+    """(name, owner) for each name read in the tree as a name or an
+    attribute, owner being the innermost node of owners around it, or None."""
+    found = set()
+
+    def walk(node, owner):
+        owner = node if node in owners else owner
+        if isinstance(node, ast.Name):
+            found.add((node.id, owner))
+        elif isinstance(node, ast.Attribute):
+            found.add((node.attr, owner))
+        for child in ast.iter_child_nodes(node):
+            walk(child, owner)
+
+    walk(tree, None)
+    return found
+
+
+def traced_names():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {name for _, name in tracing.TRACED}
+
+
+def definitions():
+    trees = [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(SRC.glob("*.py"))]
+    return trees, [(f"{module}.{qualified}", short, node) for module, tree in trees
+                   for qualified, short, node in public_definitions(tree)]
+
+
+def unreached():
+    """The public names referenced nowhere outside their own definition."""
+    trees, defined = definitions()
+    owners = {node for _, _, node in defined}
+    refs = set().union(*(references(tree, owners) for _, tree in trees))
+    exempt = set(wazz.__all__) | traced_names()
+    return [name for name, short, node in defined
+            if short not in exempt and name not in ALLOWED
+            and not any(ref == short and owner is not node for ref, owner in refs)]
+
+
+def test_every_public_name_is_reached():
+    assert unreached() == []
+
+
+def test_allowlist_names_are_defined():
+    # an allowed name that leaves the package leaves the list too
+    assert ALLOWED <= {name for name, _, _ in definitions()[1]}

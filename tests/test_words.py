@@ -11,12 +11,13 @@ import verify_oracle
 from wazz.automata import (LinearCoalgebra, NotEquivalent, SemiringTag, WeightedAutomaton,
                            equivalent, separating_word)
 from wazz.formats import word_text
-from wazz.linalg import Mat, closure_under_maps, vector, word_closure, zeros
+from wazz.linalg import Mat, closure_under_maps, vector, zeros
 from wazz.zigzag import (CUBIC, FREE_MODULE, GENERATED_MODULE, Morphism, ZigZag,
                          ZigZagNode, cubic_zigzag, ghat_zigzag, verify_zigzag)
 
 from genrandom import lifted_pair, rand_automaton, rand_config, zero_one_weight
-from word_oracles import bfs_separating_word, raw_trace
+from matvec_oracle import identity
+from word_oracles import bfs_separating_word, raw_trace, word_closure
 
 T = SemiringTag
 
@@ -168,7 +169,7 @@ def test_trace_agreement_matches_raw_traces_on_tampered_witnesses(tag):
 
 class TestDegenerateClosures:
     def test_zero_start_vector(self):
-        maps = [Mat([[1, 2], [3, 4]]), Mat.identity(2)]
+        maps = [Mat([[1, 2], [3, 4]]), identity(2)]
         assert list(word_closure(zeros(2), maps)) == []
         assert closure_under_maps(zeros(2), maps) == []
         rng = random.Random("zero-start")

@@ -2,10 +2,21 @@
 
 Both walk all |alphabet|^k words up to a depth, so they are only usable at
 test sizes.  The library answers the same questions from one word closure
-(`wazz.linalg.word_closure`); the tests require equal answers.
+(`wazz.linalg._scaled_word_closure`); the tests require equal answers.
+`word_closure` is that closure with each basis vector as `Fraction`s.
 """
 
-from wazz.linalg import vdot, vector
+from fractions import Fraction
+
+from wazz.linalg import _scaled_word_closure, vdot, vector
+
+
+def word_closure(start, maps):
+    """Q-basis of the closure of `start` under all maps, breadth first, with
+    provenance: yields (word, vector), word being the map indices (first
+    applied first) that send `start` to vector, in shortlex order."""
+    for word, (den, ints) in _scaled_word_closure(start, maps):
+        yield word, tuple(Fraction(a, den) for a in ints)
 
 
 def bfs_separating_word(aut1, x1, aut2, x2, maxlen):
