@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .formats import LineReader, ParseError, fmt_rat, fmt_vec
+from .formats import LineReader, ParseError, block_lines, fmt_rat, fmt_vec
 from .linalg import (Mat, _clear_denominators, _over_shared, _scaled_word_closure,
                      closure_under_maps, first_word_off, vdot, vector, vneg, zeros)
 
@@ -92,7 +92,7 @@ def check_weights(tag, out, trans):
     within 1 (UNIT), and each state's output plus transition mass stays
     within 1 (PCA).
 
-    The letter rules read each matrix scaled once to integers over its common
+    The letter rules read each matrix's integers over its common
     denominator d (`Mat.scaled`): an entry a / d is integral when d divides
     a, and a column sum stays within 1 when its integer sum is at most d.
     Entries are checked column by column, each column before its sum, and
@@ -106,18 +106,18 @@ def check_weights(tag, out, trans):
     for k, m in enumerate(trans):
         den, rows = m.scaled()
         sums = [0] * m.ncols
-        bad = None  # (column, row) of the first entry that breaks a rule
+        bad = None  # (column, row, integer) of the first entry that breaks a rule
         for i, (cols, nums) in enumerate(rows):
             for j, a in zip(cols, nums):
                 sums[j] += a
-                if (integral and a % den or nonneg and a < 0) and (bad is None or (j, i) < bad):
-                    bad = (j, i)
+                if (integral and a % den or nonneg and a < 0) and (bad is None or (j, i, a) < bad):
+                    bad = (j, i, a)
         over = None
         if unit_sums:
             over = next((j for j, total in enumerate(sums) if total > den), None)
         if bad is not None and (over is None or bad[0] <= over):
-            j, i = bad
-            raise TagViolation(f"entry {fmt_rat(m.rows[i][j])} violates tag {tag.value}",
+            j, _, a = bad
+            raise TagViolation(f"entry {fmt_rat(Fraction(a, den))} violates tag {tag.value}",
                                ((k, j),))
         if over is not None:
             raise TagViolation("column sums must stay within 1 for unit tag", ((k, over),))
@@ -357,15 +357,9 @@ def parse_automaton(text, source="<automaton>"):
                 r.error(f"unknown symbol {sym!r}")
             if sym in trans:
                 r.error(f"duplicate transition block for {sym!r}")
-            rows, tokens = [], []
-            for j in range(n):
-                row, toks = r.next_rat_column(n)
-                rows.append(row)
-                tokens.append(toks)
-                lines[alphabet.index(sym), j] = r.last_line
-            # file rows are images of basis vectors: the matrix's columns,
-            # whose literals' integers give the scaled form `check_weights` reads
-            trans[sym] = Mat._of_cols(rows, n, r.scaled_block(tokens))
+            # file rows are images of basis vectors: the matrix's columns
+            trans[sym] = r.next_matrix(n, n)
+            lines.update(zip([(alphabet.index(sym), j) for j in range(n)], r.lines_read(n)))
         elif toks[0] == "state":
             if state is not None:
                 r.error("duplicate state line")
@@ -401,9 +395,7 @@ def automaton_to_text(aut, state=None):
              "output " + fmt_vec(aut.out)]
     for a in aut.alphabet:
         lines.append(f"trans {a}")
-        m = aut.mat(a).transpose()  # rows back to images of basis vectors
-        for row in m.rows:
-            lines.append(fmt_vec(row))
+        lines += block_lines(aut.mat(a))
     if state is not None:
         lines.append("state " + fmt_vec(state))
     return "\n".join(lines) + "\n"

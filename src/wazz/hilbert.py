@@ -30,8 +30,8 @@ class IntConeSpec:
     def __post_init__(self):
         if self.w.nrows != self.k:
             raise ValueError("W must have k rows")
-        for r in self.w.rows:
-            as_int_vec(r)
+        if self.w.den != 1:
+            raise ValueError("W must be an integer matrix")
 
     @property
     def m(self):
@@ -41,8 +41,8 @@ class IntConeSpec:
         """x . W as an integer vector of length m."""
         if len(x) != self.k:
             raise ValueError("dimension mismatch")
-        return as_int_vec(tuple(sum(x[i] * self.w.rows[i][j] for i in range(self.k))
-                                for j in range(self.m)))
+        rows = self.w.dense()
+        return as_int_vec(tuple(sum(a * r[j] for a, r in zip(x, rows)) for j in range(self.m)))
 
 
 def graded_lex_key(v):
@@ -141,8 +141,7 @@ def hilbert_basis(spec):
     ∩ N^m, reduced modulo the kernel.  For a pointed cone this is exactly the
     set of minimal nonzero elements, the unique Hilbert basis.
     """
-    w_rows = [as_int_vec(r) for r in spec.w.rows]
-    image_lat, transform, rank = hnf_with_transform(w_rows, dim=spec.m)
+    image_lat, transform, rank = hnf_with_transform(spec.w.dense(), dim=spec.m)
     kernel = hnf(transform[rank:], dim=spec.k) if rank < spec.k else Lattice(spec.k, ())
     out = []
     for u in kernel.basis:

@@ -11,34 +11,26 @@ entries, which changes no direction, no sign and no rank.  Such a scaled
 vector travels as (d, ints), standing for ints / d with d > 0; two scaled
 vectors are compared by cross-multiplication, never by building Fractions.
 
-- Matrix-vector products: a `Mat` scales itself once, on first use, to the
-  least common denominator d of all its entries and keeps, per row, the
-  integer numerators d * entry of its nonzero entries with their column
-  indices.  `apply_scaled((e, xs))` takes each output entry as one integer
-  sum over a row's nonzeros and returns the image as (d * e, sums);
-  `apply(x)` scales x once and makes one `Fraction` per output entry.
-  `vdot` is one integer sum over both vectors scaled once.
+- A `Mat` is integers only (see the class); `rows` is a `Fraction` view
+  built when asked.  The text readers build a letter or morphism matrix
+  from its columns' integers (`_of_cols`), and coordinate selections and
+  `block_diag` compose integers.  `apply_scaled((e, xs))` takes each output
+  entry as one integer sum over a row's nonzeros and returns the image as
+  (d * e, sums); `apply(x)` scales x once and makes one `Fraction` per
+  output entry.  `vdot` is one integer sum over both vectors scaled once.
 - Elimination (`_int_rref`, `_Echelon`) is fraction-free: a row update is
   the integer combination that clears one entry, divided by the gcd of the
   result, so rows stay primitive.  `_int_rref` is the one Gauss-Jordan loop:
   `rref` divides a pivot row by its pivot only to build the returned
   matrix, and `kernel_basis`, the double description and the verifier's
   free-carrier factorization read the integer rows directly.
-- A `Mat` is built once.  `transpose` and `from_cols` make the rows with
-  one `zip`; `transpose` re-checks no entry, and `from_cols` converts only
-  entries that are not `Fraction`s.  A text reader reads a letter or
-  morphism matrix as the images of basis vectors, which are its columns,
-  and builds it from them with the unchecked `_of_cols`: each entry is
-  already the `Fraction` of the reader's literal table (one per file, in
-  `wazz.formats`), and the same table's integers give the scaled form at
-  once, so no `Fraction` of the matrix is read again.
 - The word closure (`_scaled_word_closure`) queues scaled images, reduced
   to lowest terms, and builds no `Fraction`; `first_word_off`, like the
   pair closure of `wazz.automata`, tests each scaled image against a
   functional scaled once.
 - The Z closure (`closure_under_maps`) runs on `int` rows throughout: it
   applies integral maps through their scaled forms and grows the HNF in
-  place.  `Mat.block_diag` composes the scaled forms of its blocks.
+  place.
 """
 
 from __future__ import annotations
@@ -46,7 +38,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import mul
 
@@ -160,16 +152,9 @@ def _eliminate(v, row, p):
     return [a // g for a in w] if g > 1 else w
 
 
-def _over(row, d):
-    """The row of Fractions a / d of an integer row."""
-    if d == 1:
-        return tuple(map(Fraction, row))
-    return tuple(Fraction(a, d) for a in row)
-
-
 def _over_shared(row, d, table):
-    """`_over(row, d)`, each distinct entry built once per table: table maps
-    d to {a: Fraction(a, d)} and is filled as it goes."""
+    """The row of Fractions a / d of an integer row, each distinct one built
+    once per table, which maps d to {a: Fraction(a, d)}."""
     known = table.get(d)
     if known is None:
         known = table[d] = {}
@@ -183,122 +168,103 @@ def _over_shared(row, d, table):
 
 
 class Mat:
-    """Dense exact-rational matrix; `rows[i][j]` is the entry in row i, col j."""
+    """Exact-rational matrix held as integers: one common denominator `den`
+    and, per row, the column indices of its nonzero entries with the
+    integers den * entry there (`sparse`).  The form is canonical, den being
+    coprime to those integers (1 for an integer matrix), so that `==`,
+    `hash` and `scaled` agree however a matrix was built."""
 
-    __slots__ = ("rows", "ncols", "_scaled")
+    __slots__ = ("ncols", "den", "sparse")
 
     def __init__(self, rows, ncols=None):
-        # Fractions are immutable, so entries that already are one are shared
-        rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in r)
-                     for r in rows)
-        if rows:
-            width = len(rows[0])
-            for r in rows:
-                if len(r) != width:
-                    raise ValueError("ragged matrix")
-            if ncols is not None and ncols != width:
-                raise ValueError("ncols disagrees with row width")
-            ncols = width
-        elif ncols is None:
+        """The matrix with the given rows of rationals (int, Fraction or text)."""
+        rows = [[Fraction(a) for a in r] for r in rows]
+        width = len(rows[0]) if rows else ncols
+        if width is None:
             raise ValueError("empty matrix needs an explicit column count")
-        self.rows = rows
-        self.ncols = ncols
-        self._scaled = None
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged matrix")
+        if ncols not in (None, width):
+            raise ValueError("ncols disagrees with row width")
+        den = lcm(*(a.denominator for r in rows for a in r))
+        m = Mat._of_cols(den, [[r[j].numerator * (den // r[j].denominator) for r in rows]
+                               for j in range(width)], len(rows))
+        self.ncols, self.den, self.sparse = m.ncols, m.den, m.sparse
+
+    @classmethod
+    def _of_cols(cls, den, cols, nrows):
+        """The matrix with columns cols / den, cols being nrows integers each
+        and den > 0; den and the integers are divided by their gcd."""
+        g = gcd(den, *chain.from_iterable(cols)) if den > 1 else 1
+        if g > 1:
+            den //= g
+            cols = [[a // g for a in col] for col in cols]
+        m = object.__new__(cls)
+        m.ncols, m.den = len(cols), den
+        index = range(len(cols))
+        m.sparse = tuple([(tuple(compress(index, row)), tuple(filter(None, row)))
+                          for row in zip(*cols)]) if cols else (((), ()),) * nrows
+        return m
 
     @property
     def nrows(self):
-        return len(self.rows)
+        return len(self.sparse)
 
-    @classmethod
-    def from_cols(cls, cols, nrows=None):
-        cols = [vector(c) for c in cols]
-        if cols:
-            nrows = len(cols[0])
-            if any(len(c) != nrows for c in cols):
-                raise ValueError("ragged matrix")
-        elif nrows is None:
-            raise ValueError("empty column list needs an explicit row count")
-        return cls._of_cols(cols, nrows)
+    def dense(self):
+        """The rows as lists of the integers den * entry, zeros included."""
+        out = [[0] * self.ncols for _ in self.sparse]
+        for row, (cols, nums) in zip(out, self.sparse):
+            for j, a in zip(cols, nums):
+                row[j] = a
+        return out
 
-    @classmethod
-    def _of_cols(cls, cols, nrows, scaled_cols=None):
-        """The matrix with the given columns, unchecked: they must be
-        sequences of nrows Fractions each.  `scaled_cols`, if given, is
-        (d, the columns times d as integers) for the least common
-        denominator d of all entries, and fills the scaled form at once, as
-        `scaled` would."""
-        m = object.__new__(cls)
-        m.rows = tuple(zip(*cols)) if cols else ((),) * nrows
-        m.ncols = len(cols)
-        m._scaled = None if scaled_cols is None else _scaled_of_cols(*scaled_cols, nrows)
-        return m
-
-    def col(self, j):
-        return tuple(r[j] for r in self.rows)
-
-    def cols(self):
-        return [self.col(j) for j in range(self.ncols)]
+    @property
+    def rows(self):
+        """The entries as `Fraction` rows, built on each access."""
+        return tuple(_over_shared(row, self.den, {}) for row in self.dense())
 
     def scaled(self):
-        """(d, rows): the least common denominator d of all entries and, per
-        row, the column indices of its nonzero entries with the integers
-        d * entry there.  Computed once; every product reads it."""
-        form = self._scaled
-        if form is None:
-            den = lcm(*(a.denominator for r in self.rows for a in r))
-            form = self._scaled = (den, tuple(_sparse_row(r, den) for r in self.rows))
-        return form
+        """(den, sparse), the form every product reads."""
+        return self.den, self.sparse
 
     def apply_scaled(self, x):
         """Matrix times the scaled column vector x = (e, xs), as the scaled
-        vector (d * e, one integer sum per row)."""
-        den, rows = self.scaled()
-        return _sparse_apply(den, rows, self.ncols, x)
+        vector (den * e, one integer sum per row)."""
+        return _sparse_apply(self.den, self.sparse, self.ncols, x)
 
     def apply(self, x):
-        """Matrix times column vector, a tuple of Fraction: x is scaled once
-        and each entry of the integer image becomes one Fraction."""
+        """Matrix times column vector, a tuple of Fraction, by `apply_scaled`."""
         den, ys = self.apply_scaled(_clear_denominators(x))
         return tuple(Fraction(y, den) for y in ys)
 
-    def __matmul__(self, other):
-        if not isinstance(other, Mat):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise ValueError("inner dimensions disagree")
-        return Mat.from_cols([self.apply(c) for c in other.cols()], nrows=self.nrows)
-
-    def transpose(self):
-        return Mat._of_cols(self.rows, self.ncols)
-
     @staticmethod
     def block_diag(a, b):
-        """The block-diagonal matrix with blocks a and b, built from their
-        rows and scaled forms: the rows are joined with shared zeros, and the
-        scaled form is over lcm(d_a, d_b), each block's integers times the
-        quotient of that by its own d, b's column indices shifted past a's."""
-        n1 = a.ncols
-        right, left = zeros(b.ncols), zeros(n1)
-        (d1, rows1), (d2, rows2) = a.scaled(), b.scaled()
-        den = lcm(d1, d2)
-        s1, s2 = den // d1, den // d2
+        """The block-diagonal matrix with blocks a and b, over lcm(d_a, d_b),
+        b's column indices shifted past a's; canonical, as the blocks are."""
+        n1, den = a.ncols, lcm(a.den, b.den)
+        s1, s2 = den // a.den, den // b.den
         m = object.__new__(Mat)
-        m.rows = tuple([r + right for r in a.rows] + [left + r for r in b.rows])
-        m.ncols = n1 + b.ncols
-        m._scaled = den, tuple(
-            [(cols, nums if s1 == 1 else tuple([s1 * x for x in nums])) for cols, nums in rows1]
+        m.ncols, m.den = n1 + b.ncols, den
+        m.sparse = tuple(
+            [(cols, nums if s1 == 1 else tuple([s1 * x for x in nums])) for cols, nums in a.sparse]
             + [(tuple([n1 + j for j in cols]), nums if s2 == 1 else tuple([s2 * x for x in nums]))
-               for cols, nums in rows2])
+               for cols, nums in b.sparse])
         return m
 
     def __eq__(self, other):
-        return isinstance(other, Mat) and self.ncols == other.ncols and self.rows == other.rows
+        return (isinstance(other, Mat) and self.ncols == other.ncols and self.den == other.den
+                and self.sparse == other.sparse)
 
     def __hash__(self):
-        return hash((self.ncols, self.rows))
+        return hash((self.ncols, self.den, self.sparse))
 
     def __repr__(self):
         return f"Mat({[list(map(str, r)) for r in self.rows]})"
+
+
+def _selection(keep, n):
+    """The matrix with rows e_j (length n), j in keep: it keeps those coordinates."""
+    return Mat._of_cols(1, [[int(i == j) for i in keep] for j in range(n)], len(keep))
 
 
 def _sparse_apply(den, rows, ncols, x):
@@ -310,23 +276,6 @@ def _sparse_apply(den, rows, ncols, x):
         raise ValueError(f"dimension mismatch: {ncols} cols vs vector of {len(xs)}")
     pick = xs.__getitem__
     return den * x_den, [sum(map(mul, nums, map(pick, cols))) for cols, nums in rows]
-
-
-def _scaled_of_cols(den, cols, nrows):
-    """`Mat.scaled` of the matrix with columns cols / den, cols being
-    integer columns and den a positive integer."""
-    if not cols:
-        return den, (((), ()),) * nrows
-    index = range(len(cols))
-    return den, tuple([(tuple(compress(index, row)), tuple(filter(None, row)))
-                       for row in zip(*cols)])
-
-
-def _sparse_row(row, den):
-    """(column indices, integers den * entry) of a Fraction row's nonzero
-    entries; den is a multiple of every entry's denominator."""
-    cols = tuple(j for j, a in enumerate(row) if a)
-    return cols, tuple(row[j].numerator * (den // row[j].denominator) for j in cols)
 
 
 def _int_rref(rows, ncols):
@@ -361,11 +310,11 @@ def rref(m):
     `_int_rref` on the rows scaled to primitive integers, each pivot row then
     divided by its pivot entry; R, its pivots and its rank are unique, so
     they are those of the rational elimination."""
-    rows = [primitive(r) for r in m.rows]
+    rows = [primitive(r) for r in m.dense()]
     pivots = _int_rref(rows, m.ncols)
     r = len(pivots)
-    red = [_over(row, row[c]) for row, c in zip(rows, pivots)]
-    red += [_over(row, 1) for row in rows[r:]]
+    red = [_over_shared(row, row[c], {}) for row, c in zip(rows, pivots)]
+    red += [_over_shared(row, 1, {}) for row in rows[r:]]
     return Mat(red, ncols=m.ncols), tuple(pivots), r
 
 
@@ -404,7 +353,7 @@ def _kernel_vectors(rows, pivots, ncols):
 
 def kernel_basis(m):
     """Basis of {x : Mx = 0}, one primitive vector per free column, on integers."""
-    rows = [primitive(r) for r in m.rows]
+    rows = [primitive(r) for r in m.dense()]
     return [vector(v) for v in _kernel_vectors(rows, _int_rref(rows, m.ncols), m.ncols)]
 
 
@@ -418,9 +367,9 @@ def solve(m, b):
     red, pivots, rank = rref(aug)
     if pivots and pivots[-1] == m.ncols:
         return None
-    x = [Fraction(0)] * m.ncols
+    x, rows = [Fraction(0)] * m.ncols, red.rows
     for i, p in enumerate(pivots):
-        x[p] = red.rows[i][m.ncols]
+        x[p] = rows[i][m.ncols]
     return tuple(x)
 
 

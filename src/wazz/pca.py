@@ -17,8 +17,8 @@ from fractions import Fraction
 from math import lcm
 
 from .automata import SemiringTag, WeightedAutomaton
-from .linalg import (_ZERO, Mat, _clear_denominators, _int_rref, is_nonneg, scaled_dot, unit,
-                     vector, zeros)
+from .linalg import (_ZERO, Mat, _clear_denominators, _int_rref, _selection, is_nonneg,
+                     scaled_dot, vector, zeros)
 from .polyhedra import INFINITY, InternalError, PcaPolytope
 
 
@@ -94,13 +94,13 @@ def reduce_invariant_set(aut):
     keep = [j for j in range(aut.n) if j not in dropped]
     quotient = aut
     if dropped:
+        # each letter's integers on the kept rows and columns
         quotient = WeightedAutomaton(
             tag=SemiringTag.PCA, n=len(keep), alphabet=aut.alphabet,
             out=vector(aut.out[j] for j in keep),
-            trans=tuple(Mat([[m.rows[i][j] for j in keep] for i in keep], ncols=len(keep))
-                        for m in aut.trans))
-    proj = Mat([unit(aut.n, j) for j in keep], ncols=aut.n)
-    return frozenset(dropped), quotient, proj
+            trans=tuple(Mat._of_cols(m.den, [[rows[i][j] for i in keep] for j in keep], len(keep))
+                        for m, rows in zip(aut.trans, map(Mat.dense, aut.trans))))
+    return frozenset(dropped), quotient, _selection(keep, aut.n)
 
 
 def fixed_point(out, trans):

@@ -10,8 +10,8 @@ matrix identities, and the relating chain by direct evaluation.
 
 Every check runs on integer images.  Each node's generators and output
 functional, the relating elements and the endpoints are scaled once to
-integers over a common denominator and travel as (d, ints); the letter and
-morphism matrices are scaled once by `Mat`.  Each letter image of a scaled
+integers over a common denominator and travel as (d, ints), as the letter
+and morphism matrices (`Mat`) do.  Each letter image of a scaled
 generator and each morphism image of a scaled source generator is computed
 once, with one integer sum per entry; the checks compare two sides by
 cross-multiplication.  A free carrier is factored on integers from the
@@ -29,9 +29,9 @@ from functools import partial
 from math import lcm
 
 from .automata import LinearCoalgebra, SemiringTag, pair_submodule
-from .formats import LineReader, fmt_rat, fmt_vec
+from .formats import LineReader, block_lines, fmt_rat, fmt_vec
 from .hilbert import nat_restriction
-from .linalg import (Lattice, Mat, _clear_denominators, _rref_beside_identity, _scaled_of_cols,
+from .linalg import (Lattice, Mat, _clear_denominators, _rref_beside_identity, _selection,
                      _sparse_apply, as_int_vec, hnf, is_integral, is_nonneg, lattice_member,
                      scaled_dot, scaled_equal, unit, vector)
 from .pca import ghat_breach, pyramid_extension, reduce_invariant_set
@@ -116,9 +116,7 @@ _CUBIC_TAGS = (SemiringTag.NAT, SemiringTag.INT, SemiringTag.QPLUS, SemiringTag.
 
 
 def _projections(n1, n2):
-    p1 = Mat([unit(n1 + n2, i) for i in range(n1)], ncols=n1 + n2)
-    p2 = Mat([unit(n1 + n2, n1 + i) for i in range(n2)], ncols=n1 + n2)
-    return p1, p2
+    return _selection(range(n1), n1 + n2), _selection(range(n1, n1 + n2), n1 + n2)
 
 
 def _endpoint_node(aut, pca):
@@ -294,7 +292,7 @@ def _span_coordinates(gens, dim):
     k = len(gens)
     g_den = lcm(*[d for d, _ in gens])
     cols = [ints if d == g_den else [a * (g_den // d) for a in ints] for d, ints in gens]
-    g_form = _scaled_of_cols(g_den, cols, dim)
+    g_form = Mat._of_cols(g_den, cols, dim).scaled()
     pivots, rows = _rref_beside_identity(cols, dim, g_den)
     g_pivots = tuple(p for p in pivots if p < k)
     rank = len(g_pivots)
@@ -596,14 +594,14 @@ def verify_zigzag(z):
 
 
 def zigzag_to_text(z):
-    # every entry of a witness is a Fraction, which prints canonically (`fmt_rat`)
+    # a vector entry is a Fraction, which prints canonically; a matrix its integers
     lines = [f"zigzag {z.functor} {z.tag.value}",
              "alphabet " + " ".join(z.alphabet),
              f"nodes {len(z.nodes)}"]
     blocks = {}  # id of a Mat -> its lines: nodes may share a letter matrix, formatted once
     for m in [m for nd in z.nodes for m in nd.coalgebra.trans] + [f.matrix for f in z.morphisms]:
         if id(m) not in blocks:
-            blocks[id(m)] = [" ".join(map(str, row)) for row in m.transpose().rows]
+            blocks[id(m)] = block_lines(m)
     for i, node in enumerate(z.nodes):
         lines.append(f"node {i} {node.kind} dim {node.dim} generators {len(node.generators)}")
         lines += [" ".join(map(str, g)) for g in node.generators]
@@ -620,16 +618,6 @@ def zigzag_to_text(z):
     lines.append(("left " + " ".join(map(str, z.endpoints[0]))).rstrip())
     lines.append(("right " + " ".join(map(str, z.endpoints[1]))).rstrip())
     return "\n".join(line for line in lines if line) + "\n"
-
-
-def _parse_matrix(r, nrows, ncols):
-    """An nrows x ncols matrix from its block: one line per column, the image
-    of a basis vector, whose literals' integers also give the matrix's
-    scaled form.  Columns of height 0 have no text; nothing is read."""
-    if not nrows:
-        return Mat._of_cols([()] * ncols, 0, (1, [()] * ncols))
-    cols, tokens = zip(*[r.next_rat_column(nrows) for _ in range(ncols)]) if ncols else ((), ())
-    return Mat._of_cols(cols, nrows, r.scaled_block(tokens))
 
 
 def parse_zigzag(text, source="<witness>"):
@@ -667,7 +655,7 @@ def parse_zigzag(text, source="<witness>"):
             toks = r.next_keyword("trans")
             if toks != [a]:
                 r.error(f"expected transition block for {a!r}")
-            trans.append(_parse_matrix(r, dim, dim))
+            trans.append(r.next_matrix(dim, dim))
         coalg = LinearCoalgebra(n=dim, alphabet=alphabet, out=out, trans=tuple(trans))
         nodes.append(ZigZagNode(kind=kind, generators=tuple(gens), coalgebra=coalg))
     toks = r.next_keyword("morphisms")
@@ -681,7 +669,7 @@ def parse_zigzag(text, source="<witness>"):
         dst = r.parse_int(toks[1], minimum=0)
         if src >= count or dst >= count:
             r.error("morphism endpoint out of range")
-        matrix = _parse_matrix(r, nodes[dst].dim, nodes[src].dim)
+        matrix = r.next_matrix(nodes[dst].dim, nodes[src].dim)
         morphisms.append(Morphism(src, dst, matrix))
     toks = r.next_keyword("relating")
     rcount = r.parse_int(toks[0], minimum=0) if len(toks) == 1 else r.error("expected a count")

@@ -8,6 +8,8 @@ from wazz.automata import SemiringTag, WeightedAutomaton
 from wazz.linalg import Mat, unit, vdot, vector, vneg, zeros
 from wazz.zigzag import FREE_MODULE, FREE_PCA, GENERATED_MODULE, GENERATED_PCA
 
+from matvec_oracle import from_cols, matmul
+
 T = SemiringTag
 
 
@@ -57,7 +59,7 @@ def rand_automaton(rng, tag, n, alphabet):
                 for a in alphabet:
                     trans_cols[a].append(vector([F(raw[idx + i], den) for i in range(n)]))
                     idx += n
-        trans = tuple(Mat.from_cols(trans_cols[a], nrows=n) for a in alphabet)
+        trans = tuple(from_cols(trans_cols[a], nrows=n) for a in alphabet)
         return WeightedAutomaton(tag=tag, n=n, alphabet=alphabet,
                                  out=vector(out), trans=trans)
     out = vector([rand_scalar(rng, tag) for _ in range(n)])
@@ -98,10 +100,10 @@ def lift(small, r_cols, x_big):
     """
     k, extra = small.n, len(r_cols)
     n = k + extra
-    r_mat = Mat.from_cols(r_cols, nrows=k)
+    r_mat = from_cols(r_cols, nrows=k)
     big_trans = []
     for c in small.trans:
-        cr = c @ r_mat if extra else None
+        cr = matmul(c, r_mat) if extra else None
         rows = []
         for i in range(k):
             rows.append(tuple(c.rows[i]) + (tuple(cr.rows[i]) if extra else ()))

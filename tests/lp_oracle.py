@@ -11,6 +11,8 @@ from fractions import Fraction
 from wazz.linalg import is_zero, primitive, unit, vdot, vector, zeros
 from wazz.polyhedra import HRep
 
+from matvec_oracle import column
+
 
 def canonical_ineq(normal, bound):
     """Scale an inequality by a positive rational to coprime integers."""
@@ -123,7 +125,7 @@ def pyramid_normal(polytope, coalg):
     for j in range(n):
         total = zeros(n)
         for m in coalg.trans:
-            total = tuple(t + c for t, c in zip(total, m.col(j)))
+            total = tuple(t + c for t, c in zip(total, column(m, j)))
         normal = tuple(t - u for t, u in zip(total, unit(n, j)))
         ineqs.append((normal, -coalg.out[j]))
     return lp_feasible(HRep(n, tuple(ineqs)))

@@ -17,6 +17,8 @@ from wazz.linalg import Mat, solve, unit, vdot, vector
 from wazz.pca import InvariantZeroSet, PyramidCert
 from wazz.polyhedra import InternalError
 
+from matvec_oracle import column
+
 
 def is_nonneg(v):
     return all(a >= 0 for a in v)
@@ -27,7 +29,7 @@ def invariant_zero_set(out, trans):
     current = {j for j in range(n) if out[j] == 0}
     while True:
         nxt = {j for j in current
-               if all(all(m.col(j)[i] == 0 or i in current for i in range(n))
+               if all(all(column(m, j)[i] == 0 or i in current for i in range(n))
                       for m in trans)}
         if nxt == current:
             return current
@@ -48,7 +50,7 @@ def pyramid_extension(polytope, coalg):
     for j in range(n):
         row = list(unit(n, j))
         for m in coalg.trans:
-            for i, c in enumerate(m.col(j)):
+            for i, c in enumerate(column(m, j)):
                 row[i] -= c
         rows.append(row)
     u = solve(Mat(rows, ncols=n), coalg.out)

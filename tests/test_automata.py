@@ -10,7 +10,7 @@ from wazz.formats import ParseError
 from wazz.linalg import Mat, unit, vector, zeros
 
 from genrandom import lifted_pair, rand_automaton, rand_config
-from matvec_oracle import identity
+from matvec_oracle import column, identity
 
 T = SemiringTag
 
@@ -235,7 +235,7 @@ state 1 0
                 "trans a\n0 1\n0 0\n")
         aut, _ = parse_automaton(text)
         # row 1 of the file is the image of e_1, stored as column 1
-        assert aut.mat("a").col(0) == vector([0, 1])
+        assert column(aut.mat("a"), 0) == vector([0, 1])
 
     @pytest.mark.parametrize("mutation, lineno", [
         ("semiring foo", 1),

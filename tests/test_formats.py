@@ -2,20 +2,25 @@
 against its per-token oracle, and pinned diagnostics for mutated files."""
 
 import hashlib
+import math
 import random
 import re
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from wazz.automata import (LinearCoalgebra, SemiringTag, WeightedAutomaton, automaton_to_text,
                            parse_automaton)
-from wazz.formats import LineReader, ParseError, parse_rat
+from wazz import automata, formats, linalg, zigzag
+from wazz.cli import MAX_DIGITS
+from wazz.formats import LineReader, ParseError, block_lines, fmt_ratio, parse_rat
 from wazz.linalg import Mat, vector, zeros
 from wazz.zigzag import (CUBIC, FREE_MODULE, GENERATED_MODULE, Morphism, ZigZag, ZigZagNode,
-                         _parse_matrix, cubic_zigzag, ghat_zigzag, parse_zigzag, zigzag_to_text)
+                         cubic_zigzag, ghat_zigzag, parse_zigzag, zigzag_to_text)
 
 from genrandom import lifted_pair
+from matvec_oracle import columns
 
 T = SemiringTag
 
@@ -224,9 +229,15 @@ class TestRowReaderMatchesOracle:
             assert got == want
 
 
-def fresh_scaled(m):
-    """`Mat.scaled` computed from the matrix's Fractions alone."""
-    return Mat(m.rows, ncols=m.ncols).scaled()
+def scaled_of_rows(rows, ncols):
+    """The scaled form of `Fraction` rows, computed with no `Mat`: den the
+    lcm of the denominators, coprime to the integers as every Fraction is in
+    lowest terms, and per row the nonzero columns with den * entry there."""
+    den = math.lcm(*(a.denominator for r in rows for a in r))
+    ints = [[int(a * den) for a in r] for r in rows]
+    assert all(len(r) == ncols for r in ints)
+    return den, tuple((tuple(j for j, a in enumerate(r) if a), tuple(filter(None, r)))
+                      for r in ints)
 
 
 def matrices(parsed):
@@ -252,9 +263,10 @@ def zero_dim_middle():
 
 
 class TestScaledFormAtParse:
-    """The readers fill each matrix's scaled form from the literal table's
-    integers: the least common denominator and sparse integer rows that
-    `Mat.scaled` computes from the matrix's Fractions."""
+    """The readers build each matrix from the literal table's integers: the
+    entries the text stands for, checked against Python's own `Fraction`
+    parse of a block or the matrix a file was printed from, in the canonical
+    scaled form computed from those Fractions with no `Mat`."""
 
     @staticmethod
     def rand_block(rng, nrows, ncols):
@@ -276,19 +288,24 @@ class TestScaledFormAtParse:
 
     def test_random_blocks(self):
         rng = random.Random("formats/scaled-blocks")
-        shapes, lines = [], []
+        shapes, blocks, lines = [], [], []
         for _ in range(300):
             nrows, ncols = rng.randint(0, 6), rng.randint(0, 6)
             block = self.rand_block(rng, nrows, ncols) if nrows else []
             shapes.append((nrows, ncols))
+            blocks.append(block)
             lines += block + ["# between blocks"]
         reader = LineReader("\n".join(lines), "blocks.txt")
         dens = set()
-        for nrows, ncols in shapes:
-            m = _parse_matrix(reader, nrows, ncols)
+        for (nrows, ncols), block in zip(shapes, blocks):
+            m = reader.next_matrix(nrows, ncols)
+            # the entries by Python's own parse of the text: line j is column j
+            cols = [[F(t) for t in line.split()] for line in block]
+            want = tuple(tuple(c[i] for c in cols) for i in range(nrows))
             assert (m.nrows, m.ncols) == (nrows, ncols)
-            assert m._scaled is not None and m._scaled == fresh_scaled(m)
-            dens.add(min(m._scaled[0], 10**6))
+            assert m.rows == want
+            assert m.scaled() == scaled_of_rows(want, ncols)
+            dens.add(min(m.den, 10**6))
         assert not reader
         assert 1 in dens and 10**6 in dens and len(dens) > 10
 
@@ -296,22 +313,108 @@ class TestScaledFormAtParse:
         rng = random.Random("formats/scaled-files")
         dead = WeightedAutomaton(tag=T.PCA, n=1, alphabet=("a",), out=zeros(1),
                                  trans=(Mat([[1]]),))
-        texts = [zigzag_to_text(ghat_zigzag(dead, vector([1]), dead, vector(["1/2"]))),
-                 zigzag_to_text(zero_dim_middle())]
+        # each file beside the matrices it was printed from
+        written = [ghat_zigzag(dead, vector([1]), dead, vector(["1/2"])), zero_dim_middle()]
+        files = [(zigzag_to_text(z), matrices(z)) for z in written]
         for tag in T:
             for k, extra in ((1, 0), (2, 1), (3, 2)):
                 a1, x1, a2, x2 = lifted_pair(rng, tag, k, extra, ("a", "b"))
                 build = ghat_zigzag if tag is T.PCA else cubic_zigzag
-                texts += [automaton_to_text(a1, x1), automaton_to_text(a2, x2),
-                          zigzag_to_text(build(a1, x1, a2, x2))]
+                z = build(a1, x1, a2, x2)
+                files += [(automaton_to_text(a1, x1), list(a1.trans)),
+                          (automaton_to_text(a2, x2), list(a2.trans)),
+                          (zigzag_to_text(z), matrices(z))]
         shapes = set()
-        for text in texts:
+        for text, printed in files:
             parse = parse_zigzag if text.startswith("zigzag") else parse_automaton
-            for m in matrices(parse(text)):
-                assert m._scaled is not None and m._scaled == fresh_scaled(m)
+            parsed = matrices(parse(text))
+            assert parsed == printed
+            for m, p in zip(parsed, printed):
+                assert m.rows == p.rows
+                assert m.scaled() == scaled_of_rows(p.rows, p.ncols)
                 shapes.add((m.nrows > 0, m.ncols > 0))
         # dim-0 nodes and zero-column morphisms
         assert shapes == {(True, True), (False, False), (False, True), (True, False)}
+
+
+class TestMatricesStayInteger:
+    """The readers read a matrix block into integers and the writers print
+    it from them: no `Fraction` is built for a matrix entry either way."""
+
+    @staticmethod
+    def corpus():
+        rng = random.Random("formats/integer-blocks")
+        texts = []
+        for tag in (T.Q, T.QPLUS, T.UNIT, T.PCA):
+            a1, x1, a2, x2 = lifted_pair(rng, tag, 3, 1, ("a", "b"))
+            build = ghat_zigzag if tag is T.PCA else cubic_zigzag
+            texts += [automaton_to_text(a1, x1), automaton_to_text(a2, x2),
+                      zigzag_to_text(build(a1, x1, a2, x2))]
+        return texts
+
+    def test_readers_build_no_fraction_for_a_matrix_entry(self, monkeypatch):
+        """Every `Fraction` built from integers or text while a file is read
+        is recorded with the line the reader is on; none is on a line of a
+        matrix block.  (A `Fraction` rebuilt from a `Fraction` reads no
+        literal.)"""
+        built, block_lines_read, readers = [], set(), []
+        init, next_matrix = LineReader.__init__, LineReader.next_matrix
+
+        def spy_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            readers.append(self)
+
+        def spy_next_matrix(self, nrows, ncols):
+            m = next_matrix(self, nrows, ncols)
+            block_lines_read.update(self.lines_read(ncols if nrows else 0))
+            return m
+
+        class Spy(F):
+            def __new__(cls, *args, **kwargs):
+                if not any(isinstance(a, F) for a in args):
+                    built.append(readers[-1].last_line)
+                return F(*args, **kwargs)
+
+        texts = self.corpus()
+        monkeypatch.setattr(LineReader, "__init__", spy_init)
+        monkeypatch.setattr(LineReader, "next_matrix", spy_next_matrix)
+        for module in (formats, linalg, automata, zigzag):
+            monkeypatch.setattr(module, "Fraction", Spy)
+        for text in texts:
+            built.clear()
+            block_lines_read.clear()
+            parse = parse_zigzag if text.startswith("zigzag") else parse_automaton
+            parse(text)
+            assert built and block_lines_read
+            assert not block_lines_read.intersection(built)
+        # the spy is in place: a vector row builds its literals
+        reader = LineReader("1/7 2/7", "row.txt")
+        reader.next_rat_row(2)
+        assert built[-2:] == [1, 1]
+
+    def test_entry_printer_matches_fraction_text(self):
+        rng = random.Random("formats/entry-printer")
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(MAX_DIGITS)
+        try:
+            cases = [(0, 1), (0, 7), (5, 1), (-5, 1), (6, 4), (-6, 4), (7, 7), (-14, 7)]
+            for _ in range(2000):
+                num = rng.randint(-10**rng.randint(0, 30), 10**rng.randint(0, 30))
+                den = rng.choice((1, rng.randint(1, 12), rng.randint(1, 10**20)))
+                cases.append((num * rng.choice((1, den)), den))
+            for _ in range(10):
+                big = rng.randint(10**4999, 10**5000 - 1) * rng.choice((1, -1))
+                cases += [(big, 1), (big, rng.randint(2, 10**6)), (big * 6, 4)]
+            for num, den in cases:
+                assert fmt_ratio(num, den) == str(F(num, den))
+        finally:
+            sys.set_int_max_str_digits(before)
+
+    def test_block_printer_matches_fraction_columns(self):
+        for text in self.corpus():
+            parsed = (parse_zigzag if text.startswith("zigzag") else parse_automaton)(text)
+            for m in matrices(parsed):
+                assert block_lines(m) == [" ".join(map(str, col)) for col in columns(m)]
 
 
 SAMPLE_WA = """\

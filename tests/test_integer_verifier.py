@@ -18,7 +18,7 @@ import pytest
 
 import verify_oracle
 import weights_oracle
-from matvec_oracle import entrywise_dot
+from matvec_oracle import entrywise_dot, from_cols
 from wazz import pca, polyhedra, zigzag
 from wazz.automata import SemiringTag, TagViolation, WeightedAutomaton, check_weights
 from wazz.formats import fmt_rat
@@ -297,7 +297,7 @@ class TestEdgeCases:
                 cols = [column(2 * n + 1) for _ in range(n)]
                 out = vector([c[0] for c in cols]) if tag is T.PCA else vector(
                     [F(rng.randint(0, BIG), BIG) for _ in range(n)])
-                trans = tuple(Mat.from_cols([c[1 + a * n:1 + (a + 1) * n] for c in cols],
+                trans = tuple(from_cols([c[1 + a * n:1 + (a + 1) * n] for c in cols],
                                             nrows=n) for a in range(2))
                 r_cols = [vector(column(n)) for _ in range(extra)]
                 x_big = vector(column(n + extra))

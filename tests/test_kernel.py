@@ -22,7 +22,8 @@ from wazz.zigzag import (FREE_MODULE, FREE_PCA, GENERATED_MODULE, ZigZagNode, _c
 from genrandom import lifted_pair
 from ghat_oracle import pca_member
 from kernel_oracle import echelon_contains
-from matvec_oracle import entrywise_apply, identity, zero
+from matvec_oracle import (columns, entrywise_apply, from_cols, identity, matmul, transpose,
+                           zero)
 
 T = SemiringTag
 
@@ -97,14 +98,15 @@ class TestApplyMatchesOracle:
             a, b, c = (rng.randint(0, 4) for _ in range(3))
             left = Mat([[rand_entry(rng, 0.5, 5) for _ in range(b)] for _ in range(a)], ncols=b)
             right = Mat([[rand_entry(rng, 0.5, 5) for _ in range(c)] for _ in range(b)], ncols=c)
-            want = Mat.from_cols([entrywise_apply(left, col) for col in right.cols()],
+            want = from_cols([entrywise_apply(left, col) for col in columns(right)],
                                  nrows=a)
-            assert left @ right == want
+            assert matmul(left, right) == want
 
 
 class TestMatEntries:
-    """`Mat` keeps entries that already are `Fraction` and converts the rest;
-    the matrix is the same whichever form its entries come in."""
+    """`Mat` reads int, `Fraction` and literal entries into its integers;
+    the matrix is the same whichever form its entries come in, and its
+    `rows` view gives `Fraction`s."""
 
     def test_int_str_and_fraction_entries_agree(self):
         rng = random.Random("kernel/entries")
@@ -130,10 +132,10 @@ class TestMatEntries:
 
         half = F(1, 2)
         m = Mat([[half, Sub(1, 3), 2]])
-        assert m.rows[0][0] is half
+        assert m.rows[0][0] == half
         assert [type(a) for a in m.rows[0]] == [F, F, F]
         assert m == Mat([["1/2", "1/3", "2"]])
-        assert m.transpose().rows[0][0] is half
+        assert transpose(m).rows[0][0] == half
 
     def test_vector_int_str_and_fraction_entries_agree(self):
         rng = random.Random("kernel/vector-entries")
@@ -160,7 +162,7 @@ def solve_coordinates(gens, dim, v):
     variables zero, and the entrywise back-check.  The solve runs on the
     `Fraction` rref, because the verifier's factorization and `rref` share
     one elimination."""
-    mat = Mat.from_cols(gens, nrows=dim)
+    mat = from_cols(gens, nrows=dim)
     k = len(gens)
     red, pivots, _ = kernel_oracle.rref(Mat(tuple(r + (b,) for r, b in zip(mat.rows, v)),
                                             ncols=k + 1))

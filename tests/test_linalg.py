@@ -7,9 +7,11 @@ import kernel_oracle
 from wazz.linalg import (Mat, Lattice, closure_under_maps, hnf, hnf_with_transform,
                          is_integral, kernel_basis, lattice_coords, lattice_member,
                          lattice_reduce, primitive, rref, solve, unit, vector, zeros)
-from matvec_oracle import identity, zero
+from matvec_oracle import columns, from_cols, identity, transpose, zero
 from word_oracles import word_closure
 from wazz.formats import fmt_rat, parse_rat
+from wazz.automata import parse_automaton
+from wazz.pca import reduce_invariant_set
 
 
 def M(rows):
@@ -70,27 +72,61 @@ class TestRref:
 
 
 class TestTranspose:
-    """`transpose` and `from_cols` build the rows by one zip; the shapes of
-    empty matrices are where a zip loses track."""
+    """`transpose` and the oracle's `from_cols` build a matrix from its
+    columns; the shapes of empty matrices are where a zip loses track."""
 
     @pytest.mark.parametrize("nr, nc", [(0, 0), (0, 3), (3, 0), (1, 4), (4, 1), (3, 3)])
     def test_shapes_and_entries(self, nr, nc):
         m = rand_mat(random.Random(f"transpose/{nr}/{nc}"), nr, nc) if nr else Mat((), ncols=nc)
-        t = m.transpose()
+        t = transpose(m)
         assert (t.nrows, t.ncols) == (nc, nr)
-        assert all(type(a) is F and a is m.rows[j][i]
+        assert all(type(a) is F and a == m.rows[j][i]
                    for i, r in enumerate(t.rows) for j, a in enumerate(r))
-        assert t.rows == tuple(m.cols()) and t.transpose() == m
-        assert Mat.from_cols(m.cols(), nrows=nr) == m
+        assert t.rows == tuple(columns(m)) and transpose(t) == m
+        assert from_cols(columns(m), nrows=nr) == m
 
     def test_from_cols_converts_and_checks(self):
-        assert Mat.from_cols([[1, "1/2"], [F(2), 0]]) == M([[1, 2], ["1/2", 0]])
-        assert Mat.from_cols([(), ()]) == Mat((), ncols=2)
-        assert Mat.from_cols([], nrows=2) == Mat([(), ()], ncols=0)
+        assert from_cols([[1, "1/2"], [F(2), 0]]) == M([[1, 2], ["1/2", 0]])
+        assert from_cols([(), ()]) == Mat((), ncols=2)
+        assert from_cols([], nrows=2) == Mat([(), ()], ncols=0)
         with pytest.raises(ValueError):
-            Mat.from_cols([[1, 2], [3]])
+            from_cols([[1, 2], [3]])
         with pytest.raises(ValueError):
-            Mat.from_cols([])
+            from_cols([])
+
+
+class TestCanonicalForm:
+    """A `Mat` is its common denominator and sparse integers, with the
+    denominator coprime to them: built any way, the same entries compare
+    equal, hash equal and scale alike."""
+
+    # a subconvex automaton whose state 3 is a zero-output invariant set:
+    # its quotient drops the only entries with denominator 3
+    TEXT = "\n".join(["semiring pca", "alphabet a", "states 3", "output 1/4 1/4 0",
+                       "trans a", "1/2 0 0", "1/4 1/2 0", "0 0 1/3", ""])
+
+    def test_every_route_gives_one_form(self):
+        want = Mat([["1/2", "1/4"], [0, F(1, 2)]])
+        reader = parse_automaton("\n".join(["semiring q", "alphabet a", "states 2",
+                                             "output 1 0", "trans a", "1/2 0", "2/8 1/2"]))
+        aut = parse_automaton(self.TEXT)[0]
+        dropped, quotient, _ = reduce_invariant_set(aut)
+        assert dropped == {2} and aut.trans[0].den == 12
+        empty = Mat((), ncols=0)
+        routes = [reader[0].trans[0], transpose(transpose(want)),
+                  Mat.block_diag(want, empty), Mat.block_diag(empty, want),
+                  quotient.trans[0], Mat._of_cols(12, [[6, 0], [3, 6]], 2),
+                  Mat([[F(1, 2), F(1, 4)], [0, F(1, 2)]])]
+        for m in routes:
+            assert m == want and hash(m) == hash(want)
+            assert m.scaled() == want.scaled() == (4, (((0, 1), (2, 1)), ((1,), (2,))))
+            assert (m.nrows, m.ncols, m.rows) == (2, 2, want.rows)
+
+    def test_zero_and_integer_matrices_have_denominator_one(self):
+        for m in (Mat([[0, 0]]), Mat._of_cols(6, [[0], [0]], 1), Mat([["4/2", "-6/3"]]),
+                  Mat._of_cols(5, [[10], [-5]], 1)):
+            assert m.den == 1
+        assert Mat._of_cols(5, [[10], [-5]], 1) == Mat([[2, -1]])
 
 
 class TestKernel:

@@ -10,7 +10,6 @@ import pytest
 
 import pair_oracle
 import weights_oracle
-from wazz import linalg
 from wazz.automata import (NotEquivalent, SemiringTag, WeightedAutomaton, automaton_to_text,
                            equivalent, pair_submodule, parse_automaton)
 from wazz.linalg import Mat, closure_under_maps, vector
@@ -183,22 +182,22 @@ def guard_pairs():
 
 
 def test_equivalence_builds_no_matrix_and_scales_none_again(monkeypatch):
-    """Pairing composes the parsed scaled forms and both closures read them:
-    deciding equivalence runs no `Mat.__init__` and no `_sparse_row`."""
+    """Pairing composes the parsed integer forms and both closures read them:
+    deciding equivalence runs no `Mat.__init__` and no `Mat._of_cols`."""
     pairs = list(guard_pairs())
     calls = []
-    init, sparse_row = Mat.__init__, linalg._sparse_row
+    init, of_cols = Mat.__init__, Mat._of_cols.__func__
 
     def spy_init(self, *args, **kwargs):
         calls.append("Mat.__init__")
         init(self, *args, **kwargs)
 
-    def spy_sparse_row(*args):
-        calls.append("_sparse_row")
-        return sparse_row(*args)
+    def spy_of_cols(cls, *args):
+        calls.append("_of_cols")
+        return of_cols(cls, *args)
 
     monkeypatch.setattr(Mat, "__init__", spy_init)
-    monkeypatch.setattr(linalg, "_sparse_row", spy_sparse_row)
+    monkeypatch.setattr(Mat, "_of_cols", classmethod(spy_of_cols))
     verdicts = {tag: set() for tag in T}
     for aut1, x1, aut2, x2 in pairs:
         verdicts[aut1.tag].add(equivalent(aut1, x1, aut2, x2).equivalent)
@@ -206,4 +205,4 @@ def test_equivalence_builds_no_matrix_and_scales_none_again(monkeypatch):
     assert all(v == {True, False} for v in verdicts.values())
     # the spies are in place
     Mat([[1]]).scaled()
-    assert calls == ["Mat.__init__", "_sparse_row"]
+    assert calls == ["Mat.__init__", "_of_cols"]

@@ -16,7 +16,7 @@ from wazz.zigzag import (CUBIC, FREE_MODULE, GENERATED_MODULE, Morphism, ZigZag,
                          ZigZagNode, cubic_zigzag, ghat_zigzag, verify_zigzag)
 
 from genrandom import lifted_pair, rand_automaton, rand_config, zero_one_weight
-from matvec_oracle import identity
+from matvec_oracle import identity, transpose
 from word_oracles import bfs_separating_word, raw_trace, word_closure
 
 T = SemiringTag
@@ -94,7 +94,7 @@ def planted_chain(rng, tag, length):
         p, p_inv = _elementary_pair(rng, n)
         # rows are images of basis states: conjugate to P T P^-1, output P out,
         # start e_0 P^-1
-        trans = tuple(Mat(_matmul(_matmul(p, base[a]), p_inv)).transpose() for a in "ab")
+        trans = tuple(transpose(Mat(_matmul(_matmul(p, base[a]), p_inv))) for a in "ab")
         new_out = [sum(r * o for r, o in zip(row, out)) for row in p]
         aut = WeightedAutomaton(tag=tag, n=n, alphabet=("a", "b"), out=new_out, trans=trans)
         sides.append((aut, vector(p_inv[0])))

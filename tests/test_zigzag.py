@@ -20,7 +20,7 @@ from wazz.zigzag import (CUBIC, FREE_MODULE, FREE_PCA, GENERATED_MODULE,
                          parse_zigzag, verify_zigzag, zigzag_to_text)
 
 from genrandom import lifted_pair, rand_automaton, rand_config, report_witnesses
-from matvec_oracle import identity, zero
+from matvec_oracle import identity, transpose, zero
 
 T = SemiringTag
 
@@ -364,12 +364,29 @@ class TestWitnessFormat:
         assert z.nodes[0].coalgebra.trans[0] is z.nodes[1].coalgebra.trans[0]
         text = zigzag_to_text(z)
         formatted = []
-        original = Mat.transpose
-        monkeypatch.setattr(Mat, "transpose",
-                            lambda self: formatted.append(id(self)) or original(self))
+        original = zigzag.block_lines
+        monkeypatch.setattr(zigzag, "block_lines",
+                            lambda m: formatted.append(id(m)) or original(m))
         assert zigzag_to_text(z) == text
         assert sorted(formatted) == sorted({id(m) for m in mats})
         assert len(formatted) < len(mats)
+
+    def test_parse_shares_repeated_blocks(self):
+        """A block whose lines repeat an earlier block of the same witness is
+        read once: nodes 0/1 and 3/4 of a parsed ghat witness with nothing
+        dropped share their letter `Mat`s, and the report is unchanged."""
+        rng = random.Random("shared-blocks")
+        z = ghat_zigzag(*lifted_pair(rng, T.PCA, 3, 1, ("a", "b")))
+        back = parse_zigzag(zigzag_to_text(z))
+        assert back == z
+        for i, j in ((0, 1), (3, 4)):
+            for m, m2 in zip(back.nodes[i].coalgebra.trans, back.nodes[j].coalgebra.trans):
+                assert m is m2
+        assert back.nodes[1].coalgebra.trans[0] is not back.nodes[3].coalgebra.trans[0]
+        assert verify_zigzag(back) == verify_zigzag(z)
+        # nothing is kept from one parse to the next
+        again = parse_zigzag(zigzag_to_text(z))
+        assert again.nodes[0].coalgebra.trans[0] is not back.nodes[0].coalgebra.trans[0]
 
     def test_deterministic_output(self):
         a1, x1, a2, x2 = qplus_pair()
@@ -521,7 +538,7 @@ class TestShapeChecks:
         flipped = ZigZag(functor=z.functor, tag=z.tag, alphabet=z.alphabet,
                          nodes=z.nodes,
                          morphisms=(z.morphisms[0],
-                                    Morphism(2, 1, z.morphisms[1].matrix.transpose())),
+                                    Morphism(2, 1, transpose(z.morphisms[1].matrix))),
                          relating=z.relating, endpoints=z.endpoints)
         report = verify_zigzag(flipped)
         assert not report.valid

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import partial
 
 import kernel_oracle
-from matvec_oracle import entrywise_apply, entrywise_dot
+from matvec_oracle import entrywise_apply, entrywise_dot, from_cols
 from wazz.automata import SemiringTag
 from wazz.formats import fmt_rat, fmt_vec, word_text
 from wazz.linalg import (Lattice, Mat, as_int_vec, hnf, is_integral, is_nonneg,
@@ -64,7 +64,7 @@ def first_word_off(functional, start, maps):
 
 def _span_coordinates(gens, dim):
     k = len(gens)
-    g_mat = Mat.from_cols(gens, nrows=dim)
+    g_mat = from_cols(gens, nrows=dim)
     red, pivots, _ = kernel_oracle.rref(Mat(tuple(r + unit(dim, i)
                                                   for i, r in enumerate(g_mat.rows)),
                                             ncols=k + dim))

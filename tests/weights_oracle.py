@@ -12,6 +12,8 @@ first violation.
 from wazz.automata import SemiringTag, TagViolation
 from wazz.formats import fmt_rat
 
+from matvec_oracle import column, columns
+
 T = SemiringTag
 INTEGRAL = (T.NAT, T.INT)
 NONNEG = (T.NAT, T.QPLUS, T.RPLUS, T.UNIT, T.PCA)
@@ -32,7 +34,7 @@ def check_weights(tag, out, trans):
             raise TagViolation(f"output entry {fmt_rat(q)} violates tag {tag.value}",
                                ((None, j),))
     for k, m in enumerate(trans):
-        for j, col in enumerate(m.cols()):
+        for j, col in enumerate(columns(m)):
             for q in col:
                 if not entry_ok(tag, q):
                     raise TagViolation(f"entry {fmt_rat(q)} violates tag {tag.value}",
@@ -41,6 +43,6 @@ def check_weights(tag, out, trans):
                 raise TagViolation("column sums must stay within 1 for unit tag", ((k, j),))
     if tag is T.PCA:
         for j in range(len(out)):
-            if out[j] + sum(sum(m.col(j)) for m in trans) > 1:
+            if out[j] + sum(sum(column(m, j)) for m in trans) > 1:
                 raise TagViolation(f"state {j + 1}: output plus transition mass exceeds 1",
                                    ((None, j),) + tuple((k, j) for k in range(len(trans))))
