@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .formats import LineReader, ParseError, block_lines, fmt_rat, fmt_vec
+from .formats import LineReader, block_lines, fmt_rat, fmt_vec
 from .linalg import (Mat, _clear_denominators, _over_shared, _scaled_word_closure,
                      closure_under_maps, first_word_off, vdot, vector, vneg, zeros)
 
@@ -66,6 +66,7 @@ _RULES = {SemiringTag.NAT: (True, True, False), SemiringTag.INT: (True, False, F
           SemiringTag.QPLUS: (False, True, False), SemiringTag.Q: (False, False, False),
           SemiringTag.RPLUS: (False, True, False), SemiringTag.REAL: (False, False, False),
           SemiringTag.UNIT: (False, True, True), SemiringTag.PCA: (False, True, True)}
+_TAGS = {tag.value: tag for tag in SemiringTag}  # the tags by their names in a file
 
 
 class NotEquivalent(Exception):
@@ -326,65 +327,68 @@ def parse_automaton(text, source="<automaton>"):
     configuration carried by the file (None when absent).
     """
     r = LineReader(text, source)
-    toks = r.next_keyword("semiring")
-    if len(toks) != 1:
-        r.error("expected exactly one semiring tag")
-    try:
-        tag = SemiringTag(toks[0])
-    except ValueError:
-        r.error(f"unknown semiring {toks[0]!r}")
-    alphabet = tuple(r.next_keyword("alphabet"))
+    lines = r.lines
+    line, toks = r.keyword(0, "semiring")
+    if len(toks) != 2:
+        r.error(line, "expected exactly one semiring tag")
+    if (tag := _TAGS.get(toks[1])) is None:
+        r.error(line, f"unknown semiring {toks[1]!r}")
+    line, toks = r.keyword(1, "alphabet")
+    alphabet = tuple(toks[1:])
     if not alphabet:
-        r.error("alphabet must not be empty")
+        r.error(line, "alphabet must not be empty")
     if len(set(alphabet)) != len(alphabet):
-        r.error("duplicate alphabet symbols")
-    toks = r.next_keyword("states")
-    if len(toks) != 1:
-        r.error("expected exactly one state count")
-    n = r.parse_int(toks[0], minimum=1)
-    out = r.parse_rats(r.next_keyword("output"), n)
-    # the line of each (letter index, state) cell, None standing for the output
-    lines = {(None, j): r.last_line for j in range(n)}
-    trans = {}
+        r.error(line, "duplicate alphabet symbols")
+    line, toks = r.keyword(2, "states")
+    if len(toks) != 2:
+        r.error(line, "expected exactly one state count")
+    n = r.integer(toks[1], line, minimum=1)
+    out_line, toks = r.keyword(3, "output")
+    out = r.row(out_line, toks, n)
+    blocks = {}  # letter -> (index in `lines` of its block's first line, matrix)
     state = None
-    while r:
-        toks = r.next_tokens()
+    k = 4
+    while k < len(lines):
+        line, toks = lines[k]
+        k += 1
         if toks[0] == "trans":
             if len(toks) != 2:
-                r.error("expected: trans <symbol>")
+                r.error(line, "expected: trans <symbol>")
             sym = toks[1]
             if sym not in alphabet:
-                r.error(f"unknown symbol {sym!r}")
-            if sym in trans:
-                r.error(f"duplicate transition block for {sym!r}")
+                r.error(line, f"unknown symbol {sym!r}")
+            if sym in blocks:
+                r.error(line, f"duplicate transition block for {sym!r}")
             # file rows are images of basis vectors: the matrix's columns
-            trans[sym] = r.next_matrix(n, n)
-            lines.update(zip([(alphabet.index(sym), j) for j in range(n)], r.lines_read(n)))
+            blocks[sym] = k, r.block(k, n, n)
+            k += n
         elif toks[0] == "state":
             if state is not None:
-                r.error("duplicate state line")
-            state = r.parse_rats(toks[1:], n)
+                r.error(line, "duplicate state line")
+            state = r.row(line, toks, n)
             for q in state:
                 if not tag.scalar_ok(q):
-                    r.error(f"state entry {fmt_rat(q)} violates tag {tag.value}")
+                    r.error(line, f"state entry {fmt_rat(q)} violates tag {tag.value}")
             # the endpoint carrier of the subconvex tags is the subsimplex:
             # the entries' integer sum over their common denominator d is at most d
             if tag.within_one:
                 den, nums = _clear_denominators(state)
                 if (total := sum(nums)) > den:
-                    r.error(f"state entries sum to {fmt_rat(Fraction(total, den))}, "
-                            f"above 1 for tag {tag.value}")
+                    r.error(line, f"state entries sum to {fmt_rat(Fraction(total, den))}, "
+                                  f"above 1 for tag {tag.value}")
         else:
-            r.error(f"unexpected directive {toks[0]!r}")
-    missing = [a for a in alphabet if a not in trans]
+            r.error(line, f"unexpected directive {toks[0]!r}")
+    missing = [a for a in alphabet if a not in blocks]
     if missing:
-        r.error(f"missing transition block for {missing[0]!r}")
+        r.error(lines[-1][0], f"missing transition block for {missing[0]!r}")  # at the end
     try:
         aut = WeightedAutomaton(tag=tag, n=n, alphabet=alphabet, out=out,
-                                trans=tuple(trans[a] for a in alphabet))
+                                trans=tuple(blocks[a][1] for a in alphabet))
     except TagViolation as exc:
-        # reported where reading the file top down first shows the fault
-        raise ParseError(source, max(lines[c] for c in exc.cells), str(exc)) from None
+        # reported where reading the file top down first shows the fault:
+        # the last line of the (letter index, state) cells the rule reads
+        r.error(max(out_line if a is None else lines[blocks[alphabet[a]][0] + j][0]
+                    for a, j in exc.cells), str(exc))
     return aut, state
 
 

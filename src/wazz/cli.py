@@ -29,7 +29,9 @@ MAX_DIGITS = 100_000  # Python's default is 4300; a 100000-digit number prints i
 
 def _read(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # newline="": a lone carriage return stays in the text, where the
+        # readers reject it, as lines end at a line feed alone
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             return fh.read()
     except OSError as exc:
         raise ParseError(path, 0, f"cannot read file: {exc.strerror}") from None
@@ -117,20 +119,21 @@ def _cmd_verify(args):
 def _cmd_hilbert(args):
     from .formats import LineReader
     r = LineReader(_read(args.cone), args.cone)
-    toks = r.next_tokens(expect="dimension line: <k> <m>")
+    line, toks = r.at(0, "dimension line: <k> <m>")
     if len(toks) != 2:
-        r.error("expected dimension line: <k> <m>")
-    k = r.parse_int(toks[0], minimum=1)
-    m = r.parse_int(toks[1], minimum=1)
+        r.error(line, "expected dimension line: <k> <m>")
+    k = r.integer(toks[0], line, minimum=1)
+    m = r.integer(toks[1], line, minimum=1)
     rows = []
-    for _ in range(k):
-        row = r.parse_rats(r.next_tokens(expect=f"{m} integers"), m)
+    for i in range(1, k + 1):
+        line, toks = r.at(i, f"{m} integers")
+        row = r.row(line, toks, m, start=0)
         for q in row:
             if q.denominator != 1:
-                r.error(f"entry {fmt_rat(q)} must be an integer")
+                r.error(line, f"entry {fmt_rat(q)} must be an integer")
         rows.append(row)
-    if r:
-        r.error("trailing input after the constraint matrix")
+    if len(r.lines) > k + 1:
+        r.error(line, "trailing input after the constraint matrix")
     for g in hilbert_basis(IntConeSpec(k=k, w=Mat(rows))):
         print(" ".join(str(a) for a in g))
     return 0
@@ -167,7 +170,8 @@ def _cmd_gauge(args):
 @lru_cache(maxsize=1)
 def build_parser():
     """The argument parser, built once: each `parse_args` fills a fresh
-    namespace, so no option of one call reaches the next."""
+    namespace, so no option of one call reaches the next.  `commands` maps
+    each command name to its own parser."""
     parser = argparse.ArgumentParser(
         prog="wazz",
         description="Exact trace equivalence of weighted automata with "
@@ -215,13 +219,27 @@ def build_parser():
     p.add_argument("point", nargs="*", help="rational coordinates")
     p.set_defaults(func=_cmd_gauge)
 
+    parser.commands = sub.choices
     return parser
 
 
-def main(argv=None):
+def _parse_args(argv):
+    """The namespace of argv.  A command's own parser reads the arguments
+    after its name, as the top-level parser would hand them over; the
+    top-level parser reads argv when it names no command, and again when
+    arguments are left over, so that every usage error keeps its text."""
     parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv=None):
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     limit = sys.get_int_max_str_digits()

@@ -6,15 +6,17 @@ sign, an integer, and optionally ``/`` followed by a positive integer
 anywhere.  Lines end at a line feed alone; spaces and tabs alone separate
 tokens, and other whitespace in a line, outside a comment, is an error.
 
-A `LineReader` reads one file and owns literal tables for it: each distinct
-literal text is parsed once, to its numerator and denominator in lowest
-terms, and only a row with a token the tables lack is scanned token by
-token, which names the first bad token.  A vector row is a tuple of
-`Fraction`s, one per distinct literal.  A matrix block (`next_matrix`,
-column by column) is a `Mat` on the tables' integers, with no `Fraction`;
-a block whose lines repeat an earlier one is that `Mat` again.  The writers
-print a block from its integers (`block_lines`): a / d in lowest terms as
-`str` of integers, the text of `str(Fraction(a, d))`.
+A `LineReader` reads one file in one pass: its constructor splits each
+meaningful line into tokens once, and the readers walk that list by index.
+It keeps one table for the file from literal text to its numerator and
+denominator in lowest terms, each distinct literal parsed at its first
+lookup.  A vector row (`row`) is one loop of lookups, a tuple of
+`Fraction`s, one per distinct literal.  A matrix block (`block`, column by
+column) is one loop of lookups per line into a `Mat` on the table's
+integers, with no `Fraction`.  Every diagnostic is raised where it is found,
+at its line.  The writers print a block from its integers (`block_lines`):
+a / d in lowest terms as `str` of integers, the text of
+`str(Fraction(a, d))`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter
 
 from .linalg import Mat
 
@@ -99,116 +100,111 @@ def word_text(word, alphabet):
     return ("" if all(len(a) == 1 for a in alphabet) else " ").join(word)
 
 
+class _Table(dict):
+    """A dict that fills a missing key k with make(k) at its first lookup."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        self[key] = value = self.make(key)
+        return value
+
+
 class LineReader:
-    """Iterates meaningful lines of a text body, tracking line numbers.
+    """The meaningful lines of one text, each split into tokens once, and one
+    table, for this file only, from literal text to its numerator and
+    denominator in lowest terms.
 
     Lines end at a line feed alone; the strip that trims each line also
     drops the carriage return of a CRLF file.  Comments start with '#' and
-    run to end of line; blank lines are skipped.
+    run to end of line; blank lines are skipped.  `lines` holds the (line
+    number, tokens) of every other line, and a reader walks it by index.
+    Each diagnostic is raised at the line it is about.
     """
 
     def __init__(self, text, source="<input>"):
         self.source = source
-        self._items = []
+        self.lines, texts = [], []
         for i, raw in enumerate(text.split("\n"), start=1):
-            line = raw.split("#", 1)[0].strip(" \t\r")
-            if not line.isprintable() and (m := _OTHER_SPACE.search(line)):
-                raise ParseError(source, i, f"whitespace other than space or tab: {m.group()!r}")
-            if line:
-                self._items.append((i, line))
-        self._pos = 0
-        self.last_line = 0
-        # for this file only: literal text -> its numerator, and its
-        # denominator, in lowest terms; the Fraction of a vector entry
-        self._nums, self._dens, self._rats = {}, {}, {}
-        self._blocks = {}  # (nrows, ncols, the lines of a block) -> its matrix
+            if "#" in raw:
+                raw = raw[:raw.index("#")]
+            if not raw.isprintable():  # a printable line has no whitespace but spaces
+                raw = raw.strip(" \t\r")
+                if not raw.isprintable() and (m := _OTHER_SPACE.search(raw)):
+                    raise ParseError(source, i,
+                                     f"whitespace other than space or tab: {m.group()!r}")
+            if toks := raw.split():
+                self.lines.append((i, toks))
+                texts.append(raw)
+        # each distinct literal parsed once, at its first lookup (a bad one
+        # raises ValueError there); a vector entry's Fraction built once
+        self.ratios = ratios = _Table(parse_ratio)
+        self._fractions = _Table(lambda token: Fraction(*ratios[token]))
+        self._texts = texts  # the text of each of `lines`
+        self._blocks = {}  # (nrows, ncols, the texts of a block's lines) -> its matrix
 
-    def __bool__(self):
-        return self._pos < len(self._items)
+    def error(self, line, message):
+        raise ParseError(self.source, line, message)
 
-    def error(self, message, line=None):
-        raise ParseError(self.source, self.last_line if line is None else line, message)
+    def at(self, k, expect=None):
+        """(line number, tokens) of meaningful line k; past the last one, the
+        error at the line after it."""
+        if k < len(self.lines):
+            return self.lines[k]
+        self.error(self.lines[k - 1][0] + 1 if k else 1, "unexpected end of input"
+                   if expect is None else f"unexpected end of input, expected {expect}")
 
-    def next_line(self, expect=None):
-        if self._pos >= len(self._items):
-            raise ParseError(self.source, self.last_line + 1, "unexpected end of input"
-                             if expect is None else f"unexpected end of input, expected {expect}")
-        lineno, line = self._items[self._pos]
-        self._pos += 1
-        self.last_line = lineno
-        return line
-
-    def lines_read(self, count):
-        """The line numbers of the last `count` lines read."""
-        return [i for i, _ in self._items[self._pos - count:self._pos]]
-
-    def next_tokens(self, expect=None):
-        return self.next_line(expect).split()
-
-    def next_keyword(self, keyword):
-        """Consume a line that must start with `keyword`; return the rest tokens."""
-        toks = self.next_tokens(expect=keyword)
+    def keyword(self, k, keyword):
+        """Meaningful line k, which must start with `keyword`."""
+        line, toks = self.at(k, keyword)
         if toks[0] != keyword:
-            self.error(f"expected {keyword!r}, got {toks[0]!r}")
-        return toks[1:]
+            self.error(line, f"expected {keyword!r}, got {toks[0]!r}")
+        return line, toks
 
-    def _enter(self, tokens, count):
-        """The tokens of a row, its length checked and each literal the
-        tables lack entered; the first bad token fails at the row's line."""
-        if count is not None and len(tokens) != count:
-            self.error(f"expected {count} rationals, got {len(tokens)}")
-        nums = self._nums
-        if not all(map(nums.__contains__, tokens)):
-            for t in tokens:
-                if t not in nums:
-                    try:
-                        nums[t], self._dens[t] = parse_ratio(t)
-                    except ValueError as exc:
-                        self.error(str(exc))
-        return tokens
-
-    def parse_rats(self, tokens, count=None):
-        self._enter(tokens, count)
-        rats = self._rats
-        try:
-            return tuple(map(rats.__getitem__, tokens))
-        except KeyError:
-            for t in tokens:
-                if t not in rats:
-                    rats[t] = Fraction(self._nums[t], self._dens[t])
-            return tuple(map(rats.__getitem__, tokens))
-
-    def parse_int(self, token, minimum=None):
+    def integer(self, token, line, minimum=None):
         if not _INT_RE.match(token):
-            self.error(f"expected an integer, got {token!r}")
+            self.error(line, f"expected an integer, got {token!r}")
         value = int(token)
         if minimum is not None and value < minimum:
-            self.error(f"expected an integer >= {minimum}, got {value}")
+            self.error(line, f"expected an integer >= {minimum}, got {value}")
         return value
 
-    def next_rat_row(self, count):
-        return self.parse_rats(self.next_tokens(f"{count} rationals"), count)
+    def row(self, line, toks, count, start=1):
+        """The `count` literals toks[start:] (past a keyword, by default) as
+        `Fraction`s; the first bad one fails at the line."""
+        if len(toks) - start != count:
+            self.error(line, f"expected {count} rationals, got {len(toks) - start}")
+        try:
+            return tuple(map(self._fractions.__getitem__, toks[start:]))
+        except ValueError as exc:
+            self.error(line, str(exc))
 
-    def next_matrix(self, nrows, ncols):
-        """The next nrows x ncols matrix: ncols lines (the images of basis
-        vectors) of nrows rationals, read as by `next_rat_row` into the
-        tables' integers over their lcm denominator, coprime to them as the
-        literals are in lowest terms; no Fraction.  Lines repeating an
-        earlier block give its matrix again; a matrix of height 0 has none."""
+    def block(self, k, nrows, ncols):
+        """The nrows x ncols matrix on the ncols meaningful lines from k, line
+        k + j being column j (the image of basis vector j): the table's
+        integers over their lcm denominator, coprime to them as the literals
+        are in lowest terms, with no `Fraction`.  A matrix of height 0 has no
+        lines.  Lines repeating an earlier block give its matrix again."""
         if not nrows:
             return Mat._of_cols(1, [()] * ncols, 0)
-        key = nrows, ncols, tuple(line for _, line in self._items[self._pos:self._pos + ncols])
-        if key in self._blocks:
-            self._pos += ncols
-            self.last_line = self._items[self._pos - 1][0]
-            return self._blocks[key]
-        lines = [self._enter(self.next_tokens(f"{nrows} rationals"), nrows) for _ in range(ncols)]
-        nums, dens = self._nums, self._dens
-        distinct = set().union(*lines)
-        den = lcm(*map(dens.__getitem__, distinct))
-        if den != 1:
-            nums = {t: nums[t] * (den // dens[t]) for t in distinct}
-        # itemgetter of one key gives the value, not a tuple
-        cols = [itemgetter(*line)(nums) if nrows > 1 else (nums[line[0]],) for line in lines]
-        self._blocks[key] = m = Mat._of_cols(den, cols, nrows)
+        key = nrows, ncols, tuple(self._texts[k:k + ncols])
+        if (m := self._blocks.get(key)) is not None:
+            return m
+        entry, cols = self.ratios.__getitem__, []
+        for line, toks in self.lines[k:k + ncols]:
+            if len(toks) != nrows:
+                self.error(line, f"expected {nrows} rationals, got {len(toks)}")
+            try:
+                cols.append(list(map(entry, toks)))
+            except ValueError as exc:
+                self.error(line, str(exc))
+        if len(cols) < ncols:
+            self.at(k + len(cols), f"{nrows} rationals")
+        den = lcm(*{d for col in cols for _, d in col})
+        self._blocks[key] = m = Mat._of_cols(den, [[a * (den // d) for a, d in col]
+                                                   for col in cols], nrows)
         return m

@@ -486,22 +486,21 @@ def simplex_restriction(span_vectors, family, n1, n2):
 
 
 def _reader(text, source, keyword):
-    """A reader past the header line `<keyword> <dim>`, and dim."""
+    """A reader whose first line is the header `<keyword> <dim>`, and dim."""
     r = LineReader(text, source)
-    toks = r.next_keyword(keyword)
-    if len(toks) != 1:
-        r.error(f"expected: {keyword} <dim>")
-    return r, r.parse_int(toks[0], minimum=0)
+    line, toks = r.keyword(0, keyword)
+    if len(toks) != 2:
+        r.error(line, f"expected: {keyword} <dim>")
+    return r, r.integer(toks[1], line, minimum=0)
 
 
 def parse_hrep(text, source="<hrep>"):
     r, dim = _reader(text, source, "hrep")
     ineqs = []
-    while r:
-        toks = r.next_tokens()
+    for line, toks in r.lines[1:]:
         if toks[0] != "ineq":
-            r.error(f"unexpected directive {toks[0]!r}")
-        row = r.parse_rats(toks[1:], dim + 1)
+            r.error(line, f"unexpected directive {toks[0]!r}")
+        row = r.row(line, toks, dim + 1)
         ineqs.append((row[:dim], row[dim]))
     return HRep(dim, tuple(ineqs))
 
@@ -516,14 +515,13 @@ def hrep_to_text(h):
 def parse_vrep(text, source="<vrep>"):
     r, dim = _reader(text, source, "vrep")
     points, directions = [], []
-    while r:
-        toks = r.next_tokens()
+    for line, toks in r.lines[1:]:
         if toks[0] == "point":
-            points.append(r.parse_rats(toks[1:], dim))
+            points.append(r.row(line, toks, dim))
         elif toks[0] == "direction":
-            directions.append(r.parse_rats(toks[1:], dim))
+            directions.append(r.row(line, toks, dim))
         else:
-            r.error(f"unexpected directive {toks[0]!r}")
+            r.error(line, f"unexpected directive {toks[0]!r}")
     return VRep(dim, tuple(points), tuple(directions))
 
 
@@ -539,13 +537,12 @@ def vrep_to_text(v):
 def parse_pca_polytope(text, source="<pca>"):
     r, dim = _reader(text, source, "pca")
     gens = []
-    while r:
-        toks = r.next_tokens()
+    for line, toks in r.lines[1:]:
         if toks[0] != "gen":
-            r.error(f"unexpected directive {toks[0]!r}")
-        g = r.parse_rats(toks[1:], dim)
+            r.error(line, f"unexpected directive {toks[0]!r}")
+        g = r.row(line, toks, dim)
         if not is_nonneg(g):
-            r.error("generators must be nonnegative")
+            r.error(line, "generators must be nonnegative")
         gens.append(g)
     return PcaPolytope(dim, tuple(gens))
 

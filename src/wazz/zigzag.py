@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import partial
 from math import lcm
 
-from .automata import LinearCoalgebra, SemiringTag, pair_submodule
+from .automata import _TAGS, LinearCoalgebra, SemiringTag, pair_submodule
 from .formats import LineReader, block_lines, fmt_rat, fmt_vec
 from .hilbert import nat_restriction
 from .linalg import (Lattice, Mat, _clear_denominators, _rref_beside_identity, _selection,
@@ -622,70 +622,75 @@ def zigzag_to_text(z):
 
 def parse_zigzag(text, source="<witness>"):
     r = LineReader(text, source)
-    toks = r.next_keyword("zigzag")
-    if len(toks) != 2:
-        r.error("expected: zigzag <functor> <tag>")
-    functor = toks[0]
+    line, toks = r.keyword(0, "zigzag")
+    if len(toks) != 3:
+        r.error(line, "expected: zigzag <functor> <tag>")
+    functor = toks[1]
     if functor not in (CUBIC, GHAT):
-        r.error(f"unknown functor {functor!r}")
-    try:
-        tag = SemiringTag(toks[1])
-    except ValueError:
-        r.error(f"unknown semiring {toks[1]!r}")
-    alphabet = tuple(r.next_keyword("alphabet"))
+        r.error(line, f"unknown functor {functor!r}")
+    if (tag := _TAGS.get(toks[2])) is None:
+        r.error(line, f"unknown semiring {toks[2]!r}")
+    line, toks = r.keyword(1, "alphabet")
+    alphabet = tuple(toks[1:])
     if len(set(alphabet)) != len(alphabet) or not alphabet:
-        r.error("alphabet must be nonempty and distinct")
-    toks = r.next_keyword("nodes")
-    count = r.parse_int(toks[0], minimum=1) if len(toks) == 1 else r.error("expected a count")
+        r.error(line, "alphabet must be nonempty and distinct")
+    k = 2  # the index in `r.lines` of the last line read
+    line, toks = r.keyword(k, "nodes")
+    count = r.integer(toks[1], line, 1) if len(toks) == 2 else r.error(line, "expected a count")
     nodes = []
     for i in range(count):
-        toks = r.next_keyword("node")
-        if (len(toks) != 6 or toks[0] != str(i) or toks[2] != "dim"
-                or toks[4] != "generators"):
-            r.error(f"expected: node {i} <KIND> dim <d> generators <g>")
-        kind = toks[1]
+        line, toks = r.keyword(k := k + 1, "node")
+        if (len(toks) != 7 or toks[1] != str(i) or toks[3] != "dim"
+                or toks[5] != "generators"):
+            r.error(line, f"expected: node {i} <KIND> dim <d> generators <g>")
+        kind = toks[2]
         if kind not in KINDS:
-            r.error(f"unknown node kind {kind!r}")
-        dim = r.parse_int(toks[3], minimum=0)
-        ngens = r.parse_int(toks[5], minimum=0)
-        gens = [r.next_rat_row(dim) for _ in range(ngens)]
-        out = r.parse_rats(r.next_keyword("out"), dim)
+            r.error(line, f"unknown node kind {kind!r}")
+        dim = r.integer(toks[4], line, minimum=0)
+        ngens = r.integer(toks[6], line, minimum=0)
+        gens = tuple(r.row(*r.at(j, f"{dim} rationals"), dim, start=0)
+                     for j in range(k + 1, k + 1 + ngens))
+        k += ngens
+        out = r.row(*r.keyword(k := k + 1, "out"), dim)
         trans = []
         for a in alphabet:
-            toks = r.next_keyword("trans")
-            if toks != [a]:
-                r.error(f"expected transition block for {a!r}")
-            trans.append(r.next_matrix(dim, dim))
+            line, toks = r.keyword(k := k + 1, "trans")
+            if toks[1:] != [a]:
+                r.error(line, f"expected transition block for {a!r}")
+            trans.append(r.block(k + 1, dim, dim))
+            k += dim
         coalg = LinearCoalgebra(n=dim, alphabet=alphabet, out=out, trans=tuple(trans))
-        nodes.append(ZigZagNode(kind=kind, generators=tuple(gens), coalgebra=coalg))
-    toks = r.next_keyword("morphisms")
-    mcount = r.parse_int(toks[0], minimum=0) if len(toks) == 1 else r.error("expected a count")
+        nodes.append(ZigZagNode(kind=kind, generators=gens, coalgebra=coalg))
+    line, toks = r.keyword(k := k + 1, "morphisms")
+    mcount = r.integer(toks[1], line, 0) if len(toks) == 2 else r.error(line, "expected a count")
     morphisms = []
     for _ in range(mcount):
-        toks = r.next_keyword("morphism")
-        if len(toks) != 2:
-            r.error("expected: morphism <from> <to>")
-        src = r.parse_int(toks[0], minimum=0)
-        dst = r.parse_int(toks[1], minimum=0)
+        line, toks = r.keyword(k := k + 1, "morphism")
+        if len(toks) != 3:
+            r.error(line, "expected: morphism <from> <to>")
+        src = r.integer(toks[1], line, minimum=0)
+        dst = r.integer(toks[2], line, minimum=0)
         if src >= count or dst >= count:
-            r.error("morphism endpoint out of range")
-        matrix = r.next_matrix(nodes[dst].dim, nodes[src].dim)
-        morphisms.append(Morphism(src, dst, matrix))
-    toks = r.next_keyword("relating")
-    rcount = r.parse_int(toks[0], minimum=0) if len(toks) == 1 else r.error("expected a count")
+            r.error(line, "morphism endpoint out of range")
+        nrows, ncols = nodes[dst].dim, nodes[src].dim
+        morphisms.append(Morphism(src, dst, r.block(k + 1, nrows, ncols)))
+        k += ncols if nrows else 0  # a block of height 0 has no lines
+    line, toks = r.keyword(k := k + 1, "relating")
+    rcount = r.integer(toks[1], line, 0) if len(toks) == 2 else r.error(line, "expected a count")
     relating = []
     for _ in range(rcount):
-        toks = r.next_keyword("at")
-        if not toks:
-            r.error("expected: at <node> <element>")
-        idx = r.parse_int(toks[0], minimum=0)
+        line, toks = r.keyword(k := k + 1, "at")
+        if len(toks) == 1:
+            r.error(line, "expected: at <node> <element>")
+        idx = r.integer(toks[1], line, minimum=0)
         if idx >= count:
-            r.error("relating node out of range")
-        relating.append((idx, r.parse_rats(toks[1:], nodes[idx].dim)))
-    left = r.parse_rats(r.next_keyword("left"), nodes[0].dim)
-    right = r.parse_rats(r.next_keyword("right"), nodes[-1].dim)
-    if r:
-        r.error("trailing input after witness")
+            r.error(line, "relating node out of range")
+        relating.append((idx, r.row(line, toks, nodes[idx].dim, start=2)))
+    left = r.row(*r.keyword(k + 1, "left"), nodes[0].dim)
+    line, toks = r.keyword(k + 2, "right")
+    right = r.row(line, toks, nodes[-1].dim)
+    if k + 3 < len(r.lines):
+        r.error(line, "trailing input after witness")
     return ZigZag(functor=functor, tag=tag, alphabet=alphabet, nodes=tuple(nodes),
                   morphisms=tuple(morphisms), relating=tuple(relating),
                   endpoints=(left, right))

@@ -9,6 +9,7 @@ from wazz.automata import SemiringTag, automaton_to_text
 from wazz.zigzag import parse_zigzag, zigzag_to_text
 
 from genrandom import lifted_pair
+from test_formats import SAMPLE_WA, _with_line
 from test_zigzag import two_generator_nat_witness
 
 HALF_LOOP = """\
@@ -299,14 +300,18 @@ class TestParserBuiltOnce:
         parser = build_parser()
         assert build_parser() is parser
         parsed = []  # what each main call parsed, as it was then
-        parse = parser.parse_args
 
-        def spy(*args, **kwargs):
-            namespace = parse(*args, **kwargs)
-            parsed.append(dict(vars(namespace)))
-            return namespace
+        def spy(parse):
+            def wrapped(*args, **kwargs):
+                namespace, rest = parse(*args, **kwargs)
+                parsed.append(dict(vars(namespace)))
+                return namespace, rest
+            return wrapped
 
-        monkeypatch.setattr(parser, "parse_args", spy)
+        # each command's own parser reads the arguments after its name
+        for command in ("equiv", "zigzag"):
+            sub = parser.commands[command]
+            monkeypatch.setattr(sub, "parse_known_args", spy(sub.parse_known_args))
         a = write(tmp_path, "a.wa", HALF_OR_ONE)
         b = write(tmp_path, "b.wa", HALF_LOOP)
         out = tmp_path / "w.zz"
@@ -322,6 +327,140 @@ class TestParserBuiltOnce:
         assert capsys.readouterr().out.startswith("zigzag cubic qplus")
         assert parsed[2]["output"] is None and parsed[2]["left_state"] is None
         assert not out.exists()
+
+
+# a q pair, not equivalent from e_1 on the left (`--left-s 1`), equivalent
+# from the left file's state line
+DISPATCH_LEFT = """\
+semiring q
+alphabet a b
+states 1
+output 1
+trans a
+1/2
+trans b
+-1
+state 3/2
+"""
+
+DISPATCH_RIGHT = """\
+semiring q
+alphabet a b
+states 2
+output 1 -3/2
+trans a
+1/2 0
+-3/4 0
+trans b
+-1 0
+3/2 0
+state 0 -1
+"""
+
+_USAGE = "usage: wazz [-h] {trace,equiv,zigzag,verify,hilbert,polytope,gauge} ...\n"
+_EQUIV_USAGE = ("usage: wazz equiv [-h] [--left-state LEFT_STATE] [--right-state RIGHT_STATE]\n"
+                "                  left right\n")
+
+
+class TestDispatch:
+    """Each command's own parser reads its arguments; the exit code, stdout
+    and stderr of these command lines are those of the top-level parser
+    alone, recorded before the change (argparse of Python 3.11, 80
+    columns)."""
+
+    PINNED = [
+        ([], 2, "", _USAGE + "wazz: error: the following arguments are required: command\n"),
+        (["--help"], 0, _USAGE + """
+Exact trace equivalence of weighted automata with machine-checkable zig-zag
+witnesses.
+
+positional arguments:
+  {trace,equiv,zigzag,verify,hilbert,polytope,gauge}
+    trace               print the trace table of a configuration
+    equiv               decide trace equivalence
+    zigzag              construct a zig-zag witness
+    verify              independently re-check a witness file
+    hilbert             Hilbert basis of an integer cone x.W >= 0
+    polytope            double description conversions
+    gauge               Minkowski functional of a subconvex hull
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+        (["equiv", "--help"], 0, _EQUIV_USAGE + """
+positional arguments:
+  left
+  right
+
+options:
+  -h, --help            show this help message and exit
+  --left-state LEFT_STATE
+                        1-based basis state for the left automaton
+  --right-state RIGHT_STATE
+                        1-based basis state for the right automaton
+""", ""),
+        (["equiv", "a.wa"], 2, "",
+         _EQUIV_USAGE + "wazz equiv: error: the following arguments are required: right\n"),
+        (["equiv", "a.wa", "b.wa", "c.wa"], 2, "",
+         _USAGE + "wazz: error: unrecognized arguments: c.wa\n"),
+        (["frobnicate", "a.wa"], 2, "",
+         _USAGE + "wazz: error: argument command: invalid choice: 'frobnicate' (choose from "
+                  "'trace', 'equiv', 'zigzag', 'verify', 'hilbert', 'polytope', 'gauge')\n"),
+        (["equiv", "a.wa", "b.wa", "--left-s", "1"], 1,
+         "NOT EQUIVALENT, separating word: eps\n", ""),
+        (["zigzag", "a.wa", "b.wa", "--output=w.zz"], 0,
+         "witness with 3 nodes written to w.zz\n", ""),
+    ]
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="argparse's texts were recorded with Python 3.11")
+    @pytest.mark.parametrize("argv, code, out, err", PINNED,
+                             ids=[" ".join(argv) or "(none)" for argv, *_ in PINNED])
+    def test_pinned(self, tmp_path, capsys, monkeypatch, argv, code, out, err):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")
+        write(tmp_path, "a.wa", DISPATCH_LEFT)
+        write(tmp_path, "b.wa", DISPATCH_RIGHT)
+        assert main(argv) == code
+        assert capsys.readouterr() == (out, err)
+
+    def test_the_file_state_without_the_option(self, tmp_path, capsys):
+        a = write(tmp_path, "a.wa", DISPATCH_LEFT)
+        b = write(tmp_path, "b.wa", DISPATCH_RIGHT)
+        assert main(["equiv", a, b]) == 0
+        assert capsys.readouterr().out.startswith("EQUIVALENT")
+
+
+class TestLineEnds:
+    """The command line reads a file as the readers see it: lines end at a
+    line feed alone."""
+
+    def test_lone_carriage_return_in_a_line(self, tmp_path, capsys):
+        path = tmp_path / "ws.wa"
+        path.write_bytes(_with_line(SAMPLE_WA, 4, "output 1/2\r-1").encode())
+        assert main(["equiv", str(path), str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"{path}:4: whitespace other than space or tab: '\\r'\n")
+
+    def test_lone_carriage_return_between_lines(self, tmp_path, capsys):
+        path = tmp_path / "cr.wa"
+        path.write_bytes(b"semiring q\ralphabet a\nstates 1\noutput 1\ntrans a\n1\n")
+        assert main(["equiv", str(path), str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"{path}:1: whitespace other than space or tab: '\\r'\n")
+
+    @pytest.mark.parametrize("command", ["equiv", "zigzag"])
+    def test_crlf_files_read_as_their_lf_copies(self, tmp_path, capsys, command):
+        outs = []
+        for name, eol in (("lf", b"\n"), ("crlf", b"\r\n")):
+            paths = []
+            for side, text in (("l", DISPATCH_LEFT), ("r", DISPATCH_RIGHT)):
+                path = tmp_path / f"{name}-{side}.wa"
+                path.write_bytes(text.encode().replace(b"\n", eol))
+                paths.append(str(path))
+            assert main([command] + paths) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1] and outs[0].out and not outs[0].err
 
 
 def shift_automaton(n, weight):

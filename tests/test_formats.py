@@ -1,6 +1,8 @@
 """The text readers: the literal grammar, line splitting, the row reader
-against its per-token oracle, and pinned diagnostics for mutated files."""
+against its per-token oracle, pinned diagnostics for mutated files, and the
+one-pass readers against the line-by-line readers they replaced."""
 
+import collections
 import hashlib
 import math
 import random
@@ -146,6 +148,137 @@ class TestGoldenDiagnostics:
             parse(text, name)
 
 
+def tag_mutations(text):
+    """family -> [(key, mutated text)] of an automaton file: each weight
+    rule broken where the file states it.  Each block entry made -1 (and
+    1/2 for an integral tag), each block line made all 1 (a column sum
+    above 1 for unit), the output made all 1 (above 1 with the mass for
+    pca), each state entry made -1, 2 and 1/2, and the state made all 1."""
+    lines = text.split("\n")
+    integral = re.search(r"^semiring (nat|int)$", text, re.M) is not None
+    out = {"block-entry": [], "block-line": [], "output": [], "state-entry": [],
+           "state-sum": []}
+
+    def put(family, key, i, toks):
+        out[family].append((key, "\n".join(lines[:i] + [" ".join(toks)] + lines[i + 1:])))
+
+    in_block = False
+    for i, line in enumerate(lines):
+        toks = line.split()
+        if not toks or toks[0].startswith("#"):
+            continue
+        head = toks[0]
+        if head in ("output", "state"):
+            in_block = False
+            put("output" if head == "output" else "state-sum", (i,), i,
+                [head] + ["1"] * (len(toks) - 1))
+            for j in range(1, len(toks) if head == "state" else 1):
+                for bad in ("-1", "2", "1/2"):
+                    put("state-entry", (i, j, bad), i, toks[:j] + [bad] + toks[j + 1:])
+        elif head == "trans":
+            in_block = True
+        elif in_block:
+            put("block-line", (i,), i, ["1"] * len(toks))
+            for j in range(len(toks)):
+                for bad in ("-1", "1/2") if integral else ("-1",):
+                    put("block-entry", (i, j, bad), i, toks[:j] + [bad] + toks[j + 1:])
+    return out
+
+
+def outcome(parse, text, name):
+    """What a reader makes of a text: ("parsed", the object), or the
+    exception's type and text."""
+    try:
+        return "parsed", parse(text, name)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestReadersMatchOracle:
+    """The one-pass readers against the line-by-line readers they replaced
+    (`parse_oracle`): equal objects, or the same `ParseError` text."""
+
+    @staticmethod
+    def oracle(parse):
+        import parse_oracle
+        return (parse_oracle.parse_zigzag if parse is parse_zigzag
+                else parse_oracle.parse_automaton)
+
+    def test_mutated_corpus(self):
+        for name, (text, parse) in diagnostic_corpus().items():
+            for family, cases in mutations(text).items():
+                assert cases, (name, family)
+                for key, mutated in cases:
+                    got = outcome(parse, mutated, name)
+                    assert got == outcome(self.oracle(parse), mutated, name), (name, family, key)
+                    assert got[0] == "ParseError", (name, family, key)
+
+    def test_tag_violations(self):
+        """Every rule of `check_weights` and of the state line, broken in
+        the files of lifted pairs of nat, int, qplus, unit and pca, fails
+        at the same line with the same text."""
+        rng = random.Random("formats/tag-violations")
+        messages = set()
+        for tag in (T.NAT, T.INT, T.QPLUS, T.UNIT, T.PCA):
+            a1, x1, a2, x2 = lifted_pair(rng, tag, 2, 1, ("a", "b"))
+            for name, text in (("left.wa", automaton_to_text(a1, x1)),
+                               ("right.wa", "# a comment\n" + automaton_to_text(a2, x2))):
+                for family, cases in tag_mutations(text).items():
+                    for key, mutated in cases:
+                        got = outcome(parse_automaton, mutated, name)
+                        want = outcome(self.oracle(parse_automaton), mutated, name)
+                        assert got == want, (tag, name, family, key)
+                        if got[0] == "ParseError":
+                            messages.add(got[1].split(": ", 1)[1])
+        for rule in ("entry -1 violates tag nat", "entry 1/2 violates tag nat",
+                     "entry 1/2 violates tag int", "entry -1 violates tag qplus",
+                     "column sums must stay within 1 for unit tag",
+                     "output plus transition mass exceeds 1",
+                     "state entry -1 violates tag nat", "state entry 1/2 violates tag int",
+                     "state entry 2 violates tag unit", "state entry 2 violates tag pca",
+                     "state entries sum to 2, above 1 for tag unit",
+                     "state entries sum to 3, above 1 for tag pca"):
+            assert any(m.endswith(rule) for m in messages), rule
+
+    def test_lifted_pairs_and_witnesses_of_every_tag(self):
+        rng = random.Random("formats/every-tag")
+        for tag in T:
+            a1, x1, a2, x2 = lifted_pair(rng, tag, 2, 1, ("a", "b"))
+            build = ghat_zigzag if tag is T.PCA else cubic_zigzag
+            for parse, text in ((parse_automaton, automaton_to_text(a1, x1)),
+                                (parse_automaton, automaton_to_text(a2, x2)),
+                                (parse_zigzag, zigzag_to_text(build(a1, x1, a2, x2)))):
+                assert parse(text, "f") == self.oracle(parse)(text, "f")
+                for family, cases in mutations(text).items():
+                    for key, mutated in cases:
+                        assert (outcome(parse, mutated, "f")
+                                == outcome(self.oracle(parse), mutated, "f")), (tag, family, key)
+
+    def test_each_literal_parsed_once_per_file(self, monkeypatch):
+        counts = []
+        parse_ratio = formats.parse_ratio
+
+        def spy(token):
+            counts[-1][token] += 1
+            return parse_ratio(token)
+
+        monkeypatch.setattr(formats, "parse_ratio", spy)
+        rng = random.Random("formats/parse-once")
+        files = list(diagnostic_corpus().values())
+        for tag in (T.Q, T.PCA):
+            a1, x1, a2, x2 = lifted_pair(rng, tag, 3, 2, ("a", "b"))
+            build = ghat_zigzag if tag is T.PCA else cubic_zigzag
+            files += [(automaton_to_text(a1, x1), parse_automaton),
+                      (zigzag_to_text(build(a1, x1, a2, x2)), parse_zigzag)]
+        for text, parse in files:
+            counts.append(collections.Counter())
+            parse(text)
+            # each literal parsed once: its repeats are table hits
+            assert counts[-1] and max(counts[-1].values()) == 1
+            assert sum(counts[-1].values()) < sum(
+                1 for line in text.split("\n") for t in line.split() if _LITERAL.match(t))
+
+
 def rand_literal(rng):
     """A valid literal: a sign, leading zeros, a denominator not in lowest
     terms, a zero numerator over any denominator, "-0"."""
@@ -198,13 +331,14 @@ class TestRowReaderMatchesOracle:
                 lines.append(" ".join(toks) + rng.choice(("", "  # trailing comment")))
                 where.append(len(lines))
             reader = LineReader("\n".join(lines), "rows.txt")
+            assert reader.lines == list(zip(where, (toks for toks, _ in rows)))
             for (toks, expect), line in zip(rows, where):
                 try:
                     want = parse_oracle.parse_rats("rows.txt", line, toks, expect)
                 except ParseError as exc:
                     want = (exc.source, exc.line, exc.message)
                 try:
-                    got = reader.next_rat_row(expect)
+                    got = reader.row(line, toks, expect, start=0)
                     assert all(type(a) is F for a in got)
                 except ParseError as exc:
                     got = (exc.source, exc.line, exc.message)
@@ -223,7 +357,7 @@ class TestRowReaderMatchesOracle:
             except ParseError as exc:
                 want = str(exc)
             try:
-                got = reader.parse_rats(toks, count)
+                got = reader.row(0, toks, len(toks) if count is None else count, start=0)
             except ParseError as exc:
                 got = str(exc)
             assert got == want
@@ -296,9 +430,10 @@ class TestScaledFormAtParse:
             blocks.append(block)
             lines += block + ["# between blocks"]
         reader = LineReader("\n".join(lines), "blocks.txt")
-        dens = set()
+        dens, k = set(), 0
         for (nrows, ncols), block in zip(shapes, blocks):
-            m = reader.next_matrix(nrows, ncols)
+            m = reader.block(k, nrows, ncols)
+            k += len(block)
             # the entries by Python's own parse of the text: line j is column j
             cols = [[F(t) for t in line.split()] for line in block]
             want = tuple(tuple(c[i] for c in cols) for i in range(nrows))
@@ -306,7 +441,7 @@ class TestScaledFormAtParse:
             assert m.rows == want
             assert m.scaled() == scaled_of_rows(want, ncols)
             dens.add(min(m.den, 10**6))
-        assert not reader
+        assert k == len(reader.lines)
         assert 1 in dens and 10**6 in dens and len(dens) > 10
 
     def test_parsed_files(self):
@@ -354,43 +489,45 @@ class TestMatricesStayInteger:
 
     def test_readers_build_no_fraction_for_a_matrix_entry(self, monkeypatch):
         """Every `Fraction` built from integers or text while a file is read
-        is recorded with the line the reader is on; none is on a line of a
-        matrix block.  (A `Fraction` rebuilt from a `Fraction` reads no
-        literal.)"""
-        built, block_lines_read, readers = [], set(), []
-        init, next_matrix = LineReader.__init__, LineReader.next_matrix
+        is recorded with the reader method it is built in: all are built in
+        `row`, for a vector entry, and none in `block` or after the reader.
+        (A `Fraction` rebuilt from a `Fraction` reads no literal.)"""
+        built, blocks_read, inside = [], [], [None]
+        row, block = LineReader.row, LineReader.block
 
-        def spy_init(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            readers.append(self)
-
-        def spy_next_matrix(self, nrows, ncols):
-            m = next_matrix(self, nrows, ncols)
-            block_lines_read.update(self.lines_read(ncols if nrows else 0))
-            return m
+        def spy(method, name):
+            def wrapped(self, *args, **kwargs):
+                inside[0] = name
+                try:
+                    return method(self, *args, **kwargs)
+                finally:
+                    inside[0] = None
+                    if name == "block":
+                        blocks_read.append(args)
+            return wrapped
 
         class Spy(F):
             def __new__(cls, *args, **kwargs):
                 if not any(isinstance(a, F) for a in args):
-                    built.append(readers[-1].last_line)
+                    built.append(inside[0])
                 return F(*args, **kwargs)
 
         texts = self.corpus()
-        monkeypatch.setattr(LineReader, "__init__", spy_init)
-        monkeypatch.setattr(LineReader, "next_matrix", spy_next_matrix)
+        monkeypatch.setattr(LineReader, "row", spy(row, "row"))
+        monkeypatch.setattr(LineReader, "block", spy(block, "block"))
         for module in (formats, linalg, automata, zigzag):
             monkeypatch.setattr(module, "Fraction", Spy)
         for text in texts:
             built.clear()
-            block_lines_read.clear()
+            blocks_read.clear()
             parse = parse_zigzag if text.startswith("zigzag") else parse_automaton
             parse(text)
-            assert built and block_lines_read
-            assert not block_lines_read.intersection(built)
+            assert blocks_read and any(nrows and ncols for _, nrows, ncols in blocks_read)
+            assert built and set(built) == {"row"}
         # the spy is in place: a vector row builds its literals
         reader = LineReader("1/7 2/7", "row.txt")
-        reader.next_rat_row(2)
-        assert built[-2:] == [1, 1]
+        reader.row(*reader.lines[0], 2, start=0)
+        assert built[-2:] == ["row", "row"]
 
     def test_entry_printer_matches_fraction_text(self):
         rng = random.Random("formats/entry-printer")
@@ -471,7 +608,7 @@ class TestAsciiNumerals:
 
     @pytest.mark.parametrize("token, value", [("+2", 2), ("002", 2), ("-1", -1)])
     def test_parse_int_sign_rule(self, token, value):
-        assert LineReader("").parse_int(token) == value
+        assert LineReader("").integer(token, 1) == value
 
 
 class TestLineEnds:
@@ -517,8 +654,8 @@ class TestTokenSeparators:
     def test_spaces_and_tabs_separate_tokens(self):
         text = SAMPLE_WA.replace("output 1/2 -1", "\toutput \t1/2  -1\t ")
         assert parse_automaton(text, "f.wa") == parse_automaton(SAMPLE_WA, "f.wa")
-        assert LineReader("a\tb  c \t d\n").next_tokens() == ["a", "b", "c", "d"]
+        assert LineReader("a\tb  c \t d\n").lines == [(1, ["a", "b", "c", "d"])]
 
     def test_unprintable_non_space_stays_in_its_token(self):
         # a zero-width space is no whitespace: the line reads as before
-        assert LineReader("a\u200bb c\n").next_tokens() == ["a\u200bb", "c"]
+        assert LineReader("a\u200bb c\n").lines == [(1, ["a\u200bb", "c"])]

@@ -2,6 +2,7 @@
 """Interleaved in-process A/B timing of two wazz source trees.
 
     python3 tools/ab_inproc.py OLD NEW --workload ghat-pca --seed 1 --pairs 60
+    python3 tools/ab_inproc.py OLD NEW --workload all
 
 OLD and NEW are checkouts (each with `src/wazz`).  Both packages are loaded
 side by side in this process, under the names `wazz_a` and `wazz_b`, and
@@ -20,7 +21,9 @@ tree, the median over pairs of the per-pair ratio NEW / OLD (each pair's
 time is its median over the rounds), the ratio of the two trees' times at
 the tail percentile `bench/run.py` reports for that many samples, and the
 share of pairs on which NEW was faster than OLD (ties count for neither).
-Standard library only.
+`--workload all` runs every workload of `bench/workloads.py` in turn, one
+report block each, and exits 1 if any of them has a mismatch.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -119,22 +122,11 @@ def run_pair(mains, files, order, times, mismatches, label):
             mismatches.append(f"{label} verify: {outs[0]!r} vs {outs[1]!r}")
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("old", help="checkout of the baseline tree")
-    parser.add_argument("new", help="checkout of the changed tree")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", default="1")
-    parser.add_argument("--pairs", type=int, default=60)
-    parser.add_argument("--rounds", type=int, default=3)
-    args = parser.parse_args(argv)
-
-    bench = load_module("bench_run", os.path.join(ROOT, "bench", "run.py"))
+def run_workload(bench, mains, args, workload):
+    """Times the pairs of one workload on both trees and prints its block;
+    returns the number of mismatches."""
     workloads = bench.workloads
-    if args.workload not in workloads.WORKLOADS:
-        parser.error(f"unknown workload {args.workload!r}")
-    mains = (load_cli(args.old, "wazz_a"), load_cli(args.new, "wazz_b"))
-    pairs = workloads.make_pairs(args.workload, args.seed, args.pairs)
+    pairs = workloads.make_pairs(workload, args.seed, args.pairs)
     workdir = tempfile.mkdtemp(prefix="wazz-ab-")
     try:
         files = write_pairs(workloads, pairs, workdir)
@@ -150,7 +142,7 @@ def main(argv=None):
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
-    print(f"workload {args.workload}, seed {args.seed}, {len(pairs)} pairs, "
+    print(f"workload {workload}, seed {args.seed}, {len(pairs)} pairs, "
           f"{args.rounds} rounds; {args.old} (old) vs {args.new} (new)")
     for op in OPS:
         timed = [(statistics.median(a), statistics.median(b))
@@ -172,6 +164,30 @@ def main(argv=None):
     print(f"mismatches: {len(mismatches)}")
     for line in mismatches[:20]:
         print("  " + line)
+    return len(mismatches)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", help="checkout of the baseline tree")
+    parser.add_argument("new", help="checkout of the changed tree")
+    parser.add_argument("--workload", required=True,
+                        help="a workload of bench/workloads.py, or 'all' for each in turn")
+    parser.add_argument("--seed", default="1")
+    parser.add_argument("--pairs", type=int, default=60)
+    parser.add_argument("--rounds", type=int, default=3)
+    args = parser.parse_args(argv)
+
+    bench = load_module("bench_run", os.path.join(ROOT, "bench", "run.py"))
+    names = list(bench.workloads.WORKLOADS)
+    if args.workload not in names + ["all"]:
+        parser.error(f"unknown workload {args.workload!r}")
+    mains = (load_cli(args.old, "wazz_a"), load_cli(args.new, "wazz_b"))
+    mismatches = 0
+    for i, workload in enumerate(names if args.workload == "all" else [args.workload]):
+        if i:
+            print()
+        mismatches += run_workload(bench, mains, args, workload)
     return 1 if mismatches else 0
 
 
