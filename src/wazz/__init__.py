@@ -1,7 +1,7 @@
 """Exact trace equivalence of weighted automata with zig-zag witnesses."""
 
 from .formats import ParseError
-from .linalg import Mat, Lattice, rref, kernel_basis, solve, hnf, closure_under_maps
+from .linalg import Mat, Lattice, scaled, rref, kernel_basis, solve, hnf, closure_under_maps
 from .automata import (SemiringTag, LinearCoalgebra, WeightedAutomaton, Trace,
                        NotEquivalent, step, trace, pair_submodule, equivalent,
                        parse_automaton, automaton_to_text)
@@ -14,7 +14,7 @@ from .zigzag import (ZigZag, ZigZagNode, cubic_zigzag, ghat_zigzag, verify_zigza
 
 __all__ = [
     "ParseError",
-    "Mat", "Lattice", "rref", "kernel_basis", "solve", "hnf",
+    "Mat", "Lattice", "scaled", "rref", "kernel_basis", "solve", "hnf",
     "closure_under_maps",
     "SemiringTag", "LinearCoalgebra", "WeightedAutomaton", "Trace", "NotEquivalent",
     "step", "trace", "pair_submodule", "equivalent",

@@ -7,7 +7,9 @@ weight of w = a1..ak from configuration x is out . (M_ak ... M_a1 x).
 
 `LinearCoalgebra` is that data on any carrier and checks only its shapes; a
 witness node holds one as it is.  `WeightedAutomaton` adds a semiring tag,
-whose weight rules `check_weights` states once.
+whose weight rules `check_weights` states once.  The output functional,
+a configuration and each generator of the pair closure are scaled vectors
+(d, ints) in lowest terms (`wazz.linalg`).
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .formats import LineReader, block_lines, fmt_rat, fmt_vec
-from .linalg import (Mat, _clear_denominators, _over_shared, _scaled_word_closure,
-                     closure_under_maps, first_word_off, vdot, vector, vneg, zeros)
+from .formats import LineReader, block_lines, fmt_ratio, fmt_vec
+from .linalg import (Mat, _concat, _lowest_terms, _scaled_word_closure, closure_under_maps,
+                     first_word_off, scaled_dot)
 
 
 class SemiringTag(Enum):
@@ -45,20 +47,6 @@ class SemiringTag(Enum):
     def within_one(self):
         return _RULES[self][2]
 
-    def entry_ok(self, q):
-        """Whether q may be a letter-matrix entry: an integer for the
-        integral tags, nonnegative for the nonnegative ones.  Read off q's
-        numerator and denominator (> 0), as are the tag's other rules."""
-        integral, nonneg, _ = _RULES[self]
-        return (not integral or q.denominator == 1) and (not nonneg or q.numerator >= 0)
-
-    def scalar_ok(self, q):
-        """Whether q is a scalar of the tag: an entry, within 1 for UNIT and PCA."""
-        integral, nonneg, within_one = _RULES[self]
-        num, den = q.numerator, q.denominator
-        return ((not integral or den == 1) and (not nonneg or num >= 0)
-                and (not within_one or num <= den))
-
 
 # the scalar rules of each tag: whether its scalars are integers, are
 # nonnegative, and stay within 1
@@ -67,6 +55,16 @@ _RULES = {SemiringTag.NAT: (True, True, False), SemiringTag.INT: (True, False, F
           SemiringTag.RPLUS: (False, True, False), SemiringTag.REAL: (False, False, False),
           SemiringTag.UNIT: (False, True, True), SemiringTag.PCA: (False, True, True)}
 _TAGS = {tag.value: tag for tag in SemiringTag}  # the tags by their names in a file
+
+
+def _scalar_rules(tag):
+    """The tag's scalar rules as one test of integers cs over one d > 0,
+    read once from the tag: each c / d is an integer for the integral tags,
+    nonnegative for the nonnegative ones and within 1 for UNIT and PCA."""
+    integral, nonneg, within_one = _RULES[tag]
+    return lambda d, cs: ((not integral or all(c % d == 0 for c in cs))
+                          and (not nonneg or all(c >= 0 for c in cs))
+                          and (not within_one or all(c <= d for c in cs)))
 
 
 class NotEquivalent(Exception):
@@ -97,11 +95,12 @@ def check_weights(tag, out, trans):
     denominator d (`Mat.scaled`): an entry a / d is integral when d divides
     a, and a column sum stays within 1 when its integer sum is at most d.
     Entries are checked column by column, each column before its sum, and
-    only an entry that breaks a rule becomes a Fraction, for the message."""
-    for j, q in enumerate(out):
-        if not tag.scalar_ok(q):
-            raise TagViolation(f"output entry {fmt_rat(q)} violates tag {tag.value}",
-                               ((None, j),))
+    the output row, scaled, by one test of the tag's rules."""
+    rules = _scalar_rules(tag)
+    if not rules(*out):  # name the first entry that breaks them
+        j = next(j for j, a in enumerate(out[1]) if not rules(out[0], (a,)))
+        raise TagViolation(f"output entry {fmt_ratio(out[1][j], out[0])} violates tag "
+                           f"{tag.value}", ((None, j),))
     integral, nonneg, unit_sums = tag.integral, tag.nonneg, tag is SemiringTag.UNIT
     mass = []  # per letter, its denominator and integer column sums
     for k, m in enumerate(trans):
@@ -118,15 +117,15 @@ def check_weights(tag, out, trans):
             over = next((j for j, total in enumerate(sums) if total > den), None)
         if bad is not None and (over is None or bad[0] <= over):
             j, _, a = bad
-            raise TagViolation(f"entry {fmt_rat(Fraction(a, den))} violates tag {tag.value}",
+            raise TagViolation(f"entry {fmt_ratio(a, den)} violates tag {tag.value}",
                                ((k, j),))
         if over is not None:
             raise TagViolation("column sums must stay within 1 for unit tag", ((k, over),))
         mass.append((den, sums))
     if tag is SemiringTag.PCA:
-        out_den, outs = _clear_denominators(out)
+        out_den, outs = out
         scale = lcm(out_den, *(den for den, _ in mass))
-        for j in range(len(out)):
+        for j in range(len(outs)):
             total = outs[j] * (scale // out_den) + sum(sums[j] * (scale // den)
                                                        for den, sums in mass)
             if total > scale:
@@ -143,16 +142,15 @@ class LinearCoalgebra:
 
     n: int
     alphabet: tuple
-    out: tuple
+    out: tuple    # scaled (d, ints)
     trans: tuple  # one n x n Mat per alphabet symbol, same order
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "out", vector(self.out))
         object.__setattr__(self, "trans", tuple(self.trans))
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("duplicate alphabet symbols")
-        if len(self.out) != self.n:
+        if len(self.out[1]) != self.n:
             raise ValueError("output vector has wrong length")
         if len(self.trans) != len(self.alphabet):
             raise ValueError("one transition matrix per symbol required")
@@ -172,7 +170,7 @@ class LinearCoalgebra:
         if self.alphabet != other.alphabet:
             raise ValueError("automata have different alphabets")
         return LinearCoalgebra(n=self.n + other.n, alphabet=self.alphabet,
-                               out=self.out + zeros(other.n),
+                               out=(self.out[0], self.out[1] + (0,) * other.n),
                                trans=tuple(Mat.block_diag(a, b)
                                            for a, b in zip(self.trans, other.trans)))
 
@@ -209,41 +207,44 @@ class Trace:
 
 
 def step(aut, x, symbol):
-    """One transition: M_symbol applied to the configuration."""
-    if len(x) != aut.n:
+    """One transition: M_symbol applied to the scaled configuration x."""
+    if len(x[1]) != aut.n:
         raise ValueError("configuration has wrong length")
-    return aut.mat(symbol).apply(x)
+    return _lowest_terms(aut.mat(symbol).apply_scaled(x))
 
 
 def trace(aut, x, depth):
-    """All word weights out . c_w(x) for |w| <= depth."""
+    """All word weights out . c_w(x) for |w| <= depth, x scaled, as Fractions."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    x = vector(x)
-    values = {(): vdot(aut.out, x)}
+    if len(x[1]) != aut.n:
+        raise ValueError("configuration has wrong length")
+    values = {(): Fraction(*scaled_dot(aut.out, x))}
     frontier = [((), x)]
     for _ in range(depth):
         nxt = []
         for word, v in frontier:
             for a in aut.alphabet:
                 w = word + (a,)
-                image = aut.mat(a).apply(v)
-                values[w] = vdot(aut.out, image)
+                image = step(aut, v, a)
+                values[w] = Fraction(*scaled_dot(aut.out, image))
                 nxt.append((w, image))
         frontier = nxt
     return Trace(depth, values)
 
 
 def _paired(aut1, x1, aut2, x2):
-    """Block-diagonal coalgebra, start vector and output difference of the
-    pair, the last scaled to integers: the weights agree on a word iff the
-    difference annihilates its image."""
+    """Block-diagonal coalgebra, scaled start vector and output difference of
+    the pair, the last as the integers of the two outputs over one
+    denominator: the weights agree on a word iff the difference annihilates
+    its image."""
     if aut1.tag is not aut2.tag:
         raise ValueError("automata have different semiring tags")
-    if len(x1) != aut1.n or len(x2) != aut2.n:
+    if len(x1[1]) != aut1.n or len(x2[1]) != aut2.n:
         raise ValueError("configuration has wrong length")
-    return (aut1.paired(aut2), vector(tuple(x1) + tuple(x2)),
-            _clear_denominators(aut1.out + vneg(aut2.out))[1])
+    d2, outs2 = aut2.out
+    return (aut1.paired(aut2), _concat(x1, x2),
+            _concat(aut1.out, (d2, tuple([-a for a in outs2])))[1])
 
 
 def _letters(alphabet, word):
@@ -270,10 +271,10 @@ def pair_submodule(aut1, x1, aut2, x2):
     exactly when the traces agree; otherwise it raises NotEquivalent,
     carrying the shortlex-least separating word.
 
-    The output difference is scaled to integers once, and each generator
-    is tested with one integer dot product, on its scaled image over Q (a
-    positive scale changes no zero) and on its lattice vector over Z; a
-    generator becomes a `Fraction` tuple once, when it is returned.
+    The output difference is read as integers once, and each generator is
+    tested with one integer dot product, on its scaled image over Q (a
+    positive scale changes no zero) and on its lattice vector over Z.  Each
+    generator is returned scaled, in lowest terms, as the closure made it.
     """
     pair, start, difference = _paired(aut1, x1, aut2, x2)
     maps = pair.trans
@@ -293,14 +294,13 @@ def pair_submodule(aut1, x1, aut2, x2):
             raise NotEquivalent("output functionals differ on the pair closure",
                                 word=_letters(aut1.alphabet, word))
         basis = [(1, g) for g in lattice]
-    table = {}  # the basis's Fractions, each distinct one built once
-    return [_over_shared(ints, den, table) for den, ints in basis], pair
+    return basis, pair
 
 
 @dataclass(frozen=True)
 class EquivResult:
     equivalent: bool
-    basis: tuple = None       # pair-closure generators when equivalent
+    basis: tuple = None       # scaled pair-closure generators when equivalent
     word: tuple = None        # separating word otherwise
 
     def __bool__(self):
@@ -366,16 +366,14 @@ def parse_automaton(text, source="<automaton>"):
             if state is not None:
                 r.error(line, "duplicate state line")
             state = r.row(line, toks, n)
-            for q in state:
-                if not tag.scalar_ok(q):
-                    r.error(line, f"state entry {fmt_rat(q)} violates tag {tag.value}")
+            if not (rules := _scalar_rules(tag))(*state):
+                bad = next(a for a in state[1] if not rules(state[0], (a,)))
+                r.error(line, f"state entry {fmt_ratio(bad, state[0])} violates tag {tag.value}")
             # the endpoint carrier of the subconvex tags is the subsimplex:
-            # the entries' integer sum over their common denominator d is at most d
-            if tag.within_one:
-                den, nums = _clear_denominators(state)
-                if (total := sum(nums)) > den:
-                    r.error(line, f"state entries sum to {fmt_rat(Fraction(total, den))}, "
-                                  f"above 1 for tag {tag.value}")
+            # the entries' integer sum over their denominator d is at most d
+            if tag.within_one and (total := sum(state[1])) > state[0]:
+                r.error(line, f"state entries sum to {fmt_ratio(total, state[0])}, "
+                              f"above 1 for tag {tag.value}")
         else:
             r.error(line, f"unexpected directive {toks[0]!r}")
     missing = [a for a in alphabet if a not in blocks]

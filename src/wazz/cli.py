@@ -16,9 +16,9 @@ import sys
 from functools import lru_cache
 
 from .automata import NotEquivalent, SemiringTag, equivalent, parse_automaton, trace
-from .formats import ParseError, fmt_rat, parse_rat, word_text
+from .formats import ParseError, fmt_rat, fmt_ratio, fmt_vec, parse_rat, word_text
 from .hilbert import IntConeSpec, hilbert_basis
-from .linalg import Mat, unit
+from .linalg import Mat, scaled, unit
 from .polyhedra import (INFINITY, InternalError, SearchBudgetExceeded, dd_h_to_v,
                         dd_v_to_h, gauge, hrep_to_text, parse_hrep, parse_pca_polytope,
                         parse_vrep, vrep_to_text)
@@ -77,8 +77,7 @@ def _cmd_equiv(args):
     result = equivalent(aut1, x1, aut2, x2)
     if result.equivalent:
         lines = ["EQUIVALENT", f"pair closure generated by {len(result.basis)} elements:"]
-        # basis entries are Fractions, which print canonically (`fmt_rat`)
-        lines += ["  " + " ".join(map(str, g)) for g in result.basis]
+        lines += ["  " + fmt_vec(g) for g in result.basis]
         print("\n".join(lines))
         return 0
     print(f"NOT EQUIVALENT, separating word: {word_text(result.word, aut1.alphabet)}")
@@ -127,10 +126,10 @@ def _cmd_hilbert(args):
     rows = []
     for i in range(1, k + 1):
         line, toks = r.at(i, f"{m} integers")
-        row = r.row(line, toks, m, start=0)
-        for q in row:
-            if q.denominator != 1:
-                r.error(line, f"entry {fmt_rat(q)} must be an integer")
+        den, row = r.row(line, toks, m, start=0)
+        if den != 1:  # lowest terms: some entry is not an integer
+            r.error(line, f"entry {fmt_ratio(next(a for a in row if a % den), den)} "
+                          "must be an integer")
         rows.append(row)
     if len(r.lines) > k + 1:
         r.error(line, "trailing input after the constraint matrix")
@@ -156,12 +155,12 @@ def _cmd_polytope(args):
 def _cmd_gauge(args):
     polytope = parse_pca_polytope(_read(args.polytope), args.polytope)
     try:
-        x = tuple(parse_rat(t) for t in args.point)
+        x = scaled([parse_rat(t) for t in args.point])
     except ValueError as exc:
         raise ParseError("<point>", 0, str(exc)) from None
-    if len(x) != polytope.dim:
+    if len(x[1]) != polytope.dim:
         raise ParseError("<point>", 0,
-                         f"expected {polytope.dim} coordinates, got {len(x)}")
+                         f"expected {polytope.dim} coordinates, got {len(x[1])}")
     value = gauge(polytope, x)
     print("inf" if value is INFINITY else fmt_rat(value))
     return 0

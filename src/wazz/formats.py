@@ -10,13 +10,13 @@ A `LineReader` reads one file in one pass: its constructor splits each
 meaningful line into tokens once, and the readers walk that list by index.
 It keeps one table for the file from literal text to its numerator and
 denominator in lowest terms, each distinct literal parsed at its first
-lookup.  A vector row (`row`) is one loop of lookups, a tuple of
-`Fraction`s, one per distinct literal.  A matrix block (`block`, column by
-column) is one loop of lookups per line into a `Mat` on the table's
-integers, with no `Fraction`.  Every diagnostic is raised where it is found,
-at its line.  The writers print a block from its integers (`block_lines`):
-a / d in lowest terms as `str` of integers, the text of
-`str(Fraction(a, d))`.
+lookup.  A vector row (`row`) is one loop of lookups into a scaled vector
+(d, ints) in lowest terms (`wazz.linalg`), and a matrix block (`block`,
+column by column) one loop of lookups per line into a `Mat`, both on the
+table's integers, with no `Fraction`.  Every diagnostic is raised where it
+is found, at its line.  The writers print a vector (`fmt_vec`) and a block
+(`block_lines`) from their integers: a / d in lowest terms as `str` of
+integers, the text of `str(Fraction(a, d))`.
 """
 
 from __future__ import annotations
@@ -89,7 +89,9 @@ def block_lines(m):
 
 
 def fmt_vec(v):
-    return " ".join(map(fmt_rat, v))
+    """The entries of the scaled vector v = (d, ints), each as `fmt_ratio`."""
+    den, ints = v
+    return " ".join([fmt_ratio(a, den) for a in ints])
 
 
 def word_text(word, alphabet):
@@ -141,9 +143,8 @@ class LineReader:
                 self.lines.append((i, toks))
                 texts.append(raw)
         # each distinct literal parsed once, at its first lookup (a bad one
-        # raises ValueError there); a vector entry's Fraction built once
-        self.ratios = ratios = _Table(parse_ratio)
-        self._fractions = _Table(lambda token: Fraction(*ratios[token]))
+        # raises ValueError there)
+        self.ratios = _Table(parse_ratio)
         self._texts = texts  # the text of each of `lines`
         self._blocks = {}  # (nrows, ncols, the texts of a block's lines) -> its matrix
 
@@ -174,14 +175,17 @@ class LineReader:
         return value
 
     def row(self, line, toks, count, start=1):
-        """The `count` literals toks[start:] (past a keyword, by default) as
-        `Fraction`s; the first bad one fails at the line."""
+        """The `count` literals toks[start:] (past a keyword, by default) as a
+        scaled vector, the table's integers over their lcm denominator (in
+        lowest terms, as the literals are); a bad literal fails at the line."""
         if len(toks) - start != count:
             self.error(line, f"expected {count} rationals, got {len(toks) - start}")
         try:
-            return tuple(map(self._fractions.__getitem__, toks[start:]))
+            ratios = list(map(self.ratios.__getitem__, toks[start:]))
         except ValueError as exc:
             self.error(line, str(exc))
+        den = lcm(*{d for _, d in ratios})
+        return den, tuple([a * (den // d) for a, d in ratios])
 
     def block(self, k, nrows, ncols):
         """The nrows x ncols matrix on the ncols meaningful lines from k, line

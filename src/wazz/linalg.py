@@ -1,23 +1,19 @@
 """Exact rational and integer linear algebra.
 
-Scalars are arbitrary-precision rationals (`fractions.Fraction`); vectors are
-plain tuples.  Integer lattice vectors are tuples of `int`, which mix freely
-with Fraction in arithmetic, equality and hashing.  Every operation here is
-pure and exact; dimensions must match, there is no broadcasting.
-
-The kernel runs on integers; `Fraction` appears only in inputs and results.
-A vector is scaled once to integers over the least common denominator of its
-entries, which changes no direction, no sign and no rank.  Such a scaled
-vector travels as (d, ints), standing for ints / d with d > 0; two scaled
+The kernel runs on integers.  A vector of the pipeline is scaled: it
+travels as (d, ints), standing for ints / d, with d > 0, ints a tuple of
+`int` and gcd(d, *ints) == 1, so equal vectors have equal forms and compare
+and hash equal.  `scaled(v)` makes that form from rationals; two scaled
 vectors are compared by cross-multiplication, never by building Fractions.
+`Fraction` rows remain only in the polyhedra of `wazz polytope` (`vector`,
+`kernel_basis`, `rref`, `solve`).
 
 - A `Mat` is integers only (see the class); `rows` is a `Fraction` view
   built when asked.  The text readers build a letter or morphism matrix
   from its columns' integers (`_of_cols`), and coordinate selections and
   `block_diag` compose integers.  `apply_scaled((e, xs))` takes each output
   entry as one integer sum over a row's nonzeros and returns the image as
-  (d * e, sums); `apply(x)` scales x once and makes one `Fraction` per
-  output entry.  `vdot` is one integer sum over both vectors scaled once.
+  (d * e, sums).
 - Elimination (`_int_rref`, `_Echelon`) is fraction-free: a row update is
   the integer combination that clears one entry, divided by the gcd of the
   result, so rows stay primitive.  `_int_rref` is the one Gauss-Jordan loop:
@@ -27,10 +23,10 @@ vectors are compared by cross-multiplication, never by building Fractions.
 - The word closure (`_scaled_word_closure`) queues scaled images, reduced
   to lowest terms, and builds no `Fraction`; `first_word_off`, like the
   pair closure of `wazz.automata`, tests each scaled image against a
-  functional scaled once.
-- The Z closure (`closure_under_maps`) runs on `int` rows throughout: it
-  applies integral maps through their scaled forms and grows the HNF in
-  place.
+  functional's integers.
+- The Z closure (`closure_under_maps`) starts from an integral scaled
+  vector and runs on `int` rows: it applies integral maps through their
+  scaled forms and grows the HNF in place.
 """
 
 from __future__ import annotations
@@ -42,8 +38,6 @@ from itertools import chain, compress
 from math import gcd, lcm
 from operator import mul
 
-_ZERO, _ONE = Fraction(0), Fraction(1)  # shared: a Fraction is immutable
-
 
 def vector(entries):
     # a tuple of exact Fractions comes back as it is; Fraction entries are shared
@@ -52,37 +46,13 @@ def vector(entries):
     return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
-def zeros(n):
-    return (_ZERO,) * n
-
-
 def unit(n, i):
-    return tuple(_ONE if j == i else _ZERO for j in range(n))
-
-
-def vneg(v):
-    return tuple(-a for a in v)
-
-
-def vscale(c, v):
-    return tuple(c * a for a in v)
-
-
-def vdot(u, v):
-    """<u, v> as a Fraction: one integer sum over both vectors scaled once."""
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    u_den, us = _clear_denominators(u)
-    v_den, vs = _clear_denominators(v)
-    return Fraction(sum(map(mul, us, vs)), u_den * v_den)
+    """The scaled unit vector e_i of length n."""
+    return 1, tuple([int(j == i) for j in range(n)])
 
 
 def is_zero(v):
     return all(a == 0 for a in v)
-
-
-def is_nonneg(v):
-    return all(a.numerator >= 0 for a in v)
 
 
 def is_integral(v):
@@ -106,10 +76,25 @@ def _clear_denominators(v):
 
 
 def _lowest_terms(v):
-    """The scaled vector v = (d, ints) with d and the ints made coprime."""
+    """The scaled vector of v = (d > 0, integers): both divided by their gcd."""
     den, ints = v
     g = gcd(den, *ints)
-    return v if g == 1 else (den // g, [a // g for a in ints])
+    return (den, tuple(ints)) if g == 1 else (den // g, tuple([a // g for a in ints]))
+
+
+def scaled(v):
+    """The scaled vector of the rationals v (int or Fraction): the one constructor."""
+    return _lowest_terms(_clear_denominators(v))
+
+
+def _concat(u, v):
+    """The scaled vector of u followed by v; lowest terms, as u and v are: a
+    prime dividing lcm(d_u, d_v) to its full power divides d_u or d_v so, and
+    then not every integer of that side."""
+    (du, us), (dv, vs) = u, v
+    den = lcm(du, dv)
+    su, sv = den // du, den // dv
+    return den, tuple([a * su for a in us] + [a * sv for a in vs])
 
 
 def scaled_dot(u, v):
@@ -150,21 +135,6 @@ def _eliminate(v, row, p):
     w = [d * a - f * b for a, b in zip(v, row)]
     g = gcd(*w)
     return [a // g for a in w] if g > 1 else w
-
-
-def _over_shared(row, d, table):
-    """The row of Fractions a / d of an integer row, each distinct one built
-    once per table, which maps d to {a: Fraction(a, d)}."""
-    known = table.get(d)
-    if known is None:
-        known = table[d] = {}
-    fracs = []
-    for a in row:
-        q = known.get(a)
-        if q is None:
-            q = known[a] = Fraction(a, d)
-        fracs.append(q)
-    return tuple(fracs)
 
 
 class Mat:
@@ -221,7 +191,7 @@ class Mat:
     @property
     def rows(self):
         """The entries as `Fraction` rows, built on each access."""
-        return tuple(_over_shared(row, self.den, {}) for row in self.dense())
+        return tuple(tuple(Fraction(a, self.den) for a in row) for row in self.dense())
 
     def scaled(self):
         """(den, sparse), the form every product reads."""
@@ -231,11 +201,6 @@ class Mat:
         """Matrix times the scaled column vector x = (e, xs), as the scaled
         vector (den * e, one integer sum per row)."""
         return _sparse_apply(self.den, self.sparse, self.ncols, x)
-
-    def apply(self, x):
-        """Matrix times column vector, a tuple of Fraction, by `apply_scaled`."""
-        den, ys = self.apply_scaled(_clear_denominators(x))
-        return tuple(Fraction(y, den) for y in ys)
 
     @staticmethod
     def block_diag(a, b):
@@ -313,9 +278,8 @@ def rref(m):
     rows = [primitive(r) for r in m.dense()]
     pivots = _int_rref(rows, m.ncols)
     r = len(pivots)
-    red = [_over_shared(row, row[c], {}) for row, c in zip(rows, pivots)]
-    red += [_over_shared(row, 1, {}) for row in rows[r:]]
-    return Mat(red, ncols=m.ncols), tuple(pivots), r
+    red = [[Fraction(a, row[c]) for a in row] for row, c in zip(rows, pivots)]
+    return Mat(red + rows[r:], ncols=m.ncols), tuple(pivots), r
 
 
 def _rref_beside_identity(cols, nrows, d=1):
@@ -362,7 +326,7 @@ def solve(m, b):
     if len(b) != m.nrows:
         raise ValueError("right-hand side has wrong length")
     if m.nrows == 0:
-        return zeros(m.ncols)
+        return (Fraction(0),) * m.ncols
     aug = Mat(tuple(tuple(r) + (bv,) for r, bv in zip(m.rows, b)), ncols=m.ncols + 1)
     red, pivots, rank = rref(aug)
     if pivots and pivots[-1] == m.ncols:
@@ -530,21 +494,21 @@ class _Echelon:
         return True
 
 
-def _check_square(start, maps):
-    if any(m.nrows != len(start) or m.ncols != len(start) for m in maps):
+def _check_square(n, maps):
+    if any(m.nrows != n or m.ncols != n for m in maps):
         raise ValueError("maps must be square of matching dimension")
 
 
 def _scaled_word_closure(start, maps):
-    """Q-basis of the closure of `start` under all maps, breadth first:
-    yields (word, (d, ints)), the map indices (first applied first) that send
-    `start` to ints / d, in lowest terms.  Words come in shortlex order and
-    span(images of words <= w) = span(basis vectors of words <= w), so the
-    first basis vector a functional does not annihilate has the
-    shortlex-least word on which it is nonzero."""
-    _check_square(start, maps)
+    """Q-basis of the closure of the scaled vector `start` under all maps,
+    breadth first: yields (word, (d, ints)), the map indices (first applied
+    first) that send `start` to ints / d, in lowest terms.  Words come in
+    shortlex order and span(images of words <= w) = span(basis vectors of
+    words <= w), so the first basis vector a functional does not annihilate
+    has the shortlex-least word on which it is nonzero."""
+    _check_square(len(start[1]), maps)
     ech = _Echelon()
-    queue = deque([((), _lowest_terms(_clear_denominators(start)))])
+    queue = deque([((), start)])
     while queue:
         word, v = queue.popleft()
         if ech.add(v[1]):
@@ -554,21 +518,20 @@ def _scaled_word_closure(start, maps):
 
 
 def first_word_off(functional, start, maps):
-    """Shortlex-least word (map indices) whose image of `start` the
-    functional does not annihilate, or None if it vanishes on the closure.
-    The images stay integer: a positive scale changes no sign of a sum."""
-    fs = _clear_denominators(functional)[1]
+    """Shortlex-least word (map indices) whose image of the scaled `start`
+    the integer functional does not annihilate, or None if it vanishes on
+    the closure.  A positive scale changes no sign of a sum."""
     for word, (_, xs) in _scaled_word_closure(start, maps):
-        if len(xs) != len(fs):
-            raise ValueError(f"dimension mismatch: {len(fs)} vs {len(xs)}")
-        if sum(map(mul, fs, xs)):
+        if len(xs) != len(functional):
+            raise ValueError(f"dimension mismatch: {len(functional)} vs {len(xs)}")
+        if sum(map(mul, functional, xs)):
             return word
     return None
 
 
 def closure_under_maps(start, maps):
     """HNF basis of the smallest lattice (Z-submodule) containing the
-    integral `start` and closed under the integral maps.
+    integral scaled `start` and closed under the integral maps.
 
     The lattice is grown from a worklist: the maps go only to vectors that
     enlarged the lattice, and an image outside the current lattice enlarges
@@ -581,14 +544,14 @@ def closure_under_maps(start, maps):
     an image is reduced against the HNF rows, and one that does not vanish
     joins them and `_hnf_rows` restores the normal form in place.
     """
-    _check_square(start, maps)
-    n = len(start)
-    if not is_integral(start):
+    n = len(start[1])
+    _check_square(n, maps)
+    if start[0] != 1:
         raise ValueError("lattice closure needs integral start")
     forms = [m.scaled() for m in maps]
     if any(den != 1 for den, _ in forms):
         raise ValueError("lattice closure needs integral maps")
-    start = as_int_vec(start)
+    start = start[1]
     if not any(start):
         return []
     basis = [list(start)]

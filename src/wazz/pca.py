@@ -13,12 +13,10 @@ fraction-free integer elimination (see `pyramid_extension`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .automata import SemiringTag, WeightedAutomaton
-from .linalg import (_ZERO, Mat, _clear_denominators, _int_rref, _selection, is_nonneg,
-                     scaled_dot, vector, zeros)
+from .linalg import Mat, _int_rref, _lowest_terms, _selection, scaled_dot
 from .polyhedra import INFINITY, InternalError, PcaPolytope
 
 
@@ -33,13 +31,13 @@ class InvariantZeroSet(Exception):
 @dataclass(frozen=True)
 class PyramidCert:
     """A strictly positive normal vector u and the free generators e_j / u_j
-    of the pyramid {x >= 0 : <x, u> <= 1}."""
+    of the pyramid {x >= 0 : <x, u> <= 1}, all scaled."""
 
     u: tuple
     generators: tuple
 
     def polytope(self):
-        return PcaPolytope(len(self.u), self.generators)
+        return PcaPolytope(len(self.u[1]), self.generators)
 
 
 def ghat_breach(o, images, mu):
@@ -64,12 +62,12 @@ def ghat_breach(o, images, mu):
 def invariant_zero_set(out, trans):
     """Greatest index set with zero outputs whose transition columns have
     support inside the set; empty iff the nonvanishing condition holds."""
-    supports = [set() for _ in out]
+    supports = [set() for _ in out[1]]
     for m in trans:
         for i, (cols, _) in enumerate(m.scaled()[1]):
             for j in cols:
                 supports[j].add(i)
-    current = {j for j, q in enumerate(out) if not q}
+    current = {j for j, q in enumerate(out[1]) if not q}
     while True:
         nxt = {j for j in current if supports[j] <= current}
         if nxt == current:
@@ -94,21 +92,22 @@ def reduce_invariant_set(aut):
     keep = [j for j in range(aut.n) if j not in dropped]
     quotient = aut
     if dropped:
-        # each letter's integers on the kept rows and columns
+        # the output's and each letter's integers on the kept rows and columns
         quotient = WeightedAutomaton(
             tag=SemiringTag.PCA, n=len(keep), alphabet=aut.alphabet,
-            out=vector(aut.out[j] for j in keep),
+            out=_lowest_terms((aut.out[0], [aut.out[1][j] for j in keep])),
             trans=tuple(Mat._of_cols(m.den, [[rows[i][j] for i in keep] for j in keep], len(keep))
                         for m, rows in zip(aut.trans, map(Mat.dense, aut.trans))))
     return frozenset(dropped), quotient, _selection(keep, aut.n)
 
 
 def fixed_point(out, trans):
-    """Some u with (I - N) u = out (N = sum_a M_a^T, free coordinates 0) or None:
-    one `_int_rref` of d (I - N) u = d out, d the lcm of all denominators, whose
-    row j is d e_j minus every letter's column j, then d out_j, on integers."""
-    (d_out, outs), forms = _clear_denominators(out), [m.scaled() for m in trans]
-    n, den = len(out), lcm(d_out, *[d for d, _ in forms])
+    """Some scaled u with (I - N) u = out (N = sum_a M_a^T, free coordinates 0)
+    or None: one `_int_rref` of d (I - N) u = d out, d the lcm of all
+    denominators, whose row j is d e_j minus every letter's column j, then
+    d out_j, on integers; u_p is row[n] / row[p] at the pivot rows."""
+    (d_out, outs), forms = out, [m.scaled() for m in trans]
+    n, den = len(outs), lcm(d_out, *[d for d, _ in forms])
     rows = [[den * (i == j) for i in range(n)] + [a * (den // d_out)] for j, a in enumerate(outs)]
     for d, sparse in forms:
         for i, (cols, nums) in enumerate(sparse):
@@ -117,8 +116,9 @@ def fixed_point(out, trans):
     pivots = _int_rref(rows, n + 1)
     if pivots and pivots[-1] == n:
         return None
-    u = {p: Fraction(row[n], row[p]) for row, p in zip(rows, pivots)}
-    return tuple(u.get(j, _ZERO) for j in range(n))
+    den = lcm(*(row[p] for row, p in zip(rows, pivots)))
+    u = {p: row[n] * (den // row[p]) for row, p in zip(rows, pivots)}
+    return _lowest_terms((den, [u.get(j, 0) for j in range(n)]))
 
 
 def pyramid_extension(polytope, coalg):
@@ -147,8 +147,8 @@ def pyramid_extension(polytope, coalg):
     n = polytope.dim
     if coalg.n != n:
         raise ValueError("dimension mismatch")
-    if not is_nonneg(coalg.out) or any(a < 0 for m in coalg.trans
-                                       for _, nums in m.scaled()[1] for a in nums):
+    if min(coalg.out[1], default=0) < 0 or any(a < 0 for m in coalg.trans
+                                               for _, nums in m.scaled()[1] for a in nums):
         raise ValueError("output and letter entries must be nonnegative")
     bad = invariant_zero_set(coalg.out, coalg.trans)
     if bad:
@@ -156,12 +156,10 @@ def pyramid_extension(polytope, coalg):
     u = fixed_point(coalg.out, coalg.trans)
     if u is None:
         raise InternalError("fixed-point system infeasible: (I - N) u = out has no solution")
-    if any(q.numerator <= 0 for q in u):
+    den, us = u
+    if any(a <= 0 for a in us):
         raise InternalError("fixed point with a nonpositive coordinate")
-    su = _clear_denominators(u)
-    if any(num > den for num, den in (scaled_dot(_clear_denominators(g), su)
-                                      for g in polytope.generators)):
+    if any(num > d for num, d in (scaled_dot(g, u) for g in polytope.generators)):
         raise InternalError("fixed point puts a carrier generator outside the pyramid")
-    zero = zeros(n)
-    return PyramidCert(u=u, generators=tuple(zero[:j] + (1 / q,) + zero[j + 1:]
-                                             for j, q in enumerate(u)))
+    return PyramidCert(u=u, generators=tuple(  # e_j / u_j = den e_j / us_j
+        _lowest_terms((a, (0,) * j + (den,) + (0,) * (n - j - 1))) for j, a in enumerate(us)))

@@ -8,7 +8,8 @@ every elimination is one fraction-free `_int_rref`.  The conversions
 (`dd_h_to_v`, `dd_v_to_h`, `cone_rays`) split the lineality of {x : Ax <= 0}
 off as the kernel of A's echelon rows and run in A's row space; the
 restrictions and the gauged hulls and cones run in the span of their
-generators.
+generators.  The restrictions take and give scaled vectors (`wazz.linalg`);
+`HRep` and `VRep`, the `wazz polytope` formats, keep `Fraction` rows.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import inf
+from math import inf, lcm
 from operator import mul
 
 from .formats import LineReader, fmt_vec
-from .linalg import (_clear_denominators, _int_rref, _kernel_vectors, _over_shared,
-                     _rref_beside_identity, _span_equations, is_nonneg, is_zero, primitive,
-                     vdot, vector, vneg, vscale, zeros)
+from .linalg import (_int_rref, _kernel_vectors, _lowest_terms, _rref_beside_identity,
+                     _span_equations, is_zero, primitive, vector)
 
 
 class InternalError(Exception):
@@ -63,7 +63,7 @@ class HRep:
     def member(self, x):
         if len(x) != self.dim:
             raise ValueError("point of wrong dimension")
-        return all(vdot(a, x) <= b for a, b in self.ineqs)
+        return all(sum(map(mul, a, x)) <= b for a, b in self.ineqs)
 
 
 @dataclass(frozen=True)
@@ -94,25 +94,23 @@ class VRep:
 @dataclass(frozen=True)
 class PcaPolytope:
     """Subconvex hull {sum c_i g_i : c_i >= 0, sum c_i <= 1} of nonnegative
-    generators; always contains 0.  Its facets are looked up once, on the
-    first gauge."""
+    scaled generators; always contains 0.  Its facets are looked up once, on
+    the first gauge."""
 
     dim: int
     generators: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "generators",
-                           tuple(vector(g) for g in self.generators))
-        for g in self.generators:
-            if len(g) != self.dim:
+        object.__setattr__(self, "generators", tuple(self.generators))
+        for _, ints in self.generators:
+            if len(ints) != self.dim:
                 raise ValueError("generator of wrong dimension")
-            if not is_nonneg(g):
+            if min(ints, default=0) < 0:
                 raise ValueError("generators must be nonnegative")
 
     @cached_property
     def _facets(self):
-        points = tuple((d, tuple(ints)) for d, ints in map(_clear_denominators, self.generators))
-        return _subconvex_facets(points, self.dim)
+        return _subconvex_facets(self.generators, self.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +203,7 @@ def _pointed_cone_rays(normals, dim, budget=inf):
 def _lifted(rays, rows):
     """The rays y in the coordinates of rows R lifted to x = yR, primitive and sorted."""
     cols = list(zip(*rows))
-    return sorted(vector(primitive([sum(map(mul, y, col)) for col in cols])) for y in rays)
+    return sorted(primitive([sum(map(mul, y, col)) for col in cols]) for y in rays)
 
 
 def cone_rays(normals, dim):
@@ -218,14 +216,15 @@ def cone_rays(normals, dim):
     ints = [primitive(a) for a in normals]
     pivots, rows = _span_frame(ints, dim)
     rays = _pointed_cone_rays([[sum(map(mul, r, a)) for r in rows] for a in ints], len(rows))
-    return list(map(vector, _kernel_vectors(rows, pivots, dim))), _lifted(rays, rows)
+    return ([vector(v) for v in _kernel_vectors(rows, pivots, dim)],
+            [vector(v) for v in _lifted(rays, rows)])
 
 
 def _cone_generators(normals, dim):
     """Conic generators of {x : Ax <= 0}: the extreme rays of its pointed
     part and both signs of each lineality basis vector."""
     lineality, rays = cone_rays(normals, dim)
-    return rays + [d for l in lineality for d in (l, vneg(l))]
+    return rays + [d for l in lineality for d in (l, tuple(-a for a in l))]
 
 
 def dd_h_to_v(h):
@@ -234,11 +233,11 @@ def dd_h_to_v(h):
         feasible = all(b >= 0 for _, b in h.ineqs)
         return VRep(0, ((),) if feasible else (), ())
     normals = [tuple(a) + (-b,) for a, b in h.ineqs]
-    normals.append(zeros(h.dim) + (Fraction(-1),))
+    normals.append((0,) * h.dim + (-1,))
     points, directions = [], []
     for r in _cone_generators(normals, h.dim + 1):  # lineality lies in t = 0
         if r[-1] > 0:
-            points.append(vscale(1 / r[-1], r[:-1]))
+            points.append(tuple(a / r[-1] for a in r[:-1]))
         else:
             directions.append(vector(primitive(r[:-1])))
     if not points:
@@ -251,7 +250,7 @@ def dd_v_to_h(v):
     if v.dim == 0:
         return HRep(0, ()) if v.points else HRep(0, (((), Fraction(-1)),))
     if v.is_empty:
-        return HRep(v.dim, ((zeros(v.dim), Fraction(-1)),))
+        return HRep(v.dim, (((0,) * v.dim, -1),))
     gens = [tuple(p) + (Fraction(1),) for p in v.points]
     gens += [tuple(d) + (Fraction(0),) for d in v.directions]
     facets = {primitive(r[:-1] + (-r[-1],))
@@ -367,12 +366,12 @@ def gauge(polytope, x):
 
     Equals min{sum c_i : x = sum c_i g_i, c_i >= 0} whenever that program is
     feasible (facet ratios and the LP have the same optimum for a compact
-    convex set containing 0).  x is scaled once to integers x' = e x and
-    gauged by `gauge_scaled`; the result is one Fraction p / (q e).
+    convex set containing 0).  x = (e, xs) is scaled and gauged by
+    `gauge_scaled` on its integers; the result is one Fraction p / (q e).
     """
-    if len(x) != polytope.dim:
+    den, xs = x
+    if len(xs) != polytope.dim:
         raise ValueError("point of wrong dimension")
-    den, xs = _clear_denominators(x)
     ratio = gauge_scaled(polytope._facets, xs)
     return ratio if ratio is INFINITY else Fraction(ratio[0], ratio[1] * den)
 
@@ -404,10 +403,9 @@ def gauge_scaled(facets, xs):
 
 
 def cone_member(gens, x):
-    """Exact membership of x in the convex cone spanned by gens, tested on
-    the integer normals with x scaled once to integers."""
-    gens = tuple(tuple(_clear_denominators(g)[1]) for g in gens)
-    return cone_member_scaled(_cone_facets(gens, len(x)), _clear_denominators(x)[1])
+    """Exact membership of the scaled x in the convex cone spanned by the
+    scaled gens, tested on their integers."""
+    return cone_member_scaled(_cone_facets(tuple(ints for _, ints in gens), len(x[1])), x[1])
 
 
 def cone_member_scaled(facets, xs):
@@ -429,7 +427,7 @@ def cone_member_scaled(facets, xs):
 def _span_frame(span_vectors, dim):
     """(pivot columns P, integer rows R): r rows with row space span(Z), row i
     nonzero at pivot i and zero at every other pivot, from one fraction-free
-    elimination of the vectors scaled to primitive integers; x = yR is
+    elimination of the integer vectors made primitive; x = yR is
     one-to-one from Q^r onto span(Z), and x -> x_P from span(Z) onto Q^r."""
     rows = [primitive(v) for v in span_vectors]
     if any(len(r) != dim for r in rows):
@@ -439,15 +437,17 @@ def _span_frame(span_vectors, dim):
 
 
 def cone_restriction(span_vectors):
-    """Convex-cone generators of span(Z) ∩ Q+^m: its extreme rays, primitive
-    and sorted.  In the span's coordinates y, x_i >= 0 is the normal -R[:, i]
-    and {y : yR >= 0} is pointed, as R has full row rank.  y -> yR is linear
-    and one-to-one, so it maps that cone's extreme rays onto those of the
-    intersection: lifted once and made primitive, they are the ambient ones."""
+    """Convex-cone generators of span(Z) ∩ Q+^m, Z given by scaled vectors:
+    its extreme rays, primitive, sorted and scaled (d = 1).  In the span's
+    coordinates y, x_i >= 0 is the normal -R[:, i] and {y : yR >= 0} is
+    pointed, as R has full row rank.  y -> yR is linear and one-to-one, so it
+    maps that cone's extreme rays onto those of the intersection: lifted
+    once and made primitive, they are the ambient ones."""
     if not span_vectors:
         return []
-    rows = _span_frame(span_vectors, len(span_vectors[0]))[1]
-    return _lifted(_pointed_cone_rays([[-a for a in col] for col in zip(*rows)], len(rows)), rows)
+    rows = _span_frame([ints for _, ints in span_vectors], len(span_vectors[0][1]))[1]
+    rays = _pointed_cone_rays([[-a for a in col] for col in zip(*rows)], len(rows))
+    return [(1, ray) for ray in _lifted(rays, rows)]
 
 
 PRODUCT = "PRODUCT"
@@ -456,33 +456,43 @@ SCALED = "SCALED"
 
 def simplex_restriction(span_vectors, family, n1, n2):
     """Vertex generators of span(Z) ∩ (Delta^n1 x Delta^n2) (PRODUCT) or of
-    span(Z) ∩ 2*Delta^(n1+n2) (SCALED), as a PcaPolytope (the zero vertex
-    left implicit).  In the span's coordinates, as in `cone_restriction`,
-    the polytope homogenizes to the pointed cone of (y, t) with normals
-    (-R[:, i], 0), (R's column sum over a block, -bound) and (0, -1).  It is
-    bounded, so every extreme ray has t > 0, and the yR / t are the vertices
-    of the ambient double description, as y -> yR is linear and one-to-one."""
+    span(Z) ∩ 2*Delta^(n1+n2) (SCALED), Z given by scaled vectors, as a
+    PcaPolytope (the zero vertex left implicit).  In the span's coordinates,
+    as in `cone_restriction`, the polytope homogenizes to the pointed cone of
+    (y, t) with normals (-R[:, i], 0), (R's column sum over a block, -bound)
+    and (0, -1).  It is bounded, so every extreme ray has t > 0, and the
+    yR / t are the vertices of the ambient double description, as y -> yR is
+    linear and one-to-one.  The vertices are sorted as rationals, by their
+    integers over one common denominator."""
     dim = n1 + n2
     blocks = {PRODUCT: ((0, n1, 1), (n1, dim, 1)), SCALED: ((0, dim, 2),)}.get(family)
     if blocks is None:
         raise ValueError(f"unknown constraint family {family!r}")
-    rows = _span_frame(span_vectors, dim)[1]
+    rows = _span_frame([ints for _, ints in span_vectors], dim)[1]
     r, cols = len(rows), list(zip(*rows))
     normals = [[-a for a in col] + [0] for col in cols]
     normals += [[*map(sum, zip(*cols[lo:hi])), -bound] for lo, hi, bound in blocks if lo < hi]
     normals.append([0] * r + [-1])
-    vertices, table = [], {}  # table: each distinct vertex entry built once
+    vertices = []
     for ray in _pointed_cone_rays(normals, r + 1):
         if not ray[-1]:
             raise InternalError("simplex intersection must be bounded")
         x = [sum(map(mul, ray, col)) for col in cols]  # map stops at the end of y
         if any(x):
-            vertices.append(_over_shared(x, ray[-1], table))
-    return PcaPolytope(dim, tuple(sorted(vertices)))
+            vertices.append(_lowest_terms((ray[-1], x)))
+    den = lcm(*[d for d, _ in vertices])
+    vertices.sort(key=lambda v: [a * (den // v[0]) for a in v[1]])
+    return PcaPolytope(dim, tuple(vertices))
 
 
 # ---------------------------------------------------------------------------
 # text formats
+
+
+def _rationals(v):
+    """The scaled vector v as a tuple of `Fraction`s, for `HRep` and `VRep`."""
+    den, ints = v
+    return tuple(Fraction(a, den) for a in ints)
 
 
 def _reader(text, source, keyword):
@@ -500,7 +510,7 @@ def parse_hrep(text, source="<hrep>"):
     for line, toks in r.lines[1:]:
         if toks[0] != "ineq":
             r.error(line, f"unexpected directive {toks[0]!r}")
-        row = r.row(line, toks, dim + 1)
+        row = _rationals(r.row(line, toks, dim + 1))
         ineqs.append((row[:dim], row[dim]))
     return HRep(dim, tuple(ineqs))
 
@@ -508,7 +518,7 @@ def parse_hrep(text, source="<hrep>"):
 def hrep_to_text(h):
     lines = [f"hrep {h.dim}"]
     for a, b in h.ineqs:
-        lines.append("ineq " + fmt_vec(tuple(a) + (b,)))
+        lines.append("ineq " + " ".join(map(str, a + (b,))))
     return "\n".join(lines) + "\n"
 
 
@@ -517,9 +527,9 @@ def parse_vrep(text, source="<vrep>"):
     points, directions = [], []
     for line, toks in r.lines[1:]:
         if toks[0] == "point":
-            points.append(r.row(line, toks, dim))
+            points.append(_rationals(r.row(line, toks, dim)))
         elif toks[0] == "direction":
-            directions.append(r.row(line, toks, dim))
+            directions.append(_rationals(r.row(line, toks, dim)))
         else:
             r.error(line, f"unexpected directive {toks[0]!r}")
     return VRep(dim, tuple(points), tuple(directions))
@@ -528,9 +538,9 @@ def parse_vrep(text, source="<vrep>"):
 def vrep_to_text(v):
     lines = [f"vrep {v.dim}"]
     for p in v.points:
-        lines.append(("point " + fmt_vec(p)).rstrip())
+        lines.append(("point " + " ".join(map(str, p))).rstrip())
     for d in v.directions:
-        lines.append(("direction " + fmt_vec(d)).rstrip())
+        lines.append(("direction " + " ".join(map(str, d))).rstrip())
     return "\n".join(lines) + "\n"
 
 
@@ -541,7 +551,7 @@ def parse_pca_polytope(text, source="<pca>"):
         if toks[0] != "gen":
             r.error(line, f"unexpected directive {toks[0]!r}")
         g = r.row(line, toks, dim)
-        if not is_nonneg(g):
+        if min(g[1], default=0) < 0:
             r.error(line, "generators must be nonnegative")
         gens.append(g)
     return PcaPolytope(dim, tuple(gens))

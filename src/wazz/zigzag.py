@@ -4,36 +4,33 @@ A witness is a chain of coalgebra nodes connected by morphisms, alternating
 between source nodes (outgoing arrows, carrying a relating element) and sink
 nodes (incoming arrows, which must have free carriers).  The verifier
 re-checks every claim from the witness data alone: carrier memberships by
-coordinates in one factorization of the generators, facets of the hull or
-cone, lattice reduction or a budgeted N-monoid search, morphism squares by
-matrix identities, and the relating chain by direct evaluation.
+coordinates in one factorization of the generators (an N-monoid too, when
+its generators are independent), facets of the hull or cone, lattice
+reduction or a budgeted N-monoid search, morphism squares by matrix
+identities, and the relating chain by direct evaluation.
 
-Every check runs on integer images.  Each node's generators and output
-functional, the relating elements and the endpoints are scaled once to
-integers over a common denominator and travel as (d, ints), as the letter
-and morphism matrices (`Mat`) do.  Each letter image of a scaled
-generator and each morphism image of a scaled source generator is computed
-once, with one integer sum per entry; the checks compare two sides by
-cross-multiplication.  A free carrier is factored on integers from the
-scaled generators, and its coordinates and the output weights meet the
-tag's rules as integers.  The subconvex budget sums integer ratios.  A
-`Fraction` is built only where a value is quoted in a failure detail.
+Every check runs on integers.  Generators, outputs, relating elements and
+endpoints are scaled vectors (d, ints) in lowest terms (`wazz.linalg`), and
+the matrices are `Mat`s.  Each letter image of a generator and each
+morphism image of a source generator is computed once, with one integer sum
+per entry; the checks compare two sides by cross-multiplication, and
+coordinates and output weights meet the tag's rules as integers.  The
+subconvex budget sums integer ratios, and a failure detail prints its
+values from integers: no `Fraction` is built.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from math import lcm
 
-from .automata import _TAGS, LinearCoalgebra, SemiringTag, pair_submodule
-from .formats import LineReader, block_lines, fmt_rat, fmt_vec
+from .automata import _TAGS, LinearCoalgebra, SemiringTag, _scalar_rules, pair_submodule
+from .formats import LineReader, block_lines, fmt_ratio, fmt_vec
 from .hilbert import nat_restriction
-from .linalg import (Lattice, Mat, _clear_denominators, _rref_beside_identity, _selection,
-                     _sparse_apply, as_int_vec, hnf, is_integral, is_nonneg, lattice_member,
-                     scaled_dot, scaled_equal, unit, vector)
+from .linalg import (Lattice, Mat, _concat, _lowest_terms, _rref_beside_identity, _selection,
+                     _sparse_apply, hnf, lattice_member, scaled_dot, scaled_equal, unit)
 from .pca import ghat_breach, pyramid_extension, reduce_invariant_set
 from .polyhedra import (PRODUCT, SCALED, INFINITY, PcaPolytope, SearchBudgetExceeded,
                         _cone_facets, _subconvex_facets, cone_member_scaled,
@@ -51,20 +48,20 @@ GHAT = "ghat"
 
 @dataclass(frozen=True)
 class ZigZagNode:
-    """A coalgebra node: carrier kind and generators, plus the structure map
-    acting on ambient coordinates, an untagged record whose weights only the
-    verifier judges."""
+    """A coalgebra node: carrier kind and scaled generators, plus the
+    structure map acting on ambient coordinates, an untagged record whose
+    weights only the verifier judges."""
 
     kind: str
     generators: tuple
     coalgebra: LinearCoalgebra
 
     def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(vector(g) for g in self.generators))
+        object.__setattr__(self, "generators", tuple(self.generators))
         if self.kind not in KINDS:
             raise ValueError(f"unknown node kind {self.kind!r}")
-        for g in self.generators:
-            if len(g) != self.dim:
+        for _, ints in self.generators:
+            if len(ints) != self.dim:
                 raise ValueError("generator of wrong dimension")
 
     @property
@@ -94,17 +91,15 @@ class ZigZag:
     alphabet: tuple
     nodes: tuple
     morphisms: tuple
-    relating: tuple      # ((node index, element), ...) at source nodes
-    endpoints: tuple     # (x1 at node 0, x2 at the last node)
+    relating: tuple      # ((node index, scaled element), ...) at source nodes
+    endpoints: tuple     # (x1 at node 0, x2 at the last node), scaled
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "morphisms", tuple(self.morphisms))
-        object.__setattr__(self, "relating",
-                           tuple((i, vector(v)) for i, v in self.relating))
-        x1, x2 = self.endpoints
-        object.__setattr__(self, "endpoints", (vector(x1), vector(x2)))
+        object.__setattr__(self, "relating", tuple(self.relating))
+        object.__setattr__(self, "endpoints", tuple(self.endpoints))
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +139,8 @@ def cubic_zigzag(aut1, x1, aut2, x2):
     if pca:
         gens = simplex_restriction(basis, PRODUCT, n1, n2).generators
     elif tag is SemiringTag.NAT:
-        lat = hnf([as_int_vec(g) for g in basis], dim=m) if basis else Lattice(m, ())
-        gens = nat_restriction(lat)
+        lat = hnf([ints for _, ints in basis], dim=m) if basis else Lattice(m, ())
+        gens = [(1, g) for g in nat_restriction(lat)]
     elif tag.nonneg:
         gens = cone_restriction(basis)
     else:
@@ -157,7 +152,7 @@ def cubic_zigzag(aut1, x1, aut2, x2):
         functor=CUBIC, tag=tag, alphabet=aut1.alphabet,
         nodes=(_endpoint_node(aut1, pca), middle, _endpoint_node(aut2, pca)),
         morphisms=(Morphism(1, 0, p1), Morphism(1, 2, p2)),
-        relating=((1, tuple(x1) + tuple(x2)),),
+        relating=((1, _concat(x1, x2)),),
         endpoints=(x1, x2),
     )
 
@@ -180,16 +175,14 @@ def ghat_zigzag(aut1, x1, aut2, x2):
         raise ValueError("both automata must carry the subconvex tag")
     d1, q1, psi1 = reduce_invariant_set(aut1)
     d2, q2, psi2 = reduce_invariant_set(aut2)
-    for x, n in ((x1, aut1.n), (x2, aut2.n)):
-        if len(x) != n:
-            raise ValueError(f"dimension mismatch: {n} cols vs vector of {len(x)}")
-    y1, y2 = (vector(a for j, a in enumerate(x) if j not in d) for x, d in ((x1, d1), (x2, d2)))
+    y1, y2 = (_lowest_terms(psi.apply_scaled(x)) for x, psi in ((x1, psi1), (x2, psi2)))
     zbasis, paired = pair_submodule(q1, y1, q2, y2)
     mid_poly = simplex_restriction(zbasis, SCALED, q1.n, q2.n)
     middle = ZigZagNode(kind=GENERATED_PCA, generators=mid_poly.generators, coalgebra=paired)
     gens, n1 = mid_poly.generators, q1.n
     free_nodes = []
-    for q, images in ((q1, [g[:n1] for g in gens]), (q2, [g[n1:] for g in gens])):
+    for q, images in ((q1, [_lowest_terms((d, g[:n1])) for d, g in gens]),
+                      (q2, [_lowest_terms((d, g[n1:])) for d, g in gens])):
         hull = PcaPolytope(q.n, tuple(unit(q.n, i) for i in range(q.n)) + tuple(images))
         cert = pyramid_extension(hull, q)
         free_nodes.append(ZigZagNode(kind=FREE_PCA, generators=cert.generators,
@@ -201,7 +194,7 @@ def ghat_zigzag(aut1, x1, aut2, x2):
                free_nodes[1], _endpoint_node(aut2, True)),
         morphisms=(Morphism(0, 1, psi1), Morphism(2, 1, p1),
                    Morphism(2, 3, p2), Morphism(4, 3, psi2)),
-        relating=((0, x1), (2, tuple(y1) + tuple(y2)), (4, x2)),
+        relating=((0, x1), (2, _concat(y1, y2)), (4, x2)),
         endpoints=(x1, x2),
     )
 
@@ -232,23 +225,16 @@ class Report:
 MONOID_STEP_BUDGET = 300_000
 
 
-def _nat_monoid_member(gens, v):
-    """v in the N-span of nonnegative integer generators.  One generator g is
-    decided exactly (v = c g for a natural c); with more, by depth-first
-    descent on an explicit stack, largest generators first, which raises
-    SearchBudgetExceeded once it would enter more than MONOID_STEP_BUDGET
-    targets."""
-    if not (is_integral(v) and is_nonneg(v)):
+def _nat_monoid_member(gens, target):
+    """The integer vector target in the N-span of nonnegative integer
+    generators, by depth-first descent on an explicit stack, largest
+    generators first, which raises SearchBudgetExceeded once it would enter
+    more than MONOID_STEP_BUDGET targets."""
+    if min(target, default=0) < 0:
         return False
-    gens = sorted({as_int_vec(g) for g in gens if any(g)},
-                  key=lambda g: -sum(g))
-    target = as_int_vec(v)
     if not any(target):
         return True
-    if len(gens) == 1:
-        (g,) = gens
-        c = sum(target) // sum(g)  # the only candidate, as c g sums to c sum(g)
-        return all(c * a == b for a, b in zip(g, target))
+    gens = sorted({g for g in gens if any(g)}, key=lambda g: -sum(g))
     # targets entered once: each one is either on the stack or refuted, since
     # a descent that reaches zero returns at once
     seen = {target}
@@ -331,15 +317,6 @@ def _integral(v):
     return None if any(a % den for a in ints) else tuple(a // den for a in ints)
 
 
-def _scalar_rules(tag):
-    """The tag's scalar rules (`SemiringTag.scalar_ok`) as a test of integers
-    cs over one d > 0, read once from the tag and run on the integers."""
-    integral, nonneg, within_one = tag.integral, tag.nonneg, tag.within_one
-    return lambda d, cs: ((not integral or all(c % d == 0 for c in cs))
-                          and (not nonneg or all(c >= 0 for c in cs))
-                          and (not within_one or all(c <= d for c in cs)))
-
-
 # A node's carrier as the verifier sees it: the node-kind failure ("" if the
 # generators fit the kind), the membership test on scaled vectors and, for a
 # subconvex node with nonnegative generators, the gauge (Minkowski functional)
@@ -347,9 +324,9 @@ def _scalar_rules(tag):
 _Carrier = namedtuple("_Carrier", "kind_detail member gauge", defaults=(None,))
 
 
-def _carrier(tag, node, scaled):
-    """The node's carrier, from its generators checked once (signs read off
-    `scaled`, their integer images) and factored at most once.
+def _carrier(tag, node):
+    """The node's carrier, from its scaled generators checked once and
+    factored at most once.
 
     A free carrier is decided by one factorization: its rank answers
     node-kind, and a well-formed FREE_PCA carrier is the simplex on its
@@ -357,13 +334,15 @@ def _carrier(tag, node, scaled):
     negative.  Any other subconvex carrier, a FREE_PCA one that fails its
     kind check included, is the hull of its generators, gauged by facets.
     A subconvex member test compares the gauge, an integer ratio, with 1 by
-    cross-multiplication."""
+    cross-multiplication.  An N-monoid with linearly independent generators
+    is decided as a free carrier is: the coordinates are unique, so v is a
+    member when they are natural numbers."""
     gens, dim = node.generators, node.dim
-    if node.is_pca and not all(min(ints, default=0) >= 0 for _, ints in scaled):
+    if node.is_pca and not all(min(ints, default=0) >= 0 for _, ints in gens):
         return _Carrier("generators must be nonnegative", _never)
     detail = ""
     if node.is_free:
-        coordinates, rank, product = _span_coordinates(scaled, dim)
+        coordinates, rank, product = _span_coordinates(gens, dim)
         if rank != len(gens):
             detail = "generators are linearly dependent"
         elif node.is_pca and len(gens) != dim:
@@ -376,7 +355,7 @@ def _carrier(tag, node, scaled):
                 den, x = product(v)
                 return (sum(x), den) if min(x, default=0) >= 0 else INFINITY
         else:
-            facets = _subconvex_facets(tuple((d, tuple(ints)) for d, ints in scaled), dim)
+            facets = _subconvex_facets(gens, dim)
 
             def ratio(v):
                 r = gauge_scaled(facets, v[1])
@@ -390,29 +369,33 @@ def _carrier(tag, node, scaled):
     # generated module, by tag
     member = _never
     if tag in (SemiringTag.Q, SemiringTag.REAL):
-        coordinates = _span_coordinates(scaled, dim)[0]
+        coordinates = _span_coordinates(gens, dim)[0]
         member = lambda v: coordinates(v) is not None
-    elif tag is SemiringTag.NAT and all(is_integral(g) and is_nonneg(g) for g in gens):
-        member = lambda v: (t := _integral(v)) is not None and _nat_monoid_member(gens, t)
-    elif tag is SemiringTag.INT and all(is_integral(g) for g in gens):
-        lat = hnf([as_int_vec(g) for g in gens], dim=dim) if gens else Lattice(dim, ())
+    elif tag is SemiringTag.NAT and all(d == 1 and min(g, default=0) >= 0 for d, g in gens):
+        ints = list(dict.fromkeys(g for _, g in gens if any(g)))
+        coordinates, rank, _ = _span_coordinates([(1, g) for g in ints], dim)
+        if rank == len(ints):
+            rules = _scalar_rules(tag)
+            member = lambda v: (x := coordinates(v)) is not None and rules(*x)
+        else:
+            member = lambda v: (t := _integral(v)) is not None and _nat_monoid_member(ints, t)
+    elif tag is SemiringTag.INT and all(d == 1 for d, _ in gens):
+        lat = hnf([g for _, g in gens], dim=dim) if gens else Lattice(dim, ())
         member = lambda v: (t := _integral(v)) is not None and lattice_member(t, lat)
     elif tag in (SemiringTag.QPLUS, SemiringTag.RPLUS):
-        facets = _cone_facets(tuple(tuple(ints) for _, ints in scaled), dim)
+        facets = _cone_facets(tuple(ints for _, ints in gens), dim)
         member = lambda v: cone_member_scaled(facets, v[1])
     return _Carrier("", member)
 
 
-def _coalgebra_self_map_ok(z, node, carrier, gens, out, images):
+def _coalgebra_self_map_ok(z, node, carrier, images):
     """The structure map sends every generator into the functor at the
-    node's carrier; gens and out are the node's generators and output
-    functional, scaled, and images the letter images of each scaled
-    generator."""
+    node's carrier; images are the letter images of each generator."""
     if node.is_pca and carrier.gauge is None:
         return False, "carrier generators must be nonnegative"
-    rules = _scalar_rules(z.tag)
-    for g, sg, letter_images in zip(node.generators, gens, images):
-        o = scaled_dot(out, sg)
+    rules, out = _scalar_rules(z.tag), node.coalgebra.out
+    for g, letter_images in zip(node.generators, images):
+        o = scaled_dot(out, g)
         if z.functor == GHAT and node.is_pca:
             breach = ghat_breach(o, letter_images, carrier.gauge)
             if breach == "output":
@@ -420,31 +403,31 @@ def _coalgebra_self_map_ok(z, node, carrier, gens, out, images):
             if breach == "cone":
                 return False, f"letter image of {fmt_vec(g)} leaves the carrier cone"
             if breach is not None:
-                return False, (f"budget {fmt_rat(Fraction(*breach))} exceeds 1 "
+                return False, (f"budget {fmt_ratio(*breach)} exceeds 1 "
                                f"at generator {fmt_vec(g)}")
         else:
             if not rules(o[1], (o[0],)):
-                return False, f"output weight {fmt_rat(Fraction(*o))} outside the semiring"
+                return False, f"output weight {fmt_ratio(*o)} outside the semiring"
             if not all(map(carrier.member, letter_images)):
                 return False, f"transition image of {fmt_vec(g)} leaves the carrier"
     return True, ""
 
 
 def _morphism_carrier_ok(src, member, images):
-    """The morphism sends every (scaled) source generator into the target
-    carrier; images are the morphism images of the scaled generators."""
+    """The morphism sends every source generator into the target carrier;
+    images are the morphism images of the generators."""
     for g, fg in zip(src.generators, images):
         if not member(fg):
             return False, f"image of generator {fmt_vec(g)} not in target carrier"
     return True, ""
 
 
-def _morphism_square_ok(mor, src, dst, gens, f_images, letter_images, out_src, out_dst):
+def _morphism_square_ok(mor, src, dst, f_images, letter_images):
     """The morphism commutes with the output weights and the letter maps on
-    every (scaled) source generator, given its morphism and letter images."""
+    every source generator, given its morphism and letter images."""
     f, c_src, c_dst = mor.matrix, src.coalgebra, dst.coalgebra
-    for g, sg, fg, m_images in zip(src.generators, gens, f_images, letter_images):
-        (p, q), (r, s) = scaled_dot(out_src, sg), scaled_dot(out_dst, fg)
+    for g, fg, m_images in zip(src.generators, f_images, letter_images):
+        (p, q), (r, s) = scaled_dot(c_src.out, g), scaled_dot(c_dst.out, fg)
         if p * s != r * q:
             return False, f"output weight changes along generator {fmt_vec(g)}"
         for a, mg, m_dst in zip(c_src.alphabet, m_images, c_dst.trans):
@@ -454,8 +437,8 @@ def _morphism_square_ok(mor, src, dst, gens, f_images, letter_images, out_src, o
 
 
 def _relating_ok(element, node, member, endpoint, side):
-    """A source node's (scaled) relating element lies in its carrier and, at
-    an end of the chain, is that side's (scaled) endpoint."""
+    """A source node's relating element lies in its carrier and, at an end
+    of the chain, is that side's endpoint."""
     if element is None or len(element[1]) != node.dim:
         return False, "source node lacks a relating element"
     if not member(element):
@@ -518,7 +501,7 @@ def verify_zigzag(z):
     if sorted(sources + sinks) != list(range(n)):
         shape_ok = False
     x1, x2 = z.endpoints
-    if len(x1) != nodes[0].dim or len(x2) != nodes[-1].dim:
+    if len(x1[1]) != nodes[0].dim or len(x2[1]) != nodes[-1].dim:
         shape_ok = False
     indices = [i for i, _ in z.relating]
     if len(set(indices)) != len(indices):
@@ -534,12 +517,11 @@ def verify_zigzag(z):
     if not shape_ok:
         return Report(False, checks)
 
-    gens = [[_clear_denominators(g) for g in node.generators] for node in nodes]
-    letter_images = [[[m.apply_scaled(sg) for m in node.coalgebra.trans] for sg in g]
-                     for node, g in zip(nodes, gens)]
-    mor_images = [[mor.matrix.apply_scaled(sg) for sg in gens[mor.src]] for mor in z.morphisms]
-    carriers = [_carrier(z.tag, node, g) for node, g in zip(nodes, gens)]
-    outs = [_clear_denominators(node.coalgebra.out) for node in nodes]
+    letter_images = [[[m.apply_scaled(g) for m in node.coalgebra.trans] for g in node.generators]
+                     for node in nodes]
+    mor_images = [[mor.matrix.apply_scaled(g) for g in nodes[mor.src].generators]
+                  for mor in z.morphisms]
+    carriers = [_carrier(z.tag, node) for node in nodes]
     for i, node in enumerate(nodes):
         detail = carriers[i].kind_detail
         if not detail and i in sinks and not node.is_free:
@@ -548,18 +530,17 @@ def verify_zigzag(z):
             detail = "subconvex witnesses need subconvex carriers"
         add(f"node-kind[{i}]", not detail, detail)
         add_guarded(f"node-coalgebra[{i}]", _coalgebra_self_map_ok, z, node, carriers[i],
-                    gens[i], outs[i], letter_images[i])
+                    letter_images[i])
 
     for k, mor in enumerate(z.morphisms):
         i, j = mor.src, mor.dst
         add_guarded(f"morphism-carrier[{k}]", _morphism_carrier_ok, nodes[i],
                     carriers[j].member, mor_images[k])
         add(f"morphism-square[{k}]", *_morphism_square_ok(
-            mor, nodes[i], nodes[j], gens[i], mor_images[k], letter_images[i],
-            outs[i], outs[j]))
+            mor, nodes[i], nodes[j], mor_images[k], letter_images[i]))
 
-    relating = {i: _clear_denominators(v) for i, v in z.relating}
-    ends = {0: (_clear_denominators(x1), "left"), n - 1: (_clear_denominators(x2), "right")}
+    relating = dict(z.relating)
+    ends = {0: (x1, "left"), n - 1: (x2, "right")}
     for i in sources:
         add_guarded(f"relating[{i}]", _relating_ok, relating.get(i), nodes[i],
                     carriers[i].member, *ends.get(i, (None, None)))
@@ -594,7 +575,6 @@ def verify_zigzag(z):
 
 
 def zigzag_to_text(z):
-    # a vector entry is a Fraction, which prints canonically; a matrix its integers
     lines = [f"zigzag {z.functor} {z.tag.value}",
              "alphabet " + " ".join(z.alphabet),
              f"nodes {len(z.nodes)}"]
@@ -604,8 +584,8 @@ def zigzag_to_text(z):
             blocks[id(m)] = block_lines(m)
     for i, node in enumerate(z.nodes):
         lines.append(f"node {i} {node.kind} dim {node.dim} generators {len(node.generators)}")
-        lines += [" ".join(map(str, g)) for g in node.generators]
-        lines.append(("out " + " ".join(map(str, node.coalgebra.out))).rstrip())
+        lines += map(fmt_vec, node.generators)
+        lines.append(("out " + fmt_vec(node.coalgebra.out)).rstrip())
         for a, m in zip(z.alphabet, node.coalgebra.trans):
             lines.append(f"trans {a}")
             lines += blocks[id(m)]
@@ -614,9 +594,9 @@ def zigzag_to_text(z):
         lines.append(f"morphism {mor.src} {mor.dst}")
         lines += blocks[id(mor.matrix)]
     lines.append(f"relating {len(z.relating)}")
-    lines += [(f"at {i} " + " ".join(map(str, v))).rstrip() for i, v in z.relating]
-    lines.append(("left " + " ".join(map(str, z.endpoints[0]))).rstrip())
-    lines.append(("right " + " ".join(map(str, z.endpoints[1]))).rstrip())
+    lines += [(f"at {i} " + fmt_vec(v)).rstrip() for i, v in z.relating]
+    lines.append(("left " + fmt_vec(z.endpoints[0])).rstrip())
+    lines.append(("right " + fmt_vec(z.endpoints[1])).rstrip())
     return "\n".join(line for line in lines if line) + "\n"
 
 

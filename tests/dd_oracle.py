@@ -10,6 +10,10 @@ equation of the span as a pair of inequalities; they reach the double
 description through the `wazz.polyhedra` module, so a test can route it
 through `cone_rays` above.
 
+`fraction_simplex_vertices` is `simplex_restriction` as it was when it
+built each vertex as a `Fraction` tuple and sorted those: the order its
+integer sort must keep, as the witness bytes depend on it.
+
 `dd_h_to_v` and `dd_v_to_h` are the conversions `wazz polytope` ran in the
 ambient coordinates: the lineality is the `Fraction` kernel of the
 constraint matrix, and each lineality vector enters the double description
@@ -18,8 +22,10 @@ as a pair of opposite normals."""
 from fractions import Fraction
 
 from wazz import polyhedra
-from wazz.linalg import Mat, is_zero, solve, unit, vdot, vector, vneg, vscale, zeros
+from wazz.linalg import Mat, is_zero, scaled, solve, vector
 from wazz.polyhedra import HRep, InternalError, PcaPolytope, PRODUCT, SCALED, VRep
+
+from matvec_oracle import fractions, funit, vdot, vneg, vscale, zeros
 
 from kernel_oracle import Echelon, kernel_basis, primitive
 
@@ -42,7 +48,7 @@ def pointed_cone_rays(normals, dim):
         return []
     base = _initial_simplex(normals, dim)
     base_mat = Mat([normals[i] for i in base])
-    rays = [vector(primitive(vneg(solve(base_mat, unit(dim, j)))))
+    rays = [vector(primitive(vneg(solve(base_mat, funit(dim, j)))))
             for j in range(dim)]
     processed = [normals[i] for i in base]
     for i, a in enumerate(normals):
@@ -90,7 +96,7 @@ def cone_rays(normals, dim):
 def subspace_equations(span_vectors, dim):
     """Normals whose common kernel is the span of the given vectors."""
     if not span_vectors:
-        return [unit(dim, i) for i in range(dim)]
+        return [funit(dim, i) for i in range(dim)]
     return kernel_basis(Mat(tuple(span_vectors), ncols=dim))
 
 
@@ -103,26 +109,29 @@ def _with_equations(ineqs, normals):
 
 
 def ambient_cone_restriction(span_vectors):
-    """Convex-cone generators of span(Z) ∩ Q+^m: the extreme rays of the
-    intersection, which is pointed because it lies in the orthant."""
+    """Convex-cone generators of span(Z) ∩ Q+^m, Z given by scaled vectors:
+    the extreme rays of the intersection, which is pointed because it lies
+    in the orthant, primitive, sorted and scaled."""
     if not span_vectors:
         return []
+    span_vectors = [fractions(v) for v in span_vectors]
     dim = len(span_vectors[0])
-    system = _with_equations([(vneg(unit(dim, i)), Fraction(0)) for i in range(dim)],
+    system = _with_equations([(vneg(funit(dim, i)), Fraction(0)) for i in range(dim)],
                              subspace_equations(span_vectors, dim))
-    return sorted({vector(primitive(d))
-                   for d in polyhedra._cone_generators([a for a, _ in system], dim)})
+    return [(1, r) for r in sorted({primitive(d) for d in polyhedra._cone_generators(
+        [a for a, _ in system], dim)})]
 
 
 def ambient_simplex_restriction(span_vectors, family, n1, n2):
     """Vertex generators of span(Z) ∩ (Delta^n1 x Delta^n2) (PRODUCT) or of
-    span(Z) ∩ 2*Delta^(n1+n2) (SCALED), as a PcaPolytope.
+    span(Z) ∩ 2*Delta^(n1+n2) (SCALED), Z given by scaled vectors, as a
+    PcaPolytope whose vertices are sorted as `Fraction` tuples.
 
     The intersection is bounded, so the double description yields points
     only; the zero vertex is dropped (it is implicit in every PcaPolytope).
     """
     dim = n1 + n2
-    ineqs = [(vneg(unit(dim, i)), Fraction(0)) for i in range(dim)]
+    ineqs = [(vneg(funit(dim, i)), Fraction(0)) for i in range(dim)]
     if family == PRODUCT:
         ineqs.append((vector([1] * n1 + [0] * n2), Fraction(1)))
         ineqs.append((vector([0] * n1 + [1] * n2), Fraction(1)))
@@ -130,14 +139,33 @@ def ambient_simplex_restriction(span_vectors, family, n1, n2):
         ineqs.append((vector([1] * dim), Fraction(2)))
     else:
         raise ValueError(f"unknown constraint family {family!r}")
-    ineqs = _with_equations(ineqs, subspace_equations(list(span_vectors), dim))
+    ineqs = _with_equations(ineqs, subspace_equations([fractions(v) for v in span_vectors], dim))
     if dim == 0:
         return PcaPolytope(0, ())
     v = polyhedra.dd_h_to_v(HRep(dim, tuple(ineqs)))
     if v.directions:
         raise InternalError("simplex intersection must be bounded")
-    gens = tuple(p for p in v.points if not is_zero(p))
+    gens = tuple(scaled(p) for p in v.points if not is_zero(p))
     return PcaPolytope(dim, gens)
+
+
+def fraction_simplex_vertices(span_vectors, family, n1, n2):
+    """The vertices of `simplex_restriction(span_vectors, family, n1, n2)`
+    by its own span frame and double description, each built as `Fraction`s
+    y R / t and the list sorted as `Fraction` tuples."""
+    dim = n1 + n2
+    blocks = {PRODUCT: ((0, n1, 1), (n1, dim, 1)), SCALED: ((0, dim, 2),)}[family]
+    rows = polyhedra._span_frame([ints for _, ints in span_vectors], dim)[1]
+    r, cols = len(rows), list(zip(*rows))
+    normals = [[-a for a in col] + [0] for col in cols]
+    normals += [[*map(sum, zip(*cols[lo:hi])), -bound] for lo, hi, bound in blocks if lo < hi]
+    normals.append([0] * r + [-1])
+    vertices = []
+    for ray in polyhedra._pointed_cone_rays(normals, r + 1):
+        x = [sum(a * b for a, b in zip(ray, col)) for col in cols]
+        if any(x):
+            vertices.append(tuple(Fraction(a, ray[-1]) for a in x))
+    return sorted(vertices)
 
 
 def _ambient_cone_generators(normals, dim):

@@ -1,14 +1,14 @@
 """Seeded random automata, forced-equivalent pairs and witness mutations for
-the test suites."""
+the test suites.  Configurations come out scaled, as the package takes them."""
 
 from dataclasses import replace
 from fractions import Fraction as F
 
 from wazz.automata import SemiringTag, WeightedAutomaton
-from wazz.linalg import Mat, unit, vdot, vector, vneg, zeros
+from wazz.linalg import Mat, scaled, vector
 from wazz.zigzag import FREE_MODULE, FREE_PCA, GENERATED_MODULE, GENERATED_PCA
 
-from matvec_oracle import from_cols, matmul
+from matvec_oracle import fractions, from_cols, matmul, vdot, zeros
 
 T = SemiringTag
 
@@ -61,8 +61,8 @@ def rand_automaton(rng, tag, n, alphabet):
                     idx += n
         trans = tuple(from_cols(trans_cols[a], nrows=n) for a in alphabet)
         return WeightedAutomaton(tag=tag, n=n, alphabet=alphabet,
-                                 out=vector(out), trans=trans)
-    out = vector([rand_scalar(rng, tag) for _ in range(n)])
+                                 out=scaled(out), trans=trans)
+    out = scaled([rand_scalar(rng, tag) for _ in range(n)])
     trans = []
     for _ in alphabet:
         rows = [[rand_scalar(rng, tag) for _ in range(n)] for _ in range(n)]
@@ -75,8 +75,8 @@ def rand_config(rng, tag, n):
     if tag in (T.UNIT, T.PCA):
         raw = [rng.randint(0, 2) for _ in range(n)]
         den = max(1, sum(raw) + rng.randint(0, 1))
-        return vector([F(x, den) for x in raw])
-    return vector([rand_scalar(rng, tag) for _ in range(n)])
+        return scaled([F(x, den) for x in raw])
+    return scaled([rand_scalar(rng, tag) for _ in range(n)])
 
 
 def lifted_pair(rng, tag, k, extra, alphabet):
@@ -93,7 +93,8 @@ def lifted_pair(rng, tag, k, extra, alphabet):
 
 def lift(small, r_cols, x_big):
     """(big, x_big, small, f(x_big)): the lift of the k-state automaton small
-    along the surjection f = [I | R], R having the columns r_cols.
+    along the surjection f = [I | R], R having the columns r_cols; x_big
+    and f(x_big) are scaled.
 
     With B_a = [[C_a, C_a R], [0, 0]] and out_B = (out_C, out_C . R) the
     surjection is a coalgebra morphism, so x and f(x) have equal traces.
@@ -110,28 +111,29 @@ def lift(small, r_cols, x_big):
         for _ in range(extra):
             rows.append(zeros(n))
         big_trans.append(Mat(rows, ncols=n))
-    out_big = vector(small.out) + tuple(vdot(small.out, col) for col in r_cols)
-    big = WeightedAutomaton(tag=small.tag, n=n, alphabet=small.alphabet, out=out_big,
+    out_small, x_big = fractions(small.out), fractions(x_big)
+    out_big = out_small + tuple(vdot(out_small, col) for col in r_cols)
+    big = WeightedAutomaton(tag=small.tag, n=n, alphabet=small.alphabet, out=scaled(out_big),
                             trans=tuple(big_trans))
     x_small = tuple(x_big[i] + vdot([c[i] for c in r_cols], x_big[k:]) for i in range(k))
-    return big, vector(x_big), small, vector(x_small)
+    return big, scaled(x_big), small, scaled(x_small)
 
 
 def zero_one_weight(rng, aut):
     """A copy of aut with one nonzero weight set to zero (valid for every tag)."""
-    slots = [("out", i, None) for i, q in enumerate(aut.out) if q]
+    slots = [("out", i, None) for i, q in enumerate(aut.out[1]) if q]
     slots += [(k, i, j) for k, m in enumerate(aut.trans)
               for i, row in enumerate(m.rows) for j, q in enumerate(row) if q]
     if not slots:
         return aut
     k, i, j = rng.choice(slots)
-    out = list(aut.out)
+    out = list(fractions(aut.out))
     rows = [[list(r) for r in m.rows] for m in aut.trans]
     if k == "out":
         out[i] = 0
     else:
         rows[k][i][j] = 0
-    return WeightedAutomaton(tag=aut.tag, n=aut.n, alphabet=aut.alphabet, out=out,
+    return WeightedAutomaton(tag=aut.tag, n=aut.n, alphabet=aut.alphabet, out=scaled(out),
                              trans=tuple(Mat(r) for r in rows))
 
 
@@ -154,18 +156,19 @@ def report_witnesses(z):
     for i, node in enumerate(z.nodes):
         gens = node.generators
         if gens:
+            first = fractions(gens[0])
             yield f"negate generator 0 of node {i}", with_node(
-                i, generators=(vneg(gens[0]),) + gens[1:])
+                i, generators=(scaled([-a for a in first]),) + gens[1:])
             yield f"drop the last generator of node {i}", with_node(i, generators=gens[:-1])
             if node.is_free:
-                dependent = tuple(a + b for a, b in zip(gens[0], gens[-1]))
+                dependent = scaled([a + b for a, b in zip(first, fractions(gens[-1]))])
                 yield f"dependent generator on node {i}", with_node(
                     i, generators=gens + (dependent,))
         yield f"swap the kind of node {i}", with_node(i, kind=SWAPPED_KIND[node.kind])
         if node.dim:
-            out = node.coalgebra.out
+            out = fractions(node.coalgebra.out)
             yield f"bump output 0 of node {i}", with_node(
-                i, coalgebra=replace(node.coalgebra, out=(out[0] + 1,) + out[1:]))
+                i, coalgebra=replace(node.coalgebra, out=scaled((out[0] + 1,) + out[1:])))
     for k, mor in enumerate(z.morphisms):
         m = mor.matrix
         if m.ncols:
@@ -174,9 +177,9 @@ def report_witnesses(z):
                                                    ncols=m.ncols))
             yield f"double column 0 of morphism {k}", replace(z, morphisms=tuple(morphisms))
     for j, (i, v) in enumerate(z.relating):
-        if v:
+        if v[1]:
             relating = list(z.relating)
-            relating[j] = (i, tuple(a + b for a, b in zip(v, unit(len(v), 0))))
+            relating[j] = (i, scaled([a + int(k == 0) for k, a in enumerate(fractions(v))]))
             yield f"replace relating element {j}", replace(z, relating=tuple(relating))
 
 
@@ -188,5 +191,5 @@ def negative_output_witnesses(z):
         if node.dim:
             nodes = list(z.nodes)
             nodes[i] = replace(node, coalgebra=replace(node.coalgebra,
-                                                       out=(F(-1),) * node.dim))
+                                                       out=(1, (-1,) * node.dim)))
             yield f"negative outputs at node {i}", replace(z, nodes=tuple(nodes))

@@ -13,9 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from wazz.linalg import vdot, vector
+from wazz.linalg import scaled, vector
 from wazz.pca import ghat_breach
 from wazz.polyhedra import INFINITY, gauge
+
+from matvec_oracle import entrywise_apply, fractions, vdot
 
 
 @dataclass
@@ -31,13 +33,13 @@ class GhatElement:
 
 
 def gauge_ratio(polytope, x):
-    g = gauge(polytope, x)  # as an integer ratio, or INFINITY
+    g = gauge(polytope, scaled(x))  # as an integer ratio, or INFINITY
     return g if g is INFINITY else g.as_integer_ratio()
 
 
 def pca_member(polytope, x):
-    """Whether x lies in the subconvex hull: its gauge is at most 1."""
-    g = gauge(polytope, x)
+    """Whether x (rationals) lies in the subconvex hull: its gauge is at most 1."""
+    g = gauge(polytope, scaled(x))
     return g is not INFINITY and g <= 1
 
 
@@ -49,13 +51,14 @@ def ghat_member(polytope, element):
 
 def ghat_apply(matrix, element):
     """Functor action on a convex map: keep o, push the letter vectors."""
-    return GhatElement(element.o, {a: matrix.apply(v) for a, v in element.phi.items()})
+    return GhatElement(element.o, {a: entrywise_apply(matrix, v)
+                                   for a, v in element.phi.items()})
 
 
 def is_ghat_coalgebra(x_poly, y_poly, coalg):
     """Whether the linear map sends the subconvex hull of X into the functor
     applied to Y; checking generators suffices by convexity."""
-    mu = partial(gauge_ratio, y_poly)
-    return all(ghat_breach(vdot(coalg.out, g).as_integer_ratio(),
-                           (m.apply(g) for m in coalg.trans), mu) is None
-               for g in x_poly.generators)
+    mu, out = partial(gauge_ratio, y_poly), fractions(coalg.out)
+    return all(ghat_breach(vdot(out, g).as_integer_ratio(),
+                           (entrywise_apply(m, g) for m in coalg.trans), mu) is None
+               for g in map(fractions, x_poly.generators))

@@ -13,9 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from matvec_oracle import entrywise_dot
-from wazz.linalg import (Lattice, Mat, as_int_vec, hnf, is_integral, is_zero, unit,
-                         vector, vneg, zeros)
+from matvec_oracle import entrywise_apply, entrywise_dot, fractions, funit, vneg, zeros
+from wazz.linalg import Lattice, Mat, as_int_vec, hnf, is_integral, is_zero, vector
 from wazz.polyhedra import INFINITY, VRep, cone_rays, dd_v_to_h
 
 
@@ -124,7 +123,7 @@ def initial_simplex_rays(normals, dim):
                 break
     else:
         raise ValueError("constraint matrix does not have full rank")
-    red, _, _ = rref(Mat([normals[k] + unit(dim, j) for j, k in enumerate(base)]))
+    red, _, _ = rref(Mat([normals[k] + funit(dim, j) for j, k in enumerate(base)]))
     rays = [primitive(tuple(-row[dim + j] for row in red.rows)) for j in range(dim)]
     return base, rays
 
@@ -132,11 +131,14 @@ def initial_simplex_rays(normals, dim):
 @lru_cache(maxsize=None)
 def subconvex_facets(polytope):
     """H-form of the subconvex hull (the hull of the generators and 0)."""
-    return dd_v_to_h(VRep(polytope.dim, (zeros(polytope.dim),) + polytope.generators, ()))
+    points = tuple(fractions(g) for g in polytope.generators)
+    return dd_v_to_h(VRep(polytope.dim, (zeros(polytope.dim),) + points, ()))
 
 
 def gauge(polytope, x):
-    """Minkowski functional of the subconvex hull; INFINITY outside its cone."""
+    """Minkowski functional of the subconvex hull at the scaled x; INFINITY
+    outside its cone."""
+    x = fractions(x)
     if len(x) != polytope.dim:
         raise ValueError("point of wrong dimension")
     best = Fraction(0)
@@ -164,10 +166,11 @@ def cone_facet_normals(gens, dim):
 
 
 def cone_member(gens, x):
-    """Exact membership of x in the convex cone spanned by gens."""
-    dim = len(x)
+    """Exact membership of the scaled x in the convex cone spanned by the
+    scaled gens."""
+    x = fractions(x)
     return all(entrywise_dot(n, x) <= 0
-               for n in cone_facet_normals(tuple(vector(g) for g in gens), dim))
+               for n in cone_facet_normals(tuple(fractions(g) for g in gens), len(x)))
 
 
 def z_closure(start, maps):
@@ -186,7 +189,7 @@ def z_closure(start, maps):
         new_rows = list(lat.basis)
         for b in lat.basis:
             for m in maps:
-                new_rows.append(as_int_vec(m.apply(b)))
+                new_rows.append(as_int_vec(entrywise_apply(m, b)))
         nxt = hnf(new_rows, dim=n) if new_rows else Lattice(n, ())
         if nxt == lat:
             return [tuple(r) for r in lat.basis]

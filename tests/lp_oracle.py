@@ -8,10 +8,10 @@ feasibility programs the membership tests write out.
 
 from fractions import Fraction
 
-from wazz.linalg import is_zero, primitive, unit, vdot, vector, zeros
+from wazz.linalg import is_zero, primitive, vector
 from wazz.polyhedra import HRep
 
-from matvec_oracle import column
+from matvec_oracle import column, fractions, funit, vdot, zeros
 
 
 def canonical_ineq(normal, bound):
@@ -119,13 +119,13 @@ def pyramid_normal(polytope, coalg):
     n = polytope.dim
     ineqs = []
     for j in range(n):
-        ineqs.append((tuple(-q for q in unit(n, j)), Fraction(0)))
+        ineqs.append((tuple(-q for q in funit(n, j)), Fraction(0)))
     for g in polytope.generators:
-        ineqs.append((g, Fraction(1)))
+        ineqs.append((fractions(g), Fraction(1)))
     for j in range(n):
         total = zeros(n)
         for m in coalg.trans:
             total = tuple(t + c for t, c in zip(total, column(m, j)))
-        normal = tuple(t - u for t, u in zip(total, unit(n, j)))
-        ineqs.append((normal, -coalg.out[j]))
+        normal = tuple(t - u for t, u in zip(total, funit(n, j)))
+        ineqs.append((normal, -fractions(coalg.out)[j]))
     return lp_feasible(HRep(n, tuple(ineqs)))

@@ -1,10 +1,18 @@
 """The entrywise `Fraction` dot and matrix-vector products, kept as
-differential test oracles, and the matrix helpers only the tests use.
+differential test oracles, and the vector and matrix helpers only the tests
+use.
 
-`vdot` and `Mat.apply` run on vectors and matrices scaled to integers; these
-are the products they replaced, one `Fraction` multiply and add per entry,
-zeros included, with no call into the kernel they check.  The tests require
-equal values of equal type.  `identity` and `zero` build the two constant
+`scaled_dot` and `Mat.apply_scaled` run on vectors and matrices scaled to
+integers; these are the `Fraction` products they replaced, one multiply and
+add per entry, zeros included, with no call into the kernel they check.
+
+The package's vectors are scaled, (d, ints) in lowest terms
+(`wazz.linalg.scaled`); the tests state most of their data as rationals,
+`svec` makes one from entries given as int, `Fraction` or text, `sconcat`
+joins two, and `fractions` reads one back.  `zeros`, `funit`, `vneg`,
+`vscale`, `vdot` (an alias of `entrywise_dot`), `is_nonneg` and `apply`
+(an alias of `entrywise_apply`) are the `Fraction` vector helpers that
+left `wazz.linalg` with the `Fraction` vectors.  `identity` and `zero` build the two constant
 matrices the tests use; `from_cols`, `column`, `columns`, `transpose` and
 `matmul` build and read a matrix by its columns (they were `Mat.from_cols`,
 `Mat.col`, `Mat.cols`, `Mat.transpose` and `Mat.__matmul__`).
@@ -12,11 +20,48 @@ matrices the tests use; `from_cols`, `column`, `columns`, `transpose` and
 
 from fractions import Fraction
 
-from wazz.linalg import Mat, unit, vector, zeros
+from wazz.linalg import Mat, scaled, vector
+
+
+def svec(entries):
+    """The scaled vector of rationals given as int, `Fraction` or text."""
+    return scaled(vector(entries))
+
+
+def sconcat(u, v):
+    """The scaled vector of u followed by v."""
+    return scaled(fractions(u) + fractions(v))
+
+
+def fractions(v):
+    """The scaled vector v = (d, ints) as a tuple of `Fraction`s."""
+    den, ints = v
+    return tuple(Fraction(a, den) for a in ints)
+
+
+def zeros(n):
+    return (Fraction(0),) * n
+
+
+def funit(n, i):
+    """The unit vector e_i as `Fraction`s (`wazz.linalg.unit` is scaled)."""
+    return tuple(Fraction(int(j == i)) for j in range(n))
+
+
+def vneg(v):
+    return tuple(-a for a in v)
+
+
+def vscale(c, v):
+    return tuple(c * a for a in v)
+
+
+def is_nonneg(v):
+    return all(a >= 0 for a in v)
 
 
 def identity(n):
-    return Mat(tuple(unit(n, i) for i in range(n)), ncols=n)
+    return Mat(tuple(funit(n, i) for i in range(n)), ncols=n)
 
 
 def zero(nrows, ncols):
@@ -33,6 +78,9 @@ def entrywise_apply(m, x):
     if len(x) != m.ncols:
         raise ValueError(f"dimension mismatch: {m.ncols} cols vs vector of {len(x)}")
     return tuple(entrywise_dot(r, x) for r in m.rows)
+
+
+vdot, apply = entrywise_dot, entrywise_apply
 
 
 def from_cols(cols, nrows=None):
@@ -58,7 +106,7 @@ def columns(m):
 def matmul(a, b):
     if a.ncols != b.nrows:
         raise ValueError("inner dimensions disagree")
-    return from_cols([a.apply(c) for c in columns(b)], nrows=a.nrows)
+    return from_cols([entrywise_apply(a, c) for c in columns(b)], nrows=a.nrows)
 
 
 def transpose(m):

@@ -16,7 +16,9 @@ from collections import deque
 
 from wazz.automata import LinearCoalgebra, NotEquivalent
 from wazz.linalg import (Mat, as_int_vec, first_word_off, hnf, is_integral, is_zero,
-                         lattice_member, vdot, vector, vneg, zeros)
+                         lattice_member, primitive, scaled)
+
+from matvec_oracle import entrywise_apply, fractions, vdot, vneg, zeros
 
 from word_oracles import word_closure
 
@@ -30,7 +32,8 @@ def block_diag(a, b):
 def paired(c1, c2):
     if c1.alphabet != c2.alphabet:
         raise ValueError("automata have different alphabets")
-    return LinearCoalgebra(n=c1.n + c2.n, alphabet=c1.alphabet, out=c1.out + zeros(c2.n),
+    return LinearCoalgebra(n=c1.n + c2.n, alphabet=c1.alphabet,
+                           out=scaled(fractions(c1.out) + zeros(c2.n)),
                            trans=tuple(block_diag(a, b) for a, b in zip(c1.trans, c2.trans)))
 
 
@@ -52,7 +55,7 @@ def closure_under_maps(start, maps):
     while work:
         v = work.popleft()
         for m in maps:
-            w = as_int_vec(m.apply(v))
+            w = as_int_vec(entrywise_apply(m, v))
             if not lattice_member(w, lat):
                 lat = hnf(lat.basis + (w,), dim=n)
                 work.append(w)
@@ -62,10 +65,12 @@ def closure_under_maps(start, maps):
 def pair_submodule(aut1, x1, aut2, x2):
     if aut1.tag is not aut2.tag:
         raise ValueError("automata have different semiring tags")
+    x1, x2 = fractions(x1), fractions(x2)
     if len(x1) != aut1.n or len(x2) != aut2.n:
         raise ValueError("configuration has wrong length")
     pair = paired(aut1, aut2)
-    start, difference = vector(tuple(x1) + tuple(x2)), aut1.out + vneg(aut2.out)
+    start = x1 + x2
+    difference = fractions(aut1.out) + vneg(fractions(aut2.out))
     maps = pair.trans
 
     def letters(word):
@@ -82,5 +87,6 @@ def pair_submodule(aut1, x1, aut2, x2):
         basis = closure_under_maps(start, maps)
         if any(vdot(difference, g) != 0 for g in basis):
             raise NotEquivalent("output functionals differ on the pair closure",
-                                word=letters(first_word_off(difference, start, maps)))
-    return [vector(g) for g in basis], pair
+                                word=letters(first_word_off(primitive(difference),
+                                                            scaled(start), maps)))
+    return [scaled(g) for g in basis], pair

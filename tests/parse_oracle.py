@@ -7,7 +7,9 @@ index.  This is the route they replaced: a cursor that splits one line per
 `next_line`/`next_tokens`/`next_keyword` call, a row reader (`_enter`,
 `parse_rats`) that scans token by token only when a row has a literal the
 tables lack, `next_matrix` with its cache of repeated blocks, and the two
-readers on top of them, line for line as they were.  Below them is the
+readers on top of them, line for line as they were, reading `Fraction`
+rows that become scaled vectors (`wazz.linalg.scaled`) as the records take
+them.  Below them is the
 per-token row reader that the cursor's row reader itself replaced: the
 count check, then one `parse_rat` per token, the first failure raised as a
 `ParseError` at the row's line.
@@ -19,8 +21,10 @@ from operator import itemgetter
 
 from wazz.automata import LinearCoalgebra, SemiringTag, TagViolation, WeightedAutomaton
 from wazz.formats import _INT_RE, _OTHER_SPACE, ParseError, fmt_rat, parse_rat, parse_ratio
-from wazz.linalg import Mat, _clear_denominators
+from wazz.linalg import Mat, _clear_denominators, scaled
 from wazz.zigzag import CUBIC, GHAT, KINDS, Morphism, ZigZag, ZigZagNode
+
+from weights_oracle import scalar_ok
 
 
 def parse_rats(source, line, tokens, count=None):
@@ -172,7 +176,7 @@ def parse_automaton(text, source="<automaton>"):
                 r.error("duplicate state line")
             state = r.parse_rats(toks[1:], n)
             for q in state:
-                if not tag.scalar_ok(q):
+                if not scalar_ok(tag, q):
                     r.error(f"state entry {fmt_rat(q)} violates tag {tag.value}")
             if tag.within_one:
                 den, nums = _clear_denominators(state)
@@ -185,11 +189,11 @@ def parse_automaton(text, source="<automaton>"):
     if missing:
         r.error(f"missing transition block for {missing[0]!r}")
     try:
-        aut = WeightedAutomaton(tag=tag, n=n, alphabet=alphabet, out=out,
+        aut = WeightedAutomaton(tag=tag, n=n, alphabet=alphabet, out=scaled(out),
                                 trans=tuple(trans[a] for a in alphabet))
     except TagViolation as exc:
         raise ParseError(source, max(lines[c] for c in exc.cells), str(exc)) from None
-    return aut, state
+    return aut, None if state is None else scaled(state)
 
 
 def parse_zigzag(text, source="<witness>"):
@@ -220,8 +224,8 @@ def parse_zigzag(text, source="<witness>"):
             r.error(f"unknown node kind {kind!r}")
         dim = r.parse_int(toks[3], minimum=0)
         ngens = r.parse_int(toks[5], minimum=0)
-        gens = [r.next_rat_row(dim) for _ in range(ngens)]
-        out = r.parse_rats(r.next_keyword("out"), dim)
+        gens = [scaled(r.next_rat_row(dim)) for _ in range(ngens)]
+        out = scaled(r.parse_rats(r.next_keyword("out"), dim))
         trans = []
         for a in alphabet:
             toks = r.next_keyword("trans")
@@ -253,9 +257,9 @@ def parse_zigzag(text, source="<witness>"):
         idx = r.parse_int(toks[0], minimum=0)
         if idx >= count:
             r.error("relating node out of range")
-        relating.append((idx, r.parse_rats(toks[1:], nodes[idx].dim)))
-    left = r.parse_rats(r.next_keyword("left"), nodes[0].dim)
-    right = r.parse_rats(r.next_keyword("right"), nodes[-1].dim)
+        relating.append((idx, scaled(r.parse_rats(toks[1:], nodes[idx].dim))))
+    left = scaled(r.parse_rats(r.next_keyword("left"), nodes[0].dim))
+    right = scaled(r.parse_rats(r.next_keyword("right"), nodes[-1].dim))
     if r:
         r.error("trailing input after witness")
     return ZigZag(functor=functor, tag=tag, alphabet=alphabet, nodes=tuple(nodes),

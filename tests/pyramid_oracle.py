@@ -13,11 +13,11 @@ the same message.
 
 from fractions import Fraction
 
-from wazz.linalg import Mat, solve, unit, vdot, vector
+from wazz.linalg import Mat, scaled, solve
 from wazz.pca import InvariantZeroSet, PyramidCert
 from wazz.polyhedra import InternalError
 
-from matvec_oracle import column
+from matvec_oracle import column, fractions, funit, vdot
 
 
 def is_nonneg(v):
@@ -25,6 +25,7 @@ def is_nonneg(v):
 
 
 def invariant_zero_set(out, trans):
+    out = fractions(out)
     n = len(out)
     current = {j for j in range(n) if out[j] == 0}
     while True:
@@ -40,7 +41,8 @@ def pyramid_extension(polytope, coalg):
     n = polytope.dim
     if coalg.n != n:
         raise ValueError("dimension mismatch")
-    if not is_nonneg(coalg.out) or not all(is_nonneg(r) for m in coalg.trans for r in m.rows):
+    out = fractions(coalg.out)
+    if not is_nonneg(out) or not all(is_nonneg(r) for m in coalg.trans for r in m.rows):
         raise ValueError("output and letter entries must be nonnegative")
     bad = invariant_zero_set(coalg.out, coalg.trans)
     if bad:
@@ -48,18 +50,18 @@ def pyramid_extension(polytope, coalg):
     # row j of I - N is e_j minus the sum over letters of column j of M_a
     rows = []
     for j in range(n):
-        row = list(unit(n, j))
+        row = list(funit(n, j))
         for m in coalg.trans:
             for i, c in enumerate(column(m, j)):
                 row[i] -= c
         rows.append(row)
-    u = solve(Mat(rows, ncols=n), coalg.out)
+    u = solve(Mat(rows, ncols=n), out)
     if u is None:
         raise InternalError("fixed-point system infeasible: (I - N) u = out has no solution")
     if any(q <= 0 for q in u):
         raise InternalError("fixed point with a nonpositive coordinate")
-    if any(vdot(g, u) > 1 for g in polytope.generators):
+    if any(vdot(fractions(g), u) > 1 for g in polytope.generators):
         raise InternalError("fixed point puts a carrier generator outside the pyramid")
-    gens = tuple(vector([Fraction(1, 1) / u[j] if i == j else 0 for i in range(n)])
+    gens = tuple(scaled([Fraction(1, 1) / u[j] if i == j else 0 for i in range(n)])
                  for j in range(n))
-    return PyramidCert(u=vector(u), generators=gens)
+    return PyramidCert(u=scaled(u), generators=gens)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
@@ -7,10 +8,11 @@ from wazz.automata import (NotEquivalent, SemiringTag, WeightedAutomaton,
                            automaton_to_text, equivalent, pair_submodule,
                            parse_automaton, separating_word, step, trace)
 from wazz.formats import ParseError
-from wazz.linalg import Mat, unit, vector, zeros
+from wazz.linalg import Mat, unit, vector
 
 from genrandom import lifted_pair, rand_automaton, rand_config
-from matvec_oracle import column, identity
+from matvec_oracle import column, fractions, identity, sconcat, svec
+from weights_oracle import scalar_ok
 
 T = SemiringTag
 
@@ -18,69 +20,69 @@ T = SemiringTag
 def half_loop():
     """1 state, out 1/2, a-loop of weight 1/2."""
     return WeightedAutomaton(tag=T.QPLUS, n=1, alphabet=("a",),
-                             out=vector(["1/2"]), trans=(Mat([["1/2"]]),))
+                             out=svec(["1/2"]), trans=(Mat([["1/2"]]),))
 
 
 def swap_pair():
     """2 states, out (1/2,1/2), a swaps the states with weight 1/2."""
     return WeightedAutomaton(tag=T.QPLUS, n=2, alphabet=("a",),
-                             out=vector(["1/2", "1/2"]),
+                             out=svec(["1/2", "1/2"]),
                              trans=(Mat([[0, "1/2"], ["1/2", 0]]),))
 
 
 class TestStepTrace:
     def test_scalar_step(self):
         aut = half_loop()
-        assert step(aut, vector([1]), "a") == vector(["1/2"])
+        assert step(aut, svec([1]), "a") == svec(["1/2"])
 
     def test_zero_config(self):
-        assert step(swap_pair(), zeros(2), "a") == zeros(2)
+        assert step(swap_pair(), svec([0, 0]), "a") == svec([0, 0])
 
     def test_identity_matrix(self):
         aut = WeightedAutomaton(tag=T.Q, n=2, alphabet=("a",),
-                                out=vector([1, 0]), trans=(identity(2),))
-        x = vector(["2/3", 5])
+                                out=svec([1, 0]), trans=(identity(2),))
+        x = svec(["2/3", 5])
         assert step(aut, x, "a") == x
 
     def test_unknown_symbol(self):
         with pytest.raises(ValueError):
-            step(half_loop(), vector([1]), "b")
+            step(half_loop(), svec([1]), "b")
 
     def test_trace_halving(self):
         aut = WeightedAutomaton(tag=T.QPLUS, n=1, alphabet=("a",),
-                                out=vector([1]), trans=(Mat([["1/2"]]),))
-        tr = trace(aut, vector([1]), 2)
+                                out=svec([1]), trans=(Mat([["1/2"]]),))
+        tr = trace(aut, svec([1]), 2)
         assert tr[()] == 1
         assert tr[("a",)] == F(1, 2)
         assert tr[("a", "a")] == F(1, 4)
 
     def test_trace_zero_cases(self):
         aut = swap_pair()
-        assert all(v == 0 for _, v in trace(aut, zeros(2), 3).items())
+        assert all(v == 0 for _, v in trace(aut, svec([0, 0]), 3).items())
         dead = WeightedAutomaton(tag=T.QPLUS, n=2, alphabet=("a",),
-                                 out=zeros(2), trans=aut.trans)
-        assert all(v == 0 for _, v in trace(dead, vector([1, 0]), 3).items())
+                                 out=svec([0, 0]), trans=aut.trans)
+        assert all(v == 0 for _, v in trace(dead, svec([1, 0]), 3).items())
 
 
 class TestPairing:
     def test_identical_automata(self):
         aut = swap_pair()
         basis, paired = pair_submodule(aut, unit(2, 0), aut, unit(2, 0))
-        for g in basis:
+        for g in map(fractions, basis):
             assert g[:2] == g[2:]  # the diagonal
 
     def test_worked_pair(self):
-        basis, paired = pair_submodule(half_loop(), vector([1]), swap_pair(), unit(2, 0))
-        assert basis == [vector([1, 1, 0]), vector(["1/2", 0, "1/2"])]
-        tr = trace(paired, vector([1, 1, 0]), 3)
-        assert tr == trace(half_loop(), vector([1]), 3)
+        basis, paired = pair_submodule(half_loop(), svec([1]), swap_pair(), unit(2, 0))
+        assert basis == [svec([1, 1, 0]), svec(["1/2", 0, "1/2"])]
+        tr = trace(paired, svec([1, 1, 0]), 3)
+        assert tr == trace(half_loop(), svec([1]), 3)
         assert tr == trace(swap_pair(), unit(2, 0), 3)
 
     def test_tampered_output(self):
         bad = WeightedAutomaton(tag=T.QPLUS, n=2, alphabet=("a",),
-                                out=vector(["1/2", 1]), trans=swap_pair().trans)
+                                out=svec(["1/2", 1]), trans=swap_pair().trans)
         with pytest.raises(NotEquivalent) as err:
-            pair_submodule(half_loop(), vector([1]), bad, unit(2, 0))
+            pair_submodule(half_loop(), svec([1]), bad, unit(2, 0))
         assert err.value.word == ("a",)
 
     def test_not_equivalent_needs_a_word(self):
@@ -93,8 +95,8 @@ class TestEquivalent:
     def test_worked_pair_true(self):
         # oracle: traces to depth n1+n2 agree
         d = 3
-        assert trace(half_loop(), vector([1]), d) == trace(swap_pair(), unit(2, 0), d)
-        res = equivalent(half_loop(), vector([1]), swap_pair(), unit(2, 0))
+        assert trace(half_loop(), svec([1]), d) == trace(swap_pair(), unit(2, 0), d)
+        res = equivalent(half_loop(), svec([1]), swap_pair(), unit(2, 0))
         assert res.equivalent and res.basis
 
     def test_self_equivalence(self):
@@ -103,16 +105,16 @@ class TestEquivalent:
 
     def test_output_mismatch_word_epsilon(self):
         one = WeightedAutomaton(tag=T.NAT, n=1, alphabet=("a",),
-                                out=vector([1]), trans=(Mat([[0]]),))
+                                out=svec([1]), trans=(Mat([[0]]),))
         zero = WeightedAutomaton(tag=T.NAT, n=1, alphabet=("a",),
-                                 out=vector([0]), trans=(Mat([[0]]),))
-        res = equivalent(one, vector([1]), zero, vector([1]))
+                                 out=svec([0]), trans=(Mat([[0]]),))
+        res = equivalent(one, svec([1]), zero, svec([1]))
         assert not res.equivalent and res.word == ()
 
     def test_tampered_pair_word_a(self):
         bad = WeightedAutomaton(tag=T.QPLUS, n=2, alphabet=("a",),
-                                out=vector(["1/2", 1]), trans=swap_pair().trans)
-        res = equivalent(half_loop(), vector([1]), bad, unit(2, 0))
+                                out=svec(["1/2", 1]), trans=swap_pair().trans)
+        res = equivalent(half_loop(), svec([1]), bad, unit(2, 0))
         assert not res.equivalent and res.word == ("a",)
 
     @pytest.mark.parametrize("tag", list(T))
@@ -157,7 +159,7 @@ class TestExtendScalars:
             aut1, x1, aut2, x2 = lifted_pair(rng, tag, 2, 1, ("a",))
             _, paired = pair_submodule(aut1, x1, aut2, x2)
             assert paired == aut1.paired(aut2)
-            tr = trace(paired, tuple(x1) + tuple(x2), 4)
+            tr = trace(paired, sconcat(x1, x2), 4)
             assert tr == trace(aut1, x1, 4) == trace(aut2, x2, 4)
 
 
@@ -178,9 +180,9 @@ class TestCubicTupleFormer:
             o = F(rng.randint(-2, 2), rng.randint(1, 2))
             parts = tuple(rng.choice(universe) for _ in range(2))
             elem = (o, parts)
-            lhs = (self._member(ring.scalar_ok, x_set, elem)
-                   and self._member(sub.scalar_ok, y_set, elem))
-            rhs = self._member(sub.scalar_ok, x_set & y_set, elem)
+            lhs = (self._member(partial(scalar_ok, ring), x_set, elem)
+                   and self._member(partial(scalar_ok, sub), y_set, elem))
+            rhs = self._member(partial(scalar_ok, sub), x_set & y_set, elem)
             assert lhs == rhs
 
     def test_projection_preimage_identity(self):
@@ -195,9 +197,9 @@ class TestCubicTupleFormer:
             pairs = tuple((rng.choice(pool1), rng.choice(pool2)) for _ in range(2))
             elem1 = (o, tuple(p[0] for p in pairs))
             elem2 = (o, tuple(p[1] for p in pairs))
-            lhs = (self._member(sub.scalar_ok, y1, elem1)
-                   and self._member(sub.scalar_ok, y2, elem2))
-            rhs = self._member(sub.scalar_ok, set((a, b) for a in y1 for b in y2),
+            lhs = (self._member(partial(scalar_ok, sub), y1, elem1)
+                   and self._member(partial(scalar_ok, sub), y2, elem2))
+            rhs = self._member(partial(scalar_ok, sub), set((a, b) for a in y1 for b in y2),
                                (o, pairs))
             assert lhs == rhs
 
@@ -218,7 +220,7 @@ state 1 0
     def test_parse(self):
         aut, state = parse_automaton(self.SAMPLE, "sample.wa")
         assert aut == swap_pair()
-        assert state == vector([1, 0])
+        assert state == svec([1, 0])
 
     def test_roundtrip(self):
         rng = random.Random(89)
@@ -302,6 +304,6 @@ class TestTraceNaturality:
                                                  rng.randint(0, 2), ("a", "b"))
                 basis, paired = pair_submodule(aut1, x1, aut2, x2)
                 depth = aut1.n + aut2.n
-                tr = trace(paired, tuple(x1) + tuple(x2), depth)
+                tr = trace(paired, sconcat(x1, x2), depth)
                 assert tr == trace(aut1, x1, depth)
                 assert tr == trace(aut2, x2, depth)

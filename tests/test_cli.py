@@ -10,7 +10,7 @@ from wazz.zigzag import parse_zigzag, zigzag_to_text
 
 from genrandom import lifted_pair
 from test_formats import SAMPLE_WA, _with_line
-from test_zigzag import two_generator_nat_witness
+from test_zigzag import dependent_nat_witness
 
 HALF_LOOP = """\
 semiring qplus
@@ -209,10 +209,10 @@ class TestZigzagVerify:
         assert err == ""
 
     def test_monoid_budget_overrun_is_a_failed_check(self, tmp_path, capsys):
-        path = write(tmp_path, "deep.zz",
-                     zigzag_to_text(two_generator_nat_witness(
-                         zigzag.MONOID_STEP_BUDGET // 2,
-                         zigzag.MONOID_STEP_BUDGET - zigzag.MONOID_STEP_BUDGET // 2 + 1)))
+        # (801, 801, 800) is not in N{(2, 2, 0), (0, 0, 2), (1, 1, 1)}, a
+        # dependent set: the descent would enter about 321000 targets
+        assert zigzag.MONOID_STEP_BUDGET < 801 * 801 // 2
+        path = write(tmp_path, "deep.zz", zigzag_to_text(dependent_nat_witness(801, 800)))
         assert main(["verify", path]) == 1
         out, err = capsys.readouterr()
         lines = out.splitlines()

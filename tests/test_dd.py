@@ -9,8 +9,11 @@ import pytest
 
 from wazz import polyhedra
 from wazz.automata import SemiringTag, pair_submodule
-from wazz.linalg import vneg
 from wazz.polyhedra import PRODUCT, SCALED, cone_rays, cone_restriction, simplex_restriction
+
+from wazz.linalg import scaled
+
+from matvec_oracle import fractions, vneg
 
 import dd_oracle
 from genrandom import lifted_pair
@@ -79,7 +82,8 @@ def checked_cone_rays(monkeypatch):
 
 
 def assert_restrictions_match_ambient(span, n1, n2, families=(PRODUCT, SCALED)):
-    """The restrictions in the span's coordinates equal the ambient ones."""
+    """The restrictions in the span's coordinates equal the ambient ones, on
+    a span of scaled vectors."""
     span = list(span)
     assert cone_restriction(span) == dd_oracle.ambient_cone_restriction(span), span
     for family in families:
@@ -138,7 +142,24 @@ def test_random_spans_match_ambient(dim):
     rng = random.Random(f"dd-oracle/span/{dim}")
     for _ in range(60):
         n1 = rng.randint(0, dim)
-        assert_restrictions_match_ambient(rand_span(rng, dim), n1, dim - n1)
+        assert_restrictions_match_ambient(map(scaled, rand_span(rng, dim)), n1, dim - n1)
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_vertex_order_is_the_fraction_order(dim):
+    """`simplex_restriction` sorts its vertices on integers over one common
+    denominator; the order is that of the `Fraction` tuples it sorted
+    before, which the witness bytes follow."""
+    rng = random.Random(f"dd-oracle/vertex-order/{dim}")
+    mixed = 0
+    for _ in range(60):
+        span, n1 = [scaled(v) for v in rand_span(rng, dim)], rng.randint(0, dim)
+        for family in (PRODUCT, SCALED):
+            vertices = simplex_restriction(span, family, n1, dim - n1).generators
+            got = [fractions(v) for v in vertices]
+            assert got == dd_oracle.fraction_simplex_vertices(span, family, n1, dim - n1)
+            mixed += len({d for d, _ in vertices}) > 1
+    assert mixed or dim < 3  # from dimension 3 on, some vertex lists mix denominators
 
 
 @pytest.mark.parametrize("span, n1, n2", [
@@ -153,7 +174,7 @@ def test_random_spans_match_ambient(dim):
 ], ids=["empty-dim0", "dim0", "empty", "zero-vector", "vanishing-coordinate",
         "n1-zero", "n2-zero", "origin-only"])
 def test_degenerate_spans_match_ambient(span, n1, n2):
-    assert_restrictions_match_ambient([tuple(map(F, v)) for v in span], n1, n2)
+    assert_restrictions_match_ambient([scaled(v) for v in span], n1, n2)
 
 
 @pytest.mark.parametrize("tag", [T.QPLUS, T.RPLUS, T.UNIT, T.PCA])

@@ -1,5 +1,6 @@
 """Differential tests of the integer-image paths against their `Fraction`
-oracles: `vdot` against the entrywise dot, `check_weights` against the
+oracles: `scaled_dot`, the integer dot product that replaced `vdot`, against
+the entrywise dot, `check_weights` against the
 `Fraction` weight rules on planted violations, `fmt_rat` against
 `str(Fraction(x))`, and `verify_zigzag` against `tests/verify_oracle.py`,
 check by check on (name, verdict, detail), on valid and mutated witnesses of
@@ -18,11 +19,11 @@ import pytest
 
 import verify_oracle
 import weights_oracle
-from matvec_oracle import entrywise_dot, from_cols
-from wazz import pca, polyhedra, zigzag
-from wazz.automata import SemiringTag, TagViolation, WeightedAutomaton, check_weights
+from matvec_oracle import entrywise_dot, fractions, from_cols, svec
+from wazz import pca, polyhedra
+from wazz.automata import SemiringTag, TagViolation, WeightedAutomaton, check_weights, trace
 from wazz.formats import fmt_rat
-from wazz.linalg import Mat, vdot, vector, zeros
+from wazz.linalg import Mat, scaled, scaled_dot, vector
 from wazz.polyhedra import INFINITY
 from wazz.zigzag import cubic_zigzag, ghat_zigzag, verify_zigzag
 
@@ -43,7 +44,17 @@ def rand_entry(rng, den_bound):
     return F(rng.randint(-den_bound, den_bound), rng.randint(1, den_bound))
 
 
+def vdot(u, v):
+    """<u, v> of rationals by `scaled_dot` on their scaled vectors."""
+    num, den = scaled_dot(scaled(u), scaled(v))
+    assert type(num) is int and type(den) is int and den > 0
+    return F(num, den)
+
+
 class TestVdot:
+    """`scaled_dot`, the integer dot product of two scaled vectors, which
+    replaced `vdot` on `Fraction` tuples."""
+
     @pytest.mark.parametrize("den_bound", [1, 9, BIG])
     def test_matches_entrywise_sum(self, den_bound):
         rng = random.Random(f"vdot/{den_bound}")
@@ -51,17 +62,20 @@ class TestVdot:
             n = rng.randint(0, 8)
             u = tuple(rand_entry(rng, den_bound) for _ in range(n))
             v = tuple(rand_entry(rng, den_bound) for _ in range(n))
-            got, want = vdot(u, v), entrywise_dot(u, v)
-            assert got == want and type(got) is F
+            assert vdot(u, v) == entrywise_dot(u, v)
 
     def test_length_zero_and_ints(self):
-        assert vdot((), ()) == 0 and type(vdot((), ())) is F
+        assert scaled_dot(scaled(()), scaled(())) == (0, 1)
         assert vdot((2, -3), (F(1, 2), 5)) == -14
-        assert type(vdot((2, -3), (4, 5))) is F
+        assert scaled_dot(scaled((2, -3)), scaled((4, 5))) == (-7, 1)
 
     def test_dimension_check(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            vdot((1, 2), (1, 2, 3))
+        # the stages check a configuration's length before any dot product
+        aut = WeightedAutomaton(tag=T.Q, n=2, alphabet=("a",), out=svec([1, 2]),
+                                trans=(Mat([[1, 0], [0, 1]]),))
+        for depth in (0, 1):
+            with pytest.raises(ValueError, match="configuration has wrong length"):
+                trace(aut, svec([1, 2, 3]), depth)
 
 
 def fmt_cases():
@@ -87,7 +101,7 @@ def planted(rng, tag):
     over 1, and an output above 1."""
     n, letters = rng.randint(1, 4), rng.randint(1, 2)
     aut = rand_automaton(rng, tag, n, ("a", "b")[:letters])
-    out = list(aut.out)
+    out = list(fractions(aut.out))
     rows = [[list(r) for r in m.rows] for m in aut.trans]
     for _ in range(rng.randint(1, 3)):
         value = rng.choice([F(1, 2), F(-1), F(-1, 3), F(1), F(3, 2), F(2, 3), F(7, BIG)])
@@ -95,7 +109,7 @@ def planted(rng, tag):
             out[rng.randrange(n)] = value
         else:
             rows[rng.randrange(letters)][rng.randrange(n)][rng.randrange(n)] = value
-    return vector(out), tuple(Mat(r, ncols=n) for r in rows)
+    return scaled(out), tuple(Mat(r, ncols=n) for r in rows)
 
 
 def outcome(check, tag, out, trans):
@@ -209,9 +223,10 @@ def fractional_witnesses(z):
                                                    ncols=m.ncols))
             yield replace(z, morphisms=tuple(morphisms))
     for j, (i, v) in enumerate(z.relating):
-        if v:
+        if v[1]:
             relating = list(z.relating)
-            relating[j] = (i, (v[0] + F(1, 2),) + v[1:])
+            v = fractions(v)
+            relating[j] = (i, scaled((v[0] + F(1, 2),) + v[1:]))
             yield replace(z, relating=tuple(relating))
 
 
@@ -229,13 +244,13 @@ def test_fractional_images_into_integral_carriers(tag):
 
 def dead_pca():
     """Zero output on an invariant state: the ghat witness reduces it away."""
-    return WeightedAutomaton(tag=T.PCA, n=1, alphabet=("a",), out=zeros(1),
+    return WeightedAutomaton(tag=T.PCA, n=1, alphabet=("a",), out=svec([0]),
                              trans=(Mat([[1]]),))
 
 
 class TestEdgeCases:
     def test_dim_zero_nodes_and_zero_column_morphisms(self):
-        z = ghat_zigzag(dead_pca(), vector([1]), dead_pca(), vector(["1/2"]))
+        z = ghat_zigzag(dead_pca(), svec([1]), dead_pca(), svec(["1/2"]))
         assert [n.dim for n in z.nodes[1:4]] == [0, 0, 0]
         assert [m.matrix.ncols for m in z.morphisms] == [1, 0, 0, 1]
         assert [m.matrix.nrows for m in z.morphisms] == [0, 0, 0, 0]
@@ -245,14 +260,14 @@ class TestEdgeCases:
     def test_nodes_without_generators(self, tag):
         rng = random.Random(f"no-generators/{tag.value}")
         aut1, _, aut2, _ = lifted_pair(rng, tag, 2, 1, ("a", "b"))
-        z = cubic_zigzag(aut1, zeros(aut1.n), aut2, zeros(aut2.n))
+        z = cubic_zigzag(aut1, svec([0] * aut1.n), aut2, svec([0] * aut2.n))
         assert z.nodes[1].generators == ()
         assert assert_same_reports(z) >= 1
 
     def test_pca_node_without_generators(self):
-        aut = WeightedAutomaton(tag=T.PCA, n=2, alphabet=("a",), out=vector(["1/2", "1/3"]),
+        aut = WeightedAutomaton(tag=T.PCA, n=2, alphabet=("a",), out=svec(["1/2", "1/3"]),
                                 trans=(Mat([["1/4", 0], [0, "1/3"]]),))
-        z = ghat_zigzag(aut, zeros(2), aut, zeros(2))
+        z = ghat_zigzag(aut, svec([0, 0]), aut, svec([0, 0]))
         assert z.nodes[2].generators == ()
         assert assert_same_reports(z) >= 1
 
@@ -266,12 +281,12 @@ class TestEdgeCases:
                      11 * primes[i])
 
         small = WeightedAutomaton(
-            tag=tag, n=n, alphabet=("a", "b"), out=vector([F(1, 13 * p) for p in primes]),
+            tag=tag, n=n, alphabet=("a", "b"), out=svec([F(1, 13 * p) for p in primes]),
             trans=tuple(Mat([[entry(i, j, a) for j in range(n)] for i in range(n)])
                         for a in range(2)))
         x = vector([F(1, p) for p in primes])
         for r_cols, x_big in (([], x), ([vector([F(1, 5), 0, F(1, 7)])], x + (F(1, 11),))):
-            z = build(*lift(small, r_cols, x_big))
+            z = build(*lift(small, r_cols, scaled(x_big)))
             assert assert_same_reports(z) >= 1
 
     @pytest.mark.parametrize("tag", [T.Q, T.REAL, T.QPLUS, T.RPLUS, T.UNIT, T.PCA],
@@ -284,7 +299,7 @@ class TestEdgeCases:
                     return F(rng.randint(-BIG, BIG), rng.randint(1, BIG))
                 trans = tuple(Mat([[entry() for _ in range(n)] for _ in range(n)])
                               for _ in range(2))
-                out = vector([entry() for _ in range(n)])
+                out = svec([entry() for _ in range(n)])
                 r_cols = [vector([entry() for _ in range(n)]) for _ in range(extra)]
                 x_big = vector([entry() for _ in range(n + extra)])
             else:
@@ -295,14 +310,14 @@ class TestEdgeCases:
                     return [F(a, total) for a in raw]
 
                 cols = [column(2 * n + 1) for _ in range(n)]
-                out = vector([c[0] for c in cols]) if tag is T.PCA else vector(
+                out = svec([c[0] for c in cols]) if tag is T.PCA else svec(
                     [F(rng.randint(0, BIG), BIG) for _ in range(n)])
                 trans = tuple(from_cols([c[1 + a * n:1 + (a + 1) * n] for c in cols],
                                             nrows=n) for a in range(2))
                 r_cols = [vector(column(n)) for _ in range(extra)]
                 x_big = vector(column(n + extra))
             small = WeightedAutomaton(tag=tag, n=n, alphabet=("a", "b"), out=out, trans=trans)
-            z = build(*lift(small, r_cols, x_big))
+            z = build(*lift(small, r_cols, scaled(x_big)))
             assert assert_same_reports(z) >= 1
 
 
@@ -365,7 +380,7 @@ def test_verifier_applies_each_image_once(tag, monkeypatch):
     k |Sigma| products per node with k generators, k_src (1 + 2 |Sigma|) per
     morphism (f g, then f (M g) and M' (f g) for its square) and one per
     morphism into a sink (the image of a relating element for `chain`).  It
-    builds no `Fraction`, which only a failure detail quotes."""
+    builds no `Fraction`: a failure detail quotes its values from integers."""
     rng = random.Random(f"images-once/{tag.value}")
     witnesses = [build(*lifted_pair(rng, tag, k, extra, alphabet))
                  for k, extra in ((2, 1), (3, 1)) for alphabet in (("a",), ("a", "b"))]
@@ -373,7 +388,9 @@ def test_verifier_applies_each_image_once(tag, monkeypatch):
     original = Mat.apply_scaled
     monkeypatch.setattr(Mat, "apply_scaled",
                         lambda self, x: calls.append(self) or original(self, x))
-    monkeypatch.setattr(zigzag, "Fraction", None)
+    built, new = [], F.__new__
+    monkeypatch.setattr(F, "__new__", lambda cls, *args, **kw: built.append(args)
+                        or new(cls, *args, **kw))
     for z in witnesses:
         calls.clear()
         assert verify_zigzag(z).valid
@@ -384,6 +401,7 @@ def test_verifier_applies_each_image_once(tag, monkeypatch):
         assert len(calls) == (sum(k * letters for k in ks)
                               + sum(ks[mor.src] * (1 + 2 * letters) for mor in z.morphisms)
                               + into_sinks)
+    assert built == []
 
 
 @pytest.mark.parametrize("tag", [T.NAT, T.INT, T.Q, T.REAL], ids=lambda t: t.value)

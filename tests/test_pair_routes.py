@@ -10,12 +10,12 @@ import pytest
 
 import pair_oracle
 import weights_oracle
-from wazz.automata import (NotEquivalent, SemiringTag, WeightedAutomaton, automaton_to_text,
-                           equivalent, pair_submodule, parse_automaton)
-from wazz.linalg import Mat, closure_under_maps, vector
+from wazz.automata import (NotEquivalent, SemiringTag, WeightedAutomaton, _scalar_rules,
+                           automaton_to_text, equivalent, pair_submodule, parse_automaton)
+from wazz.linalg import Mat, closure_under_maps, scaled
 
 from genrandom import lifted_pair, rand_automaton, rand_config, zero_one_weight
-from matvec_oracle import identity
+from matvec_oracle import fractions, identity, svec
 
 T = SemiringTag
 BIG = 10**12
@@ -42,12 +42,12 @@ def route_pairs(tag, seed, count):
 def uneven_denominator_pairs():
     """q pairs whose sides have letter-matrix denominators 3 and 15, and
     output denominators 2 and 1: one equivalent, one separated by a."""
-    left = WeightedAutomaton(tag=T.Q, n=1, alphabet=("a",), out=vector([F(1, 2)]),
+    left = WeightedAutomaton(tag=T.Q, n=1, alphabet=("a",), out=svec([F(1, 2)]),
                              trans=(Mat([[F(1, 3)]]),))
-    for corner, x2 in ((0, vector([F(1, 2), 0])), (F(1, 5), vector([F(1, 2), 1]))):
-        right = WeightedAutomaton(tag=T.Q, n=2, alphabet=("a",), out=vector([1, 0]),
+    for corner, x2 in ((0, svec([F(1, 2), 0])), (F(1, 5), svec([F(1, 2), 1]))):
+        right = WeightedAutomaton(tag=T.Q, n=2, alphabet=("a",), out=svec([1, 0]),
                                   trans=(Mat([[F(1, 3), corner], [0, F(1, 5)]]),))
-        yield left, vector([1]), right, x2
+        yield left, svec([1]), right, x2
 
 
 def outcome(route, pair):
@@ -76,7 +76,8 @@ def assert_same_route(pair):
     if word is not None:
         return False
     assert basis == want_basis
-    assert all(type(q) is F for g in basis for q in g)
+    assert all(type(d) is int and type(ints) is tuple and all(type(a) is int for a in ints)
+               for d, ints in basis)
     assert_same_paired(paired, want_paired)
     return True
 
@@ -117,8 +118,8 @@ def test_z_closure_matches_hnf_rebuild(tag):
     for seed in range(3):
         for aut1, x1, aut2, x2 in route_pairs(tag, seed, 40):
             pair = aut1.paired(aut2)
-            start = tuple(x1) + tuple(x2)
-            assert (closure_under_maps(start, pair.trans)
+            start = fractions(x1) + fractions(x2)
+            assert (closure_under_maps(scaled(start), pair.trans)
                     == pair_oracle.closure_under_maps(start, pair.trans))
     rng = random.Random("z-closure/signed")
     for _ in range(100):
@@ -126,7 +127,7 @@ def test_z_closure_matches_hnf_rebuild(tag):
         maps = [Mat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
                 for _ in range(rng.randint(1, 2))]
         start = tuple(rng.randint(-4, 4) for _ in range(n))
-        got = closure_under_maps(start, maps)
+        got = closure_under_maps(scaled(start), maps)
         assert got == pair_oracle.closure_under_maps(start, maps)
         assert all(type(a) is int for g in got for a in g)
 
@@ -138,7 +139,7 @@ def test_z_closure_rejects_what_the_hnf_rebuild_rejects():
         with pytest.raises(ValueError) as want:
             pair_oracle.closure_under_maps(start, maps)
         with pytest.raises(ValueError) as got:
-            closure_under_maps(start, maps)
+            closure_under_maps(scaled(start), maps)
         assert str(got.value) == str(want.value)
 
 
@@ -152,15 +153,18 @@ def rule_grid():
 
 @pytest.mark.parametrize("tag", list(T), ids=lambda t: t.value)
 def test_integer_rules_match_fraction_rules(tag):
-    grid = rule_grid()
+    """`_scalar_rules` tests a scaled vector's integers at once: it holds
+    exactly when every entry is a scalar of the tag."""
+    grid, rules = rule_grid(), _scalar_rules(tag)
     for q in grid:
-        assert tag.entry_ok(q) == weights_oracle.entry_ok(tag, q), q
-        assert tag.scalar_ok(q) == weights_oracle.scalar_ok(tag, q), q
-    for q in (0, 1, -1, 2, True, False):
-        assert tag.scalar_ok(q) == weights_oracle.scalar_ok(tag, F(q))
+        assert rules(q.denominator, (q.numerator,)) == weights_oracle.scalar_ok(tag, q), q
+    rng = random.Random(f"rules/{tag.value}")
+    for _ in range(300):
+        v = [rng.choice(grid) for _ in range(rng.randint(0, 4))]
+        assert rules(*scaled(v)) == all(weights_oracle.scalar_ok(tag, q) for q in v), v
     # q and real take every rational
     expected = {True} if tag in (T.Q, T.REAL) else {True, False}
-    assert {tag.scalar_ok(q) for q in grid} == expected
+    assert {rules(q.denominator, (q.numerator,)) for q in grid} == expected
 
 
 def parsed(aut, x):

@@ -4,11 +4,13 @@ from fractions import Fraction as F
 import pytest
 
 from wazz import polyhedra
-from wazz.linalg import Mat, vdot, vector, unit, zeros
+from wazz.linalg import Mat, scaled, unit, vector
 from wazz.polyhedra import (HRep, INFINITY, PRODUCT, SCALED, InternalError, PcaPolytope,
                             VRep, cone_member, cone_restriction, dd_h_to_v, dd_v_to_h,
                             gauge, simplex_restriction)
 from wazz.hilbert import qplus_restriction_by_scaling
+
+from matvec_oracle import fractions, funit, svec, vdot, zeros
 
 from ghat_oracle import pca_member
 from lp_oracle import lp_feasible
@@ -113,7 +115,7 @@ class TestDD:
         assert not h.member(zeros(1))
 
     def test_whole_space(self):
-        v = VRep(2, (zeros(2),), (unit(2, 0), vector([-1, 0]), unit(2, 1), vector([0, -1])))
+        v = VRep(2, (zeros(2),), (funit(2, 0), vector([-1, 0]), funit(2, 1), vector([0, -1])))
         h = dd_v_to_h(v)
         assert h.ineqs == ()
 
@@ -147,17 +149,17 @@ class TestDD:
 
 class TestGauge:
     def test_simplex_gauge(self):
-        assert gauge(delta(2), vector(["1/2", "1/4"])) == F(3, 4)
+        assert gauge(delta(2), svec(["1/2", "1/4"])) == F(3, 4)
 
     def test_zero(self):
-        assert gauge(delta(2), zeros(2)) == 0
+        assert gauge(delta(2), svec([0, 0])) == 0
 
     def test_pyramid_example(self):
-        pyr = PcaPolytope(2, (vector(["1/2", 0]), vector([0, 1])))
-        assert gauge(pyr, vector([1, 1])) == 3
+        pyr = PcaPolytope(2, (svec(["1/2", 0]), svec([0, 1])))
+        assert gauge(pyr, svec([1, 1])) == 3
 
     def test_outside_cone(self):
-        assert gauge(delta(1), vector([-1])) is INFINITY
+        assert gauge(delta(1), svec([-1])) is INFINITY
 
     def test_laws_and_lp_agreement(self):
         rng = random.Random(43)
@@ -167,26 +169,25 @@ class TestGauge:
             ngen = rng.randint(1, 3)
             gens = []
             for _ in range(ngen):
-                gens.append(vector([F(rng.randint(0, 4), rng.randint(1, 3))
-                                    for _ in range(dim)]))
+                gens.append(svec([F(rng.randint(0, 4), rng.randint(1, 3))
+                                  for _ in range(dim)]))
             X = PcaPolytope(dim, tuple(gens))
             x = rand_point(rng, dim, span=3)
             y = rand_point(rng, dim, span=3)
-            gx, gy = gauge(X, x), gauge(X, y)
+            gx, gy = gauge(X, scaled(x)), gauge(X, scaled(y))
             # homogeneity
             p = F(rng.randint(0, 5), rng.randint(1, 3))
             if gx is INFINITY:
                 if p > 0:
-                    assert gauge(X, tuple(p * a for a in x)) is INFINITY
+                    assert gauge(X, scaled([p * a for a in x])) is INFINITY
             else:
-                scaled = gauge(X, tuple(p * a for a in x))
-                assert scaled == p * gx
+                assert gauge(X, scaled([p * a for a in x])) == p * gx
             # subadditivity, with INFINITY absorbing
-            gxy = gauge(X, tuple(a + b for a, b in zip(x, y)))
+            gxy = gauge(X, scaled([a + b for a, b in zip(x, y)]))
             if gx is not INFINITY and gy is not INFINITY:
                 assert gxy is not INFINITY and gxy <= gx + gy
             # agreement with the independent LP oracle
-            lp = oracle_min_sum(X.generators, x)
+            lp = oracle_min_sum([fractions(g) for g in X.generators], x)
             assert lp == gx or (lp is INFINITY and gx is INFINITY)
             # membership sandwich
             member = pca_member(X, x)
@@ -198,16 +199,16 @@ class TestGauge:
         for _ in range(40):
             dim = rng.randint(1, 3)
             def rand_poly():
-                gens = [vector([F(rng.randint(0, 3), rng.randint(1, 2))
-                                for _ in range(dim)]) for _ in range(rng.randint(1, 3))]
+                gens = [svec([F(rng.randint(0, 3), rng.randint(1, 2))
+                              for _ in range(dim)]) for _ in range(rng.randint(1, 3))]
                 return PcaPolytope(dim, tuple(gens))
             X, Y = rand_poly(), rand_poly()
             # X ∩ Y through the double description
-            hx = dd_v_to_h(VRep(dim, (zeros(dim),) + X.generators, ()))
-            hy = dd_v_to_h(VRep(dim, (zeros(dim),) + Y.generators, ()))
+            hx = dd_v_to_h(VRep(dim, (zeros(dim),) + tuple(map(fractions, X.generators)), ()))
+            hy = dd_v_to_h(VRep(dim, (zeros(dim),) + tuple(map(fractions, Y.generators)), ()))
             both = dd_h_to_v(HRep(dim, hx.ineqs + hy.ineqs))
-            XY = PcaPolytope(dim, tuple(p for p in both.points if any(p)))
-            x = rand_point(rng, dim, span=2)
+            XY = PcaPolytope(dim, tuple(scaled(p) for p in both.points if any(p)))
+            x = scaled(rand_point(rng, dim, span=2))
             gx, gy, gxy = gauge(X, x), gauge(Y, x), gauge(XY, x)
             if gx is INFINITY or gy is INFINITY:
                 assert gxy is INFINITY
@@ -280,22 +281,22 @@ class TestLP:
 class TestRestrictions:
     def test_cone_full_plane(self):
         rays = cone_restriction([unit(2, 0), unit(2, 1)])
-        assert set(rays) == {vector([1, 0]), vector([0, 1])}
+        assert set(rays) == {svec([1, 0]), svec([0, 1])}
 
     def test_cone_diagonal(self):
-        assert cone_restriction([vector([1, 1])]) == [vector([1, 1])]
+        assert cone_restriction([svec([1, 1])]) == [svec([1, 1])]
 
     def test_cone_antidiagonal(self):
-        assert cone_restriction([vector([1, -1])]) == []
+        assert cone_restriction([svec([1, -1])]) == []
 
     def test_cone_route_matches_scaling_route(self):
         rng = random.Random(59)
         for _ in range(20):
             dim = rng.randint(2, 4)
             k = rng.randint(1, dim)
-            span = [vector([rng.randint(-2, 2) for _ in range(dim)]) for _ in range(k)]
+            span = [svec([rng.randint(-2, 2) for _ in range(dim)]) for _ in range(k)]
             cone_gens = cone_restriction(span)
-            scal_gens = [vector(g) for g in qplus_restriction_by_scaling(span)]
+            scal_gens = [scaled(g) for g in qplus_restriction_by_scaling(map(fractions, span))]
             for g in scal_gens:
                 assert cone_member(tuple(cone_gens), g)
             for g in cone_gens:
@@ -303,23 +304,22 @@ class TestRestrictions:
 
     def test_simplex_product_full(self):
         p = simplex_restriction([unit(2, 0), unit(2, 1)], PRODUCT, 1, 1)
-        assert set(p.generators) | {zeros(2)} == {
-            zeros(2), vector([1, 0]), vector([0, 1]), vector([1, 1])}
+        assert set(p.generators) == {svec([1, 0]), svec([0, 1]), svec([1, 1])}
 
     def test_simplex_product_diagonal(self):
-        p = simplex_restriction([vector([1, 1])], PRODUCT, 1, 1)
-        assert p.generators == (vector([1, 1]),)
+        p = simplex_restriction([svec([1, 1])], PRODUCT, 1, 1)
+        assert p.generators == (svec([1, 1]),)
 
     def test_simplex_scaled_diagonal(self):
-        p = simplex_restriction([vector([1, 1])], SCALED, 1, 1)
-        assert p.generators == (vector([1, 1]),)
+        p = simplex_restriction([svec([1, 1])], SCALED, 1, 1)
+        assert p.generators == (svec([1, 1]),)
 
     def test_unbounded_simplex_intersection_is_internal_error(self, monkeypatch):
         # a ray with t = 0 of the homogenized cone in the span's coordinates
         rays = lambda normals, dim: [(0,) * (dim - 1) + (1,), (1,) * (dim - 1) + (0,)]
         monkeypatch.setattr(polyhedra, "_pointed_cone_rays", rays)
         with pytest.raises(InternalError, match="must be bounded"):
-            simplex_restriction([vector([1, 1])], SCALED, 1, 1)
+            simplex_restriction([svec([1, 1])], SCALED, 1, 1)
 
 
 class TestFacetCaches:
@@ -328,9 +328,9 @@ class TestFacetCaches:
         for cached in (polyhedra._subconvex_facets, polyhedra._cone_facets):
             assert cached.cache_info().maxsize == size
         for k in range(1, size + 6):
-            p = PcaPolytope(2, (vector([1, 0]), vector([F(1, k), 1])))
-            assert gauge(p, vector([1, 0])) == 1
-            assert cone_member(p.generators, vector([1, 0]))
+            p = PcaPolytope(2, (svec([1, 0]), svec([F(1, k), 1])))
+            assert gauge(p, svec([1, 0])) == 1
+            assert cone_member(p.generators, svec([1, 0]))
         for cached in (polyhedra._subconvex_facets, polyhedra._cone_facets):
             assert cached.cache_info().currsize <= size
 
@@ -339,9 +339,9 @@ class TestFacetCaches:
         for cached in (polyhedra._subconvex_facets, polyhedra._cone_facets):
             cached.cache_clear()
         gens = ((1, 0), (F(1, 3), 1))
-        for g in (gens, tuple(map(vector, gens))):
-            assert gauge(PcaPolytope(2, g), vector([1, 1])) == F(5, 3)
-            assert cone_member(g, vector([1, 1]))
+        for g in (tuple(map(scaled, gens)), tuple(map(svec, gens))):
+            assert gauge(PcaPolytope(2, g), svec([1, 1])) == F(5, 3)
+            assert cone_member(g, svec([1, 1]))
         for cached in (polyhedra._subconvex_facets, polyhedra._cone_facets):
             assert (cached.cache_info().misses, cached.cache_info().hits) == (1, 1)
 
@@ -370,7 +370,7 @@ class TestTextFormats:
     def test_pca_roundtrip_and_validation(self):
         from wazz.formats import ParseError
         from wazz.polyhedra import parse_pca_polytope, pca_polytope_to_text
-        p = PcaPolytope(2, (vector(["1/2", 0]), vector([0, 1])))
+        p = PcaPolytope(2, (svec(["1/2", 0]), svec([0, 1])))
         assert parse_pca_polytope(pca_polytope_to_text(p)) == p
         with pytest.raises(ParseError):
             parse_pca_polytope("pca 1\ngen -1\n")

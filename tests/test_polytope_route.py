@@ -18,7 +18,7 @@ import pytest
 
 from wazz import cli, linalg
 from wazz.cli import main
-from wazz.formats import fmt_vec
+from wazz.formats import fmt_rat
 from wazz.polyhedra import HRep, VRep, cone_rays, dd_h_to_v, dd_v_to_h
 
 import dd_oracle
@@ -59,6 +59,10 @@ def rand_vrep(rng):
     dim = rng.randint(0, 5)
     points = rand_vectors(rng, dim, rng.choice((0, 1, 1, 2, 3, 4)))
     return VRep(dim, tuple(points), tuple(rand_vectors(rng, dim, rng.randint(0, 3))))
+
+
+def fmt_vec(v):
+    return " ".join(map(fmt_rat, v))
 
 
 def hrep_text(h):

@@ -20,6 +20,7 @@ import kernel_oracle
 from wazz import polyhedra
 from wazz.automata import SemiringTag
 from wazz.cli import main
+from wazz.linalg import scaled
 from wazz.polyhedra import (INFINITY, PcaPolytope, SearchBudgetExceeded, cone_member,
                             gauge)
 from wazz.zigzag import cubic_zigzag, ghat_zigzag, parse_zigzag, verify_zigzag, zigzag_to_text
@@ -78,15 +79,16 @@ def probe_points(rng, gens, dim):
 
 
 def assert_hull_matches(gens, dim, rng, kinds):
-    p = PcaPolytope(dim, tuple(gens))
-    for x in probe_points(rng, gens, dim):
+    p = PcaPolytope(dim, tuple(map(scaled, gens)))
+    for x in map(scaled, probe_points(rng, gens, dim)):
         want = kernel_oracle.gauge(p, x)
         assert same_gauge(gauge(p, x), want), (gens, x)
         kinds.add("inf" if want is INFINITY else (want > 1) - (want < 1))
 
 
 def assert_cone_matches(gens, dim, rng, verdicts):
-    for x in probe_points(rng, gens, dim):
+    points, gens = probe_points(rng, gens, dim), [scaled(g) for g in gens]
+    for x in map(scaled, points):
         want = kernel_oracle.cone_member(gens, x)
         assert cone_member(gens, x) is want, (gens, x)
         verdicts.add(want)
@@ -137,18 +139,19 @@ class TestEdgeCases:
         assert kinds == {"inf", -1, 0, 1} and verdicts == {True, False}
 
     def test_points_just_off_the_span(self):
-        gens = [(F(1), F(1), F(0)), (F(0), F(1), F(1))]
+        gens = [scaled((F(1), F(1), F(0))), scaled((F(0), F(1), F(1)))]
         p = PcaPolytope(3, tuple(gens))
         on = (F(1, 2), F(1), F(1, 2))
-        assert gauge(p, on) == 1 and cone_member(gens, on)
+        assert gauge(p, scaled(on)) == 1 and cone_member(gens, scaled(on))
         for i in range(3):
-            off = on[:i] + (on[i] + NUDGE,) + on[i + 1:]
+            off = scaled(on[:i] + (on[i] + NUDGE,) + on[i + 1:])
             assert gauge(p, off) is INFINITY is kernel_oracle.gauge(p, off)
             assert not cone_member(gens, off) and not kernel_oracle.cone_member(gens, off)
 
     def test_dimension_zero(self):
-        assert gauge(PcaPolytope(0, ()), ()) == 0
-        assert cone_member([], ()) and cone_member([()], ())
+        empty = scaled(())
+        assert gauge(PcaPolytope(0, ()), empty) == 0
+        assert cone_member([], empty) and cone_member([empty], empty)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +169,7 @@ def moment_curve_witness(n):
     gens = []
     for t in range(1, n + 1):
         p = [t ** (i % 6 + 1) for i in range(16)]
-        gens.append(tuple(F(a, sum(p)) for a in p))
+        gens.append(scaled([F(a, sum(p)) for a in p]))
     return replace(z, nodes=z.nodes[:2] + (replace(middle, generators=tuple(gens)),)
                    + z.nodes[3:])
 
@@ -207,10 +210,10 @@ def no_budget(monkeypatch):
 
 
 def test_overrun_is_raised_again_without_a_second_enumeration(no_budget):
-    square = PcaPolytope(2, ((F(1), F(0)), (F(0), F(1)), (F(1), F(1))))
+    square = PcaPolytope(2, (scaled((1, 0)), scaled((0, 1)), scaled((1, 1))))
     for _ in range(2):
         with pytest.raises(SearchBudgetExceeded, match="budget of 0 steps"):
-            gauge(square, (F(1), F(1)))
+            gauge(square, scaled((1, 1)))
     facets = polyhedra._subconvex_facets(((1, (1, 0)), (1, (0, 1)), (1, (1, 1))), 2)
     assert facets._overrun == "facet enumeration exceeded its budget of 0 steps"
     assert facets._frame is None

@@ -17,9 +17,6 @@ TRACING = ROOT / "bench" / "tracing.py"
 ALLOWED = {
     # the writer of the `pca` text format that `wazz gauge` reads; a round trip pins it
     "polyhedra.pca_polytope_to_text",
-    # the letter-entry rule on one Fraction, beside `scalar_ok`; `automata`'s
-    # matrix check applies the same rule to scaled integers
-    "automata.SemiringTag.entry_ok",
 }
 
 

@@ -21,8 +21,9 @@ import pytest
 
 import verify_oracle
 from genrandom import lifted_pair, report_witnesses
+from matvec_oracle import fractions
 from wazz.automata import SemiringTag
-from wazz.linalg import Mat
+from wazz.linalg import Mat, scaled
 from wazz.zigzag import cubic_zigzag, ghat_zigzag, verify_zigzag
 
 T = SemiringTag
@@ -51,9 +52,9 @@ def trace_mutations(z, rng):
         coalg = z.nodes[i].coalgebra
         if not coalg.n:
             continue
-        out = list(coalg.out)
+        out = list(fractions(coalg.out))
         out[rng.randrange(coalg.n)] += rng.choice([F(1), F(-1), F(1, 2)])
-        yield f"endpoint output at node {i}", with_coalgebra(i, out=tuple(out))
+        yield f"endpoint output at node {i}", with_coalgebra(i, out=scaled(out))
         for a, m in enumerate(coalg.trans):
             trans = list(coalg.trans)
             trans[a] = bumped(m, rng)

@@ -1,19 +1,94 @@
 """The benchmark's tracer looks up each function it times by name; a name
 that leaves its module would otherwise show only when a traced benchmark run
-raises AttributeError."""
+raises AttributeError.  It also reads a size off each result it records, so
+the sizes are checked against what the commands print."""
 
 import importlib
 import importlib.util
+import random
 from pathlib import Path
+
+import pytest
+
+from genrandom import lifted_pair
+from wazz import cli
+from wazz.automata import SemiringTag, automaton_to_text
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
 def test_every_traced_name_is_a_function_of_its_module():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_tracing()
     assert tracing.TRACED
     for module, name in tracing.TRACED:
         target = getattr(importlib.import_module(f"wazz.{module}"), name, None)
         assert callable(target), f"wazz.{module}.{name}"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def witness_counts(text):
+    """(node dims, generator counts) read off a witness's node headers."""
+    heads = [line.split() for line in text.splitlines() if line.startswith("node ")]
+    return [int(h[4]) for h in heads], [int(h[6]) for h in heads]
+
+
+SIZED = {"pair_submodule", "nat_restriction", "cone_restriction", "simplex_restriction",
+         "cubic_zigzag", "ghat_zigzag", "verify_zigzag"}
+
+
+@pytest.mark.parametrize("tag", ["q", "nat", "qplus", "unit", "pca"])
+def test_traced_sizes_count_vectors(tag, tmp_path, capsys):
+    """Each traced size is read off the real result of its function: the
+    pair closure's dimension, the restriction's and the middle node's
+    generator counts, and the verifier's checks.  Each equals the number of
+    vectors (or checks) the command prints, so a change of representation
+    cannot silently change a `--trace 1` layer size."""
+    tracing = load_tracing()
+    aut1, x1, aut2, x2 = lifted_pair(random.Random(f"traced-sizes/{tag}"),
+                                     SemiringTag(tag), 2, 1, ("a", "b"))
+    left, right, witness = (str(tmp_path / name) for name in ("l.wa", "r.wa", "w.zz"))
+    for path, aut, x in ((left, aut1, x1), (right, aut2, x2)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(automaton_to_text(aut, x))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        outs = []
+        for op, argv in enumerate((["equiv", left, right], ["zigzag", left, right, "-o", witness],
+                                   ["verify", witness])):
+            assert tracer.call_root(op, cli.main, argv) == 0
+            outs.append(capsys.readouterr().out)
+    finally:
+        tracer.uninstall()
+    names = [name for _, name in tracer.keys]
+    sizes = {}  # (op, function) -> the sizes of its spans
+    for op, _, index, _, _, size in tracer.spans:
+        if names[index] in SIZED:
+            sizes.setdefault((op, names[index]), []).append(size)
+
+    lines = outs[0].splitlines()
+    closure = int(lines[1].split()[4])
+    assert len(lines) == 2 + closure
+    assert all(len(line.split()) == aut1.n + aut2.n for line in lines[2:])
+    assert sizes[0, "pair_submodule"] == [closure]
+
+    with open(witness, encoding="utf-8") as fh:
+        dims, gens = witness_counts(fh.read())
+    middle = gens[len(gens) // 2]
+    build = "ghat_zigzag" if tag == "pca" else "cubic_zigzag"
+    restriction = {"nat": "nat_restriction", "qplus": "cone_restriction",
+                   "unit": "simplex_restriction", "pca": "simplex_restriction"}.get(tag)
+    assert sizes[1, build] == [middle]
+    if restriction:
+        assert sizes[1, restriction] == [middle]
+    else:  # the ring tags keep the pair closure itself
+        assert sizes[1, "pair_submodule"] == [middle] == [closure]
+    assert outs[2] == f"VALID ({sizes[2, 'verify_zigzag'][0]} checks passed)\n"
+    assert {name for _, name in sizes} == SIZED & {
+        "pair_submodule", build, restriction, "verify_zigzag"}

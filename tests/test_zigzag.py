@@ -10,33 +10,33 @@ import pytest
 from wazz.automata import (LinearCoalgebra, NotEquivalent, SemiringTag, WeightedAutomaton,
                            pair_submodule, separating_word, trace)
 from wazz.hilbert import qplus_restriction_by_scaling
-from wazz.linalg import Mat, unit, vector, vneg, zeros
+from wazz.linalg import Mat, scaled, unit
 from wazz.pca import invariant_zero_set
 from wazz.polyhedra import cone_member
 from wazz import linalg, polyhedra, zigzag
 from wazz.zigzag import (CUBIC, FREE_MODULE, FREE_PCA, GENERATED_MODULE,
                          GENERATED_PCA, GHAT, Morphism, SearchBudgetExceeded, ZigZag,
-                         ZigZagNode, _nat_monoid_member, cubic_zigzag, ghat_zigzag,
+                         ZigZagNode, _carrier, _nat_monoid_member, cubic_zigzag, ghat_zigzag,
                          parse_zigzag, verify_zigzag, zigzag_to_text)
 
 from genrandom import lifted_pair, rand_automaton, rand_config, report_witnesses
-from matvec_oracle import identity, transpose, zero
+from matvec_oracle import fractions, identity, sconcat, svec, transpose, zero
 
 T = SemiringTag
 
 
 def qplus_pair():
     aut1 = WeightedAutomaton(tag=T.QPLUS, n=1, alphabet=("a",),
-                             out=vector(["1/2"]), trans=(Mat([["1/2"]]),))
+                             out=svec(["1/2"]), trans=(Mat([["1/2"]]),))
     aut2 = WeightedAutomaton(tag=T.QPLUS, n=2, alphabet=("a",),
-                             out=vector(["1/2", "1/2"]),
+                             out=svec(["1/2", "1/2"]),
                              trans=(Mat([[0, "1/2"], ["1/2", 0]]),))
-    return aut1, vector([1]), aut2, unit(2, 0)
+    return aut1, svec([1]), aut2, unit(2, 0)
 
 
 def pca_half_loop():
     return WeightedAutomaton(tag=T.PCA, n=1, alphabet=("a",),
-                             out=vector(["1/2"]), trans=(Mat([["1/2"]]),))
+                             out=svec(["1/2"]), trans=(Mat([["1/2"]]),))
 
 
 def failing_names(report):
@@ -47,12 +47,12 @@ class TestCubic:
     def test_identical_nat_automata(self):
         rng = random.Random(201)
         aut = rand_automaton(rng, T.NAT, 2, ("a",))
-        x = vector([1, 2])
+        x = svec([1, 2])
         z = cubic_zigzag(aut, x, aut, x)
         assert len(z.nodes) == 3
         assert z.nodes[1].kind == GENERATED_MODULE
         # the diagonal element relates the endpoints
-        assert dict(z.relating)[1] == tuple(x) + tuple(x)
+        assert dict(z.relating)[1] == sconcat(x, x)
         report = verify_zigzag(z)
         assert report.valid, failing_names(report)
 
@@ -60,14 +60,14 @@ class TestCubic:
         z = cubic_zigzag(*qplus_pair())
         assert [n.kind for n in z.nodes] == [FREE_MODULE, GENERATED_MODULE, FREE_MODULE]
         # middle generators: hand reduction of span{(1,1,0),(1/2,0,1/2)} ∩ Q+^3
-        assert set(z.nodes[1].generators) == {vector([1, 0, 1]), vector([1, 1, 0])}
+        assert set(z.nodes[1].generators) == {svec([1, 0, 1]), svec([1, 1, 0])}
         report = verify_zigzag(z)
         assert report.valid, failing_names(report)
 
     def test_not_equivalent(self):
         aut1, x1, aut2, x2 = qplus_pair()
         bad = WeightedAutomaton(tag=T.QPLUS, n=2, alphabet=("a",),
-                                out=vector(["1/2", 1]), trans=aut2.trans)
+                                out=svec(["1/2", 1]), trans=aut2.trans)
         with pytest.raises(NotEquivalent) as err:
             cubic_zigzag(aut1, x1, bad, x2)
         assert err.value.word == ("a",)
@@ -75,7 +75,7 @@ class TestCubic:
     def test_pca_tag_rejected(self):
         aut = pca_half_loop()
         with pytest.raises(ValueError):
-            cubic_zigzag(aut, vector([1]), aut, vector([1]))
+            cubic_zigzag(aut, svec([1]), aut, svec([1]))
 
     @pytest.mark.parametrize("tag", [T.NAT, T.INT, T.QPLUS, T.Q, T.RPLUS,
                                      T.REAL, T.UNIT])
@@ -97,34 +97,34 @@ class TestCubic:
 class TestGhat:
     def test_worked_half_loop(self):
         aut = pca_half_loop()
-        z = ghat_zigzag(aut, vector([1]), aut, vector([1]))
+        z = ghat_zigzag(aut, svec([1]), aut, svec([1]))
         assert len(z.nodes) == 5
         kinds = [n.kind for n in z.nodes]
         assert kinds == [FREE_PCA, FREE_PCA, GENERATED_PCA, FREE_PCA, FREE_PCA]
-        assert z.nodes[2].generators == (vector([1, 1]),)
+        assert z.nodes[2].generators == (svec([1, 1]),)
         report = verify_zigzag(z)
         assert report.valid, failing_names(report)
 
     def test_dead_coordinate_vs_quotient(self):
         big = WeightedAutomaton(tag=T.PCA, n=2, alphabet=("a",),
-                                out=vector(["1/2", 0]),
+                                out=svec(["1/2", 0]),
                                 trans=(Mat([["1/2", 0], [0, 1]]),))
         small = WeightedAutomaton(tag=T.PCA, n=1, alphabet=("a",),
-                                  out=vector(["1/2"]), trans=(Mat([["1/2"]]),))
-        z = ghat_zigzag(big, unit(2, 0), small, vector([1]))
+                                  out=svec(["1/2"]), trans=(Mat([["1/2"]]),))
+        z = ghat_zigzag(big, unit(2, 0), small, svec([1]))
         report = verify_zigzag(z)
         assert report.valid, failing_names(report)
         # the dead coordinate also relates to zero on the other side
-        z2 = ghat_zigzag(big, unit(2, 1), small, zeros(1))
+        z2 = ghat_zigzag(big, unit(2, 1), small, svec([0]))
         report2 = verify_zigzag(z2)
         assert report2.valid, failing_names(report2)
 
     def test_not_equivalent(self):
         aut = pca_half_loop()
         other = WeightedAutomaton(tag=T.PCA, n=1, alphabet=("a",),
-                                  out=vector(["1/4"]), trans=(Mat([["1/2"]]),))
+                                  out=svec(["1/4"]), trans=(Mat([["1/2"]]),))
         with pytest.raises(NotEquivalent) as err:
-            ghat_zigzag(aut, vector([1]), other, vector([1]))
+            ghat_zigzag(aut, svec([1]), other, svec([1]))
         assert err.value.word == ()
 
     def test_random_equivalent_pairs(self):
@@ -161,7 +161,7 @@ def scaling_route_witness(z, pair):
     sorts its own: mutations such as dropping the last generator depend on
     the order."""
     basis, _ = pair_submodule(*pair)
-    gens = sorted(vector(g) for g in qplus_restriction_by_scaling(basis))
+    gens = sorted(scaled(g) for g in qplus_restriction_by_scaling(map(fractions, basis)))
     middle = replace(z.nodes[1], generators=gens)
     return replace(z, nodes=(z.nodes[0], middle, z.nodes[2]))
 
@@ -229,7 +229,8 @@ def perturbed_pca_pairs(rng, count):
                                              rng.randint(0, 2), alphabet)
             j = rng.randrange(aut1.n)
             if rng.random() < 0.5:
-                aut1 = replace(aut1, out=aut1.out[:j] + (0,) + aut1.out[j + 1:])
+                out = fractions(aut1.out)
+                aut1 = replace(aut1, out=scaled(out[:j] + (0,) + out[j + 1:]))
             else:
                 k, i = rng.randrange(len(alphabet)), rng.randrange(aut1.n)
                 rows = [list(r) for r in aut1.trans[k].rows]
@@ -307,7 +308,7 @@ class TestVerifierNegativeControls:
         z = self.make()
         mid = z.nodes[1]
         fake = replace(mid, kind=FREE_MODULE,
-                       generators=mid.generators + (vector([2, 1, 1]),))
+                       generators=mid.generators + (svec([2, 1, 1]),))
         tampered = ZigZag(functor=z.functor, tag=z.tag, alphabet=z.alphabet,
                           nodes=(z.nodes[0], fake, z.nodes[2]),
                           morphisms=z.morphisms, relating=z.relating,
@@ -321,7 +322,7 @@ class TestVerifierNegativeControls:
         tampered = ZigZag(functor=z.functor, tag=z.tag, alphabet=z.alphabet,
                           nodes=z.nodes, morphisms=z.morphisms,
                           relating=z.relating,
-                          endpoints=(z.endpoints[0], vector([0, 1])))
+                          endpoints=(z.endpoints[0], svec([0, 1])))
         report = verify_zigzag(tampered)
         assert not report.valid
         names = failing_names(report)
@@ -338,7 +339,7 @@ class TestWitnessFormat:
 
     def test_roundtrip_ghat(self):
         aut = pca_half_loop()
-        z = ghat_zigzag(aut, vector([1]), aut, vector([1]))
+        z = ghat_zigzag(aut, svec([1]), aut, svec([1]))
         text = zigzag_to_text(z)
         back = parse_zigzag(text)
         assert back == z
@@ -346,8 +347,8 @@ class TestWitnessFormat:
 
     def test_roundtrip_zero_dimensional_nodes(self):
         dead = WeightedAutomaton(tag=T.PCA, n=1, alphabet=("a",),
-                                 out=zeros(1), trans=(Mat([[1]]),))
-        z = ghat_zigzag(dead, vector([1]), dead, vector(["1/2"]))
+                                 out=svec([0]), trans=(Mat([[1]]),))
+        z = ghat_zigzag(dead, svec([1]), dead, svec(["1/2"]))
         assert z.nodes[2].dim == 0
         report = verify_zigzag(z)
         assert report.valid, failing_names(report)
@@ -548,7 +549,7 @@ class TestShapeChecks:
 class TestGhatNegativeControls:
     def make(self):
         aut = pca_half_loop()
-        return ghat_zigzag(aut, vector([1]), aut, vector([1]))
+        return ghat_zigzag(aut, svec([1]), aut, svec([1]))
 
     def rebuilt(self, z, **kw):
         fields = dict(functor=z.functor, tag=z.tag, alphabet=z.alphabet,
@@ -560,8 +561,8 @@ class TestGhatNegativeControls:
     def test_overbudget_pyramid_node(self):
         z = self.make()
         u1 = z.nodes[1]
-        bumped = replace(u1, coalgebra=replace(u1.coalgebra,
-                                               out=tuple(q + 1 for q in u1.coalgebra.out)))
+        bumped = replace(u1, coalgebra=replace(
+            u1.coalgebra, out=scaled([q + 1 for q in fractions(u1.coalgebra.out)])))
         report = verify_zigzag(self.rebuilt(z, nodes=(z.nodes[0], bumped) + z.nodes[2:]))
         assert not report.valid
         names = failing_names(report)
@@ -570,7 +571,7 @@ class TestGhatNegativeControls:
 
     def test_tampered_middle_relating(self):
         z = self.make()
-        relating = tuple((i, v) if i != 2 else (2, vector([2, 2]))
+        relating = tuple((i, v) if i != 2 else (2, svec([2, 2]))
                          for i, v in z.relating)
         report = verify_zigzag(self.rebuilt(z, relating=relating))
         assert not report.valid
@@ -581,7 +582,7 @@ class TestGhatNegativeControls:
     def test_shrunk_pyramid_loses_morphism_carrier(self):
         z = self.make()
         u1 = z.nodes[1]
-        shrunk = replace(u1, generators=tuple(tuple(q / 2 for q in g)
+        shrunk = replace(u1, generators=tuple(scaled([q / 2 for q in fractions(g)])
                                               for g in u1.generators))
         report = verify_zigzag(self.rebuilt(z, nodes=(z.nodes[0], shrunk) + z.nodes[2:]))
         assert not report.valid
@@ -592,9 +593,9 @@ class TestGhatNegativeControls:
 class TestMalformedWitnesses:
     def test_negative_generator_reports_instead_of_crashing(self):
         aut = pca_half_loop()
-        z = ghat_zigzag(aut, vector([1]), aut, vector([1]))
+        z = ghat_zigzag(aut, svec([1]), aut, svec([1]))
         mid = z.nodes[2]
-        poisoned = replace(mid, generators=mid.generators + (vector([-1, 0]),))
+        poisoned = replace(mid, generators=mid.generators + (svec([-1, 0]),))
         tampered = ZigZag(functor=z.functor, tag=z.tag, alphabet=z.alphabet,
                           nodes=z.nodes[:2] + (poisoned,) + z.nodes[3:],
                           morphisms=z.morphisms, relating=z.relating,
@@ -615,7 +616,7 @@ class TestMalformedWitnesses:
 
     def test_duplicate_relating_entries_rejected(self):
         z = cubic_zigzag(*qplus_pair())
-        doubled = z.relating + ((1, vector([0, 0, 0])),)
+        doubled = z.relating + ((1, svec([0, 0, 0])),)
         tampered = ZigZag(functor=z.functor, tag=z.tag, alphabet=z.alphabet,
                           nodes=z.nodes, morphisms=z.morphisms,
                           relating=doubled, endpoints=z.endpoints)
@@ -626,8 +627,9 @@ class TestMalformedWitnesses:
     @staticmethod
     def cut_relating(z, node):
         """z with the relating element at `node` cut to two entries."""
-        relating = tuple((i, v[:2] if i == node else v) for i, v in z.relating)
-        assert len(dict(relating)[node]) == 2 != z.nodes[node].dim
+        relating = tuple((i, scaled(fractions(v)[:2]) if i == node else v)
+                         for i, v in z.relating)
+        assert len(dict(relating)[node][1]) == 2 != z.nodes[node].dim
         return replace(z, relating=relating)
 
     @pytest.mark.parametrize("witness, node, sink", [
@@ -644,17 +646,11 @@ class TestMalformedWitnesses:
         assert chain.detail == f"relating element at node {node} has the wrong length"
 
 
-def unscaled(points):
-    """The rational points of scaled ones (d, the integers d g)."""
-    return tuple(tuple(F(a, d) for a in ints) for d, ints in points)
-
-
 class TestCarrierWorkedOutOnce:
     """During one verification the signs of the generators are read off
-    their scaled integers, with no `Fraction` sign test, no polytope is
-    built, and hull facets are looked up only for a carrier that is not a
-    well-formed free one: one per such node, from its scaled generators,
-    none for the rest."""
+    their scaled integers, no polytope is built, and hull facets are looked
+    up only for a carrier that is not a well-formed free one: one per such
+    node, from its scaled generators, none for the rest."""
 
     def witnesses(self):
         for tag, build in ((T.PCA, ghat_zigzag), (T.UNIT, cubic_zigzag)):
@@ -667,33 +663,26 @@ class TestCarrierWorkedOutOnce:
                 yield replace(z, nodes=(bad,) + z.nodes[1:])
 
     def test_nonnegativity_and_polytopes(self, monkeypatch):
-        checked, built, hulls_seen = [], [], []
-        original_is_nonneg, original_polytope = zigzag.is_nonneg, zigzag.PcaPolytope
-        original_facets = zigzag._subconvex_facets
-
-        def is_nonneg(v):
-            checked.append(v)
-            return original_is_nonneg(v)
+        built, hulls_seen = [], []
+        original_polytope, original_facets = zigzag.PcaPolytope, zigzag._subconvex_facets
 
         def polytope(dim, gens):
             built.append(gens)
             return original_polytope(dim, gens)
 
         def facets(points, dim):
-            hulls_seen.append(unscaled(points))
+            hulls_seen.append(points)
             return original_facets(points, dim)
 
-        monkeypatch.setattr(zigzag, "is_nonneg", is_nonneg)
         monkeypatch.setattr(zigzag, "PcaPolytope", polytope)
         monkeypatch.setattr(zigzag, "_subconvex_facets", facets)
         hulls = 0
         for z in self.witnesses():
-            checked.clear()
             built.clear()
             hulls_seen.clear()
             report = verify_zigzag(z)
             assert report.valid == (len(z.nodes[0].generators) == z.nodes[0].dim)
-            assert checked == [] and built == []
+            assert built == []
             hull_nodes = [n.generators for n in z.nodes
                           if n.kind == GENERATED_PCA or len(n.generators) != n.dim]
             assert hulls_seen == hull_nodes
@@ -708,7 +697,7 @@ class TestCarrierWorkedOutOnce:
         z = ghat_zigzag(*lifted_pair(random.Random("carrier-once/sign"), T.PCA, 2, 1, ("a",)))
         assert z.nodes[node].kind == (FREE_PCA, GENERATED_PCA)[node - 1]
         gens = z.nodes[node].generators
-        bad = gens[:-1] + (gens[-1][:-1] + (F(-1, 10**9),),)
+        bad = gens[:-1] + (scaled(fractions(gens[-1])[:-1] + (F(-1, 10**9),)),)
         report = verify_zigzag(replace(z, nodes=z.nodes[:node] + (
             replace(z.nodes[node], generators=bad),) + z.nodes[node + 1:]))
         assert [(c.name, c.detail) for c in report.checks if c.name == f"node-kind[{node}]"] \
@@ -726,8 +715,7 @@ class TestCarrierWorkedOutOnce:
         polyhedra._subconvex_facets.cache_clear()
         calls.clear()
         assert verify_zigzag(z).valid
-        assert [(unscaled(gens), hull) for gens, hull in calls] \
-            == [(z.nodes[2].generators, True)]
+        assert calls == [(z.nodes[2].generators, True)]
 
 
 def box_monoid_member(gens, target):
@@ -748,37 +736,61 @@ def box_monoid_member(gens, target):
 
 def identity_coalgebra(out):
     """One letter acting as the identity, and the output functional `out`."""
-    return LinearCoalgebra(n=len(out), alphabet=("a",), out=out,
+    return LinearCoalgebra(n=len(out), alphabet=("a",), out=svec(out),
                            trans=(identity(len(out)),))
 
 
-COUNTER = ZigZagNode(kind=FREE_MODULE, generators=((1,),), coalgebra=identity_coalgebra((1,)))
+COUNTER = ZigZagNode(kind=FREE_MODULE, generators=(svec([1]),),
+                     coalgebra=identity_coalgebra((1,)))
 
 
 def deep_nat_witness(k):
     """A nat span witness relating the one-state counters x = k and y = k
     through the middle carrier N(1, 1): everything checks at once except
     that (k, k) is in the carrier, which is k times its one generator."""
-    middle = ZigZagNode(kind=GENERATED_MODULE, generators=((1, 1),),
+    middle = ZigZagNode(kind=GENERATED_MODULE, generators=(svec([1, 1]),),
                         coalgebra=identity_coalgebra((1, 0)))
     return ZigZag(functor=CUBIC, tag=T.NAT, alphabet=("a",),
                   nodes=(COUNTER, middle, COUNTER),
                   morphisms=(Morphism(1, 0, Mat([[1, 0]])), Morphism(1, 2, Mat([[0, 1]]))),
-                  relating=((1, (k, k)),), endpoints=((k,), (k,)))
+                  relating=((1, svec([k, k])),), endpoints=(svec([k]), svec([k])))
 
 
-def two_generator_nat_witness(k, m):
+def nat_witness(generators, k, m):
     """A nat span witness relating the counters x = y = k + m through the
-    middle carrier N{(1, 1, 0), (0, 0, 1)}, mapped to each counter by
-    (x, y, z) -> x + z and y + z.  The hard check is (k, k, m) in the
-    carrier, a descent that enters k + m targets."""
-    middle = ZigZagNode(kind=GENERATED_MODULE, generators=((1, 1, 0), (0, 0, 1)),
+    middle carrier N(generators), generators of the form (p, p, q), mapped
+    to each counter by (x, y, z) -> x + z and y + z.  The hard check is
+    (k, k, m) in the carrier."""
+    middle = ZigZagNode(kind=GENERATED_MODULE, generators=tuple(map(svec, generators)),
                         coalgebra=identity_coalgebra((1, 0, 1)))
     return ZigZag(functor=CUBIC, tag=T.NAT, alphabet=("a",),
                   nodes=(COUNTER, middle, COUNTER),
                   morphisms=(Morphism(1, 0, Mat([[1, 0, 1]])),
                              Morphism(1, 2, Mat([[0, 1, 1]]))),
-                  relating=((1, (k, k, m)),), endpoints=((k + m,), (k + m,)))
+                  relating=((1, svec([k, k, m])),), endpoints=(svec([k + m]), svec([k + m])))
+
+
+def two_generator_nat_witness(k, m):
+    """`nat_witness` on the independent generators (1, 1, 0) and (0, 0, 1):
+    the coordinates of (k, k, m) are (k, m), read off one factorization."""
+    return nat_witness(((1, 1, 0), (0, 0, 1)), k, m)
+
+
+def dependent_nat_witness(k, m):
+    """`nat_witness` on N{(2, 2, 0), (0, 0, 2), (1, 1, 1)}, a copy of
+    N{(2, 0), (0, 2), (1, 1)}, whose members are the (a, a, c) with a + c
+    even: its generators are dependent, so membership is the budgeted
+    descent, which on a non-member enters every target of that parity below
+    it, about (k + 1)(m + 1) / 2."""
+    return nat_witness(((2, 2, 0), (0, 0, 2), (1, 1, 1)), k, m)
+
+
+def nat_member(gens, target):
+    """The verifier's membership test of a generated nat carrier with the
+    integer generators gens, at the rational target."""
+    node = ZigZagNode(kind=GENERATED_MODULE, generators=tuple(map(svec, gens)),
+                      coalgebra=identity_coalgebra((0,) * len(target)))
+    return _carrier(T.NAT, node).member(svec(target))
 
 
 class TestNatMonoidMember:
@@ -808,22 +820,24 @@ class TestNatMonoidMember:
 
     def test_overrun_fails_only_its_check(self, monkeypatch):
         monkeypatch.setattr(zigzag, "MONOID_STEP_BUDGET", 50)
-        assert verify_zigzag(two_generator_nat_witness(25, 25)).valid
-        report = verify_zigzag(two_generator_nat_witness(25, 26))
+        assert verify_zigzag(dependent_nat_witness(25, 25)).valid
+        report = verify_zigzag(dependent_nat_witness(25, 26))
         assert [(c.name, c.detail) for c in report.failures()] == [
             ("relating[1]", "N-monoid membership search exceeded its budget of 50 steps")]
 
     def test_one_generator_decided_exactly(self, monkeypatch):
+        # the carrier decides one generator, as any independent set, by its
+        # coordinate: the budget is never reached
         monkeypatch.setattr(zigzag, "MONOID_STEP_BUDGET", 50)
         big = 10 ** 12
-        assert _nat_monoid_member(((1, 1),), (big, big))
-        assert not _nat_monoid_member(((1, 1),), (big, big + 1))
-        assert _nat_monoid_member(((0, 0), (2, 4), (2, 4)), (6, 12))  # one after dedup
-        assert not _nat_monoid_member(((2, 4),), (3, 6))  # 3/2 times the generator
-        assert not _nat_monoid_member(((2, 0, 1),), (4, 1, 2))
-        assert not _nat_monoid_member(((0, 3),), (1, 3))
-        assert not _nat_monoid_member(((0, 3),), (0, 4))
-        assert _nat_monoid_member(((0, 3),), (0, 9))
+        assert nat_member(((1, 1),), (big, big))
+        assert not nat_member(((1, 1),), (big, big + 1))
+        assert nat_member(((0, 0), (2, 4), (2, 4)), (6, 12))  # one after dedup
+        assert not nat_member(((2, 4),), (3, 6))  # 3/2 times the generator
+        assert not nat_member(((2, 0, 1),), (4, 1, 2))
+        assert not nat_member(((0, 3),), (1, 3))
+        assert not nat_member(((0, 3),), (0, 4))
+        assert nat_member(((0, 3),), (0, 9))
 
     def test_one_generator_matches_box_enumeration(self):
         rng = random.Random("nat-monoid-one")
@@ -838,10 +852,22 @@ class TestNatMonoidMember:
                 target = tuple(c * a for a in g)
             else:
                 target = tuple(rng.randint(0, 9) for _ in g)
-            verdict = _nat_monoid_member((g,), target)
+            verdict = nat_member((g,), target)
             assert verdict == box_monoid_member([g], target)
             verdicts.add(verdict)
         assert verdicts == {True, False}
+
+    def test_independent_generators_decided_at_once(self, monkeypatch):
+        # the coordinates of (k, k, m) in N{(1, 1, 0), (0, 0, 1)} are (k, m),
+        # read off one factorization: the size of k and m costs nothing
+        monkeypatch.setattr(zigzag, "MONOID_STEP_BUDGET", 50)
+        for k, m in ((10 ** 6, 10 ** 6), (150000, 150001), (0, 10 ** 12)):
+            start = time.perf_counter()
+            report = verify_zigzag(two_generator_nat_witness(k, m))
+            assert report.valid, report.failures()
+            assert time.perf_counter() - start < 0.1
+        assert not nat_member(((1, 1, 0), (0, 0, 1)), (3, 2, 1))
+        assert not nat_member(((1, 1, 0), (0, 0, 1)), (F(1, 2), F(1, 2), 1))
 
     def test_deep_one_generator_witness_is_valid_at_once(self):
         witness = deep_nat_witness(10 ** 6)
@@ -852,6 +878,8 @@ class TestNatMonoidMember:
         assert elapsed < 0.1
 
     def test_rejects_non_naturals(self):
-        assert not _nat_monoid_member(((1, 0), (0, 1)), (F(1, 2), 1))
+        assert not nat_member(((1, 0), (0, 1)), (F(1, 2), 1))
+        assert not nat_member(((1, 0), (0, 1), (1, 1)), (F(1, 2), 1))
         assert not _nat_monoid_member(((1, 0), (0, 1)), (-1, 1))
-        assert _nat_monoid_member((), (0, 0))
+        assert not nat_member(((1, 0), (0, 1)), (-1, 1))
+        assert _nat_monoid_member((), (0, 0)) and nat_member((), (0, 0))

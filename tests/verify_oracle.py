@@ -18,20 +18,29 @@ witness whose endpoint traces differ fails one of its checks.
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import partial
 
 import kernel_oracle
-from matvec_oracle import entrywise_apply, entrywise_dot, from_cols
+from matvec_oracle import (entrywise_apply, entrywise_dot, fractions, from_cols, funit,
+                           is_nonneg, vneg)
+from weights_oracle import scalar_ok
 from wazz.automata import SemiringTag
-from wazz.formats import fmt_rat, fmt_vec, word_text
-from wazz.linalg import (Lattice, Mat, as_int_vec, hnf, is_integral, is_nonneg,
-                         lattice_member, unit, vneg)
+from wazz.formats import fmt_rat, word_text
+from wazz.linalg import Lattice, Mat, as_int_vec, hnf, is_integral, lattice_member, scaled
 from wazz.polyhedra import INFINITY, PcaPolytope
 from wazz.zigzag import (CUBIC, GHAT, CheckResult, Report, SearchBudgetExceeded,
                          _nat_monoid_member)
 
 gauge = kernel_oracle.gauge
 cone_member = kernel_oracle.cone_member
+
+
+def fmt_vec(v):
+    return " ".join(map(fmt_rat, v))
+
+
+def generators(node):
+    """A node's generators as `Fraction` tuples."""
+    return tuple(map(fractions, node.generators))
 
 
 def ghat_breach(o, images, mu):
@@ -65,7 +74,7 @@ def first_word_off(functional, start, maps):
 def _span_coordinates(gens, dim):
     k = len(gens)
     g_mat = from_cols(gens, nrows=dim)
-    red, pivots, _ = kernel_oracle.rref(Mat(tuple(r + unit(dim, i)
+    red, pivots, _ = kernel_oracle.rref(Mat(tuple(r + funit(dim, i)
                                                   for i, r in enumerate(g_mat.rows)),
                                             ncols=k + dim))
     g_pivots = tuple(p for p in pivots if p < k)
@@ -93,7 +102,7 @@ _Carrier = namedtuple("_Carrier", "kind_detail member gauge", defaults=(None,))
 
 
 def _carrier(tag, node):
-    gens, dim = node.generators, node.dim
+    gens, dim = generators(node), node.dim
     if node.is_pca and not all(is_nonneg(g) for g in gens):
         return _Carrier("generators must be nonnegative", _never)
     detail = ""
@@ -111,31 +120,34 @@ def _carrier(tag, node):
                 *x, total = entrywise_apply(coords_and_sum, v)
                 return total if min(x, default=0) >= 0 else INFINITY
         else:
-            mu = partial(gauge, PcaPolytope(dim, gens))
+            polytope = PcaPolytope(dim, node.generators)
+            mu = lambda v: gauge(polytope, scaled(v))
         return _Carrier(detail, lambda v: (g := mu(v)) is not INFINITY and g <= 1, mu)
     if node.is_free:
         return _Carrier(detail, lambda v: (x := coordinates(v)) is not None
-                       and all(tag.scalar_ok(c) for c in x))
+                       and all(scalar_ok(tag, c) for c in x))
     member = _never
     if tag in (SemiringTag.Q, SemiringTag.REAL):
         coordinates = _span_coordinates(gens, dim)[0]
         member = lambda v: coordinates(v) is not None
     elif tag is SemiringTag.NAT and all(is_integral(g) and is_nonneg(g) for g in gens):
-        member = lambda v: _nat_monoid_member(gens, v)
+        ints = [as_int_vec(g) for g in gens]
+        member = lambda v: (is_integral(v) and is_nonneg(v)
+                            and _nat_monoid_member(ints, as_int_vec(v)))
     elif tag is SemiringTag.INT and all(is_integral(g) for g in gens):
         lat = hnf([as_int_vec(g) for g in gens], dim=dim) if gens else Lattice(dim, ())
         member = lambda v: lattice_member(v, lat)
     elif tag in (SemiringTag.QPLUS, SemiringTag.RPLUS):
-        member = lambda v: cone_member(gens, v)
+        member = lambda v: cone_member(node.generators, scaled(v))
     return _Carrier("", member)
 
 
 def _coalgebra_self_map_ok(z, node, carrier):
     if node.is_pca and carrier.gauge is None:
         return False, "carrier generators must be nonnegative"
-    coalg = node.coalgebra
-    for g in node.generators:
-        o = entrywise_dot(coalg.out, g)
+    coalg, out = node.coalgebra, fractions(node.coalgebra.out)
+    for g in generators(node):
+        o = entrywise_dot(out, g)
         if z.functor == GHAT and node.is_pca:
             breach = ghat_breach(o, (entrywise_apply(m, g) for m in coalg.trans),
                                  carrier.gauge)
@@ -146,7 +158,7 @@ def _coalgebra_self_map_ok(z, node, carrier):
             if breach is not None:
                 return False, f"budget {fmt_rat(breach)} exceeds 1 at generator {fmt_vec(g)}"
         else:
-            if not z.tag.scalar_ok(o):
+            if not scalar_ok(z.tag, o):
                 return False, f"output weight {fmt_rat(o)} outside the semiring"
             for m in coalg.trans:
                 if not carrier.member(entrywise_apply(m, g)):
@@ -155,7 +167,7 @@ def _coalgebra_self_map_ok(z, node, carrier):
 
 
 def _morphism_carrier_ok(mor, src, member):
-    for g in src.generators:
+    for g in generators(src):
         if not member(entrywise_apply(mor.matrix, g)):
             return False, f"image of generator {fmt_vec(g)} not in target carrier"
     return True, ""
@@ -163,9 +175,10 @@ def _morphism_carrier_ok(mor, src, member):
 
 def _morphism_square_ok(mor, src, dst):
     f, c_src, c_dst = mor.matrix, src.coalgebra, dst.coalgebra
-    for g in src.generators:
+    out_src, out_dst = fractions(c_src.out), fractions(c_dst.out)
+    for g in generators(src):
         fg = entrywise_apply(f, g)
-        if entrywise_dot(c_src.out, g) != entrywise_dot(c_dst.out, fg):
+        if entrywise_dot(out_src, g) != entrywise_dot(out_dst, fg):
             return False, f"output weight changes along generator {fmt_vec(g)}"
         for a, m_src, m_dst in zip(c_src.alphabet, c_src.trans, c_dst.trans):
             if entrywise_apply(f, entrywise_apply(m_src, g)) != entrywise_apply(m_dst, fg):
@@ -219,7 +232,7 @@ def verify_zigzag(z):
     sinks = [i for i in range(n) if incoming[i] and not outgoing[i]]
     if sorted(sources + sinks) != list(range(n)):
         shape_ok = False
-    x1, x2 = z.endpoints
+    x1, x2 = map(fractions, z.endpoints)
     if len(x1) != nodes[0].dim or len(x2) != nodes[-1].dim:
         shape_ok = False
     indices = [i for i, _ in z.relating]
@@ -252,7 +265,7 @@ def verify_zigzag(z):
                     carriers[mor.dst].member)
         add(f"morphism-square[{k}]", *_morphism_square_ok(mor, src, dst))
 
-    relating = dict(z.relating)
+    relating = {i: fractions(v) for i, v in z.relating}
     ends = {0: (x1, "left"), n - 1: (x2, "right")}
     for i in sources:
         add_guarded(f"relating[{i}]", _relating_ok, relating.get(i), nodes[i],
@@ -287,8 +300,9 @@ def trace_agreement(z):
     block-diagonal endpoint maps.  On failure the detail names the
     shortlex-least separating word."""
     left, right = z.nodes[0].coalgebra, z.nodes[-1].coalgebra
-    x1, x2 = z.endpoints
-    word = first_word_off(left.out + vneg(right.out), x1 + x2, left.paired(right).trans)
+    x1, x2 = map(fractions, z.endpoints)
+    word = first_word_off(fractions(left.out) + vneg(fractions(right.out)), x1 + x2,
+                          left.paired(right).trans)
     return CheckResult("trace-agreement", word is None, "" if word is None else
                        "endpoint traces differ on word "
                        f'"{word_text(tuple(z.alphabet[i] for i in word), z.alphabet)}"')

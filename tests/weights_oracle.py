@@ -12,7 +12,7 @@ first violation.
 from wazz.automata import SemiringTag, TagViolation
 from wazz.formats import fmt_rat
 
-from matvec_oracle import column, columns
+from matvec_oracle import column, columns, fractions
 
 T = SemiringTag
 INTEGRAL = (T.NAT, T.INT)
@@ -29,6 +29,7 @@ def scalar_ok(tag, q):
 
 
 def check_weights(tag, out, trans):
+    out = fractions(out)
     for j, q in enumerate(out):
         if not scalar_ok(tag, q):
             raise TagViolation(f"output entry {fmt_rat(q)} violates tag {tag.value}",
