@@ -16,7 +16,7 @@ from bisect import insort
 from dataclasses import dataclass
 from itertools import count
 
-from .linalg import (Lattice, Mat, _int_rref, as_int_vec, hnf, hnf_with_transform, is_zero,
+from .linalg import (Mat, _int_rref, as_int_vec, hnf, hnf_with_transform, is_zero,
                      lattice_coords, lattice_reduce, primitive)
 
 
@@ -142,7 +142,7 @@ def hilbert_basis(spec):
     set of minimal nonzero elements, the unique Hilbert basis.
     """
     image_lat, transform, rank = hnf_with_transform(spec.w.dense(), dim=spec.m)
-    kernel = hnf(transform[rank:], dim=spec.k) if rank < spec.k else Lattice(spec.k, ())
+    kernel = hnf(transform[rank:], dim=spec.k)
     out = []
     for u in kernel.basis:
         out.append(tuple(u))

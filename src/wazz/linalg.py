@@ -19,7 +19,7 @@ vectors are compared by cross-multiplication, never by building Fractions.
   result, so rows stay primitive.  `_int_rref` is the one Gauss-Jordan loop:
   `rref` divides a pivot row by its pivot only to build the returned
   matrix, and `kernel_basis`, the double description and the verifier's
-  free-carrier factorization read the integer rows directly.
+  carrier factorization (`wazz.polyhedra`) read the integer rows directly.
 - The word closure (`_scaled_word_closure`) queues scaled images, reduced
   to lowest terms, and builds no `Fraction`; `first_word_off`, like the
   pair closure of `wazz.automata`, tests each scaled image against a
@@ -292,26 +292,21 @@ def _rref_beside_identity(cols, nrows, d=1):
     return _int_rref(rows, len(cols) + nrows), rows
 
 
-def _span_equations(rows, pivots, ncols):
-    """(L, the pairs (c, e_c) over the non-pivot columns c) of rows that
-    `_int_rref` left with the given pivots: L x_c = <x_P, e_c> on their row
-    space, L the lcm of the pivot entries and e_c[i] = rows[i][c] L / rows[i][p_i]."""
-    den = lcm(*(row[p] for row, p in zip(rows, pivots)))
-    scales = [den // row[p] for row, p in zip(rows, pivots)]
-    return den, tuple((c, tuple(row[c] * s for row, s in zip(rows, scales)))
-                      for c in range(ncols) if c not in pivots)
-
-
 def _kernel_vectors(rows, pivots, ncols):
     """Basis of the kernel of rows that `_int_rref` left with the given pivots:
-    per non-pivot column c, L at c and -e_c at the pivots (`_span_equations`),
-    made primitive with its first nonzero entry positive."""
-    den, equations = _span_equations(rows, pivots, ncols)
+    per non-pivot column c, the vector with L at c and -rows[i][c] L / rows[i][p_i]
+    at each pivot p_i, L being the lcm of the pivot entries, made primitive
+    with its first nonzero entry positive."""
+    den = lcm(*(row[p] for row, p in zip(rows, pivots)))
+    scales = [den // row[p] for row, p in zip(rows, pivots)]
     basis = []
-    for c, e in equations:
-        at = dict(zip(pivots, e))
-        basis.append(primitive([den if j == c else -at.get(j, 0) for j in range(ncols)],
-                               flip_sign=True))
+    for c in range(ncols):
+        if c not in pivots:
+            v = [0] * ncols
+            v[c] = den
+            for row, p, s in zip(rows, pivots, scales):
+                v[p] = -row[c] * s
+            basis.append(primitive(v, flip_sign=True))
     return basis
 
 

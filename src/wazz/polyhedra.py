@@ -7,22 +7,25 @@ description runs on pointed cones only, in the coordinates of a span, and
 every elimination is one fraction-free `_int_rref`.  The conversions
 (`dd_h_to_v`, `dd_v_to_h`, `cone_rays`) split the lineality of {x : Ax <= 0}
 off as the kernel of A's echelon rows and run in A's row space; the
-restrictions and the gauged hulls and cones run in the span of their
-generators.  The restrictions take and give scaled vectors (`wazz.linalg`);
-`HRep` and `VRep`, the `wazz polytope` formats, keep `Fraction` rows.
+restrictions run in the span of their generators.  The verifier's carriers
+are decided on one factorization of their generators (`span_factors`): by
+unique coordinates when the generators are independent, and by the facets
+of the hull or cone, in the span's coordinates, when they are not.  The
+restrictions take and give scaled vectors (`wazz.linalg`); `HRep` and
+`VRep`, the `wazz polytope` formats, keep `Fraction` rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import inf, lcm
 from operator import mul
 
 from .formats import LineReader, fmt_vec
-from .linalg import (_int_rref, _kernel_vectors, _lowest_terms, _rref_beside_identity,
-                     _span_equations, is_zero, primitive, vector)
+from .linalg import (Mat, _int_rref, _kernel_vectors, _lowest_terms, _rref_beside_identity,
+                     _sparse_apply, is_zero, primitive, scaled_equal, vector)
 
 
 class InternalError(Exception):
@@ -94,8 +97,8 @@ class VRep:
 @dataclass(frozen=True)
 class PcaPolytope:
     """Subconvex hull {sum c_i g_i : c_i >= 0, sum c_i <= 1} of nonnegative
-    scaled generators; always contains 0.  Its facets are looked up once, on
-    the first gauge."""
+    scaled generators; always contains 0.  `gauge` looks its generators up
+    in the span cache."""
 
     dim: int
     generators: tuple
@@ -107,10 +110,6 @@ class PcaPolytope:
                 raise ValueError("generator of wrong dimension")
             if min(ints, default=0) < 0:
                 raise ValueError("generators must be nonnegative")
-
-    @cached_property
-    def _facets(self):
-        return _subconvex_facets(self.generators, self.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -279,145 +278,154 @@ def lp_feasible(h):
 # The producer's double description is not bounded.
 FACET_STEP_BUDGET = 1_000_000
 
-# Bound of the facet caches, keyed by the scaled generators.  Only generated
-# carriers reach them (GENERATED_PCA hulls, qplus and rplus cones), one per
-# witness.  At 128 a seed-1 benchmark pass misses as often as unbounded: hulls
-# 66, 68 and 79 times on ghat-pca, span-desk and restrict-unary, cones 106
-# times on each of the last two; at 32, 67, 69, 81, 127 and 110.
+# Bound of the span cache, keyed by a carrier's scaled generators and
+# dimension; the verifier looks up every node's.  A seed-1 benchmark pass
+# misses 277, 211, 526 and 182 times at 128 on ghat-pca, restrict-unary,
+# span-desk and words-deep, 276, 209, 477 and 182 unbounded, and 302, 223,
+# 627 and 186 at 32.
 FACET_CACHE_SIZE = 128
 
 
-class _SpanFacets:
-    """The facets of a generated carrier, the subconvex hull of 0 and its
-    points or the cone of its generators, in the span's own coordinates.
+class _Span:
+    """One factorization of a carrier's scaled generators g_1, ..., g_k in
+    Q^dim, for membership in their span, cone or subconvex hull.
 
-    One fraction-free elimination of the generators gives the pivot columns
-    P and rows R, row i zero at every other pivot, so x -> x_P is linear and
-    one-to-one on the span and maps the hull and the cone onto
-    full-dimensional sets in Q^r.  Their polar cones are pointed, so one
-    double description of rank r finds the facets: the hull's in dimension
-    r + 1 on the normals (g_P, 1), each scaled by the denominator d of g as
-    ((d g)_P, d), and (0, 1); the cone's in dimension r on the normals g_P.
-    A point x is in the span when x_c = sum_i x_(p_i) R[i, c] / R[i, p_i]
-    for every other column c, tested as L x_c = <x_P, e_c> with L the lcm
-    of the pivot entries.
-
-    The facets are enumerated once, on first use, under FACET_STEP_BUDGET;
+    With G's columns over the lcm D of their denominators, one
+    `_rref_beside_identity` of [D G | D I] gives [R | D E], E G = R up to a
+    factor per row and R of rank r; E is kept as integer rows over one
+    denominator.  v is in the span when E v vanishes below row r, and then
+    its first r entries are the coordinates y(v) of v on the pivot
+    generators.  When the distinct nonzero generators are independent these
+    are unique: the cone is simplicial and the hull a simplex with vertex 0.
+    Otherwise y is one-to-one on the span, so one double description of
+    rank r finds the facets: the hull's in dimension r + 1 on the normals
+    (y(g), 1) and (0, 1), the cone's on the normals y(g).  They are
+    enumerated on first use, before any span test, under FACET_STEP_BUDGET;
     an overrun is kept and raised again at every later use."""
 
-    __slots__ = ("_args", "_frame", "_overrun")
+    __slots__ = ("k", "rank", "independent", "_gens", "_pivots", "_e", "_g", "_facets")
 
-    def __init__(self, gens, dim, hull):
-        self._args = gens, dim, hull
-        self._frame = self._overrun = None
+    def __init__(self, gens, dim):
+        if any(len(ints) != dim for _, ints in gens):
+            raise ValueError("span vector of wrong dimension")
+        k, den = len(gens), lcm(*[d for d, _ in gens])
+        cols = [ints if d == den else [a * (den // d) for a in ints] for d, ints in gens]
+        pivots, rows = _rref_beside_identity(cols, dim, den)
+        self._pivots = tuple(p for p in pivots if p < k)
+        self.k, self.rank = k, len(self._pivots)
+        self.independent = self.rank == len({g for g in gens if any(g[1])})
+        # row i of E is row i of the elimination's E part over its pivot entry
+        e_den = lcm(*(row[p] for row, p in zip(rows, pivots)))
+        e_rows = []
+        for row, p in zip(rows, pivots):
+            scale = e_den // row[p]
+            support = tuple(j for j in range(dim) if row[k + j])
+            e_rows.append((support, tuple(row[k + j] * scale for j in support)))
+        self._e = e_den, e_rows, dim
+        self._g = *Mat._of_cols(den, cols, dim).scaled(), k
+        self._gens, self._facets = gens, {}
 
-    def project(self, xs):
-        """(x_P, or None if the integer point xs is off the span; the facet
-        rows (a, b) for a.x_P <= b of the hull, or the normals n for
-        n.x_P <= 0 of the cone)."""
-        if self._frame is None:
-            if self._overrun is not None:
-                raise SearchBudgetExceeded(self._overrun)
+    def _y(self, v):
+        """(q, the integers q y) for the coordinates y of the scaled v on the
+        pivot generators, or None if v is off the span."""
+        den, w = _sparse_apply(*self._e, v)
+        return None if any(w[self.rank:]) else (den, w[:self.rank])
+
+    def coordinates(self, v):
+        """The scaled x of length k, free variables zero, with G x = v, or
+        None if the scaled v is off the span."""
+        y = self._y(v)
+        if y is None:
+            return None
+        x = [0] * self.k
+        for p, a in zip(self._pivots, y[1]):
+            x[p] = a
+        x = (y[0], x)
+        return x if scaled_equal(_sparse_apply(*self._g, x), v) else None
+
+    def _facets_of(self, hull):
+        """The hull's facets (a, b), a.y <= b, the cone's (b = 0) first, or
+        the cone's normals n, n.y <= 0, enumerated once."""
+        facets = self._facets.get(hull)
+        if facets is None:
             try:
-                self._frame = self._enumerate(*self._args)
+                facets = self._enumerate(hull)
             except SearchBudgetExceeded as exc:
-                self._overrun = str(exc)
-                raise
-        pivots, den, equations, facets = self._frame
-        y = [xs[p] for p in pivots]
-        if any(den * xs[c] != sum(map(mul, e, y)) for c, e in equations):
-            return None, facets
-        return y, facets
+                facets = str(exc)
+            self._facets[hull] = facets
+        if isinstance(facets, str):
+            raise SearchBudgetExceeded(facets)
+        return facets
 
-    @staticmethod
-    def _enumerate(gens, dim, hull):
-        """(P, L, the pairs (c, e_c) over the non-pivot columns, the facets)."""
-        points = [ints for _, ints in gens] if hull else gens
-        pivots, rows = _span_frame(points, dim)
-        den, equations = _span_equations(rows, pivots, dim)
-        projected = [[g[p] for p in pivots] for g in points]
-        r = len(pivots)
-        if hull:
-            normals = [g + [d] for g, (d, _) in zip(projected, gens)] + [[0] * r + [1]]
-            rays = _pointed_cone_rays(normals, r + 1, FACET_STEP_BUDGET)
-            # the cone's facets (b = 0) first: a point outside it leaves early
-            facets = tuple(sorted(((ray[:-1], -ray[-1]) for ray in rays if any(ray[:-1])),
-                                  key=lambda f: f[1] > 0))
-        else:
-            facets = tuple(_pointed_cone_rays(projected, r, FACET_STEP_BUDGET))
-        return pivots, den, equations, facets
+    def _enumerate(self, hull):
+        r = self.rank
+        images = [self._y(g) for g in self._gens]  # y(g) = ys / q, as g is in the span
+        if not hull:
+            return tuple(_pointed_cone_rays([ys for _, ys in images], r, FACET_STEP_BUDGET))
+        normals = [ys + [q] for q, ys in images] + [[0] * r + [1]]
+        rays = _pointed_cone_rays(normals, r + 1, FACET_STEP_BUDGET)
+        # the cone's facets (b = 0) first: a point outside it leaves early
+        return tuple(sorted(((ray[:-1], -ray[-1]) for ray in rays if any(ray[:-1])),
+                            key=lambda f: f[1] > 0))
+
+    def gauge(self, v):
+        """The gauge of the scaled v on the hull, as an integer ratio (p, q),
+        q > 0, or INFINITY: the largest a.y / b over the facets with b > 0,
+        compared by cross-multiplication, and INFINITY off the span or
+        outside a facet with b = 0; on a simplex, the sum of the coordinates
+        when none is negative.  A gauge is a function of the set, so it is
+        the value the ambient facets (`dd_v_to_h`) give."""
+        facets = None if self.independent else self._facets_of(True)
+        y = self._y(v)
+        if y is None:
+            return INFINITY
+        den, ys = y
+        if facets is None:
+            return INFINITY if min(ys, default=0) < 0 else (sum(ys), den)
+        best, best_b = 0, 1
+        for a, b in facets:
+            value = sum(map(mul, a, ys))
+            if not b:
+                if value > 0:
+                    return INFINITY
+            elif value * best_b > best * b:
+                best, best_b = value, b
+        return best, best_b * den
+
+    def cone_member(self, v):
+        """Whether the scaled v is in the cone of the generators."""
+        if self.independent:
+            y = self._y(v)
+            return y is not None and min(y[1], default=0) >= 0
+        normals = self._facets_of(False)
+        y = self._y(v)
+        return y is not None and all(sum(map(mul, n, y[1])) <= 0 for n in normals)
 
 
 @lru_cache(maxsize=FACET_CACHE_SIZE)
-def _subconvex_facets(points, dim):
-    """The facets of the subconvex hull of points given scaled, each as
-    (d, the integers d g) for the point g."""
-    return _SpanFacets(points, dim, True)
-
-
-@lru_cache(maxsize=FACET_CACHE_SIZE)
-def _cone_facets(gens, dim):
-    """The facet normals of the cone of integer generators."""
-    return _SpanFacets(gens, dim, False)
+def span_factors(gens, dim):
+    """The `_Span` of the scaled generators gens (a tuple) in Q^dim."""
+    return _Span(gens, dim)
 
 
 def gauge(polytope, x):
-    """Minkowski functional of the subconvex hull; INFINITY outside its cone.
+    """Minkowski functional of the subconvex hull at the scaled x, as one
+    Fraction; INFINITY outside its cone.
 
     Equals min{sum c_i : x = sum c_i g_i, c_i >= 0} whenever that program is
     feasible (facet ratios and the LP have the same optimum for a compact
-    convex set containing 0).  x = (e, xs) is scaled and gauged by
-    `gauge_scaled` on its integers; the result is one Fraction p / (q e).
-    """
-    den, xs = x
-    if len(xs) != polytope.dim:
+    convex set containing 0).  Raises SearchBudgetExceeded when the facet
+    enumeration overruns FACET_STEP_BUDGET."""
+    if len(x[1]) != polytope.dim:
         raise ValueError("point of wrong dimension")
-    ratio = gauge_scaled(polytope._facets, xs)
-    return ratio if ratio is INFINITY else Fraction(ratio[0], ratio[1] * den)
-
-
-def gauge_scaled(facets, xs):
-    """The gauge of the integer vector xs on the hull whose `_SpanFacets`
-    are given, as an integer ratio (p, q), q > 0, or INFINITY: INFINITY off
-    the span, else the largest <a, xs_P> / b over the facets with b > 0,
-    compared by cross-multiplication; xs is outside the cone when a facet
-    with b = 0 has <a, xs_P> > 0.  For xs = e x the gauge of x is p / (q e).
-
-    A gauge is a function of the set, and x -> x_P maps the hull one-to-one
-    onto the set these facets bound, so the value is the one the ambient
-    facets (`dd_v_to_h`) give, whose equations put every point off the span
-    at INFINITY.  Raises SearchBudgetExceeded when the facet enumeration
-    overruns FACET_STEP_BUDGET."""
-    y, rows = facets.project(xs)
-    if y is None:
-        return INFINITY
-    best, best_b = 0, 1
-    for a, b in rows:
-        value = sum(map(mul, a, y))
-        if not b:
-            if value > 0:
-                return INFINITY
-        elif value * best_b > best * b:
-            best, best_b = value, b
-    return best, best_b
+    ratio = span_factors(polytope.generators, polytope.dim).gauge(x)
+    return ratio if ratio is INFINITY else Fraction(*ratio)
 
 
 def cone_member(gens, x):
     """Exact membership of the scaled x in the convex cone spanned by the
-    scaled gens, tested on their integers."""
-    return cone_member_scaled(_cone_facets(tuple(ints for _, ints in gens), len(x[1])), x[1])
-
-
-def cone_member_scaled(facets, xs):
-    """`cone_member` for the cone whose `_SpanFacets` are given and a point
-    scaled to the integers xs by a positive factor, which keeps every sign:
-    xs is in the span and <n, xs_P> <= 0 for every facet normal n.  The cone
-    is the preimage of its projection within the span, so the answer is the
-    one the ambient normals give, whose lineality pairs reject every point
-    off the span.  Raises SearchBudgetExceeded when the facet enumeration
-    overruns FACET_STEP_BUDGET."""
-    y, normals = facets.project(xs)
-    return y is not None and all(sum(map(mul, n, y)) <= 0 for n in normals)
+    scaled gens."""
+    return span_factors(tuple(gens), len(x[1])).cone_member(x)
 
 
 # ---------------------------------------------------------------------------

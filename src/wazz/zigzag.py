@@ -3,11 +3,12 @@
 A witness is a chain of coalgebra nodes connected by morphisms, alternating
 between source nodes (outgoing arrows, carrying a relating element) and sink
 nodes (incoming arrows, which must have free carriers).  The verifier
-re-checks every claim from the witness data alone: carrier memberships by
-coordinates in one factorization of the generators (an N-monoid too, when
-its generators are independent), facets of the hull or cone, lattice
-reduction or a budgeted N-monoid search, morphism squares by matrix
-identities, and the relating chain by direct evaluation.
+re-checks every claim from the witness data alone: carrier memberships on
+one factorization of each node's generators (`wazz.polyhedra.span_factors`),
+by their unique coordinates when they are independent and otherwise by the
+facets of the hull or cone, lattice reduction or a budgeted N-monoid
+search, morphism squares by matrix identities, and the relating chain by
+direct evaluation.
 
 Every check runs on integers.  Generators, outputs, relating elements and
 endpoints are scaled vectors (d, ints) in lowest terms (`wazz.linalg`), and
@@ -23,18 +24,15 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
-from math import lcm
 
 from .automata import _TAGS, LinearCoalgebra, SemiringTag, _scalar_rules, pair_submodule
 from .formats import LineReader, block_lines, fmt_ratio, fmt_vec
 from .hilbert import nat_restriction
-from .linalg import (Lattice, Mat, _concat, _lowest_terms, _rref_beside_identity, _selection,
-                     _sparse_apply, hnf, lattice_member, scaled_dot, scaled_equal, unit)
+from .linalg import (Lattice, Mat, _concat, _lowest_terms, _selection, hnf, lattice_member,
+                     scaled_dot, scaled_equal, unit)
 from .pca import ghat_breach, pyramid_extension, reduce_invariant_set
 from .polyhedra import (PRODUCT, SCALED, INFINITY, PcaPolytope, SearchBudgetExceeded,
-                        _cone_facets, _subconvex_facets, cone_member_scaled,
-                        cone_restriction, gauge_scaled, simplex_restriction)
+                        cone_restriction, simplex_restriction, span_factors)
 
 FREE_MODULE = "FREE_MODULE"
 GENERATED_MODULE = "GENERATED_MODULE"
@@ -139,8 +137,8 @@ def cubic_zigzag(aut1, x1, aut2, x2):
     if pca:
         gens = simplex_restriction(basis, PRODUCT, n1, n2).generators
     elif tag is SemiringTag.NAT:
-        lat = hnf([ints for _, ints in basis], dim=m) if basis else Lattice(m, ())
-        gens = [(1, g) for g in nat_restriction(lat)]
+        # the pair closure's lattice basis is already in Hermite normal form
+        gens = [(1, g) for g in nat_restriction(Lattice(m, tuple(g for _, g in basis)))]
     elif tag.nonneg:
         gens = cone_restriction(basis)
     else:
@@ -259,51 +257,6 @@ def _nat_monoid_member(gens, target):
     return False
 
 
-def _span_coordinates(gens, dim):
-    """The coordinates in the generators, their rank and the product with a
-    matrix E: the coordinates are a function taking a scaled vector v to the
-    scaled x with G x = v, G having the generators as columns and x's free
-    variables zero as in `solve`, or to None if v is outside the span; the
-    product takes v to the scaled E v.  Generator j comes scaled, (d_j, ints_j).
-
-    G is factored once, on integers: the rref of [G | I] is [R | E] with
-    E G = R, so G x = v exactly when E v vanishes below the rank of G, and
-    then x's pivot entries are read off E v.  The columns of G are put over
-    D = lcm(d_j) as integers, so D [G | I] has integer rows and the same
-    rref, and `_rref_beside_identity` eliminates them; E is kept as the
-    nonzero entries of integer rows over one common denominator.  The
-    product G x is checked against v again, by cross-multiplication, with G
-    read off the same integer columns.  When G is invertible, E is its
-    inverse."""
-    k = len(gens)
-    g_den = lcm(*[d for d, _ in gens])
-    cols = [ints if d == g_den else [a * (g_den // d) for a in ints] for d, ints in gens]
-    g_form = Mat._of_cols(g_den, cols, dim).scaled()
-    pivots, rows = _rref_beside_identity(cols, dim, g_den)
-    g_pivots = tuple(p for p in pivots if p < k)
-    rank = len(g_pivots)
-    # row i of E is row i of the elimination's E part over its pivot entry
-    e_den = lcm(*(row[p] for row, p in zip(rows, pivots)))
-    e_rows = []
-    for row, p in zip(rows, pivots):
-        scale = e_den // row[p]
-        cols = tuple(j for j in range(dim) if row[k + j])
-        e_rows.append((cols, tuple(row[k + j] * scale for j in cols)))
-    product = partial(_sparse_apply, e_den, e_rows, dim)
-
-    def coordinates(v):
-        den, w = product(v)
-        if any(w[rank:]):
-            return None
-        x = [0] * k
-        for i, p in enumerate(g_pivots):
-            x[p] = w[i]
-        x = (den, x)
-        return x if scaled_equal(_sparse_apply(*g_form, k, x), v) else None
-
-    return coordinates, rank, product
-
-
 def _never(v):
     return False
 
@@ -326,65 +279,49 @@ _Carrier = namedtuple("_Carrier", "kind_detail member gauge", defaults=(None,))
 
 def _carrier(tag, node):
     """The node's carrier, from its scaled generators checked once and
-    factored at most once.
+    factored once (`span_factors`).
 
-    A free carrier is decided by one factorization: its rank answers
-    node-kind, and a well-formed FREE_PCA carrier is the simplex on its
-    generators, whose gauge is the sum of the coordinates when none is
-    negative.  Any other subconvex carrier, a FREE_PCA one that fails its
-    kind check included, is the hull of its generators, gauged by facets.
-    A subconvex member test compares the gauge, an integer ratio, with 1 by
-    cross-multiplication.  An N-monoid with linearly independent generators
-    is decided as a free carrier is: the coordinates are unique, so v is a
-    member when they are natural numbers."""
+    The rank answers node-kind.  A subconvex carrier is the hull of its
+    generators, gauged by the factorization, and a member test compares the
+    gauge, an integer ratio, with 1 by cross-multiplication.  A module is
+    decided by the unique coordinates and the tag's scalar rules when its
+    distinct nonzero generators are independent, as every well-formed free
+    carrier's are, and so is every free module and every `q`/`real` one.  A
+    dependent generated module falls back on its tag: the cone's facets for
+    `qplus`/`rplus`, lattice reduction for `int` and the budgeted search for
+    `nat`, which need integral generators, nonnegative ones for `nat`."""
     gens, dim = node.generators, node.dim
     if node.is_pca and not all(min(ints, default=0) >= 0 for _, ints in gens):
         return _Carrier("generators must be nonnegative", _never)
+    span = span_factors(gens, dim)
     detail = ""
-    if node.is_free:
-        coordinates, rank, product = _span_coordinates(gens, dim)
-        if rank != len(gens):
-            detail = "generators are linearly dependent"
-        elif node.is_pca and len(gens) != dim:
-            detail = "free subconvex carrier needs dim-many generators"
+    if node.is_free and span.rank != len(gens):
+        detail = "generators are linearly dependent"
+    elif node.is_free and node.is_pca and len(gens) != dim:
+        detail = "free subconvex carrier needs dim-many generators"
     if node.is_pca:
-        if node.is_free and not detail:
-            # G is invertible, so E = G^-1 and E v are the coordinates of v
-
-            def ratio(v):
-                den, x = product(v)
-                return (sum(x), den) if min(x, default=0) >= 0 else INFINITY
-        else:
-            facets = _subconvex_facets(gens, dim)
-
-            def ratio(v):
-                r = gauge_scaled(facets, v[1])
-                return r if r is INFINITY else (r[0], r[1] * v[0])
-
-        return _Carrier(detail, lambda v: (r := ratio(v)) is not INFINITY and r[0] <= r[1],
-                        ratio)
-    if node.is_free:
-        rules = _scalar_rules(tag)
-        return _Carrier(detail, lambda v: (x := coordinates(v)) is not None and rules(*x))
-    # generated module, by tag
-    member = _never
-    if tag in (SemiringTag.Q, SemiringTag.REAL):
-        coordinates = _span_coordinates(gens, dim)[0]
-        member = lambda v: coordinates(v) is not None
-    elif tag is SemiringTag.NAT and all(d == 1 and min(g, default=0) >= 0 for d, g in gens):
-        ints = list(dict.fromkeys(g for _, g in gens if any(g)))
-        coordinates, rank, _ = _span_coordinates([(1, g) for g in ints], dim)
-        if rank == len(ints):
-            rules = _scalar_rules(tag)
-            member = lambda v: (x := coordinates(v)) is not None and rules(*x)
-        else:
-            member = lambda v: (t := _integral(v)) is not None and _nat_monoid_member(ints, t)
-    elif tag is SemiringTag.INT and all(d == 1 for d, _ in gens):
-        lat = hnf([g for _, g in gens], dim=dim) if gens else Lattice(dim, ())
+        return _Carrier(detail, lambda v: (r := span.gauge(v)) is not INFINITY and r[0] <= r[1],
+                        span.gauge)
+    rules = _scalar_rules(tag)
+    member = lambda v: (x := span.coordinates(v)) is not None and rules(*x)
+    if node.is_free or tag in (SemiringTag.Q, SemiringTag.REAL):
+        return _Carrier(detail, member)
+    # a generated module of another tag, or with generators its tag rules out, admits nothing
+    integral = all(d == 1 for d, _ in gens)
+    allowed = {SemiringTag.NAT: integral and all(min(g, default=0) >= 0 for _, g in gens),
+               SemiringTag.INT: integral, SemiringTag.QPLUS: True, SemiringTag.RPLUS: True}
+    if not allowed.get(tag, False):
+        member = _never
+    elif span.independent:
+        pass  # the unique coordinates decide
+    elif tag is SemiringTag.NAT:
+        ints = [g for _, g in gens]
+        member = lambda v: (t := _integral(v)) is not None and _nat_monoid_member(ints, t)
+    elif tag is SemiringTag.INT:
+        lat = hnf([g for _, g in gens], dim=dim)
         member = lambda v: (t := _integral(v)) is not None and lattice_member(t, lat)
-    elif tag in (SemiringTag.QPLUS, SemiringTag.RPLUS):
-        facets = _cone_facets(tuple(ints for _, ints in gens), dim)
-        member = lambda v: cone_member_scaled(facets, v[1])
+    else:
+        member = span.cone_member
     return _Carrier("", member)
 
 

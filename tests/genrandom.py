@@ -141,6 +141,24 @@ SWAPPED_KIND = {FREE_MODULE: GENERATED_MODULE, GENERATED_MODULE: FREE_MODULE,
                 FREE_PCA: GENERATED_PCA, GENERATED_PCA: FREE_PCA}
 
 
+def with_redundant_generators(z):
+    """z with one redundant generator appended to each generated carrier: the
+    midpoint of its first two generators (of its first and 0) for a hull,
+    the sum of its first two (its first doubled) for a module.  The carrier
+    is the same set, so z stays as valid as it was, but its generators are
+    now linearly dependent."""
+    nodes = []
+    for node in z.nodes:
+        gens = node.generators
+        if not node.is_free and gens:
+            g = fractions(gens[0])
+            h = fractions(gens[1]) if len(gens) > 1 else (F(0),) * node.dim if node.is_pca else g
+            extra = [(a + b) / 2 if node.is_pca else a + b for a, b in zip(g, h)]
+            node = replace(node, generators=gens + (scaled(extra),))
+        nodes.append(node)
+    return replace(z, nodes=tuple(nodes))
+
+
 def report_witnesses(z):
     """(label, witness) for z and for each of a fixed list of mutations of it:
     per node, negate its first generator, drop its last one, add a dependent

@@ -1,7 +1,7 @@
 """Differential tests of the integer kernel: `Mat.apply_scaled` against the
 entrywise oracle, the verifier's per-node carrier record against a fresh
 solve on the `Fraction` rref for every vector and, on free subconvex
-carriers, against the facet gauge, and the fraction-free `rref`, `_Echelon`,
+carriers, against the ambient facet gauge, and the fraction-free `rref`, `_Echelon`,
 `primitive`, DD initial simplex, gauge, cone membership and Z closure
 against their `Fraction` versions in `kernel_oracle`."""
 
@@ -15,9 +15,8 @@ from wazz import polyhedra, zigzag
 from wazz.automata import LinearCoalgebra, SemiringTag
 from wazz.linalg import (Mat, _Echelon, _lowest_terms, closure_under_maps, kernel_basis,
                          primitive, rref, scaled, vector)
-from wazz.polyhedra import INFINITY, PcaPolytope, cone_member, gauge
-from wazz.zigzag import (FREE_MODULE, FREE_PCA, GENERATED_MODULE, ZigZagNode, _carrier,
-                         _span_coordinates, ghat_zigzag)
+from wazz.polyhedra import INFINITY, PcaPolytope, cone_member, gauge, span_factors
+from wazz.zigzag import FREE_MODULE, FREE_PCA, GENERATED_MODULE, ZigZagNode, _carrier, ghat_zigzag
 
 from genrandom import lifted_pair
 from ghat_oracle import pca_member
@@ -214,10 +213,10 @@ class TestCarrierTesterMatchesSolve:
         for _ in range(300):
             dim = rng.randint(0, 4)
             gens = rand_generators(rng, dim)
-            coordinates, rank, _ = _span_coordinates(list(map(scaled, gens)), dim)
-            assert rank == (kernel_oracle.rref(Mat(gens, ncols=dim))[2] if gens else 0)
+            span = span_factors(tuple(map(scaled, gens)), dim)
+            assert span.rank == (kernel_oracle.rref(Mat(gens, ncols=dim))[2] if gens else 0)
             for v in rand_targets(rng, gens, dim):
-                got = coordinates(scaled(v))
+                got = span.coordinates(scaled(v))
                 if got is not None:  # scaled too: x = ints / d
                     got = tuple(F(a, got[0]) for a in got[1])
                 assert got == solve_coordinates(gens, dim, v)
@@ -285,7 +284,8 @@ class TestCarrierTesterMatchesSolve:
     def test_free_subconvex_gauge_matches_facets(self, monkeypatch):
         """A well-formed FREE_PCA carrier is gauged by its coordinates, with no
         polytope built; on pyramids, simplices and other invertible
-        nonnegative carriers that is the facet gauge of the hull."""
+        nonnegative carriers that is the gauge of the hull's ambient facets
+        (`kernel_oracle`)."""
         rng = random.Random("carrier/free-pca")
         monkeypatch.setattr(zigzag, "PcaPolytope", None)
         kinds, points = set(), 0
@@ -311,7 +311,7 @@ class TestCarrierTesterMatchesSolve:
             assert carrier.kind_detail == ""
             polytope = PcaPolytope(dim, node.generators)
             for x in gauge_points(rng, polytope):
-                want = gauge(polytope, scaled(x))
+                want = kernel_oracle.gauge(polytope, scaled(x))
                 got = carrier.gauge(scaled(x))  # an integer ratio (p, q), or INFINITY
                 got = got if got is INFINITY else F(*got)
                 assert same_gauge(got, want), (gens, x)

@@ -177,36 +177,37 @@ def moment_curve_witness(n):
 BUDGET_DETAIL = f"facet enumeration exceeded its budget of {polyhedra.FACET_STEP_BUDGET} steps"
 
 
+@pytest.fixture
+def enumerations(monkeypatch):
+    """The (generator count, hull) of every facet enumeration, with the span
+    cache emptied before and after, so that no overrun is kept for another
+    test."""
+    calls, original = [], polyhedra._Span._enumerate
+    monkeypatch.setattr(polyhedra._Span, "_enumerate", lambda self, hull: calls.append(
+        (self.k, hull)) or original(self, hull))
+    polyhedra.span_factors.cache_clear()
+    yield calls
+    polyhedra.span_factors.cache_clear()
+
+
 @pytest.mark.parametrize("n", [48, 64])
-def test_moment_curve_overruns_the_budget_quickly(n, monkeypatch):
+def test_moment_curve_overruns_the_budget_quickly(n, enumerations):
     text = zigzag_to_text(moment_curve_witness(n))
-    polyhedra._subconvex_facets.cache_clear()
-    enumerations = []
-    original = polyhedra._SpanFacets._enumerate
-    monkeypatch.setattr(polyhedra._SpanFacets, "_enumerate", staticmethod(
-        lambda *args: enumerations.append(args[1]) or original(*args)))
     start = time.perf_counter()
     report = verify_zigzag(parse_zigzag(text))
     elapsed = time.perf_counter() - start
     assert not report.valid
     overrun = [c.name for c in report.failures() if c.detail == BUDGET_DETAIL]
     assert overrun == ["node-coalgebra[2]", "relating[2]"]
-    assert enumerations == [16]  # the overrun is kept, not enumerated again
+    assert enumerations == [(n, True)]  # the overrun is kept, not enumerated again
     assert elapsed < 1, elapsed
 
 
 @pytest.fixture
-def no_budget(monkeypatch):
-    """A facet step budget of 0, with the facet caches emptied before and
-    after, so that no overrun is kept for another test."""
-    def clear():
-        polyhedra._subconvex_facets.cache_clear()
-        polyhedra._cone_facets.cache_clear()
-
+def no_budget(monkeypatch, enumerations):
+    """A facet step budget of 0, with the span cache emptied before and after."""
     monkeypatch.setattr(polyhedra, "FACET_STEP_BUDGET", 0)
-    clear()
-    yield
-    clear()
+    return enumerations
 
 
 def test_overrun_is_raised_again_without_a_second_enumeration(no_budget):
@@ -214,9 +215,30 @@ def test_overrun_is_raised_again_without_a_second_enumeration(no_budget):
     for _ in range(2):
         with pytest.raises(SearchBudgetExceeded, match="budget of 0 steps"):
             gauge(square, scaled((1, 1)))
-    facets = polyhedra._subconvex_facets(((1, (1, 0)), (1, (0, 1)), (1, (1, 1))), 2)
-    assert facets._overrun == "facet enumeration exceeded its budget of 0 steps"
-    assert facets._frame is None
+    assert no_budget == [(3, True)]
+    span = polyhedra.span_factors(square.generators, 2)
+    assert span._facets == {True: "facet enumeration exceeded its budget of 0 steps"}
+
+
+def test_independent_generators_need_no_facets(no_budget):
+    """A simplex and a simplicial cone are decided by the unique coordinates,
+    so even a budget of 0 steps is never spent."""
+    gens = (scaled((1, 0, 0)), scaled((1, 1, 0)), scaled((0, 0, 0)), scaled((1, 1, 0)))
+    triangle = PcaPolytope(3, gens)
+    assert gauge(triangle, scaled((2, 1, 0))) == 2
+    assert gauge(triangle, scaled((1, 2, 0))) is INFINITY
+    assert gauge(triangle, scaled((1, 1, 1))) is INFINITY
+    assert cone_member(gens, scaled((2, 1, 0)))
+    assert not cone_member(gens, scaled((0, 1, 0)))
+    assert no_budget == []
+
+
+def test_generator_of_wrong_length_is_rejected():
+    # the factorization would otherwise cut the generators short
+    with pytest.raises(ValueError, match="wrong dimension"):
+        cone_member(((1, (1, 0, 0)), (1, (0, 1))), (1, (1, 1, 0)))
+    with pytest.raises(ValueError, match="wrong dimension"):
+        cone_member(((1, (1, 0)), (1, (0, 1))), (1, (1, 1, 0)))
 
 
 def test_producer_double_description_is_unbounded(no_budget):

@@ -1,7 +1,8 @@
 """Every public name in `src/wazz` is reached: referenced from another place
 in the package, exported in `__all__`, or timed by the benchmark's tracer
 (`bench/tracing.py`'s `TRACED`).  A name only the tests use belongs in
-`tests/`, as an oracle or a helper."""
+`tests/`, as an oracle or a helper.  And every name a module imports is
+read in it, as there is no linter to find a stale import."""
 
 import ast
 import importlib.util
@@ -82,3 +83,31 @@ def test_every_public_name_is_reached():
 def test_allowlist_names_are_defined():
     # an allowed name that leaves the package leaves the list too
     assert ALLOWED <= {name for name, _, _ in definitions()[1]}
+
+
+def unused_imports(tree):
+    """The names a module imports and never reads, a name listed in its
+    `__all__` counting as read."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != \
+                "__future__":
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            read |= {elt.value for elt in node.value.elts}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_every_import_is_used():
+    unused = {path.name: found for path in sorted(SRC.glob("*.py"))
+              if (found := unused_imports(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert unused == {}
+
+
+def test_an_unused_import_is_found():
+    tree = ast.parse("from math import gcd, lcm\nimport os.path\n__all__ = ['os']\nlcm(1)\n")
+    assert unused_imports(tree) == [(1, "gcd")]

@@ -19,7 +19,9 @@ from wazz.zigzag import (CUBIC, FREE_MODULE, FREE_PCA, GENERATED_MODULE,
                          ZigZagNode, _carrier, _nat_monoid_member, cubic_zigzag, ghat_zigzag,
                          parse_zigzag, verify_zigzag, zigzag_to_text)
 
-from genrandom import lifted_pair, rand_automaton, rand_config, report_witnesses
+import kernel_oracle
+from genrandom import (lifted_pair, rand_automaton, rand_config, report_witnesses,
+                       with_redundant_generators)
 from matvec_oracle import fractions, identity, sconcat, svec, transpose, zero
 
 T = SemiringTag
@@ -646,48 +648,115 @@ class TestMalformedWitnesses:
         assert chain.detail == f"relating element at node {node} has the wrong length"
 
 
+def rank(gens, dim):
+    """The rank of the scaled generators, by the `Fraction` oracle's rref."""
+    rows = [fractions(g) for g in gens]
+    return kernel_oracle.rref(Mat(rows, ncols=dim))[2] if rows else 0
+
+
+def dependent(node):
+    """Whether the node's distinct nonzero generators are linearly dependent."""
+    distinct = {g for g in node.generators if any(g[1])}
+    return rank(distinct, node.dim) < len(distinct)
+
+
+class SpanSpy:
+    """The factorizations (generators, dim) and facet enumerations
+    (generators, hull) made, and the double descriptions run, since the last
+    `clear`, which also empties the span cache."""
+
+    def __init__(self, monkeypatch):
+        self.clear()
+        init, enumerate_, rays = (polyhedra._Span.__init__, polyhedra._Span._enumerate,
+                                  polyhedra._pointed_cone_rays)
+
+        def spy_init(span, gens, dim):
+            self.factored.append((gens, dim))
+            init(span, gens, dim)
+
+        def spy_enumerate(span, hull):
+            self.enumerated.append((span._gens, hull))
+            return enumerate_(span, hull)
+
+        def spy_rays(*args):
+            self.rays += 1
+            return rays(*args)
+
+        monkeypatch.setattr(polyhedra._Span, "__init__", spy_init)
+        monkeypatch.setattr(polyhedra._Span, "_enumerate", spy_enumerate)
+        monkeypatch.setattr(polyhedra, "_pointed_cone_rays", spy_rays)
+
+    def clear(self):
+        polyhedra.span_factors.cache_clear()
+        self.factored, self.enumerated, self.rays = [], [], 0
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    yield SpanSpy(monkeypatch)
+    polyhedra.span_factors.cache_clear()
+
+
 class TestCarrierWorkedOutOnce:
     """During one verification the signs of the generators are read off
-    their scaled integers, no polytope is built, and hull facets are looked
-    up only for a carrier that is not a well-formed free one: one per such
-    node, from its scaled generators, none for the rest."""
+    their scaled integers, no polytope is built, each distinct generator list
+    is factored once, and facets are enumerated only for a carrier whose
+    distinct nonzero generators are dependent: one per such node, none for
+    the rest, and no verifier check reaches the producer's `_span_frame`."""
 
-    def witnesses(self):
-        for tag, build in ((T.PCA, ghat_zigzag), (T.UNIT, cubic_zigzag)):
+    def witnesses(self, monkeypatch):
+        """The witnesses, built first: the verifier then runs without the
+        producer's `_span_frame`."""
+        witnesses = list(self._witnesses())
+        monkeypatch.setattr(polyhedra, "_span_frame", None)
+        return witnesses
+
+    def _witnesses(self):
+        for tag, build in ((T.PCA, ghat_zigzag), (T.UNIT, cubic_zigzag), (T.QPLUS, cubic_zigzag)):
             rng = random.Random(f"carrier-once/{tag.value}")
             for k, extra in ((1, 1), (2, 1), (2, 2), (3, 1)):
                 z = build(*lifted_pair(rng, tag, k, extra, ("a", "b")))
                 yield z
-                # a FREE_PCA node whose kind check fails is judged as a hull
-                bad = replace(z.nodes[0], generators=z.nodes[0].generators[1:])
-                yield replace(z, nodes=(bad,) + z.nodes[1:])
+                yield with_redundant_generators(z)
+                if tag is not T.QPLUS:
+                    # a FREE_PCA node whose kind check fails is gauged by coordinates
+                    bad = replace(z.nodes[0], generators=z.nodes[0].generators[1:])
+                    yield replace(z, nodes=(bad,) + z.nodes[1:])
 
-    def test_nonnegativity_and_polytopes(self, monkeypatch):
-        built, hulls_seen = [], []
-        original_polytope, original_facets = zigzag.PcaPolytope, zigzag._subconvex_facets
+    def test_nonnegativity_and_polytopes(self, monkeypatch, spans):
+        built = []
+        original_polytope = zigzag.PcaPolytope
 
         def polytope(dim, gens):
             built.append(gens)
             return original_polytope(dim, gens)
 
-        def facets(points, dim):
-            hulls_seen.append(points)
-            return original_facets(points, dim)
-
         monkeypatch.setattr(zigzag, "PcaPolytope", polytope)
-        monkeypatch.setattr(zigzag, "_subconvex_facets", facets)
-        hulls = 0
-        for z in self.witnesses():
+        hulls = cones = 0
+        for z in self.witnesses(monkeypatch):
             built.clear()
-            hulls_seen.clear()
+            spans.clear()
             report = verify_zigzag(z)
             assert report.valid == (len(z.nodes[0].generators) == z.nodes[0].dim)
             assert built == []
-            hull_nodes = [n.generators for n in z.nodes
-                          if n.kind == GENERATED_PCA or len(n.generators) != n.dim]
-            assert hulls_seen == hull_nodes
-            hulls += len(hulls_seen)
-        assert hulls >= 16
+            assert spans.factored == list(dict.fromkeys((n.generators, n.dim) for n in z.nodes))
+            assert spans.enumerated == [(n.generators, n.is_pca) for n in z.nodes
+                                        if dependent(n)]
+            hulls += sum(hull for _, hull in spans.enumerated)
+            cones += sum(not hull for _, hull in spans.enumerated)
+        assert hulls >= 6 and cones >= 4
+
+    def test_independent_carriers_run_no_double_description(self, monkeypatch, spans):
+        witnesses = 0
+        for z in self.witnesses(monkeypatch):
+            if any(map(dependent, z.nodes)):
+                continue
+            spans.clear()
+            verify_zigzag(z)
+            assert spans.rays == 0
+            assert len(spans.factored) == len({(n.generators, n.dim) for n in z.nodes})
+            witnesses += 1
+        assert witnesses >= 10
 
     @pytest.mark.parametrize("node", [1, 2])
     def test_one_negative_fractional_entry_fails_node_kind(self, node):
@@ -702,20 +771,6 @@ class TestCarrierWorkedOutOnce:
             replace(z.nodes[node], generators=bad),) + z.nodes[node + 1:]))
         assert [(c.name, c.detail) for c in report.checks if c.name == f"node-kind[{node}]"] \
             == [(f"node-kind[{node}]", "generators must be nonnegative")]
-
-    def test_well_formed_free_carriers_run_no_double_description(self, monkeypatch):
-        calls = []
-        original = polyhedra._SpanFacets._enumerate
-        monkeypatch.setattr(polyhedra._SpanFacets, "_enumerate", staticmethod(
-            lambda gens, dim, hull: calls.append((gens, hull)) or original(gens, dim, hull)))
-        rng = random.Random("carrier-once/dd")
-        z = ghat_zigzag(*lifted_pair(rng, T.PCA, 2, 1, ("a", "b")))
-        free = [n for n in z.nodes if n.kind == FREE_PCA]
-        assert all(n.generators for n in free)
-        polyhedra._subconvex_facets.cache_clear()
-        calls.clear()
-        assert verify_zigzag(z).valid
-        assert calls == [(z.nodes[2].generators, True)]
 
 
 def box_monoid_member(gens, target):
