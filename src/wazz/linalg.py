@@ -284,12 +284,15 @@ def rref(m):
 
 def _rref_beside_identity(cols, nrows, d=1):
     """(pivot columns, rows) of one `_int_rref` of [G | d I], G having the
-    integer columns cols of length nrows: the rows read [R | d E] with
-    E G = R, R being G's rref up to a nonzero factor per row."""
+    integer columns cols of length nrows, with the pivots sought in G's
+    columns only and the identity block carried along: the rows read
+    [R | d E] with E G = R, R being G's rref up to a nonzero factor per row,
+    and E invertible.  The rows from G's rank on read [0 | d E'], unreduced,
+    and E' is a basis of the equations of G's column span."""
     rows = [list(r) + [0] * nrows for r in zip(*cols)] or [[0] * nrows for _ in range(nrows)]
     for j, row in enumerate(rows, len(cols)):
         row[j] = d
-    return _int_rref(rows, len(cols) + nrows), rows
+    return _int_rref(rows, len(cols)), rows
 
 
 def _kernel_vectors(rows, pivots, ncols):

@@ -126,7 +126,7 @@ def _initial_simplex(normals, dim):
     """
     pivots, rows = _rref_beside_identity(normals, dim)
     m = len(normals)
-    if pivots[-1] >= m:
+    if len(pivots) < dim:
         raise ValueError("constraint matrix does not have full rank")
     return pivots, [primitive([-a for a in row[m:]] if row[p] > 0 else row[m:])
                     for row, p in zip(rows, pivots)]
@@ -279,24 +279,30 @@ def lp_feasible(h):
 FACET_STEP_BUDGET = 1_000_000
 
 # Bound of the span cache, keyed by a carrier's scaled generators and
-# dimension; the verifier looks up every node's.  A seed-1 benchmark pass
-# misses 277, 211, 526 and 182 times at 128 on ghat-pca, restrict-unary,
-# span-desk and words-deep, 276, 209, 477 and 182 unbounded, and 302, 223,
-# 627 and 186 at 32.
+# dimension; the verifier looks up every node's but the diagonal free ones
+# (`wazz.zigzag._diagonal`).  A seed-1 benchmark pass misses 66, 207, 521
+# and 178 times at 128 on ghat-pca, restrict-unary, span-desk and
+# words-deep, 66, 205, 473 and 178 unbounded, and 67, 219, 618 and 182 at
+# 32.
 FACET_CACHE_SIZE = 128
 
 
 class _Span:
     """One factorization of a carrier's scaled generators g_1, ..., g_k in
-    Q^dim, for membership in their span, cone or subconvex hull.
+    Q^dim, for membership in their span, cone or subconvex hull.  The
+    verifier builds none for a free carrier on positive multiples of the
+    unit vectors, whose coordinates are one scaling per entry
+    (`wazz.zigzag._diagonal`).
 
     With G's columns over the lcm D of their denominators, one
-    `_rref_beside_identity` of [D G | D I] gives [R | D E], E G = R up to a
-    factor per row and R of rank r; E is kept as integer rows over one
-    denominator.  v is in the span when E v vanishes below row r, and then
-    its first r entries are the coordinates y(v) of v on the pivot
-    generators.  When the distinct nonzero generators are independent these
-    are unique: the cone is simplicial and the hull a simplex with vertex 0.
+    `_rref_beside_identity` of [D G | D I], pivoting in D G's k columns
+    only, gives [R | D E], E G = R up to a factor per row and R of rank r;
+    E is kept as integer rows over one denominator.  Its rows below r, left
+    unreduced, are a basis of the span's equations, so v is in the span
+    when E v vanishes below row r, and then its first r entries are the
+    coordinates y(v) of v on the pivot generators.  When the distinct
+    nonzero generators are independent these are unique: the cone is
+    simplicial and the hull a simplex with vertex 0.
     Otherwise y is one-to-one on the span, so one double description of
     rank r finds the facets: the hull's in dimension r + 1 on the normals
     (y(g), 1) and (0, 1), the cone's on the normals y(g).  They are
@@ -311,14 +317,15 @@ class _Span:
         k, den = len(gens), lcm(*[d for d, _ in gens])
         cols = [ints if d == den else [a * (den // d) for a in ints] for d, ints in gens]
         pivots, rows = _rref_beside_identity(cols, dim, den)
-        self._pivots = tuple(p for p in pivots if p < k)
-        self.k, self.rank = k, len(self._pivots)
+        self._pivots = tuple(pivots)
+        self.k, self.rank = k, len(pivots)
         self.independent = self.rank == len({g for g in gens if any(g[1])})
-        # row i of E is row i of the elimination's E part over its pivot entry
+        # row i < r of E is row i of the elimination's E part over its pivot
+        # entry; the rows below are only tested for zero, so they stay as they are
         e_den = lcm(*(row[p] for row, p in zip(rows, pivots)))
+        scales = [e_den // row[p] for row, p in zip(rows, pivots)] + [1] * (dim - self.rank)
         e_rows = []
-        for row, p in zip(rows, pivots):
-            scale = e_den // row[p]
+        for row, scale in zip(rows, scales):
             support = tuple(j for j in range(dim) if row[k + j])
             e_rows.append((support, tuple(row[k + j] * scale for j in support)))
         self._e = e_den, e_rows, dim

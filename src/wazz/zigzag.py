@@ -3,12 +3,15 @@
 A witness is a chain of coalgebra nodes connected by morphisms, alternating
 between source nodes (outgoing arrows, carrying a relating element) and sink
 nodes (incoming arrows, which must have free carriers).  The verifier
-re-checks every claim from the witness data alone: carrier memberships on
-one factorization of each node's generators (`wazz.polyhedra.span_factors`),
-by their unique coordinates when they are independent and otherwise by the
-facets of the hull or cone, lattice reduction or a budgeted N-monoid
-search, morphism squares by matrix identities, and the relating chain by
-direct evaluation.
+re-checks every claim from the witness data alone: carrier memberships,
+morphism squares by matrix identities, and the relating chain by direct
+evaluation.  A free node whose generators are positive multiples of the
+unit vectors, as every endpoint and pyramid node is, needs no elimination:
+its coordinates are one integer scaling per entry.  Every other node is
+decided on one factorization of its generators
+(`wazz.polyhedra.span_factors`), by their unique coordinates when they are
+independent and otherwise by the facets of the hull or cone, lattice
+reduction or a budgeted N-monoid search.
 
 Every check runs on integers.  Generators, outputs, relating elements and
 endpoints are scaled vectors (d, ints) in lowest terms (`wazz.linalg`), and
@@ -24,6 +27,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from math import lcm
+from operator import mul
 
 from .automata import _TAGS, LinearCoalgebra, SemiringTag, _scalar_rules, pair_submodule
 from .formats import LineReader, block_lines, fmt_ratio, fmt_vec
@@ -277,20 +282,59 @@ def _integral(v):
 _Carrier = namedtuple("_Carrier", "kind_detail member gauge", defaults=(None,))
 
 
+def _diagonal(gens, dim):
+    """(L, weights) when the dim generators are positive multiples
+    c_j = a_j / d_j of the unit vectors e_j, in order: L = lcm(a_j) and
+    w_j = d_j L / a_j, so that the coordinates of a scaled v = (e, xs) are
+    (e L, [w_j xs_j]).  None for any other list."""
+    if len(gens) != dim:
+        return None
+    for j, (_, ints) in enumerate(gens):
+        if ints[j] <= 0 or ints.count(0) != dim - 1:
+            return None
+    big = lcm(*[ints[j] for j, (_, ints) in enumerate(gens)])
+    return big, [d * (big // ints[j]) for j, (d, ints) in enumerate(gens)]
+
+
+def _diagonal_carrier(tag, pca, big, weights):
+    """The free carrier on the generators c_j e_j of `_diagonal`, decided by
+    the coordinates (e L, [w_j xs_j]) of v = (e, xs), which are v itself for
+    the standard basis: a module's by the tag's scalar rules, a subconvex
+    one's, the simplex on the c_j e_j, by the gauge, their sum when none is
+    negative and INFINITY otherwise.  These are the values the unique
+    coordinates of a `_Span` give."""
+    if pca:
+        def gauge(v):
+            e, xs = v
+            if min(xs, default=0) < 0:
+                return INFINITY
+            return sum(map(mul, weights, xs)), e * big
+        return _Carrier("", lambda v: (r := gauge(v)) is not INFINITY and r[0] <= r[1], gauge)
+    rules = _scalar_rules(tag)
+    return _Carrier("", lambda v: rules(v[0] * big, [w * a for w, a in zip(weights, v[1])]))
+
+
 def _carrier(tag, node):
-    """The node's carrier, from its scaled generators checked once and
+    """The node's carrier, from its scaled generators checked once and, unless
+    it is free on positive multiples of the unit vectors (`_diagonal`),
     factored once (`span_factors`).
 
-    The rank answers node-kind.  A subconvex carrier is the hull of its
-    generators, gauged by the factorization, and a member test compares the
-    gauge, an integer ratio, with 1 by cross-multiplication.  A module is
-    decided by the unique coordinates and the tag's scalar rules when its
-    distinct nonzero generators are independent, as every well-formed free
-    carrier's are, and so is every free module and every `q`/`real` one.  A
-    dependent generated module falls back on its tag: the cone's facets for
+    A diagonal free carrier, as every endpoint and pyramid node a producer
+    writes is, is decided by one integer scaling per entry
+    (`_diagonal_carrier`).  Otherwise the rank answers node-kind.  A
+    subconvex carrier is the hull of its generators, gauged by the
+    factorization, and a member test compares the gauge, an integer ratio,
+    with 1 by cross-multiplication.  A module is decided by the unique
+    coordinates and the tag's scalar rules when its distinct nonzero
+    generators are independent, as every well-formed free carrier's are,
+    and so is every free module and every `q`/`real` one.  A dependent
+    generated module falls back on its tag: the cone's facets for
     `qplus`/`rplus`, lattice reduction for `int` and the budgeted search for
     `nat`, which need integral generators, nonnegative ones for `nat`."""
     gens, dim = node.generators, node.dim
+    diagonal = node.is_free and _diagonal(gens, dim)
+    if diagonal:
+        return _diagonal_carrier(tag, node.is_pca, *diagonal)
     if node.is_pca and not all(min(ints, default=0) >= 0 for _, ints in gens):
         return _Carrier("generators must be nonnegative", _never)
     span = span_factors(gens, dim)

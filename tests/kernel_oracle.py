@@ -7,15 +7,20 @@ cone-membership evaluations over `Fraction` facets, the Z closure that
 re-applied every map to the whole basis each round, and the double
 description's initial simplex (an `_Echelon` pass, then the rref of
 [B | I]).  The tests require equal values of equal type.
+
+`FullSpan` is the verifier's carrier factorization as it was before its
+elimination stopped at the generators' columns: the whole [D G | D I]
+eliminated, every row pivoting in one column.  The tests require the
+rank, pivots, coordinates, gauges, cone tests and facets of `_Span`.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from matvec_oracle import entrywise_apply, entrywise_dot, fractions, funit, vneg, zeros
-from wazz.linalg import Lattice, Mat, as_int_vec, hnf, is_integral, is_zero, vector
-from wazz.polyhedra import INFINITY, VRep, cone_rays, dd_v_to_h
+from wazz.linalg import Lattice, Mat, _int_rref, as_int_vec, hnf, is_integral, is_zero, vector
+from wazz.polyhedra import INFINITY, VRep, _Span, cone_rays, dd_v_to_h
 
 
 def primitive(v, flip_sign=False):
@@ -194,3 +199,30 @@ def z_closure(start, maps):
         if nxt == lat:
             return [tuple(r) for r in lat.basis]
         lat = nxt
+
+
+class FullSpan(_Span):
+    """`_Span` factored by one `_int_rref` of the whole [D G | D I]: the rows
+    below the rank pivot in the identity block and reduce the rows above."""
+
+    __slots__ = ()
+
+    def __init__(self, gens, dim):
+        k, den = len(gens), lcm(*[d for d, _ in gens])
+        cols = [ints if d == den else [a * (den // d) for a in ints] for d, ints in gens]
+        rows = [list(r) + [0] * dim for r in zip(*cols)] or [[0] * dim for _ in range(dim)]
+        for j, row in enumerate(rows, k):
+            row[j] = den
+        pivots = _int_rref(rows, k + dim)
+        self._pivots = tuple(p for p in pivots if p < k)
+        self.k, self.rank = k, len(self._pivots)
+        self.independent = self.rank == len({g for g in gens if any(g[1])})
+        e_den = lcm(*(row[p] for row, p in zip(rows, pivots)))
+        e_rows = []
+        for row, p in zip(rows, pivots):
+            scale = e_den // row[p]
+            support = tuple(j for j in range(dim) if row[k + j])
+            e_rows.append((support, tuple(row[k + j] * scale for j in support)))
+        self._e = e_den, e_rows, dim
+        self._g = *Mat._of_cols(den, cols, dim).scaled(), k
+        self._gens, self._facets = gens, {}

@@ -20,7 +20,7 @@ import kernel_oracle
 from wazz import polyhedra
 from wazz.automata import SemiringTag
 from wazz.cli import main
-from wazz.linalg import scaled
+from wazz.linalg import Mat, scaled
 from wazz.polyhedra import (INFINITY, PcaPolytope, SearchBudgetExceeded, cone_member,
                             gauge)
 from wazz.zigzag import cubic_zigzag, ghat_zigzag, parse_zigzag, verify_zigzag, zigzag_to_text
@@ -152,6 +152,61 @@ class TestEdgeCases:
         empty = scaled(())
         assert gauge(PcaPolytope(0, ()), empty) == 0
         assert cone_member([], empty) and cone_member([empty], empty)
+
+
+def coordinate_values(x):
+    """The scaled coordinates x as `Fraction`s, None kept."""
+    return None if x is None else tuple(F(a, x[0]) for a in x[1])
+
+
+def independent_gens(rng, dim):
+    """Up to dim linearly independent generators, with a zero one now and then."""
+    gens = []
+    for _ in range(rng.randint(0, dim)):
+        g = tuple(rand_entry(rng, True) for _ in range(dim))
+        if kernel_oracle.rref(Mat(gens + [g], ncols=dim))[2] == len(gens) + 1:
+            gens.append(g)
+    return gens + [(F(0),) * dim] * (rng.random() < 0.2)
+
+
+class TestFactorizationStopsAtGeneratorColumns:
+    """`_Span` seeks its pivots in the generators' columns only, so the
+    span's equations stay unreduced; `kernel_oracle.FullSpan`, the whole
+    [D G | D I] eliminated, must give the same rank, pivots and values."""
+
+    def assert_same(self, gens, dim, rng, seen):
+        points, gens = probe_points(rng, gens, dim), tuple(map(scaled, gens))
+        got, want = polyhedra._Span(gens, dim), kernel_oracle.FullSpan(gens, dim)
+        assert (got.rank, got._pivots, got.independent) == \
+            (want.rank, want._pivots, want.independent), gens
+        if not got.independent:
+            assert got._facets_of(True) == want._facets_of(True), gens
+            assert got._facets_of(False) == want._facets_of(False), gens
+        for x in map(scaled, points):
+            coords = got.coordinates(x)
+            assert coordinate_values(coords) == coordinate_values(want.coordinates(x)), (gens, x)
+            g, w = got.gauge(x), want.gauge(x)
+            assert (g is INFINITY) == (w is INFINITY) and (g is INFINITY or F(*g) == F(*w)), \
+                (gens, x)
+            assert got.cone_member(x) == want.cone_member(x), (gens, x)
+            seen.add((got.independent, coords is not None))
+
+    @pytest.mark.parametrize("dim", range(7))
+    def test_random_generator_lists(self, dim):
+        rng = random.Random(f"span-facets/g-only/{dim}")
+        seen = set()
+        for _ in range(30):
+            self.assert_same(low_rank_gens(rng, dim, rng.random() < 0.5), dim, rng, seen)
+            self.assert_same(independent_gens(rng, dim), dim, rng, seen)
+        # (independent, point on the span): in dimension 1 dependent generators span it all
+        assert seen == ({(True, True)} if dim == 0 else
+                        {(True, True), (True, False), (False, True), (False, dim == 1)})
+
+    def test_edge_cases(self):
+        rng, seen = random.Random("span-facets/g-only/edges"), set()
+        for dim, gens in TestEdgeCases().cases():
+            self.assert_same(gens, dim, rng, seen)
+        assert len(seen) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -660,6 +660,13 @@ def dependent(node):
     return rank(distinct, node.dim) < len(distinct)
 
 
+def diagonal(node):
+    """Whether the node is free on positive multiples of e_0, ..., e_(dim-1), in order."""
+    return node.is_free and len(node.generators) == node.dim and all(
+        all(a > 0 if i == j else a == 0 for i, a in enumerate(fractions(g)))
+        for j, g in enumerate(node.generators))
+
+
 class SpanSpy:
     """The factorizations (generators, dim) and facet enumerations
     (generators, hull) made, and the double descriptions run, since the last
@@ -699,10 +706,12 @@ def spans(monkeypatch):
 
 class TestCarrierWorkedOutOnce:
     """During one verification the signs of the generators are read off
-    their scaled integers, no polytope is built, each distinct generator list
-    is factored once, and facets are enumerated only for a carrier whose
-    distinct nonzero generators are dependent: one per such node, none for
-    the rest, and no verifier check reaches the producer's `_span_frame`."""
+    their scaled integers, no polytope is built, a free carrier on positive
+    multiples of the unit vectors is not factored, each other distinct
+    generator list is factored once, and facets are enumerated only for a
+    carrier whose distinct nonzero generators are dependent: one per such
+    node, none for the rest, and no verifier check reaches the producer's
+    `_span_frame`."""
 
     def witnesses(self, monkeypatch):
         """The witnesses, built first: the verifier then runs without the
@@ -739,7 +748,12 @@ class TestCarrierWorkedOutOnce:
             report = verify_zigzag(z)
             assert report.valid == (len(z.nodes[0].generators) == z.nodes[0].dim)
             assert built == []
-            assert spans.factored == list(dict.fromkeys((n.generators, n.dim) for n in z.nodes))
+            assert spans.factored == list(dict.fromkeys((n.generators, n.dim) for n in z.nodes
+                                                        if not diagonal(n)))
+            if report.valid:
+                # a producer's witness, redundant generators or not: only its middle node
+                middle = z.nodes[len(z.nodes) // 2]
+                assert spans.factored == [(middle.generators, middle.dim)]
             assert spans.enumerated == [(n.generators, n.is_pca) for n in z.nodes
                                         if dependent(n)]
             hulls += sum(hull for _, hull in spans.enumerated)
@@ -754,9 +768,27 @@ class TestCarrierWorkedOutOnce:
             spans.clear()
             verify_zigzag(z)
             assert spans.rays == 0
-            assert len(spans.factored) == len({(n.generators, n.dim) for n in z.nodes})
+            assert len(spans.factored) == len({(n.generators, n.dim) for n in z.nodes
+                                               if not diagonal(n)})
             witnesses += 1
         assert witnesses >= 10
+
+    @pytest.mark.parametrize("tag", list(T), ids=lambda t: t.value)
+    def test_producer_free_nodes_take_the_diagonal_route(self, tag, spans):
+        """Every endpoint node and every pyramid node a producer writes is
+        decided without a factorization, so a producer change that reorders
+        their generators shows here."""
+        build = ghat_zigzag if tag is T.PCA else cubic_zigzag
+        rng = random.Random(f"carrier-once/diagonal/{tag.value}")
+        for k, extra in ((1, 1), (2, 1), (2, 2), (3, 1)):
+            z = build(*lifted_pair(rng, tag, k, extra, ("a", "b")))
+            free = [i for i, node in enumerate(z.nodes) if node.is_free]
+            assert free == ([0, 1, 3, 4] if tag is T.PCA else [0, 2])
+            assert all(zigzag._diagonal(z.nodes[i].generators, z.nodes[i].dim) for i in free)
+            spans.clear()
+            assert verify_zigzag(z).valid
+            middle = z.nodes[len(z.nodes) // 2]
+            assert spans.factored == [(middle.generators, middle.dim)]
 
     @pytest.mark.parametrize("node", [1, 2])
     def test_one_negative_fractional_entry_fails_node_kind(self, node):
