@@ -4,22 +4,22 @@ The kernel runs on integers.  A vector of the pipeline is scaled: it
 travels as (d, ints), standing for ints / d, with d > 0, ints a tuple of
 `int` and gcd(d, *ints) == 1, so equal vectors have equal forms and compare
 and hash equal.  `scaled(v)` makes that form from rationals; two scaled
-vectors are compared by cross-multiplication, never by building Fractions.
-`Fraction` rows remain only in the polyhedra of `wazz polytope` (`vector`,
-`kernel_basis`, `rref`, `solve`).
+vectors are compared by cross-multiplication.  It is the one vector
+format: this module builds no `Fraction`.
 
-- A `Mat` is integers only (see the class); `rows` is a `Fraction` view
-  built when asked.  The text readers build a letter or morphism matrix
-  from its columns' integers (`_of_cols`), and coordinate selections and
+- A `Mat` is integers only (see the class), built from int or `Fraction`
+  entries.  The text readers build a letter or morphism matrix from its
+  columns' integers (`_of_cols`), and coordinate selections and
   `block_diag` compose integers.  `apply_scaled((e, xs))` takes each output
   entry as one integer sum over a row's nonzeros and returns the image as
   (d * e, sums).
 - Elimination (`_int_rref`, `_Echelon`) is fraction-free: a row update is
   the integer combination that clears one entry, divided by the gcd of the
-  result, so rows stay primitive.  `_int_rref` is the one Gauss-Jordan loop:
-  `rref` divides a pivot row by its pivot only to build the returned
-  matrix, and `kernel_basis`, the double description and the verifier's
-  carrier factorization (`wazz.polyhedra`) read the integer rows directly.
+  result, so rows stay primitive.  `_int_rref` is the one Gauss-Jordan loop;
+  `rref`, `solve` (the one back-substitution, which the pyramid normal of
+  `wazz.pca` calls), `kernel_basis`, the double description and the
+  verifier's carrier factorization (`wazz.polyhedra`) read its integer rows
+  over the lcm of their pivot entries.
 - The word closure (`_scaled_word_closure`) queues scaled images, reduced
   to lowest terms, and builds no `Fraction`; `first_word_off`, like the
   pair closure of `wazz.automata`, tests each scaled image against a
@@ -33,17 +33,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, lcm
 from operator import mul
-
-
-def vector(entries):
-    # a tuple of exact Fractions comes back as it is; Fraction entries are shared
-    if type(entries) is tuple and {Fraction}.issuperset(map(type, entries)):
-        return entries
-    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def unit(n, i):
@@ -147,8 +139,8 @@ class Mat:
     __slots__ = ("ncols", "den", "sparse")
 
     def __init__(self, rows, ncols=None):
-        """The matrix with the given rows of rationals (int, Fraction or text)."""
-        rows = [[Fraction(a) for a in r] for r in rows]
+        """The matrix with the given rows of int or Fraction entries."""
+        rows = [list(r) for r in rows]
         width = len(rows[0]) if rows else ncols
         if width is None:
             raise ValueError("empty matrix needs an explicit column count")
@@ -156,9 +148,8 @@ class Mat:
             raise ValueError("ragged matrix")
         if ncols not in (None, width):
             raise ValueError("ncols disagrees with row width")
-        den = lcm(*(a.denominator for r in rows for a in r))
-        m = Mat._of_cols(den, [[r[j].numerator * (den // r[j].denominator) for r in rows]
-                               for j in range(width)], len(rows))
+        den, ints = _clear_denominators([a for r in rows for a in r])
+        m = Mat._of_cols(den, [ints[j::width] for j in range(width)], len(rows))
         self.ncols, self.den, self.sparse = m.ncols, m.den, m.sparse
 
     @classmethod
@@ -187,11 +178,6 @@ class Mat:
             for j, a in zip(cols, nums):
                 row[j] = a
         return out
-
-    @property
-    def rows(self):
-        """The entries as `Fraction` rows, built on each access."""
-        return tuple(tuple(Fraction(a, self.den) for a in row) for row in self.dense())
 
     def scaled(self):
         """(den, sparse), the form every product reads."""
@@ -224,7 +210,7 @@ class Mat:
         return hash((self.ncols, self.den, self.sparse))
 
     def __repr__(self):
-        return f"Mat({[list(map(str, r)) for r in self.rows]})"
+        return f"Mat({self.dense()} / {self.den})"
 
 
 def _selection(keep, n):
@@ -273,13 +259,20 @@ def rref(m):
     """Reduced row echelon form: returns (R, pivot columns, rank).
 
     `_int_rref` on the rows scaled to primitive integers, each pivot row then
-    divided by its pivot entry; R, its pivots and its rank are unique, so
-    they are those of the rational elimination."""
+    divided by its pivot entry, over the lcm of those entries; R, its pivots
+    and its rank are unique, so they are those of the rational elimination."""
     rows = [primitive(r) for r in m.dense()]
     pivots = _int_rref(rows, m.ncols)
-    r = len(pivots)
-    red = [[Fraction(a, row[c]) for a in row] for row, c in zip(rows, pivots)]
-    return Mat(red + rows[r:], ncols=m.ncols), tuple(pivots), r
+    den, scales = _pivot_scales(rows, pivots)
+    zeros = [0] * (m.nrows - len(pivots))
+    cols = [[row[j] * s for row, s in zip(rows, scales)] + zeros for j in range(m.ncols)]
+    return Mat._of_cols(den, cols, m.nrows), tuple(pivots), len(pivots)
+
+
+def _pivot_scales(rows, pivots):
+    """(L, L / its pivot entry per pivot row of `_int_rref`), L their lcm."""
+    den = lcm(*(row[p] for row, p in zip(rows, pivots)))
+    return den, [den // row[p] for row, p in zip(rows, pivots)]
 
 
 def _rref_beside_identity(cols, nrows, d=1):
@@ -300,8 +293,7 @@ def _kernel_vectors(rows, pivots, ncols):
     per non-pivot column c, the vector with L at c and -rows[i][c] L / rows[i][p_i]
     at each pivot p_i, L being the lcm of the pivot entries, made primitive
     with its first nonzero entry positive."""
-    den = lcm(*(row[p] for row, p in zip(rows, pivots)))
-    scales = [den // row[p] for row, p in zip(rows, pivots)]
+    den, scales = _pivot_scales(rows, pivots)
     basis = []
     for c in range(ncols):
         if c not in pivots:
@@ -314,25 +306,28 @@ def _kernel_vectors(rows, pivots, ncols):
 
 
 def kernel_basis(m):
-    """Basis of {x : Mx = 0}, one primitive vector per free column, on integers."""
+    """Basis of {x : Mx = 0}, one primitive integer tuple per free column."""
     rows = [primitive(r) for r in m.dense()]
-    return [vector(v) for v in _kernel_vectors(rows, _int_rref(rows, m.ncols), m.ncols)]
+    return _kernel_vectors(rows, _int_rref(rows, m.ncols), m.ncols)
 
 
 def solve(m, b):
-    """Some x with Mx = b, or None if inconsistent. Free variables are zero."""
-    if len(b) != m.nrows:
+    """The scaled x with Mx = b for the scaled b, free variables zero, or
+    None: one `_int_rref` of [e M | d b] over gcd(d, e), M = ints / d and
+    b = bs / e; x_p is the last entry of p's pivot row over its pivot entry."""
+    (e, bs), n = b, m.ncols
+    if len(bs) != m.nrows:
         raise ValueError("right-hand side has wrong length")
-    if m.nrows == 0:
-        return (Fraction(0),) * m.ncols
-    aug = Mat(tuple(tuple(r) + (bv,) for r, bv in zip(m.rows, b)), ncols=m.ncols + 1)
-    red, pivots, rank = rref(aug)
-    if pivots and pivots[-1] == m.ncols:
+    e, d = e // gcd(e, m.den), m.den // gcd(e, m.den)  # keeps the entries small
+    rows = [[e * a for a in row] + [d * c] for row, c in zip(m.dense(), bs)]
+    pivots = _int_rref(rows, n + 1)
+    if pivots and pivots[-1] == n:
         return None
-    x, rows = [Fraction(0)] * m.ncols, red.rows
-    for i, p in enumerate(pivots):
-        x[p] = rows[i][m.ncols]
-    return tuple(x)
+    den, scales = _pivot_scales(rows, pivots)
+    x = [0] * n
+    for row, p, s in zip(rows, pivots, scales):
+        x[p] = row[n] * s
+    return _lowest_terms((den, x))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ functional of X.  Coalgebras for it live on simplices and, more generally,
 on compact polytopes between the simplex and the positive orthant; those can
 always be enlarged to a free carrier, a pyramid {x >= 0 : <x, u> <= 1}, whose
 normal u is the least solution of a fixed-point system and is found by one
-fraction-free integer elimination (see `pyramid_extension`).
+integer `wazz.linalg.solve` (see `pyramid_extension`).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .automata import SemiringTag, WeightedAutomaton
-from .linalg import Mat, _int_rref, _lowest_terms, _selection, scaled_dot
+from .linalg import Mat, _lowest_terms, _selection, scaled_dot, solve
 from .polyhedra import INFINITY, InternalError, PcaPolytope
 
 
@@ -103,22 +103,16 @@ def reduce_invariant_set(aut):
 
 def fixed_point(out, trans):
     """Some scaled u with (I - N) u = out (N = sum_a M_a^T, free coordinates 0)
-    or None: one `_int_rref` of d (I - N) u = d out, d the lcm of all
-    denominators, whose row j is d e_j minus every letter's column j, then
-    d out_j, on integers; u_p is row[n] / row[p] at the pivot rows."""
-    (d_out, outs), forms = out, [m.scaled() for m in trans]
-    n, den = len(outs), lcm(d_out, *[d for d, _ in forms])
-    rows = [[den * (i == j) for i in range(n)] + [a * (den // d_out)] for j, a in enumerate(outs)]
+    or None, by `solve`: over d, the lcm of all denominators, column i of
+    d (I - N) is d e_i minus every letter's row i, on integers."""
+    forms = [m.scaled() for m in trans]
+    n, den = len(out[1]), lcm(*[d for d, _ in forms])
+    cols = [[den * (i == j) for j in range(n)] for i in range(n)]
     for d, sparse in forms:
-        for i, (cols, nums) in enumerate(sparse):
-            for j, a in zip(cols, nums):
-                rows[j][i] -= a * (den // d)
-    pivots = _int_rref(rows, n + 1)
-    if pivots and pivots[-1] == n:
-        return None
-    den = lcm(*(row[p] for row, p in zip(rows, pivots)))
-    u = {p: row[n] * (den // row[p]) for row, p in zip(rows, pivots)}
-    return _lowest_terms((den, [u.get(j, 0) for j in range(n)]))
+        for col, (js, nums) in zip(cols, sparse):
+            for j, a in zip(js, nums):
+                col[j] -= a * (den // d)
+    return solve(Mat._of_cols(den, cols, n), out)
 
 
 def pyramid_extension(polytope, coalg):
@@ -137,7 +131,7 @@ def pyramid_extension(polytope, coalg):
     u > 0 with no invariant zero set forces spectral radius rho(N) < 1 (a
     left Perron vector of N for the eigenvalue 1 would have an invariant
     zero set as its support), so I - N is invertible and u* is the one
-    solution of (I - N) u = out.  One integer elimination solves it
+    solution of (I - N) u = out.  One integer `solve` finds it
     (`fixed_point`); u is then checked to be positive and, by one integer dot
     product per generator, to keep X inside the pyramid (InternalError
     otherwise, which no coalgebra on a carrier containing the simplex can

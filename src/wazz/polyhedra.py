@@ -10,9 +10,9 @@ off as the kernel of A's echelon rows and run in A's row space; the
 restrictions run in the span of their generators.  The verifier's carriers
 are decided on one factorization of their generators (`span_factors`): by
 unique coordinates when the generators are independent, and by the facets
-of the hull or cone, in the span's coordinates, when they are not.  The
-restrictions take and give scaled vectors (`wazz.linalg`); `HRep` and
-`VRep`, the `wazz polytope` formats, keep `Fraction` rows.
+of the hull or cone, in the span's coordinates, when they are not.  Every
+vector here is scaled (`wazz.linalg`), the rows of `HRep` and `VRep`, the
+`wazz polytope` formats, too; the one `Fraction` built is `gauge`'s answer.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from math import inf, lcm
 from operator import mul
 
 from .formats import LineReader, fmt_vec
-from .linalg import (Mat, _int_rref, _kernel_vectors, _lowest_terms, _rref_beside_identity,
-                     _sparse_apply, is_zero, primitive, scaled_equal, vector)
+from .linalg import (Mat, _int_rref, _kernel_vectors, _lowest_terms, _pivot_scales,
+                     _rref_beside_identity, _sparse_apply, primitive, scaled_equal)
 
 
 class InternalError(Exception):
@@ -51,27 +51,27 @@ INFINITY = _Infinity()
 
 @dataclass(frozen=True)
 class HRep:
-    """Finite intersection of half-spaces <x, normal> <= bound."""
+    """Finite intersection of half-spaces, each one scaled row (normal | bound)."""
 
     dim: int
     ineqs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "ineqs",
-                           tuple((vector(a), Fraction(b)) for a, b in self.ineqs))
-        for a, _ in self.ineqs:
-            if len(a) != self.dim:
-                raise ValueError("normal of wrong dimension")
+        object.__setattr__(self, "ineqs", tuple(self.ineqs))
+        if any(len(ints) != self.dim + 1 for _, ints in self.ineqs):
+            raise ValueError("normal of wrong dimension")
 
     def member(self, x):
-        if len(x) != self.dim:
+        """Whether the scaled x = xs / e meets each row (a | b): <a, xs> <= b e."""
+        e, xs = x
+        if len(xs) != self.dim:
             raise ValueError("point of wrong dimension")
-        return all(sum(map(mul, a, x)) <= b for a, b in self.ineqs)
+        return all(sum(map(mul, ints, xs)) <= ints[-1] * e for _, ints in self.ineqs)
 
 
 @dataclass(frozen=True)
 class VRep:
-    """Convex hull of points plus conic hull of directions.
+    """Convex hull of scaled points plus conic hull of scaled directions.
 
     A VRep with no points denotes the empty polyhedron; the set is bounded
     exactly when there are no directions.
@@ -82,12 +82,10 @@ class VRep:
     directions: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(vector(p) for p in self.points))
-        object.__setattr__(self, "directions",
-                           tuple(vector(d) for d in self.directions))
-        for v in self.points + self.directions:
-            if len(v) != self.dim:
-                raise ValueError("generator of wrong dimension")
+        object.__setattr__(self, "points", tuple(self.points))
+        object.__setattr__(self, "directions", tuple(self.directions))
+        if any(len(ints) != self.dim for _, ints in self.points + self.directions):
+            raise ValueError("generator of wrong dimension")
 
     @property
     def is_empty(self):
@@ -206,7 +204,8 @@ def _lifted(rays, rows):
 
 
 def cone_rays(normals, dim):
-    """(lineality basis, extreme rays of the pointed part) of {x : Ax <= 0}.
+    """(lineality basis, extreme rays of the pointed part) of {x : Ax <= 0}
+    for rational normals, as primitive integer tuples, the rays sorted.
 
     The r rows R of A's frame span its row space, and their kernel is the
     lineality, as in `kernel_basis`.  The pointed part is the cone's part in
@@ -215,8 +214,7 @@ def cone_rays(normals, dim):
     ints = [primitive(a) for a in normals]
     pivots, rows = _span_frame(ints, dim)
     rays = _pointed_cone_rays([[sum(map(mul, r, a)) for r in rows] for a in ints], len(rows))
-    return ([vector(v) for v in _kernel_vectors(rows, pivots, dim)],
-            [vector(v) for v in _lifted(rays, rows)])
+    return _kernel_vectors(rows, pivots, dim), _lifted(rays, rows)
 
 
 def _cone_generators(normals, dim):
@@ -226,42 +224,48 @@ def _cone_generators(normals, dim):
     return rays + [d for l in lineality for d in (l, tuple(-a for a in l))]
 
 
+def _sorted_rationally(vectors):
+    """The scaled vectors in lexicographic order, on their integers over one lcm."""
+    den = lcm(*[d for d, _ in vectors])
+    return sorted(vectors, key=lambda v: [a * (den // v[0]) for a in v[1]])
+
+
 def dd_h_to_v(h):
-    """Vertices and directions of an H-polyhedron (Minkowski direction)."""
+    """Vertices and directions of an H-polyhedron (Minkowski direction): the
+    rays of {(x, t) : <a, x> <= t b, t >= 0}, on each row's integers (a | b)."""
     if h.dim == 0:
-        feasible = all(b >= 0 for _, b in h.ineqs)
-        return VRep(0, ((),) if feasible else (), ())
-    normals = [tuple(a) + (-b,) for a, b in h.ineqs]
+        feasible = all(ints[0] >= 0 for _, ints in h.ineqs)
+        return VRep(0, ((1, ()),) if feasible else (), ())
+    normals = [ints[:-1] + (-ints[-1],) for _, ints in h.ineqs]
     normals.append((0,) * h.dim + (-1,))
-    points, directions = [], []
+    points, directions = set(), set()
     for r in _cone_generators(normals, h.dim + 1):  # lineality lies in t = 0
         if r[-1] > 0:
-            points.append(tuple(a / r[-1] for a in r[:-1]))
+            points.add(_lowest_terms((r[-1], r[:-1])))
         else:
-            directions.append(vector(primitive(r[:-1])))
+            directions.add((1, primitive(r[:-1])))
     if not points:
         return VRep(h.dim, (), ())
-    return VRep(h.dim, tuple(sorted(set(points))), tuple(sorted(set(directions))))
+    return VRep(h.dim, tuple(_sorted_rationally(points)), tuple(sorted(directions)))
 
 
 def dd_v_to_h(v):
-    """Facet inequalities of a V-polyhedron, via the polar cone."""
+    """Facet inequalities of a V-polyhedron, via the polar cone, primitive."""
     if v.dim == 0:
-        return HRep(0, ()) if v.points else HRep(0, (((), Fraction(-1)),))
+        return HRep(0, ()) if v.points else HRep(0, ((1, (-1,)),))
     if v.is_empty:
-        return HRep(v.dim, (((0,) * v.dim, -1),))
-    gens = [tuple(p) + (Fraction(1),) for p in v.points]
-    gens += [tuple(d) + (Fraction(0),) for d in v.directions]
+        return HRep(v.dim, ((1, (0,) * v.dim + (-1,)),))
+    gens = [ints + (d,) for d, ints in v.points] + [ints + (0,) for _, ints in v.directions]
     facets = {primitive(r[:-1] + (-r[-1],))
-              for r in _cone_generators(gens, v.dim + 1) if not is_zero(r[:-1])}
-    return HRep(v.dim, tuple(sorted((vector(f[:-1]), Fraction(f[-1])) for f in facets)))
+              for r in _cone_generators(gens, v.dim + 1) if any(r[:-1])}
+    return HRep(v.dim, tuple((1, f) for f in sorted(facets)))
 
 
 def lp_feasible(h):
-    """A point of the H-polyhedron h, or None when h is empty: the least point
-    `dd_h_to_v` finds, which on a bounded polyhedron is its lexicographic
-    minimum.  Nothing in wazz calls it; `bench/tracing.py` looks the name up
-    to time it."""
+    """A scaled point of the H-polyhedron h, or None when h is empty: the
+    least point `dd_h_to_v` finds on integers, which on a bounded polyhedron
+    is its lexicographic minimum.  Nothing in wazz calls it;
+    `bench/tracing.py` looks the name up to time it."""
     points = dd_h_to_v(h).points
     return points[0] if points else None
 
@@ -322,8 +326,8 @@ class _Span:
         self.independent = self.rank == len({g for g in gens if any(g[1])})
         # row i < r of E is row i of the elimination's E part over its pivot
         # entry; the rows below are only tested for zero, so they stay as they are
-        e_den = lcm(*(row[p] for row, p in zip(rows, pivots)))
-        scales = [e_den // row[p] for row, p in zip(rows, pivots)] + [1] * (dim - self.rank)
+        e_den, scales = _pivot_scales(rows, pivots)
+        scales += [1] * (dim - self.rank)
         e_rows = []
         for row, scale in zip(rows, scales):
             support = tuple(j for j in range(dim) if row[k + j])
@@ -495,19 +499,11 @@ def simplex_restriction(span_vectors, family, n1, n2):
         x = [sum(map(mul, ray, col)) for col in cols]  # map stops at the end of y
         if any(x):
             vertices.append(_lowest_terms((ray[-1], x)))
-    den = lcm(*[d for d, _ in vertices])
-    vertices.sort(key=lambda v: [a * (den // v[0]) for a in v[1]])
-    return PcaPolytope(dim, tuple(vertices))
+    return PcaPolytope(dim, tuple(_sorted_rationally(vertices)))
 
 
 # ---------------------------------------------------------------------------
 # text formats
-
-
-def _rationals(v):
-    """The scaled vector v as a tuple of `Fraction`s, for `HRep` and `VRep`."""
-    den, ints = v
-    return tuple(Fraction(a, den) for a in ints)
 
 
 def _reader(text, source, keyword):
@@ -525,15 +521,14 @@ def parse_hrep(text, source="<hrep>"):
     for line, toks in r.lines[1:]:
         if toks[0] != "ineq":
             r.error(line, f"unexpected directive {toks[0]!r}")
-        row = _rationals(r.row(line, toks, dim + 1))
-        ineqs.append((row[:dim], row[dim]))
+        ineqs.append(r.row(line, toks, dim + 1))
     return HRep(dim, tuple(ineqs))
 
 
 def hrep_to_text(h):
     lines = [f"hrep {h.dim}"]
-    for a, b in h.ineqs:
-        lines.append("ineq " + " ".join(map(str, a + (b,))))
+    for row in h.ineqs:
+        lines.append("ineq " + fmt_vec(row))
     return "\n".join(lines) + "\n"
 
 
@@ -542,9 +537,9 @@ def parse_vrep(text, source="<vrep>"):
     points, directions = [], []
     for line, toks in r.lines[1:]:
         if toks[0] == "point":
-            points.append(_rationals(r.row(line, toks, dim)))
+            points.append(r.row(line, toks, dim))
         elif toks[0] == "direction":
-            directions.append(_rationals(r.row(line, toks, dim)))
+            directions.append(r.row(line, toks, dim))
         else:
             r.error(line, f"unexpected directive {toks[0]!r}")
     return VRep(dim, tuple(points), tuple(directions))
@@ -553,9 +548,9 @@ def parse_vrep(text, source="<vrep>"):
 def vrep_to_text(v):
     lines = [f"vrep {v.dim}"]
     for p in v.points:
-        lines.append(("point " + " ".join(map(str, p))).rstrip())
+        lines.append(("point " + fmt_vec(p)).rstrip())
     for d in v.directions:
-        lines.append(("direction " + " ".join(map(str, d))).rstrip())
+        lines.append(("direction " + fmt_vec(d)).rstrip())
     return "\n".join(lines) + "\n"
 
 

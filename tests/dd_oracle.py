@@ -17,17 +17,20 @@ integer sort must keep, as the witness bytes depend on it.
 `dd_h_to_v` and `dd_v_to_h` are the conversions `wazz polytope` ran in the
 ambient coordinates: the lineality is the `Fraction` kernel of the
 constraint matrix, and each lineality vector enters the double description
-as a pair of opposite normals."""
+as a pair of opposite normals.  They run on `Fraction` rows and take and
+give the scaled `HRep` and `VRep` of `wazz.polyhedra`, converted at their
+boundary."""
 
 from fractions import Fraction
 
 from wazz import polyhedra
-from wazz.linalg import Mat, is_zero, scaled, solve, vector
-from wazz.polyhedra import HRep, InternalError, PcaPolytope, PRODUCT, SCALED, VRep
+from wazz.linalg import Mat, is_zero
+from wazz.polyhedra import InternalError, PcaPolytope, PRODUCT, SCALED
 
-from matvec_oracle import fractions, funit, vdot, vneg, vscale, zeros
+from matvec_oracle import (fractions, funit, hrep, ineq_pairs, vdot, vector, vneg, vrep, vscale,
+                           zeros)
 
-from kernel_oracle import Echelon, kernel_basis, primitive
+from kernel_oracle import Echelon, kernel_basis, primitive, solve
 
 
 def _initial_simplex(normals, dim):
@@ -142,10 +145,10 @@ def ambient_simplex_restriction(span_vectors, family, n1, n2):
     ineqs = _with_equations(ineqs, subspace_equations([fractions(v) for v in span_vectors], dim))
     if dim == 0:
         return PcaPolytope(0, ())
-    v = polyhedra.dd_h_to_v(HRep(dim, tuple(ineqs)))
+    v = polyhedra.dd_h_to_v(hrep(dim, ineqs))
     if v.directions:
         raise InternalError("simplex intersection must be bounded")
-    gens = tuple(scaled(p) for p in v.points if not is_zero(p))
+    gens = tuple(p for p in v.points if any(p[1]))
     return PcaPolytope(dim, gens)
 
 
@@ -179,10 +182,11 @@ def _ambient_cone_generators(normals, dim):
 
 def dd_h_to_v(h):
     """Vertices and directions of an H-polyhedron (Minkowski direction)."""
+    ineqs = ineq_pairs(h)
     if h.dim == 0:
-        feasible = all(b >= 0 for _, b in h.ineqs)
-        return VRep(0, ((),) if feasible else (), ())
-    normals = [tuple(a) + (-b,) for a, b in h.ineqs]
+        feasible = all(b >= 0 for _, b in ineqs)
+        return vrep(0, ((),) if feasible else ())
+    normals = [tuple(a) + (-b,) for a, b in ineqs]
     normals.append(zeros(h.dim) + (Fraction(-1),))
     points, directions = [], []
     for r in _ambient_cone_generators(normals, h.dim + 1):  # lineality lies in t = 0
@@ -191,21 +195,21 @@ def dd_h_to_v(h):
         else:
             directions.append(vector(primitive(r[:-1])))
     if not points:
-        return VRep(h.dim, (), ())
-    return VRep(h.dim, tuple(sorted(set(points))), tuple(sorted(set(directions))))
+        return vrep(h.dim, ())
+    return vrep(h.dim, sorted(set(points)), sorted(set(directions)))
 
 
 def dd_v_to_h(v):
     """Facet inequalities of a V-polyhedron, via the polar cone."""
     if v.dim == 0:
-        return HRep(0, ()) if v.points else HRep(0, (((), Fraction(-1)),))
+        return hrep(0, ()) if v.points else hrep(0, (((), Fraction(-1)),))
     if v.is_empty:
-        return HRep(v.dim, ((zeros(v.dim), Fraction(-1)),))
-    gens = [tuple(p) + (Fraction(1),) for p in v.points]
-    gens += [tuple(d) + (Fraction(0),) for d in v.directions]
+        return hrep(v.dim, ((zeros(v.dim), Fraction(-1)),))
+    gens = [fractions(p) + (Fraction(1),) for p in v.points]
+    gens += [fractions(d) + (Fraction(0),) for d in v.directions]
     ineqs = set()
     for r in _ambient_cone_generators(gens, v.dim + 1):
         if not is_zero(r[:-1]):
             scaled = primitive(tuple(r[:-1]) + (-r[-1],))
             ineqs.add((vector(scaled[:-1]), Fraction(scaled[-1])))
-    return HRep(v.dim, tuple(sorted(ineqs)))
+    return hrep(v.dim, sorted(ineqs))

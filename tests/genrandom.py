@@ -5,10 +5,10 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 from wazz.automata import SemiringTag, WeightedAutomaton
-from wazz.linalg import Mat, scaled, vector
+from wazz.linalg import Mat, scaled
 from wazz.zigzag import FREE_MODULE, FREE_PCA, GENERATED_MODULE, GENERATED_PCA
 
-from matvec_oracle import fractions, from_cols, matmul, vdot, zeros
+from matvec_oracle import fraction_rows, fractions, from_cols, matmul, vdot, vector, zeros
 
 T = SemiringTag
 
@@ -105,9 +105,9 @@ def lift(small, r_cols, x_big):
     big_trans = []
     for c in small.trans:
         cr = matmul(c, r_mat) if extra else None
-        rows = []
+        rows, c_rows, cr_rows = [], fraction_rows(c), fraction_rows(cr) if extra else None
         for i in range(k):
-            rows.append(tuple(c.rows[i]) + (tuple(cr.rows[i]) if extra else ()))
+            rows.append(tuple(c_rows[i]) + (tuple(cr_rows[i]) if extra else ()))
         for _ in range(extra):
             rows.append(zeros(n))
         big_trans.append(Mat(rows, ncols=n))
@@ -123,12 +123,12 @@ def zero_one_weight(rng, aut):
     """A copy of aut with one nonzero weight set to zero (valid for every tag)."""
     slots = [("out", i, None) for i, q in enumerate(aut.out[1]) if q]
     slots += [(k, i, j) for k, m in enumerate(aut.trans)
-              for i, row in enumerate(m.rows) for j, q in enumerate(row) if q]
+              for i, row in enumerate(fraction_rows(m)) for j, q in enumerate(row) if q]
     if not slots:
         return aut
     k, i, j = rng.choice(slots)
     out = list(fractions(aut.out))
-    rows = [[list(r) for r in m.rows] for m in aut.trans]
+    rows = [[list(r) for r in fraction_rows(m)] for m in aut.trans]
     if k == "out":
         out[i] = 0
     else:
@@ -191,7 +191,7 @@ def report_witnesses(z):
         m = mor.matrix
         if m.ncols:
             morphisms = list(z.morphisms)
-            morphisms[k] = replace(mor, matrix=Mat([(2 * r[0],) + r[1:] for r in m.rows],
+            morphisms[k] = replace(mor, matrix=Mat([(2 * r[0],) + r[1:] for r in fraction_rows(m)],
                                                    ncols=m.ncols))
             yield f"double column 0 of morphism {k}", replace(z, morphisms=tuple(morphisms))
     for j, (i, v) in enumerate(z.relating):

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from wazz.linalg import scaled, vector
+from wazz.linalg import scaled
 from wazz.pca import ghat_breach
 from wazz.polyhedra import INFINITY, gauge
 
-from matvec_oracle import entrywise_apply, fractions, vdot
+from matvec_oracle import entrywise_apply, fractions, vdot, vector
 
 
 @dataclass

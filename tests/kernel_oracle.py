@@ -2,7 +2,7 @@
 
 `wazz.linalg` and `wazz.polyhedra` now eliminate, scale and evaluate facets
 on integers.  These are the routines they replaced, one `Fraction` operation
-per entry: `rref`, `kernel_basis`, `_Echelon`, `primitive`, the gauge and
+per entry: `rref`, `kernel_basis`, `solve`, `_Echelon`, `primitive`, the gauge and
 cone-membership evaluations over `Fraction` facets, the Z closure that
 re-applied every map to the whole basis each round, and the double
 description's initial simplex (an `_Echelon` pass, then the rref of
@@ -18,9 +18,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from matvec_oracle import entrywise_apply, entrywise_dot, fractions, funit, vneg, zeros
-from wazz.linalg import Lattice, Mat, _int_rref, as_int_vec, hnf, is_integral, is_zero, vector
-from wazz.polyhedra import INFINITY, VRep, _Span, cone_rays, dd_v_to_h
+from matvec_oracle import (entrywise_apply, entrywise_dot, fraction_rows, fractions, funit,
+                           ineq_pairs, vector, vneg, vrep, zeros)
+from wazz.linalg import Lattice, Mat, _int_rref, as_int_vec, hnf, is_integral, is_zero
+from wazz.polyhedra import INFINITY, _Span, cone_rays, dd_v_to_h
 
 
 def primitive(v, flip_sign=False):
@@ -43,7 +44,7 @@ def primitive(v, flip_sign=False):
 
 def rref(m):
     """Reduced row echelon form: returns (R, pivot columns, rank)."""
-    rows = [list(map(Fraction, r)) for r in m.rows]
+    rows = [list(map(Fraction, r)) for r in fraction_rows(m)]
     nr, nc = m.nrows, m.ncols
     pivots = []
     r = 0
@@ -76,9 +77,27 @@ def kernel_basis(m):
         v = [Fraction(0)] * m.ncols
         v[free] = Fraction(1)
         for i, p in enumerate(pivots):
-            v[p] = -red.rows[i][free]
+            v[p] = -fraction_rows(red)[i][free]
         basis.append(vector(primitive(v, flip_sign=True)))
     return basis
+
+
+def solve(m, b):
+    """Some x with Mx = b for the `Fraction` vector b, free variables zero,
+    or None if inconsistent: the pivot rows of the `Fraction` rref of
+    [M | b] read back."""
+    if len(b) != m.nrows:
+        raise ValueError("right-hand side has wrong length")
+    if m.nrows == 0:
+        return (Fraction(0),) * m.ncols
+    aug = Mat(tuple(tuple(r) + (bv,) for r, bv in zip(fraction_rows(m), b)), ncols=m.ncols + 1)
+    red, pivots, rank = rref(aug)
+    if pivots and pivots[-1] == m.ncols:
+        return None
+    x, rows = [Fraction(0)] * m.ncols, fraction_rows(red)
+    for i, p in enumerate(pivots):
+        x[p] = rows[i][m.ncols]
+    return tuple(x)
 
 
 class Echelon:
@@ -129,7 +148,7 @@ def initial_simplex_rays(normals, dim):
     else:
         raise ValueError("constraint matrix does not have full rank")
     red, _, _ = rref(Mat([normals[k] + funit(dim, j) for j, k in enumerate(base)]))
-    rays = [primitive(tuple(-row[dim + j] for row in red.rows)) for j in range(dim)]
+    rays = [primitive(tuple(-row[dim + j] for row in fraction_rows(red))) for j in range(dim)]
     return base, rays
 
 
@@ -137,7 +156,7 @@ def initial_simplex_rays(normals, dim):
 def subconvex_facets(polytope):
     """H-form of the subconvex hull (the hull of the generators and 0)."""
     points = tuple(fractions(g) for g in polytope.generators)
-    return dd_v_to_h(VRep(polytope.dim, (zeros(polytope.dim),) + points, ()))
+    return ineq_pairs(dd_v_to_h(vrep(polytope.dim, (zeros(polytope.dim),) + points)))
 
 
 def gauge(polytope, x):
@@ -147,7 +166,7 @@ def gauge(polytope, x):
     if len(x) != polytope.dim:
         raise ValueError("point of wrong dimension")
     best = Fraction(0)
-    for a, b in subconvex_facets(polytope).ineqs:
+    for a, b in subconvex_facets(polytope):
         value = entrywise_dot(a, x)
         if b == 0:
             if value > 0:
@@ -186,7 +205,7 @@ def z_closure(start, maps):
     if not is_integral(start):
         raise ValueError("ring Z needs integral start")
     for m in maps:
-        for r in m.rows:
+        for r in fraction_rows(m):
             if not is_integral(r):
                 raise ValueError("ring Z needs integral maps")
     lat = hnf([as_int_vec(start)], dim=n) if not is_zero(start) else Lattice(n, ())

@@ -3,15 +3,14 @@ solved before it became one linear solve.
 
 Kept unchanged as a differential oracle: its lexicographic minimum of the
 fixed-point system must equal the pyramid normal, and it decides the
-feasibility programs the membership tests write out.
+feasibility programs the membership tests write out.  It reads the scaled
+rows of an `HRep` as `Fraction` pairs at its boundary.
 """
 
 from fractions import Fraction
 
-from wazz.linalg import is_zero, primitive, vector
-from wazz.polyhedra import HRep
-
-from matvec_oracle import column, fractions, funit, vdot, zeros
+from wazz.linalg import is_zero, primitive
+from matvec_oracle import column, fractions, funit, hrep, ineq_pairs, vdot, vector, zeros
 
 
 def canonical_ineq(normal, bound):
@@ -84,7 +83,7 @@ def lp_feasible(h):
     lexicographic order, taking the lower bound when finite; on bounded
     regions this lands on the lexicographic minimum, a vertex.
     """
-    system = _clean_system(h.ineqs)
+    system = _clean_system(ineq_pairs(h))
     if system is None:
         return None
     if h.dim == 0:
@@ -128,4 +127,4 @@ def pyramid_normal(polytope, coalg):
             total = tuple(t + c for t, c in zip(total, column(m, j)))
         normal = tuple(t - u for t, u in zip(total, funit(n, j)))
         ineqs.append((normal, -fractions(coalg.out)[j]))
-    return lp_feasible(HRep(n, tuple(ineqs)))
+    return lp_feasible(hrep(n, ineqs))

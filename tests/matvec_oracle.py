@@ -12,15 +12,35 @@ The package's vectors are scaled, (d, ints) in lowest terms
 joins two, and `fractions` reads one back.  `zeros`, `funit`, `vneg`,
 `vscale`, `vdot` (an alias of `entrywise_dot`), `is_nonneg` and `apply`
 (an alias of `entrywise_apply`) are the `Fraction` vector helpers that
-left `wazz.linalg` with the `Fraction` vectors.  `identity` and `zero` build the two constant
-matrices the tests use; `from_cols`, `column`, `columns`, `transpose` and
-`matmul` build and read a matrix by its columns (they were `Mat.from_cols`,
-`Mat.col`, `Mat.cols`, `Mat.transpose` and `Mat.__matmul__`).
+left `wazz.linalg` with the `Fraction` vectors; `vector` builds one from
+int, `Fraction` or text entries, and `fraction_rows` reads a matrix back
+as `Fraction` rows (they were `wazz.linalg.vector` and `Mat.rows`).
+`identity` and `zero` build the two constant matrices the tests use;
+`from_cols`, `column`, `columns`, `transpose` and `matmul` build and read
+a matrix by its columns (they were `Mat.from_cols`, `Mat.col`, `Mat.cols`,
+`Mat.transpose` and `Mat.__matmul__`).  `hrep` and `vrep` build the
+`wazz.polyhedra` records, whose rows are scaled, from rows of rationals,
+and `ineq_pairs` reads an `HRep` back as (normal, bound) pairs of
+`Fraction`s.
 """
 
 from fractions import Fraction
 
-from wazz.linalg import Mat, scaled, vector
+from wazz.linalg import Mat, scaled
+from wazz.polyhedra import HRep, VRep
+
+
+def vector(entries):
+    """A tuple of `Fraction`s from entries given as int, `Fraction` or text."""
+    # a tuple of exact Fractions comes back as it is; Fraction entries are shared
+    if type(entries) is tuple and {Fraction}.issuperset(map(type, entries)):
+        return entries
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
+
+
+def fraction_rows(m):
+    """The entries of the matrix m as a tuple of `Fraction` rows."""
+    return tuple(tuple(Fraction(a, m.den) for a in row) for row in m.dense())
 
 
 def svec(entries):
@@ -37,6 +57,21 @@ def fractions(v):
     """The scaled vector v = (d, ints) as a tuple of `Fraction`s."""
     den, ints = v
     return tuple(Fraction(a, den) for a in ints)
+
+
+def hrep(dim, ineqs):
+    """The `HRep` of (normal, bound) pairs of rationals."""
+    return HRep(dim, tuple(scaled(tuple(a) + (b,)) for a, b in ineqs))
+
+
+def ineq_pairs(h):
+    """The inequalities of the `HRep` h as (normal, bound) pairs of `Fraction`s."""
+    return tuple((row[:-1], row[-1]) for row in map(fractions, h.ineqs))
+
+
+def vrep(dim, points, directions=()):
+    """The `VRep` of points and directions given as rationals."""
+    return VRep(dim, tuple(map(scaled, points)), tuple(map(scaled, directions)))
 
 
 def zeros(n):
@@ -77,7 +112,7 @@ def entrywise_dot(u, v):
 def entrywise_apply(m, x):
     if len(x) != m.ncols:
         raise ValueError(f"dimension mismatch: {m.ncols} cols vs vector of {len(x)}")
-    return tuple(entrywise_dot(r, x) for r in m.rows)
+    return tuple(entrywise_dot(r, x) for r in fraction_rows(m))
 
 
 vdot, apply = entrywise_dot, entrywise_apply
@@ -96,7 +131,7 @@ def from_cols(cols, nrows=None):
 
 
 def column(m, j):
-    return tuple(r[j] for r in m.rows)
+    return tuple(r[j] for r in fraction_rows(m))
 
 
 def columns(m):

@@ -18,14 +18,14 @@ from wazz.automata import LinearCoalgebra, NotEquivalent
 from wazz.linalg import (Mat, as_int_vec, first_word_off, hnf, is_integral, is_zero,
                          lattice_member, primitive, scaled)
 
-from matvec_oracle import entrywise_apply, fractions, vdot, vneg, zeros
+from matvec_oracle import entrywise_apply, fraction_rows, fractions, vdot, vneg, zeros
 
 from word_oracles import word_closure
 
 
 def block_diag(a, b):
-    top = tuple(tuple(r) + zeros(b.ncols) for r in a.rows)
-    bottom = tuple(zeros(a.ncols) + tuple(r) for r in b.rows)
+    top = tuple(tuple(r) + zeros(b.ncols) for r in fraction_rows(a))
+    bottom = tuple(zeros(a.ncols) + tuple(r) for r in fraction_rows(b))
     return Mat(top + bottom, ncols=a.ncols + b.ncols)
 
 
@@ -44,7 +44,7 @@ def closure_under_maps(start, maps):
     if not is_integral(start):
         raise ValueError("lattice closure needs integral start")
     for m in maps:
-        for r in m.rows:
+        for r in fraction_rows(m):
             if not is_integral(r):
                 raise ValueError("lattice closure needs integral maps")
     if is_zero(start):

@@ -5,19 +5,21 @@ oracles.
 elimination of integer rows, reads the signs of the letters on their scaled
 integers and tests containment with one integer dot product per generator;
 `wazz.pca.invariant_zero_set` compares per-column supports.  These are the
-routes they replaced: the `Fraction` Gauss-Jordan `solve` (through `rref` and
-`Mat`) and the column scan by `Fraction` comparison.  The tests require an
-equal certificate, with equal values of equal type, and the same error with
-the same message.
+routes they replaced: the `Fraction` Gauss-Jordan `solve` (now
+`kernel_oracle.solve`, through its `rref` and `Mat`) and the column scan by
+`Fraction` comparison.  The tests require an equal certificate, with equal
+values of equal type, and the same error with the same message.
 """
 
 from fractions import Fraction
 
-from wazz.linalg import Mat, scaled, solve
+from wazz.linalg import Mat, scaled
 from wazz.pca import InvariantZeroSet, PyramidCert
 from wazz.polyhedra import InternalError
 
-from matvec_oracle import column, fractions, funit, vdot
+from matvec_oracle import column, fraction_rows, fractions, funit, vdot
+
+from kernel_oracle import solve
 
 
 def is_nonneg(v):
@@ -42,7 +44,7 @@ def pyramid_extension(polytope, coalg):
     if coalg.n != n:
         raise ValueError("dimension mismatch")
     out = fractions(coalg.out)
-    if not is_nonneg(out) or not all(is_nonneg(r) for m in coalg.trans for r in m.rows):
+    if not is_nonneg(out) or not all(is_nonneg(r) for m in coalg.trans for r in fraction_rows(m)):
         raise ValueError("output and letter entries must be nonnegative")
     bad = invariant_zero_set(coalg.out, coalg.trans)
     if bad:

@@ -15,9 +15,9 @@ import pytest
 from wazz.automata import (LinearCoalgebra, SemiringTag, WeightedAutomaton, equivalent,
                            trace)
 from wazz.hilbert import IntConeSpec, hilbert_basis
-from wazz.linalg import Mat, scaled, unit, vector
+from wazz.linalg import Mat, scaled, unit
 from wazz.pca import invariant_zero_set, pyramid_extension, reduce_invariant_set
-from wazz.polyhedra import HRep, INFINITY, PcaPolytope, VRep, dd_h_to_v, dd_v_to_h, gauge
+from wazz.polyhedra import HRep, INFINITY, PcaPolytope, dd_h_to_v, dd_v_to_h, gauge
 from wazz.zigzag import (FREE_PCA, GENERATED_MODULE, Morphism, ZigZag, cubic_zigzag,
                          ghat_zigzag, verify_zigzag)
 
@@ -25,8 +25,8 @@ from genrandom import lifted_pair, rand_automaton, rand_config
 from ghat_oracle import GhatElement, ghat_apply, ghat_member, pca_member
 from hilbert_oracle import hilbert_bruteforce_oracle, in_cone
 from lp_oracle import lp_feasible
-from matvec_oracle import (apply, column, fractions, from_cols, funit, identity, matmul, svec,
-                           vdot, zeros)
+from matvec_oracle import (apply, column, fraction_rows, fractions, from_cols, funit, hrep,
+                           identity, matmul, svec, vdot, vector, vrep, zeros)
 from weights_oracle import scalar_ok
 from test_hilbert import monoid_member, spec_of
 
@@ -163,13 +163,13 @@ def test_criterion_5_double_description_roundtrip():
         rng = random.Random("criterion-5")
         for _ in range(50):
             dim = rng.randint(1, 4)
-            h = HRep(dim, tuple(
+            h = hrep(dim, [
                 (vector([rng.randint(-3, 3) for _ in range(dim)]), F(rng.randint(-3, 3)))
-                for _ in range(rng.randint(1, 8))))
+                for _ in range(rng.randint(1, 8))])
             h2 = dd_v_to_h(dd_h_to_v(h))
             for _ in range(1000):
-                x = vector([F(rng.randint(-6, 6), rng.randint(1, 4))
-                            for _ in range(dim)])
+                x = svec([F(rng.randint(-6, 6), rng.randint(1, 4))
+                          for _ in range(dim)])
                 assert h.member(x) == h2.member(x)
 
 
@@ -203,10 +203,10 @@ def test_criterion_6_gauge_laws():
                 pass  # INFINITY absorbs; nothing to compare exactly
             # intersection law via the double description
             Y = rand_poly()
-            hx, hy = (dd_v_to_h(VRep(dim, (zeros(dim),) + tuple(map(fractions, P.generators)),
-                                     ())).ineqs for P in (X, Y))
+            hx, hy = (dd_v_to_h(vrep(dim, (zeros(dim),) + tuple(map(fractions, P.generators))
+                                     )).ineqs for P in (X, Y))
             both = dd_h_to_v(HRep(dim, hx + hy))
-            XY = PcaPolytope(dim, tuple(scaled(pt) for pt in both.points if any(pt)))
+            XY = PcaPolytope(dim, tuple(pt for pt in both.points if any(pt[1])))
             gxI, gyI, gI = (gauge(P, scaled(x)) for P in (X, Y, XY))
             if gxI is INFINITY or gyI is INFINITY:
                 assert gI is INFINITY
@@ -221,7 +221,7 @@ def test_criterion_6_gauge_laws():
                 row = vector([fractions(g)[d] for g in X.generators])
                 ineqs.append((row, x[d]))
                 ineqs.append((tuple(-q for q in row), -x[d]))
-            lp_member = lp_feasible(HRep(ngen, tuple(ineqs))) is not None
+            lp_member = lp_feasible(hrep(ngen, ineqs)) is not None
             assert member == lp_member
             assert member == (gx is not INFINITY and gx <= 1)
 
@@ -229,7 +229,7 @@ def test_criterion_6_gauge_laws():
 def test_criterion_7_pyramid_extension():
     with Criterion(7, "pyramid extension certificates"):
         c = LinearCoalgebra(n=2, alphabet=("a",), out=svec(["1/2", "1/2"]),
-                            trans=(Mat([["1/2", 0], [0, "1/2"]]),))
+                            trans=(Mat([[F("1/2"), 0], [0, F("1/2")]]),))
         assert pyramid_extension(
             PcaPolytope(2, (unit(2, 0), unit(2, 1))), c).u == svec([1, 1])
         rng = random.Random("criterion-7")
@@ -313,7 +313,7 @@ def test_criterion_8_functor_law_and_property_suites():
                     row = vector([cols[j][i] for j in range(n)])
                     ineqs.append((row, y[i]))
                     ineqs.append((tuple(-q for q in row), -y[i]))
-                lam = lp_feasible(HRep(n, tuple(ineqs)))
+                lam = lp_feasible(hrep(n, ineqs))
                 assert lam is not None
                 pre_phi[a] = tuple(p * q for q in lam)
             pre = GhatElement(o, pre_phi)
@@ -349,10 +349,10 @@ def test_criterion_8_functor_law_and_property_suites():
 def test_criterion_9_negative_controls():
     with Criterion(9, "verifier catches every tampering class"):
         aut1 = WeightedAutomaton(tag=T.QPLUS, n=1, alphabet=("a",),
-                                 out=svec(["1/2"]), trans=(Mat([["1/2"]]),))
+                                 out=svec(["1/2"]), trans=(Mat([[F("1/2")]]),))
         aut2 = WeightedAutomaton(tag=T.QPLUS, n=2, alphabet=("a",),
                                  out=svec(["1/2", "1/2"]),
-                                 trans=(Mat([[0, "1/2"], ["1/2", 0]]),))
+                                 trans=(Mat([[0, F("1/2")], [F("1/2"), 0]]),))
         x1, x2 = svec([1]), unit(2, 0)
         z = cubic_zigzag(aut1, x1, aut2, x2)
         assert verify_zigzag(z).valid
@@ -367,7 +367,7 @@ def test_criterion_9_negative_controls():
 
         # tampered morphism entry
         mor = z.morphisms[0]
-        rows = [list(r) for r in mor.matrix.rows]
+        rows = [list(r) for r in fraction_rows(mor.matrix)]
         rows[0][0] += 1
         bad = rebuilt(morphisms=(Morphism(mor.src, mor.dst, Mat(rows)), z.morphisms[1]))
         report = verify_zigzag(bad)

@@ -8,10 +8,10 @@ from wazz.automata import (NotEquivalent, SemiringTag, WeightedAutomaton,
                            automaton_to_text, equivalent, pair_submodule,
                            parse_automaton, separating_word, step, trace)
 from wazz.formats import ParseError
-from wazz.linalg import Mat, unit, vector
+from wazz.linalg import Mat, unit
 
 from genrandom import lifted_pair, rand_automaton, rand_config
-from matvec_oracle import column, fractions, identity, sconcat, svec
+from matvec_oracle import column, fractions, identity, sconcat, svec, vector
 from weights_oracle import scalar_ok
 
 T = SemiringTag
@@ -20,14 +20,14 @@ T = SemiringTag
 def half_loop():
     """1 state, out 1/2, a-loop of weight 1/2."""
     return WeightedAutomaton(tag=T.QPLUS, n=1, alphabet=("a",),
-                             out=svec(["1/2"]), trans=(Mat([["1/2"]]),))
+                             out=svec(["1/2"]), trans=(Mat([[F("1/2")]]),))
 
 
 def swap_pair():
     """2 states, out (1/2,1/2), a swaps the states with weight 1/2."""
     return WeightedAutomaton(tag=T.QPLUS, n=2, alphabet=("a",),
                              out=svec(["1/2", "1/2"]),
-                             trans=(Mat([[0, "1/2"], ["1/2", 0]]),))
+                             trans=(Mat([[0, F("1/2")], [F("1/2"), 0]]),))
 
 
 class TestStepTrace:
@@ -50,7 +50,7 @@ class TestStepTrace:
 
     def test_trace_halving(self):
         aut = WeightedAutomaton(tag=T.QPLUS, n=1, alphabet=("a",),
-                                out=svec([1]), trans=(Mat([["1/2"]]),))
+                                out=svec([1]), trans=(Mat([[F("1/2")]]),))
         tr = trace(aut, svec([1]), 2)
         assert tr[()] == 1
         assert tr[("a",)] == F(1, 2)

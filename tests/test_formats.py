@@ -22,7 +22,7 @@ from wazz.zigzag import (CUBIC, FREE_MODULE, GENERATED_MODULE, Morphism, ZigZag,
                          cubic_zigzag, ghat_zigzag, parse_zigzag, zigzag_to_text)
 
 from genrandom import lifted_pair
-from matvec_oracle import columns, svec
+from matvec_oracle import columns, fraction_rows, svec
 
 T = SemiringTag
 
@@ -438,7 +438,7 @@ class TestScaledFormAtParse:
             cols = [[F(t) for t in line.split()] for line in block]
             want = tuple(tuple(c[i] for c in cols) for i in range(nrows))
             assert (m.nrows, m.ncols) == (nrows, ncols)
-            assert m.rows == want
+            assert fraction_rows(m) == want
             assert m.scaled() == scaled_of_rows(want, ncols)
             dens.add(min(m.den, 10**6))
         assert k == len(reader.lines)
@@ -465,8 +465,8 @@ class TestScaledFormAtParse:
             parsed = matrices(parse(text))
             assert parsed == printed
             for m, p in zip(parsed, printed):
-                assert m.rows == p.rows
-                assert m.scaled() == scaled_of_rows(p.rows, p.ncols)
+                assert fraction_rows(m) == fraction_rows(p)
+                assert m.scaled() == scaled_of_rows(fraction_rows(p), p.ncols)
                 shapes.add((m.nrows > 0, m.ncols > 0))
         # dim-0 nodes and zero-column morphisms
         assert shapes == {(True, True), (False, False), (False, True), (True, False)}
@@ -516,9 +516,9 @@ class TestMatricesStayInteger:
         texts = self.corpus()
         monkeypatch.setattr(LineReader, "row", spy(row, "row"))
         monkeypatch.setattr(LineReader, "block", spy(block, "block"))
-        for module in (formats, linalg, automata):
+        for module in (formats, automata):
             monkeypatch.setattr(module, "Fraction", Spy)
-        assert not hasattr(zigzag, "Fraction")
+        assert not hasattr(zigzag, "Fraction") and not hasattr(linalg, "Fraction")
         for text in texts:
             built.clear()
             blocks_read.clear()

@@ -1,10 +1,11 @@
 import random
 
-from wazz.linalg import Lattice, Mat, hnf, lattice_member, vector
+from wazz.linalg import Lattice, Mat, hnf, lattice_member
 from wazz.hilbert import (IntConeSpec, graded_lex_key, hilbert_basis, nat_restriction,
                           qplus_restriction_by_scaling)
 
 from hilbert_oracle import hilbert_bruteforce_oracle, in_cone
+from matvec_oracle import vector
 
 
 def spec_of(rows):

@@ -19,11 +19,11 @@ import pytest
 
 import verify_oracle
 import weights_oracle
-from matvec_oracle import entrywise_dot, fractions, from_cols, svec
+from matvec_oracle import entrywise_dot, fraction_rows, fractions, from_cols, svec, vector
 from wazz import pca
 from wazz.automata import SemiringTag, TagViolation, WeightedAutomaton, check_weights, trace
 from wazz.formats import fmt_rat
-from wazz.linalg import Mat, scaled, scaled_dot, vector
+from wazz.linalg import Mat, scaled, scaled_dot
 from wazz.polyhedra import INFINITY
 from wazz.zigzag import cubic_zigzag, ghat_zigzag, verify_zigzag
 
@@ -102,7 +102,7 @@ def planted(rng, tag):
     n, letters = rng.randint(1, 4), rng.randint(1, 2)
     aut = rand_automaton(rng, tag, n, ("a", "b")[:letters])
     out = list(fractions(aut.out))
-    rows = [[list(r) for r in m.rows] for m in aut.trans]
+    rows = [[list(r) for r in fraction_rows(m)] for m in aut.trans]
     for _ in range(rng.randint(1, 3)):
         value = rng.choice([F(1, 2), F(-1), F(-1, 3), F(1), F(3, 2), F(2, 3), F(7, BIG)])
         if rng.random() < 0.2:
@@ -218,7 +218,7 @@ def fractional_witnesses(z):
         m = mor.matrix
         if m.ncols:
             morphisms = list(z.morphisms)
-            morphisms[k] = replace(mor, matrix=Mat([(r[0] / 2,) + r[1:] for r in m.rows],
+            morphisms[k] = replace(mor, matrix=Mat([(r[0] / 2,) + r[1:] for r in fraction_rows(m)],
                                                    ncols=m.ncols))
             yield replace(z, morphisms=tuple(morphisms))
     for j, (i, v) in enumerate(z.relating):
@@ -265,7 +265,7 @@ class TestEdgeCases:
 
     def test_pca_node_without_generators(self):
         aut = WeightedAutomaton(tag=T.PCA, n=2, alphabet=("a",), out=svec(["1/2", "1/3"]),
-                                trans=(Mat([["1/4", 0], [0, "1/3"]]),))
+                                trans=(Mat([[F("1/4"), 0], [0, F("1/3")]]),))
         z = ghat_zigzag(aut, svec([0, 0]), aut, svec([0, 0]))
         assert z.nodes[2].generators == ()
         assert assert_same_reports(z) >= 1

@@ -13,16 +13,16 @@ import pytest
 import kernel_oracle
 from wazz import polyhedra, zigzag
 from wazz.automata import LinearCoalgebra, SemiringTag
-from wazz.linalg import (Mat, _Echelon, _lowest_terms, closure_under_maps, kernel_basis,
-                         primitive, rref, scaled, vector)
+from wazz.linalg import (Mat, _Echelon, _lowest_terms, closure_under_maps, kernel_basis, primitive,
+                         rref, scaled)
 from wazz.polyhedra import INFINITY, PcaPolytope, cone_member, gauge, span_factors
 from wazz.zigzag import FREE_MODULE, FREE_PCA, GENERATED_MODULE, ZigZagNode, _carrier, ghat_zigzag
 
 from genrandom import lifted_pair
 from ghat_oracle import pca_member
 from kernel_oracle import echelon_contains
-from matvec_oracle import (columns, entrywise_apply, fractions, from_cols, funit, identity,
-                           matmul, svec, transpose, zero)
+from matvec_oracle import (columns, entrywise_apply, fraction_rows, fractions, from_cols, funit,
+                           identity, matmul, svec, transpose, vector, zero)
 from weights_oracle import scalar_ok
 
 T = SemiringTag
@@ -109,25 +109,25 @@ class TestApplyMatchesOracle:
 
 
 class TestMatEntries:
-    """`Mat` reads int, `Fraction` and literal entries into its integers;
-    the matrix is the same whichever form its entries come in, and its
-    `rows` view gives `Fraction`s."""
+    """`Mat` reads int and `Fraction` entries into its integers, through
+    `as_integer_ratio`, so a literal is no entry; the matrix is the same
+    whichever form its entries come in, and `fraction_rows` reads it back
+    as `Fraction`s."""
 
-    def test_int_str_and_fraction_entries_agree(self):
+    def test_int_and_fraction_entries_agree(self):
         rng = random.Random("kernel/entries")
         for _ in range(50):
             nrows, ncols = rng.randint(0, 4), rng.randint(1, 4)
             fracs = [[rand_entry(rng, 0.6, 6) for _ in range(ncols)] for _ in range(nrows)]
             forms = [
                 Mat([[F(a) for a in r] for r in fracs], ncols=ncols),
-                Mat([[str(a) for a in r] for r in fracs], ncols=ncols),
                 # integral entries as int, the rest as Fraction
                 Mat([[int(a) if a.denominator == 1 else a for a in r] for r in fracs],
                     ncols=ncols),
             ]
             x = rand_vector(rng, ncols, 5)
             for m in forms:
-                assert all(type(a) is F for r in m.rows for a in r)
+                assert all(type(a) is F for r in fraction_rows(m) for a in r)
                 assert m == forms[0] and hash(m) == hash(forms[0])
                 assert same(applied(m, x), entrywise_apply(forms[0], x))
 
@@ -137,10 +137,12 @@ class TestMatEntries:
 
         half = F(1, 2)
         m = Mat([[half, Sub(1, 3), 2]])
-        assert m.rows[0][0] == half
-        assert [type(a) for a in m.rows[0]] == [F, F, F]
-        assert m == Mat([["1/2", "1/3", "2"]])
-        assert transpose(m).rows[0][0] == half
+        assert fraction_rows(m)[0][0] == half
+        assert [type(a) for a in fraction_rows(m)[0]] == [F, F, F]
+        assert m == Mat([[F("1/2"), F("1/3"), F("2")]])
+        with pytest.raises(AttributeError):  # a literal has no `as_integer_ratio`
+            Mat([["1/2"]])
+        assert fraction_rows(transpose(m))[0][0] == half
 
     def test_vector_int_str_and_fraction_entries_agree(self):
         rng = random.Random("kernel/vector-entries")
@@ -169,13 +171,13 @@ def solve_coordinates(gens, dim, v):
     one elimination."""
     mat = from_cols(gens, nrows=dim)
     k = len(gens)
-    red, pivots, _ = kernel_oracle.rref(Mat(tuple(r + (b,) for r, b in zip(mat.rows, v)),
-                                            ncols=k + 1))
+    aug = Mat(tuple(r + (b,) for r, b in zip(fraction_rows(mat), v)), ncols=k + 1)
+    red, pivots, _ = kernel_oracle.rref(aug)
     if pivots and pivots[-1] == k:
         return None
     coords = [F(0)] * k
     for i, p in enumerate(pivots):
-        coords[p] = red.rows[i][k]
+        coords[p] = fraction_rows(red)[i][k]
     coords = tuple(coords)
     return coords if entrywise_apply(mat, coords) == tuple(v) else None
 
@@ -358,7 +360,7 @@ def rand_rows(rng, nr, nc):
 
 
 def all_fractions(m):
-    return all(type(a) is F for r in m.rows for a in r)
+    return all(type(a) is F for r in fraction_rows(m) for a in r)
 
 
 class TestRrefMatchesOracle:
@@ -376,7 +378,7 @@ class TestRrefMatchesOracle:
         m = Mat([[0, 0, 0, 0], [0, 2, 4, F(1, 3)], [0, 1, 2, 5], [0, 0, 0, 0]])
         red, pivots, rank = rref(m)
         assert (pivots, rank) == ((1, 3), 2)
-        assert red.rows[0] == (0, 1, 2, 0) and red.rows[1] == (0, 0, 0, 1)
+        assert fraction_rows(red)[0] == (0, 1, 2, 0) and fraction_rows(red)[1] == (0, 0, 0, 1)
         assert red == kernel_oracle.rref(m)[0] and all_fractions(red)
 
 
@@ -389,7 +391,7 @@ class TestKernelBasisMatchesOracle:
                 m = Mat(rand_rows(rng, nr, nc), ncols=nc)
                 got = kernel_basis(m)
                 assert got == kernel_oracle.kernel_basis(m), m
-                assert all(type(a) is F for v in got for a in v)
+                assert all(type(a) is int for v in got for a in v)
 
 
 class TestEchelonMatchesOracle:

@@ -4,10 +4,11 @@ from fractions import Fraction as F
 import pytest
 
 import kernel_oracle
-from wazz.linalg import (Mat, Lattice, closure_under_maps, hnf, hnf_with_transform,
-                        is_integral, kernel_basis, lattice_coords, lattice_member,
-                        lattice_reduce, primitive, rref, scaled, solve, vector)
-from matvec_oracle import apply, columns, from_cols, funit, identity, transpose, zero, zeros
+from wazz.linalg import (Mat, Lattice, closure_under_maps, hnf, hnf_with_transform, is_integral,
+                         kernel_basis, lattice_coords, lattice_member, lattice_reduce, primitive,
+                         rref, scaled, solve)
+from matvec_oracle import (apply, columns, fraction_rows, fractions, from_cols, funit, identity,
+                           svec, transpose, vector, zero, zeros)
 from word_oracles import word_closure
 from wazz.formats import fmt_rat, parse_rat
 from wazz.automata import parse_automaton
@@ -80,9 +81,9 @@ class TestTranspose:
         m = rand_mat(random.Random(f"transpose/{nr}/{nc}"), nr, nc) if nr else Mat((), ncols=nc)
         t = transpose(m)
         assert (t.nrows, t.ncols) == (nc, nr)
-        assert all(type(a) is F and a == m.rows[j][i]
-                   for i, r in enumerate(t.rows) for j, a in enumerate(r))
-        assert t.rows == tuple(columns(m)) and transpose(t) == m
+        assert all(type(a) is F and a == fraction_rows(m)[j][i]
+                   for i, r in enumerate(fraction_rows(t)) for j, a in enumerate(r))
+        assert fraction_rows(t) == tuple(columns(m)) and transpose(t) == m
         assert from_cols(columns(m), nrows=nr) == m
 
     def test_from_cols_converts_and_checks(self):
@@ -106,7 +107,7 @@ class TestCanonicalForm:
                        "trans a", "1/2 0 0", "1/4 1/2 0", "0 0 1/3", ""])
 
     def test_every_route_gives_one_form(self):
-        want = Mat([["1/2", "1/4"], [0, F(1, 2)]])
+        want = Mat([[F("1/2"), F("1/4")], [0, F(1, 2)]])
         reader = parse_automaton("\n".join(["semiring q", "alphabet a", "states 2",
                                              "output 1 0", "trans a", "1/2 0", "2/8 1/2"]))
         aut = parse_automaton(self.TEXT)[0]
@@ -120,10 +121,10 @@ class TestCanonicalForm:
         for m in routes:
             assert m == want and hash(m) == hash(want)
             assert m.scaled() == want.scaled() == (4, (((0, 1), (2, 1)), ((1,), (2,))))
-            assert (m.nrows, m.ncols, m.rows) == (2, 2, want.rows)
+            assert (m.nrows, m.ncols, fraction_rows(m)) == (2, 2, fraction_rows(want))
 
     def test_zero_and_integer_matrices_have_denominator_one(self):
-        for m in (Mat([[0, 0]]), Mat._of_cols(6, [[0], [0]], 1), Mat([["4/2", "-6/3"]]),
+        for m in (Mat([[0, 0]]), Mat._of_cols(6, [[0], [0]], 1), Mat([[F("4/2"), F("-6/3")]]),
                   Mat._of_cols(5, [[10], [-5]], 1)):
             assert m.den == 1
         assert Mat._of_cols(5, [[10], [-5]], 1) == Mat([[2, -1]])
@@ -152,14 +153,14 @@ class TestKernel:
 
 class TestSolve:
     def test_identity(self):
-        assert solve(identity(2), vector(["3/2", 1])) == vector(["3/2", 1])
+        assert solve(identity(2), svec(["3/2", 1])) == svec(["3/2", 1])
 
     def test_underdetermined(self):
-        x = solve(M([[1, 1]]), vector([2]))
-        assert x == vector([2, 0])
+        x = solve(M([[1, 1]]), svec([2]))
+        assert x == svec([2, 0])
 
     def test_inconsistent(self):
-        assert solve(M([[1], [1]]), vector([0, 1])) is None
+        assert solve(M([[1], [1]]), svec([0, 1])) is None
 
     def test_random_consistency(self):
         rng = random.Random(13)
@@ -167,8 +168,30 @@ class TestSolve:
             m = rand_mat(rng, rng.randint(1, 4), rng.randint(1, 4))
             target = vector([rng.randint(-2, 2) for _ in range(m.ncols)])
             b = apply(m, target)
-            x = solve(m, b)
-            assert x is not None and apply(m, x) == b
+            x = solve(m, scaled(b))
+            assert x is not None and apply(m, fractions(x)) == b
+
+    def test_matches_fraction_oracle(self):
+        """The integer back-substitution gives the `Fraction` one's x, in
+        lowest terms, or None with it, on consistent and inconsistent
+        systems of every shape, zero rows and columns included."""
+        rng = random.Random("linalg/solve")
+        consistent = 0
+        for _ in range(300):
+            nr, nc = rng.randint(0, 4), rng.randint(0, 4)
+            m = Mat([[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(nc)]
+                     for _ in range(nr)], ncols=nc)
+            if rng.random() < 0.5:
+                b = apply(m, vector([rng.randint(-2, 2) for _ in range(m.ncols)]))
+            else:
+                b = vector([F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m.nrows)])
+            want = kernel_oracle.solve(m, b)
+            got = solve(m, scaled(b))
+            assert got == (None if want is None else scaled(want)), (m, b)
+            consistent += want is not None
+        assert 100 < consistent < 300
+        with pytest.raises(ValueError, match="wrong length"):
+            solve(M([[1, 1]]), svec([1, 2]))
 
 
 class TestHnf:

@@ -4,20 +4,20 @@ from fractions import Fraction as F
 import pytest
 
 from wazz import polyhedra
-from wazz.linalg import Mat, scaled, unit, vector
+from wazz.linalg import Mat, scaled, unit
 from wazz.polyhedra import (HRep, INFINITY, PRODUCT, SCALED, InternalError, PcaPolytope,
-                            VRep, cone_member, cone_restriction, dd_h_to_v, dd_v_to_h,
-                            gauge, simplex_restriction)
+                            cone_member, cone_restriction, dd_h_to_v, dd_v_to_h, gauge,
+                            simplex_restriction)
 from wazz.hilbert import qplus_restriction_by_scaling
 
-from matvec_oracle import fractions, funit, svec, vdot, zeros
+from matvec_oracle import fractions, funit, hrep, svec, vdot, vector, vrep, zeros
 
 from ghat_oracle import pca_member
 from lp_oracle import lp_feasible
 
 
 def H(dim, rows):
-    return HRep(dim, tuple((vector(a), F(b)) for a, b in rows))
+    return hrep(dim, [(vector(a), F(b)) for a, b in rows])
 
 
 def simplex_h(n):
@@ -95,27 +95,27 @@ def oracle_min_sum(gens, x):
 class TestDD:
     def test_simplex(self):
         v = dd_h_to_v(simplex_h(2))
-        assert set(v.points) == {vector([0, 0]), vector([1, 0]), vector([0, 1])}
+        assert set(v.points) == {svec([0, 0]), svec([1, 0]), svec([0, 1])}
         assert v.directions == ()
 
     def test_positive_quadrant(self):
         v = dd_h_to_v(H(2, [([-1, 0], 0), ([0, -1], 0)]))
-        assert v.points == (vector([0, 0]),)
-        assert set(v.directions) == {vector([1, 0]), vector([0, 1])}
+        assert v.points == (svec([0, 0]),)
+        assert set(v.directions) == {svec([1, 0]), svec([0, 1])}
 
     def test_unbounded_slab(self):
         v = dd_h_to_v(H(2, [([-1, 0], 0), ([0, -1], 0), ([0, 1], 1)]))
-        assert set(v.points) == {vector([0, 0]), vector([0, 1])}
-        assert set(v.directions) == {vector([1, 0])}
+        assert set(v.points) == {svec([0, 0]), svec([0, 1])}
+        assert set(v.directions) == {svec([1, 0])}
 
     def test_empty(self):
         v = dd_h_to_v(H(1, [([-1], -1), ([1], 0)]))  # x >= 1 and x <= 0
         assert v.is_empty
         h = dd_v_to_h(v)
-        assert not h.member(zeros(1))
+        assert not h.member(svec(zeros(1)))
 
     def test_whole_space(self):
-        v = VRep(2, (zeros(2),), (funit(2, 0), vector([-1, 0]), funit(2, 1), vector([0, -1])))
+        v = vrep(2, (zeros(2),), (funit(2, 0), vector([-1, 0]), funit(2, 1), vector([0, -1])))
         h = dd_v_to_h(v)
         assert h.ineqs == ()
 
@@ -124,7 +124,7 @@ class TestDD:
         h = H(2, [([-1, 0], 0), ([0, -1], 0), ([2, 1], 1)])
         v = dd_h_to_v(h)
         assert v.directions == ()
-        assert set(v.points) == {zeros(2), vector(["1/2", 0]), vector([0, 1])}
+        assert set(v.points) == {svec(zeros(2)), svec(["1/2", 0]), svec([0, 1])}
 
     def test_roundtrip_membership(self):
         rng = random.Random(41)
@@ -138,13 +138,13 @@ class TestDD:
             h2 = dd_v_to_h(v)
             cases += 1
             for _ in range(20):
-                x = rand_point(rng, dim)
+                x = svec(rand_point(rng, dim))
                 assert h.member(x) == h2.member(x)
             # vertices and shifted directions stay inside the original
             for p in v.points:
                 assert h.member(p)
                 for d in v.directions:
-                    assert h.member(tuple(a + 7 * b for a, b in zip(p, d)))
+                    assert h.member(svec([a + 7 * b for a, b in zip(fractions(p), fractions(d))]))
 
 
 class TestGauge:
@@ -204,10 +204,10 @@ class TestGauge:
                 return PcaPolytope(dim, tuple(gens))
             X, Y = rand_poly(), rand_poly()
             # X ∩ Y through the double description
-            hx = dd_v_to_h(VRep(dim, (zeros(dim),) + tuple(map(fractions, X.generators)), ()))
-            hy = dd_v_to_h(VRep(dim, (zeros(dim),) + tuple(map(fractions, Y.generators)), ()))
+            hx = dd_v_to_h(vrep(dim, (zeros(dim),) + tuple(map(fractions, X.generators))))
+            hy = dd_v_to_h(vrep(dim, (zeros(dim),) + tuple(map(fractions, Y.generators))))
             both = dd_h_to_v(HRep(dim, hx.ineqs + hy.ineqs))
-            XY = PcaPolytope(dim, tuple(scaled(p) for p in both.points if any(p)))
+            XY = PcaPolytope(dim, tuple(p for p in both.points if any(p[1])))
             x = scaled(rand_point(rng, dim, span=2))
             gx, gy, gxy = gauge(X, x), gauge(Y, x), gauge(XY, x)
             if gx is INFINITY or gy is INFINITY:
@@ -251,8 +251,8 @@ class TestLP:
                 assert v.is_empty
                 continue
             found += 1
-            assert h.member(x)
-            assert x in v.points  # lexicographic minimum is a vertex
+            assert h.member(scaled(x))
+            assert scaled(x) in v.points  # lexicographic minimum is a vertex
 
     def test_dd_point_agrees_with_oracle(self):
         # polyhedra.lp_feasible reads a point off the double description
@@ -273,7 +273,7 @@ class TestLP:
             if x is not None:
                 assert h.member(x)
                 if box:
-                    assert x == y  # both the lexicographic minimum
+                    assert x == scaled(y)  # both the lexicographic minimum
                 feasible[box] += 1
         assert min(feasible.values()) >= 5
 
@@ -361,7 +361,7 @@ class TestTextFormats:
         from wazz.polyhedra import parse_vrep, vrep_to_text
         for _ in range(20):
             dim = rng.randint(1, 4)
-            v = VRep(dim,
+            v = vrep(dim,
                      tuple(rand_point(rng, dim) for _ in range(rng.randint(0, 3))),
                      tuple(rand_point(rng, dim) for _ in range(rng.randint(0, 2))))
             assert parse_vrep(vrep_to_text(v)) == v
@@ -380,7 +380,8 @@ class TestVertexEnumerationOracle:
         # independent oracle: vertices = feasible basic solutions whose tight
         # constraints have full rank
         from itertools import combinations
-        from wazz.linalg import rref, solve
+        from wazz.linalg import rref
+        from kernel_oracle import solve
         rng = random.Random(101)
         checked = 0
         while checked < 40:
@@ -399,13 +400,13 @@ class TestVertexEnumerationOracle:
             for subset in combinations(range(len(rows)), dim):
                 mat = Mat([rows[i][0] for i in subset])
                 x = solve(mat, vector([rows[i][1] for i in subset]))
-                if x is None or not h.member(x):
+                if x is None or not h.member(scaled(x)):
                     continue
                 if any(vdot(rows[i][0], x) != rows[i][1] for i in subset):
                     continue
                 tight = [a for a, b in rows if vdot(a, x) == b]
                 if rref(Mat(tight, ncols=dim))[2] == dim:
-                    verts.add(x)
+                    verts.add(scaled(x))
             if not verts:
                 assert v.is_empty
                 continue

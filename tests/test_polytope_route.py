@@ -1,6 +1,7 @@
 """`wazz polytope` on the one integer route against the ambient conversions
-it replaced, and a spy that the route builds no `Mat` and runs no `Fraction`
-elimination.
+it replaced, and a spy that the route builds no `Mat` and runs no `rref`.
+The corpus is stated in `Fraction`s and converted to the scaled rows of
+`HRep` and `VRep`.
 
 The oracle conversions (`dd_oracle.dd_h_to_v`, `dd_oracle.dd_v_to_h`) take
 the lineality from the `Fraction` kernel of the constraint matrix and add
@@ -19,9 +20,10 @@ import pytest
 from wazz import cli, linalg
 from wazz.cli import main
 from wazz.formats import fmt_rat
-from wazz.polyhedra import HRep, VRep, cone_rays, dd_h_to_v, dd_v_to_h
+from wazz.polyhedra import cone_rays, dd_h_to_v, dd_v_to_h
 
 import dd_oracle
+from matvec_oracle import fractions, hrep, ineq_pairs, vrep
 
 
 def rand_scalar(rng):
@@ -52,13 +54,13 @@ def rand_vectors(rng, dim, count):
 def rand_hrep(rng):
     dim = rng.randint(0, 5)
     normals = rand_vectors(rng, dim, rng.randint(0, 2 * dim + 2))
-    return HRep(dim, tuple((a, F(rng.randint(-2, 3), rng.randint(1, 2))) for a in normals))
+    return hrep(dim, [(a, F(rng.randint(-2, 3), rng.randint(1, 2))) for a in normals])
 
 
 def rand_vrep(rng):
     dim = rng.randint(0, 5)
     points = rand_vectors(rng, dim, rng.choice((0, 1, 1, 2, 3, 4)))
-    return VRep(dim, tuple(points), tuple(rand_vectors(rng, dim, rng.randint(0, 3))))
+    return vrep(dim, points, rand_vectors(rng, dim, rng.randint(0, 3)))
 
 
 def fmt_vec(v):
@@ -66,13 +68,13 @@ def fmt_vec(v):
 
 
 def hrep_text(h):
-    return "".join([f"hrep {h.dim}\n"] + [f"ineq {fmt_vec(tuple(a) + (b,))}\n"
-                                           for a, b in h.ineqs])
+    return "".join([f"hrep {h.dim}\n"] + [f"ineq {fmt_vec(row)}\n"
+                                           for row in map(fractions, h.ineqs)])
 
 
 def vrep_text(v):
-    return "".join([f"vrep {v.dim}\n"] + [f"point {fmt_vec(p)}\n" for p in v.points]
-                   + [f"direction {fmt_vec(d)}\n" for d in v.directions])
+    return "".join([f"vrep {v.dim}\n"] + [f"point {fmt_vec(fractions(p))}\n" for p in v.points]
+                   + [f"direction {fmt_vec(fractions(d))}\n" for d in v.directions])
 
 
 def corpus(kind, count):
@@ -84,10 +86,10 @@ def corpus(kind, count):
 def homogenized(kind, rep):
     """(normals, dim) of the cone whose double description the conversion runs."""
     if kind == "tovertices":
-        normals = [tuple(a) + (-b,) for a, b in rep.ineqs] + [(0,) * rep.dim + (-1,)]
+        normals = [tuple(a) + (-b,) for a, b in ineq_pairs(rep)] + [(0,) * rep.dim + (-1,)]
     else:
-        normals = [tuple(p) + (1,) for p in rep.points] + [tuple(d) + (0,)
-                                                          for d in rep.directions]
+        normals = [fractions(p) + (1,) for p in rep.points] + [fractions(d) + (0,)
+                                                              for d in rep.directions]
     return normals, rep.dim + 1
 
 
@@ -146,7 +148,7 @@ def test_conversions_build_no_mat_and_run_no_rref(elimination_calls):
     for h in hreps:
         dd_h_to_v(h)
         if h.dim:
-            cone_rays([tuple(a) for a, _ in h.ineqs], h.dim)
+            cone_rays([a for a, _ in ineq_pairs(h)], h.dim)
     for v in vreps:
         dd_v_to_h(v)
     assert elimination_calls == []

@@ -20,6 +20,7 @@ from wazz.zigzag import (CUBIC, FREE_MODULE, GENERATED_MODULE, Morphism, ZigZag,
 
 from genrandom import lifted_pair, zero_one_weight
 from matvec_oracle import fractions
+from test_output_pin import hilbert_cases, polytope_cases, run
 
 T = SemiringTag
 
@@ -156,3 +157,31 @@ def test_pipeline_builds_no_fraction(tmp_path, monkeypatch, capsys):
     assert built == []
     # the lifted pairs verify; some perturbed pairs are not equivalent
     assert codes[::2] == [[0, 0, 0]] * len(T) and [1, 1] in codes[1::2]
+
+
+def test_polytope_and_hilbert_build_no_fraction(tmp_path, monkeypatch):
+    """`wazz polytope tovertices|tofacets` on the 600 inputs of the route
+    corpus and `wazz hilbert` on the pinned cones build no `Fraction`: each
+    row is read, converted and printed as integers."""
+    cases = [(text, command) for _, text, command, _ in polytope_cases()]
+    cases += [(text, command) for _, text, command, _ in hilbert_cases()]
+    monkeypatch.chdir(tmp_path)
+    built, new = [], F.__new__
+
+    def spy(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    codes = []
+    monkeypatch.setattr(F, "__new__", spy)
+    F(1, 3)  # the spy is in place
+    assert built == [(1, 3)]
+    built.clear()
+    for text, command in cases:
+        with open("input", "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        codes.append((command[-1], run(command + ["input"])[0]))
+    monkeypatch.undo()
+    assert built == []
+    # vertices, an empty polyhedron, facets and Hilbert bases were all printed
+    assert {("tovertices", 0), ("tovertices", 1), ("tofacets", 0), ("hilbert", 0)} == set(codes)

@@ -21,7 +21,7 @@ import pytest
 
 import verify_oracle
 from genrandom import lifted_pair, report_witnesses
-from matvec_oracle import fractions
+from matvec_oracle import fraction_rows, fractions
 from wazz.automata import SemiringTag
 from wazz.linalg import Mat, scaled
 from wazz.zigzag import cubic_zigzag, ghat_zigzag, verify_zigzag
@@ -34,7 +34,7 @@ SEEDS = 6
 def bumped(m, rng):
     """m with one random entry moved by 1, -1 or 1/2."""
     i, j = rng.randrange(m.nrows), rng.randrange(m.ncols)
-    rows = [list(r) for r in m.rows]
+    rows = [list(r) for r in fraction_rows(m)]
     rows[i][j] += rng.choice([F(1), F(-1), F(1, 2)])
     return Mat(rows, ncols=m.ncols)
 

@@ -11,12 +11,12 @@ import verify_oracle
 from wazz.automata import (LinearCoalgebra, NotEquivalent, SemiringTag, WeightedAutomaton,
                            equivalent, separating_word)
 from wazz.formats import word_text
-from wazz.linalg import Mat, closure_under_maps, scaled, vector
+from wazz.linalg import Mat, closure_under_maps, scaled
 from wazz.zigzag import (CUBIC, FREE_MODULE, GENERATED_MODULE, Morphism, ZigZag,
                          ZigZagNode, cubic_zigzag, ghat_zigzag, verify_zigzag)
 
 from genrandom import lifted_pair, rand_automaton, rand_config, zero_one_weight
-from matvec_oracle import apply, fractions, identity, svec, transpose, zeros
+from matvec_oracle import apply, fractions, identity, svec, transpose, vector, zeros
 from word_oracles import bfs_separating_word, raw_trace, word_closure
 
 T = SemiringTag

@@ -22,23 +22,23 @@ from wazz.zigzag import (CUBIC, FREE_MODULE, FREE_PCA, GENERATED_MODULE,
 import kernel_oracle
 from genrandom import (lifted_pair, rand_automaton, rand_config, report_witnesses,
                        with_redundant_generators)
-from matvec_oracle import fractions, identity, sconcat, svec, transpose, zero
+from matvec_oracle import fraction_rows, fractions, identity, sconcat, svec, transpose, zero
 
 T = SemiringTag
 
 
 def qplus_pair():
     aut1 = WeightedAutomaton(tag=T.QPLUS, n=1, alphabet=("a",),
-                             out=svec(["1/2"]), trans=(Mat([["1/2"]]),))
+                             out=svec(["1/2"]), trans=(Mat([[F("1/2")]]),))
     aut2 = WeightedAutomaton(tag=T.QPLUS, n=2, alphabet=("a",),
                              out=svec(["1/2", "1/2"]),
-                             trans=(Mat([[0, "1/2"], ["1/2", 0]]),))
+                             trans=(Mat([[0, F("1/2")], [F("1/2"), 0]]),))
     return aut1, svec([1]), aut2, unit(2, 0)
 
 
 def pca_half_loop():
     return WeightedAutomaton(tag=T.PCA, n=1, alphabet=("a",),
-                             out=svec(["1/2"]), trans=(Mat([["1/2"]]),))
+                             out=svec(["1/2"]), trans=(Mat([[F("1/2")]]),))
 
 
 def failing_names(report):
@@ -110,9 +110,9 @@ class TestGhat:
     def test_dead_coordinate_vs_quotient(self):
         big = WeightedAutomaton(tag=T.PCA, n=2, alphabet=("a",),
                                 out=svec(["1/2", 0]),
-                                trans=(Mat([["1/2", 0], [0, 1]]),))
+                                trans=(Mat([[F("1/2"), 0], [0, 1]]),))
         small = WeightedAutomaton(tag=T.PCA, n=1, alphabet=("a",),
-                                  out=svec(["1/2"]), trans=(Mat([["1/2"]]),))
+                                  out=svec(["1/2"]), trans=(Mat([[F("1/2")]]),))
         z = ghat_zigzag(big, unit(2, 0), small, svec([1]))
         report = verify_zigzag(z)
         assert report.valid, failing_names(report)
@@ -124,7 +124,7 @@ class TestGhat:
     def test_not_equivalent(self):
         aut = pca_half_loop()
         other = WeightedAutomaton(tag=T.PCA, n=1, alphabet=("a",),
-                                  out=svec(["1/4"]), trans=(Mat([["1/2"]]),))
+                                  out=svec(["1/4"]), trans=(Mat([[F("1/2")]]),))
         with pytest.raises(NotEquivalent) as err:
             ghat_zigzag(aut, svec([1]), other, svec([1]))
         assert err.value.word == ()
@@ -235,7 +235,7 @@ def perturbed_pca_pairs(rng, count):
                 aut1 = replace(aut1, out=scaled(out[:j] + (0,) + out[j + 1:]))
             else:
                 k, i = rng.randrange(len(alphabet)), rng.randrange(aut1.n)
-                rows = [list(r) for r in aut1.trans[k].rows]
+                rows = [list(r) for r in fraction_rows(aut1.trans[k])]
                 rows[i][j] = 0
                 trans = list(aut1.trans)
                 trans[k] = Mat(rows)
@@ -269,7 +269,7 @@ class TestVerifierNegativeControls:
     def test_tampered_morphism_entry(self):
         z = self.make()
         mor = z.morphisms[0]
-        rows = [list(r) for r in mor.matrix.rows]
+        rows = [list(r) for r in fraction_rows(mor.matrix)]
         rows[0][0] += 1
         tampered = ZigZag(functor=z.functor, tag=z.tag, alphabet=z.alphabet,
                           nodes=z.nodes,

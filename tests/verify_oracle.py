@@ -20,8 +20,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 import kernel_oracle
-from matvec_oracle import (entrywise_apply, entrywise_dot, fractions, from_cols, funit,
-                           is_nonneg, vneg)
+from matvec_oracle import (entrywise_apply, entrywise_dot, fraction_rows, fractions, from_cols,
+                           funit, is_nonneg, vneg)
 from weights_oracle import scalar_ok
 from wazz.automata import SemiringTag
 from wazz.formats import fmt_rat, word_text
@@ -75,11 +75,11 @@ def _span_coordinates(gens, dim):
     k = len(gens)
     g_mat = from_cols(gens, nrows=dim)
     red, pivots, _ = kernel_oracle.rref(Mat(tuple(r + funit(dim, i)
-                                                  for i, r in enumerate(g_mat.rows)),
+                                                  for i, r in enumerate(fraction_rows(g_mat))),
                                             ncols=k + dim))
     g_pivots = tuple(p for p in pivots if p < k)
     rank = len(g_pivots)
-    e_mat = Mat(tuple(r[k:] for r in red.rows), ncols=dim)
+    e_mat = Mat(tuple(r[k:] for r in fraction_rows(red)), ncols=dim)
 
     def coordinates(v):
         w = entrywise_apply(e_mat, v)
@@ -114,7 +114,8 @@ def _carrier(tag, node):
             detail = "free subconvex carrier needs dim-many generators"
     if node.is_pca:
         if node.is_free and not detail:
-            coords_and_sum = Mat(e_mat.rows + (tuple(map(sum, zip(*e_mat.rows))),), ncols=dim)
+            e_rows = fraction_rows(e_mat)
+            coords_and_sum = Mat(e_rows + (tuple(map(sum, zip(*e_rows))),), ncols=dim)
 
             def mu(v):
                 *x, total = entrywise_apply(coords_and_sum, v)
