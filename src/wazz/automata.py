@@ -9,7 +9,10 @@ weight of w = a1..ak from configuration x is out . (M_ak ... M_a1 x).
 witness node holds one as it is.  `WeightedAutomaton` adds a semiring tag,
 whose weight rules `check_weights` states once.  The output functional,
 a configuration and each generator of the pair closure are scaled vectors
-(d, ints) in lowest terms (`wazz.linalg`).
+(d, ints) in lowest terms (`wazz.linalg`).  A pair is decided by the closure
+of its configurations under the letter maps (`pair_submodule`), and
+quotiented by the closure of its outputs under the transposed maps
+(`pair_quotient`).
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from math import lcm
 from operator import mul
 
 from .formats import LineReader, block_lines, fmt_ratio, fmt_vec
-from .linalg import (Mat, _concat, _lowest_terms, _scaled_word_closure, closure_under_maps,
-                     first_word_off, scaled_dot)
+from .linalg import (Mat, _concat, _int_rref, _lowest_terms, _pivot_scales,
+                     _scaled_word_closure, closure_under_maps, first_word_off,
+                     least_word_off, scaled_dot)
 
 
 class SemiringTag(Enum):
@@ -233,18 +237,26 @@ def trace(aut, x, depth):
     return Trace(depth, values)
 
 
+def _check_pair(aut1, x1, aut2, x2):
+    if aut1.tag is not aut2.tag:
+        raise ValueError("automata have different semiring tags")
+    if len(x1[1]) != aut1.n or len(x2[1]) != aut2.n:
+        raise ValueError("configuration has wrong length")
+    if aut1.alphabet != aut2.alphabet:
+        raise ValueError("automata have different alphabets")
+
+
+def _negated(v):
+    return v[0], tuple([-a for a in v[1]])
+
+
 def _paired(aut1, x1, aut2, x2):
     """Block-diagonal coalgebra, scaled start vector and output difference of
     the pair, the last as the integers of the two outputs over one
     denominator: the weights agree on a word iff the difference annihilates
     its image."""
-    if aut1.tag is not aut2.tag:
-        raise ValueError("automata have different semiring tags")
-    if len(x1[1]) != aut1.n or len(x2[1]) != aut2.n:
-        raise ValueError("configuration has wrong length")
-    d2, outs2 = aut2.out
-    return (aut1.paired(aut2), _concat(x1, x2),
-            _concat(aut1.out, (d2, tuple([-a for a in outs2])))[1])
+    _check_pair(aut1, x1, aut2, x2)
+    return aut1.paired(aut2), _concat(x1, x2), _concat(aut1.out, _negated(aut2.out))[1]
 
 
 def _letters(alphabet, word):
@@ -295,6 +307,94 @@ def pair_submodule(aut1, x1, aut2, x2):
                                 word=_letters(aut1.alphabet, word))
         basis = [(1, g) for g in lattice]
     return basis, pair
+
+
+def pair_quotient(aut1, x1, aut2, x2):
+    """The quotient of the pair by its word functionals: (h1, h2, Q), Q a
+    `LinearCoalgebra` on k coordinates and h1, h2 the k-row matrices that
+    map each side into it, coalgebra morphisms that send x1 and x2 to one
+    element.  It raises NotEquivalent, with the shortlex-least separating
+    word, when the traces differ.
+
+    This is the backward half of Schützenberger's reduction.  The functional
+    of a word w is phi_w = (out1 M1_w | out2 M2_w), and the weights of w at
+    x1 and x2 agree exactly when phi_w annihilates (x1, -x2).  The phi_w
+    span a space closed under right multiplication by the paired letter
+    maps: the closure of (out1 | out2) under the transposed maps, breadth
+    first.  Its basis B has k rows, and h = [h1 | h2] = B.  Row j of Q's
+    letter a holds the coordinates of B_j M_a in B, and Q's output those of
+    (out1 | out2), so that Q_a h = h M_a and out_Q h = out on each side.
+
+    Over a field B is the reduced row echelon form, and coordinates are the
+    entries at its pivot columns.  Over Z (`int`) the word functionals span
+    a lattice, a subgroup of Z^(n1 + n2); over a principal ideal domain
+    every such subgroup is free, and B is its HNF basis, in which the
+    coordinates of each B_j M_a and of the output are integers.
+
+    The rows come in word-length order, and the functionals of the words of
+    length at most l span the same space as the rows of level at most l.  So
+    the first row that does not annihilate (x1, -x2), of level L, shows that
+    L is the shortest separating length, and the word is read off letter by
+    letter (`least_word_off`).  Over Z the word comes from `first_word_off`.
+    """
+    _check_pair(aut1, x1, aut2, x2)
+    integral, n1, n = aut1.tag.integral, aut1.n, aut1.n + aut2.n
+    maps = [Mat.block_diag_transposed(a, b) for a, b in zip(aut1.trans, aut2.trans)]
+    out = _concat(aut1.out, aut2.out)
+    gap = _concat(x1, _negated(x2))
+    if integral:
+        if gap[0] != 1:  # an integral tag acts on integer configurations
+            raise ValueError("lattice closure needs integral start")
+        basis = closure_under_maps(out, maps)
+        if any(sum(map(mul, gap[1], g)) for g in basis):
+            pair, start, difference = _paired(aut1, x1, aut2, x2)
+            raise NotEquivalent("word functionals do not annihilate the pair",
+                                word=_letters(aut1.alphabet,
+                                              first_word_off(difference, start, pair.trans)))
+        den = 1
+        pivots = [next(j for j, a in enumerate(b) if a) for b in basis]
+    else:
+        basis, levels = [], []
+        for word, (_, ints) in _scaled_word_closure(out, maps):
+            if sum(map(mul, gap[1], ints)):
+                word = least_word_off(len(word), basis, levels, gap, [
+                    Mat.block_diag(a, b) for a, b in zip(aut1.trans, aut2.trans)])
+                raise NotEquivalent("word functionals do not annihilate the pair",
+                                    word=_letters(aut1.alphabet, word))
+            basis.append(list(ints))
+            levels.append(len(word))
+        pivots = _int_rref(basis, n)
+        den, scales = _pivot_scales(basis, pivots)
+        basis = [[a * s for a in row] for row, s in zip(basis, scales)]
+    # a vector of the span is read at the pivot columns alone, where B_j M_a
+    # is M_a^T's pivot rows applied to B_j
+    k, at_pivots = len(basis), [b.__getitem__ for b in basis]
+    outs, trans = [out[1][p] for p in pivots], []
+    for t in maps:
+        picked = [t.sparse[p] for p in pivots]
+        rows = [[sum(map(mul, nums, map(get, cols))) for cols, nums in picked]
+                for get in at_pivots]
+        if integral:
+            trans.append(Mat._of_rows(1, [_triangular_coords(w, basis, pivots) for w in rows], k))
+        else:
+            trans.append(Mat._of_rows(t.den * den, rows, k))
+    out_q = (1, _triangular_coords(outs, basis, pivots)) if integral else (
+        _lowest_terms((out[0], outs)))
+    quotient = LinearCoalgebra(n=k, alphabet=aut1.alphabet, out=out_q, trans=tuple(trans))
+    return (Mat._of_rows(den, [b[:n1] for b in basis], n1),
+            Mat._of_rows(den, [b[n1:] for b in basis], n - n1), quotient)
+
+
+def _triangular_coords(w, basis, pivots):
+    """The integer coordinates c in the HNF rows `basis` of a lattice vector
+    whose entries at their pivot columns are w: row l is zero at the pivots
+    of the rows before it, so c_i = (w_i - sum_(l < i) c_l basis[l][p_i]) /
+    basis[i][p_i], an exact division."""
+    coords = []
+    for i, p in enumerate(pivots):
+        coords.append((w[i] - sum([c * basis[l][p] for l, c in enumerate(coords)]))
+                      // basis[i][p])
+    return tuple(coords)
 
 
 @dataclass(frozen=True)

@@ -9,21 +9,24 @@ format: this module builds no `Fraction`.
 
 - A `Mat` is integers only (see the class), built from int or `Fraction`
   entries.  The text readers build a letter or morphism matrix from its
-  columns' integers (`_of_cols`), and coordinate selections and
-  `block_diag` compose integers.  `apply_scaled((e, xs))` takes each output
+  columns' integers (`_of_cols`), other producers from rows (`_of_rows`),
+  and coordinate selections, `block_diag` and `block_diag_transposed`
+  compose integers.  `apply_scaled((e, xs))` takes each output
   entry as one integer sum over a row's nonzeros and returns the image as
   (d * e, sums).
 - Elimination (`_int_rref`, `_Echelon`) is fraction-free: a row update is
   the integer combination that clears one entry, divided by the gcd of the
   result, so rows stay primitive.  `_int_rref` is the one Gauss-Jordan loop;
-  `rref`, `solve` (the one back-substitution, which the pyramid normal of
-  `wazz.pca` calls), `kernel_basis`, the double description and the
-  verifier's carrier factorization (`wazz.polyhedra`) read its integer rows
-  over the lcm of their pivot entries.
+  `rref`, `solve_rows` (the one back-substitution, which the pyramid normal
+  of `wazz.pca` calls on its integer rows and `solve` on a `Mat`'s),
+  `kernel_basis`, the double description and the verifier's carrier
+  factorization (`wazz.polyhedra`) read its integer rows over the lcm of
+  their pivot entries.
 - The word closure (`_scaled_word_closure`) queues scaled images, reduced
   to lowest terms, and builds no `Fraction`; `first_word_off`, like the
   pair closure of `wazz.automata`, tests each scaled image against a
-  functional's integers.
+  functional's integers, and `least_word_off` reads a word of known length
+  off the functionals of a closure under the transposed maps.
 - The Z closure (`closure_under_maps`) starts from an integral scaled
   vector and runs on `int` rows: it applies integral maps through their
   scaled forms and grows the HNF in place.
@@ -40,7 +43,9 @@ from operator import mul
 
 def unit(n, i):
     """The scaled unit vector e_i of length n."""
-    return 1, tuple([int(j == i) for j in range(n)])
+    v = [0] * n
+    v[i] = 1
+    return 1, tuple(v)
 
 
 def is_zero(v):
@@ -153,19 +158,25 @@ class Mat:
         self.ncols, self.den, self.sparse = m.ncols, m.den, m.sparse
 
     @classmethod
+    def _of_rows(cls, den, rows, ncols):
+        """The matrix with rows rows / den, rows being ncols integers each and
+        den > 0; den and the integers are divided by their gcd."""
+        g = gcd(den, *chain.from_iterable(rows)) if den > 1 else 1
+        if g > 1:
+            den //= g
+            rows = [[a // g for a in row] for row in rows]
+        m = object.__new__(cls)
+        m.ncols, m.den = ncols, den
+        index = range(ncols)
+        m.sparse = tuple([(tuple(compress(index, row)), tuple(filter(None, row)))
+                          for row in rows])
+        return m
+
+    @classmethod
     def _of_cols(cls, den, cols, nrows):
         """The matrix with columns cols / den, cols being nrows integers each
         and den > 0; den and the integers are divided by their gcd."""
-        g = gcd(den, *chain.from_iterable(cols)) if den > 1 else 1
-        if g > 1:
-            den //= g
-            cols = [[a // g for a in col] for col in cols]
-        m = object.__new__(cls)
-        m.ncols, m.den = len(cols), den
-        index = range(len(cols))
-        m.sparse = tuple([(tuple(compress(index, row)), tuple(filter(None, row)))
-                          for row in zip(*cols)]) if cols else (((), ()),) * nrows
-        return m
+        return cls._of_rows(den, list(zip(*cols)) if cols else [()] * nrows, len(cols))
 
     @property
     def nrows(self):
@@ -200,6 +211,24 @@ class Mat:
             [(cols, nums if s1 == 1 else tuple([s1 * x for x in nums])) for cols, nums in a.sparse]
             + [(tuple([n1 + j for j in cols]), nums if s2 == 1 else tuple([s2 * x for x in nums]))
                for cols, nums in b.sparse])
+        return m
+
+    @staticmethod
+    def block_diag_transposed(a, b):
+        """The transpose of `block_diag(a, b)`, built in one pass: row j holds
+        column j's integers, b's indices shifted past a's."""
+        den, n1 = lcm(a.den, b.den), a.ncols
+        cols = [([], []) for _ in range(n1 + b.ncols)]
+        for shift, m in ((0, a), (n1, b)):
+            s = den // m.den
+            for i, (js, nums) in enumerate(m.sparse, shift):
+                for j, x in zip(js, nums):
+                    col = cols[shift + j]
+                    col[0].append(i)
+                    col[1].append(x * s)
+        m = object.__new__(Mat)
+        m.ncols, m.den = len(a.sparse) + len(b.sparse), den
+        m.sparse = tuple([(tuple(js), tuple(nums)) for js, nums in cols])
         return m
 
     def __eq__(self, other):
@@ -313,13 +342,20 @@ def kernel_basis(m):
 
 def solve(m, b):
     """The scaled x with Mx = b for the scaled b, free variables zero, or
-    None: one `_int_rref` of [e M | d b] over gcd(d, e), M = ints / d and
-    b = bs / e; x_p is the last entry of p's pivot row over its pivot entry."""
-    (e, bs), n = b, m.ncols
-    if len(bs) != m.nrows:
+    None: `solve_rows` on M's integers."""
+    return solve_rows(m.den, m.dense(), b, m.ncols)
+
+
+def solve_rows(d, ints, b, n):
+    """The scaled x with Mx = b for M = ints / d, ints being rows of n
+    integers and d > 0, and the scaled b, free variables zero, or None: one
+    `_int_rref` of [e ints | d bs] over gcd(d, e), b = bs / e; x_p is the
+    last entry of p's pivot row over its pivot entry."""
+    e, bs = b
+    if len(bs) != len(ints):
         raise ValueError("right-hand side has wrong length")
-    e, d = e // gcd(e, m.den), m.den // gcd(e, m.den)  # keeps the entries small
-    rows = [[e * a for a in row] + [d * c] for row, c in zip(m.dense(), bs)]
+    e, d = e // gcd(e, d), d // gcd(e, d)  # keeps the entries small
+    rows = [[e * a for a in row] + [d * c] for row, c in zip(ints, bs)]
     pivots = _int_rref(rows, n + 1)
     if pivots and pivots[-1] == n:
         return None
@@ -520,6 +556,30 @@ def first_word_off(functional, start, maps):
         if sum(map(mul, functional, xs)):
             return word
     return None
+
+
+def least_word_off(length, functionals, levels, start, maps):
+    """The shortlex-least word (map indices) of the given length whose image
+    of the scaled `start` some integer functional of `functionals` does not
+    annihilate, given that no shorter word has such an image.  functionals[i]
+    is the functional of a word of length levels[i], as the word closure of
+    the functionals under the transposed maps yields them.
+
+    Greedy: each letter is the least one after which some word of the
+    remaining length r does not annihilate the image.  The functionals of
+    level at most r span those of all words of length at most r, and the
+    shorter ones annihilate the image, as no shorter word separates; so that
+    holds exactly when a functional of level r does not annihilate it."""
+    word = []
+    for rest in range(length - 1, -1, -1):
+        live = [f for f, level in zip(functionals, levels) if level == rest]
+        for i, m in enumerate(maps):
+            image = m.apply_scaled(start)
+            if any(sum(map(mul, f, image[1])) for f in live):
+                word.append(i)
+                start = _lowest_terms(image)
+                break
+    return tuple(word)
 
 
 def closure_under_maps(start, maps):

@@ -2,12 +2,16 @@
 
 A witness is a chain of coalgebra nodes connected by morphisms, alternating
 between source nodes (outgoing arrows, carrying a relating element) and sink
-nodes (incoming arrows, which must have free carriers).  The verifier
-re-checks every claim from the witness data alone: carrier memberships,
-morphism squares by matrix identities, and the relating chain by direct
-evaluation.  A free node whose generators are positive multiples of the
-unit vectors, as every endpoint and pyramid node is, needs no elimination:
-its coordinates are one integer scaling per entry.  Every other node is
+nodes (incoming arrows, which must have free carriers).  `cubic_zigzag`
+writes a cospan for the ring and field tags, both automata mapping onto the
+pair's quotient by its word functionals, and a span through the restricted
+pair closure for the other cubic tags; `ghat_zigzag` writes five nodes.
+The verifier re-checks every claim from the witness data alone: carrier
+memberships, morphism squares by matrix identities, and the relating chain
+by direct evaluation.  A free node whose generators are positive multiples
+of the unit vectors, as every endpoint, pyramid node and cospan sink is,
+needs no elimination: its coordinates are one integer scaling per entry,
+so no node of a cospan is factored.  Every other node is
 decided on one factorization of its generators
 (`wazz.polyhedra.span_factors`), by their unique coordinates when they are
 independent and otherwise by the facets of the hull or cone, lattice
@@ -30,7 +34,8 @@ from dataclasses import dataclass
 from math import lcm
 from operator import mul
 
-from .automata import _TAGS, LinearCoalgebra, SemiringTag, _scalar_rules, pair_submodule
+from .automata import (_TAGS, LinearCoalgebra, SemiringTag, _scalar_rules, pair_quotient,
+                       pair_submodule)
 from .formats import LineReader, block_lines, fmt_ratio, fmt_vec
 from .hilbert import nat_restriction
 from .linalg import (Lattice, Mat, _concat, _lowest_terms, _selection, hnf, lattice_member,
@@ -111,32 +116,50 @@ class ZigZag:
 
 _CUBIC_TAGS = (SemiringTag.NAT, SemiringTag.INT, SemiringTag.QPLUS, SemiringTag.Q,
                SemiringTag.RPLUS, SemiringTag.REAL, SemiringTag.UNIT)
+_RING_TAGS = (SemiringTag.INT, SemiringTag.Q, SemiringTag.REAL)  # their witness is a cospan
 
 
 def _projections(n1, n2):
     return _selection(range(n1), n1 + n2), _selection(range(n1, n1 + n2), n1 + n2)
 
 
-def _endpoint_node(aut, pca):
+def _free_node(coalg, pca=False):
+    """The free node on the unit vectors, as an endpoint or a cospan's sink."""
     return ZigZagNode(kind=FREE_PCA if pca else FREE_MODULE,
-                      generators=tuple(unit(aut.n, i) for i in range(aut.n)),
-                      coalgebra=aut.coalgebra)
+                      generators=tuple(unit(coalg.n, i) for i in range(coalg.n)),
+                      coalgebra=coalg)
 
 
 def cubic_zigzag(aut1, x1, aut2, x2):
-    """Span witness for the cubic functor tags: both endpoints receive a
-    projection from the restricted pair closure.
+    """Three-node witness for the cubic functor tags.
 
+    For the ring and field tags (`int`, `q`, `real`) it is a cospan: both
+    automata map onto their pair's quotient by the word functionals
+    (`pair_quotient`), a free module on its unit vectors, by h1 and h2, and
+    the relating elements x1 and x2 meet there.  Over Z that quotient is
+    free because the word functionals span a subgroup of Z^(n1 + n2), and
+    every subgroup of a free module over a principal ideal domain is free.
+
+    For the other tags, where such a quotient need not be free, it is a span:
+    both endpoints receive a projection from the restricted pair closure.
     The middle carrier is Z ∩ (S^n1 x S^n2), with generators chosen by the
     tag's properties: the product-of-simplices vertices for the unit
-    interval, the N-monoid generators (Hilbert) for NAT, the extreme rays of
-    the cone (Minkowski-Weyl) for the other nonnegative tags, and the module
-    basis itself for the ring tags.
+    interval, the N-monoid generators (Hilbert) for NAT and the extreme rays
+    of the cone (Minkowski-Weyl) for the other nonnegative tags.
     """
     if aut1.tag not in _CUBIC_TAGS:
         raise ValueError(f"tag {aut1.tag.value} is not a cubic-pipeline tag")
-    basis, paired = pair_submodule(aut1, x1, aut2, x2)
     tag = aut1.tag
+    if tag in _RING_TAGS:
+        h1, h2, quotient = pair_quotient(aut1, x1, aut2, x2)
+        return ZigZag(
+            functor=CUBIC, tag=tag, alphabet=aut1.alphabet,
+            nodes=(_free_node(aut1.coalgebra), _free_node(quotient), _free_node(aut2.coalgebra)),
+            morphisms=(Morphism(0, 1, h1), Morphism(2, 1, h2)),
+            relating=((0, x1), (2, x2)),
+            endpoints=(x1, x2),
+        )
+    basis, paired = pair_submodule(aut1, x1, aut2, x2)
     n1, n2, m = aut1.n, aut2.n, aut1.n + aut2.n
     pca = tag is SemiringTag.UNIT
     if pca:
@@ -144,16 +167,14 @@ def cubic_zigzag(aut1, x1, aut2, x2):
     elif tag is SemiringTag.NAT:
         # the pair closure's lattice basis is already in Hermite normal form
         gens = [(1, g) for g in nat_restriction(Lattice(m, tuple(g for _, g in basis)))]
-    elif tag.nonneg:
-        gens = cone_restriction(basis)
     else:
-        gens = basis
+        gens = cone_restriction(basis)
     middle = ZigZagNode(kind=GENERATED_PCA if pca else GENERATED_MODULE,
                         generators=tuple(gens), coalgebra=paired)
     p1, p2 = _projections(n1, n2)
     return ZigZag(
         functor=CUBIC, tag=tag, alphabet=aut1.alphabet,
-        nodes=(_endpoint_node(aut1, pca), middle, _endpoint_node(aut2, pca)),
+        nodes=(_free_node(aut1.coalgebra, pca), middle, _free_node(aut2.coalgebra, pca)),
         morphisms=(Morphism(1, 0, p1), Morphism(1, 2, p2)),
         relating=((1, _concat(x1, x2)),),
         endpoints=(x1, x2),
@@ -193,8 +214,8 @@ def ghat_zigzag(aut1, x1, aut2, x2):
     p1, p2 = _projections(n1, q2.n)
     return ZigZag(
         functor=GHAT, tag=SemiringTag.PCA, alphabet=aut1.alphabet,
-        nodes=(_endpoint_node(aut1, True), free_nodes[0], middle,
-               free_nodes[1], _endpoint_node(aut2, True)),
+        nodes=(_free_node(aut1.coalgebra, True), free_nodes[0], middle,
+               free_nodes[1], _free_node(aut2.coalgebra, True)),
         morphisms=(Morphism(0, 1, psi1), Morphism(2, 1, p1),
                    Morphism(2, 3, p2), Morphism(4, 3, psi2)),
         relating=((0, x1), (2, _concat(y1, y2)), (4, x2)),

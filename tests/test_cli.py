@@ -463,11 +463,11 @@ class TestLineEnds:
         assert outs[0] == outs[1] and outs[0].out and not outs[0].err
 
 
-def shift_automaton(n, weight):
-    """One-letter `q` automaton e_i -> weight * e_(i+1), output on the last
+def shift_automaton(n, weight, tag="q"):
+    """One-letter automaton e_i -> weight * e_(i+1), output on the last
     state: the word a^k maps e_1 to weight^k e_(k+1)."""
     rows = [" ".join(weight if j == i + 1 else "0" for j in range(n)) for i in range(n)]
-    return "\n".join(["semiring q", "alphabet a", f"states {n}",
+    return "\n".join([f"semiring {tag}", "alphabet a", f"states {n}",
                       "output " + " ".join(["0"] * (n - 1) + ["1"]), "trans a", *rows]) + "\n"
 
 
@@ -488,15 +488,26 @@ class TestDigitBound:
         assert sys.get_int_max_str_digits() == before
 
     def test_answer_over_the_bound_is_its_own_exit_code(self, tmp_path, capsys):
-        # a 60001-digit weight is a valid literal; its square is not printable
+        # a 60001-digit weight is a valid literal; its square is not printable.
+        # The pair closure of the shift holds it, and so do a lattice's
+        # bases: the middle node of a nat span and the maps of an int cospan.
+        # The reduced basis of a q cospan holds only the weight itself
         before = sys.get_int_max_str_digits()
-        a = write(tmp_path, "a.wa", shift_automaton(3, "1" + "0" * 60000))
+        weight = "1" + "0" * 60000
+        a = write(tmp_path, "a.wa", shift_automaton(3, weight))
+        n = write(tmp_path, "n.wa", shift_automaton(3, weight, "nat"))
+        i = write(tmp_path, "i.wa", shift_automaton(3, weight, "int"))
         w = tmp_path / "w.zz"
-        for argv in (["equiv", a, a], ["zigzag", a, a, "-o", str(w)]):
+        for argv in (["equiv", a, a], ["zigzag", n, n, "-o", str(w)],
+                     ["zigzag", i, i, "-o", str(w)]):
             assert main(argv) == 4
             err = capsys.readouterr().err
             assert err == f"error: the answer has a number of over {MAX_DIGITS} digits\n"
         assert not w.exists()
+        assert main(["zigzag", a, a, "-o", str(w)]) == 0
+        assert max(len(t) for t in w.read_text().split()) == len(weight)
+        assert main(["verify", str(w)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("VALID")
         assert sys.get_int_max_str_digits() == before
 
     def test_literal_over_the_bound_is_a_parse_error(self, tmp_path, capsys):

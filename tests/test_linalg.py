@@ -86,6 +86,12 @@ class TestTranspose:
         assert fraction_rows(t) == tuple(columns(m)) and transpose(t) == m
         assert from_cols(columns(m), nrows=nr) == m
 
+    def test_block_diag_transposed(self):
+        rng = random.Random("transpose/block-diag")
+        for n1, n2 in [(0, 0), (0, 2), (2, 0), (1, 1), (3, 2), (2, 4)]:
+            a, b = (rand_mat(rng, n, n) if n else Mat((), ncols=0) for n in (n1, n2))
+            assert Mat.block_diag_transposed(a, b) == transpose(Mat.block_diag(a, b))
+
     def test_from_cols_converts_and_checks(self):
         assert from_cols([[1, "1/2"], [F(2), 0]]) == M([[1, 2], ["1/2", 0]])
         assert from_cols([(), ()]) == Mat((), ncols=2)
@@ -117,6 +123,8 @@ class TestCanonicalForm:
         routes = [reader[0].trans[0], transpose(transpose(want)),
                   Mat.block_diag(want, empty), Mat.block_diag(empty, want),
                   quotient.trans[0], Mat._of_cols(12, [[6, 0], [3, 6]], 2),
+                  Mat._of_rows(12, [[6, 3], [0, 6]], 2),
+                  Mat.block_diag_transposed(transpose(want), empty),
                   Mat([[F(1, 2), F(1, 4)], [0, F(1, 2)]])]
         for m in routes:
             assert m == want and hash(m) == hash(want)

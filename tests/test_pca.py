@@ -1,12 +1,17 @@
+import importlib.util
+import math
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from wazz import pca, polyhedra, zigzag
-from wazz.automata import LinearCoalgebra, SemiringTag, WeightedAutomaton, trace
+from wazz.automata import (LinearCoalgebra, NotEquivalent, SemiringTag, WeightedAutomaton,
+                           parse_automaton, trace)
 from wazz.formats import fmt_vec, parse_rat
-from wazz.linalg import Mat, scaled, unit
+from wazz.linalg import Mat, scaled, solve, unit
 from wazz.pca import (InvariantZeroSet, PyramidCert, invariant_zero_set, pyramid_extension,
                       reduce_invariant_set)
 from wazz.polyhedra import INFINITY, InternalError, PcaPolytope, gauge
@@ -21,6 +26,7 @@ from matvec_oracle import (apply, column, fraction_rows, fractions, from_cols, f
                            identity, matmul, svec, vdot, vector, zero, zeros)
 
 T = SemiringTag
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 
 def delta(n):
@@ -447,6 +453,64 @@ class TestPyramidMatchesFractionOracle:
         monkeypatch.undo()
         assert built == []
         assert all(verify_zigzag(z).valid for z in witnesses)
+
+
+def fixed_point_by_mat(out, trans):
+    """The fixed point as `pca.fixed_point` found it before it passed its
+    integer rows to `solve_rows`: d (I - N) built column by column as a
+    `Mat`, which `solve` reads back with `dense()`."""
+    forms = [m.scaled() for m in trans]
+    n, den = len(out[1]), math.lcm(*[d for d, _ in forms])
+    cols = [[den * (i == j) for j in range(n)] for i in range(n)]
+    for d, sparse in forms:
+        for col, (js, nums) in zip(cols, sparse):
+            for j, a in zip(js, nums):
+                col[j] -= a * (den // d)
+    return solve(Mat._of_cols(den, cols, n), out)
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules.setdefault(spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+class TestFixedPointRows:
+    def test_ghat_pca_inputs_match_the_mat_route(self, monkeypatch):
+        """Every system the pyramid solves on pairs of the benchmark's
+        `ghat-pca` workload, and each with its output doubled and with a
+        letter matrix scaled by 3, has the fixed point the `Mat` route gave."""
+        workloads = load_workloads()
+        systems, original = [], pca.fixed_point
+
+        def spy(out, trans):
+            systems.append((out, trans))
+            return original(out, trans)
+
+        monkeypatch.setattr(pca, "fixed_point", spy)
+        for pair in workloads.make_pairs("ghat-pca", 1, 40):
+            a1, x1 = parse_automaton(workloads.to_text(pair.left, pair.x_left))
+            a2, x2 = parse_automaton(workloads.to_text(pair.right, pair.x_right))
+            try:
+                ghat_zigzag(a1, x1, a2, x2)
+            except NotEquivalent:
+                pass
+        monkeypatch.undo()
+        assert len(systems) >= 40
+        # an infeasible system, and a singular consistent one
+        systems += [(svec(["1/2"]), (Mat([[1]]),)), (svec([1, 1]), (Mat([[2, 1], [1, 2]]),))]
+        found = set()
+        for out, trans in systems:
+            for variant in ((out, trans), ((out[0], tuple(2 * a for a in out[1])), trans),
+                            (out, (Mat([[3 * a for a in row] for row in fraction_rows(trans[0])],
+                                       ncols=trans[0].ncols),) + trans[1:])):
+                u = pca.fixed_point(*variant)
+                assert u == fixed_point_by_mat(*variant)
+                found.add(u is None)
+        assert found == {True, False}
 
 
 def looped_reduce_invariant_set(aut):

@@ -89,9 +89,15 @@ class TestCubic:
                                              ("a", "b")[: rng.randint(1, 2)])
             z = cubic_zigzag(aut1, x1, aut2, x2)
             assert len(z.nodes) == 3
-            expected = GENERATED_PCA if tag is T.UNIT else GENERATED_MODULE
-            assert z.nodes[1].kind == expected
-            assert all(z.nodes[i].is_free for i in (0, 2))
+            if tag in (T.INT, T.Q, T.REAL):
+                # a cospan: both automata map onto a free sink
+                assert [node.kind for node in z.nodes] == [FREE_MODULE] * 3
+                assert [(m.src, m.dst) for m in z.morphisms] == [(0, 1), (2, 1)]
+                assert z.relating == ((0, x1), (2, x2))
+            else:
+                expected = GENERATED_PCA if tag is T.UNIT else GENERATED_MODULE
+                assert z.nodes[1].kind == expected
+                assert all(z.nodes[i].is_free for i in (0, 2))
             report = verify_zigzag(z)
             assert report.valid, (tag, failing_names(report))
 
@@ -403,16 +409,17 @@ class TestWitnessFormat:
 
     # sha256 of the witness text for lifted_pair(Random("golden/<key>"), tag,
     # 3, 2, ("a", "b")), the tag being the key up to a "-"; a change here
-    # changes the bytes every witness file has.  The "pca" pair reduces every
+    # changes the bytes every witness file has.  The "int", "q" and "real"
+    # witnesses are cospans onto the pair's quotient.  The "pca" pair reduces every
     # state away, so nodes 1-3 of its witness have dimension 0; "pca-pyramid"
     # pins pyramid normals and middle generators on nodes of dimension 3 to 8
     GOLDEN_SHA256 = {
         "nat": "8c7f962578bb769c2ce0e43a55d82354b4bbe49f78f01f30e55be9376fbff4b6",
-        "int": "ae716ea903e9d96c6a2019b0daea40685b733e5507f04c6dfc3e576ea5ce548b",
+        "int": "ca9671174f8926b935bf4e39d7639468af9d4c6f8536cdea85003ac239c21025",
         "qplus": "53fca44903d5291f63c27eebc13d84bbabb8ce28bbc9db5784623ecf0bfb35ec",
-        "q": "a768815721c3ca2507b2adfadf71f4b2e3dee901960e326dce1b95935aa4644d",
+        "q": "602cc1159ee91a535325b4fc56b269402d37a572ff3f5204849c7431a29b68c6",
         "rplus": "82a0a3a27defb0326f34a83de8a709b62b7ed9ac73a0408e453c83d81fc67f05",
-        "real": "515b530e041e7ba2223d4472ed7eaf44b23dab7356e58d6ab2c2618c2dff3160",
+        "real": "dc4575af4ede677ef45bed027ab607369832b32788bf9fef2d74506874a8123c",
         "unit": "3ab5c1801e02afeda02eacb0e27faa04dd8166e601148e853561ce980eb2353d",
         "pca": "999d6b7b753daff18b3cff17f74ba3ed90552ecb6eca2787359aa609335fb634",
         "pca-pyramid": "e84c970302cc9a7a4c2dba3c8f3d723a84f9aa530f0b77b0412d9d4a36a99a12",
@@ -439,11 +446,11 @@ class TestWitnessFormat:
     REPORT_SIZES = ((2, 1), (3, 1), (2, 2))
     GOLDEN_REPORT_SHA256 = {
         "nat": "0b74f22f8ecde7477d24e3e32f30089cd98bc1e0dffd1c54ccbf7fa7c08ab621",
-        "int": "426e379ae575e37bc3efebdf61547b110b2b0466d66fd6516188618a1b52b9c4",
+        "int": "837efb858df0407481be75dd1923a14a8de07533b5530942100de80cc5805a65",
         "qplus": "fb70a058c622d17e21e49f1b533cc387d1b95e3c32bdb6665a7e248adec3d6b4",
-        "q": "afbd53759eb7878729a8108a4e8121deac850c4751a9cb74c725e8fb5a9ec235",
+        "q": "14c1bfef8f78e90e19be30959358e31922e8edb807e74e2bea7d1f404374e50b",
         "rplus": "1d72e2eade4956950d3ccab7de6f200c1485cff3f1d8ba3144f24e1afde52a24",
-        "real": "36780191a2ac6f68fedb33c989f90da25054d965f629c8ce06f615d0bf41ef1e",
+        "real": "c88423972400247e5a7346f160d9ba73be820ab5359d60409d111fdd3e9a1f64",
         "unit": "8c5e274e2edc977f81cb233d8fd37bfe8ffbebdb216634a65ecc3eb7a57cf17f",
         "pca": "0ba0246d00beb6d6c901eecf4abc5adcf611f930702c841a495435754e2806b9",
     }
@@ -775,20 +782,22 @@ class TestCarrierWorkedOutOnce:
 
     @pytest.mark.parametrize("tag", list(T), ids=lambda t: t.value)
     def test_producer_free_nodes_take_the_diagonal_route(self, tag, spans):
-        """Every endpoint node and every pyramid node a producer writes is
-        decided without a factorization, so a producer change that reorders
-        their generators shows here."""
+        """Every endpoint node, every pyramid node and every sink of a
+        ring-tag cospan a producer writes is decided without a
+        factorization, so a producer change that reorders their generators
+        shows here.  A ring-tag witness is factored nowhere."""
         build = ghat_zigzag if tag is T.PCA else cubic_zigzag
+        cospan = tag in (T.INT, T.Q, T.REAL)
         rng = random.Random(f"carrier-once/diagonal/{tag.value}")
         for k, extra in ((1, 1), (2, 1), (2, 2), (3, 1)):
             z = build(*lifted_pair(rng, tag, k, extra, ("a", "b")))
             free = [i for i, node in enumerate(z.nodes) if node.is_free]
-            assert free == ([0, 1, 3, 4] if tag is T.PCA else [0, 2])
+            assert free == ([0, 1, 3, 4] if tag is T.PCA else [0, 1, 2] if cospan else [0, 2])
             assert all(zigzag._diagonal(z.nodes[i].generators, z.nodes[i].dim) for i in free)
             spans.clear()
             assert verify_zigzag(z).valid
             middle = z.nodes[len(z.nodes) // 2]
-            assert spans.factored == [(middle.generators, middle.dim)]
+            assert spans.factored == ([] if cospan else [(middle.generators, middle.dim)])
 
     @pytest.mark.parametrize("node", [1, 2])
     def test_one_negative_fractional_entry_fails_node_kind(self, node):

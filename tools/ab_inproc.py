@@ -11,12 +11,15 @@ every op of the benchmark pipeline (`equiv A B`, `zigzag A B -o W`,
 round, the order alternating from pair to pair.  The two calls of one op
 thus meet the same machine state, which separate benchmark processes on a
 shared machine do not.  Every round starts from empty `functools` caches in
-both trees, as each pass of `bench/run.py` does.
+both trees, as each pass of `bench/run.py` does.  Each tree writes its own
+witness file and verifies the witness it wrote, so a change of witness
+shape is timed too.
 
 The pairs are those of `bench/workloads.py` (read from this checkout, not
 changed).  Every op must give the same exit code and standard output on both
-trees, and `zigzag` the same witness bytes; a mismatch is printed and the
-command exits 1.  The report gives, per op, the median wall time of each
+trees (the witness path aside), `zigzag` the same witness bytes and
+`verify` of a byte-identical witness the same report; a mismatch is printed
+and the command exits 1.  The report gives, per op, the median wall time of each
 tree, the median over pairs of the per-pair ratio NEW / OLD (each pair's
 time is its median over the rounds), the ratio of the two trees' times at
 the tail percentile `bench/run.py` reports for that many samples, and the
@@ -90,35 +93,43 @@ def write_pairs(workloads, pairs, workdir):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(workloads.to_text(aut, x))
             paths.append(path)
-        files.append((paths[0], paths[1], os.path.join(workdir, f"p{i}.zz")))
+        files.append((paths[0], paths[1],
+                      tuple(os.path.join(workdir, f"p{i}{tree}.zz") for tree in "ab")))
     return files
 
 
 def run_pair(mains, files, order, times, mismatches, label):
-    """The three ops of one pair on both trees, in `order`; records each
-    op's time per tree and every disagreement."""
-    left, right, witness = files
+    """The three ops of one pair on both trees, in `order`, each tree
+    verifying the witness it wrote; records each op's time per tree and
+    every disagreement."""
+    left, right, witnesses = files
     results = {}
-    for op, argv in (("equiv", ["equiv", left, right]),
-                     ("zigzag", ["zigzag", left, right, "-o", witness])):
+    for op in ("equiv", "zigzag"):
         for side in order:
+            argv = ["equiv", left, right]
+            if op == "zigzag":
+                argv = ["zigzag", left, right, "-o", witnesses[side]]
             rc, out, seconds = call(mains[side], argv)
             data = None
             if op == "zigzag" and rc == 0:
-                with open(witness, "rb") as fh:
+                with open(witnesses[side], "rb") as fh:
                     data = fh.read()
-            results[op, side] = (rc, out, data)
+            results[op, side] = (rc, out.replace(witnesses[side], "W"), data)
             times[op][side].append(seconds)
-        if results[op, 0] != results[op, 1]:
+        if results[op, 0][:2] != results[op, 1][:2]:
             mismatches.append(f"{label} {op}: {results[op, 0][:2]!r} vs {results[op, 1][:2]!r}")
-    if results["zigzag", 0][0] == 0 and results["zigzag", 0] == results["zigzag", 1]:
-        # both trees wrote the same bytes, so each verifies the same file
+        elif results[op, 0] != results[op, 1]:
+            sizes = [len(results[op, side][2]) for side in (0, 1)]
+            mismatches.append(f"{label} {op}: witness bytes differ ({sizes[0]} vs {sizes[1]})")
+    if results["zigzag", 0][0] == 0 and results["zigzag", 1][0] == 0:
         outs = []
         for side in order:
-            rc, out, seconds = call(mains[side], ["verify", witness])
+            rc, out, seconds = call(mains[side], ["verify", witnesses[side]])
             outs.append((rc, out))
             times["verify"][side].append(seconds)
-        if outs[0] != outs[1]:
+        # a report counts its checks, so only the verdicts of unlike witnesses compare
+        same = results["zigzag", 0][2] == results["zigzag", 1][2]
+        if (outs[0] if same else outs[0][0]) != (outs[1] if same else outs[1][0]):
             mismatches.append(f"{label} verify: {outs[0]!r} vs {outs[1]!r}")
 
 
