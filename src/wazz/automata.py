@@ -24,8 +24,8 @@ from math import lcm
 from operator import mul
 
 from .formats import LineReader, block_lines, fmt_ratio, fmt_vec
-from .linalg import (Mat, _concat, _int_rref, _lowest_terms, _pivot_scales,
-                     _scaled_word_closure, closure_under_maps, first_word_off,
+from .linalg import (Mat, _concat, _int_rref, _lattice_word_closure, _lowest_terms,
+                     _pivot_scales, _scaled_word_closure, closure_under_maps, first_word_off,
                      least_word_off, scaled_dot)
 
 
@@ -170,9 +170,8 @@ class LinearCoalgebra:
 
     def paired(self, other):
         """The block-diagonal coalgebra on the product of both carriers, with
-        this side's output extended by zeros."""
-        if self.alphabet != other.alphabet:
-            raise ValueError("automata have different alphabets")
+        this side's output extended by zeros; both sides share the alphabet
+        (`_check_pair`)."""
         return LinearCoalgebra(n=self.n + other.n, alphabet=self.alphabet,
                                out=(self.out[0], self.out[1] + (0,) * other.n),
                                trans=tuple(Mat.block_diag(a, b)
@@ -331,38 +330,35 @@ def pair_quotient(aut1, x1, aut2, x2):
     every such subgroup is free, and B is its HNF basis, in which the
     coordinates of each B_j M_a and of the output are integers.
 
-    The rows come in word-length order, and the functionals of the words of
-    length at most l span the same space as the rows of level at most l.  So
-    the first row that does not annihilate (x1, -x2), of level L, shows that
-    L is the shortest separating length, and the word is read off letter by
-    letter (`least_word_off`).  Over Z the word comes from `first_word_off`.
+    Both closures yield their rows in word-length order, and the
+    functionals of the words of length at most l span, over Q, the same
+    space as the rows of level at most l.  So the first row that does not
+    annihilate (x1, -x2), of level L, shows that L is the shortest
+    separating length, and the word is read off letter by letter
+    (`least_word_off`), with no closure of the configurations.
     """
     _check_pair(aut1, x1, aut2, x2)
     integral, n1, n = aut1.tag.integral, aut1.n, aut1.n + aut2.n
     maps = [Mat.block_diag_transposed(a, b) for a, b in zip(aut1.trans, aut2.trans)]
     out = _concat(aut1.out, aut2.out)
     gap = _concat(x1, _negated(x2))
-    if integral:
-        if gap[0] != 1:  # an integral tag acts on integer configurations
-            raise ValueError("lattice closure needs integral start")
-        basis = closure_under_maps(out, maps)
-        if any(sum(map(mul, gap[1], g)) for g in basis):
-            pair, start, difference = _paired(aut1, x1, aut2, x2)
+    if integral and gap[0] != 1:  # an integral tag acts on integer configurations
+        raise ValueError("lattice closure needs integral start")
+    lattice, functionals, levels = [], [], []
+    for word, (_, ints) in (_lattice_word_closure(out, maps, lattice) if integral
+                            else _scaled_word_closure(out, maps)):
+        if sum(map(mul, gap[1], ints)):
+            word = least_word_off(len(word), functionals, levels, gap, [
+                Mat.block_diag(a, b) for a, b in zip(aut1.trans, aut2.trans)])
             raise NotEquivalent("word functionals do not annihilate the pair",
-                                word=_letters(aut1.alphabet,
-                                              first_word_off(difference, start, pair.trans)))
-        den = 1
+                                word=_letters(aut1.alphabet, word))
+        functionals.append(ints)
+        levels.append(len(word))
+    if integral:
+        den, basis = 1, lattice
         pivots = [next(j for j, a in enumerate(b) if a) for b in basis]
     else:
-        basis, levels = [], []
-        for word, (_, ints) in _scaled_word_closure(out, maps):
-            if sum(map(mul, gap[1], ints)):
-                word = least_word_off(len(word), basis, levels, gap, [
-                    Mat.block_diag(a, b) for a, b in zip(aut1.trans, aut2.trans)])
-                raise NotEquivalent("word functionals do not annihilate the pair",
-                                    word=_letters(aut1.alphabet, word))
-            basis.append(list(ints))
-            levels.append(len(word))
+        basis = [list(f) for f in functionals]
         pivots = _int_rref(basis, n)
         den, scales = _pivot_scales(basis, pivots)
         basis = [[a * s for a in row] for row, s in zip(basis, scales)]

@@ -17,9 +17,8 @@ format: this module builds no `Fraction`.
 - Elimination (`_int_rref`, `_Echelon`) is fraction-free: a row update is
   the integer combination that clears one entry, divided by the gcd of the
   result, so rows stay primitive.  `_int_rref` is the one Gauss-Jordan loop;
-  `rref`, `solve_rows` (the one back-substitution, which the pyramid normal
-  of `wazz.pca` calls on its integer rows and `solve` on a `Mat`'s),
-  `kernel_basis`, the double description and the verifier's carrier
+  `rref`, `solve` (the one back-substitution, on integer rows, which the
+  pyramid normal of `wazz.pca` calls), `kernel_basis`, the double description and the verifier's carrier
   factorization (`wazz.polyhedra`) read its integer rows over the lcm of
   their pivot entries.
 - The word closure (`_scaled_word_closure`) queues scaled images, reduced
@@ -29,7 +28,9 @@ format: this module builds no `Fraction`.
   off the functionals of a closure under the transposed maps.
 - The Z closure (`closure_under_maps`) starts from an integral scaled
   vector and runs on `int` rows: it applies integral maps through their
-  scaled forms and grows the HNF in place.
+  scaled forms and grows the HNF in place.  `_lattice_word_closure` is its
+  loop, yielding each vector that enlarges the lattice with its word, as
+  `_scaled_word_closure` does over Q.
 """
 
 from __future__ import annotations
@@ -43,9 +44,7 @@ from operator import mul
 
 def unit(n, i):
     """The scaled unit vector e_i of length n."""
-    v = [0] * n
-    v[i] = 1
-    return 1, tuple(v)
+    return 1, tuple([int(j == i) for j in range(n)])
 
 
 def is_zero(v):
@@ -216,18 +215,19 @@ class Mat:
     @staticmethod
     def block_diag_transposed(a, b):
         """The transpose of `block_diag(a, b)`, built in one pass: row j holds
-        column j's integers, b's indices shifted past a's."""
-        den, n1 = lcm(a.den, b.den), a.ncols
+        column j's integers, b's rows shifted past a's columns and b's
+        columns past a's rows."""
+        den, n1, m1 = lcm(a.den, b.den), a.ncols, len(a.sparse)
         cols = [([], []) for _ in range(n1 + b.ncols)]
-        for shift, m in ((0, a), (n1, b)):
+        for (col_shift, row_shift), m in (((0, 0), a), ((n1, m1), b)):
             s = den // m.den
-            for i, (js, nums) in enumerate(m.sparse, shift):
+            for i, (js, nums) in enumerate(m.sparse, row_shift):
                 for j, x in zip(js, nums):
-                    col = cols[shift + j]
+                    col = cols[col_shift + j]
                     col[0].append(i)
                     col[1].append(x * s)
         m = object.__new__(Mat)
-        m.ncols, m.den = len(a.sparse) + len(b.sparse), den
+        m.ncols, m.den = m1 + len(b.sparse), den
         m.sparse = tuple([(tuple(js), tuple(nums)) for js, nums in cols])
         return m
 
@@ -340,13 +340,7 @@ def kernel_basis(m):
     return _kernel_vectors(rows, _int_rref(rows, m.ncols), m.ncols)
 
 
-def solve(m, b):
-    """The scaled x with Mx = b for the scaled b, free variables zero, or
-    None: `solve_rows` on M's integers."""
-    return solve_rows(m.den, m.dense(), b, m.ncols)
-
-
-def solve_rows(d, ints, b, n):
+def solve(d, ints, b, n):
     """The scaled x with Mx = b for M = ints / d, ints being rows of n
     integers and d > 0, and the scaled b, free variables zero, or None: one
     `_int_rref` of [e ints | d bs] over gcd(d, e), b = bs / e; x_p is the
@@ -582,6 +576,39 @@ def least_word_off(length, functionals, levels, start, maps):
     return tuple(word)
 
 
+def _lattice_word_closure(start, maps, basis):
+    """The loop of `closure_under_maps`: grows the empty list `basis` to the
+    HNF rows of the lattice, in place, and yields (word, (1, w)) for each
+    vector w that enlarged it, the map indices (first applied first) that
+    send `start` to w.  Words come in shortlex order, and the lattice
+    generated by the vectors of words of length at most l contains the
+    image of every word of length at most l, so over Q the two span the
+    same space, as with `_scaled_word_closure`."""
+    n = len(start[1])
+    _check_square(n, maps)
+    if start[0] != 1:
+        raise ValueError("lattice closure needs integral start")
+    forms = [m.scaled() for m in maps]
+    if any(den != 1 for den, _ in forms):
+        raise ValueError("lattice closure needs integral maps")
+    start = start[1]
+    if not any(start):
+        return
+    basis.append(list(start))
+    _hnf_rows(basis)
+    yield (), (1, start)
+    work = deque([((), start)])
+    while work:
+        word, v = work.popleft()
+        for i, (_, rows) in enumerate(forms):
+            w = _sparse_apply(1, rows, n, (1, v))[1]
+            if any(_hnf_reduce(w, basis)):
+                basis.append(w)
+                del basis[_hnf_rows(basis):]
+                yield word + (i,), (1, w)
+                work.append((word + (i,), w))
+
+
 def closure_under_maps(start, maps):
     """HNF basis of the smallest lattice (Z-submodule) containing the
     integral scaled `start` and closed under the integral maps.
@@ -595,27 +622,10 @@ def closure_under_maps(start, maps):
     Everything runs on `int` rows: an integral map's scaled form has d = 1,
     so its integers are its entries and an image is one integer sum per row;
     an image is reduced against the HNF rows, and one that does not vanish
-    joins them and `_hnf_rows` restores the normal form in place.
+    joins them and `_hnf_rows` restores the normal form in place
+    (`_lattice_word_closure`).
     """
-    n = len(start[1])
-    _check_square(n, maps)
-    if start[0] != 1:
-        raise ValueError("lattice closure needs integral start")
-    forms = [m.scaled() for m in maps]
-    if any(den != 1 for den, _ in forms):
-        raise ValueError("lattice closure needs integral maps")
-    start = start[1]
-    if not any(start):
-        return []
-    basis = [list(start)]
-    _hnf_rows(basis)
-    work = deque([start])
-    while work:
-        v = work.popleft()
-        for _, rows in forms:
-            w = _sparse_apply(1, rows, n, (1, v))[1]
-            if any(_hnf_reduce(w, basis)):
-                basis.append(w)
-                del basis[_hnf_rows(basis):]
-                work.append(w)
+    basis = []
+    for _ in _lattice_word_closure(start, maps, basis):
+        pass
     return [tuple(r) for r in basis]

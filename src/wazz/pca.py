@@ -7,7 +7,7 @@ functional of X.  Coalgebras for it live on simplices and, more generally,
 on compact polytopes between the simplex and the positive orthant; those can
 always be enlarged to a free carrier, a pyramid {x >= 0 : <x, u> <= 1}, whose
 normal u is the least solution of a fixed-point system and is found by one
-integer `wazz.linalg.solve_rows` (see `pyramid_extension`).
+integer `wazz.linalg.solve` (see `pyramid_extension`).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .automata import SemiringTag, WeightedAutomaton
-from .linalg import Mat, _lowest_terms, _selection, scaled_dot, solve_rows
+from .linalg import Mat, _lowest_terms, _selection, scaled_dot, solve
 from .polyhedra import INFINITY, InternalError, PcaPolytope
 
 
@@ -103,7 +103,7 @@ def reduce_invariant_set(aut):
 
 def fixed_point(out, trans):
     """Some scaled u with (I - N) u = out (N = sum_a M_a^T, free coordinates 0)
-    or None, by `solve_rows`: over d, the lcm of all denominators, row j of
+    or None, by `solve`: over d, the lcm of all denominators, row j of
     d (I - N) is d e_j minus every letter's column j, on integers."""
     forms = [m.scaled() for m in trans]
     n, den = len(out[1]), lcm(*[d for d, _ in forms])
@@ -112,7 +112,7 @@ def fixed_point(out, trans):
         for i, (js, nums) in enumerate(sparse):
             for j, a in zip(js, nums):
                 rows[j][i] -= a * (den // d)
-    return solve_rows(den, rows, out, n)
+    return solve(den, rows, out, n)
 
 
 def pyramid_extension(polytope, coalg):
@@ -131,7 +131,7 @@ def pyramid_extension(polytope, coalg):
     u > 0 with no invariant zero set forces spectral radius rho(N) < 1 (a
     left Perron vector of N for the eigenvalue 1 would have an invariant
     zero set as its support), so I - N is invertible and u* is the one
-    solution of (I - N) u = out.  One integer `solve_rows` finds it
+    solution of (I - N) u = out.  One integer `solve` finds it
     (`fixed_point`); u is then checked to be positive and, by one integer dot
     product per generator, to keep X inside the pyramid (InternalError
     otherwise, which no coalgebra on a carrier containing the simplex can

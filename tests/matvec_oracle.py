@@ -18,7 +18,8 @@ as `Fraction` rows (they were `wazz.linalg.vector` and `Mat.rows`).
 `identity` and `zero` build the two constant matrices the tests use;
 `from_cols`, `column`, `columns`, `transpose` and `matmul` build and read
 a matrix by its columns (they were `Mat.from_cols`, `Mat.col`, `Mat.cols`,
-`Mat.transpose` and `Mat.__matmul__`).  `hrep` and `vrep` build the
+`Mat.transpose` and `Mat.__matmul__`), and `solve_mat` runs `wazz.linalg.solve`
+on a `Mat`'s integer rows (it was `solve` on a `Mat`).  `hrep` and `vrep` build the
 `wazz.polyhedra` records, whose rows are scaled, from rows of rationals,
 and `ineq_pairs` reads an `HRep` back as (normal, bound) pairs of
 `Fraction`s.
@@ -26,7 +27,7 @@ and `ineq_pairs` reads an `HRep` back as (normal, bound) pairs of
 
 from fractions import Fraction
 
-from wazz.linalg import Mat, scaled
+from wazz.linalg import Mat, scaled, solve
 from wazz.polyhedra import HRep, VRep
 
 
@@ -147,3 +148,9 @@ def matmul(a, b):
 def transpose(m):
     # the rows of m are the columns of its transpose, on the same integers
     return Mat._of_cols(m.den, m.dense(), m.ncols)
+
+
+def solve_mat(m, b):
+    """`wazz.linalg.solve` for a `Mat` M: the scaled x with Mx = b, on M's
+    integer rows."""
+    return solve(m.den, m.dense(), b, m.ncols)

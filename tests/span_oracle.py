@@ -5,12 +5,10 @@ closure's basis (`pair_submodule`) with the block-diagonal coalgebra of both
 automata.  It is the differential oracle of the cospan producer, and the
 witness of tests that pin the span shape."""
 
-from wazz.automata import SemiringTag, pair_submodule
+from wazz.automata import pair_submodule
 from wazz.linalg import _concat
 from wazz.zigzag import (CUBIC, GENERATED_MODULE, Morphism, ZigZag, ZigZagNode,
-                         _free_node, _projections)
-
-RING_TAGS = (SemiringTag.INT, SemiringTag.Q, SemiringTag.REAL)
+                         _RING_TAGS as RING_TAGS, _free_node, _projections)
 
 
 def ring_span_zigzag(aut1, x1, aut2, x2):

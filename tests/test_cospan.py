@@ -206,3 +206,33 @@ def test_int_configurations_must_be_integral():
     for build in (cubic_zigzag, ring_span_zigzag):
         with pytest.raises(ValueError, match="lattice closure needs integral start"):
             build(aut1, x1, aut2, half)
+
+
+@pytest.mark.parametrize("tag", RING_TAGS, ids=lambda t: t.value)
+def test_separating_words_need_no_closure_of_the_configurations(tag, monkeypatch):
+    """A ring-tag `zigzag` reads its separating word off the closure of the
+    outputs, over Z as over Q: the forward closure (`first_word_off`) is
+    never called."""
+    calls = []
+    original = automata.first_word_off
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(automata, "first_word_off", spy)
+    words = [verdict(cubic_zigzag, pair) for _, pair in ring_pairs(tag)]
+    assert sum(isinstance(w, tuple) for w in words) >= 20 and calls == []
+    # the spy is in place: `separating_word` calls it
+    separating_word(*planted_chain(random.Random(0), tag, 3))
+    assert len(calls) == 1
+
+
+def test_pairs_share_the_alphabet():
+    rng = random.Random("cospan/alphabet")
+    for tag in RING_TAGS:
+        aut1, aut2 = rand_automaton(rng, tag, 2, ("a",)), rand_automaton(rng, tag, 2, ("b",))
+        pair = aut1, rand_config(rng, tag, 2), aut2, rand_config(rng, tag, 2)
+        for build in (cubic_zigzag, ring_span_zigzag, separating_word):
+            with pytest.raises(ValueError, match="automata have different alphabets"):
+                build(*pair)

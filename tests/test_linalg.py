@@ -6,9 +6,9 @@ import pytest
 import kernel_oracle
 from wazz.linalg import (Mat, Lattice, closure_under_maps, hnf, hnf_with_transform, is_integral,
                          kernel_basis, lattice_coords, lattice_member, lattice_reduce, primitive,
-                         rref, scaled, solve)
+                         rref, scaled)
 from matvec_oracle import (apply, columns, fraction_rows, fractions, from_cols, funit, identity,
-                           svec, transpose, vector, zero, zeros)
+                           solve_mat, svec, transpose, vector, zero, zeros)
 from word_oracles import word_closure
 from wazz.formats import fmt_rat, parse_rat
 from wazz.automata import parse_automaton
@@ -87,9 +87,14 @@ class TestTranspose:
         assert from_cols(columns(m), nrows=nr) == m
 
     def test_block_diag_transposed(self):
+        # square blocks, as the paired letter maps are, and blocks of every
+        # other shape, empty ones included
         rng = random.Random("transpose/block-diag")
-        for n1, n2 in [(0, 0), (0, 2), (2, 0), (1, 1), (3, 2), (2, 4)]:
-            a, b = (rand_mat(rng, n, n) if n else Mat((), ncols=0) for n in (n1, n2))
+        for s1, s2 in [((0, 0), (0, 0)), ((0, 0), (2, 2)), ((2, 2), (0, 0)), ((1, 1), (1, 1)),
+                       ((3, 3), (2, 2)), ((2, 2), (4, 4)), ((1, 3), (2, 1)), ((3, 1), (1, 2)),
+                       ((0, 2), (3, 1)), ((2, 0), (1, 3)), ((2, 3), (0, 2)), ((1, 2), (3, 0))]:
+            a, b = (Mat(rand_mat(rng, r, c).dense() if r else (), ncols=c) for r, c in (s1, s2))
+            assert (a.nrows, a.ncols, b.nrows, b.ncols) == s1 + s2
             assert Mat.block_diag_transposed(a, b) == transpose(Mat.block_diag(a, b))
 
     def test_from_cols_converts_and_checks(self):
@@ -161,14 +166,14 @@ class TestKernel:
 
 class TestSolve:
     def test_identity(self):
-        assert solve(identity(2), svec(["3/2", 1])) == svec(["3/2", 1])
+        assert solve_mat(identity(2), svec(["3/2", 1])) == svec(["3/2", 1])
 
     def test_underdetermined(self):
-        x = solve(M([[1, 1]]), svec([2]))
+        x = solve_mat(M([[1, 1]]), svec([2]))
         assert x == svec([2, 0])
 
     def test_inconsistent(self):
-        assert solve(M([[1], [1]]), svec([0, 1])) is None
+        assert solve_mat(M([[1], [1]]), svec([0, 1])) is None
 
     def test_random_consistency(self):
         rng = random.Random(13)
@@ -176,7 +181,7 @@ class TestSolve:
             m = rand_mat(rng, rng.randint(1, 4), rng.randint(1, 4))
             target = vector([rng.randint(-2, 2) for _ in range(m.ncols)])
             b = apply(m, target)
-            x = solve(m, scaled(b))
+            x = solve_mat(m, scaled(b))
             assert x is not None and apply(m, fractions(x)) == b
 
     def test_matches_fraction_oracle(self):
@@ -194,12 +199,12 @@ class TestSolve:
             else:
                 b = vector([F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m.nrows)])
             want = kernel_oracle.solve(m, b)
-            got = solve(m, scaled(b))
+            got = solve_mat(m, scaled(b))
             assert got == (None if want is None else scaled(want)), (m, b)
             consistent += want is not None
         assert 100 < consistent < 300
         with pytest.raises(ValueError, match="wrong length"):
-            solve(M([[1, 1]]), svec([1, 2]))
+            solve_mat(M([[1, 1]]), svec([1, 2]))
 
 
 class TestHnf:

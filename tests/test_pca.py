@@ -11,7 +11,7 @@ from wazz import pca, polyhedra, zigzag
 from wazz.automata import (LinearCoalgebra, NotEquivalent, SemiringTag, WeightedAutomaton,
                            parse_automaton, trace)
 from wazz.formats import fmt_vec, parse_rat
-from wazz.linalg import Mat, scaled, solve, unit
+from wazz.linalg import Mat, scaled, unit
 from wazz.pca import (InvariantZeroSet, PyramidCert, invariant_zero_set, pyramid_extension,
                       reduce_invariant_set)
 from wazz.polyhedra import INFINITY, InternalError, PcaPolytope, gauge
@@ -23,7 +23,7 @@ from ghat_oracle import GhatElement, ghat_apply, ghat_member, is_ghat_coalgebra,
 from kernel_oracle import solve as fraction_solve
 from lp_oracle import lp_feasible, pyramid_normal
 from matvec_oracle import (apply, column, fraction_rows, fractions, from_cols, funit, hrep,
-                           identity, matmul, svec, vdot, vector, zero, zeros)
+                           identity, matmul, solve_mat, svec, vdot, vector, zero, zeros)
 
 T = SemiringTag
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
@@ -457,8 +457,8 @@ class TestPyramidMatchesFractionOracle:
 
 def fixed_point_by_mat(out, trans):
     """The fixed point as `pca.fixed_point` found it before it passed its
-    integer rows to `solve_rows`: d (I - N) built column by column as a
-    `Mat`, which `solve` reads back with `dense()`."""
+    integer rows to `solve`: d (I - N) built column by column as a `Mat`,
+    which `solve` read back with `dense()`."""
     forms = [m.scaled() for m in trans]
     n, den = len(out[1]), math.lcm(*[d for d, _ in forms])
     cols = [[den * (i == j) for j in range(n)] for i in range(n)]
@@ -466,7 +466,7 @@ def fixed_point_by_mat(out, trans):
         for col, (js, nums) in zip(cols, sparse):
             for j, a in zip(js, nums):
                 col[j] -= a * (den // d)
-    return solve(Mat._of_cols(den, cols, n), out)
+    return solve_mat(Mat._of_cols(den, cols, n), out)
 
 
 def load_workloads():

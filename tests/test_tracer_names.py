@@ -93,3 +93,6 @@ def test_traced_sizes_count_vectors(tag, tmp_path, capsys):
     assert outs[2] == f"VALID ({sizes[2, 'verify_zigzag'][0]} checks passed)\n"
     assert {name for _, name in sizes} == SIZED & {
         "pair_submodule", build, restriction, "verify_zigzag"}
+    # the pyramid normal is one `linalg.solve`, timed under that name
+    solved = {op for op, _, index, _, _, _ in tracer.spans if names[index] == "solve"}
+    assert solved == ({1} if tag == "pca" else set())

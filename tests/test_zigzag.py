@@ -16,8 +16,8 @@ from wazz.polyhedra import cone_member
 from wazz import linalg, polyhedra, zigzag
 from wazz.zigzag import (CUBIC, FREE_MODULE, FREE_PCA, GENERATED_MODULE,
                          GENERATED_PCA, GHAT, Morphism, SearchBudgetExceeded, ZigZag,
-                         ZigZagNode, _carrier, _nat_monoid_member, cubic_zigzag, ghat_zigzag,
-                         parse_zigzag, verify_zigzag, zigzag_to_text)
+                         ZigZagNode, _RING_TAGS, _carrier, _nat_monoid_member, cubic_zigzag,
+                         ghat_zigzag, parse_zigzag, verify_zigzag, zigzag_to_text)
 
 import kernel_oracle
 from genrandom import (lifted_pair, rand_automaton, rand_config, report_witnesses,
@@ -89,7 +89,7 @@ class TestCubic:
                                              ("a", "b")[: rng.randint(1, 2)])
             z = cubic_zigzag(aut1, x1, aut2, x2)
             assert len(z.nodes) == 3
-            if tag in (T.INT, T.Q, T.REAL):
+            if tag in _RING_TAGS:
                 # a cospan: both automata map onto a free sink
                 assert [node.kind for node in z.nodes] == [FREE_MODULE] * 3
                 assert [(m.src, m.dst) for m in z.morphisms] == [(0, 1), (2, 1)]
@@ -787,7 +787,7 @@ class TestCarrierWorkedOutOnce:
         factorization, so a producer change that reorders their generators
         shows here.  A ring-tag witness is factored nowhere."""
         build = ghat_zigzag if tag is T.PCA else cubic_zigzag
-        cospan = tag in (T.INT, T.Q, T.REAL)
+        cospan = tag in _RING_TAGS
         rng = random.Random(f"carrier-once/diagonal/{tag.value}")
         for k, extra in ((1, 1), (2, 1), (2, 2), (3, 1)):
             z = build(*lifted_pair(rng, tag, k, extra, ("a", "b")))
