@@ -270,7 +270,7 @@ def separating_word(aut1, x1, aut2, x2):
     return None if word is None else _letters(aut1.alphabet, word)
 
 
-def pair_submodule(aut1, x1, aut2, x2):
+def pair_submodule(aut1, x1, aut2, x2, rows=None):
     """Closure of the paired configuration orbit, with the paired coalgebra.
 
     Returns (generators of Z, the block-diagonal `LinearCoalgebra` of both
@@ -286,13 +286,17 @@ def pair_submodule(aut1, x1, aut2, x2):
     tested with one integer dot product, on its scaled image over Q (a
     positive scale changes no zero) and on its lattice vector over Z.  Each
     generator is returned scaled, in lowest terms, as the closure made it.
+    Over Q the list `rows`, when given, receives the closure's own echelon
+    rows of Z (`_scaled_word_closure`), primitive with positive leading
+    entries: the restrictions take them as Z's spanning vectors, and their
+    frame is then only the back-substitution of that elimination.
     """
     pair, start, difference = _paired(aut1, x1, aut2, x2)
     maps = pair.trans
     if not aut1.tag.integral:
         # one closure decides and, at its first disagreeing vector, names the word
         basis = []
-        for word, (den, ints) in _scaled_word_closure(start, maps):
+        for word, (den, ints) in _scaled_word_closure(start, maps, rows):
             if sum(map(mul, difference, ints)):
                 raise NotEquivalent("output functionals differ on the pair closure",
                                     word=_letters(aut1.alphabet, word))
@@ -325,7 +329,9 @@ def pair_quotient(aut1, x1, aut2, x2):
     (out1 | out2), so that Q_a h = h M_a and out_Q h = out on each side.
 
     Over a field B is the reduced row echelon form, and coordinates are the
-    entries at its pivot columns.  Over Z (`int`) the word functionals span
+    entries at its pivot columns; it is unique, and `_int_rref` reads it
+    off the closure's own echelon rows, clearing only the entries above
+    each pivot.  Over Z (`int`) the word functionals span
     a lattice, a subgroup of Z^(n1 + n2); over a principal ideal domain
     every such subgroup is free, and B is its HNF basis, in which the
     coordinates of each B_j M_a and of the output are integers.
@@ -344,9 +350,10 @@ def pair_quotient(aut1, x1, aut2, x2):
     gap = _concat(x1, _negated(x2))
     if integral and gap[0] != 1:  # an integral tag acts on integer configurations
         raise ValueError("lattice closure needs integral start")
-    lattice, functionals, levels = [], [], []
-    for word, (_, ints) in (_lattice_word_closure(out, maps, lattice) if integral
-                            else _scaled_word_closure(out, maps)):
+    # B's rows, grown by the closure: the HNF rows over Z, the echelon rows over Q
+    basis, functionals, levels = [], [], []
+    for word, (_, ints) in (_lattice_word_closure(out, maps, basis) if integral
+                            else _scaled_word_closure(out, maps, basis)):
         if sum(map(mul, gap[1], ints)):
             word = least_word_off(len(word), functionals, levels, gap, [
                 Mat.block_diag(a, b) for a, b in zip(aut1.trans, aut2.trans)])
@@ -355,10 +362,9 @@ def pair_quotient(aut1, x1, aut2, x2):
         functionals.append(ints)
         levels.append(len(word))
     if integral:
-        den, basis = 1, lattice
+        den = 1
         pivots = [next(j for j, a in enumerate(b) if a) for b in basis]
     else:
-        basis = [list(f) for f in functionals]
         pivots = _int_rref(basis, n)
         den, scales = _pivot_scales(basis, pivots)
         basis = [[a * s for a in row] for row, s in zip(basis, scales)]

@@ -103,8 +103,16 @@ def _cmd_zigzag(args):
 
 
 def _cmd_verify(args):
+    if (args.left is None) != (args.right is None):
+        raise ValueError("verify takes the witness alone or with both input automata")
+    if args.left is None and (args.left_state is not None or args.right_state is not None):
+        raise ValueError("--left-state and --right-state need the input automata")
     witness = parse_zigzag(_read(args.witness), args.witness)
-    report = verify_zigzag(witness)
+    inputs = None
+    if args.left is not None:
+        aut1, x1, aut2, x2 = _load_pair(args)
+        inputs = ((aut1, x1), (aut2, x2))
+    report = verify_zigzag(witness, inputs)
     if report.valid:
         print(f"VALID ({len(report.checks)} checks passed)")
         return 0
@@ -186,11 +194,18 @@ def build_parser():
                    help="maximum word length (default: the state count)")
     p.set_defaults(func=_cmd_trace)
 
-    for name, func in (("equiv", _cmd_equiv), ("zigzag", _cmd_zigzag)):
-        p = sub.add_parser(name, help="decide trace equivalence" if name == "equiv"
-                           else "construct a zig-zag witness")
-        p.add_argument("left")
-        p.add_argument("right")
+    for name, func, text in (("equiv", _cmd_equiv, "decide trace equivalence"),
+                             ("zigzag", _cmd_zigzag, "construct a zig-zag witness"),
+                             ("verify", _cmd_verify, "independently re-check a witness file")):
+        p = sub.add_parser(name, help=text)
+        if name == "verify":
+            p.add_argument("witness")
+            # with both automata, the witness is checked to be about them
+            p.add_argument("left", nargs="?", default=None)
+            p.add_argument("right", nargs="?", default=None)
+        else:
+            p.add_argument("left")
+            p.add_argument("right")
         p.add_argument("--left-state", type=int, default=None,
                        help="1-based basis state for the left automaton")
         p.add_argument("--right-state", type=int, default=None,
@@ -199,10 +214,6 @@ def build_parser():
             p.add_argument("-o", "--output", default=None,
                            help="write the witness to this file")
         p.set_defaults(func=func)
-
-    p = sub.add_parser("verify", help="independently re-check a witness file")
-    p.add_argument("witness")
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("hilbert", help="Hilbert basis of an integer cone x.W >= 0")
     p.add_argument("cone", help="file: one line '<k> <m>', then k rows of W")

@@ -89,8 +89,11 @@ def block_lines(m):
 
 
 def fmt_vec(v):
-    """The entries of the scaled vector v = (d, ints), each as `fmt_ratio`."""
+    """The entries of the scaled vector v = (d, ints), each as `fmt_ratio`:
+    `str` of each integer when d = 1."""
     den, ints = v
+    if den == 1:
+        return " ".join(map(str, ints))
     return " ".join([fmt_ratio(a, den) for a in ints])
 
 

@@ -22,10 +22,12 @@ format: this module builds no `Fraction`.
   factorization (`wazz.polyhedra`) read its integer rows over the lcm of
   their pivot entries.
 - The word closure (`_scaled_word_closure`) queues scaled images, reduced
-  to lowest terms, and builds no `Fraction`; `first_word_off`, like the
-  pair closure of `wazz.automata`, tests each scaled image against a
-  functional's integers, and `least_word_off` reads a word of known length
-  off the functionals of a closure under the transposed maps.
+  to lowest terms, and builds no `Fraction`; it hands its echelon rows to a
+  caller that passes a list, so that no caller eliminates its images again.
+  `first_word_off`, like the pair closure of `wazz.automata`, tests each
+  scaled image against a functional's integers, and `least_word_off` reads
+  a word of known length off the functionals of a closure under the
+  transposed maps.
 - The Z closure (`closure_under_maps`) starts from an integral scaled
   vector and runs on `int` rows: it applies integral maps through their
   scaled forms and grows the HNF in place.  `_lattice_word_closure` is its
@@ -43,8 +45,8 @@ from operator import mul
 
 
 def unit(n, i):
-    """The scaled unit vector e_i of length n."""
-    return 1, tuple([int(j == i) for j in range(n)])
+    """The scaled unit vector e_i of length n, 0 <= i < n."""
+    return 1, (0,) * i + (1,) + (0,) * (n - i - 1)
 
 
 def is_zero(v):
@@ -112,13 +114,13 @@ def primitive(v, flip_sign=False):
     `flip_sign` the first nonzero entry is additionally made positive
     (canonical form for basis vectors, not for rays).
     """
-    ints = _clear_denominators(v)[1]
+    ints = v if all(type(a) is int for a in v) else _clear_denominators(v)[1]
     g = gcd(*ints)
     if g == 0:
         return tuple(ints)
     if flip_sign and next(a for a in ints if a) < 0:
         g = -g
-    return tuple(a // g for a in ints)
+    return tuple(ints) if g == 1 else tuple([a // g for a in ints])
 
 
 def _eliminate(v, row, p):
@@ -243,8 +245,12 @@ class Mat:
 
 
 def _selection(keep, n):
-    """The matrix with rows e_j (length n), j in keep: it keeps those coordinates."""
-    return Mat._of_cols(1, [[int(i == j) for i in keep] for j in range(n)], len(keep))
+    """The matrix with rows e_j (length n), j in keep: it keeps those
+    coordinates.  Its sparse rows are written directly, one entry each."""
+    m = object.__new__(Mat)
+    m.ncols, m.den = n, 1
+    m.sparse = tuple([((j,), (1,)) for j in keep])
+    return m
 
 
 def _sparse_apply(den, rows, ncols, x):
@@ -522,19 +528,28 @@ def _check_square(n, maps):
         raise ValueError("maps must be square of matching dimension")
 
 
-def _scaled_word_closure(start, maps):
+def _scaled_word_closure(start, maps, rows=None):
     """Q-basis of the closure of the scaled vector `start` under all maps,
     breadth first: yields (word, (d, ints)), the map indices (first applied
     first) that send `start` to ints / d, in lowest terms.  Words come in
     shortlex order and span(images of words <= w) = span(basis vectors of
     words <= w), so the first basis vector a functional does not annihilate
-    has the shortlex-least word on which it is nonzero."""
+    has the shortlex-least word on which it is nonzero.
+
+    The list `rows`, when given, grows in place with the echelon row of
+    each yielded vector: primitive integer rows, each with a positive
+    leading entry at a column where every later row is zero, spanning what
+    the vectors yielded so far span.  So `_int_rref` of them only clears
+    entries above each pivot, and a caller that needs the closure's
+    elimination reads it here instead of eliminating the vectors again."""
     _check_square(len(start[1]), maps)
     ech = _Echelon()
     queue = deque([((), start)])
     while queue:
         word, v = queue.popleft()
         if ech.add(v[1]):
+            if rows is not None:
+                rows.append(ech.rows[-1][1])
             yield word, v
             queue.extend((word + (i,), _lowest_terms(m.apply_scaled(v)))
                          for i, m in enumerate(maps))

@@ -7,7 +7,9 @@ description runs on pointed cones only, in the coordinates of a span, and
 every elimination is one fraction-free `_int_rref`.  The conversions
 (`dd_h_to_v`, `dd_v_to_h`, `cone_rays`) split the lineality of {x : Ax <= 0}
 off as the kernel of A's echelon rows and run in A's row space; the
-restrictions run in the span of their generators.  The verifier's carriers
+restrictions run in the span of their generators, which the producers give
+as the pair closure's echelon rows, so that their double description starts
+from the orthant of the frame.  The verifier's carriers
 are decided on one factorization of their generators (`span_factors`): by
 unique coordinates when the generators are independent, and by the facets
 of the hull or cone, in the span's coordinates, when they are not.  Every
@@ -130,6 +132,16 @@ def _initial_simplex(normals, dim):
                     for row, p in zip(rows, pivots)]
 
 
+def _orthant_start(normals, dim):
+    """(indices of -e_1, ..., -e_dim among the primitive normals, the rays
+    e_1, ..., e_dim of the orthant they cut out), or None if one is missing."""
+    index = {a: i for i, a in enumerate(normals)}
+    base = [index.get((0,) * k + (-1,) + (0,) * (dim - k - 1)) for k in range(dim)]
+    if None in base:
+        return None
+    return base, [(0,) * k + (1,) + (0,) * (dim - k - 1) for k in range(dim)]
+
+
 def _facet_overrun(budget):
     return SearchBudgetExceeded(f"facet enumeration exceeded its budget of {budget} steps")
 
@@ -153,11 +165,17 @@ def _pointed_cone_rays(normals, dim, budget=inf):
     Two rays are adjacent when no third ray is tight wherever both are; when
     fewer than dim - 2 constraints are common, the face they span has
     dimension above 2 and so holds a third ray, and the scan is skipped.
+
+    The start is the cone of `dim` independent normals.  When the normals
+    hold every -e_k, as the restrictions' do in a frame read off echelon
+    rows (`_span_frame`), that cone is the orthant, with rays e_k, and no
+    elimination runs; otherwise `_initial_simplex` finds one.  The extreme
+    rays of the cone do not depend on the start.
     """
     if dim == 0:
         return []
     normals = list(dict.fromkeys(primitive(a) for a in normals if any(a)))
-    base, first_rays = _initial_simplex(normals, dim)
+    base, first_rays = _orthant_start(normals, dim) or _initial_simplex(normals, dim)
     base_mask = sum(1 << k for k in base)
     rays = {ray: base_mask & ~(1 << k) for ray, k in zip(first_rays, base)}
     base = set(base)
@@ -447,7 +465,14 @@ def _span_frame(span_vectors, dim):
     """(pivot columns P, integer rows R): r rows with row space span(Z), row i
     nonzero at pivot i and zero at every other pivot, from one fraction-free
     elimination of the integer vectors made primitive; x = yR is
-    one-to-one from Q^r onto span(Z), and x -> x_P from span(Z) onto Q^r."""
+    one-to-one from Q^r onto span(Z), and x -> x_P from span(Z) onto Q^r.
+
+    The producers pass the pair closure's echelon rows (positive leading
+    entries, each row zero at the later rows' leading columns), on which
+    the elimination only clears the entries above each pivot and keeps the
+    pivot entries positive: each pivot column of R is then d_k e_k, d_k > 0,
+    and its normal -d_k e_k in the restrictions lets the double description
+    start from the orthant (`_pointed_cone_rays`)."""
     rows = [primitive(v) for v in span_vectors]
     if any(len(r) != dim for r in rows):
         raise ValueError("span vector of wrong dimension")

@@ -123,6 +123,13 @@ def _projections(n1, n2):
     return _selection(range(n1), n1 + n2), _selection(range(n1, n1 + n2), n1 + n2)
 
 
+def _spanning(rows):
+    """The pair closure's echelon rows as the scaled vectors a restriction
+    takes for Z: any spanning set gives the same generators, and on these
+    the restriction's frame is only the back-substitution."""
+    return [(1, row) for row in rows]
+
+
 def _free_node(coalg, pca=False):
     """The free node on the unit vectors, as an endpoint or a cospan's sink."""
     return ZigZagNode(kind=FREE_PCA if pca else FREE_MODULE,
@@ -159,16 +166,17 @@ def cubic_zigzag(aut1, x1, aut2, x2):
             relating=((0, x1), (2, x2)),
             endpoints=(x1, x2),
         )
-    basis, paired = pair_submodule(aut1, x1, aut2, x2)
+    rows = []  # over Q, the closure's echelon rows of Z: its frame needs no new elimination
+    basis, paired = pair_submodule(aut1, x1, aut2, x2, rows)
     n1, n2, m = aut1.n, aut2.n, aut1.n + aut2.n
     pca = tag is SemiringTag.UNIT
     if pca:
-        gens = simplex_restriction(basis, PRODUCT, n1, n2).generators
+        gens = simplex_restriction(_spanning(rows), PRODUCT, n1, n2).generators
     elif tag is SemiringTag.NAT:
         # the pair closure's lattice basis is already in Hermite normal form
         gens = [(1, g) for g in nat_restriction(Lattice(m, tuple(g for _, g in basis)))]
     else:
-        gens = cone_restriction(basis)
+        gens = cone_restriction(_spanning(rows))
     middle = ZigZagNode(kind=GENERATED_PCA if pca else GENERATED_MODULE,
                         generators=tuple(gens), coalgebra=paired)
     p1, p2 = _projections(n1, n2)
@@ -200,8 +208,9 @@ def ghat_zigzag(aut1, x1, aut2, x2):
     d1, q1, psi1 = reduce_invariant_set(aut1)
     d2, q2, psi2 = reduce_invariant_set(aut2)
     y1, y2 = (_lowest_terms(psi.apply_scaled(x)) for x, psi in ((x1, psi1), (x2, psi2)))
-    zbasis, paired = pair_submodule(q1, y1, q2, y2)
-    mid_poly = simplex_restriction(zbasis, SCALED, q1.n, q2.n)
+    rows = []
+    _, paired = pair_submodule(q1, y1, q2, y2, rows)
+    mid_poly = simplex_restriction(_spanning(rows), SCALED, q1.n, q2.n)
     middle = ZigZagNode(kind=GENERATED_PCA, generators=mid_poly.generators, coalgebra=paired)
     gens, n1 = mid_poly.generators, q1.n
     free_nodes = []
@@ -450,7 +459,26 @@ def _relating_ok(element, node, member, endpoint, side):
     return True, ""
 
 
-def verify_zigzag(z):
+def _input_ok(z, node, endpoint, aut, x):
+    """The witness speaks of the input: the tag, the alphabet, the end node's
+    output and letter matrices and the endpoint are the input automaton's
+    and its state's.  Scaled vectors in lowest terms and `Mat`s are
+    canonical, so each is compared with `==`."""
+    if z.tag is not aut.tag:
+        return False, f"witness tag {z.tag.value} is not the input's {aut.tag.value}"
+    if z.alphabet != aut.alphabet:
+        return False, "witness alphabet is not the input's"
+    if node.coalgebra.out != aut.out:
+        return False, "end node's output is not the input's"
+    for a, m, want in zip(aut.alphabet, node.coalgebra.trans, aut.trans):
+        if m != want:
+            return False, f"end node's matrix of letter {a!r} is not the input's"
+    if endpoint != x:
+        return False, "endpoint is not the input's state"
+    return True, ""
+
+
+def verify_zigzag(z, inputs=None):
     """Re-check a witness from its stated data; every failure is reported.
 
     The checks are those of the soundness half of the zig-zag argument, and
@@ -465,7 +493,12 @@ def verify_zigzag(z):
     Each relating element lies in its source's carrier (`relating`), so h
     carries its trace unchanged, and `chain` equates the images at each
     sink and ties the ends of the chain to x1 and x2.  Along the chain of
-    equal traces, x1 and x2 have the same trace."""
+    equal traces, x1 and x2 have the same trace.
+
+    With `inputs`, ((A1, x1), (A2, x2)) as read from the automaton files,
+    two more checks, `input[left]` and `input[right]`, tie node 0 and the
+    last node, and the endpoints, to them (`_input_ok`): a valid witness of
+    another pair does not pass for one of these."""
     checks = []
 
     def add(name, ok, detail=""):
@@ -568,6 +601,11 @@ def verify_zigzag(z):
         if ok and s in ends and pushed and not scaled_equal(pushed[0], ends[s][0]):
             ok, detail = False, f"chain does not reach the {ends[s][1]} endpoint"
         add(f"chain[{s}]", ok, detail)
+
+    if inputs is not None:
+        for side, node, endpoint, (aut, x) in (("left", nodes[0], x1, inputs[0]),
+                                               ("right", nodes[-1], x2, inputs[1])):
+            add(f"input[{side}]", *_input_ok(z, node, endpoint, aut, x))
 
     return Report(all(c.ok for c in checks), checks)
 

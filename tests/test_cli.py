@@ -191,6 +191,71 @@ class TestZigzagVerify:
         # of the morphism into the right endpoint at a middle generator
         assert "morphism-square[1]: output weight changes along generator 1 0 1" in stdout
 
+    def test_verify_binds_the_witness_to_its_inputs(self, tmp_path, capsys):
+        a = write(tmp_path, "a.wa", HALF_LOOP)
+        b = write(tmp_path, "b.wa", SWAP)
+        out = str(tmp_path / "w.zz")
+        assert main(["zigzag", a, b, "-o", out]) == 0
+        capsys.readouterr()
+        assert main(["verify", out]) == 0
+        alone = capsys.readouterr().out
+        checks = int(alone.split("(")[1].split()[0])
+        assert main(["verify", out, a, b]) == 0
+        assert capsys.readouterr().out == f"VALID ({checks + 2} checks passed)\n"
+        # the option picks the state as `equiv` does: here the file's own
+        assert main(["verify", out, a, b, "--right-state", "1"]) == 0
+        assert main(["verify", out, a, b, "--right-state", "2"]) == 1
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            f"INVALID (1 of {checks + 2} checks failed)",
+            "  input[right]: endpoint is not the input's state"]
+
+    @pytest.mark.parametrize("tag", ["qplus", "q", "unit", "pca", "nat"])
+    def test_a_valid_witness_of_another_pair_is_invalid(self, tag, tmp_path, capsys):
+        """Only the two input checks fail: the witness is valid, of other automata."""
+        paths = {}
+        for name in ("p", "q"):
+            rng = random.Random(f"verify-inputs/{tag}/{name}")
+            aut1, x1, aut2, x2 = lifted_pair(rng, SemiringTag(tag), 2, 1, ("a", "b"))
+            paths[name] = (write(tmp_path, f"{name}1.wa", automaton_to_text(aut1, x1)),
+                           write(tmp_path, f"{name}2.wa", automaton_to_text(aut2, x2)))
+        out = str(tmp_path / "w.zz")
+        assert main(["zigzag", *paths["p"], "-o", out]) == 0
+        assert main(["verify", out, *paths["p"]]) == 0
+        capsys.readouterr()
+        assert main(["verify", out, *paths["q"]]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("INVALID (2 of ")
+        assert [line.split(":")[0] for line in lines[1:]] == ["  input[left]", "  input[right]"]
+
+    @pytest.mark.parametrize("old, new, detail", [
+        ("semiring qplus", "semiring rplus", "witness tag qplus is not the input's rplus"),
+        ("a\n", "b\n", "witness alphabet is not the input's"),
+        ("output 1/2", "output 1/3", "end node's output is not the input's"),
+        ("trans a\n1/2", "trans a\n1/3", "end node's matrix of letter 'a' is not the input's"),
+        ("state 1", "state 1/2", "endpoint is not the input's state"),
+    ])
+    def test_each_input_difference_is_named(self, old, new, detail, tmp_path, capsys):
+        a = write(tmp_path, "a.wa", HALF_LOOP)
+        out = str(tmp_path / "w.zz")
+        assert main(["zigzag", a, a, "-o", out]) == 0
+        changed = HALF_LOOP.replace(old, new)
+        assert changed != HALF_LOOP
+        b = write(tmp_path, "b.wa", changed)
+        capsys.readouterr()
+        assert main(["verify", out, b, b]) == 1
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"  input[{side}]: {detail}" for side in ("left", "right")]
+
+    def test_verify_needs_both_inputs(self, tmp_path, capsys):
+        a = write(tmp_path, "a.wa", HALF_LOOP)
+        out = str(tmp_path / "w.zz")
+        assert main(["zigzag", a, a, "-o", out]) == 0
+        assert main(["verify", out, a]) == 2
+        assert main(["verify", out, "--left-state", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: verify takes the witness alone or with both input automata\n"
+            "error: --left-state and --right-state need the input automata\n")
+
     def test_tag_breaking_node_map_is_a_failed_check(self, tmp_path, capsys):
         # witness nodes carry no tag rules: a nat witness whose first node
         # map has a negative entry parses, and the verifier rejects it

@@ -38,20 +38,10 @@ def witness_counts(text):
     return [int(h[4]) for h in heads], [int(h[6]) for h in heads]
 
 
-SIZED = {"pair_submodule", "nat_restriction", "cone_restriction", "simplex_restriction",
-         "cubic_zigzag", "ghat_zigzag", "verify_zigzag"}
-
-
-@pytest.mark.parametrize("tag", ["q", "nat", "qplus", "unit", "pca"])
-def test_traced_sizes_count_vectors(tag, tmp_path, capsys):
-    """Each traced size is read off the real result of its function: the
-    pair closure's dimension, the restriction's and the middle node's
-    generator counts (a ring tag's sink's), and the verifier's checks.  Each equals the number of
-    vectors (or checks) the command prints, so a change of representation
-    cannot silently change a `--trace 1` layer size."""
+def traced_ops(tmp_path, capsys, aut1, x1, aut2, x2):
+    """(the tracer, the stdout of each op, the witness path) of a traced
+    `equiv`, `zigzag -o` and `verify` of the pair, op ids 0, 1 and 2."""
     tracing = load_tracing()
-    aut1, x1, aut2, x2 = lifted_pair(random.Random(f"traced-sizes/{tag}"),
-                                     SemiringTag(tag), 2, 1, ("a", "b"))
     left, right, witness = (str(tmp_path / name) for name in ("l.wa", "r.wa", "w.zz"))
     for path, aut, x in ((left, aut1, x1), (right, aut2, x2)):
         with open(path, "w", encoding="utf-8") as fh:
@@ -66,11 +56,34 @@ def test_traced_sizes_count_vectors(tag, tmp_path, capsys):
             outs.append(capsys.readouterr().out)
     finally:
         tracer.uninstall()
+    return tracer, outs, witness
+
+
+def traced_sizes(tracer):
+    """(function names by key index, {(op, function): the sizes of its spans})."""
     names = [name for _, name in tracer.keys]
-    sizes = {}  # (op, function) -> the sizes of its spans
+    sizes = {}
     for op, _, index, _, _, size in tracer.spans:
         if names[index] in SIZED:
             sizes.setdefault((op, names[index]), []).append(size)
+    return names, sizes
+
+
+SIZED = {"pair_submodule", "nat_restriction", "cone_restriction", "simplex_restriction",
+         "cubic_zigzag", "ghat_zigzag", "verify_zigzag"}
+
+
+@pytest.mark.parametrize("tag", ["q", "nat", "qplus", "unit", "pca"])
+def test_traced_sizes_count_vectors(tag, tmp_path, capsys):
+    """Each traced size is read off the real result of its function: the
+    pair closure's dimension, the restriction's and the middle node's
+    generator counts (a ring tag's sink's), and the verifier's checks.  Each equals the number of
+    vectors (or checks) the command prints, so a change of representation
+    cannot silently change a `--trace 1` layer size."""
+    aut1, x1, aut2, x2 = lifted_pair(random.Random(f"traced-sizes/{tag}"),
+                                     SemiringTag(tag), 2, 1, ("a", "b"))
+    tracer, outs, witness = traced_ops(tmp_path, capsys, aut1, x1, aut2, x2)
+    names, sizes = traced_sizes(tracer)
 
     lines = outs[0].splitlines()
     closure = int(lines[1].split()[4])
@@ -96,3 +109,29 @@ def test_traced_sizes_count_vectors(tag, tmp_path, capsys):
     # the pyramid normal is one `linalg.solve`, timed under that name
     solved = {op for op, _, index, _, _, _ in tracer.spans if names[index] == "solve"}
     assert solved == ({1} if tag == "pca" else set())
+
+
+@pytest.mark.parametrize("tag", ["qplus", "rplus", "unit", "pca"])
+def test_traced_zigzag_records_the_closure_and_its_restriction(tag, tmp_path, capsys):
+    """The span producers hand the closure's echelon rows to the restriction
+    but still call `pair_submodule` and the restriction by name, so a traced
+    `zigzag` records both: the closure's size is the dimension `equiv`
+    prints, and the double description metrics of the benchmark's
+    `restrict-unary` and `ghat-pca` workloads do not read 0."""
+    rng = random.Random(f"traced-layers/{tag}")
+    while True:  # a nonzero start, so that the closure and the restriction are not empty
+        aut1, x1, aut2, x2 = lifted_pair(rng, SemiringTag(tag), 3, 1, ("a",))
+        if any(x1[1]):
+            break
+    tracer, outs, _ = traced_ops(tmp_path, capsys, aut1, x1, aut2, x2)
+    _, sizes = traced_sizes(tracer)
+    closure = int(outs[0].splitlines()[1].split()[4])
+    assert closure > 0
+    assert sizes[1, "pair_submodule"] == [closure]
+    restriction = "cone_restriction" if tag in ("qplus", "rplus") else "simplex_restriction"
+    assert len(sizes[1, restriction]) == 1
+    metrics = tracer.summary(lambda op: 1.0)
+    assert metrics["automata.closure_dim"] == 2 * closure  # equiv's closure and zigzag's
+    assert metrics["polyhedra.dd_calls"] == 1
+    assert metrics["polyhedra.dd_outputs"] == sizes[1, restriction][0]
+    assert metrics["polyhedra.dd_ms"] > 0
