@@ -198,14 +198,12 @@ def build_parser():
                              ("zigzag", _cmd_zigzag, "construct a zig-zag witness"),
                              ("verify", _cmd_verify, "independently re-check a witness file")):
         p = sub.add_parser(name, help=text)
-        if name == "verify":
+        optional = {}
+        if name == "verify":  # given both automata, it checks the witness is about them
             p.add_argument("witness")
-            # with both automata, the witness is checked to be about them
-            p.add_argument("left", nargs="?", default=None)
-            p.add_argument("right", nargs="?", default=None)
-        else:
-            p.add_argument("left")
-            p.add_argument("right")
+            optional = {"nargs": "?", "default": None}
+        p.add_argument("left", **optional)
+        p.add_argument("right", **optional)
         p.add_argument("--left-state", type=int, default=None,
                        help="1-based basis state for the left automaton")
         p.add_argument("--right-state", type=int, default=None,

@@ -79,16 +79,32 @@ def rand_config(rng, tag, n):
     return scaled([rand_scalar(rng, tag) for _ in range(n)])
 
 
+def _lift_cols(rng, tag, k, extra):
+    """The columns of R for a lift of a k-state automaton: each within 1 for
+    the subconvex tags."""
+    if tag in (T.UNIT, T.PCA):
+        return _subconvex_cols(rng, k, extra)
+    return [vector([rand_scalar(rng, tag) for _ in range(k)]) for _ in range(extra)]
+
+
 def lifted_pair(rng, tag, k, extra, alphabet):
     """A forced-equivalent pair: a k-state automaton and its (k+extra)-state
     lift along the surjection [I | R], plus related configurations (`lift`)."""
     alphabet = tuple(alphabet)
     small = rand_automaton(rng, tag, k, alphabet)
-    if tag in (T.UNIT, T.PCA):
-        r_cols = _subconvex_cols(rng, k, extra)
-    else:
-        r_cols = [vector([rand_scalar(rng, tag) for _ in range(k)]) for _ in range(extra)]
-    return lift(small, r_cols, rand_config(rng, tag, k + extra))
+    return lift(small, _lift_cols(rng, tag, k, extra), rand_config(rng, tag, k + extra))
+
+
+def two_lifts(rng, tag, k, extra, alphabet):
+    """Two lifts of one k-state automaton, each with its own extra states,
+    from (y, 0) and (y, 0): neither side is a lift of the other."""
+    small = rand_automaton(rng, tag, k, alphabet)
+    y = list(fractions(rand_config(rng, tag, k)))
+    sides = []
+    for _ in range(2):
+        big, x_big, _, _ = lift(small, _lift_cols(rng, tag, k, extra), scaled(y + [0] * extra))
+        sides += [big, x_big]
+    return tuple(sides)
 
 
 def lift(small, r_cols, x_big):

@@ -12,33 +12,15 @@ from fractions import Fraction as F
 import pytest
 
 import dd_oracle
-from genrandom import lift, lifted_pair, rand_automaton, rand_config, rand_scalar
-from matvec_oracle import fractions, vector
+from genrandom import lifted_pair, two_lifts
 from wazz import linalg, polyhedra
 from wazz.automata import SemiringTag, WeightedAutomaton, pair_quotient, pair_submodule
-from wazz.linalg import Mat, _int_rref, _pivot_scales, scaled
+from wazz.linalg import Mat, _int_rref, _pivot_scales
 from wazz.polyhedra import PRODUCT, SCALED, cone_restriction, simplex_restriction
 from wazz.zigzag import cubic_zigzag, ghat_zigzag
 
 T = SemiringTag
 SPAN_TAGS = (T.QPLUS, T.RPLUS, T.UNIT, T.PCA)
-
-
-def two_lifts(rng, tag, k, extra, alphabet):
-    """Two lifts of one k-state automaton, each with its own extra states,
-    from (y, 0) and (y, 0): neither side is a lift of the other."""
-    small = rand_automaton(rng, tag, k, alphabet)
-    y = list(fractions(rand_config(rng, tag, k)))
-    sides = []
-    for _ in range(2):
-        if tag in (T.UNIT, T.PCA):  # subconvex columns: each sums to at most 1
-            raw = [[rng.randint(0, 2) for _ in range(k)] for _ in range(extra)]
-            r_cols = [vector([F(a, sum(c) + 1) for a in c]) for c in raw]
-        else:
-            r_cols = [vector([rand_scalar(rng, tag) for _ in range(k)]) for _ in range(extra)]
-        big, x_big, _, _ = lift(small, r_cols, scaled(y + [0] * extra))
-        sides += [big, x_big]
-    return tuple(sides)
 
 
 def zero_output(tag, diagonal, alphabet):

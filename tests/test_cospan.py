@@ -10,8 +10,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from genrandom import lift, lifted_pair, rand_automaton, rand_config, rand_scalar, zero_one_weight
-from matvec_oracle import fractions, matmul, vdot, vector
+from genrandom import lifted_pair, rand_automaton, rand_config, two_lifts, zero_one_weight
+from matvec_oracle import fractions, matmul, vdot
 from span_oracle import RING_TAGS, ring_span_zigzag
 from wazz import automata, zigzag
 from wazz.automata import NotEquivalent, SemiringTag, WeightedAutomaton, separating_word
@@ -20,19 +20,6 @@ from wazz.zigzag import (FREE_MODULE, cubic_zigzag, parse_zigzag, verify_zigzag,
                          zigzag_to_text)
 
 T = SemiringTag
-
-
-def two_lifts(rng, tag, k, extra, alphabet):
-    """Two lifts of one k-state automaton, each with its own extra states,
-    from (y, 0) and (y, 0): neither side is a lift of the other."""
-    small = rand_automaton(rng, tag, k, alphabet)
-    y = list(fractions(rand_config(rng, tag, k)))
-    sides = []
-    for _ in range(2):
-        r_cols = [vector([rand_scalar(rng, tag) for _ in range(k)]) for _ in range(extra)]
-        big, x_big, _, _ = lift(small, r_cols, scaled(y + [0] * extra))
-        sides += [big, x_big]
-    return tuple(sides)
 
 
 def perturbed(rng, tag, k, extra, alphabet):
