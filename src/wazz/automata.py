@@ -24,9 +24,8 @@ from math import lcm
 from operator import mul
 
 from .formats import LineReader, block_lines, fmt_ratio, fmt_vec
-from .linalg import (Mat, _concat, _int_rref, _lattice_word_closure, _lowest_terms,
-                     _pivot_scales, _scaled_word_closure, closure_under_maps, first_word_off,
-                     least_word_off, scaled_dot)
+from .linalg import (Mat, _Echelon, _Hnf, _concat, _int_rref, _lowest_terms, _pivot_scales,
+                     _word_closure, least_word_off, scaled_dot)
 
 
 class SemiringTag(Enum):
@@ -243,6 +242,8 @@ def _check_pair(aut1, x1, aut2, x2):
         raise ValueError("configuration has wrong length")
     if aut1.alphabet != aut2.alphabet:
         raise ValueError("automata have different alphabets")
+    if aut1.tag.integral and (x1[0] != 1 or x2[0] != 1):  # a lattice of integer vectors
+        raise ValueError("lattice closure needs integral start")
 
 
 def _negated(v):
@@ -265,9 +266,7 @@ def _letters(alphabet, word):
 def separating_word(aut1, x1, aut2, x2):
     """Shortest word (alphabet-order tie break) where the weights differ,
     or None when the traces agree."""
-    pair, start, difference = _paired(aut1, x1, aut2, x2)
-    word = first_word_off(difference, start, pair.trans)
-    return None if word is None else _letters(aut1.alphabet, word)
+    return equivalent(aut1, x1, aut2, x2).word
 
 
 def pair_submodule(aut1, x1, aut2, x2, rows=None):
@@ -282,33 +281,30 @@ def pair_submodule(aut1, x1, aut2, x2, rows=None):
     exactly when the traces agree; otherwise it raises NotEquivalent,
     carrying the shortlex-least separating word.
 
-    The output difference is read as integers once, and each generator is
-    tested with one integer dot product, on its scaled image over Q (a
-    positive scale changes no zero) and on its lattice vector over Z.  Each
-    generator is returned scaled, in lowest terms, as the closure made it.
-    Over Q the list `rows`, when given, receives the closure's own echelon
-    rows of Z (`_scaled_word_closure`), primitive with positive leading
-    entries: the restrictions take them as Z's spanning vectors, and their
-    frame is then only the back-substitution of that elimination.
+    One word closure (`_word_closure`) decides and, at its first vector the
+    output difference does not annihilate, names the word, over Z as over
+    Q: the image of every word lies in the span (the lattice) of the
+    vectors with words up to it.  The output difference is read as integers
+    once, and each vector is tested with one integer dot product on its
+    scaled image (a positive scale changes no zero).  Over Q each generator
+    is returned scaled, in lowest terms, as the closure made it, and the
+    list `rows`, when given, receives the closure's own echelon rows
+    (`_Echelon`), primitive with positive leading entries: the restrictions
+    take them as Z's spanning vectors, and their frame is then only the
+    back-substitution of that elimination.
     """
     pair, start, difference = _paired(aut1, x1, aut2, x2)
-    maps = pair.trans
-    if not aut1.tag.integral:
-        # one closure decides and, at its first disagreeing vector, names the word
-        basis = []
-        for word, (den, ints) in _scaled_word_closure(start, maps, rows):
-            if sum(map(mul, difference, ints)):
-                raise NotEquivalent("output functionals differ on the pair closure",
-                                    word=_letters(aut1.alphabet, word))
-            basis.append((den, ints))
-    else:
-        lattice = closure_under_maps(start, maps)
-        if any(sum(map(mul, difference, g)) for g in lattice):
-            # the lattice spans the rational closure, so the word exists
-            word = first_word_off(difference, start, maps)
+    span = _Hnf() if aut1.tag.integral else _Echelon()
+    basis = []
+    for word, v in _word_closure(start, pair.trans, span):
+        if sum(map(mul, difference, v[1])):
             raise NotEquivalent("output functionals differ on the pair closure",
                                 word=_letters(aut1.alphabet, word))
-        basis = [(1, g) for g in lattice]
+        basis.append(v)
+    if aut1.tag.integral:
+        basis = [(1, tuple(g)) for g in span.rows]
+    elif rows is not None:
+        rows.extend(row for _, row in span.rows)
     return basis, pair
 
 
@@ -336,9 +332,10 @@ def pair_quotient(aut1, x1, aut2, x2):
     every such subgroup is free, and B is its HNF basis, in which the
     coordinates of each B_j M_a and of the output are integers.
 
-    Both closures yield their rows in word-length order, and the
-    functionals of the words of length at most l span, over Q, the same
-    space as the rows of level at most l.  So the first row that does not
+    The closure (`_word_closure`, in an `_Echelon` over Q and an `_Hnf`
+    over Z) yields its rows in word-length order, and the functionals of
+    the words of length at most l span, over Q, the same space as the rows
+    of level at most l.  So the first row that does not
     annihilate (x1, -x2), of level L, shows that L is the shortest
     separating length, and the word is read off letter by letter
     (`least_word_off`), with no closure of the configurations.
@@ -348,12 +345,10 @@ def pair_quotient(aut1, x1, aut2, x2):
     maps = [Mat.block_diag_transposed(a, b) for a, b in zip(aut1.trans, aut2.trans)]
     out = _concat(aut1.out, aut2.out)
     gap = _concat(x1, _negated(x2))
-    if integral and gap[0] != 1:  # an integral tag acts on integer configurations
-        raise ValueError("lattice closure needs integral start")
     # B's rows, grown by the closure: the HNF rows over Z, the echelon rows over Q
-    basis, functionals, levels = [], [], []
-    for word, (_, ints) in (_lattice_word_closure(out, maps, basis) if integral
-                            else _scaled_word_closure(out, maps, basis)):
+    span = _Hnf() if integral else _Echelon()
+    functionals, levels = [], []
+    for word, (_, ints) in _word_closure(out, maps, span):
         if sum(map(mul, gap[1], ints)):
             word = least_word_off(len(word), functionals, levels, gap, [
                 Mat.block_diag(a, b) for a, b in zip(aut1.trans, aut2.trans)])
@@ -362,9 +357,10 @@ def pair_quotient(aut1, x1, aut2, x2):
         functionals.append(ints)
         levels.append(len(word))
     if integral:
-        den = 1
+        basis, den = span.rows, 1
         pivots = [next(j for j, a in enumerate(b) if a) for b in basis]
     else:
+        basis = [row for _, row in span.rows]
         pivots = _int_rref(basis, n)
         den, scales = _pivot_scales(basis, pivots)
         basis = [[a * s for a in row] for row, s in zip(basis, scales)]

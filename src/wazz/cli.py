@@ -94,8 +94,11 @@ def _cmd_zigzag(args):
         return 1
     text = zigzag_to_text(witness)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(args.output, 0, f"cannot write file: {exc.strerror}") from None
         print(f"witness with {len(witness.nodes)} nodes written to {args.output}")
     else:
         sys.stdout.write(text)

@@ -21,18 +21,15 @@ format: this module builds no `Fraction`.
   pyramid normal of `wazz.pca` calls), `kernel_basis`, the double description and the verifier's carrier
   factorization (`wazz.polyhedra`) read its integer rows over the lcm of
   their pivot entries.
-- The word closure (`_scaled_word_closure`) queues scaled images, reduced
-  to lowest terms, and builds no `Fraction`; it hands its echelon rows to a
-  caller that passes a list, so that no caller eliminates its images again.
-  `first_word_off`, like the pair closure of `wazz.automata`, tests each
-  scaled image against a functional's integers, and `least_word_off` reads
-  a word of known length off the functionals of a closure under the
-  transposed maps.
-- The Z closure (`closure_under_maps`) starts from an integral scaled
-  vector and runs on `int` rows: it applies integral maps through their
-  scaled forms and grows the HNF in place.  `_lattice_word_closure` is its
-  loop, yielding each vector that enlarges the lattice with its word, as
-  `_scaled_word_closure` does over Q.
+- The word closure (`_word_closure`) is one breadth-first loop for both
+  rings: it tests each scaled image, reduced to lowest terms, against a
+  span as it is made, an `_Echelon` over Q and an `_Hnf` (HNF rows, grown
+  in place) over Z, and yields each vector that enlarged it with its word.
+  It builds no `Fraction`, and the caller reads the span's rows, so that
+  no caller eliminates its images again.  The lattice closure
+  (`closure_under_maps`) runs it to the end from an integral start under
+  integral maps, and `least_word_off` reads a word of known length off the
+  functionals of a closure under the transposed maps.
 """
 
 from __future__ import annotations
@@ -523,48 +520,51 @@ class _Echelon:
         return True
 
 
-def _check_square(n, maps):
-    if any(m.nrows != n or m.ncols != n for m in maps):
-        raise ValueError("maps must be square of matching dimension")
+class _Hnf:
+    """Incremental Hermite normal form used to test membership in a lattice,
+    with `_Echelon`'s `add`: `rows` are the HNF rows of the integer vectors
+    added so far."""
+
+    def __init__(self):
+        self.rows = []
+
+    def add(self, ints):
+        """Insert ints; returns False if it was already in the lattice.  An
+        ints outside joins the rows, and `_hnf_rows` restores the normal
+        form in place."""
+        if not any(_hnf_reduce(ints, self.rows)):
+            return False
+        self.rows.append(list(ints))
+        del self.rows[_hnf_rows(self.rows):]
+        return True
 
 
-def _scaled_word_closure(start, maps, rows=None):
-    """Q-basis of the closure of the scaled vector `start` under all maps,
-    breadth first: yields (word, (d, ints)), the map indices (first applied
-    first) that send `start` to ints / d, in lowest terms.  Words come in
-    shortlex order and span(images of words <= w) = span(basis vectors of
-    words <= w), so the first basis vector a functional does not annihilate
-    has the shortlex-least word on which it is nonzero.
+def _word_closure(start, maps, span):
+    """The closure of the scaled vector `start` under all maps, breadth
+    first, in the span `span` (an empty `_Echelon` over Q, an empty `_Hnf`
+    over Z): yields (word, (d, ints)) for each vector that enlarged it, the
+    map indices (first applied first) that send `start` to ints / d, in
+    lowest terms.  Each image is tested as it is made, and the maps go only
+    to vectors that enlarged the span.
 
-    The list `rows`, when given, grows in place with the echelon row of
-    each yielded vector: primitive integer rows, each with a positive
-    leading entry at a column where every later row is zero, spanning what
-    the vectors yielded so far span.  So `_int_rref` of them only clears
-    entries above each pivot, and a caller that needs the closure's
-    elimination reads it here instead of eliminating the vectors again."""
-    _check_square(len(start[1]), maps)
-    ech = _Echelon()
-    queue = deque([((), start)])
-    while queue:
-        word, v = queue.popleft()
-        if ech.add(v[1]):
-            if rows is not None:
-                rows.append(ech.rows[-1][1])
-            yield word, v
-            queue.extend((word + (i,), _lowest_terms(m.apply_scaled(v)))
-                         for i, m in enumerate(maps))
-
-
-def first_word_off(functional, start, maps):
-    """Shortlex-least word (map indices) whose image of the scaled `start`
-    the integer functional does not annihilate, or None if it vanishes on
-    the closure.  A positive scale changes no sign of a sum."""
-    for word, (_, xs) in _scaled_word_closure(start, maps):
-        if len(xs) != len(functional):
-            raise ValueError(f"dimension mismatch: {len(functional)} vs {len(xs)}")
-        if sum(map(mul, functional, xs)):
-            return word
-    return None
+    Words come in shortlex order, and the image of every word w lies in the
+    span of the vectors yielded with words <= w (over Z, in their lattice):
+    the image of a word that was not yielded lies in the span of those
+    before it, and so do its images.  So the first yielded vector that a
+    functional does not annihilate has the shortlex-least word on which it
+    is nonzero.  Over Q `span.rows` are then the echelon rows of the
+    closure, and over Z the HNF rows of its lattice."""
+    if not span.add(start[1]):
+        return
+    yield (), start
+    work = deque([((), start)])
+    while work:
+        word, v = work.popleft()
+        for i, m in enumerate(maps):
+            w = _lowest_terms(m.apply_scaled(v))
+            if span.add(w[1]):
+                yield word + (i,), w
+                work.append((word + (i,), w))
 
 
 def least_word_off(length, functionals, levels, start, maps):
@@ -591,56 +591,23 @@ def least_word_off(length, functionals, levels, start, maps):
     return tuple(word)
 
 
-def _lattice_word_closure(start, maps, basis):
-    """The loop of `closure_under_maps`: grows the empty list `basis` to the
-    HNF rows of the lattice, in place, and yields (word, (1, w)) for each
-    vector w that enlarged it, the map indices (first applied first) that
-    send `start` to w.  Words come in shortlex order, and the lattice
-    generated by the vectors of words of length at most l contains the
-    image of every word of length at most l, so over Q the two span the
-    same space, as with `_scaled_word_closure`."""
-    n = len(start[1])
-    _check_square(n, maps)
-    if start[0] != 1:
-        raise ValueError("lattice closure needs integral start")
-    forms = [m.scaled() for m in maps]
-    if any(den != 1 for den, _ in forms):
-        raise ValueError("lattice closure needs integral maps")
-    start = start[1]
-    if not any(start):
-        return
-    basis.append(list(start))
-    _hnf_rows(basis)
-    yield (), (1, start)
-    work = deque([((), start)])
-    while work:
-        word, v = work.popleft()
-        for i, (_, rows) in enumerate(forms):
-            w = _sparse_apply(1, rows, n, (1, v))[1]
-            if any(_hnf_reduce(w, basis)):
-                basis.append(w)
-                del basis[_hnf_rows(basis):]
-                yield word + (i,), (1, w)
-                work.append((word + (i,), w))
-
-
 def closure_under_maps(start, maps):
     """HNF basis of the smallest lattice (Z-submodule) containing the
-    integral scaled `start` and closed under the integral maps.
+    integral scaled `start` and closed under the integral maps: the
+    `_word_closure` of start in an `_Hnf`, run to the end.
 
-    The lattice is grown from a worklist: the maps go only to vectors that
-    enlarged the lattice, and an image outside the current lattice enlarges
-    it.  The result is generated by vectors whose images all lie in it, so
-    it is closed, and its HNF basis is unique.  (Over Q the closure is the
-    span of `_scaled_word_closure`'s vectors.)
-
-    Everything runs on `int` rows: an integral map's scaled form has d = 1,
-    so its integers are its entries and an image is one integer sum per row;
-    an image is reduced against the HNF rows, and one that does not vanish
-    joins them and `_hnf_rows` restores the normal form in place
-    (`_lattice_word_closure`).
-    """
-    basis = []
-    for _ in _lattice_word_closure(start, maps, basis):
+    The result is generated by vectors whose images all lie in it, so it is
+    closed, and its HNF basis is unique.  An integral map's scaled form has
+    d = 1, so its integers are its entries, and everything runs on `int`
+    rows."""
+    n = len(start[1])
+    if any(m.nrows != n or m.ncols != n for m in maps):
+        raise ValueError("maps must be square of matching dimension")
+    if start[0] != 1:
+        raise ValueError("lattice closure needs integral start")
+    if any(m.den != 1 for m in maps):
+        raise ValueError("lattice closure needs integral maps")
+    span = _Hnf()
+    for _ in _word_closure(start, maps, span):
         pass
-    return [tuple(r) for r in basis]
+    return [tuple(r) for r in span.rows]

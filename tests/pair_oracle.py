@@ -8,18 +8,20 @@ applies the integral maps to `int` rows and grows the HNF in place.  These
 are the routes they replaced: the block-diagonal matrix rebuilt through
 `Mat`, the closure's `Fraction` vectors tested with `vdot`, and the Z
 closure that applies each map with `Mat.apply` and re-runs `hnf` on the
-whole basis for every new vector.  The tests require equal values of equal
-type, the same separating word and the same paired coalgebra.
+whole basis for every new vector; its separating word comes from the
+`Fraction` word closure of `verify_oracle.first_word_off`.  The tests
+require equal values of equal type, the same separating word and the same
+paired coalgebra.
 """
 
 from collections import deque
 
 from wazz.automata import LinearCoalgebra, NotEquivalent
-from wazz.linalg import (Mat, as_int_vec, first_word_off, hnf, is_integral, is_zero,
-                         lattice_member, primitive, scaled)
+from wazz.linalg import Mat, as_int_vec, hnf, is_integral, is_zero, lattice_member, scaled
 
 from matvec_oracle import entrywise_apply, fraction_rows, fractions, vdot, vneg, zeros
 
+from verify_oracle import first_word_off
 from word_oracles import word_closure
 
 
@@ -87,6 +89,5 @@ def pair_submodule(aut1, x1, aut2, x2):
         basis = closure_under_maps(start, maps)
         if any(vdot(difference, g) != 0 for g in basis):
             raise NotEquivalent("output functionals differ on the pair closure",
-                                word=letters(first_word_off(primitive(difference),
-                                                            scaled(start), maps)))
+                                word=letters(first_word_off(difference, start, maps)))
     return [scaled(g) for g in basis], pair

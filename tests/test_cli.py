@@ -162,6 +162,15 @@ class TestZigzagVerify:
         b = write(tmp_path, "b.wa", SWAP_BAD)
         assert main(["zigzag", a, b]) == 1
 
+    @pytest.mark.parametrize("target, reason", [("missing/w.zz", "No such file or directory"),
+                                                 (".", "Is a directory")])
+    def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys, target, reason):
+        a = write(tmp_path, "a.wa", HALF_LOOP)
+        b = write(tmp_path, "b.wa", SWAP)
+        out = str(tmp_path / target)
+        assert main(["zigzag", a, b, "-o", out]) == 2
+        assert capsys.readouterr() == ("", f"{out}:0: cannot write file: {reason}\n")
+
     def test_verify_catches_tampering(self, tmp_path, capsys):
         a = write(tmp_path, "a.wa", HALF_LOOP)
         b = write(tmp_path, "b.wa", SWAP)

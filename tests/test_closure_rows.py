@@ -130,9 +130,9 @@ def test_cospan_basis_is_the_rref_of_the_raw_functionals(tag):
                                    two_lifts(rng, tag, k, 1, alphabet)):
             maps = [Mat.block_diag_transposed(a, b) for a, b in zip(aut1.trans, aut2.trans)]
             out = linalg._concat(aut1.out, aut2.out)
-            rows = []
-            functionals = [ints for _, (_, ints) in
-                           linalg._scaled_word_closure(out, maps, rows)]
+            ech = linalg._Echelon()
+            functionals = [ints for _, (_, ints) in linalg._word_closure(out, maps, ech)]
+            rows = [row for _, row in ech.rows]
             n1, n = aut1.n, aut1.n + aut2.n
             want = reduced_basis(functionals, n)
             assert reduced_basis(rows, n) == want

@@ -2,7 +2,8 @@
 against the span witnesses they replaced (`span_oracle.ring_span_zigzag`):
 the same verdict on every seeded pair, both witnesses VALID on every
 equivalent one, every node of a cospan decided without a factorization, and
-the same separating word as `first_word_off` on every other one."""
+the same separating word as the forward closure (`separating_word`) on every
+other one."""
 
 import random
 from dataclasses import replace
@@ -126,7 +127,7 @@ def test_cospan_agrees_with_the_span_oracle(tag):
     for kind, pair in ring_pairs(tag):
         cospan, span = verdict(cubic_zigzag, pair), verdict(ring_span_zigzag, pair)
         if isinstance(span, tuple):
-            # the shortlex-least word, as `first_word_off` names it
+            # the shortlex-least word, as the forward closure names it
             assert cospan == span == separating_word(*pair), kind
             seen.add((kind, len(span)))
             continue
@@ -198,16 +199,16 @@ def test_int_configurations_must_be_integral():
 @pytest.mark.parametrize("tag", RING_TAGS, ids=lambda t: t.value)
 def test_separating_words_need_no_closure_of_the_configurations(tag, monkeypatch):
     """A ring-tag `zigzag` reads its separating word off the closure of the
-    outputs, over Z as over Q: the forward closure (`first_word_off`) is
+    outputs, over Z as over Q: the forward closure (`pair_submodule`) is
     never called."""
     calls = []
-    original = automata.first_word_off
+    original = automata.pair_submodule
 
     def spy(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(automata, "first_word_off", spy)
+    monkeypatch.setattr(automata, "pair_submodule", spy)
     words = [verdict(cubic_zigzag, pair) for _, pair in ring_pairs(tag)]
     assert sum(isinstance(w, tuple) for w in words) >= 20 and calls == []
     # the spy is in place: `separating_word` calls it

@@ -1,16 +1,86 @@
-"""Exhaustive word enumerations kept as differential test oracles.
+"""Word enumerations kept as differential test oracles.
 
-Both walk all |alphabet|^k words up to a depth, so they are only usable at
-test sizes.  The library answers the same questions from one word closure
-(`wazz.linalg._scaled_word_closure`); the tests require equal answers.
-`word_closure` is that closure with each basis vector as `Fraction`s.
+`bfs_separating_word` and `raw_trace` walk all |alphabet|^k words up to a
+depth, so they are only usable at test sizes.  The library answers the same
+questions from one word closure (`wazz.linalg._word_closure`); the tests
+require equal answers.  `_scaled_word_closure` and `_lattice_word_closure`
+are the two loops it replaced, the Q closure and the Z closure, kept as
+they were; `word_closure` is the Q one with each basis vector as
+`Fraction`s.
 """
 
+from collections import deque
 from fractions import Fraction
 
-from wazz.linalg import _scaled_word_closure, scaled
+from wazz.linalg import (_Echelon, _hnf_reduce, _hnf_rows, _lowest_terms, _sparse_apply,
+                         scaled)
 
 from matvec_oracle import entrywise_apply, fractions, vdot
+
+
+def _check_square(n, maps):
+    if any(m.nrows != n or m.ncols != n for m in maps):
+        raise ValueError("maps must be square of matching dimension")
+
+
+def _scaled_word_closure(start, maps, rows=None):
+    """Q-basis of the closure of the scaled vector `start` under all maps,
+    breadth first: yields (word, (d, ints)), the map indices (first applied
+    first) that send `start` to ints / d, in lowest terms.  Words come in
+    shortlex order and span(images of words <= w) = span(basis vectors of
+    words <= w), so the first basis vector a functional does not annihilate
+    has the shortlex-least word on which it is nonzero.
+
+    The list `rows`, when given, grows in place with the echelon row of
+    each yielded vector: primitive integer rows, each with a positive
+    leading entry at a column where every later row is zero, spanning what
+    the vectors yielded so far span.  So `_int_rref` of them only clears
+    entries above each pivot, and a caller that needs the closure's
+    elimination reads it here instead of eliminating the vectors again."""
+    _check_square(len(start[1]), maps)
+    ech = _Echelon()
+    queue = deque([((), start)])
+    while queue:
+        word, v = queue.popleft()
+        if ech.add(v[1]):
+            if rows is not None:
+                rows.append(ech.rows[-1][1])
+            yield word, v
+            queue.extend((word + (i,), _lowest_terms(m.apply_scaled(v)))
+                         for i, m in enumerate(maps))
+
+
+def _lattice_word_closure(start, maps, basis):
+    """The loop of `closure_under_maps`: grows the empty list `basis` to the
+    HNF rows of the lattice, in place, and yields (word, (1, w)) for each
+    vector w that enlarged it, the map indices (first applied first) that
+    send `start` to w.  Words come in shortlex order, and the lattice
+    generated by the vectors of words of length at most l contains the
+    image of every word of length at most l, so over Q the two span the
+    same space, as with `_scaled_word_closure`."""
+    n = len(start[1])
+    _check_square(n, maps)
+    if start[0] != 1:
+        raise ValueError("lattice closure needs integral start")
+    forms = [m.scaled() for m in maps]
+    if any(den != 1 for den, _ in forms):
+        raise ValueError("lattice closure needs integral maps")
+    start = start[1]
+    if not any(start):
+        return
+    basis.append(list(start))
+    _hnf_rows(basis)
+    yield (), (1, start)
+    work = deque([((), start)])
+    while work:
+        word, v = work.popleft()
+        for i, (_, rows) in enumerate(forms):
+            w = _sparse_apply(1, rows, n, (1, v))[1]
+            if any(_hnf_reduce(w, basis)):
+                basis.append(w)
+                del basis[_hnf_rows(basis):]
+                yield word + (i,), (1, w)
+                work.append((word + (i,), w))
 
 
 def word_closure(start, maps):

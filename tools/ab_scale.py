@@ -3,19 +3,22 @@
 
     python3 tools/ab_scale.py OLD NEW
     python3 tools/ab_scale.py OLD NEW --case pca:30+4:a --case q:80+10:ab --rounds 3
+    python3 tools/ab_scale.py OLD NEW --case int:40+5:ab:neg --op equiv
 
 OLD and NEW are checkouts (each with `src/wazz`), loaded side by side in this
 process as `tools/ab_inproc.py` loads them.  A case `tag:k+e:letters` is the
 pair `tests/genrandom.py::lifted_pair(Random(seed), tag, k, e, letters)`: a
 (k+e)-state lift and its k-state original, written once as `.wa` files by
-this checkout's package.  Each op (`zigzag A B -o W`, `equiv A B`) runs on
-both trees one right after the other, the order alternating from round to
-round, each call from empty `functools` caches.  The report gives the
-process CPU seconds (`time.process_time`) of each call, their median per
-tree over the rounds and the ratio NEW / OLD.  Each tree writes its own
-witness; their sha256 must agree, and so must the exit codes and the
-standard output of `equiv`.  The command exits 1 on any difference.
-Standard library only.
+this checkout's package.  The form `tag:k+e:letters:neg` is the same pair
+with 1 added to the first entry of the small side's start, a negative case
+for the tags whose starts are not bounded by 1 (not `unit` or `pca`).  Each
+op (`zigzag A B -o W`, `equiv A B`) runs on both trees one right after the
+other, the order alternating from round to round, each call from empty
+`functools` caches.  The report gives the process CPU seconds
+(`time.process_time`) of each call, their median per tree over the rounds
+and the ratio NEW / OLD.  Each tree writes its own witness; their sha256
+must agree, and so must the exit codes and the standard output of `equiv`.
+The command exits 1 on any difference.  Standard library only.
 """
 
 from __future__ import annotations
@@ -49,15 +52,18 @@ def load_inproc():
 
 
 def parse_case(text):
-    """(tag, k, e, letters) of `tag:k+e:letters`."""
+    """(tag, k, e, letters, neg) of `tag:k+e:letters` or `tag:k+e:letters:neg`."""
     try:
-        tag, size, letters = text.split(":")
+        tag, size, letters, *rest = text.split(":")
         k, e = map(int, size.split("+"))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected tag:k+e:letters, got {text!r}") from None
-    if k < 1 or e < 0 or not letters:
+        raise argparse.ArgumentTypeError(
+            f"expected tag:k+e:letters or tag:k+e:letters:neg, got {text!r}") from None
+    if k < 1 or e < 0 or not letters or rest not in ([], ["neg"]):
         raise argparse.ArgumentTypeError(f"bad case {text!r}")
-    return tag, k, e, letters
+    if rest and tag in ("unit", "pca"):
+        raise argparse.ArgumentTypeError(f"no negative form for tag {tag}: {text!r}")
+    return tag, k, e, letters, bool(rest)
 
 
 def write_case(case, seed, workdir):
@@ -66,12 +72,15 @@ def write_case(case, seed, workdir):
     from genrandom import lifted_pair
     from wazz.automata import SemiringTag, automaton_to_text
 
-    tag, k, e, letters = case
+    tag, k, e, letters, neg = case
     big, x_big, small, x_small = lifted_pair(random.Random(seed), SemiringTag(tag), k, e,
                                              tuple(letters))
+    if neg:  # d > 0 and gcd(d, *ints) == 1 stay as they were
+        den, ints = x_small
+        x_small = den, (ints[0] + den,) + ints[1:]
     paths = []
     for side, aut, x in (("l", big, x_big), ("r", small, x_small)):
-        path = os.path.join(workdir, f"{tag}-{k}+{e}-{letters}-{side}.wa")
+        path = os.path.join(workdir, f"{tag}-{k}+{e}-{letters}{'-neg' * neg}-{side}.wa")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(automaton_to_text(aut, x))
         paths.append(path)
@@ -109,7 +118,7 @@ def main(argv=None):
     parser.add_argument("old", help="checkout of the baseline tree")
     parser.add_argument("new", help="checkout of the changed tree")
     parser.add_argument("--case", action="append", type=parse_case,
-                        help="tag:k+e:letters (repeatable; default: "
+                        help="tag:k+e:letters or tag:k+e:letters:neg (repeatable; default: "
                              + " ".join(DEFAULT_CASES) + ")")
     parser.add_argument("--op", action="append", choices=OPS,
                         help="op to time (repeatable; default: both)")
@@ -130,7 +139,7 @@ def main(argv=None):
         for case in cases:
             left, right = write_case(case, args.seed, workdir)
             witnesses = [os.path.join(workdir, f"w{tree}.zz") for tree in "ab"]
-            label = f"{case[0]} {case[1]}+{case[2]} {case[3]}"
+            label = f"{case[0]} {case[1]}+{case[2]} {case[3]}{' neg' * case[4]}"
             for op in ops:
                 times, digests = ([], []), set()
                 for rnd in range(args.rounds):
