@@ -294,16 +294,18 @@ def pair_submodule(aut1, x1, aut2, x2, rows=None):
     back-substitution of that elimination.
     """
     pair, start, difference = _paired(aut1, x1, aut2, x2)
-    span = _Hnf() if aut1.tag.integral else _Echelon()
-    basis = []
+    integral = aut1.tag.integral
+    span = _Hnf() if integral else _Echelon()
+    basis = None if integral else []
     for word, v in _word_closure(start, pair.trans, span):
         if sum(map(mul, difference, v[1])):
             raise NotEquivalent("output functionals differ on the pair closure",
                                 word=_letters(aut1.alphabet, word))
-        basis.append(v)
-    if aut1.tag.integral:
-        basis = [(1, tuple(g)) for g in span.rows]
-    elif rows is not None:
+        if not integral:
+            basis.append(v)
+    if integral:
+        return [(1, tuple(g)) for g in span.rows], pair
+    if rows is not None:
         rows.extend(row for _, row in span.rows)
     return basis, pair
 

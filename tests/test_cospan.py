@@ -6,6 +6,7 @@ the same separating word as the forward closure (`separating_word`) on every
 other one."""
 
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -200,7 +201,7 @@ def test_int_configurations_must_be_integral():
 def test_separating_words_need_no_closure_of_the_configurations(tag, monkeypatch):
     """A ring-tag `zigzag` reads its separating word off the closure of the
     outputs, over Z as over Q: the forward closure (`pair_submodule`) is
-    never called."""
+    never called, from whichever module."""
     calls = []
     original = automata.pair_submodule
 
@@ -208,12 +209,21 @@ def test_separating_words_need_no_closure_of_the_configurations(tag, monkeypatch
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(automata, "pair_submodule", spy)
+    patched = set()
+    for module in list(sys.modules.values()):
+        if (module is not None and module.__name__.split(".")[0] == "wazz"
+                and getattr(module, "pair_submodule", None) is original):
+            monkeypatch.setattr(module, "pair_submodule", spy)
+            patched.add(module.__name__)
+    assert {"wazz.automata", "wazz.zigzag"} <= patched
     words = [verdict(cubic_zigzag, pair) for _, pair in ring_pairs(tag)]
     assert sum(isinstance(w, tuple) for w in words) >= 20 and calls == []
-    # the spy is in place: `separating_word` calls it
+    # the spy is in place: `separating_word` calls it, and so does a
+    # non-ring `cubic_zigzag` through the name `zigzag` imported
     separating_word(*planted_chain(random.Random(0), tag, 3))
     assert len(calls) == 1
+    cubic_zigzag(*lifted_pair(random.Random(0), T.QPLUS, 2, 1, ("a",)))
+    assert len(calls) == 2
 
 
 def test_pairs_share_the_alphabet():
