@@ -24,8 +24,8 @@ from math import lcm
 from operator import mul
 
 from .formats import LineReader, block_lines, fmt_ratio, fmt_vec
-from .linalg import (Mat, _Echelon, _Hnf, _concat, _int_rref, _lowest_terms, _pivot_scales,
-                     _word_closure, least_word_off, scaled_dot)
+from .linalg import (Mat, _Echelon, _Hnf, _concat, _int_rref, _lowest_terms, _pivot_coords,
+                     _pivot_scales, _word_closure, least_word_off, scaled_dot)
 
 
 class SemiringTag(Enum):
@@ -359,8 +359,7 @@ def pair_quotient(aut1, x1, aut2, x2):
         functionals.append(ints)
         levels.append(len(word))
     if integral:
-        basis, den = span.rows, 1
-        pivots = [next(j for j, a in enumerate(b) if a) for b in basis]
+        basis, pivots, den = span.rows, span.pivots, 1
     else:
         basis = [row for _, row in span.rows]
         pivots = _int_rref(basis, n)
@@ -375,26 +374,14 @@ def pair_quotient(aut1, x1, aut2, x2):
         rows = [[sum(map(mul, nums, map(get, cols))) for cols, nums in picked]
                 for get in at_pivots]
         if integral:
-            trans.append(Mat._of_rows(1, [_triangular_coords(w, basis, pivots) for w in rows], k))
+            trans.append(Mat._of_rows(1, [_pivot_coords(w, basis, pivots) for w in rows], k))
         else:
             trans.append(Mat._of_rows(t.den * den, rows, k))
-    out_q = (1, _triangular_coords(outs, basis, pivots)) if integral else (
+    out_q = (1, _pivot_coords(outs, basis, pivots)) if integral else (
         _lowest_terms((out[0], outs)))
     quotient = LinearCoalgebra(n=k, alphabet=aut1.alphabet, out=out_q, trans=tuple(trans))
     return (Mat._of_rows(den, [b[:n1] for b in basis], n1),
             Mat._of_rows(den, [b[n1:] for b in basis], n - n1), quotient)
-
-
-def _triangular_coords(w, basis, pivots):
-    """The integer coordinates c in the HNF rows `basis` of a lattice vector
-    whose entries at their pivot columns are w: row l is zero at the pivots
-    of the rows before it, so c_i = (w_i - sum_(l < i) c_l basis[l][p_i]) /
-    basis[i][p_i], an exact division."""
-    coords = []
-    for i, p in enumerate(pivots):
-        coords.append((w[i] - sum([c * basis[l][p] for l, c in enumerate(coords)]))
-                      // basis[i][p])
-    return tuple(coords)
 
 
 @dataclass(frozen=True)

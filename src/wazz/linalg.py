@@ -11,29 +11,32 @@ format: this module builds no `Fraction`.
   entries.  The text readers build a letter or morphism matrix from its
   columns' integers (`_of_cols`), other producers from rows (`_of_rows`),
   and coordinate selections, `block_diag` and `block_diag_transposed`
-  compose integers.  `apply_scaled((e, xs))` takes each output
-  entry as one integer sum over a row's nonzeros and returns the image as
-  (d * e, sums).
+  compose integers.  `apply_scaled((e, xs))` takes each output entry as one
+  integer sum over a row's nonzeros and returns the image as (d * e, sums).
 - Elimination (`_int_rref`, `_Echelon`) is fraction-free: a row update is
   the integer combination that clears one entry, divided by the gcd of the
   result, so rows stay primitive.  `_int_rref` is the one Gauss-Jordan loop;
   `rref`, `solve` (the one back-substitution, on integer rows, which the
-  pyramid normal of `wazz.pca` calls), `kernel_basis`, the double description and the verifier's carrier
-  factorization (`wazz.polyhedra`) read its integer rows over the lcm of
-  their pivot entries.
+  pyramid normal of `wazz.pca` calls), `kernel_basis`, the double
+  description and the verifier's carrier factorization (`wazz.polyhedra`)
+  read its integer rows over the lcm of their pivot entries.
+- Every Hermite normal form (see `Lattice`) grows in an `_Hnf`, one
+  insertion step per vector, and `_pivot_coords` is the one solve for
+  coordinates in its rows.
 - The word closure (`_word_closure`) is one breadth-first loop for both
   rings: it tests each scaled image, reduced to lowest terms, against a
-  span as it is made, an `_Echelon` over Q and an `_Hnf` (HNF rows, grown
-  in place) over Z, and yields each vector that enlarged it with its word.
-  It builds no `Fraction`, and the caller reads the span's rows, so that
-  no caller eliminates its images again.  The lattice closure
-  (`closure_under_maps`) runs it to the end from an integral start under
-  integral maps, and `least_word_off` reads a word of known length off the
-  functionals of a closure under the transposed maps.
+  span as it is made, an `_Echelon` over Q and an `_Hnf` over Z, and yields
+  each vector that enlarged it with its word.  It builds no `Fraction`, and
+  the caller reads the span's rows, so that no caller eliminates its images
+  again.  The lattice closure (`closure_under_maps`) runs it to the end from
+  an integral start under integral maps, and `least_word_off` reads a word
+  of known length off the functionals of a closure under the transposed
+  maps.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, compress
@@ -365,7 +368,10 @@ def solve(d, ints, b, n):
 
 @dataclass(frozen=True)
 class Lattice:
-    """Subgroup of Z^dim given by a basis in row-style Hermite normal form."""
+    """Subgroup of Z^dim given by its basis in row-style Hermite normal form,
+    the one HNF convention of the package: each row's first nonzero entry
+    (its pivot) is positive and right of the row above's, and every entry
+    above a pivot lies in [0, pivot).  Equal lattices have equal bases."""
 
     dim: int
     basis: tuple
@@ -375,64 +381,24 @@ class Lattice:
         return len(self.basis)
 
 
-def _hnf_rows(rows, carry=None):
-    """In-place row HNF on integer row lists; `carry` rows get the same ops."""
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    r = 0
-    for c in range(nc):
-        while True:
-            nonzero = [i for i in range(r, nr) if rows[i][c] != 0]
-            if not nonzero:
-                break
-            i0 = min(nonzero, key=lambda i: abs(rows[i][c]))
-            if i0 != r:
-                rows[i0], rows[r] = rows[r], rows[i0]
-                if carry is not None:
-                    carry[i0], carry[r] = carry[r], carry[i0]
-            done = True
-            for i in range(r + 1, nr):
-                if rows[i][c] != 0:
-                    q = rows[i][c] // rows[r][c]
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-                    if carry is not None:
-                        carry[i] = [a - q * b for a, b in zip(carry[i], carry[r])]
-                    if rows[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < nr and rows[r][c] != 0:
-            if rows[r][c] < 0:
-                rows[r] = [-a for a in rows[r]]
-                if carry is not None:
-                    carry[r] = [-a for a in carry[r]]
-            for i in range(r):
-                q = rows[i][c] // rows[r][c]
-                if q:
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-                    if carry is not None:
-                        carry[i] = [a - q * b for a, b in zip(carry[i], carry[r])]
-            r += 1
-            if r == nr:
-                break
-    return r
+def _pivot(row):
+    """The column of the first nonzero entry of a nonzero row."""
+    return next(j for j, a in enumerate(row) if a)
 
 
 def hnf(rows, dim=None):
-    """Lattice spanned by integer rows, with basis in Hermite normal form."""
-    rows = [list(as_int_vec(r)) for r in rows]
+    """Lattice spanned by integer rows, its basis in Hermite normal form:
+    the rows added one by one to an `_Hnf`."""
     if dim is None:
         if not rows:
             raise ValueError("empty generating set needs an explicit dimension")
         dim = len(rows[0])
+    span = _Hnf()
     for r in rows:
         if len(r) != dim:
             raise ValueError("dimension mismatch in generating set")
-    work = [r[:] for r in rows if any(r)]
-    if not work:
-        return Lattice(dim, ())
-    rank = _hnf_rows(work)
-    return Lattice(dim, tuple(tuple(r) for r in work[:rank]))
+        span.add(as_int_vec(r))
+    return Lattice(dim, tuple(map(tuple, span.rows)))
 
 
 def hnf_with_transform(rows, dim):
@@ -440,24 +406,20 @@ def hnf_with_transform(rows, dim):
 
     Returns (lattice, transform_rows, rank) where the first `rank` transform
     rows express the HNF basis as integer combinations of the input rows and
-    the remaining ones span the left kernel of the input matrix.
+    the remaining ones span the left kernel of the input matrix.  They are
+    the HNF rows of [W | I], W the input, split at the first pivot in I.
     """
-    rows = [list(as_int_vec(r)) for r in rows]
     k = len(rows)
-    carry = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    work = [r[:] for r in rows]
-    if not work:
-        return Lattice(dim, ()), [], 0
-    rank = _hnf_rows(work, carry)
-    basis = tuple(tuple(r) for r in work[:rank] if any(r))
-    return Lattice(dim, basis), [tuple(r) for r in carry], len(basis)
+    full = hnf([tuple(r) + unit(k, i)[1] for i, r in enumerate(rows)], dim + k).basis
+    rank = sum(1 for r in full if any(r[:dim]))
+    return Lattice(dim, tuple(r[:dim] for r in full[:rank])), [r[dim:] for r in full], rank
 
 
 def _hnf_reduce(v, basis):
     """Canonical representative of the integer vector v modulo the lattice
     of the HNF rows `basis`: zero exactly when v lies in it."""
     for row in basis:
-        p = next(j for j, a in enumerate(row) if a)
+        p = _pivot(row)
         q = v[p] // row[p]
         if q:
             v = [a - q * b for a, b in zip(v, row)]
@@ -470,25 +432,28 @@ def lattice_reduce(v, lattice):
 
 
 def lattice_member(v, lattice):
-    if not is_integral(v):
-        return False
-    return all(a == 0 for a in lattice_reduce(v, lattice))
+    return is_integral(v) and not any(lattice_reduce(v, lattice))
+
+
+def _pivot_coords(w, basis, pivots):
+    """The integer coordinates c in the HNF rows `basis`, with pivot columns
+    `pivots`, of a lattice vector whose entries at those columns are w: row
+    l is zero at the pivots before its own, so c_i = (w_i - sum_(l < i) c_l
+    basis[l][p_i]) / basis[i][p_i], an exact division."""
+    coords = []
+    for i, p in enumerate(pivots):
+        coords.append((w[i] - sum(map(mul, coords, [b[p] for b in basis[:i]]))) // basis[i][p])
+    return tuple(coords)
 
 
 def lattice_coords(v, lattice):
-    """Integer coordinates of v in the HNF basis, or None if v is outside."""
-    v = list(as_int_vec(v))
-    coords = []
-    for row in lattice.basis:
-        p = next(j for j, a in enumerate(row) if a)
-        if v[p] % row[p]:
-            return None
-        q = v[p] // row[p]
-        coords.append(q)
-        v = [a - q * b for a, b in zip(v, row)]
-    if any(v):
+    """Integer coordinates of v in the HNF basis, or None if v is outside:
+    `_pivot_coords` of v's pivot entries, once v reduces to zero."""
+    v, basis = as_int_vec(v), lattice.basis
+    if any(_hnf_reduce(v, basis)):
         return None
-    return tuple(coords)
+    pivots = [_pivot(row) for row in basis]
+    return _pivot_coords([v[p] for p in pivots], basis, pivots)
 
 
 class _Echelon:
@@ -497,7 +462,7 @@ class _Echelon:
     integers (a positive scale changes no span)."""
 
     def __init__(self):
-        self.rows = []  # (pivot index, primitive integer row, row[pivot] > 0)
+        self.rows = []  # (pivot column p, primitive integer row with row[p] > 0)
 
     def residue(self, ints):
         """A positive multiple of ints minus its reduction against the rows,
@@ -521,21 +486,44 @@ class _Echelon:
 
 
 class _Hnf:
-    """Incremental Hermite normal form used to test membership in a lattice,
-    with `_Echelon`'s `add`: `rows` are the HNF rows of the integer vectors
-    added so far."""
+    """Incremental Hermite normal form (see `Lattice`) used to test
+    membership in a lattice, with `_Echelon`'s `add`: `rows` are the HNF
+    rows of the integer vectors added so far, `pivots` their pivots."""
 
     def __init__(self):
-        self.rows = []
+        self.rows, self.pivots = [], []
 
     def add(self, ints):
         """Insert ints; returns False if it was already in the lattice.  An
-        ints outside joins the rows, and `_hnf_rows` restores the normal
-        form in place."""
-        if not any(_hnf_reduce(ints, self.rows)):
+        ints outside, reduced against the rows, is merged in pivot by pivot:
+        at a row with its pivot, a unimodular extended-gcd step leaves the
+        row the gcd of the two pivot entries and the vector a 0 there; at
+        none, the vector joins the rows and the merge ends.  Then each entry
+        above a pivot, from the first changed row on, goes into [0, pivot)."""
+        v = _hnf_reduce(ints, self.rows)
+        if not any(v):
             return False
-        self.rows.append(list(ints))
-        del self.rows[_hnf_rows(self.rows):]
+        rows, pivots = self.rows, self.pivots
+        first = i = bisect_left(pivots, _pivot(v))
+        while any(v):
+            p = _pivot(v)
+            i = bisect_left(pivots, p, i)
+            if i == len(rows) or pivots[i] != p:
+                rows.insert(i, [-a for a in v] if v[p] < 0 else list(v))
+                pivots.insert(i, p)
+                break
+            row, a, b = rows[i], rows[i][p], v[p]
+            g = gcd(a, b)
+            x = pow(a // g, -1, abs(b) // g)  # x a = g modulo b
+            y = (g - x * a) // b
+            rows[i] = [x * s + y * t for s, t in zip(row, v)]
+            v = [b // g * s - a // g * t for s, t in zip(row, v)]
+        for i in range(first, len(rows)):
+            row, p = rows[i], pivots[i]
+            for j in range(i):
+                q = rows[j][p] // row[p]
+                if q:
+                    rows[j] = [s - q * t for s, t in zip(rows[j], row)]
         return True
 
 

@@ -20,7 +20,7 @@ from math import gcd, lcm
 
 from matvec_oracle import (entrywise_apply, entrywise_dot, fraction_rows, fractions, funit,
                            ineq_pairs, vector, vneg, vrep, zeros)
-from wazz.linalg import Lattice, Mat, _int_rref, as_int_vec, hnf, is_integral, is_zero
+from wazz.linalg import Lattice, Mat, _int_rref, as_int_vec, is_integral, is_zero
 from wazz.polyhedra import INFINITY, _Span, cone_rays, dd_v_to_h
 
 
@@ -197,10 +197,76 @@ def cone_member(gens, x):
                for n in cone_facet_normals(tuple(fractions(g) for g in gens), len(x)))
 
 
+def _hnf_rows(rows, carry=None):
+    """In-place row HNF on integer row lists; `carry` rows get the same ops.
+    Returns the rank; the rows from it on are zero."""
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    r = 0
+    for c in range(nc):
+        while True:
+            nonzero = [i for i in range(r, nr) if rows[i][c] != 0]
+            if not nonzero:
+                break
+            i0 = min(nonzero, key=lambda i: abs(rows[i][c]))
+            if i0 != r:
+                rows[i0], rows[r] = rows[r], rows[i0]
+                if carry is not None:
+                    carry[i0], carry[r] = carry[r], carry[i0]
+            done = True
+            for i in range(r + 1, nr):
+                if rows[i][c] != 0:
+                    q = rows[i][c] // rows[r][c]
+                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
+                    if carry is not None:
+                        carry[i] = [a - q * b for a, b in zip(carry[i], carry[r])]
+                    if rows[i][c] != 0:
+                        done = False
+            if done:
+                break
+        if r < nr and rows[r][c] != 0:
+            if rows[r][c] < 0:
+                rows[r] = [-a for a in rows[r]]
+                if carry is not None:
+                    carry[r] = [-a for a in carry[r]]
+            for i in range(r):
+                q = rows[i][c] // rows[r][c]
+                if q:
+                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
+                    if carry is not None:
+                        carry[i] = [a - q * b for a, b in zip(carry[i], carry[r])]
+            r += 1
+            if r == nr:
+                break
+    return r
+
+
+def hnf(rows, dim):
+    """Lattice spanned by the integer rows, by one `_hnf_rows`."""
+    work = [list(as_int_vec(r)) for r in rows if any(r)]
+    if not work:
+        return Lattice(dim, ())
+    rank = _hnf_rows(work)
+    return Lattice(dim, tuple(tuple(r) for r in work[:rank]))
+
+
+def hnf_with_transform(rows, dim):
+    """(lattice, transform rows, rank) as `wazz.linalg.hnf_with_transform`
+    gives them, by one `_hnf_rows` with the identity carried beside."""
+    rows = [list(as_int_vec(r)) for r in rows]
+    k = len(rows)
+    carry = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    if not rows:
+        return Lattice(dim, ()), [], 0
+    rank = _hnf_rows(rows, carry)
+    basis = tuple(tuple(r) for r in rows[:rank] if any(r))
+    return Lattice(dim, basis), [tuple(r) for r in carry], len(basis)
+
+
 def z_closure(start, maps):
     """HNF basis of the smallest lattice containing `start` and closed under
     the integer maps: every round applies every map to every basis vector and
-    re-runs `hnf`, until the HNF stops changing."""
+    re-runs the oracle's `hnf`, until the HNF stops changing."""
     n = len(start)
     if not is_integral(start):
         raise ValueError("ring Z needs integral start")

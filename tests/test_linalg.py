@@ -4,9 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 import kernel_oracle
-from wazz.linalg import (Mat, Lattice, closure_under_maps, hnf, hnf_with_transform, is_integral,
-                         kernel_basis, lattice_coords, lattice_member, lattice_reduce, primitive,
-                         rref, scaled)
+from wazz.linalg import (Mat, Lattice, _Hnf, closure_under_maps, hnf, hnf_with_transform,
+                         is_integral, kernel_basis, lattice_coords, lattice_member, lattice_reduce,
+                         primitive, rref, scaled)
 from matvec_oracle import (apply, columns, fraction_rows, fractions, from_cols, funit, identity,
                            solve_mat, svec, transpose, vector, zero, zeros)
 from word_oracles import word_closure
@@ -251,6 +251,44 @@ class TestHnf:
                 assert image == lat.basis[i]
             else:
                 assert image == (0, 0)
+
+    def test_insertion_matches_batch_oracle(self):
+        """`_Hnf.add` against `kernel_oracle._hnf_rows`, the batch HNF it
+        replaced: the same basis row for row, growth reported exactly when
+        the oracle's lattice grows, and a transform whose kernel rows have
+        the oracle kernel's HNF."""
+        rng = random.Random(41)
+        for _ in range(300):
+            dim = rng.randint(1, 8)
+            bound = rng.choice((1, 10, 10 ** 6))
+            rows = []
+            for _ in range(rng.randint(0, 10)):
+                kind = rng.random()
+                if kind < 0.1:
+                    rows.append((0,) * dim)
+                elif kind < 0.2 and rows:
+                    rows.append(rng.choice(rows))
+                else:
+                    rows.append(tuple(rng.randint(-bound, bound) if rng.random() < 0.7 else 0
+                                      for _ in range(dim)))
+            want = kernel_oracle.hnf(rows, dim)
+            assert hnf(rows, dim=dim).basis == want.basis, rows
+            span, seen = _Hnf(), []
+            for row in rows:
+                before = kernel_oracle.hnf(seen, dim)
+                seen.append(row)
+                assert span.add(list(row)) == (kernel_oracle.hnf(seen, dim) != before), rows
+            assert tuple(map(tuple, span.rows)) == want.basis
+            lat, transform, rank = hnf_with_transform(rows, dim=dim)
+            oracle_lat, oracle_transform, oracle_rank = kernel_oracle.hnf_with_transform(rows, dim)
+            assert lat == oracle_lat == want and rank == oracle_rank == want.rank
+            assert len(transform) == len(rows)
+            for u, h in zip(transform, lat.basis):
+                assert tuple(sum(c * r[j] for c, r in zip(u, rows)) for j in range(dim)) == h
+            for u in transform[rank:]:
+                assert not any(sum(c * r[j] for c, r in zip(u, rows)) for j in range(dim))
+            assert (hnf(transform[rank:], dim=len(rows))
+                    == kernel_oracle.hnf(oracle_transform[oracle_rank:], len(rows)))
 
     def test_reduce_and_coords(self):
         lat = hnf([(1, 1), (0, 2)])

@@ -12,9 +12,9 @@ they were; `word_closure` is the Q one with each basis vector as
 from collections import deque
 from fractions import Fraction
 
-from wazz.linalg import (_Echelon, _hnf_reduce, _hnf_rows, _lowest_terms, _sparse_apply,
-                         scaled)
+from wazz.linalg import _Echelon, _hnf_reduce, _lowest_terms, _sparse_apply, scaled
 
+from kernel_oracle import _hnf_rows
 from matvec_oracle import entrywise_apply, fractions, vdot
 
 

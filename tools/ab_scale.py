@@ -38,7 +38,7 @@ from time import process_time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_CASES = ("pca:30+4:a", "pca:40+5:a", "pca:40+5:ab", "unit:40+5:ab",
-                 "rplus:80+10:ab", "q:80+10:ab")
+                 "rplus:80+10:ab", "q:80+10:ab", "int:80+10:ab", "int:40+5:ab:neg")
 OPS = ("zigzag", "equiv")
 
 
