@@ -24,8 +24,8 @@ from math import lcm
 from operator import mul
 
 from .formats import LineReader, block_lines, fmt_ratio, fmt_vec
-from .linalg import (Mat, _Echelon, _Hnf, _concat, _int_rref, _lowest_terms, _pivot_coords,
-                     _pivot_scales, _word_closure, least_word_off, scaled_dot)
+from .linalg import (Mat, _Echelon, _Hnf, _concat, _lowest_terms, _pivot_coords, _pivot_scales,
+                     _word_closure, least_word_off, scaled_dot)
 
 
 class SemiringTag(Enum):
@@ -327,12 +327,12 @@ def pair_quotient(aut1, x1, aut2, x2):
     (out1 | out2), so that Q_a h = h M_a and out_Q h = out on each side.
 
     Over a field B is the reduced row echelon form, and coordinates are the
-    entries at its pivot columns; it is unique, and `_int_rref` reads it
-    off the closure's own echelon rows, clearing only the entries above
-    each pivot.  Over Z (`int`) the word functionals span
-    a lattice, a subgroup of Z^(n1 + n2); over a principal ideal domain
-    every such subgroup is free, and B is its HNF basis, in which the
-    coordinates of each B_j M_a and of the output are integers.
+    entries at its pivot columns; it is unique, and the closure's own
+    `_Echelon` reads it off its rows by one back-substitution.  Over Z
+    (`int`) the word functionals span a lattice, a subgroup of Z^(n1 + n2);
+    over a principal ideal domain every such subgroup is free, and B is its
+    HNF basis, the closure's `_Hnf` rows, in which the coordinates of each
+    B_j M_a and of the output are integers.  Both read B by `reduced()`.
 
     The closure (`_word_closure`, in an `_Echelon` over Q and an `_Hnf`
     over Z) yields its rows in word-length order, and the functionals of
@@ -358,11 +358,9 @@ def pair_quotient(aut1, x1, aut2, x2):
                                 word=_letters(aut1.alphabet, word))
         functionals.append(ints)
         levels.append(len(word))
-    if integral:
-        basis, pivots, den = span.rows, span.pivots, 1
-    else:
-        basis = [row for _, row in span.rows]
-        pivots = _int_rref(basis, n)
+    pivots, basis = span.reduced()
+    den = 1
+    if not integral:  # the rref: each row over its pivot entry
         den, scales = _pivot_scales(basis, pivots)
         basis = [[a * s for a in row] for row, s in zip(basis, scales)]
     # a vector of the span is read at the pivot columns alone, where B_j M_a

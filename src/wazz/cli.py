@@ -16,7 +16,7 @@ import sys
 from functools import lru_cache
 
 from .automata import NotEquivalent, SemiringTag, equivalent, parse_automaton, trace
-from .formats import ParseError, fmt_rat, fmt_ratio, fmt_vec, parse_rat, word_text
+from .formats import LineReader, ParseError, fmt_rat, fmt_ratio, fmt_vec, parse_rat, word_text
 from .hilbert import IntConeSpec, hilbert_basis
 from .linalg import Mat, scaled, unit
 from .polyhedra import (INFINITY, InternalError, SearchBudgetExceeded, dd_h_to_v,
@@ -127,7 +127,6 @@ def _cmd_verify(args):
 
 
 def _cmd_hilbert(args):
-    from .formats import LineReader
     r = LineReader(_read(args.cone), args.cone)
     line, toks = r.at(0, "dimension line: <k> <m>")
     if len(toks) != 2:

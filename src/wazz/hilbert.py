@@ -16,7 +16,7 @@ from bisect import insort
 from dataclasses import dataclass
 from itertools import count
 
-from .linalg import (Mat, _int_rref, as_int_vec, hnf, hnf_with_transform, is_zero,
+from .linalg import (Mat, _reduced, as_int_vec, hnf, hnf_with_transform, is_zero,
                      lattice_coords, lattice_reduce, primitive)
 
 
@@ -165,13 +165,12 @@ def qplus_restriction_by_scaling(gens):
     N-generators, and returns those; every nonnegative rational element of
     the span is a positive rational multiple of a lattice element, so the
     same set generates over Q+.  The span basis is canonicalized first (the
-    primitive echelon rows of `_int_rref`), which keeps the lattice entries
-    small; any integer lattice spanning the same subspace works.
+    primitive rows of `_reduced`), which keeps the lattice entries small;
+    any integer lattice spanning the same subspace works.
     """
     rows = [primitive(g) for g in gens if not is_zero(g)]
     if not rows:
         return []
-    pivots = _int_rref(rows, len(rows[0]))
-    lat = hnf(rows[:len(pivots)], dim=len(rows[0]))
+    lat = hnf(_reduced(rows)[1], dim=len(rows[0]))
     return [tuple(v) for v in nat_restriction(lat)]
 

@@ -13,13 +13,13 @@ format: this module builds no `Fraction`.
   and coordinate selections, `block_diag` and `block_diag_transposed`
   compose integers.  `apply_scaled((e, xs))` takes each output entry as one
   integer sum over a row's nonzeros and returns the image as (d * e, sums).
-- Elimination (`_int_rref`, `_Echelon`) is fraction-free: a row update is
-  the integer combination that clears one entry, divided by the gcd of the
-  result, so rows stay primitive.  `_int_rref` is the one Gauss-Jordan loop;
-  `rref`, `solve` (the one back-substitution, on integer rows, which the
-  pyramid normal of `wazz.pca` calls), `kernel_basis`, the double
-  description and the verifier's carrier factorization (`wazz.polyhedra`)
-  read its integer rows over the lcm of their pivot entries.
+- Elimination is fraction-free: a row update is the integer combination
+  that clears one entry, divided by the gcd of the result, so rows stay
+  primitive.  Every reduced row echelon form grows an `_Echelon`, one
+  insertion per row, read by one back-substitution (`_Echelon.reduced`):
+  `rref`, `solve` (which the pyramid normal of `wazz.pca` calls),
+  `kernel_basis`, the double description and the verifier's carrier
+  factorization (`wazz.polyhedra`) read its rows over the lcm of the pivots.
 - Every Hermite normal form (see `Lattice`) grows in an `_Hnf`, one
   insertion step per vector, and `_pivot_coords` is the one solve for
   coordinates in its rows.
@@ -41,7 +41,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain, compress
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 
 
 def unit(n, i):
@@ -264,40 +264,21 @@ def _sparse_apply(den, rows, ncols, x):
     return den * x_den, [sum(map(mul, nums, map(pick, cols))) for cols, nums in rows]
 
 
-def _int_rref(rows, ncols):
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place;
-    returns the pivot columns.
-
-    Afterwards row i < rank has a nonzero entry at pivot i and zeros at every
-    other pivot column, and the rows from the rank on are zero; dividing row
-    i by its pivot entry gives the reduced row echelon form."""
-    nr = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        for i in range(nr):
-            if i != r and rows[i][c]:
-                rows[i] = _eliminate(rows[i], prow, c)
-        pivots.append(c)
-        r += 1
-    return pivots
+def _reduced(rows):
+    """`_Echelon.reduced` of a fresh `_Echelon` holding the integer rows."""
+    span = _Echelon()
+    for row in rows:
+        span.add(row)
+    return span.reduced()
 
 
 def rref(m):
     """Reduced row echelon form: returns (R, pivot columns, rank).
 
-    `_int_rref` on the rows scaled to primitive integers, each pivot row then
-    divided by its pivot entry, over the lcm of those entries; R, its pivots
-    and its rank are unique, so they are those of the rational elimination."""
-    rows = [primitive(r) for r in m.dense()]
-    pivots = _int_rref(rows, m.ncols)
+    `_reduced` of the integer rows, each pivot row then divided by its pivot
+    entry, over the lcm of those entries; R, its pivots and its rank are
+    unique, so they are those of the rational elimination."""
+    pivots, rows = _reduced(m.dense())
     den, scales = _pivot_scales(rows, pivots)
     zeros = [0] * (m.nrows - len(pivots))
     cols = [[row[j] * s for row, s in zip(rows, scales)] + zeros for j in range(m.ncols)]
@@ -305,26 +286,33 @@ def rref(m):
 
 
 def _pivot_scales(rows, pivots):
-    """(L, L / its pivot entry per pivot row of `_int_rref`), L their lcm."""
+    """(L, L / its pivot entry per pivot row), L the lcm of those entries."""
     den = lcm(*(row[p] for row, p in zip(rows, pivots)))
     return den, [den // row[p] for row, p in zip(rows, pivots)]
 
 
 def _rref_beside_identity(cols, nrows, d=1):
-    """(pivot columns, rows) of one `_int_rref` of [G | d I], G having the
-    integer columns cols of length nrows, with the pivots sought in G's
-    columns only and the identity block carried along: the rows read
-    [R | d E] with E G = R, R being G's rref up to a nonzero factor per row,
-    and E invertible.  The rows from G's rank on read [0 | d E'], unreduced,
+    """(pivot columns, rows) of [G | d I], G having the integer columns cols
+    of length nrows: its rows inserted into one `_Echelon`, pivoting in G's
+    k columns only, read as [R | d E] with E G = R, R being G's rref up to a
+    positive factor per row, and E invertible.  A row whose residue vanishes
+    on G's columns stays, unreduced, an equation row [0 | d E'] after them,
     and E' is a basis of the equations of G's column span."""
-    rows = [list(r) + [0] * nrows for r in zip(*cols)] or [[0] * nrows for _ in range(nrows)]
-    for j, row in enumerate(rows, len(cols)):
-        row[j] = d
-    return _int_rref(rows, len(cols)), rows
+    k, span, equations = len(cols), _Echelon(), []
+    for j in range(nrows):
+        row = [col[j] for col in cols] + [0] * nrows
+        row[k + j] = d
+        res = span.residue(row)
+        if any(res[:k]):
+            span.add(res)
+        else:
+            equations.append(res)
+    pivots, rows = span.reduced()
+    return pivots, rows + equations
 
 
 def _kernel_vectors(rows, pivots, ncols):
-    """Basis of the kernel of rows that `_int_rref` left with the given pivots:
+    """Basis of the kernel of reduced echelon rows with the given pivots:
     per non-pivot column c, the vector with L at c and -rows[i][c] L / rows[i][p_i]
     at each pivot p_i, L being the lcm of the pivot entries, made primitive
     with its first nonzero entry positive."""
@@ -342,21 +330,20 @@ def _kernel_vectors(rows, pivots, ncols):
 
 def kernel_basis(m):
     """Basis of {x : Mx = 0}, one primitive integer tuple per free column."""
-    rows = [primitive(r) for r in m.dense()]
-    return _kernel_vectors(rows, _int_rref(rows, m.ncols), m.ncols)
+    pivots, rows = _reduced(m.dense())
+    return _kernel_vectors(rows, pivots, m.ncols)
 
 
 def solve(d, ints, b, n):
     """The scaled x with Mx = b for M = ints / d, ints being rows of n
-    integers and d > 0, and the scaled b, free variables zero, or None: one
-    `_int_rref` of [e ints | d bs] over gcd(d, e), b = bs / e; x_p is the
-    last entry of p's pivot row over its pivot entry."""
+    integers and d > 0, and the scaled b, free variables zero, or None: the
+    `_reduced` rows of [e ints | d bs] over gcd(d, e), b = bs / e; x_p is
+    the last entry of p's pivot row over its pivot entry."""
     e, bs = b
     if len(bs) != len(ints):
         raise ValueError("right-hand side has wrong length")
     e, d = e // gcd(e, d), d // gcd(e, d)  # keeps the entries small
-    rows = [[e * a for a in row] + [d * c] for row, c in zip(ints, bs)]
-    pivots = _int_rref(rows, n + 1)
+    pivots, rows = _reduced([[e * a for a in row] + [d * c] for row, c in zip(ints, bs)])
     if pivots and pivots[-1] == n:
         return None
     den, scales = _pivot_scales(rows, pivots)
@@ -457,9 +444,9 @@ def lattice_coords(v, lattice):
 
 
 class _Echelon:
-    """Incremental echelon form used to test membership in a Q-span, on
-    primitive integer rows with positive pivots.  Vectors come in scaled to
-    integers (a positive scale changes no span)."""
+    """Incremental echelon form of a Q-span on primitive integer rows with
+    positive pivots, for membership as vectors come in scaled to integers (a
+    positive scale changes no span) and, by `reduced`, for its rref."""
 
     def __init__(self):
         self.rows = []  # (pivot column p, primitive integer row with row[p] > 0)
@@ -483,6 +470,21 @@ class _Echelon:
             g = -g
         self.rows.append((p, [a // g for a in res]))
         return True
+
+    def reduced(self):
+        """(pivots in ascending order, rows): the rref, each row primitive,
+        positive at its pivot and zero at every other.  Sorted by pivot, the
+        rows are an echelon form; one back-substitution from the bottom row
+        up clears each row at the pivots below it with the rows there."""
+        ordered = sorted(self.rows, key=itemgetter(0))
+        pivots, rows = [p for p, _ in ordered], [row for _, row in ordered]
+        for i in range(len(rows) - 2, -1, -1):
+            row = rows[i]
+            for p, below in zip(pivots[i + 1:], rows[i + 1:]):
+                if row[p]:
+                    row = _eliminate(row, below, p)
+            rows[i] = row
+        return pivots, rows
 
 
 class _Hnf:
@@ -525,6 +527,10 @@ class _Hnf:
                 if q:
                     rows[j] = [s - q * t for s, t in zip(rows[j], row)]
         return True
+
+    def reduced(self):
+        """(pivots, rows) as `_Echelon.reduced` gives them: the HNF rows as they are."""
+        return self.pivots, self.rows
 
 
 def _word_closure(start, maps, span):

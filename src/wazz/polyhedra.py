@@ -4,12 +4,12 @@ Polyhedra are handled homogeneously: a polyhedron {x : Ax <= b} lifts to the
 cone {(x,t) : Ax - tb <= 0, t >= 0}, whose extreme rays with positive last
 coordinate are the vertices and the rest the directions.  The double
 description runs on pointed cones only, in the coordinates of a span, and
-every elimination is one fraction-free `_int_rref`.  The conversions
-(`dd_h_to_v`, `dd_v_to_h`, `cone_rays`) split the lineality of {x : Ax <= 0}
-off as the kernel of A's echelon rows and run in A's row space; the
-restrictions run in the span of their generators, which the producers give
-as the pair closure's echelon rows, so that their double description starts
-from the orthant of the frame.  The verifier's carriers
+every elimination is one `_Echelon` read by its back-substitution.  The
+conversions (`dd_h_to_v`, `dd_v_to_h`, `cone_rays`) split the lineality of
+{x : Ax <= 0} off as the kernel of A's echelon rows and run in A's row
+space; the restrictions run in the span of their generators, which the
+producers give as the pair closure's echelon rows, so that their double
+description starts from the orthant of the frame.  The verifier's carriers
 are decided on one factorization of their generators (`span_factors`): by
 unique coordinates when the generators are independent, and by the facets
 of the hull or cone, in the span's coordinates, when they are not.  Every
@@ -26,7 +26,7 @@ from math import inf, lcm
 from operator import mul
 
 from .formats import LineReader, fmt_vec
-from .linalg import (Mat, _int_rref, _kernel_vectors, _lowest_terms, _pivot_scales,
+from .linalg import (Mat, _kernel_vectors, _lowest_terms, _pivot_scales, _reduced,
                      _rref_beside_identity, _sparse_apply, primitive, scaled_equal)
 
 
@@ -120,16 +120,14 @@ def _initial_simplex(normals, dim):
     """(indices of the first `dim` linearly independent integer normals,
     extreme rays of the cone {x : Bx <= 0} of those normals B), from one
     `_rref_beside_identity` of [A^T | I] (requires full rank): the pivot
-    columns are the chosen normals, and row k reads d_k on the k-th of them
-    and E_k in the identity part, E B^T = D being diagonal, so the ray of the
-    k-th chosen normal, -B^-1 e_k = -E_k / d_k, is primitive(-sign(d_k) E_k).
+    columns are the chosen normals, and row k reads d_k > 0 on the k-th of
+    them and E_k in the identity part, E B^T = D being diagonal, so the ray
+    of the k-th chosen normal, -B^-1 e_k = -E_k / d_k, is primitive(-E_k).
     """
     pivots, rows = _rref_beside_identity(normals, dim)
-    m = len(normals)
     if len(pivots) < dim:
         raise ValueError("constraint matrix does not have full rank")
-    return pivots, [primitive([-a for a in row[m:]] if row[p] > 0 else row[m:])
-                    for row, p in zip(rows, pivots)]
+    return pivots, [primitive([-a for a in row[len(normals):]]) for row in rows]
 
 
 def _orthant_start(normals, dim):
@@ -318,14 +316,13 @@ class _Span:
 
     With G's columns over the lcm D of their denominators, one
     `_rref_beside_identity` of [D G | D I], pivoting in D G's k columns
-    only, gives [R | D E], E G = R up to a factor per row and R of rank r;
-    E is kept as integer rows over one denominator.  Its rows below r, left
-    unreduced, are a basis of the span's equations, so v is in the span
-    when E v vanishes below row r, and then its first r entries are the
-    coordinates y(v) of v on the pivot generators.  When the distinct
-    nonzero generators are independent these are unique: the cone is
-    simplicial and the hull a simplex with vertex 0.
-    Otherwise y is one-to-one on the span, so one double description of
+    only, gives [R | D E], E G = R up to a positive factor per row and R of
+    rank r; E is kept as integer rows over one denominator.  Its rows below
+    r, the unreduced equation rows, are a basis of the span's equations, so
+    v is in the span when E v vanishes below row r, and then its first r
+    entries are the coordinates y(v) of v on the pivot generators.  When the
+    distinct nonzero generators are independent these are unique: the cone
+    is simplicial and the hull a simplex with vertex 0.  Otherwise y is one-to-one on the span, so one double description of
     rank r finds the facets: the hull's in dimension r + 1 on the normals
     (y(g), 1) and (0, 1), the cone's on the normals y(g).  They are
     enumerated on first use, before any span test, under FACET_STEP_BUDGET;
@@ -342,8 +339,8 @@ class _Span:
         self._pivots = tuple(pivots)
         self.k, self.rank = k, len(pivots)
         self.independent = self.rank == len({g for g in gens if any(g[1])})
-        # row i < r of E is row i of the elimination's E part over its pivot
-        # entry; the rows below are only tested for zero, so they stay as they are
+        # row i < r of E is row i's E part over its pivot entry; the equation
+        # rows below are only tested for zero, so they stay as they are
         e_den, scales = _pivot_scales(rows, pivots)
         scales += [1] * (dim - self.rank)
         e_rows = []
@@ -463,21 +460,19 @@ def cone_member(gens, x):
 
 def _span_frame(span_vectors, dim):
     """(pivot columns P, integer rows R): r rows with row space span(Z), row i
-    nonzero at pivot i and zero at every other pivot, from one fraction-free
-    elimination of the integer vectors made primitive; x = yR is
-    one-to-one from Q^r onto span(Z), and x -> x_P from span(Z) onto Q^r.
+    positive at pivot i and zero at every other pivot, the `_reduced` rows of
+    the integer vectors; x = yR is one-to-one from Q^r onto span(Z), and
+    x -> x_P from span(Z) onto Q^r.
 
     The producers pass the pair closure's echelon rows (positive leading
-    entries, each row zero at the later rows' leading columns), on which
-    the elimination only clears the entries above each pivot and keeps the
-    pivot entries positive: each pivot column of R is then d_k e_k, d_k > 0,
-    and its normal -d_k e_k in the restrictions lets the double description
-    start from the orthant (`_pointed_cone_rays`)."""
-    rows = [primitive(v) for v in span_vectors]
-    if any(len(r) != dim for r in rows):
+    entries, each row zero at the earlier rows' leading columns), whose
+    insertion eliminates nothing, so that only the back-substitution runs:
+    each pivot column of R is then d_k e_k, d_k > 0, and its normal -d_k e_k
+    in the restrictions lets the double description start from the orthant
+    (`_pointed_cone_rays`)."""
+    if any(len(v) != dim for v in span_vectors):
         raise ValueError("span vector of wrong dimension")
-    pivots = _int_rref(rows, dim)
-    return pivots, rows[:len(pivots)]
+    return _reduced(span_vectors)
 
 
 def cone_restriction(span_vectors):

@@ -536,7 +536,7 @@ def verify_zigzag(z, inputs=None):
     if sorted(sources + sinks) != list(range(n)):
         shape_ok = False
     x1, x2 = z.endpoints
-    if len(x1[1]) != nodes[0].dim or len(x2[1]) != nodes[-1].dim:
+    if not nodes or len(x1[1]) != nodes[0].dim or len(x2[1]) != nodes[-1].dim:
         shape_ok = False
     indices = [i for i, _ in z.relating]
     if len(set(indices)) != len(indices):

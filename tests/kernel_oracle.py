@@ -8,6 +8,11 @@ re-applied every map to the whole basis each round, and the double
 description's initial simplex (an `_Echelon` pass, then the rref of
 [B | I]).  The tests require equal values of equal type.
 
+`_int_rref` is the fraction-free Gauss-Jordan loop that every reduced row
+echelon form of the package ran before they all grew an `_Echelon` read by
+one back-substitution (`_Echelon.reduced`); the tests require its pivots
+and its rows over their pivot entries.
+
 `FullSpan` is the verifier's carrier factorization as it was before its
 elimination stopped at the generators' columns: the whole [D G | D I]
 eliminated, every row pivoting in one column.  The tests require the
@@ -20,7 +25,7 @@ from math import gcd, lcm
 
 from matvec_oracle import (entrywise_apply, entrywise_dot, fraction_rows, fractions, funit,
                            ineq_pairs, vector, vneg, vrep, zeros)
-from wazz.linalg import Lattice, Mat, _int_rref, as_int_vec, is_integral, is_zero
+from wazz.linalg import Lattice, Mat, _eliminate, as_int_vec, is_integral, is_zero
 from wazz.polyhedra import INFINITY, _Span, cone_rays, dd_v_to_h
 
 
@@ -40,6 +45,32 @@ def primitive(v, flip_sign=False):
         if lead < 0:
             ints = [-a for a in ints]
     return tuple(ints)
+
+
+def _int_rref(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place;
+    returns the pivot columns.
+
+    Afterwards row i < rank has a nonzero entry at pivot i and zeros at every
+    other pivot column, and the rows from the rank on are zero; dividing row
+    i by its pivot entry gives the reduced row echelon form."""
+    nr = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        for i in range(nr):
+            if i != r and rows[i][c]:
+                rows[i] = _eliminate(rows[i], prow, c)
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
 def rref(m):

@@ -13,9 +13,10 @@ import pytest
 
 import dd_oracle
 from genrandom import lifted_pair, two_lifts
-from wazz import linalg, polyhedra
+from kernel_oracle import _int_rref
+from wazz import linalg, pca, polyhedra
 from wazz.automata import SemiringTag, WeightedAutomaton, pair_quotient, pair_submodule
-from wazz.linalg import Mat, _int_rref, _pivot_scales
+from wazz.linalg import Mat, _pivot_scales
 from wazz.polyhedra import PRODUCT, SCALED, cone_restriction, simplex_restriction
 from wazz.zigzag import cubic_zigzag, ghat_zigzag
 
@@ -206,22 +207,46 @@ def test_a_missing_negative_unit_takes_the_elimination_start(simplex_calls):
 def test_no_producer_zigzag_runs_the_elimination_start(tag, simplex_calls, monkeypatch):
     """The producers' restrictions run on the closure's rows, whose frame
     holds every -e_k: no `_initial_simplex`, and one elimination of the
-    word images in all, the closure's."""
-    echelons = []
-    original = linalg._Echelon.__init__
+    word images in all, the closure's.  Each frame (`_span_frame`) inserts
+    those rows, already in echelon form, into an `_Echelon` of its own that
+    eliminates nothing; the pca pyramid's fixed point (`solve`) eliminates
+    its own system, not the word images."""
+    owners, echelons = [], []
+    init, residue = linalg._Echelon.__init__, linalg._Echelon.residue
 
-    def spy(self):
+    def spy_init(self):
+        init(self)
+        self.owner, self.eliminated = owners[-1] if owners else None, 0
         echelons.append(self)
-        original(self)
 
-    monkeypatch.setattr(linalg._Echelon, "__init__", spy)
+    def spy_residue(self, ints):
+        res = residue(self, ints)
+        self.eliminated += res is not ints
+        return res
+
+    def owned(name, f):
+        def run(*args):
+            owners.append(name)
+            try:
+                return f(*args)
+            finally:
+                owners.pop()
+        return run
+
+    monkeypatch.setattr(linalg._Echelon, "__init__", spy_init)
+    monkeypatch.setattr(linalg._Echelon, "residue", spy_residue)
+    monkeypatch.setattr(polyhedra, "_span_frame", owned("frame", polyhedra._span_frame))
+    monkeypatch.setattr(pca, "solve", owned("solve", pca.solve))
     build = ghat_zigzag if tag is T.PCA else cubic_zigzag
-    built = 0
+    built = frames = 0
     for kind, pair in pairs(tag):
         if kind == "full rank" and tag is T.PCA:
             continue  # a zero-output diagonal pca pair reduces to no states
         echelons.clear()
         build(*pair)
         built += 1
-        assert len(echelons) == 1
-    assert built and simplex_calls == []
+        assert [e.owner for e in echelons].count(None) == 1
+        later = [e for e in echelons if e.owner == "frame"]
+        assert all(e.eliminated == 0 for e in later)
+        frames += len(later)
+    assert built and frames and simplex_calls == []

@@ -20,6 +20,7 @@ from wazz.zigzag import (CUBIC, FREE_MODULE, FREE_PCA, GENERATED_MODULE,
                          ghat_zigzag, parse_zigzag, verify_zigzag, zigzag_to_text)
 
 import kernel_oracle
+import verify_oracle
 from genrandom import (lifted_pair, rand_automaton, rand_config, report_witnesses,
                        with_redundant_generators)
 from matvec_oracle import fraction_rows, fractions, identity, sconcat, svec, transpose, zero
@@ -552,6 +553,17 @@ class TestShapeChecks:
         report = verify_zigzag(flipped)
         assert not report.valid
         assert any(c.name == "shape" for c in report.failures())
+
+    def test_empty_chain_rejected(self):
+        """A chain with no nodes fails the shape check, in the verifier and
+        in its oracle, instead of reading a first node."""
+        z = cubic_zigzag(*qplus_pair())
+        empty = ZigZag(functor=z.functor, tag=z.tag, alphabet=z.alphabet, nodes=(),
+                       morphisms=(), relating=(), endpoints=z.endpoints)
+        for verify in (verify_zigzag, verify_oracle.verify_zigzag):
+            report = verify(empty)
+            assert not report.valid
+            assert [c.name for c in report.failures()] == ["shape"]
 
 
 class TestGhatNegativeControls:

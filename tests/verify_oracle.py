@@ -234,7 +234,7 @@ def verify_zigzag(z):
     if sorted(sources + sinks) != list(range(n)):
         shape_ok = False
     x1, x2 = map(fractions, z.endpoints)
-    if len(x1) != nodes[0].dim or len(x2) != nodes[-1].dim:
+    if not nodes or len(x1) != nodes[0].dim or len(x2) != nodes[-1].dim:
         shape_ok = False
     indices = [i for i, _ in z.relating]
     if len(set(indices)) != len(indices):

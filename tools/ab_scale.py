@@ -12,13 +12,15 @@ pair `tests/genrandom.py::lifted_pair(Random(seed), tag, k, e, letters)`: a
 this checkout's package.  The form `tag:k+e:letters:neg` is the same pair
 with 1 added to the first entry of the small side's start, a negative case
 for the tags whose starts are not bounded by 1 (not `unit` or `pca`).  Each
-op (`zigzag A B -o W`, `equiv A B`) runs on both trees one right after the
-other, the order alternating from round to round, each call from empty
-`functools` caches.  The report gives the process CPU seconds
-(`time.process_time`) of each call, their median per tree over the rounds
-and the ratio NEW / OLD.  Each tree writes its own witness; their sha256
-must agree, and so must the exit codes and the standard output of `equiv`.
-The command exits 1 on any difference.  Standard library only.
+op (`zigzag A B -o W`, `equiv A B`, `verify W A B`) runs on both trees one
+right after the other, the order alternating from round to round, each call
+from empty `functools` caches.  `verify` reads each tree's own witness, which
+that tree's `zigzag` writes, untimed, when no `zigzag` op ran before it.  The
+report gives the process CPU seconds (`time.process_time`) of each call,
+their median per tree over the rounds and the ratio NEW / OLD.  Each tree
+writes its own witness; their sha256 must agree, and so must the exit codes
+and the standard output of `equiv` and `verify`.  The command exits 1 on any
+difference.  Standard library only.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from time import process_time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_CASES = ("pca:30+4:a", "pca:40+5:a", "pca:40+5:ab", "unit:40+5:ab",
                  "rplus:80+10:ab", "q:80+10:ab", "int:80+10:ab", "int:40+5:ab:neg")
-OPS = ("zigzag", "equiv")
+OPS = ("zigzag", "equiv", "verify")
 
 
 def load_inproc():
@@ -101,8 +103,9 @@ def run_op(inproc, mains, op, left, right, witnesses, order):
     results = {}
     for tree in order:
         inproc.clear_caches(("wazz_a", "wazz_b")[tree])
-        argv = (["zigzag", left, right, "-o", witnesses[tree]] if op == "zigzag"
-                else ["equiv", left, right])
+        argv = {"zigzag": ["zigzag", left, right, "-o", witnesses[tree]],
+                "equiv": ["equiv", left, right],
+                "verify": ["verify", witnesses[tree], left, right]}[op]
         rc, out, seconds = timed_call(mains[tree], argv)
         if op == "zigzag" and rc == 0:
             with open(witnesses[tree], "rb") as fh:
@@ -121,12 +124,12 @@ def main(argv=None):
                         help="tag:k+e:letters or tag:k+e:letters:neg (repeatable; default: "
                              + " ".join(DEFAULT_CASES) + ")")
     parser.add_argument("--op", action="append", choices=OPS,
-                        help="op to time (repeatable; default: both)")
+                        help="op to time (repeatable; default: all three)")
     parser.add_argument("--seed", type=int, default=0, help="seed of `random.Random` per case")
     parser.add_argument("--rounds", type=int, default=1)
     args = parser.parse_args(argv)
     cases = args.case or [parse_case(c) for c in DEFAULT_CASES]
-    ops = args.op or list(OPS)
+    ops = [op for op in OPS if op in (args.op or OPS)]  # zigzag writes before verify reads
 
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
     inproc = load_inproc()
@@ -136,9 +139,11 @@ def main(argv=None):
     differ = 0
     workdir = tempfile.mkdtemp(prefix="wazz-scale-")
     try:
-        for case in cases:
+        for index, case in enumerate(cases):
             left, right = write_case(case, args.seed, workdir)
-            witnesses = [os.path.join(workdir, f"w{tree}.zz") for tree in "ab"]
+            witnesses = [os.path.join(workdir, f"case{index}-{tree}.zz") for tree in "ab"]
+            if "verify" in ops and "zigzag" not in ops:
+                run_op(inproc, mains, "zigzag", left, right, witnesses, (0, 1))
             label = f"{case[0]} {case[1]}+{case[2]} {case[3]}{' neg' * case[4]}"
             for op in ops:
                 times, digests = ([], []), set()
