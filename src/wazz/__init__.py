@@ -5,7 +5,7 @@ from .linalg import Mat, Lattice, scaled, rref, kernel_basis, solve, hnf, closur
 from .automata import (SemiringTag, LinearCoalgebra, WeightedAutomaton, Trace,
                        NotEquivalent, step, trace, pair_submodule, equivalent,
                        parse_automaton, automaton_to_text)
-from .hilbert import IntConeSpec, hilbert_basis, nat_restriction
+from .hilbert import hilbert_basis, nat_restriction
 from .polyhedra import (HRep, VRep, PcaPolytope, INFINITY, InternalError, dd_h_to_v,
                         dd_v_to_h, gauge, cone_restriction, simplex_restriction)
 from .pca import PyramidCert, InvariantZeroSet, pyramid_extension, reduce_invariant_set
@@ -19,7 +19,7 @@ __all__ = [
     "SemiringTag", "LinearCoalgebra", "WeightedAutomaton", "Trace", "NotEquivalent",
     "step", "trace", "pair_submodule", "equivalent",
     "parse_automaton", "automaton_to_text",
-    "IntConeSpec", "hilbert_basis", "nat_restriction",
+    "hilbert_basis", "nat_restriction",
     "HRep", "VRep", "PcaPolytope", "INFINITY", "InternalError", "dd_h_to_v", "dd_v_to_h",
     "gauge", "cone_restriction", "simplex_restriction",
     "PyramidCert", "InvariantZeroSet", "pyramid_extension", "reduce_invariant_set",

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .automata import NotEquivalent, SemiringTag, equivalent, parse_automaton, trace
 from .formats import LineReader, ParseError, fmt_rat, fmt_ratio, fmt_vec, parse_rat, word_text
-from .hilbert import IntConeSpec, hilbert_basis
+from .hilbert import hilbert_basis
 from .linalg import Mat, scaled, unit
 from .polyhedra import (INFINITY, InternalError, SearchBudgetExceeded, dd_h_to_v,
                         dd_v_to_h, gauge, hrep_to_text, parse_hrep, parse_pca_polytope,
@@ -142,8 +142,8 @@ def _cmd_hilbert(args):
                           "must be an integer")
         rows.append(row)
     if len(r.lines) > k + 1:
-        r.error(line, "trailing input after the constraint matrix")
-    for g in hilbert_basis(IntConeSpec(k=k, w=Mat(rows))):
+        r.error(r.lines[k + 1][0], "trailing input after the constraint matrix")
+    for g in hilbert_basis(Mat(rows)):
         print(" ".join(str(a) for a in g))
     return 0
 

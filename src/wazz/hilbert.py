@@ -4,45 +4,20 @@ The core computation finds the minimal nonzero elements of L ∩ N^m for a
 sublattice L of Z^m by a Pottier-style completion: maintain a set of lattice
 vectors closed under sign-compatible reduction of pairwise sums; the
 nonnegative members of the closure, minimalized under the componentwise
-order, are exactly the monoid's minimal generators.  Cones with lines are
-split into a kernel lattice (emitted as +/- generator pairs) and a pointed
-image part, which keeps the completion terminating.
+order, are exactly the monoid's minimal generators.  A cone x.W >= 0 is
+answered by one HNF of [W | I]: its rows split it into a kernel lattice
+(emitted as +/- generator pairs) and a pointed image part, which keeps the
+completion terminating, and every minimal image element is lifted by one
+reduction against the same rows.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import insort
-from dataclasses import dataclass
 from itertools import count
 
-from .linalg import (Mat, _reduced, as_int_vec, hnf, hnf_with_transform, is_zero,
-                     lattice_coords, lattice_reduce, primitive)
-
-
-@dataclass(frozen=True)
-class IntConeSpec:
-    """The integer cone {x in Z^k : x . W >= 0} for a k x m matrix W."""
-
-    k: int
-    w: Mat
-
-    def __post_init__(self):
-        if self.w.nrows != self.k:
-            raise ValueError("W must have k rows")
-        if self.w.den != 1:
-            raise ValueError("W must be an integer matrix")
-
-    @property
-    def m(self):
-        return self.w.ncols
-
-    def image(self, x):
-        """x . W as an integer vector of length m."""
-        if len(x) != self.k:
-            raise ValueError("dimension mismatch")
-        rows = self.w.dense()
-        return as_int_vec(tuple(sum(a * r[j] for a, r in zip(x, rows)) for j in range(self.m)))
+from .linalg import _hnf_reduce, _reduced, hnf, hnf_with_transform, is_zero, primitive
 
 
 def graded_lex_key(v):
@@ -114,8 +89,9 @@ def _completion(rows):
     return [g for _, g in gens]
 
 
-def _orthant_minimals(lat):
-    """Minimal nonzero elements of L ∩ N^m, graded-lexicographically sorted."""
+def nat_restriction(lat):
+    """Monoid generators of Z ∩ N^m for a lattice Z given in HNF: the
+    minimal nonzero elements, graded-lexicographically sorted."""
     if not lat.basis:
         return []
     closure = _completion(lat.basis)
@@ -128,30 +104,27 @@ def _orthant_minimals(lat):
     return minimal
 
 
-def nat_restriction(lat):
-    """Monoid generators of Z ∩ N^m for a lattice Z given in HNF."""
-    return _orthant_minimals(lat)
+def hilbert_basis(w):
+    """Monoid generators of {x in Z^k : x.W >= 0}, W a k x m integer `Mat`.
 
-
-def hilbert_basis(spec):
-    """Monoid generators of {x in Z^k : x.W >= 0}.
-
-    Kernel lines come out as +/- pairs of the kernel lattice basis; the rest
-    are the canonical preimages of the minimal elements of (row lattice of W)
-    ∩ N^m, reduced modulo the kernel.  For a pointed cone this is exactly the
-    set of minimal nonzero elements, the unique Hilbert basis.
+    One HNF of [W | I] answers it (Cohen 1993, §2.4).  Its rows below
+    `rank` are the kernel lattice's HNF basis, and come out as +/- pairs.
+    Each minimal element a of (row lattice of W) ∩ N^m is lifted by the
+    HNF reduction of [-a | 0] against all its rows: a lies in the lattice,
+    so the W part clears exactly and leaves a preimage of a, already
+    reduced modulo the kernel.  For a pointed cone this is exactly the set
+    of minimal nonzero elements, the unique Hilbert basis.
     """
-    image_lat, transform, rank = hnf_with_transform(spec.w.dense(), dim=spec.m)
-    kernel = hnf(transform[rank:], dim=spec.k)
+    if w.den != 1:
+        raise ValueError("W must be an integer matrix")
+    k, m = w.nrows, w.ncols
+    image_lat, transform, rank = hnf_with_transform(w.dense(), dim=m)
     out = []
-    for u in kernel.basis:
-        out.append(tuple(u))
-        out.append(tuple(-a for a in u))
-    for a in _orthant_minimals(image_lat):
-        coords = lattice_coords(a, image_lat)
-        lift = tuple(sum(coords[i] * transform[i][t] for i in range(rank))
-                     for t in range(spec.k))
-        out.append(lattice_reduce(lift, kernel))
+    for u in transform[rank:]:
+        out += [u, tuple(-a for a in u)]
+    rows = [h + u for h, u in zip(image_lat.basis + ((0,) * m,) * (k - rank), transform)]
+    for a in nat_restriction(image_lat):
+        out.append(tuple(_hnf_reduce([-b for b in a] + [0] * k, rows)[m:]))
     return sorted(set(out), key=graded_lex_key)
 
 

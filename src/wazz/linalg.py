@@ -393,8 +393,10 @@ def hnf_with_transform(rows, dim):
 
     Returns (lattice, transform_rows, rank) where the first `rank` transform
     rows express the HNF basis as integer combinations of the input rows and
-    the remaining ones span the left kernel of the input matrix.  They are
-    the HNF rows of [W | I], W the input, split at the first pivot in I.
+    the remaining ones are the HNF basis of the left kernel of the input
+    matrix.  They are the HNF rows of [W | I], W the input, split at the
+    first pivot in I; the rows below `rank` are zero on W and so stay in
+    HNF on their own (Cohen 1993, §2.4).
     """
     k = len(rows)
     full = hnf([tuple(r) + unit(k, i)[1] for i, r in enumerate(rows)], dim + k).basis
@@ -431,16 +433,6 @@ def _pivot_coords(w, basis, pivots):
     for i, p in enumerate(pivots):
         coords.append((w[i] - sum(map(mul, coords, [b[p] for b in basis[:i]]))) // basis[i][p])
     return tuple(coords)
-
-
-def lattice_coords(v, lattice):
-    """Integer coordinates of v in the HNF basis, or None if v is outside:
-    `_pivot_coords` of v's pivot entries, once v reduces to zero."""
-    v, basis = as_int_vec(v), lattice.basis
-    if any(_hnf_reduce(v, basis)):
-        return None
-    pivots = [_pivot(row) for row in basis]
-    return _pivot_coords([v[p] for p in pivots], basis, pivots)
 
 
 class _Echelon:

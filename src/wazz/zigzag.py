@@ -710,7 +710,7 @@ def parse_zigzag(text, source="<witness>"):
     line, toks = r.keyword(k + 2, "right")
     right = r.row(line, toks, nodes[-1].dim)
     if k + 3 < len(r.lines):
-        r.error(line, "trailing input after witness")
+        r.error(r.lines[k + 3][0], "trailing input after witness")
     return ZigZag(functor=functor, tag=tag, alphabet=alphabet, nodes=tuple(nodes),
                   morphisms=tuple(morphisms), relating=tuple(relating),
                   endpoints=(left, right))

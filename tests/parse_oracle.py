@@ -261,6 +261,7 @@ def parse_zigzag(text, source="<witness>"):
     left = scaled(r.parse_rats(r.next_keyword("left"), nodes[0].dim))
     right = scaled(r.parse_rats(r.next_keyword("right"), nodes[-1].dim))
     if r:
+        r.next_line()
         r.error("trailing input after witness")
     return ZigZag(functor=functor, tag=tag, alphabet=alphabet, nodes=tuple(nodes),
                   morphisms=tuple(morphisms), relating=tuple(relating),

@@ -14,7 +14,7 @@ import pytest
 
 from wazz.automata import (LinearCoalgebra, SemiringTag, WeightedAutomaton, equivalent,
                            trace)
-from wazz.hilbert import IntConeSpec, hilbert_basis
+from wazz.hilbert import hilbert_basis
 from wazz.linalg import Mat, scaled, unit
 from wazz.pca import invariant_zero_set, pyramid_extension, reduce_invariant_set
 from wazz.polyhedra import HRep, INFINITY, PcaPolytope, dd_h_to_v, dd_v_to_h, gauge
@@ -121,7 +121,7 @@ def test_criterion_4_hilbert_correctness():
             ([(1,), (0,)], [(0, -1), (0, 1), (1, 0)]),
         ]
         for rows, expected in fixed:
-            assert hilbert_basis(spec_of(rows)) == expected
+            assert hilbert_basis(Mat(rows)) == expected
         # the even-coordinate-sum lattice inside N^2
         from wazz.hilbert import nat_restriction
         from wazz.linalg import hnf
@@ -132,7 +132,7 @@ def test_criterion_4_hilbert_correctness():
             k = rng.randint(2, 3)
             m = rng.randint(1, 3)
             s = spec_of([tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(k)])
-            basis = hilbert_basis(s)
+            basis = hilbert_basis(s.w)
             if not basis:
                 continue
             done += 1

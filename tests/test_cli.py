@@ -255,6 +255,18 @@ class TestZigzagVerify:
         assert capsys.readouterr().out.splitlines()[1:] == [
             f"  input[{side}]: {detail}" for side in ("left", "right")]
 
+    def test_trailing_input_names_the_stray_line(self, tmp_path, capsys):
+        a = write(tmp_path, "a.wa", HALF_LOOP)
+        w = str(tmp_path / "w.zz")
+        assert main(["zigzag", a, a, "-o", w]) == 0
+        text = open(w).read()
+        capsys.readouterr()
+        for extra, offset in (("right 1\n", 1), ("\n# a note\nright 1\n", 3)):
+            bad = write(tmp_path, "bad.zz", text + extra)
+            assert main(["verify", bad]) == 2
+            line = text.count("\n") + offset
+            assert capsys.readouterr().err == f"{bad}:{line}: trailing input after witness\n"
+
     def test_verify_needs_both_inputs(self, tmp_path, capsys):
         a = write(tmp_path, "a.wa", HALF_LOOP)
         out = str(tmp_path / "w.zz")
@@ -322,6 +334,18 @@ class TestHilbert:
         lines = capsys.readouterr().out.splitlines()
         assert lines == ["1 0", "1 1"]
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("2\n1 0\n0 1\n", 1, "expected dimension line: <k> <m>"),
+        ("1 1\n1/2\n", 2, "entry 1/2 must be an integer"),
+        ("2 2\n1 0\n0 1\n5 5\n", 4, "trailing input after the constraint matrix"),
+        # the stray row is named, not the last row read
+        ("2 2\n1 0\n0 1\n\n# more\n5 5\n", 6, "trailing input after the constraint matrix"),
+    ])
+    def test_cone_diagnostics_name_their_line(self, tmp_path, capsys, text, line, message):
+        cone = write(tmp_path, "c.txt", text)
+        assert main(["hilbert", cone]) == 2
+        assert capsys.readouterr().err == f"{cone}:{line}: {message}\n"
+
 
 class TestPolytope:
     SIMPLEX_H = "hrep 2\nineq -1 0 0\nineq 0 -1 0\nineq 1 1 1\n"
@@ -336,6 +360,19 @@ class TestPolytope:
         h = write(tmp_path, "e.hrep", "hrep 1\nineq -1 -1\nineq 1 0\n")
         assert main(["polytope", "tovertices", h]) == 1
         assert "empty" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, direction, text, line, message", [
+        ("h.hrep", "tovertices", "hrep\nineq 1 0\n", 1, "expected: hrep <dim>"),
+        ("h.hrep", "tovertices", "hrep 1\nineq 1 0\npoint 1\n", 3,
+         "unexpected directive 'point'"),
+        ("v.vrep", "tofacets", "vrep 1\npoint 1\n\nineq 1 0\n", 4,
+         "unexpected directive 'ineq'"),
+    ])
+    def test_readers_name_file_and_line(self, tmp_path, capsys, name, direction, text, line,
+                                        message):
+        path = write(tmp_path, name, text)
+        assert main(["polytope", direction, path]) == 2
+        assert capsys.readouterr().err == f"{path}:{line}: {message}\n"
 
     def test_v_to_h_roundtrip(self, tmp_path, capsys):
         h = write(tmp_path, "s.hrep", self.SIMPLEX_H)
@@ -367,6 +404,11 @@ class TestGauge:
     def test_usage_error(self, tmp_path, capsys):
         p = write(tmp_path, "d1.pca", "pca 1\ngen 1\n")
         assert main(["gauge", p, "1", "2"]) == 2
+
+    def test_reader_names_file_and_line(self, tmp_path, capsys):
+        p = write(tmp_path, "d1.pca", "pca 1\ngen 1\npoint 1\n")
+        assert main(["gauge", p, "1"]) == 2
+        assert capsys.readouterr().err == f"{p}:3: unexpected directive 'point'\n"
 
 
 class TestParserBuiltOnce:

@@ -151,6 +151,107 @@ class TestGoldenDiagnostics:
             parse(text, name)
 
 
+# The fixed words of each format: its directives, and for a witness the
+# functors and node kinds of its headers and the words of a node line
+_WA_KEYWORDS = ("semiring", "alphabet", "states", "output", "trans", "state")
+_ZZ_KEYWORDS = ("zigzag", zigzag.CUBIC, zigzag.GHAT, "alphabet", "nodes", "node",
+                *zigzag.KINDS, "dim", "generators", "out", "trans", "morphisms", "morphism",
+                "relating", "at", "left", "right")
+_UNKNOWN_WORD = "whatever"
+
+
+def structural_mutations(text, keywords):
+    """family -> [(key, mutated text)]: each line dropped, each line
+    doubled, each keyword replaced by each other keyword of the format and
+    by an unknown word, and the file cut after each line."""
+    lines = text.split("\n")
+    out = {"drop-line": [], "duplicate-line": [], "keyword": [], "cut": []}
+    for i, line in enumerate(lines):
+        if not line.split() or line.startswith("#"):
+            continue
+        out["drop-line"].append(((i,), "\n".join(lines[:i] + lines[i + 1:])))
+        out["duplicate-line"].append(((i,), "\n".join(lines[:i + 1] + lines[i:])))
+        out["cut"].append(((i,), "\n".join(lines[:i + 1])))
+        toks = line.split()
+        for j, t in enumerate(toks):
+            if t in keywords:
+                for word in [w for w in keywords if w != t] + [_UNKNOWN_WORD]:
+                    mutated = " ".join(toks[:j] + [word] + toks[j + 1:])
+                    out["keyword"].append(((i, j, word),
+                                           "\n".join(lines[:i] + [mutated] + lines[i + 1:])))
+    return out
+
+
+def corpus_structural_mutations(name, text):
+    return structural_mutations(text, _ZZ_KEYWORDS if name.endswith(".zz") else _WA_KEYWORDS)
+
+
+class TestStructuralDiagnostics:
+    """Files broken in their structure rather than in a literal: every
+    reader's outcome held to the line-by-line oracle, and the (key, line,
+    message) records of each family pinned."""
+
+    # (number of mutated files, sha256 of the repr of their records)
+    GOLDEN = {
+        ("pca.zz", "cut"):
+            (92, "88fca7c73cbc56437a310057611f45a980ba2d9bec4bbec21dc11076390c776e"),
+        ("pca.zz", "drop-line"):
+            (92, "534429860fce345425e379cedf01a9661148beac95b1145ce0252e10774b7c15"),
+        ("pca.zz", "duplicate-line"):
+            (92, "057a5c1dda07d96e39fb3dd1f2f7b3ef9901185c13d42b33e55db43d737ba83b"),
+        ("pca.zz", "keyword"):
+            (1000, "83bcd220b74ede9214bd7754d64fa6ed43c9d28dc1612349afa377df89bd3c2c"),
+        ("q-left.wa", "cut"):
+            (13, "5bd0a3fb615c0645b2737232adafee75c6c93eef2e89a76a3c55035bea95f44e"),
+        ("q-left.wa", "drop-line"):
+            (13, "15dfe182121656401339f83fce07444d57e39803df5bd9a60af372b1f8309fbe"),
+        ("q-left.wa", "duplicate-line"):
+            (13, "2f6fac11411c87d2c79d27a4544fbd9f6d9ad8d9b316b1ffdb74bd0fd2aaa7d0"),
+        ("q-left.wa", "keyword"):
+            (42, "498889fab4c2e624fdedac30aa8dac781fae137e48b4fa9e806e0370e4fd3e50"),
+        ("q-right.wa", "cut"):
+            (11, "0dc0dfd4fe28987575f2436b14777d8afd80251b9755c0b561efce155ea8bf21"),
+        ("q-right.wa", "drop-line"):
+            (11, "7c04f6d45961f777a7516dbedeb0163dfc81e3b8a417fbccea983e6b1cc2d713"),
+        ("q-right.wa", "duplicate-line"):
+            (11, "05e8598f7073037e00453077a036ab7cd5286e81eba173695f89ceb75174d746"),
+        ("q-right.wa", "keyword"):
+            (42, "85580c590bf0d2393bf3b60fd6c8d7c3c2316cc7906411630c2d3a9a833a31a7"),
+        ("q.zz", "cut"):
+            (60, "3dff9bfb3874f57f9dadf57d46400a811ec780c5c5a0b4194c1aa70b802bd9d2"),
+        ("q.zz", "drop-line"):
+            (60, "77754e90ad06557de60960d5547cf21bc23697249ac21334a559d408bff846fc"),
+        ("q.zz", "duplicate-line"):
+            (60, "835c1c2251b121a371a5a2444ecf6e4f001bfca4c9680c6269b4cf1e9699ebdc"),
+        ("q.zz", "keyword"):
+            (640, "b9ac111ad3acf151b620a074cd340ea3c2a00dbc18533cce3c5bd01ddd9e7657"),
+        ("zero-dim.zz", "cut"):
+            (33, "4c3f4bb8001aeab7432603bd2ec4201a631bd8e4a88e6ac5bffcfe729df64640"),
+        ("zero-dim.zz", "drop-line"):
+            (33, "e5ee090d6ea39df15571d7431f6f7da35b617faec81b7f02db54391a2dcefe5e"),
+        ("zero-dim.zz", "duplicate-line"):
+            (33, "f792d6fe44875bc3c8aacc7c1ddd62ceb4865cb38eb6e82ff1f2b25140782e88"),
+        ("zero-dim.zz", "keyword"):
+            (900, "115fb7cd977937943f9fa6414bf8ba53c5a0d43e46772de3b245a111671c54d4"),
+    }
+
+    @pytest.mark.parametrize("name, family", sorted(GOLDEN))
+    def test_every_diagnostic_is_kept(self, name, family):
+        text, parse = diagnostic_corpus()[name]
+        records = diagnostics(name, parse, corpus_structural_mutations(name, text)[family])
+        assert (len(records), _digest(records)) == self.GOLDEN[name, family]
+
+    def test_readers_match_oracle(self):
+        for name, (text, parse) in diagnostic_corpus().items():
+            oracle = TestReadersMatchOracle.oracle(parse)
+            for family, cases in corpus_structural_mutations(name, text).items():
+                assert cases, (name, family)
+                for key, mutated in cases:
+                    got = outcome(parse, mutated, name)
+                    assert got == outcome(oracle, mutated, name), (name, family, key)
+                    assert got[0] in ("parsed", "ParseError"), (name, family, key, got)
+
+
 def tag_mutations(text):
     """family -> [(key, mutated text)] of an automaton file: each weight
     rule broken where the file states it.  Each block entry made -1 (and
@@ -602,8 +703,7 @@ class TestAsciiNumerals:
         assert str(err.value) == f"num.wa:{lineno}: {message}"
 
     def test_witness_counts(self):
-        text = zigzag_to_text(cubic_zigzag(*lifted_pair(random.Random("formats/ascii"),
-                                                        T.Q, 1, 1, ("a",))))
+        text = sample_witness()
         for old, new in (("nodes 3", "nodes ٣"), ("morphisms 2", "morphisms 2_0")):
             lineno = text.split("\n").index(old) + 1
             with pytest.raises(ParseError) as err:
@@ -613,6 +713,55 @@ class TestAsciiNumerals:
     @pytest.mark.parametrize("token, value", [("+2", 2), ("002", 2), ("-1", -1)])
     def test_parse_int_sign_rule(self, token, value):
         assert LineReader("").integer(token, 1) == value
+
+
+def sample_witness():
+    """A cubic q witness of one letter: nodes 0 (dim 2), 1 and 2 (dim 1),
+    morphisms 0 -> 1 and 2 -> 1, and relating elements at 0 and 2."""
+    return zigzag_to_text(cubic_zigzag(*lifted_pair(random.Random("formats/ascii"),
+                                                    T.Q, 1, 1, ("a",))))
+
+
+class TestDiagnosticsOfEachRule:
+    """One hand-made file per rule of the readers that no mutation family
+    breaks: the exact `file:line: message`, and the oracle's text."""
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("semiring q", "semiring q q", "expected exactly one semiring tag"),
+        ("alphabet a", "alphabet", "alphabet must not be empty"),
+        ("states 2", "states 2 2", "expected exactly one state count"),
+        ("states 2", "states 0", "expected an integer >= 1, got 0"),
+        ("trans a", "trans b", "unknown symbol 'b'"),
+        ("state 1 0", "trans a\n0 1\n1 0", "duplicate transition block for 'a'"),
+    ])
+    def test_automaton(self, old, new, message):
+        import parse_oracle
+        lines = SAMPLE_WA.split("\n")
+        lineno = lines.index(old) + 1
+        text = _with_line(SAMPLE_WA, lineno, new)
+        got = outcome(parse_automaton, text, "r.wa")
+        assert got == ("ParseError", f"r.wa:{lineno}: {message}")
+        assert got == outcome(parse_oracle.parse_automaton, text, "r.wa")
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("zigzag cubic q", "zigzag cubic", "expected: zigzag <functor> <tag>"),
+        ("zigzag cubic q", "zigzag cubic z", "unknown semiring 'z'"),
+        ("alphabet a", "alphabet a a", "alphabet must be nonempty and distinct"),
+        ("alphabet a", "alphabet", "alphabet must be nonempty and distinct"),
+        ("nodes 3", "nodes 0", "expected an integer >= 1, got 0"),
+        ("trans a", "trans b", "expected transition block for 'a'"),
+        ("morphism 0 1", "morphism 0", "expected: morphism <from> <to>"),
+        ("at 0 -1 0", "at", "expected: at <node> <element>"),
+        ("at 0 -1 0", "at 3 -1 0", "relating node out of range"),
+    ])
+    def test_witness(self, old, new, message):
+        import parse_oracle
+        sample = sample_witness()
+        lineno = sample.split("\n").index(old) + 1
+        text = _with_line(sample, lineno, new)
+        got = outcome(parse_zigzag, text, "r.zz")
+        assert got == ("ParseError", f"r.zz:{lineno}: {message}")
+        assert got == outcome(parse_oracle.parse_zigzag, text, "r.zz")
 
 
 class TestLineEnds:

@@ -1,15 +1,13 @@
 import random
+from fractions import Fraction as F
+
+import pytest
 
 from wazz.linalg import Lattice, Mat, hnf, lattice_member
-from wazz.hilbert import (IntConeSpec, graded_lex_key, hilbert_basis, nat_restriction,
-                          qplus_restriction_by_scaling)
+from wazz.hilbert import hilbert_basis, nat_restriction, qplus_restriction_by_scaling
 
-from hilbert_oracle import hilbert_bruteforce_oracle, in_cone
+from hilbert_oracle import hilbert_basis_by_coords, hilbert_bruteforce_oracle, in_cone, spec_of
 from matvec_oracle import vector
-
-
-def spec_of(rows):
-    return IntConeSpec(k=len(rows), w=Mat(rows))
 
 
 def monoid_member(gens, v, spec):
@@ -54,16 +52,16 @@ def monoid_member(gens, v, spec):
 
 class TestFixedExamples:
     def test_orthant(self):
-        assert hilbert_basis(spec_of([(1, 0), (0, 1)])) == [(0, 1), (1, 0)]
+        assert hilbert_basis(Mat([(1, 0), (0, 1)])) == [(0, 1), (1, 0)]
 
     def test_staircase(self):
         # x1 - x2 >= 0, x2 >= 0; oracle-confirmed below
         s = spec_of([(1, 0), (-1, 1)])
-        assert hilbert_basis(s) == [(1, 0), (1, 1)]
+        assert hilbert_basis(s.w) == [(1, 0), (1, 1)]
 
     def test_halfplane_has_line(self):
         s = spec_of([(1,), (0,)])
-        basis = hilbert_basis(s)
+        basis = hilbert_basis(s.w)
         assert (0, 1) in basis and (0, -1) in basis
         assert basis == [(0, -1), (0, 1), (1, 0)]
 
@@ -82,7 +80,7 @@ class TestOracle:
     def test_matches_fixed_examples(self):
         for rows in ([(1, 0), (0, 1)], [(1, 0), (-1, 1)], [(1,), (0,)]):
             s = spec_of(rows)
-            assert hilbert_bruteforce_oracle(s, 3) == hilbert_basis(s)
+            assert hilbert_bruteforce_oracle(s, 3) == hilbert_basis(s.w)
 
     def test_trivial_cone(self):
         # x >= 0 and -x >= 0 in Z^1 forces x = 0
@@ -101,7 +99,7 @@ class TestRandomCones:
             m = rng.randint(1, 3)
             rows = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(k)]
             s = spec_of(rows)
-            basis = hilbert_basis(s)
+            basis = hilbert_basis(s.w)
             if not basis:
                 continue
             done += 1
@@ -132,7 +130,7 @@ class TestRandomCones:
             k = rng.randint(2, 3)
             rows = [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(k)]
             s = spec_of(rows)
-            basis = hilbert_basis(s)
+            basis = hilbert_basis(s.w)
             has_line = any(in_cone(s, tuple(-a for a in g)) for g in basis)
             if not basis or has_line:
                 continue
@@ -145,7 +143,7 @@ class TestRandomCones:
         # the +/- pair assumption of monoid_member does not hold for proper
         # subsets of this basis, so check small combinations directly:
         # coefficients above 4 only move coordinates further from the target
-        basis = hilbert_basis(spec_of([(1,), (0,)]))
+        basis = hilbert_basis(Mat([(1,), (0,)]))
         assert basis == [(0, -1), (0, 1), (1, 0)]
         for i, g in enumerate(basis):
             others = basis[:i] + basis[i + 1:]
@@ -171,5 +169,48 @@ class TestDegenerateCones:
     def test_zero_constraints_give_unit_lines(self):
         s = spec_of([(0,), (0,)])
         expected = [(-1, 0), (0, -1), (0, 1), (1, 0)]
-        assert hilbert_basis(s) == expected
+        assert hilbert_basis(s.w) == expected
         assert hilbert_bruteforce_oracle(s, 2) == expected
+
+
+def seeded_cone_rows(rng):
+    """The rows of a random small cone matrix W, with zero rows, repeated
+    rows and rows that combine earlier ones mixed in."""
+    k, m = rng.randint(1, 4), rng.randint(1, 3)
+    rows = []
+    for _ in range(k):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append((0,) * m)
+        elif kind < 0.3 and rows:
+            rows.append(rng.choice(rows))
+        elif kind < 0.45 and len(rows) >= 2:
+            a, b = rng.sample(rows, 2)
+            s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows.append(tuple(s * x + t * y for x, y in zip(a, b)))
+        else:
+            rows.append(tuple(rng.randint(-3, 3) for _ in range(m)))
+    return rows
+
+
+class TestOldRoute:
+    def test_matches_coordinate_lift_oracle(self):
+        """One reduction against the HNF rows of [W | I] lifts every minimal
+        image element to the preimage the old three-step route (coordinates,
+        transform, kernel reduction after a second `hnf`) gave."""
+        rng = random.Random("hilbert/old-route")
+        kinds = set()
+        for _ in range(300):
+            rows = seeded_cone_rows(rng)
+            s = spec_of(rows)
+            assert hilbert_basis(s.w) == hilbert_basis_by_coords(s), rows
+            kinds |= {"zero" for r in rows if not any(r)}
+            kinds |= {"repeated" for i, r in enumerate(rows) if r in rows[:i] and any(r)}
+            distinct = {r for r in rows if any(r)}
+            if distinct and hnf(list(distinct)).rank < len(distinct):
+                kinds.add("dependent")
+        assert kinds == {"zero", "repeated", "dependent"}
+
+    def test_rejects_a_fraction(self):
+        with pytest.raises(ValueError, match="W must be an integer matrix"):
+            hilbert_basis(Mat([[F(1, 2)]]))

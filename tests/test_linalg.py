@@ -5,11 +5,12 @@ import pytest
 
 import kernel_oracle
 from wazz.linalg import (Mat, Lattice, _Hnf, closure_under_maps, hnf, hnf_with_transform,
-                         is_integral, kernel_basis, lattice_coords, lattice_member, lattice_reduce,
+                         is_integral, kernel_basis, lattice_member, lattice_reduce,
                          primitive, rref, scaled)
 from matvec_oracle import (apply, columns, fraction_rows, fractions, from_cols, funit, identity,
                            solve_mat, svec, transpose, vector, zero, zeros)
 from word_oracles import word_closure
+from hilbert_oracle import lattice_coords
 from wazz.formats import fmt_rat, parse_rat
 from wazz.automata import parse_automaton
 from wazz.pca import reduce_invariant_set
@@ -251,6 +252,7 @@ class TestHnf:
                 assert image == lat.basis[i]
             else:
                 assert image == (0, 0)
+        assert hnf(transform[rank:], dim=len(rows)).basis == tuple(transform[rank:])
 
     def test_insertion_matches_batch_oracle(self):
         """`_Hnf.add` against `kernel_oracle._hnf_rows`, the batch HNF it
@@ -289,6 +291,8 @@ class TestHnf:
                 assert not any(sum(c * r[j] for c, r in zip(u, rows)) for j in range(dim))
             assert (hnf(transform[rank:], dim=len(rows))
                     == kernel_oracle.hnf(oracle_transform[oracle_rank:], len(rows)))
+            # the kernel rows are already in HNF: no second `hnf` needed
+            assert hnf(transform[rank:], dim=len(rows)).basis == tuple(transform[rank:])
 
     def test_reduce_and_coords(self):
         lat = hnf([(1, 1), (0, 2)])
