@@ -16,10 +16,12 @@ format: this module builds no `Fraction`.
 - Elimination is fraction-free: a row update is the integer combination
   that clears one entry, divided by the gcd of the result, so rows stay
   primitive.  Every reduced row echelon form grows an `_Echelon`, one
-  insertion per row, read by one back-substitution (`_Echelon.reduced`):
-  `rref`, `solve` (which the pyramid normal of `wazz.pca` calls),
-  `kernel_basis`, the double description and the verifier's carrier
-  factorization (`wazz.polyhedra`) read its rows over the lcm of the pivots.
+  insertion per row, read by one back-substitution (`_Echelon.reduced`,
+  `_reduced`): `rref`, `solve` (which the pyramid normal of `wazz.pca`
+  calls), `kernel_basis`, and in `wazz.polyhedra` the frames, the double
+  description's start on [A^T | I] and the verifier's carrier
+  factorization on [D G | D I] read its rows over the lcm of the pivots.
+  It and `_Hnf` are the only eliminations.
 - Every Hermite normal form (see `Lattice`) grows in an `_Hnf`, one
   insertion step per vector, and `_pivot_coords` is the one solve for
   coordinates in its rows.
@@ -289,26 +291,6 @@ def _pivot_scales(rows, pivots):
     """(L, L / its pivot entry per pivot row), L the lcm of those entries."""
     den = lcm(*(row[p] for row, p in zip(rows, pivots)))
     return den, [den // row[p] for row, p in zip(rows, pivots)]
-
-
-def _rref_beside_identity(cols, nrows, d=1):
-    """(pivot columns, rows) of [G | d I], G having the integer columns cols
-    of length nrows: its rows inserted into one `_Echelon`, pivoting in G's
-    k columns only, read as [R | d E] with E G = R, R being G's rref up to a
-    positive factor per row, and E invertible.  A row whose residue vanishes
-    on G's columns stays, unreduced, an equation row [0 | d E'] after them,
-    and E' is a basis of the equations of G's column span."""
-    k, span, equations = len(cols), _Echelon(), []
-    for j in range(nrows):
-        row = [col[j] for col in cols] + [0] * nrows
-        row[k + j] = d
-        res = span.residue(row)
-        if any(res[:k]):
-            span.add(res)
-        else:
-            equations.append(res)
-    pivots, rows = span.reduced()
-    return pivots, rows + equations
 
 
 def _kernel_vectors(rows, pivots, ncols):

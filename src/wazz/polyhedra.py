@@ -8,7 +8,7 @@ every elimination is one `_Echelon` read by its back-substitution.  The
 conversions (`dd_h_to_v`, `dd_v_to_h`, `cone_rays`) split the lineality of
 {x : Ax <= 0} off as the kernel of A's echelon rows and run in A's row
 space; the restrictions run in the span of their generators, which the
-producers give as the pair closure's echelon rows, so that their double
+producers give as the pair closure's echelon rows, and their double
 description starts from the orthant of the frame.  The verifier's carriers
 are decided on one factorization of their generators (`span_factors`): by
 unique coordinates when the generators are independent, and by the facets
@@ -19,6 +19,7 @@ vector here is scaled (`wazz.linalg`), the rows of `HRep` and `VRep`, the
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,7 +28,7 @@ from operator import mul
 
 from .formats import LineReader, fmt_vec
 from .linalg import (Mat, _kernel_vectors, _lowest_terms, _pivot_scales, _reduced,
-                     _rref_beside_identity, _sparse_apply, primitive, scaled_equal)
+                     _sparse_apply, primitive, scaled_equal)
 
 
 class InternalError(Exception):
@@ -119,25 +120,19 @@ class PcaPolytope:
 def _initial_simplex(normals, dim):
     """(indices of the first `dim` linearly independent integer normals,
     extreme rays of the cone {x : Bx <= 0} of those normals B), from one
-    `_rref_beside_identity` of [A^T | I] (requires full rank): the pivot
-    columns are the chosen normals, and row k reads d_k > 0 on the k-th of
-    them and E_k in the identity part, E B^T = D being diagonal, so the ray
-    of the k-th chosen normal, -B^-1 e_k = -E_k / d_k, is primitive(-E_k).
+    `_reduced` of the dim rows of [A^T | I] (A of full rank, so its last
+    pivot lies in A^T's columns): the pivot columns are the chosen normals,
+    and row k reads d_k > 0 on the k-th of them and E_k in the identity
+    part, E B^T = D being diagonal, so the ray of the k-th chosen normal,
+    -B^-1 e_k = -E_k / d_k, is primitive(-E_k).  When those are -e_1, ...,
+    -e_dim (`_span_frame`), nothing is eliminated and the rays are the e_k.
     """
-    pivots, rows = _rref_beside_identity(normals, dim)
-    if len(pivots) < dim:
+    n = len(normals)
+    pivots, rows = _reduced([[a[j] for a in normals] + [0] * j + [1] + [0] * (dim - j - 1)
+                             for j in range(dim)])
+    if pivots[-1] >= n:
         raise ValueError("constraint matrix does not have full rank")
-    return pivots, [primitive([-a for a in row[len(normals):]]) for row in rows]
-
-
-def _orthant_start(normals, dim):
-    """(indices of -e_1, ..., -e_dim among the primitive normals, the rays
-    e_1, ..., e_dim of the orthant they cut out), or None if one is missing."""
-    index = {a: i for i, a in enumerate(normals)}
-    base = [index.get((0,) * k + (-1,) + (0,) * (dim - k - 1)) for k in range(dim)]
-    if None in base:
-        return None
-    return base, [(0,) * k + (1,) + (0,) * (dim - k - 1) for k in range(dim)]
+    return pivots, [primitive([-a for a in row[n:]]) for row in rows]
 
 
 def _facet_overrun(budget):
@@ -164,16 +159,14 @@ def _pointed_cone_rays(normals, dim, budget=inf):
     fewer than dim - 2 constraints are common, the face they span has
     dimension above 2 and so holds a third ray, and the scan is skipped.
 
-    The start is the cone of `dim` independent normals.  When the normals
-    hold every -e_k, as the restrictions' do in a frame read off echelon
-    rows (`_span_frame`), that cone is the orthant, with rays e_k, and no
-    elimination runs; otherwise `_initial_simplex` finds one.  The extreme
-    rays of the cone do not depend on the start.
+    The start is the cone of the first `dim` independent normals
+    (`_initial_simplex`), in a restriction's frame the orthant (`_span_frame`).
+    The extreme rays of the cone do not depend on the start.
     """
     if dim == 0:
         return []
     normals = list(dict.fromkeys(primitive(a) for a in normals if any(a)))
-    base, first_rays = _orthant_start(normals, dim) or _initial_simplex(normals, dim)
+    base, first_rays = _initial_simplex(normals, dim)
     base_mask = sum(1 << k for k in base)
     rays = {ray: base_mask & ~(1 << k) for ray, k in zip(first_rays, base)}
     base = set(base)
@@ -300,10 +293,10 @@ FACET_STEP_BUDGET = 1_000_000
 
 # Bound of the span cache, keyed by a carrier's scaled generators and
 # dimension; the verifier looks up every node's but the diagonal free ones
-# (`wazz.zigzag._diagonal`).  A seed-1 benchmark pass misses 66, 207, 521
-# and 178 times at 128 on ghat-pca, restrict-unary, span-desk and
-# words-deep, 66, 205, 473 and 178 unbounded, and 67, 219, 618 and 182 at
-# 32.
+# (`wazz.zigzag._diagonal`).  A seed-1 benchmark pass misses 66, 207 and
+# 193 times at 128 on ghat-pca, restrict-unary and span-desk, 66, 205 and
+# 190 unbounded, and 67, 219 and 256 at 32; words-deep looks up none, as
+# every node of its cospan witnesses is diagonal.
 FACET_CACHE_SIZE = 128
 
 
@@ -314,19 +307,20 @@ class _Span:
     unit vectors, whose coordinates are one scaling per entry
     (`wazz.zigzag._diagonal`).
 
-    With G's columns over the lcm D of their denominators, one
-    `_rref_beside_identity` of [D G | D I], pivoting in D G's k columns
-    only, gives [R | D E], E G = R up to a positive factor per row and R of
-    rank r; E is kept as integer rows over one denominator.  Its rows below
-    r, the unreduced equation rows, are a basis of the span's equations, so
-    v is in the span when E v vanishes below row r, and then its first r
-    entries are the coordinates y(v) of v on the pivot generators.  When the
-    distinct nonzero generators are independent these are unique: the cone
-    is simplicial and the hull a simplex with vertex 0.  Otherwise y is one-to-one on the span, so one double description of
-    rank r finds the facets: the hull's in dimension r + 1 on the normals
-    (y(g), 1) and (0, 1), the cone's on the normals y(g).  They are
-    enumerated on first use, before any span test, under FACET_STEP_BUDGET;
-    an overrun is kept and raised again at every later use."""
+    With G's columns over the lcm D of their denominators, one `_reduced`
+    of the rows of [D G | D I] gives [R | D E], E G = R up to a positive
+    factor per row; E is kept as integer rows over one denominator.  Its r
+    pivots in D G's k columns are G's rank, and its rows below r, zero on
+    D G, are a basis of the span's equations, so v is in the span when E v
+    vanishes below row r, and then its first r entries are the coordinates
+    y(v) of v on the pivot generators.  When the distinct nonzero generators
+    are independent these are unique: the cone is simplicial and the hull a
+    simplex with vertex 0.  Otherwise y is one-to-one on the span, so one
+    double description of rank r finds the facets: the hull's in dimension
+    r + 1 on the normals (y(g), 1) and (0, 1), the cone's on the normals
+    y(g).  They are enumerated on first use, before any span test, under
+    FACET_STEP_BUDGET; an overrun is kept and raised again at every later
+    use."""
 
     __slots__ = ("k", "rank", "independent", "_gens", "_pivots", "_e", "_g", "_facets")
 
@@ -335,13 +329,14 @@ class _Span:
             raise ValueError("span vector of wrong dimension")
         k, den = len(gens), lcm(*[d for d, _ in gens])
         cols = [ints if d == den else [a * (den // d) for a in ints] for d, ints in gens]
-        pivots, rows = _rref_beside_identity(cols, dim, den)
-        self._pivots = tuple(pivots)
-        self.k, self.rank = k, len(pivots)
+        pivots, rows = _reduced([[col[j] for col in cols] + [0] * j + [den] + [0] * (dim - j - 1)
+                                 for j in range(dim)])
+        self.k, self.rank = k, bisect_left(pivots, k)
+        self._pivots = tuple(pivots[:self.rank])
         self.independent = self.rank == len({g for g in gens if any(g[1])})
         # row i < r of E is row i's E part over its pivot entry; the equation
-        # rows below are only tested for zero, so they stay as they are
-        e_den, scales = _pivot_scales(rows, pivots)
+        # rows below are only tested for zero, so they keep their scale
+        e_den, scales = _pivot_scales(rows, self._pivots)
         scales += [1] * (dim - self.rank)
         e_rows = []
         for row, scale in zip(rows, scales):
@@ -466,10 +461,11 @@ def _span_frame(span_vectors, dim):
 
     The producers pass the pair closure's echelon rows (positive leading
     entries, each row zero at the earlier rows' leading columns), whose
-    insertion eliminates nothing, so that only the back-substitution runs:
-    each pivot column of R is then d_k e_k, d_k > 0, and its normal -d_k e_k
-    in the restrictions lets the double description start from the orthant
-    (`_pointed_cone_rays`)."""
+    insertion eliminates nothing, so that only the back-substitution runs.
+    Pivot column k of R is d_k e_k, d_k > 0, and the columns before it are
+    zero from row k on, so the first independent normals of a restriction,
+    the negated columns (the simplex's t-normal -e_(r+1) right after them),
+    are the -e_k: its double description starts from the orthant."""
     if any(len(v) != dim for v in span_vectors):
         raise ValueError("span vector of wrong dimension")
     return _reduced(span_vectors)
@@ -498,20 +494,20 @@ def simplex_restriction(span_vectors, family, n1, n2):
     span(Z) ∩ 2*Delta^(n1+n2) (SCALED), Z given by scaled vectors, as a
     PcaPolytope (the zero vertex left implicit).  In the span's coordinates,
     as in `cone_restriction`, the polytope homogenizes to the pointed cone of
-    (y, t) with normals (-R[:, i], 0), (R's column sum over a block, -bound)
-    and (0, -1).  It is bounded, so every extreme ray has t > 0, and the
-    yR / t are the vertices of the ambient double description, as y -> yR is
-    linear and one-to-one.  The vertices are sorted as rationals, by their
-    integers over one common denominator."""
+    (y, t) with normals (-R[:, i], 0), (0, -1) and (R's column sum over a
+    block, -bound), in this order, which starts the double description
+    from the orthant (`_span_frame`).  It is bounded, so every extreme ray
+    has t > 0, and the yR / t are the vertices of the ambient double
+    description, as y -> yR is linear and one-to-one.  The vertices are
+    sorted as rationals, by their integers over one common denominator."""
     dim = n1 + n2
     blocks = {PRODUCT: ((0, n1, 1), (n1, dim, 1)), SCALED: ((0, dim, 2),)}.get(family)
     if blocks is None:
         raise ValueError(f"unknown constraint family {family!r}")
     rows = _span_frame([ints for _, ints in span_vectors], dim)[1]
     r, cols = len(rows), list(zip(*rows))
-    normals = [[-a for a in col] + [0] for col in cols]
+    normals = [[-a for a in col] + [0] for col in cols] + [[0] * r + [-1]]
     normals += [[*map(sum, zip(*cols[lo:hi])), -bound] for lo, hi, bound in blocks if lo < hi]
-    normals.append([0] * r + [-1])
     vertices = []
     for ray in _pointed_cone_rays(normals, r + 1):
         if not ray[-1]:

@@ -13,10 +13,15 @@ echelon form of the package ran before they all grew an `_Echelon` read by
 one back-substitution (`_Echelon.reduced`); the tests require its pivots
 and its rows over their pivot entries.
 
-`FullSpan` is the verifier's carrier factorization as it was before its
-elimination stopped at the generators' columns: the whole [D G | D I]
-eliminated, every row pivoting in one column.  The tests require the
-rank, pivots, coordinates, gauges, cone tests and facets of `_Span`.
+`_rref_beside_identity` is the second elimination that `wazz.linalg` kept
+beside `_Echelon.reduced` until the double description's start and the
+verifier's carrier factorization read one `_reduced` of the whole matrix:
+the rows of [G | d I] inserted once, their pivots sought in G's columns
+only, the equation rows left unreduced.  `GColumnsSpan` is `_Span`
+factored that way, and `FullSpan` the whole [D G | D I] eliminated by
+`_int_rref`, every row pivoting in one column.  The tests require the
+rank, pivots, coordinates, gauges, cone tests and facets of `_Span` from
+both.
 """
 
 from fractions import Fraction
@@ -25,7 +30,8 @@ from math import gcd, lcm
 
 from matvec_oracle import (entrywise_apply, entrywise_dot, fraction_rows, fractions, funit,
                            ineq_pairs, vector, vneg, vrep, zeros)
-from wazz.linalg import Lattice, Mat, _eliminate, as_int_vec, is_integral, is_zero
+from wazz.linalg import (Lattice, Mat, _Echelon, _eliminate, _pivot_scales, as_int_vec,
+                         is_integral, is_zero)
 from wazz.polyhedra import INFINITY, _Span, cone_rays, dd_v_to_h
 
 
@@ -337,6 +343,50 @@ class FullSpan(_Span):
         e_rows = []
         for row, p in zip(rows, pivots):
             scale = e_den // row[p]
+            support = tuple(j for j in range(dim) if row[k + j])
+            e_rows.append((support, tuple(row[k + j] * scale for j in support)))
+        self._e = e_den, e_rows, dim
+        self._g = *Mat._of_cols(den, cols, dim).scaled(), k
+        self._gens, self._facets = gens, {}
+
+
+def _rref_beside_identity(cols, nrows, d=1):
+    """(pivot columns, rows) of [G | d I], G having the integer columns cols
+    of length nrows: its rows inserted into one `_Echelon`, pivoting in G's
+    k columns only, read as [R | d E] with E G = R, R being G's rref up to a
+    positive factor per row, and E invertible.  A row whose residue vanishes
+    on G's columns stays, unreduced, an equation row [0 | d E'] after them,
+    and E' is a basis of the equations of G's column span."""
+    k, span, equations = len(cols), _Echelon(), []
+    for j in range(nrows):
+        row = [col[j] for col in cols] + [0] * nrows
+        row[k + j] = d
+        res = span.residue(row)
+        if any(res[:k]):
+            span.add(res)
+        else:
+            equations.append(res)
+    pivots, rows = span.reduced()
+    return pivots, rows + equations
+
+
+class GColumnsSpan(_Span):
+    """`_Span` factored by one `_rref_beside_identity` of [D G | D I]: the
+    pivots sought in D G's k columns only, the equation rows unreduced."""
+
+    __slots__ = ()
+
+    def __init__(self, gens, dim):
+        k, den = len(gens), lcm(*[d for d, _ in gens])
+        cols = [ints if d == den else [a * (den // d) for a in ints] for d, ints in gens]
+        pivots, rows = _rref_beside_identity(cols, dim, den)
+        self._pivots = tuple(pivots)
+        self.k, self.rank = k, len(pivots)
+        self.independent = self.rank == len({g for g in gens if any(g[1])})
+        e_den, scales = _pivot_scales(rows, pivots)
+        scales += [1] * (dim - self.rank)
+        e_rows = []
+        for row, scale in zip(rows, scales):
             support = tuple(j for j in range(dim) if row[k + j])
             e_rows.append((support, tuple(row[k + j] * scale for j in support)))
         self._e = e_den, e_rows, dim

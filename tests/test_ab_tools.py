@@ -1,0 +1,75 @@
+"""Smoke tests of the A/B tools, `tools/ab_inproc.py` and `tools/ab_scale.py`.
+
+Each tool runs on two copies of `src/wazz` and must exit 0 with no
+mismatch; against a copy whose `equiv` prints a changed EQUIVALENT line it
+must exit 1 and name the op that differs.  Each run is a child process, as
+the tools load both trees into `sys.modules` and put this checkout on
+`sys.path`."""
+
+import os
+import shutil
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RUNS = {
+    "ab_inproc": ["--workload", "span-desk", "--pairs", "2", "--rounds", "1"],
+    "ab_scale": ["--case", "q:3+1:ab", "--rounds", "1"],
+}
+
+
+def tree(tmp_path, name, changed=False):
+    """A checkout at tmp_path/name holding a copy of `src/wazz`; with
+    `changed`, its `cli` prints `EQUIVALENT (changed)` for an equivalent pair."""
+    package = tmp_path / name / "src" / "wazz"
+    shutil.copytree(os.path.join(ROOT, "src", "wazz"), package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    if changed:
+        cli = package / "cli.py"
+        text = cli.read_text(encoding="utf-8")
+        assert text.count('["EQUIVALENT",') == 1
+        cli.write_text(text.replace('["EQUIVALENT",', '["EQUIVALENT (changed)",'),
+                       encoding="utf-8")
+    return str(tmp_path / name)
+
+
+def run(tool, old, new):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, os.path.join(ROOT, "tools", f"{tool}.py"), old, new,
+                           *RUNS[tool]], cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+@pytest.fixture
+def trees(tmp_path):
+    return tree(tmp_path, "old"), tree(tmp_path, "new"), tree(tmp_path, "changed", True)
+
+
+def test_ab_inproc(trees):
+    old, new, changed = trees
+    same = run("ab_inproc", old, new)
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert "mismatches: 0" in same.stdout.splitlines()
+    differ = run("ab_inproc", old, changed)
+    assert differ.returncode == 1, differ.stdout + differ.stderr
+    lines = differ.stdout.splitlines()
+    assert "mismatches: 0" not in lines
+    assert any(" equiv: " in line and "EQUIVALENT (changed)" in line for line in lines), lines
+
+
+def test_ab_scale(trees):
+    old, new, changed = trees
+    same = run("ab_scale", old, new)
+    assert same.returncode == 0, same.stdout + same.stderr
+    lines = same.stdout.splitlines()
+    assert "cases with different output: 0" in lines
+    assert [line.split()[3] for line in lines if line.startswith("q 3+1 ab")] == \
+        ["zigzag", "equiv", "verify"]
+    assert not any("DIFFERENT" in line for line in lines)
+    differ = run("ab_scale", old, changed)
+    assert differ.returncode == 1, differ.stdout + differ.stderr
+    lines = differ.stdout.splitlines()
+    assert "cases with different output: 1" in lines
+    assert [line.split()[3] for line in lines if line.endswith("DIFFERENT")] == ["equiv"], lines

@@ -1,13 +1,14 @@
 """Each closure is eliminated once: the restrictions read the pair closure's
 own echelon rows, the cospan's basis is the reduced form of the backward
 closure's echelon rows, and the double description of a restriction starts
-from the orthant of its frame.  Each reuse is held to the elimination it
-replaced: the restrictions of the word images in the ambient coordinates
-(`dd_oracle`), the `_initial_simplex` start, and the `_int_rref` of the raw
-word functionals."""
+from the orthant of its frame, eliminating nothing.  Each reuse is held to
+the elimination it replaced: the restrictions of the word images in the
+ambient coordinates and the recomputing double description (`dd_oracle`),
+and the `_int_rref` of the raw word functionals."""
 
 import random
 from fractions import Fraction as F
+from operator import itemgetter
 
 import pytest
 
@@ -16,7 +17,7 @@ from genrandom import lifted_pair, two_lifts
 from kernel_oracle import _int_rref
 from wazz import linalg, pca, polyhedra
 from wazz.automata import SemiringTag, WeightedAutomaton, pair_quotient, pair_submodule
-from wazz.linalg import Mat, _pivot_scales
+from wazz.linalg import Mat, _pivot_scales, unit
 from wazz.polyhedra import PRODUCT, SCALED, cone_restriction, simplex_restriction
 from wazz.zigzag import cubic_zigzag, ghat_zigzag
 
@@ -142,87 +143,118 @@ def test_cospan_basis_is_the_rref_of_the_raw_functionals(tag):
             assert h2 == Mat._of_rows(want.den, [r[n1:] for r in want.dense()], n - n1)
 
 
-def cone_with_every_negative_unit(rng, dim):
-    """Normals holding every -e_i, each scaled by 1-3 and some repeated, with
-    random others, in shuffled order: a pointed cone in the orthant."""
-    normals = [tuple(-rng.randint(1, 3) if j == i else 0 for j in range(dim))
-               for i in range(dim) for _ in range(rng.randint(1, 2))]
-    normals += [tuple(rng.randint(-3, 3) for _ in range(dim))
-                for _ in range(rng.randint(0, 2 * dim))]
-    rng.shuffle(normals)
-    return normals
+def random_spans(rng):
+    """Seeded (span vectors, n1, n2): 0-5 rational vectors in 2-7
+    coordinates, some zero, repeated or combinations of earlier ones."""
+    for _ in range(60):
+        dim = rng.randint(2, 7)
+        vectors = []
+        for _ in range(rng.randint(0, 5)):
+            kind = rng.random()
+            if vectors and kind < 0.3:
+                a, b = rng.choice(vectors), rng.choice(vectors)
+                s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+                v = [s * x + t * y for x, y in zip(a, b)]
+            elif kind < 0.4:
+                v = [0] * dim
+            else:
+                v = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)]
+            vectors.append(v)
+        n1 = rng.randint(1, dim - 1)
+        yield [linalg.scaled(v) for v in vectors], n1, dim - n1
+
+
+def frames():
+    """(span vectors, n1, n2) of the closure echelon rows of every seeded
+    pair of the span tags, then of random spans."""
+    for tag in SPAN_TAGS:
+        for _, pair in pairs(tag):
+            yield [(1, row) for row in closure(pair)[1]], pair[0].n, pair[2].n
+    yield from random_spans(random.Random("closure-rows/start"))
 
 
 @pytest.fixture
-def simplex_calls(monkeypatch):
-    """The calls of `_initial_simplex`, which still runs."""
-    calls = []
-    original = polyhedra._initial_simplex
+def starts(monkeypatch):
+    """(normals, dim, chosen indices, rays, `_eliminate` calls) of each
+    double description's start; every cone's rays are held to `dd_oracle`.
+    An insertion's residue and the back-substitution eliminate only
+    through `_eliminate`, so its count covers both."""
+    calls, eliminations = [], []
+    start, dd, eliminate = polyhedra._initial_simplex, polyhedra._pointed_cone_rays, \
+        linalg._eliminate
 
-    def spy(normals, dim):
-        calls.append(dim)
-        return original(normals, dim)
+    def spy_eliminate(*args):
+        eliminations.append(args)
+        return eliminate(*args)
 
-    monkeypatch.setattr(polyhedra, "_initial_simplex", spy)
+    def spy_start(normals, dim):
+        eliminations.clear()
+        base, rays = start(normals, dim)
+        calls.append((normals, dim, base, rays, len(eliminations)))
+        return base, rays
+
+    def spy_dd(normals, dim, *budget):
+        rays = dd(normals, dim, *budget)
+        assert len(rays) == len(set(rays))
+        assert set(rays) == set(dd_oracle.pointed_cone_rays(normals, dim)), (normals, dim)
+        return rays
+
+    monkeypatch.setattr(linalg, "_eliminate", spy_eliminate)
+    monkeypatch.setattr(polyhedra, "_initial_simplex", spy_start)
+    monkeypatch.setattr(polyhedra, "_pointed_cone_rays", spy_dd)
     return calls
 
 
-def elimination_start_rays(normals, dim, monkeypatch):
-    with monkeypatch.context() as m:
-        m.setattr(polyhedra, "_orthant_start", lambda normals, dim: None)
-        return polyhedra._pointed_cone_rays(normals, dim)
-
-
-def test_orthant_start_gives_the_elimination_start_rays(simplex_calls, monkeypatch):
-    rng = random.Random("closure-rows/orthant")
-    for _ in range(200):
-        dim = rng.randint(1, 6)
-        normals = cone_with_every_negative_unit(rng, dim)
-        got = polyhedra._pointed_cone_rays(normals, dim)
-        assert simplex_calls == []
-        want = elimination_start_rays(normals, dim, monkeypatch)
-        assert simplex_calls == [dim]
-        simplex_calls.clear()
-        assert len(got) == len(set(got))
-        assert set(got) == set(want) == set(dd_oracle.pointed_cone_rays(normals, dim)), normals
-
-
-def test_a_missing_negative_unit_takes_the_elimination_start(simplex_calls):
-    rng = random.Random("closure-rows/no-orthant")
-    for _ in range(100):
-        dim = rng.randint(1, 6)
-        gone = rng.randrange(dim)
-        normals = [a for a in cone_with_every_negative_unit(rng, dim)
-                   if not (a[gone] < 0 and a.count(0) == dim - 1)]
-        try:
-            want = set(dd_oracle.pointed_cone_rays(normals, dim))
-        except ValueError:  # the rest do not have full rank
-            continue
-        assert set(polyhedra._pointed_cone_rays(normals, dim)) == want, normals
-        assert simplex_calls == [dim]
-        simplex_calls.clear()
+def test_the_start_of_every_restriction_is_its_orthant(starts):
+    """In a restriction's frame the first independent normals are the -e_k
+    (the simplex's t-normal listed before its block sums), so the start
+    eliminates nothing and its rays are e_1, ..., e_dim."""
+    seen = set()
+    for span, n1, n2 in frames():
+        starts.clear()
+        cone_restriction(span)
+        simplex_restriction(span, PRODUCT, n1, n2)
+        simplex_restriction(span, SCALED, n1, n2)
+        r = len(polyhedra._span_frame([ints for _, ints in span], n1 + n2)[1])
+        assert [dim for _, dim, _, _, _ in starts] == [r] * (r > 0) + [r + 1, r + 1]
+        for normals, dim, base, rays, eliminated in starts:
+            units = [unit(dim, k)[1] for k in range(dim)]
+            assert eliminated == 0, (span, normals)
+            assert [normals[i] for i in base] == [tuple(-a for a in e) for e in units]
+            assert rays == units, (span, normals)
+        seen.add(min(r, 2))
+    assert seen == {0, 1, 2}
 
 
 @pytest.mark.parametrize("tag", SPAN_TAGS)
-def test_no_producer_zigzag_runs_the_elimination_start(tag, simplex_calls, monkeypatch):
-    """The producers' restrictions run on the closure's rows, whose frame
-    holds every -e_k: no `_initial_simplex`, and one elimination of the
-    word images in all, the closure's.  Each frame (`_span_frame`) inserts
-    those rows, already in echelon form, into an `_Echelon` of its own that
-    eliminates nothing; the pca pyramid's fixed point (`solve`) eliminates
-    its own system, not the word images."""
+def test_no_producer_zigzag_runs_the_elimination_start(tag, monkeypatch):
+    """The producers' restrictions run on the closure's rows: one `_Echelon`
+    per build eliminates in an insertion, the closure's.  Each frame
+    (`_span_frame`) inserts those rows, already in echelon form, into an
+    `_Echelon` of its own and only back-substitutes, and each double
+    description's start (`_initial_simplex`) inserts the rows of [A^T | I],
+    whose first independent normals are the -e_k, and eliminates nothing
+    at all.  The pca pyramid's fixed point (`solve`) eliminates its own
+    system, not the word images."""
     owners, echelons = [], []
-    init, residue = linalg._Echelon.__init__, linalg._Echelon.residue
+    init, residue, reduced = (linalg._Echelon.__init__, linalg._Echelon.residue,
+                              linalg._Echelon.reduced)
 
     def spy_init(self):
         init(self)
-        self.owner, self.eliminated = owners[-1] if owners else None, 0
+        self.owner, self.inserting, self.substituting = owners[-1] if owners else None, 0, 0
         echelons.append(self)
 
     def spy_residue(self, ints):
         res = residue(self, ints)
-        self.eliminated += res is not ints
+        self.inserting += res is not ints
         return res
+
+    def spy_reduced(self):
+        pivots, rows = reduced(self)
+        ordered = [row for _, row in sorted(self.rows, key=itemgetter(0))]
+        self.substituting += sum(row is not old for row, old in zip(rows, ordered))
+        return pivots, rows
 
     def owned(name, f):
         def run(*args):
@@ -235,10 +267,13 @@ def test_no_producer_zigzag_runs_the_elimination_start(tag, simplex_calls, monke
 
     monkeypatch.setattr(linalg._Echelon, "__init__", spy_init)
     monkeypatch.setattr(linalg._Echelon, "residue", spy_residue)
+    monkeypatch.setattr(linalg._Echelon, "reduced", spy_reduced)
     monkeypatch.setattr(polyhedra, "_span_frame", owned("frame", polyhedra._span_frame))
+    monkeypatch.setattr(polyhedra, "_initial_simplex",
+                        owned("start", polyhedra._initial_simplex))
     monkeypatch.setattr(pca, "solve", owned("solve", pca.solve))
     build = ghat_zigzag if tag is T.PCA else cubic_zigzag
-    built = frames = 0
+    built = closures = frames = starts = 0
     for kind, pair in pairs(tag):
         if kind == "full rank" and tag is T.PCA:
             continue  # a zero-output diagonal pca pair reduces to no states
@@ -246,7 +281,12 @@ def test_no_producer_zigzag_runs_the_elimination_start(tag, simplex_calls, monke
         build(*pair)
         built += 1
         assert [e.owner for e in echelons].count(None) == 1
-        later = [e for e in echelons if e.owner == "frame"]
-        assert all(e.eliminated == 0 for e in later)
-        frames += len(later)
-    assert built and frames and simplex_calls == []
+        # a closure whose images are all zero or new eliminates nothing either
+        eliminating = [e.owner for e in echelons if e.inserting and e.owner != "solve"]
+        assert eliminating in ([], [None]), kind
+        assert all(e.inserting == 0 for e in echelons if e.owner == "frame")
+        assert all(e.inserting == e.substituting == 0 for e in echelons if e.owner == "start")
+        closures += eliminating == [None]
+        frames += sum(e.owner == "frame" for e in echelons)
+        starts += sum(e.owner == "start" for e in echelons)
+    assert built and closures and frames and starts

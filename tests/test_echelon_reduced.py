@@ -5,7 +5,8 @@ inserted one by one and read by one back-substitution.  The RREF is unique,
 so on seeded integer matrices (0-8 columns, 0-10 rows, tall and wide, with
 zero, repeated and dependent rows, entries up to 1, 10 and 10^6) the
 pivots and each pivot row over its pivot entry must be the oracle's.
-`_rref_beside_identity` on [G | d I] must give the oracle's pivots of G,
+`kernel_oracle._rref_beside_identity` on [G | d I], the factorization that
+sought its pivots in G's columns only, must give the oracle's pivots of G,
 pivot rows [R | d E] with E G = R, and dim - rank equation rows that
 annihilate every column of G and are independent.
 """
@@ -15,8 +16,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from kernel_oracle import _int_rref
-from wazz.linalg import _Echelon, _reduced, _rref_beside_identity, primitive
+from kernel_oracle import _int_rref, _rref_beside_identity
+from wazz.linalg import _Echelon, _reduced, primitive
 
 BOUNDS = (1, 10, 10 ** 6)
 CASES = 300

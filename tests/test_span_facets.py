@@ -170,26 +170,31 @@ def independent_gens(rng, dim):
 
 
 class TestFactorizationStopsAtGeneratorColumns:
-    """`_Span` seeks its pivots in the generators' columns only, so the
-    span's equations stay unreduced; `kernel_oracle.FullSpan`, the whole
-    [D G | D I] eliminated, must give the same rank, pivots and values."""
+    """`_Span` reduces the whole [D G | D I] in one `_reduced`, its equation
+    rows too, and reads its rank off the pivots among G's columns.  The
+    factorization that stopped at the generators' columns
+    (`kernel_oracle.GColumnsSpan`, equation rows unreduced) and the batch
+    elimination (`kernel_oracle.FullSpan`) must give the same rank, pivots
+    and values."""
 
     def assert_same(self, gens, dim, rng, seen):
         points, gens = probe_points(rng, gens, dim), tuple(map(scaled, gens))
-        got, want = polyhedra._Span(gens, dim), kernel_oracle.FullSpan(gens, dim)
-        assert (got.rank, got._pivots, got.independent) == \
-            (want.rank, want._pivots, want.independent), gens
-        if not got.independent:
-            assert got._facets_of(True) == want._facets_of(True), gens
-            assert got._facets_of(False) == want._facets_of(False), gens
-        for x in map(scaled, points):
-            coords = got.coordinates(x)
-            assert coordinate_values(coords) == coordinate_values(want.coordinates(x)), (gens, x)
-            g, w = got.gauge(x), want.gauge(x)
-            assert (g is INFINITY) == (w is INFINITY) and (g is INFINITY or F(*g) == F(*w)), \
-                (gens, x)
-            assert got.cone_member(x) == want.cone_member(x), (gens, x)
-            seen.add((got.independent, coords is not None))
+        got = polyhedra._Span(gens, dim)
+        for want in kernel_oracle.GColumnsSpan(gens, dim), kernel_oracle.FullSpan(gens, dim):
+            assert (got.rank, got._pivots, got.independent) == \
+                (want.rank, want._pivots, want.independent), gens
+            if not got.independent:
+                assert got._facets_of(True) == want._facets_of(True), gens
+                assert got._facets_of(False) == want._facets_of(False), gens
+            for x in map(scaled, points):
+                coords = got.coordinates(x)
+                assert coordinate_values(coords) == coordinate_values(want.coordinates(x)), \
+                    (gens, x)
+                g, w = got.gauge(x), want.gauge(x)
+                assert (g is INFINITY) == (w is INFINITY) and (g is INFINITY or F(*g) == F(*w)), \
+                    (gens, x)
+                assert got.cone_member(x) == want.cone_member(x), (gens, x)
+                seen.add((got.independent, coords is not None))
 
     @pytest.mark.parametrize("dim", range(7))
     def test_random_generator_lists(self, dim):
