@@ -143,6 +143,75 @@ def test_cospan_basis_is_the_rref_of_the_raw_functionals(tag):
             assert h2 == Mat._of_rows(want.den, [r[n1:] for r in want.dense()], n - n1)
 
 
+def cone_with_every_negative_unit(rng, dim):
+    """Normals holding every -e_i, each scaled by 1-3 and some repeated, with
+    random others, in shuffled order: a pointed cone in the orthant."""
+    normals = [tuple(-rng.randint(1, 3) if j == i else 0 for j in range(dim))
+               for i in range(dim) for _ in range(rng.randint(1, 2))]
+    normals += [tuple(rng.randint(-3, 3) for _ in range(dim))
+                for _ in range(rng.randint(0, 2 * dim))]
+    rng.shuffle(normals)
+    return normals
+
+
+@pytest.fixture
+def simplex_calls(monkeypatch):
+    """(dim, chosen normals) of each call of `_initial_simplex`."""
+    calls = []
+    original = polyhedra._initial_simplex
+
+    def spy(normals, dim):
+        base, rays = original(normals, dim)
+        calls.append((dim, [normals[i] for i in base]))
+        return base, rays
+
+    monkeypatch.setattr(polyhedra, "_initial_simplex", spy)
+    return calls
+
+
+def is_negative_unit(a):
+    return sum(1 for x in a if x) == 1 and min(a) < 0
+
+
+def test_orthant_start_gives_the_elimination_start_rays(simplex_calls):
+    """Listed first, the negative units are the start's chosen normals (the
+    orthant); shuffled, the start eliminates to other ones.  Both starts
+    give the rays of `dd_oracle`."""
+    rng = random.Random("closure-rows/orthant")
+    for _ in range(200):
+        dim = rng.randint(1, 6)
+        normals = cone_with_every_negative_unit(rng, dim)
+        orthant_first = sorted(normals, key=lambda a: not is_negative_unit(a))
+        want = set(dd_oracle.pointed_cone_rays(normals, dim))
+        for order in (orthant_first, normals):
+            simplex_calls.clear()
+            got = polyhedra._pointed_cone_rays(order, dim)
+            assert len(got) == len(set(got))
+            assert set(got) == want, order
+            assert [d for d, _ in simplex_calls] == [dim]
+        simplex_calls.clear()
+        polyhedra._pointed_cone_rays(orthant_first, dim)
+        [(_, chosen)] = simplex_calls
+        assert all(map(is_negative_unit, chosen)), orthant_first
+
+
+def test_a_missing_negative_unit_takes_the_elimination_start(simplex_calls):
+    rng = random.Random("closure-rows/no-orthant")
+    for _ in range(100):
+        dim = rng.randint(1, 6)
+        gone = rng.randrange(dim)
+        normals = [a for a in cone_with_every_negative_unit(rng, dim)
+                   if not (a[gone] < 0 and a.count(0) == dim - 1)]
+        try:
+            want = set(dd_oracle.pointed_cone_rays(normals, dim))
+        except ValueError:  # the rest do not have full rank
+            continue
+        assert set(polyhedra._pointed_cone_rays(normals, dim)) == want, normals
+        [(d, chosen)] = simplex_calls
+        assert d == dim and not all(map(is_negative_unit, chosen)), normals
+        simplex_calls.clear()
+
+
 def random_spans(rng):
     """Seeded (span vectors, n1, n2): 0-5 rational vectors in 2-7
     coordinates, some zero, repeated or combinations of earlier ones."""
