@@ -9,8 +9,8 @@ from .hilbert import hilbert_basis, nat_restriction
 from .polyhedra import (HRep, VRep, PcaPolytope, INFINITY, InternalError, dd_h_to_v,
                         dd_v_to_h, gauge, cone_restriction, simplex_restriction)
 from .pca import PyramidCert, InvariantZeroSet, pyramid_extension, reduce_invariant_set
-from .zigzag import (ZigZag, ZigZagNode, cubic_zigzag, ghat_zigzag, verify_zigzag,
-                     parse_zigzag, zigzag_to_text)
+from .zigzag import (ZigZag, ZigZagNode, cubic_zigzag, ghat_zigzag, span_zigzag,
+                     five_node_zigzag, verify_zigzag, parse_zigzag, zigzag_to_text)
 
 __all__ = [
     "ParseError",
@@ -23,6 +23,6 @@ __all__ = [
     "HRep", "VRep", "PcaPolytope", "INFINITY", "InternalError", "dd_h_to_v", "dd_v_to_h",
     "gauge", "cone_restriction", "simplex_restriction",
     "PyramidCert", "InvariantZeroSet", "pyramid_extension", "reduce_invariant_set",
-    "ZigZag", "ZigZagNode", "cubic_zigzag", "ghat_zigzag", "verify_zigzag",
-    "parse_zigzag", "zigzag_to_text",
+    "ZigZag", "ZigZagNode", "cubic_zigzag", "ghat_zigzag", "span_zigzag", "five_node_zigzag",
+    "verify_zigzag", "parse_zigzag", "zigzag_to_text",
 ]

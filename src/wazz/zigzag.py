@@ -3,9 +3,13 @@
 A witness is a chain of coalgebra nodes connected by morphisms, alternating
 between source nodes (outgoing arrows, carrying a relating element) and sink
 nodes (incoming arrows, which must have free carriers).  `cubic_zigzag`
-writes a cospan for the ring and field tags, both automata mapping onto the
-pair's quotient by its word functionals, and a span through the restricted
-pair closure for the other cubic tags; `ghat_zigzag` writes five nodes.
+and `ghat_zigzag` write a cospan when the quotient is in the semiring, else
+span or five-node: both automata map onto the pair's quotient by its word
+functionals when its weights and both maps keep the tag's rules, as they
+always do for the ring and field tags.  Otherwise the paper's constructions
+are written, a span through the restricted pair closure for the other cubic
+tags (`span_zigzag`) and five nodes for the subconvex functor
+(`five_node_zigzag`).
 The verifier re-checks every claim from the witness data alone: carrier
 memberships, morphism squares by matrix identities, and the relating chain
 by direct evaluation.  A free node whose generators are positive multiples
@@ -34,8 +38,8 @@ from dataclasses import dataclass
 from math import lcm
 from operator import mul
 
-from .automata import (_TAGS, LinearCoalgebra, SemiringTag, _scalar_rules, pair_quotient,
-                       pair_submodule)
+from .automata import (_TAGS, LinearCoalgebra, SemiringTag, TagViolation, _scalar_rules,
+                       check_weights, pair_quotient, pair_submodule)
 from .formats import LineReader, block_lines, fmt_ratio, fmt_vec
 from .hilbert import nat_restriction
 from .linalg import (Lattice, Mat, _concat, _lowest_terms, _selection, hnf, lattice_member,
@@ -137,35 +141,62 @@ def _free_node(coalg, pca=False):
                       coalgebra=coalg)
 
 
+def _quotient_cospan(functor, aut1, x1, aut2, x2):
+    """The cospan A1 -> Q <- A2 onto the pair's quotient by its word
+    functionals (`pair_quotient`), or None when it leaves the tag's
+    semiring.  It raises NotEquivalent, with the shortlex-least separating
+    word, when the traces differ.
+
+    Q is a free node on its unit vectors, so the cospan is a witness exactly
+    when Q's output and letter matrices keep the tag's weight rules, the
+    subconvex budget for `pca` among them, and each column of h1 and h2,
+    the image of a unit vector, lies in the free carrier: for `unit` and
+    `pca` nonnegative with a sum within 1, the column rule of `unit`.  Both
+    are `check_weights` tests.  The ring and field tags would pass them
+    always, so they are not run there: over Z the quotient is free because
+    the word functionals span a subgroup of Z^(n1 + n2), and every subgroup
+    of a free module over a principal ideal domain is free."""
+    h1, h2, quotient = pair_quotient(aut1, x1, aut2, x2)
+    tag = aut1.tag
+    pca = tag in (SemiringTag.UNIT, SemiringTag.PCA)
+    if tag not in _RING_TAGS:
+        try:
+            check_weights(tag, quotient.out, quotient.trans)
+            check_weights(SemiringTag.UNIT if pca else tag, (1, ()), (h1, h2))
+        except TagViolation:
+            return None
+    return ZigZag(
+        functor=functor, tag=tag, alphabet=aut1.alphabet,
+        nodes=(_free_node(aut1.coalgebra, pca), _free_node(quotient, pca),
+               _free_node(aut2.coalgebra, pca)),
+        morphisms=(Morphism(0, 1, h1), Morphism(2, 1, h2)),
+        relating=((0, x1), (2, x2)),
+        endpoints=(x1, x2),
+    )
+
+
 def cubic_zigzag(aut1, x1, aut2, x2):
-    """Three-node witness for the cubic functor tags.
+    """Three-node witness for the cubic functor tags: a cospan when the
+    pair's quotient is in the semiring (`_quotient_cospan`), as it always
+    is for `int`, `q` and `real`, else the paper's span (`span_zigzag`),
+    which always exists.  A pair whose traces differ raises NotEquivalent
+    from the quotient's closure."""
+    if aut1.tag not in _CUBIC_TAGS:
+        raise ValueError(f"tag {aut1.tag.value} is not a cubic-pipeline tag")
+    return _quotient_cospan(CUBIC, aut1, x1, aut2, x2) or span_zigzag(aut1, x1, aut2, x2)
 
-    For the ring and field tags (`int`, `q`, `real`) it is a cospan: both
-    automata map onto their pair's quotient by the word functionals
-    (`pair_quotient`), a free module on its unit vectors, by h1 and h2, and
-    the relating elements x1 and x2 meet there.  Over Z that quotient is
-    free because the word functionals span a subgroup of Z^(n1 + n2), and
-    every subgroup of a free module over a principal ideal domain is free.
 
-    For the other tags, where such a quotient need not be free, it is a span:
-    both endpoints receive a projection from the restricted pair closure.
+def span_zigzag(aut1, x1, aut2, x2):
+    """The paper's span witness for `nat`, `qplus`, `rplus` and `unit`: both
+    endpoints receive a projection from the restricted pair closure.
     The middle carrier is Z ∩ (S^n1 x S^n2), with generators chosen by the
     tag's properties: the product-of-simplices vertices for the unit
     interval, the N-monoid generators (Hilbert) for NAT and the extreme rays
     of the cone (Minkowski-Weyl) for the other nonnegative tags.
     """
-    if aut1.tag not in _CUBIC_TAGS:
-        raise ValueError(f"tag {aut1.tag.value} is not a cubic-pipeline tag")
     tag = aut1.tag
-    if tag in _RING_TAGS:
-        h1, h2, quotient = pair_quotient(aut1, x1, aut2, x2)
-        return ZigZag(
-            functor=CUBIC, tag=tag, alphabet=aut1.alphabet,
-            nodes=(_free_node(aut1.coalgebra), _free_node(quotient), _free_node(aut2.coalgebra)),
-            morphisms=(Morphism(0, 1, h1), Morphism(2, 1, h2)),
-            relating=((0, x1), (2, x2)),
-            endpoints=(x1, x2),
-        )
+    if tag not in _CUBIC_TAGS or tag in _RING_TAGS:
+        raise ValueError(f"span_zigzag takes nat, qplus, rplus or unit, not {tag.value}")
     rows = []  # over Q, the closure's echelon rows of Z: its frame needs no new elimination
     basis, paired = pair_submodule(aut1, x1, aut2, x2, rows)
     n1, n2, m = aut1.n, aut2.n, aut1.n + aut2.n
@@ -190,7 +221,18 @@ def cubic_zigzag(aut1, x1, aut2, x2):
 
 
 def ghat_zigzag(aut1, x1, aut2, x2):
-    """Five-node witness for the subconvex functor.
+    """Witness for the subconvex functor: a three-node cospan when the
+    pair's quotient is in the semiring (`_quotient_cospan`: Q's output plus
+    letter mass within 1 at each coordinate, and h1, h2 with nonnegative
+    columns of sum within 1), else five nodes (`five_node_zigzag`)."""
+    if aut1.tag is not SemiringTag.PCA or aut2.tag is not SemiringTag.PCA:
+        raise ValueError("both automata must carry the subconvex tag")
+    return (_quotient_cospan(GHAT, aut1, x1, aut2, x2)
+            or five_node_zigzag(aut1, x1, aut2, x2))
+
+
+def five_node_zigzag(aut1, x1, aut2, x2):
+    """The paper's five-node witness for the subconvex functor.
 
     Pipeline: quotient away invariant zero-output coordinates on both sides,
     pair the quotients over the rationals, restrict the pair space to the

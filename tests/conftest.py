@@ -1,12 +1,15 @@
 """A wall-clock limit on every test: a test that runs past `TEST_SECONDS`
 fails by name instead of hanging the suite.  The slowest test takes a few
 seconds, so the limit only ends a test that would not end by itself (a
-closure that never closes, a search without a bound)."""
+closure that never closes, a search without a bound).  The fixture
+`paper_routes` makes the producers write the paper's witnesses."""
 
 import signal
 from contextlib import contextmanager
 
 import pytest
+
+from wazz import zigzag
 
 TEST_SECONDS = 120
 
@@ -32,3 +35,17 @@ def wall_clock_limit(seconds, name):
 def pytest_runtest_call(item):
     with wall_clock_limit(TEST_SECONDS, item.nodeid):
         yield
+
+
+@pytest.fixture
+def paper_routes(monkeypatch):
+    """`cubic_zigzag` and `ghat_zigzag`, and so `wazz zigzag`, write the
+    paper's witnesses: the quotient's cospan is kept for the ring tags
+    alone, whose witness it always is, and every other pair falls back on
+    `span_zigzag` or `five_node_zigzag`."""
+    cospan = zigzag._quotient_cospan
+
+    def ring_only(functor, aut1, *rest):
+        return cospan(functor, aut1, *rest) if aut1.tag in zigzag._RING_TAGS else None
+
+    monkeypatch.setattr(zigzag, "_quotient_cospan", ring_only)

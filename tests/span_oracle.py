@@ -3,12 +3,25 @@
 projection from the pair closure itself, a generated module on the
 closure's basis (`pair_submodule`) with the block-diagonal coalgebra of both
 automata.  It is the differential oracle of the cospan producer, and the
-witness of tests that pin the span shape."""
+witness of tests that pin the span shape.  `paper_route` names, per tag, the
+producer of the paper's own construction, for the tests whose subject it
+is."""
 
-from wazz.automata import pair_submodule
+from wazz.automata import SemiringTag, pair_submodule
 from wazz.linalg import _concat
 from wazz.zigzag import (CUBIC, GENERATED_MODULE, Morphism, ZigZag, ZigZagNode,
-                         _RING_TAGS as RING_TAGS, _free_node, _projections)
+                         _RING_TAGS as RING_TAGS, _free_node, _projections, cubic_zigzag,
+                         five_node_zigzag, span_zigzag)
+
+
+def paper_route(tag):
+    """The producer that writes the paper's witness for the tag, with no
+    cospan first: five nodes for `pca` (`five_node_zigzag`), the span for
+    `nat`, `qplus`, `rplus` and `unit` (`span_zigzag`), and for the ring
+    tags `cubic_zigzag`, whose witness is always the quotient's cospan."""
+    if tag is SemiringTag.PCA:
+        return five_node_zigzag
+    return cubic_zigzag if tag in RING_TAGS else span_zigzag
 
 
 def ring_span_zigzag(aut1, x1, aut2, x2):

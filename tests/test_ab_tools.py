@@ -2,7 +2,9 @@
 
 Each tool runs on two copies of `src/wazz` and must exit 0 with no
 mismatch; against a copy whose `equiv` prints a changed EQUIVALENT line it
-must exit 1 and name the op that differs.  Each run is a child process, as
+must exit 1 and name the op that differs.  `ab_inproc` counts its mismatches
+by kind: against a copy whose witnesses carry one more comment line, every
+one is of witness bytes and none of verdict.  Each run is a child process, as
 the tools load both trees into `sys.modules` and put this checkout on
 `sys.path`."""
 
@@ -20,18 +22,21 @@ RUNS = {
 }
 
 
-def tree(tmp_path, name, changed=False):
+def tree(tmp_path, name, changed=False, edit=None):
     """A checkout at tmp_path/name holding a copy of `src/wazz`; with
-    `changed`, its `cli` prints `EQUIVALENT (changed)` for an equivalent pair."""
+    `changed`, its `cli` prints `EQUIVALENT (changed)` for an equivalent pair,
+    and `edit`, (module, old, new), replaces one text of a module."""
     package = tmp_path / name / "src" / "wazz"
     shutil.copytree(os.path.join(ROOT, "src", "wazz"), package,
                     ignore=shutil.ignore_patterns("__pycache__"))
     if changed:
-        cli = package / "cli.py"
-        text = cli.read_text(encoding="utf-8")
-        assert text.count('["EQUIVALENT",') == 1
-        cli.write_text(text.replace('["EQUIVALENT",', '["EQUIVALENT (changed)",'),
-                       encoding="utf-8")
+        edit = ("cli", '["EQUIVALENT",', '["EQUIVALENT (changed)",')
+    if edit:
+        module, old, new = edit
+        source = package / f"{module}.py"
+        text = source.read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        source.write_text(text.replace(old, new), encoding="utf-8")
     return str(tmp_path / name)
 
 
@@ -52,6 +57,7 @@ def test_ab_inproc(trees):
     same = run("ab_inproc", old, new)
     assert same.returncode == 0, same.stdout + same.stderr
     assert "mismatches: 0" in same.stdout.splitlines()
+    assert "mismatches by kind: output 0, witness bytes 0, verdict 0" in same.stdout.splitlines()
     differ = run("ab_inproc", old, changed)
     assert differ.returncode == 1, differ.stdout + differ.stderr
     lines = differ.stdout.splitlines()
@@ -73,3 +79,16 @@ def test_ab_scale(trees):
     lines = differ.stdout.splitlines()
     assert "cases with different output: 1" in lines
     assert [line.split()[3] for line in lines if line.endswith("DIFFERENT")] == ["equiv"], lines
+
+
+def test_ab_inproc_counts_mismatches_by_kind(tmp_path):
+    old = tree(tmp_path, "old")
+    commented = tree(tmp_path, "commented", edit=(
+        "zigzag", 'lines = [f"zigzag {z.functor} {z.tag.value}",',
+        'lines = ["# commented", f"zigzag {z.functor} {z.tag.value}",'))
+    differ = run("ab_inproc", old, commented)
+    assert differ.returncode == 1, differ.stdout + differ.stderr
+    lines = differ.stdout.splitlines()
+    (count,) = [int(line.split()[1]) for line in lines if line.startswith("mismatches: ")]
+    assert count > 0
+    assert f"mismatches by kind: output 0, witness bytes {count}, verdict 0" in lines, lines

@@ -18,8 +18,8 @@ from wazz.hilbert import hilbert_basis
 from wazz.linalg import Mat, scaled, unit
 from wazz.pca import invariant_zero_set, pyramid_extension, reduce_invariant_set
 from wazz.polyhedra import HRep, INFINITY, PcaPolytope, dd_h_to_v, dd_v_to_h, gauge
-from wazz.zigzag import (FREE_PCA, GENERATED_MODULE, Morphism, ZigZag, cubic_zigzag,
-                         ghat_zigzag, verify_zigzag)
+from wazz.zigzag import (FREE_PCA, GENERATED_MODULE, Morphism, ZigZag, five_node_zigzag,
+                         span_zigzag, verify_zigzag)
 
 from genrandom import lifted_pair, rand_automaton, rand_config
 from ghat_oracle import GhatElement, ghat_apply, ghat_member, pca_member
@@ -65,7 +65,7 @@ def test_criterion_1_cubic_span_shape():
         for tag in (T.NAT, T.QPLUS, T.RPLUS, T.UNIT):
             for _ in range(200):
                 aut1, x1, aut2, x2 = random_equivalent_pair(rng, tag, 4)
-                z = cubic_zigzag(aut1, x1, aut2, x2)
+                z = span_zigzag(aut1, x1, aut2, x2)
                 assert len(z.nodes) == 3  # exactly one intermediate node
                 incoming = {m.dst for m in z.morphisms}
                 assert incoming == {0, 2}
@@ -79,7 +79,7 @@ def test_criterion_2_ghat_five_node_shape():
         rng = random.Random("criterion-2")
         for _ in range(100):
             aut1, x1, aut2, x2 = random_equivalent_pair(rng, T.PCA, 3)
-            z = ghat_zigzag(aut1, x1, aut2, x2)
+            z = five_node_zigzag(aut1, x1, aut2, x2)
             assert len(z.nodes) == 5
             incoming = {m.dst for m in z.morphisms}
             assert incoming == {1, 3}
@@ -354,7 +354,7 @@ def test_criterion_9_negative_controls():
                                  out=svec(["1/2", "1/2"]),
                                  trans=(Mat([[0, F("1/2")], [F("1/2"), 0]]),))
         x1, x2 = svec([1]), unit(2, 0)
-        z = cubic_zigzag(aut1, x1, aut2, x2)
+        z = span_zigzag(aut1, x1, aut2, x2)
         assert verify_zigzag(z).valid
         assert z.nodes[1].generators  # tampering below must not be vacuous
 

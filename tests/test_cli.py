@@ -149,6 +149,7 @@ class TestZigzagVerify:
         assert main(["verify", out]) == 0
         assert "VALID" in capsys.readouterr().out
 
+    @pytest.mark.usefixtures("paper_routes")
     def test_zigzag_pca_pipeline(self, tmp_path, capsys):
         a = write(tmp_path, "a.wa", PCA_LOOP)
         out = str(tmp_path / "w.zz")
@@ -171,6 +172,7 @@ class TestZigzagVerify:
         assert main(["zigzag", a, b, "-o", out]) == 2
         assert capsys.readouterr() == ("", f"{out}:0: cannot write file: {reason}\n")
 
+    @pytest.mark.usefixtures("paper_routes")
     def test_verify_catches_tampering(self, tmp_path, capsys):
         a = write(tmp_path, "a.wa", HALF_LOOP)
         b = write(tmp_path, "b.wa", SWAP)
@@ -182,6 +184,7 @@ class TestZigzagVerify:
         assert main(["verify", out]) == 1
         assert "INVALID" in capsys.readouterr().out
 
+    @pytest.mark.usefixtures("paper_routes")
     def test_verify_names_the_separating_word(self, tmp_path, capsys):
         a = write(tmp_path, "a.wa", HALF_LOOP)
         b = write(tmp_path, "b.wa", SWAP)
@@ -307,6 +310,7 @@ class TestZigzagVerify:
                              f"budget of {zigzag.MONOID_STEP_BUDGET} steps"]
         assert err == ""
 
+    @pytest.mark.usefixtures("paper_routes")
     def test_internal_error_exit_code(self, tmp_path, capsys, monkeypatch):
         # a fixed-point system without solution on a valid coalgebra is a bug
         monkeypatch.setattr(pca, "fixed_point", lambda out, trans: None)

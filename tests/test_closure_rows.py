@@ -19,7 +19,7 @@ from wazz import linalg, pca, polyhedra
 from wazz.automata import SemiringTag, WeightedAutomaton, pair_quotient, pair_submodule
 from wazz.linalg import Mat, _pivot_scales, unit
 from wazz.polyhedra import PRODUCT, SCALED, cone_restriction, simplex_restriction
-from wazz.zigzag import cubic_zigzag, ghat_zigzag
+from span_oracle import paper_route
 
 T = SemiringTag
 SPAN_TAGS = (T.QPLUS, T.RPLUS, T.UNIT, T.PCA)
@@ -341,7 +341,7 @@ def test_no_producer_zigzag_runs_the_elimination_start(tag, monkeypatch):
     monkeypatch.setattr(polyhedra, "_initial_simplex",
                         owned("start", polyhedra._initial_simplex))
     monkeypatch.setattr(pca, "solve", owned("solve", pca.solve))
-    build = ghat_zigzag if tag is T.PCA else cubic_zigzag
+    build = paper_route(tag)
     built = closures = frames = starts = 0
     for kind, pair in pairs(tag):
         if kind == "full rank" and tag is T.PCA:

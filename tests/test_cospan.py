@@ -1,12 +1,20 @@
-"""The cospan witnesses of the ring and field tags (`int`, `q`, `real`)
-against the span witnesses they replaced (`span_oracle.ring_span_zigzag`):
-the same verdict on every seeded pair, both witnesses VALID on every
-equivalent one, every node of a cospan decided without a factorization, and
-the same separating word as the forward closure (`separating_word`) on every
-other one."""
+"""The cospan witnesses onto the pair's quotient by its word functionals.
+
+For the ring and field tags (`int`, `q`, `real`) against the span witnesses
+they replaced (`span_oracle.ring_span_zigzag`): the same verdict on every
+seeded pair, both witnesses VALID on every equivalent one, every node of a
+cospan decided without a factorization, and the same separating word as the
+forward closure (`separating_word`) on every other one.
+
+For the semiring tags (`nat`, `qplus`, `rplus`, `unit`, `pca`) against the
+paper's routes (`span_zigzag`, `five_node_zigzag`): every cospan VALID, every
+pair whose quotient leaves the semiring written byte for byte as the named
+route writes it, the same separating word on every separated pair, and no
+Hilbert completion, double description or pyramid on a cospan run."""
 
 import random
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -14,12 +22,14 @@ import pytest
 
 from genrandom import lifted_pair, rand_automaton, rand_config, two_lifts, zero_one_weight
 from matvec_oracle import fractions, matmul, vdot
-from span_oracle import RING_TAGS, ring_span_zigzag
-from wazz import automata, zigzag
-from wazz.automata import NotEquivalent, SemiringTag, WeightedAutomaton, separating_word
+from span_oracle import RING_TAGS, paper_route, ring_span_zigzag
+from wazz import automata, hilbert, pca, polyhedra, zigzag
+from wazz.automata import (NotEquivalent, SemiringTag, WeightedAutomaton, automaton_to_text,
+                           separating_word)
+from wazz.cli import main
 from wazz.linalg import Mat, scaled
-from wazz.zigzag import (FREE_MODULE, cubic_zigzag, parse_zigzag, verify_zigzag,
-                         zigzag_to_text)
+from wazz.zigzag import (CUBIC, FREE_MODULE, FREE_PCA, GHAT, _quotient_cospan, cubic_zigzag,
+                         ghat_zigzag, parse_zigzag, span_zigzag, verify_zigzag, zigzag_to_text)
 
 T = SemiringTag
 
@@ -168,7 +178,7 @@ def test_equivalent_pairs_build_no_pair_closure(tag, monkeypatch):
             built += 1
     assert built >= 20 and calls == []
     # the spy is in place: a span witness of another tag calls it
-    cubic_zigzag(*lifted_pair(random.Random(0), T.QPLUS, 2, 1, ("a",)))
+    span_zigzag(*lifted_pair(random.Random(0), T.QPLUS, 2, 1, ("a",)))
     assert len(calls) == 1
 
 
@@ -219,10 +229,10 @@ def test_separating_words_need_no_closure_of_the_configurations(tag, monkeypatch
     words = [verdict(cubic_zigzag, pair) for _, pair in ring_pairs(tag)]
     assert sum(isinstance(w, tuple) for w in words) >= 20 and calls == []
     # the spy is in place: `separating_word` calls it, and so does a
-    # non-ring `cubic_zigzag` through the name `zigzag` imported
+    # `span_zigzag` through the name `zigzag` imported
     separating_word(*planted_chain(random.Random(0), tag, 3))
     assert len(calls) == 1
-    cubic_zigzag(*lifted_pair(random.Random(0), T.QPLUS, 2, 1, ("a",)))
+    span_zigzag(*lifted_pair(random.Random(0), T.QPLUS, 2, 1, ("a",)))
     assert len(calls) == 2
 
 
@@ -234,3 +244,148 @@ def test_pairs_share_the_alphabet():
         for build in (cubic_zigzag, ring_span_zigzag, separating_word):
             with pytest.raises(ValueError, match="automata have different alphabets"):
                 build(*pair)
+
+
+# ---------------------------------------------------------------------------
+# the semiring tags: cospan first, the paper's route as the fallback
+
+SEMIRING_TAGS = (T.NAT, T.QPLUS, T.RPLUS, T.UNIT, T.PCA)
+
+# (tag, k, extra, seed) of one-letter lifted pairs lifted_pair(Random(seed),
+# tag, k, extra, ("a",)) whose quotient leaves the semiring: a negative
+# entry in the nat quotient's letter matrix, a column of h2 above 1 in sum
+# for unit and pca
+FALLBACKS = ((T.NAT, 3, 1, 0), (T.UNIT, 2, 1, 4), (T.PCA, 2, 1, 42))
+
+
+def default_route(tag):
+    """The producer `wazz zigzag` runs for the tag."""
+    return ghat_zigzag if tag is T.PCA else cubic_zigzag
+
+
+def cospan_of(pair):
+    """The pair's cospan, or None where its quotient leaves the semiring."""
+    return _quotient_cospan(GHAT if pair[0].tag is T.PCA else CUBIC, *pair)
+
+
+def fallback_pair(tag, k, extra, seed):
+    return lifted_pair(random.Random(seed), tag, k, extra, ("a",))
+
+
+def semiring_pairs(tag):
+    """(kind, pair) for the seeded pairs of one semiring tag, with one and
+    two letters: lifted pairs, pairs of two lifts, zero spans (both
+    configurations zero) and pairs that are mostly separated."""
+    rng = random.Random(f"cospan/semiring/{tag.value}")
+    for _ in range(4):
+        for alphabet in (("a",), ("a", "b")):
+            k = rng.randint(1, 3)
+            yield "lift", lifted_pair(rng, tag, k, rng.randint(0, 2), alphabet)
+            yield "two lifts", two_lifts(rng, tag, k, rng.randint(1, 2), alphabet)
+            big, _, small, _ = lifted_pair(rng, tag, k, rng.randint(1, 2), alphabet)
+            yield "zero span", (big, scaled([0] * big.n), small, scaled([0] * small.n))
+            yield "perturbed", perturbed(rng, tag, k, rng.randint(0, 2), alphabet)
+            yield "random", random_pair(rng, tag, alphabet)
+    for fallback in FALLBACKS:
+        if fallback[0] is tag:
+            yield "fixed fallback", fallback_pair(*fallback)
+
+
+@pytest.mark.parametrize("tag", SEMIRING_TAGS, ids=lambda t: t.value)
+def test_cospan_or_the_named_route(tag):
+    seen = set()
+    for kind, pair in semiring_pairs(tag):
+        got, named = verdict(default_route(tag), pair), verdict(paper_route(tag), pair)
+        if isinstance(named, tuple):
+            # the backward closure names the forward closure's word
+            assert got == named == separating_word(*pair), kind
+            seen.add((kind, "separated"))
+            continue
+        assert verify_zigzag(named).valid, kind
+        cospan = cospan_of(pair)
+        if cospan is None:
+            assert zigzag_to_text(got) == zigzag_to_text(named), kind
+            seen.add((kind, "fallback"))
+            continue
+        assert got == cospan
+        report = verify_zigzag(got)
+        assert report.valid, (kind, [c.name for c in report.failures()])
+        kind_of_free = FREE_PCA if tag in (T.UNIT, T.PCA) else FREE_MODULE
+        assert [node.kind for node in got.nodes] == [kind_of_free] * 3
+        assert [(m.src, m.dst) for m in got.morphisms] == [(0, 1), (2, 1)]
+        assert got.relating == ((0, pair[1]), (2, pair[3]))
+        assert all(zigzag._diagonal(node.generators, node.dim) for node in got.nodes)
+        assert parse_zigzag(zigzag_to_text(got)) == got
+        seen.add((kind, "cospan"))
+    assert {"lift", "two lifts", "zero span"} <= {k for k, how in seen if how == "cospan"}
+    assert {("perturbed", "separated"), ("random", "separated")} <= seen
+    if tag in {f[0] for f in FALLBACKS}:
+        assert ("fixed fallback", "fallback") in seen
+
+
+@pytest.mark.parametrize("fallback", FALLBACKS, ids=lambda f: f[0].value)
+def test_fallback_pairs_take_the_named_route(fallback):
+    pair = fallback_pair(*fallback)
+    assert cospan_of(pair) is None
+    z = default_route(fallback[0])(*pair)
+    assert zigzag_to_text(z) == zigzag_to_text(paper_route(fallback[0])(*pair))
+    assert len(z.nodes) == (5 if fallback[0] is T.PCA else 3)
+    assert verify_zigzag(z).valid
+
+
+@pytest.mark.parametrize("tag", SEMIRING_TAGS, ids=lambda t: t.value)
+def test_a_cospan_run_enters_no_restriction(tag, monkeypatch):
+    """A cospan is built from the quotient alone: no Hilbert completion, no
+    double description and no pyramid runs, from whichever module."""
+    entered = []
+
+    def spy(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args: entered.append(name) or original(*args))
+
+    spy(hilbert, "_completion")
+    spy(polyhedra, "_pointed_cone_rays")
+    spy(pca, "pyramid_extension")
+    monkeypatch.setattr(zigzag, "pyramid_extension", pca.pyramid_extension)
+    built = 0
+    for kind, pair in semiring_pairs(tag):
+        if kind in ("lift", "two lifts", "zero span") and cospan_of(pair) is not None:
+            default_route(tag)(*pair)
+            built += 1
+    assert built >= 20 and entered == []
+    # the spies are in place: the paper's route enters them
+    paper_route(tag)(*lifted_pair(random.Random("cospan/spies"), tag, 2, 1, ("a",)))
+    assert entered
+    for fallback in FALLBACKS:
+        if fallback[0] is tag:
+            entered.clear()
+            default_route(tag)(*fallback_pair(*fallback))
+            assert entered
+
+
+@pytest.mark.parametrize("seed", [1, 2, 4])
+def test_one_letter_nat_5_plus_2_in_under_a_second(seed, tmp_path, capsys):
+    """One-letter nat 5+2 pairs whose span route ran past 60 s: `wazz
+    zigzag` writes their cospan at once, and `wazz verify` passes it."""
+    aut1, x1, aut2, x2 = lifted_pair(random.Random(seed), T.NAT, 5, 2, ("a",))
+    left, right, witness = (str(tmp_path / name) for name in ("l.wa", "r.wa", "w.zz"))
+    for path, aut, x in ((left, aut1, x1), (right, aut2, x2)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(automaton_to_text(aut, x))
+    start = time.perf_counter()
+    assert main(["zigzag", left, right, "-o", witness]) == 0
+    elapsed = time.perf_counter() - start
+    assert main(["verify", witness, left, right]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("VALID")
+    with open(witness, encoding="utf-8") as fh:
+        z = parse_zigzag(fh.read())
+    assert [(m.src, m.dst) for m in z.morphisms] == [(0, 1), (2, 1)]
+    assert elapsed < 1
+
+
+def test_one_letter_nat_5_plus_2_seeds_0_and_3_fall_back():
+    """Their quotients leave N: seed 0's needs a rebase on the smaller side,
+    seed 3's has negative entries, so both take the span route."""
+    for seed in (0, 3):
+        assert cospan_of(lifted_pair(random.Random(seed), T.NAT, 5, 2, ("a",))) is None

@@ -18,12 +18,13 @@ import pytest
 import verify_oracle
 from genrandom import lifted_pair
 from matvec_oracle import fractions, identity, svec
+from span_oracle import paper_route
 from wazz import zigzag
 from wazz.automata import LinearCoalgebra, SemiringTag
 from wazz.linalg import scaled
 from wazz.polyhedra import INFINITY
 from wazz.zigzag import (FREE_MODULE, FREE_PCA, GENERATED_MODULE, GENERATED_PCA, ZigZagNode,
-                         _carrier, cubic_zigzag, ghat_zigzag, verify_zigzag)
+                         _carrier, verify_zigzag)
 
 T = SemiringTag
 
@@ -124,7 +125,7 @@ def checks(report):
 
 @pytest.mark.parametrize("tag", list(T), ids=lambda t: t.value)
 def test_near_misses_keep_the_span_route_and_the_oracle_report(tag, monkeypatch):
-    build = ghat_zigzag if tag is T.PCA else cubic_zigzag
+    build = paper_route(tag)
     z = build(*lifted_pair(random.Random(f"diagonal/near/{tag.value}"), tag, 2, 1, ("a", "b")))
     free = [i for i, node in enumerate(z.nodes) if node.is_free]
     assert all(zigzag._diagonal(z.nodes[i].generators, z.nodes[i].dim) for i in free)

@@ -19,7 +19,8 @@ from wazz.cli import MAX_DIGITS
 from wazz.formats import LineReader, ParseError, block_lines, fmt_ratio, parse_rat
 from wazz.linalg import Mat, scaled
 from wazz.zigzag import (CUBIC, FREE_MODULE, GENERATED_MODULE, Morphism, ZigZag, ZigZagNode,
-                         cubic_zigzag, ghat_zigzag, parse_zigzag, zigzag_to_text)
+                         cubic_zigzag, five_node_zigzag, ghat_zigzag, parse_zigzag,
+                         zigzag_to_text)
 
 from genrandom import lifted_pair
 from matvec_oracle import columns, fraction_rows, svec
@@ -36,8 +37,8 @@ _KEYWORD_ROWS = ("output", "state", "out", "at", "left", "right")
 def diagnostic_corpus():
     """name -> (text, parser): a q 2+1 pair, its span witness (the
     generated middle node and the projections the diagnostics were pinned
-    on), a pca witness and a witness whose nodes 1-3 have dimension 0, each
-    under a comment line."""
+    on), a pca five-node witness and one whose nodes 1-3 have dimension 0,
+    each under a comment line."""
     a1, x1, a2, x2 = lifted_pair(random.Random("parse-golden/q"), T.Q, 2, 1, ("a", "b"))
     p1, y1, p2, y2 = lifted_pair(random.Random("parse-golden/pca"), T.PCA, 2, 1, ("a", "b"))
     dead = WeightedAutomaton(tag=T.PCA, n=1, alphabet=("a",), out=svec([0]),
@@ -46,9 +47,9 @@ def diagnostic_corpus():
         "q-left.wa": (automaton_to_text(a1, x1), parse_automaton),
         "q-right.wa": (automaton_to_text(a2, x2), parse_automaton),
         "q.zz": (zigzag_to_text(ring_span_zigzag(a1, x1, a2, x2)), parse_zigzag),
-        "pca.zz": (zigzag_to_text(ghat_zigzag(p1, y1, p2, y2)), parse_zigzag),
-        "zero-dim.zz": (zigzag_to_text(ghat_zigzag(dead, svec([1]), dead,
-                                                   svec(["1/2"]))), parse_zigzag),
+        "pca.zz": (zigzag_to_text(five_node_zigzag(p1, y1, p2, y2)), parse_zigzag),
+        "zero-dim.zz": (zigzag_to_text(five_node_zigzag(dead, svec([1]), dead,
+                                                        svec(["1/2"]))), parse_zigzag),
     }
     return {name: ("# " + name + "\n" + text, parse) for name, (text, parse) in texts.items()}
 

@@ -16,7 +16,8 @@ from wazz.automata import LinearCoalgebra, SemiringTag
 from wazz.linalg import (Mat, _Echelon, _lowest_terms, closure_under_maps, kernel_basis, primitive,
                          rref, scaled)
 from wazz.polyhedra import INFINITY, PcaPolytope, cone_member, gauge, span_factors
-from wazz.zigzag import FREE_MODULE, FREE_PCA, GENERATED_MODULE, ZigZagNode, _carrier, ghat_zigzag
+from wazz.zigzag import (FREE_MODULE, FREE_PCA, GENERATED_MODULE, ZigZagNode, _carrier,
+                         five_node_zigzag)
 
 from genrandom import lifted_pair
 from ghat_oracle import pca_member
@@ -503,7 +504,7 @@ class TestGaugeMatchesOracle:
         for k, extra in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)) * 2:
             aut1, x1, aut2, x2 = lifted_pair(rng, T.PCA, k, extra,
                                              ("a", "b")[: rng.randint(1, 2)])
-            z = ghat_zigzag(aut1, x1, aut2, x2)
+            z = five_node_zigzag(aut1, x1, aut2, x2)
             hulls += [PcaPolytope(n.dim, n.generators) for n in z.nodes if n.is_pca]
         assert len(hulls) >= 12 * 5
         for p in hulls:

@@ -15,7 +15,7 @@ from wazz.linalg import Mat, scaled, unit
 from wazz.pca import (InvariantZeroSet, PyramidCert, invariant_zero_set, pyramid_extension,
                       reduce_invariant_set)
 from wazz.polyhedra import INFINITY, InternalError, PcaPolytope, gauge
-from wazz.zigzag import ghat_zigzag, verify_zigzag
+from wazz.zigzag import five_node_zigzag, verify_zigzag
 
 from genrandom import lifted_pair, rand_automaton
 import pyramid_oracle
@@ -249,7 +249,7 @@ def sparsified(rng, aut, keep):
 
 
 def hull_test_pairs():
-    """Lifted subconvex pairs whose ghat_zigzag hulls reach dimensions 0-5."""
+    """Lifted subconvex pairs whose five_node_zigzag hulls reach dimensions 0-5."""
     rng = random.Random("pyramid-vs-fm-hulls")
     for k, extra in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)):
         for _ in range(4):
@@ -304,7 +304,7 @@ class TestPyramidMatchesFourierMotzkin:
 
         monkeypatch.setattr(zigzag, "pyramid_extension", spy)
         for pair in hull_test_pairs():
-            ghat_zigzag(*pair)
+            five_node_zigzag(*pair)
         assert {p.dim for p, _ in calls} >= {0, 1, 2, 3, 4, 5}
         assert any(len(p.generators) > p.dim for p, _ in calls)
         for polytope, coalg in calls:
@@ -320,7 +320,7 @@ class TestPyramidMatchesFourierMotzkin:
                 original = getattr(module, name)
                 mp.setattr(module, name, lambda *args, name=name, original=original:
                            calls.append(name) or original(*args))
-            witnesses = [ghat_zigzag(*pair) for pair in hull_test_pairs()]
+            witnesses = [five_node_zigzag(*pair) for pair in hull_test_pairs()]
         assert calls == []
         assert all(verify_zigzag(z).valid for z in witnesses)
 
@@ -449,7 +449,7 @@ class TestPyramidMatchesFractionOracle:
         F(1, 3)  # the spy is in place
         assert built == [(1, 3)]
         built.clear()
-        witnesses = [ghat_zigzag(*pair) for pair in pairs]
+        witnesses = [five_node_zigzag(*pair) for pair in pairs]
         monkeypatch.undo()
         assert built == []
         assert all(verify_zigzag(z).valid for z in witnesses)
@@ -495,7 +495,7 @@ class TestFixedPointRows:
             a1, x1 = parse_automaton(workloads.to_text(pair.left, pair.x_left))
             a2, x2 = parse_automaton(workloads.to_text(pair.right, pair.x_right))
             try:
-                ghat_zigzag(a1, x1, a2, x2)
+                five_node_zigzag(a1, x1, a2, x2)
             except NotEquivalent:
                 pass
         monkeypatch.undo()

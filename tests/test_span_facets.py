@@ -23,7 +23,8 @@ from wazz.cli import main
 from wazz.linalg import Mat, scaled
 from wazz.polyhedra import (INFINITY, PcaPolytope, SearchBudgetExceeded, cone_member,
                             gauge)
-from wazz.zigzag import cubic_zigzag, ghat_zigzag, parse_zigzag, verify_zigzag, zigzag_to_text
+from wazz.zigzag import (five_node_zigzag, parse_zigzag, span_zigzag, verify_zigzag,
+                         zigzag_to_text)
 
 from genrandom import lifted_pair
 
@@ -223,7 +224,7 @@ def moment_curve_witness(n):
     generators replaced by n points on the moment curve: (t, ..., t^6)
     repeated across the coordinates and scaled to sum 1, t = 1..n.  Their
     hull, a cyclic polytope, has on the order of n^3 facets."""
-    z = ghat_zigzag(*lifted_pair(random.Random(0), T.PCA, 6, 4, ("a",)))
+    z = five_node_zigzag(*lifted_pair(random.Random(0), T.PCA, 6, 4, ("a",)))
     middle = z.nodes[2]
     assert middle.dim == 16
     gens = []
@@ -305,7 +306,7 @@ def test_producer_double_description_is_unbounded(no_budget):
     """The restrictions a witness is built from ignore the verifier's budget."""
     rng = random.Random("span-facets/producer")
     for tag in (T.QPLUS, T.UNIT, T.PCA):
-        z = (ghat_zigzag if tag is T.PCA else cubic_zigzag)(
+        z = (five_node_zigzag if tag is T.PCA else span_zigzag)(
             *lifted_pair(rng, tag, 4, 2, ("a", "b")))
         assert z.nodes[len(z.nodes) // 2].generators
 

@@ -73,11 +73,13 @@ SIZED = {"pair_submodule", "nat_restriction", "cone_restriction", "simplex_restr
          "cubic_zigzag", "ghat_zigzag", "verify_zigzag"}
 
 
+@pytest.mark.usefixtures("paper_routes")
 @pytest.mark.parametrize("tag", ["q", "nat", "qplus", "unit", "pca"])
 def test_traced_sizes_count_vectors(tag, tmp_path, capsys):
-    """Each traced size is read off the real result of its function: the
-    pair closure's dimension, the restriction's and the middle node's
-    generator counts (a ring tag's sink's), and the verifier's checks.  Each equals the number of
+    """Each traced size is read off the real result of its function, on the
+    paper's routes: the pair closure's dimension, the restriction's and the
+    middle node's generator counts (a ring tag's sink's), and the
+    verifier's checks.  Each equals the number of
     vectors (or checks) the command prints, so a change of representation
     cannot silently change a `--trace 1` layer size."""
     aut1, x1, aut2, x2 = lifted_pair(random.Random(f"traced-sizes/{tag}"),
@@ -111,13 +113,15 @@ def test_traced_sizes_count_vectors(tag, tmp_path, capsys):
     assert solved == ({1} if tag == "pca" else set())
 
 
+@pytest.mark.usefixtures("paper_routes")
 @pytest.mark.parametrize("tag", ["qplus", "rplus", "unit", "pca"])
 def test_traced_zigzag_records_the_closure_and_its_restriction(tag, tmp_path, capsys):
     """The span producers hand the closure's echelon rows to the restriction
     but still call `pair_submodule` and the restriction by name, so a traced
-    `zigzag` records both: the closure's size is the dimension `equiv`
-    prints, and the double description metrics of the benchmark's
-    `restrict-unary` and `ghat-pca` workloads do not read 0."""
+    `zigzag` that takes the paper's route records both: the closure's size
+    is the dimension `equiv` prints, and the double description metrics of
+    the benchmark's `restrict-unary` and `ghat-pca` workloads do not read 0
+    on the pairs that fall back to it.  A cospan runs neither."""
     rng = random.Random(f"traced-layers/{tag}")
     while True:  # a nonzero start, so that the closure and the restriction are not empty
         aut1, x1, aut2, x2 = lifted_pair(rng, SemiringTag(tag), 3, 1, ("a",))

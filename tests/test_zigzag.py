@@ -17,13 +17,15 @@ from wazz import linalg, polyhedra, zigzag
 from wazz.zigzag import (CUBIC, FREE_MODULE, FREE_PCA, GENERATED_MODULE,
                          GENERATED_PCA, GHAT, Morphism, SearchBudgetExceeded, ZigZag,
                          ZigZagNode, _RING_TAGS, _carrier, _nat_monoid_member, cubic_zigzag,
-                         ghat_zigzag, parse_zigzag, verify_zigzag, zigzag_to_text)
+                         five_node_zigzag, ghat_zigzag, parse_zigzag, span_zigzag,
+                         verify_zigzag, zigzag_to_text)
 
 import kernel_oracle
 import verify_oracle
 from genrandom import (lifted_pair, rand_automaton, rand_config, report_witnesses,
                        with_redundant_generators)
 from matvec_oracle import fraction_rows, fractions, identity, sconcat, svec, transpose, zero
+from span_oracle import paper_route
 
 T = SemiringTag
 
@@ -51,7 +53,7 @@ class TestCubic:
         rng = random.Random(201)
         aut = rand_automaton(rng, T.NAT, 2, ("a",))
         x = svec([1, 2])
-        z = cubic_zigzag(aut, x, aut, x)
+        z = span_zigzag(aut, x, aut, x)
         assert len(z.nodes) == 3
         assert z.nodes[1].kind == GENERATED_MODULE
         # the diagonal element relates the endpoints
@@ -60,7 +62,7 @@ class TestCubic:
         assert report.valid, failing_names(report)
 
     def test_worked_qplus_pair(self):
-        z = cubic_zigzag(*qplus_pair())
+        z = span_zigzag(*qplus_pair())
         assert [n.kind for n in z.nodes] == [FREE_MODULE, GENERATED_MODULE, FREE_MODULE]
         # middle generators: hand reduction of span{(1,1,0),(1/2,0,1/2)} ∩ Q+^3
         assert set(z.nodes[1].generators) == {svec([1, 0, 1]), svec([1, 1, 0])}
@@ -88,7 +90,7 @@ class TestCubic:
             aut1, x1, aut2, x2 = lifted_pair(rng, tag, rng.randint(1, 2),
                                              rng.randint(0, 2),
                                              ("a", "b")[: rng.randint(1, 2)])
-            z = cubic_zigzag(aut1, x1, aut2, x2)
+            z = paper_route(tag)(aut1, x1, aut2, x2)
             assert len(z.nodes) == 3
             if tag in _RING_TAGS:
                 # a cospan: both automata map onto a free sink
@@ -106,7 +108,7 @@ class TestCubic:
 class TestGhat:
     def test_worked_half_loop(self):
         aut = pca_half_loop()
-        z = ghat_zigzag(aut, svec([1]), aut, svec([1]))
+        z = five_node_zigzag(aut, svec([1]), aut, svec([1]))
         assert len(z.nodes) == 5
         kinds = [n.kind for n in z.nodes]
         assert kinds == [FREE_PCA, FREE_PCA, GENERATED_PCA, FREE_PCA, FREE_PCA]
@@ -120,11 +122,11 @@ class TestGhat:
                                 trans=(Mat([[F("1/2"), 0], [0, 1]]),))
         small = WeightedAutomaton(tag=T.PCA, n=1, alphabet=("a",),
                                   out=svec(["1/2"]), trans=(Mat([[F("1/2")]]),))
-        z = ghat_zigzag(big, unit(2, 0), small, svec([1]))
+        z = five_node_zigzag(big, unit(2, 0), small, svec([1]))
         report = verify_zigzag(z)
         assert report.valid, failing_names(report)
         # the dead coordinate also relates to zero on the other side
-        z2 = ghat_zigzag(big, unit(2, 1), small, svec([0]))
+        z2 = five_node_zigzag(big, unit(2, 1), small, svec([0]))
         report2 = verify_zigzag(z2)
         assert report2.valid, failing_names(report2)
 
@@ -142,7 +144,7 @@ class TestGhat:
             aut1, x1, aut2, x2 = lifted_pair(rng, T.PCA, rng.randint(1, 2),
                                              rng.randint(0, 2),
                                              ("a", "b")[: rng.randint(1, 2)])
-            z = ghat_zigzag(aut1, x1, aut2, x2)
+            z = five_node_zigzag(aut1, x1, aut2, x2)
             assert len(z.nodes) == 5
             assert z.nodes[1].kind == FREE_PCA and z.nodes[3].kind == FREE_PCA
             report = verify_zigzag(z)
@@ -151,12 +153,12 @@ class TestGhat:
     @pytest.mark.parametrize("k, extra", [(7, 1), (12, 2)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_lifted_pairs_at_scale(self, k, extra, seed):
-        # the pyramid normal is one linear solve, so ghat_zigzag takes well
+        # the pyramid normal is one linear solve, so five_node_zigzag takes well
         # under a second here; the bound leaves room for a slow machine
         rng = random.Random(f"ghat-scale-{k}+{extra}-{seed}")
         aut1, x1, aut2, x2 = lifted_pair(rng, T.PCA, k, extra, ("a",))
         start = time.perf_counter()
-        z = ghat_zigzag(aut1, x1, aut2, x2)
+        z = five_node_zigzag(aut1, x1, aut2, x2)
         elapsed = time.perf_counter() - start
         assert [node.dim for node in z.nodes[1:4]] == [k + extra, 2 * k + extra, k]
         report = verify_zigzag(z)
@@ -192,7 +194,7 @@ class TestQplusRoutes:
 
     @staticmethod
     def assert_routes_agree(pair):
-        z = cubic_zigzag(*pair)
+        z = span_zigzag(*pair)
         old = scaling_route_witness(z, pair)
         rays, hilbert = z.nodes[1].generators, old.nodes[1].generators
         assert all(cone_member(hilbert, g) for g in rays)
@@ -215,7 +217,7 @@ class TestQplusRoutes:
     def test_one_letter_k_plus_2(self, k, seed):
         pair = lifted_pair(random.Random(seed), T.QPLUS, k, 2, ("a",))
         start = time.perf_counter()
-        report = verify_zigzag(cubic_zigzag(*pair))
+        report = verify_zigzag(span_zigzag(*pair))
         elapsed = time.perf_counter() - start
         assert report.valid, failing_names(report)
         assert elapsed < 1
@@ -271,7 +273,7 @@ class TestGhatSeparatingWord:
 
 class TestVerifierNegativeControls:
     def make(self):
-        return cubic_zigzag(*qplus_pair())
+        return span_zigzag(*qplus_pair())
 
     def test_tampered_morphism_entry(self):
         z = self.make()
@@ -340,7 +342,7 @@ class TestVerifierNegativeControls:
 
 class TestWitnessFormat:
     def test_roundtrip_cubic(self):
-        z = cubic_zigzag(*qplus_pair())
+        z = span_zigzag(*qplus_pair())
         text = zigzag_to_text(z)
         back = parse_zigzag(text)
         assert back == z
@@ -348,7 +350,7 @@ class TestWitnessFormat:
 
     def test_roundtrip_ghat(self):
         aut = pca_half_loop()
-        z = ghat_zigzag(aut, svec([1]), aut, svec([1]))
+        z = five_node_zigzag(aut, svec([1]), aut, svec([1]))
         text = zigzag_to_text(z)
         back = parse_zigzag(text)
         assert back == z
@@ -357,7 +359,7 @@ class TestWitnessFormat:
     def test_roundtrip_zero_dimensional_nodes(self):
         dead = WeightedAutomaton(tag=T.PCA, n=1, alphabet=("a",),
                                  out=svec([0]), trans=(Mat([[1]]),))
-        z = ghat_zigzag(dead, svec([1]), dead, svec(["1/2"]))
+        z = five_node_zigzag(dead, svec([1]), dead, svec(["1/2"]))
         assert z.nodes[2].dim == 0
         report = verify_zigzag(z)
         assert report.valid, failing_names(report)
@@ -368,7 +370,7 @@ class TestWitnessFormat:
         """Nodes 0/1 and 3/4 of a ghat witness with nothing dropped share
         their letter matrices; each distinct `Mat` is formatted once."""
         rng = random.Random("shared-blocks")
-        z = ghat_zigzag(*lifted_pair(rng, T.PCA, 3, 1, ("a", "b")))
+        z = five_node_zigzag(*lifted_pair(rng, T.PCA, 3, 1, ("a", "b")))
         mats = [m for node in z.nodes for m in node.coalgebra.trans]
         mats += [mor.matrix for mor in z.morphisms]
         assert z.nodes[0].coalgebra.trans[0] is z.nodes[1].coalgebra.trans[0]
@@ -386,7 +388,7 @@ class TestWitnessFormat:
         read once: nodes 0/1 and 3/4 of a parsed ghat witness with nothing
         dropped share their letter `Mat`s, and the report is unchanged."""
         rng = random.Random("shared-blocks")
-        z = ghat_zigzag(*lifted_pair(rng, T.PCA, 3, 1, ("a", "b")))
+        z = five_node_zigzag(*lifted_pair(rng, T.PCA, 3, 1, ("a", "b")))
         back = parse_zigzag(zigzag_to_text(z))
         assert back == z
         for i, j in ((0, 1), (3, 4)):
@@ -404,16 +406,18 @@ class TestWitnessFormat:
             zigzag_to_text(cubic_zigzag(a1, x1, a2, x2))
 
     def test_verify_after_parse(self):
-        z = cubic_zigzag(*qplus_pair())
+        z = span_zigzag(*qplus_pair())
         report = verify_zigzag(parse_zigzag(zigzag_to_text(z)))
         assert report.valid
 
-    # sha256 of the witness text for lifted_pair(Random("golden/<key>"), tag,
-    # 3, 2, ("a", "b")), the tag being the key up to a "-"; a change here
-    # changes the bytes every witness file has.  The "int", "q" and "real"
-    # witnesses are cospans onto the pair's quotient.  The "pca" pair reduces every
-    # state away, so nodes 1-3 of its witness have dimension 0; "pca-pyramid"
-    # pins pyramid normals and middle generators on nodes of dimension 3 to 8
+    # sha256 of the witness text of the paper's route (`paper_route`) for
+    # lifted_pair(Random("golden/<key>"), tag, 3, 2, ("a", "b")), the tag
+    # being the key up to a "-"; a change here changes the bytes every
+    # witness file of that route has.  The "int", "q" and "real" witnesses
+    # are cospans onto the pair's quotient, the others spans and five-node
+    # chains.  The "pca" pair reduces every state away, so nodes 1-3 of its
+    # witness have dimension 0; "pca-pyramid" pins pyramid normals and middle
+    # generators on nodes of dimension 3 to 8
     GOLDEN_SHA256 = {
         "nat": "8c7f962578bb769c2ce0e43a55d82354b4bbe49f78f01f30e55be9376fbff4b6",
         "int": "ca9671174f8926b935bf4e39d7639468af9d4c6f8536cdea85003ac239c21025",
@@ -426,13 +430,43 @@ class TestWitnessFormat:
         "pca-pyramid": "e84c970302cc9a7a4c2dba3c8f3d723a84f9aa530f0b77b0412d9d4a36a99a12",
     }
 
+    # sha256 of the witness text `cubic_zigzag` and `ghat_zigzag` write for
+    # the same pairs of the other tags: each of these pairs' quotients is in
+    # its semiring, so each witness is a cospan onto it
+    GOLDEN_COSPAN_SHA256 = {
+        "nat": "aaed6de311aa83aca03e2ecd68d167f9992d49af52343287a4468ababa1808b7",
+        "qplus": "f3ca5d2fea19adefc6d71cfcf9c9a13c2dfc7312f4f19e022b5e64fccb18e6f3",
+        "rplus": "7fff1a10be58a8ab5b60ee38633280874b154265375919f029294ac721e161c7",
+        "unit": "a15535093a40dd20cadb46d8f8d3782d15faf40fa26fbe6a2e0e57d53e32b9fa",
+        "pca": "b925fe3341fceda6ae53125803d86a1623a88c989d8d668636fad4cbc4cff959",
+        "pca-pyramid": "2e5e632e2b791d526addeb1c0c4ba18eb4ad05e77fbe0806f788d622c4f6e717",
+    }
+
+    @staticmethod
+    def default_route(tag):
+        """The producer `wazz zigzag` runs for the tag's name."""
+        return ghat_zigzag if tag == "pca" else cubic_zigzag
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_COSPAN_SHA256))
+    def test_golden_cospan_bytes(self, key):
+        tag = key.split("-")[0]
+        rng = random.Random(f"golden/{key}")
+        aut1, x1, aut2, x2 = lifted_pair(rng, T(tag), 3, 2, ("a", "b"))
+        z = self.default_route(tag)(aut1, x1, aut2, x2)
+        assert [(m.src, m.dst) for m in z.morphisms] == [(0, 1), (2, 1)]
+        assert z.relating == ((0, x1), (2, x2))
+        text = zigzag_to_text(z)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+            self.GOLDEN_COSPAN_SHA256[key]
+        assert parse_zigzag(text) == z
+        assert verify_zigzag(z).valid
+
     @pytest.mark.parametrize("key", sorted(GOLDEN_SHA256))
     def test_golden_witness_bytes(self, key):
         tag = key.split("-")[0]
         rng = random.Random(f"golden/{key}")
         aut1, x1, aut2, x2 = lifted_pair(rng, T(tag), 3, 2, ("a", "b"))
-        build = ghat_zigzag if tag == "pca" else cubic_zigzag
-        z = build(aut1, x1, aut2, x2)
+        z = paper_route(T(tag))(aut1, x1, aut2, x2)
         if key == "pca-pyramid":
             assert [n.dim for n in z.nodes] == [5, 5, 8, 3, 3]
             assert len(z.nodes[2].generators) == 4
@@ -456,20 +490,31 @@ class TestWitnessFormat:
         "pca": "0ba0246d00beb6d6c901eecf4abc5adcf611f930702c841a495435754e2806b9",
     }
 
+    # the same over the witnesses `cubic_zigzag` and `ghat_zigzag` write,
+    # all cospans for these pairs
+    GOLDEN_COSPAN_REPORT_SHA256 = {
+        "nat": "dc9eb8abdf14c8c9fc9bc53ea37d9405bb1b7e5c6bc5cc761286b6f1a5379911",
+        "qplus": "5dbb1fa71983ed9a24b06e9a9cc013bc2ec94fc75a945d1ad5ea17bb1a9136e7",
+        "rplus": "5b009fecfcb18a3dd72d6ea7f427b06ddcf749d76733702f50d0b06660c19f37",
+        "unit": "75020180203990e69340f33012d2097bc76836806414e6a6e33a198007d42e03",
+        "pca": "3cb9f7d054a1fb63493849f3184812be32b7ee13adba528d88780736a66c407e",
+    }
+
     @staticmethod
-    def golden_report_witnesses(tag):
-        """(label, witness) for every witness the golden reports cover."""
-        build = ghat_zigzag if tag == "pca" else cubic_zigzag
+    def golden_report_witnesses(tag, cospan=False):
+        """(label, witness) for every witness the golden reports cover: of
+        the paper's route, or of the route `wazz zigzag` runs."""
+        build = TestWitnessFormat.default_route(tag) if cospan else paper_route(T(tag))
         for s, (k, extra) in enumerate(TestWitnessFormat.REPORT_SIZES):
             rng = random.Random(f"report/{tag}/{s}")
             aut1, x1, aut2, x2 = lifted_pair(rng, T(tag), k, extra, ("a", "b"))
             yield from report_witnesses(build(aut1, x1, aut2, x2))
 
     @staticmethod
-    def report_digest(tag):
+    def report_digest(tag, cospan=False):
         digest = hashlib.sha256()
         verdicts = []
-        for label, w in TestWitnessFormat.golden_report_witnesses(tag):
+        for label, w in TestWitnessFormat.golden_report_witnesses(tag, cospan):
             report = verify_zigzag(w)
             verdicts.append((label, report.valid))
             checks = [(c.name, c.ok, c.detail) for c in report.checks]
@@ -482,6 +527,15 @@ class TestWitnessFormat:
         assert all(valid for label, valid in verdicts if label == "valid")
         assert not all(valid for _, valid in verdicts)
         assert digest == self.GOLDEN_REPORT_SHA256[tag]
+
+    @pytest.mark.parametrize("tag", sorted(GOLDEN_COSPAN_REPORT_SHA256))
+    def test_golden_cospan_reports(self, tag):
+        assert all(len(w.nodes) == 3 for label, w in self.golden_report_witnesses(tag, True)
+                   if label == "valid")
+        digest, verdicts = self.report_digest(tag, True)
+        assert all(valid for label, valid in verdicts if label == "valid")
+        assert not all(valid for _, valid in verdicts)
+        assert digest == self.GOLDEN_COSPAN_REPORT_SHA256[tag]
 
     @pytest.mark.parametrize("tag", sorted(GOLDEN_REPORT_SHA256))
     def test_verifier_runs_no_word_closure(self, tag, monkeypatch):
@@ -511,21 +565,21 @@ class TestWitnessFormat:
 class TestParseErrors:
     def test_bad_kind(self):
         from wazz.formats import ParseError
-        text = zigzag_to_text(cubic_zigzag(*qplus_pair()))
+        text = zigzag_to_text(span_zigzag(*qplus_pair()))
         broken = text.replace("GENERATED_MODULE", "SHINY_MODULE")
         with pytest.raises(ParseError):
             parse_zigzag(broken)
 
     def test_morphism_out_of_range(self):
         from wazz.formats import ParseError
-        text = zigzag_to_text(cubic_zigzag(*qplus_pair()))
+        text = zigzag_to_text(span_zigzag(*qplus_pair()))
         broken = text.replace("morphism 1 0", "morphism 1 9")
         with pytest.raises(ParseError):
             parse_zigzag(broken)
 
     def test_bad_rational(self):
         from wazz.formats import ParseError
-        text = zigzag_to_text(cubic_zigzag(*qplus_pair()))
+        text = zigzag_to_text(span_zigzag(*qplus_pair()))
         broken = text.replace("out 1/2 0 0", "out 0.5 0 0")
         with pytest.raises(ParseError):
             parse_zigzag(broken)
@@ -533,7 +587,7 @@ class TestParseErrors:
 
 class TestShapeChecks:
     def test_non_adjacent_morphism_rejected(self):
-        z = cubic_zigzag(*qplus_pair())
+        z = span_zigzag(*qplus_pair())
         skewed = ZigZag(functor=z.functor, tag=z.tag, alphabet=z.alphabet,
                         nodes=z.nodes,
                         morphisms=(Morphism(1, 0, z.morphisms[0].matrix),
@@ -544,7 +598,7 @@ class TestShapeChecks:
         assert any(c.name == "shape" for c in report.failures())
 
     def test_mixed_direction_node_rejected(self):
-        z = cubic_zigzag(*qplus_pair())
+        z = span_zigzag(*qplus_pair())
         flipped = ZigZag(functor=z.functor, tag=z.tag, alphabet=z.alphabet,
                          nodes=z.nodes,
                          morphisms=(z.morphisms[0],
@@ -557,7 +611,7 @@ class TestShapeChecks:
     def test_empty_chain_rejected(self):
         """A chain with no nodes fails the shape check, in the verifier and
         in its oracle, instead of reading a first node."""
-        z = cubic_zigzag(*qplus_pair())
+        z = span_zigzag(*qplus_pair())
         empty = ZigZag(functor=z.functor, tag=z.tag, alphabet=z.alphabet, nodes=(),
                        morphisms=(), relating=(), endpoints=z.endpoints)
         for verify in (verify_zigzag, verify_oracle.verify_zigzag):
@@ -569,7 +623,7 @@ class TestShapeChecks:
 class TestGhatNegativeControls:
     def make(self):
         aut = pca_half_loop()
-        return ghat_zigzag(aut, svec([1]), aut, svec([1]))
+        return five_node_zigzag(aut, svec([1]), aut, svec([1]))
 
     def rebuilt(self, z, **kw):
         fields = dict(functor=z.functor, tag=z.tag, alphabet=z.alphabet,
@@ -613,7 +667,7 @@ class TestGhatNegativeControls:
 class TestMalformedWitnesses:
     def test_negative_generator_reports_instead_of_crashing(self):
         aut = pca_half_loop()
-        z = ghat_zigzag(aut, svec([1]), aut, svec([1]))
+        z = five_node_zigzag(aut, svec([1]), aut, svec([1]))
         mid = z.nodes[2]
         poisoned = replace(mid, generators=mid.generators + (svec([-1, 0]),))
         tampered = ZigZag(functor=z.functor, tag=z.tag, alphabet=z.alphabet,
@@ -626,7 +680,7 @@ class TestMalformedWitnesses:
 
     def test_module_node_in_subconvex_witness_reports_instead_of_crashing(self):
         rng = random.Random("report/pca/0")
-        z = ghat_zigzag(*lifted_pair(rng, T.PCA, 2, 1, ("a", "b")))
+        z = five_node_zigzag(*lifted_pair(rng, T.PCA, 2, 1, ("a", "b")))
         moved = replace(z.nodes[0], kind=FREE_MODULE)
         assert moved.generators
         report = verify_zigzag(replace(z, nodes=(moved,) + z.nodes[1:]))
@@ -635,7 +689,7 @@ class TestMalformedWitnesses:
         assert kind.detail == "subconvex witnesses need subconvex carriers"
 
     def test_duplicate_relating_entries_rejected(self):
-        z = cubic_zigzag(*qplus_pair())
+        z = span_zigzag(*qplus_pair())
         doubled = z.relating + ((1, svec([0, 0, 0])),)
         tampered = ZigZag(functor=z.functor, tag=z.tag, alphabet=z.alphabet,
                           nodes=z.nodes, morphisms=z.morphisms,
@@ -653,9 +707,9 @@ class TestMalformedWitnesses:
         return replace(z, relating=relating)
 
     @pytest.mark.parametrize("witness, node, sink", [
-        (lambda: cubic_zigzag(*qplus_pair()), 1, 0),
-        (lambda: ghat_zigzag(*lifted_pair(random.Random("report/pca/0"), T.PCA, 2, 1,
-                                          ("a", "b"))), 2, 1),
+        (lambda: span_zigzag(*qplus_pair()), 1, 0),
+        (lambda: five_node_zigzag(*lifted_pair(random.Random("report/pca/0"), T.PCA, 2, 1,
+                                               ("a", "b"))), 2, 1),
     ], ids=["cubic", "ghat"])
     def test_wrong_length_relating_element_reports_instead_of_crashing(self, witness, node,
                                                                         sink):
@@ -739,7 +793,8 @@ class TestCarrierWorkedOutOnce:
         return witnesses
 
     def _witnesses(self):
-        for tag, build in ((T.PCA, ghat_zigzag), (T.UNIT, cubic_zigzag), (T.QPLUS, cubic_zigzag)):
+        for tag, build in ((T.PCA, five_node_zigzag), (T.UNIT, span_zigzag),
+                           (T.QPLUS, span_zigzag)):
             rng = random.Random(f"carrier-once/{tag.value}")
             for k, extra in ((1, 1), (2, 1), (2, 2), (3, 1)):
                 z = build(*lifted_pair(rng, tag, k, extra, ("a", "b")))
@@ -797,7 +852,7 @@ class TestCarrierWorkedOutOnce:
         ring-tag cospan a producer writes is decided without a
         factorization, so a producer change that reorders their generators
         shows here.  A ring-tag witness is factored nowhere."""
-        build = ghat_zigzag if tag is T.PCA else cubic_zigzag
+        build = paper_route(tag)
         cospan = tag in _RING_TAGS
         rng = random.Random(f"carrier-once/diagonal/{tag.value}")
         for k, extra in ((1, 1), (2, 1), (2, 2), (3, 1)):
@@ -815,7 +870,8 @@ class TestCarrierWorkedOutOnce:
         # node 1 is FREE_PCA, node 2 GENERATED_PCA; the signs are read off the
         # scaled integers, so a small negative entry over a large denominator
         # must still show
-        z = ghat_zigzag(*lifted_pair(random.Random("carrier-once/sign"), T.PCA, 2, 1, ("a",)))
+        z = five_node_zigzag(*lifted_pair(random.Random("carrier-once/sign"), T.PCA, 2, 1,
+                                          ("a",)))
         assert z.nodes[node].kind == (FREE_PCA, GENERATED_PCA)[node - 1]
         gens = z.nodes[node].generators
         bad = gens[:-1] + (scaled(fractions(gens[-1])[:-1] + (F(-1, 10**9),)),)

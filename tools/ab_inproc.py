@@ -19,7 +19,10 @@ The pairs are those of `bench/workloads.py` (read from this checkout, not
 changed).  Every op must give the same exit code and standard output on both
 trees (the witness path aside), `zigzag` the same witness bytes and
 `verify` of a byte-identical witness the same report; a mismatch is printed
-and the command exits 1.  The report gives, per op, the median wall time of each
+and the command exits 1.  The mismatches are also counted by kind: exit code
+or stdout, witness bytes, and verdict (`verify` of the two witnesses), so an
+A/B of a declared witness byte change shows at a glance whether any verdict
+moved.  The report gives, per op, the median wall time of each
 tree, the median over pairs of the per-pair ratio NEW / OLD (each pair's
 time is its median over the rounds), the ratio of the two trees' times at
 the tail percentile `bench/run.py` reports for that many samples, and the
@@ -45,6 +48,7 @@ from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OPS = ("equiv", "zigzag", "verify")
+KINDS = ("output", "witness bytes", "verdict")  # what a mismatch differs in
 
 
 def load_module(name, path, package_dir=None):
@@ -101,7 +105,7 @@ def write_pairs(workloads, pairs, workdir):
 def run_pair(mains, files, order, times, mismatches, label):
     """The three ops of one pair on both trees, in `order`, each tree
     verifying the witness it wrote; records each op's time per tree and
-    every disagreement."""
+    every disagreement, as (kind, line)."""
     left, right, witnesses = files
     results = {}
     for op in ("equiv", "zigzag"):
@@ -117,10 +121,12 @@ def run_pair(mains, files, order, times, mismatches, label):
             results[op, side] = (rc, out.replace(witnesses[side], "W"), data)
             times[op][side].append(seconds)
         if results[op, 0][:2] != results[op, 1][:2]:
-            mismatches.append(f"{label} {op}: {results[op, 0][:2]!r} vs {results[op, 1][:2]!r}")
+            mismatches.append(("output", f"{label} {op}: {results[op, 0][:2]!r} vs "
+                                         f"{results[op, 1][:2]!r}"))
         elif results[op, 0] != results[op, 1]:
             sizes = [len(results[op, side][2]) for side in (0, 1)]
-            mismatches.append(f"{label} {op}: witness bytes differ ({sizes[0]} vs {sizes[1]})")
+            mismatches.append(("witness bytes", f"{label} {op}: witness bytes differ "
+                                                f"({sizes[0]} vs {sizes[1]})"))
     if results["zigzag", 0][0] == 0 and results["zigzag", 1][0] == 0:
         outs = []
         for side in order:
@@ -130,7 +136,7 @@ def run_pair(mains, files, order, times, mismatches, label):
         # a report counts its checks, so only the verdicts of unlike witnesses compare
         same = results["zigzag", 0][2] == results["zigzag", 1][2]
         if (outs[0] if same else outs[0][0]) != (outs[1] if same else outs[1][0]):
-            mismatches.append(f"{label} verify: {outs[0]!r} vs {outs[1]!r}")
+            mismatches.append(("verdict", f"{label} verify: {outs[0]!r} vs {outs[1]!r}"))
 
 
 def run_workload(bench, mains, args, workload):
@@ -173,7 +179,9 @@ def run_workload(bench, mains, args, workload):
               f"p{pct:g} ratio {tail:.3f} ({(tail - 1) * 100:+.1f}%)  "
               f"new faster on {wins}/{len(timed)} pairs ({wins / len(timed):.0%})")
     print(f"mismatches: {len(mismatches)}")
-    for line in mismatches[:20]:
+    kinds = [kind for kind, _ in mismatches]
+    print("mismatches by kind: " + ", ".join(f"{kind} {kinds.count(kind)}" for kind in KINDS))
+    for _, line in mismatches[:20]:
         print("  " + line)
     return len(mismatches)
 
