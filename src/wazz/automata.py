@@ -8,11 +8,11 @@ weight of w = a1..ak from configuration x is out . (M_ak ... M_a1 x).
 `LinearCoalgebra` is that data on any carrier and checks only its shapes; a
 witness node holds one as it is.  `WeightedAutomaton` adds a semiring tag,
 whose weight rules `check_weights` states once.  The output functional,
-a configuration and each generator of the pair closure are scaled vectors
+a configuration and each row of the pair closure's basis are scaled vectors
 (d, ints) in lowest terms (`wazz.linalg`).  A pair is decided by the closure
-of its configurations under the letter maps (`pair_submodule`), and
-quotiented by the closure of its outputs under the transposed maps
-(`pair_quotient`).
+of its configurations under the letter maps (`pair_submodule`), whose basis
+is the rows its echelon form (over Q) or HNF (over Z) holds, and quotiented
+by the closure of its outputs under the transposed maps (`pair_quotient`).
 """
 
 from __future__ import annotations
@@ -269,15 +269,20 @@ def separating_word(aut1, x1, aut2, x2):
     return equivalent(aut1, x1, aut2, x2).word
 
 
-def pair_submodule(aut1, x1, aut2, x2, rows=None):
+def pair_submodule(aut1, x1, aut2, x2):
     """Closure of the paired configuration orbit, with the paired coalgebra.
 
-    Returns (generators of Z, the block-diagonal `LinearCoalgebra` of both
+    Returns (a basis of Z, the block-diagonal `LinearCoalgebra` of both
     automata), where Z is the submodule generated by all word images of
-    (x1, x2) under the paired transitions: a Q-basis for the tags that are
-    not integral, the HNF lattice basis for the integral ones.  It checks
-    that both sides share tag and alphabet and that the configurations fit,
-    and that the output functionals agree on every generator, which happens
+    (x1, x2) under the paired transitions.  The basis is the rows the
+    closure's span holds, each as the scaled vector (1, row): over Q the
+    echelon rows (`_Echelon`), primitive with a positive leading entry
+    where every later row is zero, and over Z the lattice's HNF rows
+    (`_Hnf`).  Z, not the words that happened to span it, is what the
+    restrictions read, and on these rows their frame is only the
+    back-substitution of the closure's elimination.  It checks that both
+    sides share tag and alphabet and that the configurations fit, and that
+    the output functionals agree on every word image, which happens
     exactly when the traces agree; otherwise it raises NotEquivalent,
     carrying the shortlex-least separating word.
 
@@ -286,28 +291,17 @@ def pair_submodule(aut1, x1, aut2, x2, rows=None):
     Q: the image of every word lies in the span (the lattice) of the
     vectors with words up to it.  The output difference is read as integers
     once, and each vector is tested with one integer dot product on its
-    scaled image (a positive scale changes no zero).  Over Q each generator
-    is returned scaled, in lowest terms, as the closure made it, and the
-    list `rows`, when given, receives the closure's own echelon rows
-    (`_Echelon`), primitive with positive leading entries: the restrictions
-    take them as Z's spanning vectors, and their frame is then only the
-    back-substitution of that elimination.
+    scaled image (a positive scale changes no zero).
     """
     pair, start, difference = _paired(aut1, x1, aut2, x2)
     integral = aut1.tag.integral
     span = _Hnf() if integral else _Echelon()
-    basis = None if integral else []
     for word, v in _word_closure(start, pair.trans, span):
         if sum(map(mul, difference, v[1])):
             raise NotEquivalent("output functionals differ on the pair closure",
                                 word=_letters(aut1.alphabet, word))
-        if not integral:
-            basis.append(v)
-    if integral:
-        return [(1, tuple(g)) for g in span.rows], pair
-    if rows is not None:
-        rows.extend(row for _, row in span.rows)
-    return basis, pair
+    rows = span.rows if integral else (row for _, row in span.rows)
+    return [(1, tuple(row)) for row in rows], pair
 
 
 def pair_quotient(aut1, x1, aut2, x2):
@@ -385,7 +379,7 @@ def pair_quotient(aut1, x1, aut2, x2):
 @dataclass(frozen=True)
 class EquivResult:
     equivalent: bool
-    basis: tuple = None       # scaled pair-closure generators when equivalent
+    basis: tuple = None       # the pair closure's basis (`pair_submodule`) when equivalent
     word: tuple = None        # separating word otherwise
 
     def __bool__(self):

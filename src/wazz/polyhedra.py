@@ -10,7 +10,7 @@ conversions (`dd_h_to_v`, `dd_v_to_h`, `cone_rays`) split the lineality of
 space; the restrictions run in the span of their generators, which the
 producers give as the pair closure's echelon rows, and their double
 description starts from the orthant of the frame.  The verifier's carriers
-are decided on one factorization of their generators (`span_factors`): by
+are decided on one factorization of their generators (`_Span`): by
 unique coordinates when the generators are independent, and by the facets
 of the hull or cone, in the span's coordinates, when they are not.  Every
 vector here is scaled (`wazz.linalg`), the rows of `HRep` and `VRep`, the
@@ -22,7 +22,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import inf, lcm
 from operator import mul
 
@@ -98,8 +97,7 @@ class VRep:
 @dataclass(frozen=True)
 class PcaPolytope:
     """Subconvex hull {sum c_i g_i : c_i >= 0, sum c_i <= 1} of nonnegative
-    scaled generators; always contains 0.  `gauge` looks its generators up
-    in the span cache."""
+    scaled generators; always contains 0."""
 
     dim: int
     generators: tuple
@@ -283,21 +281,14 @@ def lp_feasible(h):
 # gauges and cone membership
 
 # Steps (`_pointed_cone_rays`) the facet enumeration of one gauged hull or
-# cone may take.  The largest on a seed-1 pass of each benchmark workload takes
-# 12 and the largest in the tests 128.  The hull of n points on the moment curve
+# cone may take.  A seed-1 pass of the benchmark enumerates facets once, in 10
+# steps on ghat-pca, as nearly every witness is a cospan of diagonal nodes;
+# the largest in the tests takes 128.  The hull of n points on the moment curve
 # (t, ..., t^6) has on the order of n^3 facets; its enumeration takes 2.9
 # million steps at n = 32 and 27 million at n = 48, about 6 million a second
 # on a 2-core Xeon, so an overrun ends it within a few tenths of a second.
 # The producer's double description is not bounded.
 FACET_STEP_BUDGET = 1_000_000
-
-# Bound of the span cache, keyed by a carrier's scaled generators and
-# dimension; the verifier looks up every node's but the diagonal free ones
-# (`wazz.zigzag._diagonal`).  A seed-1 benchmark pass misses 66, 207 and
-# 193 times at 128 on ghat-pca, restrict-unary and span-desk, 66, 205 and
-# 190 unbounded, and 67, 219 and 256 at 32; words-deep looks up none, as
-# every node of its cospan witnesses is diagonal.
-FACET_CACHE_SIZE = 128
 
 
 class _Span:
@@ -423,12 +414,6 @@ class _Span:
         return y is not None and all(sum(map(mul, n, y[1])) <= 0 for n in normals)
 
 
-@lru_cache(maxsize=FACET_CACHE_SIZE)
-def span_factors(gens, dim):
-    """The `_Span` of the scaled generators gens (a tuple) in Q^dim."""
-    return _Span(gens, dim)
-
-
 def gauge(polytope, x):
     """Minkowski functional of the subconvex hull at the scaled x, as one
     Fraction; INFINITY outside its cone.
@@ -439,14 +424,14 @@ def gauge(polytope, x):
     enumeration overruns FACET_STEP_BUDGET."""
     if len(x[1]) != polytope.dim:
         raise ValueError("point of wrong dimension")
-    ratio = span_factors(polytope.generators, polytope.dim).gauge(x)
+    ratio = _Span(polytope.generators, polytope.dim).gauge(x)
     return ratio if ratio is INFINITY else Fraction(*ratio)
 
 
 def cone_member(gens, x):
     """Exact membership of the scaled x in the convex cone spanned by the
     scaled gens."""
-    return span_factors(tuple(gens), len(x[1])).cone_member(x)
+    return _Span(tuple(gens), len(x[1])).cone_member(x)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ of the unit vectors, as every endpoint, pyramid node and cospan sink is,
 needs no elimination: its coordinates are one integer scaling per entry,
 so no node of a cospan is factored.  Every other node is
 decided on one factorization of its generators
-(`wazz.polyhedra.span_factors`), by their unique coordinates when they are
+(`wazz.polyhedra._Span`), by their unique coordinates when they are
 independent and otherwise by the facets of the hull or cone, lattice
 reduction or a budgeted N-monoid search.
 
@@ -46,7 +46,7 @@ from .linalg import (Lattice, Mat, _concat, _lowest_terms, _selection, hnf, latt
                      scaled_dot, scaled_equal, unit)
 from .pca import ghat_breach, pyramid_extension, reduce_invariant_set
 from .polyhedra import (PRODUCT, SCALED, INFINITY, PcaPolytope, SearchBudgetExceeded,
-                        cone_restriction, simplex_restriction, span_factors)
+                        _Span, cone_restriction, simplex_restriction)
 
 FREE_MODULE = "FREE_MODULE"
 GENERATED_MODULE = "GENERATED_MODULE"
@@ -127,13 +127,6 @@ def _projections(n1, n2):
     return _selection(range(n1), n1 + n2), _selection(range(n1, n1 + n2), n1 + n2)
 
 
-def _spanning(rows):
-    """The pair closure's echelon rows as the scaled vectors a restriction
-    takes for Z: any spanning set gives the same generators, and on these
-    the restriction's frame is only the back-substitution."""
-    return [(1, row) for row in rows]
-
-
 def _free_node(coalg, pca=False):
     """The free node on the unit vectors, as an endpoint or a cospan's sink."""
     return ZigZagNode(kind=FREE_PCA if pca else FREE_MODULE,
@@ -197,17 +190,16 @@ def span_zigzag(aut1, x1, aut2, x2):
     tag = aut1.tag
     if tag not in _CUBIC_TAGS or tag in _RING_TAGS:
         raise ValueError(f"span_zigzag takes nat, qplus, rplus or unit, not {tag.value}")
-    rows = []  # over Q, the closure's echelon rows of Z: its frame needs no new elimination
-    basis, paired = pair_submodule(aut1, x1, aut2, x2, rows)
+    basis, paired = pair_submodule(aut1, x1, aut2, x2)
     n1, n2, m = aut1.n, aut2.n, aut1.n + aut2.n
     pca = tag is SemiringTag.UNIT
     if pca:
-        gens = simplex_restriction(_spanning(rows), PRODUCT, n1, n2).generators
+        gens = simplex_restriction(basis, PRODUCT, n1, n2).generators
     elif tag is SemiringTag.NAT:
         # the pair closure's lattice basis is already in Hermite normal form
         gens = [(1, g) for g in nat_restriction(Lattice(m, tuple(g for _, g in basis)))]
     else:
-        gens = cone_restriction(_spanning(rows))
+        gens = cone_restriction(basis)
     middle = ZigZagNode(kind=GENERATED_PCA if pca else GENERATED_MODULE,
                         generators=tuple(gens), coalgebra=paired)
     p1, p2 = _projections(n1, n2)
@@ -250,9 +242,8 @@ def five_node_zigzag(aut1, x1, aut2, x2):
     d1, q1, psi1 = reduce_invariant_set(aut1)
     d2, q2, psi2 = reduce_invariant_set(aut2)
     y1, y2 = (_lowest_terms(psi.apply_scaled(x)) for x, psi in ((x1, psi1), (x2, psi2)))
-    rows = []
-    _, paired = pair_submodule(q1, y1, q2, y2, rows)
-    mid_poly = simplex_restriction(_spanning(rows), SCALED, q1.n, q2.n)
+    basis, paired = pair_submodule(q1, y1, q2, y2)
+    mid_poly = simplex_restriction(basis, SCALED, q1.n, q2.n)
     middle = ZigZagNode(kind=GENERATED_PCA, generators=mid_poly.generators, coalgebra=paired)
     gens, n1 = mid_poly.generators, q1.n
     free_nodes = []
@@ -389,7 +380,7 @@ def _diagonal_carrier(tag, pca, big, weights):
 def _carrier(tag, node):
     """The node's carrier, from its scaled generators checked once and, unless
     it is free on positive multiples of the unit vectors (`_diagonal`),
-    factored once (`span_factors`).
+    factored once (`_Span`).
 
     A diagonal free carrier, as every endpoint and pyramid node a producer
     writes is, is decided by one integer scaling per entry
@@ -409,7 +400,7 @@ def _carrier(tag, node):
         return _diagonal_carrier(tag, node.is_pca, *diagonal)
     if node.is_pca and not all(min(ints, default=0) >= 0 for _, ints in gens):
         return _Carrier("generators must be nonnegative", _never)
-    span = span_factors(gens, dim)
+    span = _Span(gens, dim)
     detail = ""
     if node.is_free and span.rank != len(gens):
         detail = "generators are linearly dependent"

@@ -1,13 +1,14 @@
 """The span witness for the ring and field tags (`int`, `q`, `real`), as
 `cubic_zigzag` built it before its cospan: both endpoints receive a
 projection from the pair closure itself, a generated module on the
-closure's basis (`pair_submodule`) with the block-diagonal coalgebra of both
-automata.  It is the differential oracle of the cospan producer, and the
-witness of tests that pin the span shape.  `paper_route` names, per tag, the
-producer of the paper's own construction, for the tests whose subject it
-is."""
+closure's scaled word images (`pair_oracle.pair_submodule`, over Z its HNF
+rows) with the block-diagonal coalgebra of both automata.  It is the
+differential oracle of the cospan producer, and the witness of tests that
+pin the span shape.  `paper_route` names, per tag, the producer of the
+paper's own construction, for the tests whose subject it is."""
 
-from wazz.automata import SemiringTag, pair_submodule
+from pair_oracle import pair_submodule
+from wazz.automata import SemiringTag
 from wazz.linalg import _concat
 from wazz.zigzag import (CUBIC, GENERATED_MODULE, Morphism, ZigZag, ZigZagNode,
                          _RING_TAGS as RING_TAGS, _free_node, _projections, cubic_zigzag,

@@ -3,10 +3,11 @@
 Each tool runs on two copies of `src/wazz` and must exit 0 with no
 mismatch; against a copy whose `equiv` prints a changed EQUIVALENT line it
 must exit 1 and name the op that differs.  `ab_inproc` counts its mismatches
-by kind: against a copy whose witnesses carry one more comment line, every
-one is of witness bytes and none of verdict.  Each run is a child process, as
-the tools load both trees into `sys.modules` and put this checkout on
-`sys.path`."""
+by kind: against a copy that changes one output, every one is of that kind,
+the stdout of `equiv`, of `zigzag` or of `verify`, or, for witnesses that
+carry one more comment line, witness bytes, and none is of verdict.  Each
+run is a child process, as the tools load both trees into `sys.modules` and
+put this checkout on `sys.path`."""
 
 import os
 import shutil
@@ -57,7 +58,8 @@ def test_ab_inproc(trees):
     same = run("ab_inproc", old, new)
     assert same.returncode == 0, same.stdout + same.stderr
     assert "mismatches: 0" in same.stdout.splitlines()
-    assert "mismatches by kind: output 0, witness bytes 0, verdict 0" in same.stdout.splitlines()
+    assert ("mismatches by kind: equiv output 0, zigzag output 0, verify output 0, "
+            "witness bytes 0, verdict 0") in same.stdout.splitlines()
     differ = run("ab_inproc", old, changed)
     assert differ.returncode == 1, differ.stdout + differ.stderr
     lines = differ.stdout.splitlines()
@@ -81,14 +83,23 @@ def test_ab_scale(trees):
     assert [line.split()[3] for line in lines if line.endswith("DIFFERENT")] == ["equiv"], lines
 
 
+KINDS = ("equiv output", "zigzag output", "verify output", "witness bytes", "verdict")
+EDITS = {  # (module, old, new) of a copy whose mismatches are all of the kind
+    "equiv output": ("cli", '["EQUIVALENT",', '["EQUIVALENT (changed)",'),
+    "zigzag output": ("cli", "nodes written to", "nodes now written to"),
+    "verify output": ("cli", 'print(f"VALID (', 'print(f"VALID, ('),
+    "witness bytes": ("zigzag", 'lines = [f"zigzag {z.functor} {z.tag.value}",',
+                      'lines = ["# commented", f"zigzag {z.functor} {z.tag.value}",'),
+}
+
+
 def test_ab_inproc_counts_mismatches_by_kind(tmp_path):
     old = tree(tmp_path, "old")
-    commented = tree(tmp_path, "commented", edit=(
-        "zigzag", 'lines = [f"zigzag {z.functor} {z.tag.value}",',
-        'lines = ["# commented", f"zigzag {z.functor} {z.tag.value}",'))
-    differ = run("ab_inproc", old, commented)
-    assert differ.returncode == 1, differ.stdout + differ.stderr
-    lines = differ.stdout.splitlines()
-    (count,) = [int(line.split()[1]) for line in lines if line.startswith("mismatches: ")]
-    assert count > 0
-    assert f"mismatches by kind: output 0, witness bytes {count}, verdict 0" in lines, lines
+    for i, (kind, edit) in enumerate(EDITS.items()):
+        differ = run("ab_inproc", old, tree(tmp_path, f"edited{i}", edit=edit))
+        assert differ.returncode == 1, differ.stdout + differ.stderr
+        lines = differ.stdout.splitlines()
+        (count,) = [int(line.split()[1]) for line in lines if line.startswith("mismatches: ")]
+        assert count > 0
+        counts = ", ".join(f"{k} {count if k == kind else 0}" for k in KINDS)
+        assert f"mismatches by kind: {counts}" in lines, (kind, lines)

@@ -73,7 +73,8 @@ class TestPairing:
 
     def test_worked_pair(self):
         basis, paired = pair_submodule(half_loop(), svec([1]), swap_pair(), unit(2, 0))
-        assert basis == [svec([1, 1, 0]), svec(["1/2", 0, "1/2"])]
+        # the echelon rows of the images (1, 1, 0) and (1/2, 0, 1/2)
+        assert basis == [svec([1, 1, 0]), svec([0, 1, -1])]
         tr = trace(paired, svec([1, 1, 0]), 3)
         assert tr == trace(half_loop(), svec([1]), 3)
         assert tr == trace(swap_pair(), unit(2, 0), 3)

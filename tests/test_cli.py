@@ -593,12 +593,13 @@ def shift_automaton(n, weight, tag="q"):
 
 class TestDigitBound:
     def test_answers_beyond_the_interpreter_default(self, tmp_path, capsys):
-        # the basis vector of a^79 has a 4757-digit entry, past Python's
-        # default bound of 4300 digits on an integer's text
+        # the lattice basis vector of a^79 has a 4757-digit entry, past
+        # Python's default bound of 4300 digits on an integer's text
         before = sys.get_int_max_str_digits()
         a = write(tmp_path, "a.wa", shift_automaton(80, str(2 ** 200)))
+        n = write(tmp_path, "n.wa", shift_automaton(80, str(2 ** 200), "nat"))
         w = str(tmp_path / "w.zz")
-        assert main(["equiv", a, a]) == 0
+        assert main(["equiv", n, n]) == 0
         out = capsys.readouterr().out
         assert out.startswith("EQUIVALENT\npair closure generated by 80 elements:")
         assert max(len(t) for t in out.split()) == 4757
@@ -609,16 +610,17 @@ class TestDigitBound:
 
     def test_answer_over_the_bound_is_its_own_exit_code(self, tmp_path, capsys):
         # a 60001-digit weight is a valid literal; its square is not printable.
-        # The pair closure of the shift holds it, and so do a lattice's
-        # bases: the middle node of a nat span and the maps of an int cospan.
-        # The reduced basis of a q cospan holds only the weight itself
+        # A lattice's bases hold it: the pair closure of the nat shift, the
+        # middle node of a nat span and the maps of an int cospan.  The
+        # echelon rows of a q pair closure are primitive and hold no weight,
+        # and the reduced basis of a q cospan holds only the weight itself
         before = sys.get_int_max_str_digits()
         weight = "1" + "0" * 60000
         a = write(tmp_path, "a.wa", shift_automaton(3, weight))
         n = write(tmp_path, "n.wa", shift_automaton(3, weight, "nat"))
         i = write(tmp_path, "i.wa", shift_automaton(3, weight, "int"))
         w = tmp_path / "w.zz"
-        for argv in (["equiv", a, a], ["zigzag", n, n, "-o", str(w)],
+        for argv in (["equiv", n, n], ["zigzag", n, n, "-o", str(w)],
                      ["zigzag", i, i, "-o", str(w)]):
             assert main(argv) == 4
             err = capsys.readouterr().err

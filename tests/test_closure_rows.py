@@ -13,6 +13,7 @@ from operator import itemgetter
 import pytest
 
 import dd_oracle
+import pair_oracle
 from genrandom import lifted_pair, two_lifts
 from kernel_oracle import _int_rref
 from wazz import linalg, pca, polyhedra
@@ -49,10 +50,10 @@ def pairs(tag):
 
 
 def closure(pair):
-    """(the word images, the echelon rows) of the pair closure."""
-    rows = []
-    basis, _ = pair_submodule(*pair, rows)
-    return basis, rows
+    """(the scaled word images, the echelon rows) of the pair closure: the
+    images of the `Fraction` route (`pair_oracle`), the rows of the basis
+    `pair_submodule` returns."""
+    return pair_oracle.pair_submodule(*pair)[0], [row for _, row in pair_submodule(*pair)[0]]
 
 
 @pytest.fixture
@@ -238,7 +239,7 @@ def frames():
     pair of the span tags, then of random spans."""
     for tag in SPAN_TAGS:
         for _, pair in pairs(tag):
-            yield [(1, row) for row in closure(pair)[1]], pair[0].n, pair[2].n
+            yield pair_submodule(*pair)[0], pair[0].n, pair[2].n
     yield from random_spans(random.Random("closure-rows/start"))
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from wazz import polyhedra
-from wazz.automata import SemiringTag, pair_submodule
+from wazz.automata import SemiringTag
 from wazz.polyhedra import PRODUCT, SCALED, cone_rays, cone_restriction, simplex_restriction
 
 from wazz.linalg import scaled
@@ -16,6 +16,7 @@ from wazz.linalg import scaled
 from matvec_oracle import fractions, vneg
 
 import dd_oracle
+from pair_oracle import pair_submodule
 from genrandom import lifted_pair
 
 T = SemiringTag
@@ -93,7 +94,8 @@ def assert_restrictions_match_ambient(span, n1, n2, families=(PRODUCT, SCALED)):
 
 
 def lifted_bases(rng, tag, count):
-    """(pair closure basis, n1, n2) of `count` lifted pairs, 1-3 + 0-2 states."""
+    """(pair closure word images, n1, n2) of `count` lifted pairs, 1-3 + 0-2
+    states: a spanning set in no echelon form."""
     for _ in range(count):
         aut1, x1, aut2, x2 = lifted_pair(rng, tag, rng.randint(1, 3), rng.randint(0, 2),
                                          ("a", "b")[:rng.randint(1, 2)])

@@ -74,7 +74,7 @@ def forbidden(*args):
 def both_routes(tag, node, monkeypatch):
     """(the diagonal route's carrier, the `_Span` route's) of the node."""
     with monkeypatch.context() as m:
-        m.setattr(zigzag, "span_factors", forbidden)
+        m.setattr(zigzag, "_Span", forbidden)
         fast = _carrier(tag, node)
     with monkeypatch.context() as m:
         m.setattr(zigzag, "_diagonal", lambda gens, dim: None)

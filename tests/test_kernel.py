@@ -15,7 +15,7 @@ from wazz import polyhedra, zigzag
 from wazz.automata import LinearCoalgebra, SemiringTag
 from wazz.linalg import (Mat, _Echelon, _lowest_terms, closure_under_maps, kernel_basis, primitive,
                          rref, scaled)
-from wazz.polyhedra import INFINITY, PcaPolytope, cone_member, gauge, span_factors
+from wazz.polyhedra import INFINITY, PcaPolytope, _Span, cone_member, gauge
 from wazz.zigzag import (FREE_MODULE, FREE_PCA, GENERATED_MODULE, ZigZagNode, _carrier,
                          five_node_zigzag)
 
@@ -216,7 +216,7 @@ class TestCarrierTesterMatchesSolve:
         for _ in range(300):
             dim = rng.randint(0, 4)
             gens = rand_generators(rng, dim)
-            span = span_factors(tuple(map(scaled, gens)), dim)
+            span = _Span(tuple(map(scaled, gens)), dim)
             assert span.rank == (kernel_oracle.rref(Mat(gens, ncols=dim))[2] if gens else 0)
             for v in rand_targets(rng, gens, dim):
                 got = span.coordinates(scaled(v))

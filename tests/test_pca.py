@@ -315,7 +315,7 @@ class TestPyramidMatchesFourierMotzkin:
         # neither enumerates a hull's facets nor gauges a point
         calls = []
         with monkeypatch.context() as mp:
-            for module, name in ((polyhedra, "dd_v_to_h"), (polyhedra, "span_factors"),
+            for module, name in ((polyhedra, "dd_v_to_h"), (polyhedra, "_Span"),
                                  (polyhedra, "gauge")):
                 original = getattr(module, name)
                 mp.setattr(module, name, lambda *args, name=name, original=original:

@@ -322,29 +322,6 @@ class TestRestrictions:
             simplex_restriction([svec([1, 1])], SCALED, 1, 1)
 
 
-class TestFacetCaches:
-    def test_bounded_under_many_polytopes(self):
-        size = polyhedra.FACET_CACHE_SIZE
-        cached = polyhedra.span_factors
-        assert cached.cache_info().maxsize == size
-        for k in range(1, size + 6):
-            p = PcaPolytope(2, (svec([1, 0]), svec([F(1, k), 1]), svec([1, 1])))
-            assert gauge(p, svec([1, 0])) == 1
-            assert cone_member(p.generators, svec([1, 0]))
-        assert cached.cache_info().currsize <= size
-
-    def test_keyed_by_the_scaled_generators(self):
-        # the same generators, given as ints or as Fractions, are one entry,
-        # which the hull and the cone share
-        cached = polyhedra.span_factors
-        cached.cache_clear()
-        gens = ((1, 0), (F(1, 3), 1), (1, 1))
-        for g in (tuple(map(scaled, gens)), tuple(map(svec, gens))):
-            assert gauge(PcaPolytope(2, g), svec([1, 1])) == 1
-            assert cone_member(g, svec([1, 1]))
-        assert (cached.cache_info().misses, cached.cache_info().hits) == (1, 3)
-
-
 class TestTextFormats:
     def test_hrep_roundtrip(self):
         rng = random.Random(61)

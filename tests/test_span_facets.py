@@ -240,15 +240,11 @@ BUDGET_DETAIL = f"facet enumeration exceeded its budget of {polyhedra.FACET_STEP
 
 @pytest.fixture
 def enumerations(monkeypatch):
-    """The (generator count, hull) of every facet enumeration, with the span
-    cache emptied before and after, so that no overrun is kept for another
-    test."""
+    """The (generator count, hull) of every facet enumeration."""
     calls, original = [], polyhedra._Span._enumerate
     monkeypatch.setattr(polyhedra._Span, "_enumerate", lambda self, hull: calls.append(
         (self.k, hull)) or original(self, hull))
-    polyhedra.span_factors.cache_clear()
-    yield calls
-    polyhedra.span_factors.cache_clear()
+    return calls
 
 
 @pytest.mark.parametrize("n", [48, 64])
@@ -266,18 +262,17 @@ def test_moment_curve_overruns_the_budget_quickly(n, enumerations):
 
 @pytest.fixture
 def no_budget(monkeypatch, enumerations):
-    """A facet step budget of 0, with the span cache emptied before and after."""
+    """A facet step budget of 0."""
     monkeypatch.setattr(polyhedra, "FACET_STEP_BUDGET", 0)
     return enumerations
 
 
 def test_overrun_is_raised_again_without_a_second_enumeration(no_budget):
-    square = PcaPolytope(2, (scaled((1, 0)), scaled((0, 1)), scaled((1, 1))))
+    span = polyhedra._Span((scaled((1, 0)), scaled((0, 1)), scaled((1, 1))), 2)
     for _ in range(2):
         with pytest.raises(SearchBudgetExceeded, match="budget of 0 steps"):
-            gauge(square, scaled((1, 1)))
+            span.gauge(scaled((1, 1)))
     assert no_budget == [(3, True)]
-    span = polyhedra.span_factors(square.generators, 2)
     assert span._facets == {True: "facet enumeration exceeded its budget of 0 steps"}
 
 

@@ -742,7 +742,7 @@ def diagonal(node):
 class SpanSpy:
     """The factorizations (generators, dim) and facet enumerations
     (generators, hull) made, and the double descriptions run, since the last
-    `clear`, which also empties the span cache."""
+    `clear`."""
 
     def __init__(self, monkeypatch):
         self.clear()
@@ -766,14 +766,12 @@ class SpanSpy:
         monkeypatch.setattr(polyhedra, "_pointed_cone_rays", spy_rays)
 
     def clear(self):
-        polyhedra.span_factors.cache_clear()
         self.factored, self.enumerated, self.rays = [], [], 0
 
 
 @pytest.fixture
 def spans(monkeypatch):
-    yield SpanSpy(monkeypatch)
-    polyhedra.span_factors.cache_clear()
+    return SpanSpy(monkeypatch)
 
 
 class TestCarrierWorkedOutOnce:

@@ -19,11 +19,13 @@ The pairs are those of `bench/workloads.py` (read from this checkout, not
 changed).  Every op must give the same exit code and standard output on both
 trees (the witness path aside), `zigzag` the same witness bytes and
 `verify` of a byte-identical witness the same report; a mismatch is printed
-and the command exits 1.  The mismatches are also counted by kind: exit code
-or stdout, witness bytes, and verdict (`verify` of the two witnesses), so an
-A/B of a declared witness byte change shows at a glance whether any verdict
-moved.  The report gives, per op, the median wall time of each
-tree, the median over pairs of the per-pair ratio NEW / OLD (each pair's
+and the command exits 1.  The mismatches are also counted by kind: the exit
+code or stdout of `equiv` and of `zigzag`, the report of `verify` on
+byte-identical witnesses, witness bytes, and verdict (the exit codes of
+`verify` of the two witnesses), so an A/B of a declared change of `equiv`
+output or of witness bytes shows at a glance whether anything else moved.
+The report gives, per op, the median wall time of each tree, the median
+over pairs of the per-pair ratio NEW / OLD (each pair's
 time is its median over the rounds), the ratio of the two trees' times at
 the tail percentile `bench/run.py` reports for that many samples, and the
 share of pairs on which NEW was faster than OLD (ties count for neither).
@@ -48,7 +50,8 @@ from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OPS = ("equiv", "zigzag", "verify")
-KINDS = ("output", "witness bytes", "verdict")  # what a mismatch differs in
+# what a mismatch differs in
+KINDS = ("equiv output", "zigzag output", "verify output", "witness bytes", "verdict")
 
 
 def load_module(name, path, package_dir=None):
@@ -121,7 +124,7 @@ def run_pair(mains, files, order, times, mismatches, label):
             results[op, side] = (rc, out.replace(witnesses[side], "W"), data)
             times[op][side].append(seconds)
         if results[op, 0][:2] != results[op, 1][:2]:
-            mismatches.append(("output", f"{label} {op}: {results[op, 0][:2]!r} vs "
+            mismatches.append((f"{op} output", f"{label} {op}: {results[op, 0][:2]!r} vs "
                                          f"{results[op, 1][:2]!r}"))
         elif results[op, 0] != results[op, 1]:
             sizes = [len(results[op, side][2]) for side in (0, 1)]
@@ -135,8 +138,10 @@ def run_pair(mains, files, order, times, mismatches, label):
             times["verify"][side].append(seconds)
         # a report counts its checks, so only the verdicts of unlike witnesses compare
         same = results["zigzag", 0][2] == results["zigzag", 1][2]
-        if (outs[0] if same else outs[0][0]) != (outs[1] if same else outs[1][0]):
+        if outs[0][0] != outs[1][0]:
             mismatches.append(("verdict", f"{label} verify: {outs[0]!r} vs {outs[1]!r}"))
+        elif same and outs[0] != outs[1]:
+            mismatches.append(("verify output", f"{label} verify: {outs[0]!r} vs {outs[1]!r}"))
 
 
 def run_workload(bench, mains, args, workload):
