@@ -28,13 +28,20 @@ MAX_DIGITS = 100_000  # Python's default is 4300; a 100000-digit number prints i
 
 
 def _read(path):
+    """The file's text, its bytes decoded as UTF-8 once and nothing else
+    translated: a lone carriage return stays in the text, where the readers
+    reject it, as lines end at a line feed alone.  A byte that is not UTF-8
+    fails at its line."""
     try:
-        # newline="": a lone carriage return stays in the text, where the
-        # readers reject it, as lines end at a line feed alone
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ParseError(path, 0, f"cannot read file: {exc.strerror}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, data.count(b"\n", 0, exc.start) + 1,
+                         f"not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 def _pick_state(aut, state, index, path):

@@ -24,11 +24,14 @@ reduction or a budgeted N-monoid search.
 Every check runs on integers.  Generators, outputs, relating elements and
 endpoints are scaled vectors (d, ints) in lowest terms (`wazz.linalg`), and
 the matrices are `Mat`s.  Each letter image of a generator and each
-morphism image of a source generator is computed once, with one integer sum
-per entry; the checks compare two sides by cross-multiplication, and
-coordinates and output weights meet the tag's rules as integers.  The
-subconvex budget sums integer ratios, and a failure detail prints its
-values from integers: no `Fraction` is built.
+morphism image of a source generator is computed once: c times column j of
+the matrix for a generator whose one nonzero entry c is at j, as every
+generator of an endpoint, a pyramid node or a cospan sink is, and
+otherwise one integer sum per entry.  The checks compare two sides by
+cross-multiplication, a morphism square row by row with no product vector
+built, and coordinates and output weights meet the tag's rules as
+integers.  The subconvex budget sums integer ratios, and a failure detail
+prints its values from integers: no `Fraction` is built.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from operator import mul
 
 from .automata import (_TAGS, LinearCoalgebra, SemiringTag, TagViolation, _scalar_rules,
                        check_weights, pair_quotient, pair_submodule)
-from .formats import LineReader, block_lines, fmt_ratio, fmt_vec
+from .formats import LineReader, RatioTexts, block_lines, fmt_ratio, fmt_vec
 from .hilbert import nat_restriction
 from .linalg import (Lattice, Mat, _concat, _lowest_terms, _selection, hnf, lattice_member,
                      scaled_dot, scaled_equal, unit)
@@ -362,18 +365,22 @@ def _diagonal(gens, dim):
 def _diagonal_carrier(tag, pca, big, weights):
     """The free carrier on the generators c_j e_j of `_diagonal`, decided by
     the coordinates (e L, [w_j xs_j]) of v = (e, xs), which are v itself for
-    the standard basis: a module's by the tag's scalar rules, a subconvex
-    one's, the simplex on the c_j e_j, by the gauge, their sum when none is
+    the standard basis (L = 1 and every w_j = 1), read there with no
+    weighted copy: a module's by the tag's scalar rules, a subconvex one's,
+    the simplex on the c_j e_j, by the gauge, their sum when none is
     negative and INFINITY otherwise.  These are the values the unique
     coordinates of a `_Span` give."""
+    standard = big == 1 and all(w == 1 for w in weights)
     if pca:
         def gauge(v):
             e, xs = v
             if min(xs, default=0) < 0:
                 return INFINITY
-            return sum(map(mul, weights, xs)), e * big
+            return (sum(xs), e) if standard else (sum(map(mul, weights, xs)), e * big)
         return _Carrier("", lambda v: (r := gauge(v)) is not INFINITY and r[0] <= r[1], gauge)
     rules = _scalar_rules(tag)
+    if standard:
+        return _Carrier("", lambda v: rules(*v))
     return _Carrier("", lambda v: rules(v[0] * big, [w * a for w, a in zip(weights, v[1])]))
 
 
@@ -432,6 +439,41 @@ def _carrier(tag, node):
     return _Carrier("", member)
 
 
+def _columns(m):
+    """The columns of the `Mat` m as lists of its integers den * entry,
+    zeros included, read in one pass over its sparse rows."""
+    cols = [[0] * m.nrows for _ in range(m.ncols)]
+    for i, (js, nums) in enumerate(m.sparse):
+        for j, a in zip(js, nums):
+            cols[j][i] = a
+    return cols
+
+
+def _images(mats, gens, columns):
+    """For each scaled generator g = (d, ints) of gens, the products m g with
+    the `Mat`s m of mats, each as `Mat.apply_scaled` returns it.  When g has
+    exactly one nonzero entry c, at index j, m g is (m.den d, [c x for x in
+    column j of m]): every other term of a row's sum is 0, so these are the
+    same integers, and no sum is formed.  columns maps the id of each matrix
+    of the witness to its denominator and `_columns`, read at its first use;
+    every other generator is multiplied out by `Mat.apply_scaled`."""
+    out, read = [], None
+    for g in gens:
+        d, ints = g
+        if ints.count(0) != len(ints) - 1:
+            out.append([m.apply_scaled(g) for m in mats])
+            continue
+        if read is None:
+            for m in mats:
+                if id(m) not in columns:
+                    columns[id(m)] = m.den, _columns(m)
+            read = [columns[id(m)] for m in mats]
+        c = next(filter(None, ints))
+        j = ints.index(c)
+        out.append([(den * d, [c * x for x in cols[j]]) for den, cols in read])
+    return out
+
+
 def _coalgebra_self_map_ok(z, node, carrier, images):
     """The structure map sends every generator into the functor at the
     node's carrier; images are the letter images of each generator."""
@@ -468,15 +510,27 @@ def _morphism_carrier_ok(src, member, images):
 
 def _morphism_square_ok(mor, src, dst, f_images, letter_images):
     """The morphism commutes with the output weights and the letter maps on
-    every source generator, given its morphism and letter images."""
-    f, c_src, c_dst = mor.matrix, src.coalgebra, dst.coalgebra
+    every source generator, given its morphism and letter images.
+
+    Each letter square compares f (M g) with M' (f g) row by row: row i of
+    each side is one integer sum over the matrix's sparse row, and the two
+    are cross-multiplied by the other side's denominator, so neither product
+    vector is built and the test stops at the first unequal row.  The shape
+    check has fixed every length, so the rows are those of the two products."""
+    c_src, c_dst = src.coalgebra, dst.coalgebra
+    f_den, f_rows = mor.matrix.scaled()
+    letters = [(a, *m.scaled()) for a, m in zip(c_src.alphabet, c_dst.trans)]
     for g, fg, m_images in zip(src.generators, f_images, letter_images):
         (p, q), (r, s) = scaled_dot(c_src.out, g), scaled_dot(c_dst.out, fg)
         if p * s != r * q:
             return False, f"output weight changes along generator {fmt_vec(g)}"
-        for a, mg, m_dst in zip(c_src.alphabet, m_images, c_dst.trans):
-            if not scaled_equal(f.apply_scaled(mg), m_dst.apply_scaled(fg)):
-                return False, f"letter {a!r} square fails at generator {fmt_vec(g)}"
+        fg_den, pick_fg = fg[0], fg[1].__getitem__
+        for (a, m_den, m_rows), (mg_den, mgs) in zip(letters, m_images):
+            left, right, pick_mg = m_den * fg_den, f_den * mg_den, mgs.__getitem__
+            for (f_cols, f_nums), (m_cols, m_nums) in zip(f_rows, m_rows):
+                if (sum(map(mul, f_nums, map(pick_mg, f_cols))) * left
+                        != sum(map(mul, m_nums, map(pick_fg, m_cols))) * right):
+                    return False, f"letter {a!r} square fails at generator {fmt_vec(g)}"
     return True, ""
 
 
@@ -531,7 +585,15 @@ def verify_zigzag(z, inputs=None):
     With `inputs`, ((A1, x1), (A2, x2)) as read from the automaton files,
     two more checks, `input[left]` and `input[right]`, tie node 0 and the
     last node, and the endpoints, to them (`_input_ok`): a valid witness of
-    another pair does not pass for one of these."""
+    another pair does not pass for one of these.
+
+    Right after the shape check, every letter image of a generator and
+    every morphism image of a source generator is taken once (`_images`):
+    read off the matrix's columns for a generator with one nonzero entry,
+    each matrix's columns read at most once for the whole witness, and
+    multiplied out by `Mat.apply_scaled` for any other.  The checks read
+    those images; `chain` takes one product per relating element into a
+    sink."""
     checks = []
 
     def add(name, ok, detail=""):
@@ -585,9 +647,9 @@ def verify_zigzag(z, inputs=None):
     if not shape_ok:
         return Report(False, checks)
 
-    letter_images = [[[m.apply_scaled(g) for m in node.coalgebra.trans] for g in node.generators]
-                     for node in nodes]
-    mor_images = [[mor.matrix.apply_scaled(g) for g in nodes[mor.src].generators]
+    columns = {}
+    letter_images = [_images(node.coalgebra.trans, node.generators, columns) for node in nodes]
+    mor_images = [[fg for fg, in _images((mor.matrix,), nodes[mor.src].generators, columns)]
                   for mor in z.morphisms]
     carriers = [_carrier(z.tag, node) for node in nodes]
     for i, node in enumerate(nodes):
@@ -651,14 +713,15 @@ def zigzag_to_text(z):
     lines = [f"zigzag {z.functor} {z.tag.value}",
              "alphabet " + " ".join(z.alphabet),
              f"nodes {len(z.nodes)}"]
+    texts = RatioTexts()  # this witness's ratios, each printed once
     blocks = {}  # id of a Mat -> its lines: nodes may share a letter matrix, formatted once
     for m in [m for nd in z.nodes for m in nd.coalgebra.trans] + [f.matrix for f in z.morphisms]:
         if id(m) not in blocks:
-            blocks[id(m)] = block_lines(m)
+            blocks[id(m)] = block_lines(m, texts)
     for i, node in enumerate(z.nodes):
         lines.append(f"node {i} {node.kind} dim {node.dim} generators {len(node.generators)}")
-        lines += map(fmt_vec, node.generators)
-        lines.append(("out " + fmt_vec(node.coalgebra.out)).rstrip())
+        lines += [fmt_vec(g, texts) for g in node.generators]
+        lines.append(("out " + fmt_vec(node.coalgebra.out, texts)).rstrip())
         for a, m in zip(z.alphabet, node.coalgebra.trans):
             lines.append(f"trans {a}")
             lines += blocks[id(m)]
@@ -667,9 +730,9 @@ def zigzag_to_text(z):
         lines.append(f"morphism {mor.src} {mor.dst}")
         lines += blocks[id(mor.matrix)]
     lines.append(f"relating {len(z.relating)}")
-    lines += [(f"at {i} " + fmt_vec(v)).rstrip() for i, v in z.relating]
-    lines.append(("left " + fmt_vec(z.endpoints[0])).rstrip())
-    lines.append(("right " + fmt_vec(z.endpoints[1])).rstrip())
+    lines += [(f"at {i} " + fmt_vec(v, texts)).rstrip() for i, v in z.relating]
+    lines.append(("left " + fmt_vec(z.endpoints[0], texts)).rstrip())
+    lines.append(("right " + fmt_vec(z.endpoints[1], texts)).rstrip())
     return "\n".join(line for line in lines if line) + "\n"
 
 

@@ -41,11 +41,13 @@ def tree(tmp_path, name, changed=False, edit=None):
     return str(tmp_path / name)
 
 
-def run(tool, old, new):
+def run(tool, old, new, *extra):
+    """The tool's run on the two trees, with extra arguments after `RUNS`'s
+    (a later option overrides an earlier one)."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run([sys.executable, os.path.join(ROOT, "tools", f"{tool}.py"), old, new,
-                           *RUNS[tool]], cwd=ROOT, env=env, capture_output=True, text=True,
-                          timeout=60)
+                           *RUNS[tool], *extra], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=60)
 
 
 @pytest.fixture
@@ -94,12 +96,20 @@ EDITS = {  # (module, old, new) of a copy whose mismatches are all of the kind
 
 
 def test_ab_inproc_counts_mismatches_by_kind(tmp_path):
+    """Each edit's mismatches are all of its kind, and each pair, op and
+    kind counts once: two rounds give the count of one."""
     old = tree(tmp_path, "old")
     for i, (kind, edit) in enumerate(EDITS.items()):
-        differ = run("ab_inproc", old, tree(tmp_path, f"edited{i}", edit=edit))
-        assert differ.returncode == 1, differ.stdout + differ.stderr
-        lines = differ.stdout.splitlines()
-        (count,) = [int(line.split()[1]) for line in lines if line.startswith("mismatches: ")]
-        assert count > 0
-        counts = ", ".join(f"{k} {count if k == kind else 0}" for k in KINDS)
-        assert f"mismatches by kind: {counts}" in lines, (kind, lines)
+        edited = tree(tmp_path, f"edited{i}", edit=edit)
+        counts = []
+        for rounds in ("1", "2"):
+            differ = run("ab_inproc", old, edited, "--rounds", rounds)
+            assert differ.returncode == 1, differ.stdout + differ.stderr
+            lines = differ.stdout.splitlines()
+            (count,) = [int(line.split()[1]) for line in lines
+                        if line.startswith("mismatches: ")]
+            assert count > 0
+            by_kind = ", ".join(f"{k} {count if k == kind else 0}" for k in KINDS)
+            assert f"mismatches by kind: {by_kind}" in lines, (kind, lines)
+            counts.append(count)
+        assert counts[0] == counts[1], (kind, counts)

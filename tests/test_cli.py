@@ -583,6 +583,31 @@ class TestLineEnds:
         assert outs[0] == outs[1] and outs[0].out and not outs[0].err
 
 
+class TestEncoding:
+    """A file is its bytes decoded as UTF-8, and a byte that is not UTF-8
+    fails with the file and the line it is on."""
+
+    def test_bad_byte_in_an_automaton(self, tmp_path, capsys):
+        bad, good = tmp_path / "bad.wa", write(tmp_path, "good.wa", SAMPLE_WA)
+        bad.write_bytes(SAMPLE_WA.encode().replace(b"output 1/2", b"output 1/2\xff"))
+        assert main(["equiv", str(bad), good]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"{bad}:4: ")
+
+    def test_bad_byte_in_a_witness(self, tmp_path, capsys):
+        a = write(tmp_path, "a.wa", SAMPLE_WA)
+        w = tmp_path / "w.zz"
+        assert main(["zigzag", a, a, "-o", str(w)]) == 0
+        lines = w.read_bytes().split(b"\n")
+        assert lines[3].startswith(b"node 0 ")
+        lines[3] += b" \xc3"  # a lead byte with no continuation
+        w.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert main(["verify", str(w)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"{w}:4: ")
+
+
 def shift_automaton(n, weight, tag="q"):
     """One-letter automaton e_i -> weight * e_(i+1), output on the last
     state: the word a^k maps e_1 to weight^k e_(k+1)."""

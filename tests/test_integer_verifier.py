@@ -25,7 +25,7 @@ from wazz.automata import SemiringTag, TagViolation, WeightedAutomaton, check_we
 from wazz.formats import fmt_rat
 from wazz.linalg import Mat, scaled, scaled_dot
 from wazz.polyhedra import INFINITY
-from wazz.zigzag import (cubic_zigzag, five_node_zigzag, ghat_zigzag, span_zigzag,
+from wazz.zigzag import (_images, cubic_zigzag, five_node_zigzag, ghat_zigzag, span_zigzag,
                          verify_zigzag)
 
 from genrandom import (lift, lifted_pair, negative_output_witnesses, rand_automaton,
@@ -378,12 +378,14 @@ def test_pca_mutations_reach_every_coalgebra_detail():
 
 @pytest.mark.parametrize("tag", list(T), ids=lambda t: t.value)
 def test_verifier_applies_each_image_once(tag, monkeypatch):
-    """On a valid witness the verifier takes every letter image of a scaled
-    generator and every morphism image of a scaled source generator once:
-    k |Sigma| products per node with k generators, k_src (1 + 2 |Sigma|) per
-    morphism (f g, then f (M g) and M' (f g) for its square) and one per
-    morphism into a sink (the image of a relating element for `chain`).  It
-    builds no `Fraction`: a failure detail quotes its values from integers."""
+    """On a valid witness the verifier forms no product for a generator with
+    one nonzero entry, whose images it reads off the matrices' columns, and
+    takes every other generator's letter and morphism images once: |Sigma|
+    products per such generator and one per morphism out of its node.
+    `morphism-square` forms none, comparing f (M g) with M' (f g) row by row,
+    and each morphism into a sink takes one (the image of a relating element
+    for `chain`).  It builds no `Fraction`: a failure detail quotes its
+    values from integers."""
     rng = random.Random(f"images-once/{tag.value}")
     witnesses = [build(*lifted_pair(rng, tag, k, extra, alphabet))
                  for k, extra in ((2, 1), (3, 1)) for alphabet in (("a",), ("a", "b"))]
@@ -398,13 +400,46 @@ def test_verifier_applies_each_image_once(tag, monkeypatch):
         calls.clear()
         assert verify_zigzag(z).valid
         letters = len(z.alphabet)
-        ks = [len(node.generators) for node in z.nodes]
+        multiplied = [sum(sum(1 for a in ints if a) != 1 for _, ints in node.generators)
+                      for node in z.nodes]
         sinks = {mor.dst for mor in z.morphisms} - {mor.src for mor in z.morphisms}
         into_sinks = sum(mor.dst in sinks for mor in z.morphisms)
-        assert len(calls) == (sum(k * letters for k in ks)
-                              + sum(ks[mor.src] * (1 + 2 * letters) for mor in z.morphisms)
+        assert len(calls) == (sum(k * letters for k in multiplied)
+                              + sum(multiplied[mor.src] for mor in z.morphisms)
                               + into_sinks)
     assert built == []
+
+
+@pytest.mark.parametrize("den_bound", [1, 9, BIG])
+def test_column_images_match_apply_scaled(den_bound):
+    """`_images` reads a one-entry generator's images off the columns of its
+    matrices; `Mat.apply_scaled` is the oracle, and each image must equal its
+    product exactly, (den, ints) and their types alike: on random matrices
+    with rational entries, some with an all-zero column, on generators c e_j
+    with c of either sign and on 0-dimensional nodes, whose matrices have no
+    rows or columns.  Generators with no or several nonzero entries take
+    `apply_scaled` itself."""
+    rng = random.Random(f"column-images/{den_bound}")
+    for _ in range(60):
+        nrows, ncols = rng.randint(0, 4), rng.randint(0, 4)
+        mats = []
+        for _ in range(rng.randint(1, 3)):
+            zero = rng.randrange(ncols) if ncols and rng.random() < 0.3 else None
+            mats.append(from_cols([[0 if j == zero else rand_entry(rng, den_bound)
+                                    for _ in range(nrows)] for j in range(ncols)], nrows))
+        gens = [(d, tuple(c if i == j else 0 for i in range(ncols)))
+                for j in range(ncols)
+                for c, d in ((rng.randint(1, 30), 1), (-rng.randint(1, 30), 7),
+                             (rng.choice((-1, 1)) * rng.randint(1, BIG), rng.randint(1, BIG)))]
+        gens += [scaled([rand_entry(rng, den_bound) for _ in range(ncols)]) for _ in range(3)]
+        rng.shuffle(gens)
+        columns = {}
+        got = _images(mats, gens, columns)
+        assert got == [[m.apply_scaled(g) for m in mats] for g in gens]
+        assert {(type(d), type(ints)) for images in got for d, ints in images} <= {(int, list)}
+        assert set(columns) <= {id(m) for m in mats}
+        # a second list of generators reads the columns already read
+        assert _images(mats, gens[::-1], columns) == got[::-1]
 
 
 @pytest.mark.parametrize("tag", [T.NAT, T.INT, T.Q, T.REAL], ids=lambda t: t.value)

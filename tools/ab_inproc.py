@@ -19,11 +19,13 @@ The pairs are those of `bench/workloads.py` (read from this checkout, not
 changed).  Every op must give the same exit code and standard output on both
 trees (the witness path aside), `zigzag` the same witness bytes and
 `verify` of a byte-identical witness the same report; a mismatch is printed
-and the command exits 1.  The mismatches are also counted by kind: the exit
-code or stdout of `equiv` and of `zigzag`, the report of `verify` on
-byte-identical witnesses, witness bytes, and verdict (the exit codes of
-`verify` of the two witnesses), so an A/B of a declared change of `equiv`
-output or of witness bytes shows at a glance whether anything else moved.
+and the command exits 1.  A mismatch is one pair, op and kind, counted once
+and printed with its first line however many rounds show it.  The
+mismatches are also counted by kind: the exit code or stdout of `equiv`
+and of `zigzag`, the report of `verify` on byte-identical witnesses,
+witness bytes, and verdict (the exit codes of `verify` of the two
+witnesses), so an A/B of a declared change of `equiv` output or of witness
+bytes shows at a glance whether anything else moved.
 The report gives, per op, the median wall time of each tree, the median
 over pairs of the per-pair ratio NEW / OLD (each pair's
 time is its median over the rounds), the ratio of the two trees' times at
@@ -108,9 +110,14 @@ def write_pairs(workloads, pairs, workdir):
 def run_pair(mains, files, order, times, mismatches, label):
     """The three ops of one pair on both trees, in `order`, each tree
     verifying the witness it wrote; records each op's time per tree and
-    every disagreement, as (kind, line)."""
+    every disagreement in `mismatches`, keyed by (pair, op, kind), so a pair
+    that differs in every round counts once, with its first line."""
     left, right, witnesses = files
     results = {}
+
+    def mismatch(op, kind, line):
+        mismatches.setdefault((label, op, kind), line)
+
     for op in ("equiv", "zigzag"):
         for side in order:
             argv = ["equiv", left, right]
@@ -124,12 +131,12 @@ def run_pair(mains, files, order, times, mismatches, label):
             results[op, side] = (rc, out.replace(witnesses[side], "W"), data)
             times[op][side].append(seconds)
         if results[op, 0][:2] != results[op, 1][:2]:
-            mismatches.append((f"{op} output", f"{label} {op}: {results[op, 0][:2]!r} vs "
-                                         f"{results[op, 1][:2]!r}"))
+            mismatch(op, f"{op} output", f"{label} {op}: {results[op, 0][:2]!r} vs "
+                                         f"{results[op, 1][:2]!r}")
         elif results[op, 0] != results[op, 1]:
             sizes = [len(results[op, side][2]) for side in (0, 1)]
-            mismatches.append(("witness bytes", f"{label} {op}: witness bytes differ "
-                                                f"({sizes[0]} vs {sizes[1]})"))
+            mismatch(op, "witness bytes", f"{label} {op}: witness bytes differ "
+                                          f"({sizes[0]} vs {sizes[1]})")
     if results["zigzag", 0][0] == 0 and results["zigzag", 1][0] == 0:
         outs = []
         for side in order:
@@ -139,9 +146,9 @@ def run_pair(mains, files, order, times, mismatches, label):
         # a report counts its checks, so only the verdicts of unlike witnesses compare
         same = results["zigzag", 0][2] == results["zigzag", 1][2]
         if outs[0][0] != outs[1][0]:
-            mismatches.append(("verdict", f"{label} verify: {outs[0]!r} vs {outs[1]!r}"))
+            mismatch("verify", "verdict", f"{label} verify: {outs[0]!r} vs {outs[1]!r}")
         elif same and outs[0] != outs[1]:
-            mismatches.append(("verify output", f"{label} verify: {outs[0]!r} vs {outs[1]!r}"))
+            mismatch("verify", "verify output", f"{label} verify: {outs[0]!r} vs {outs[1]!r}")
 
 
 def run_workload(bench, mains, args, workload):
@@ -154,7 +161,7 @@ def run_workload(bench, mains, args, workload):
         files = write_pairs(workloads, pairs, workdir)
         # per op and pair: the times of each tree over the rounds
         per_pair = {op: [[[], []] for _ in pairs] for op in OPS}
-        mismatches = []
+        mismatches = {}  # (pair, op, kind) -> the first line that shows it
         for rnd in range(args.rounds):
             clear_caches("wazz_a")
             clear_caches("wazz_b")
@@ -184,9 +191,9 @@ def run_workload(bench, mains, args, workload):
               f"p{pct:g} ratio {tail:.3f} ({(tail - 1) * 100:+.1f}%)  "
               f"new faster on {wins}/{len(timed)} pairs ({wins / len(timed):.0%})")
     print(f"mismatches: {len(mismatches)}")
-    kinds = [kind for kind, _ in mismatches]
+    kinds = [kind for _, _, kind in mismatches]
     print("mismatches by kind: " + ", ".join(f"{kind} {kinds.count(kind)}" for kind in KINDS))
-    for _, line in mismatches[:20]:
+    for line in list(mismatches.values())[:20]:
         print("  " + line)
     return len(mismatches)
 
