@@ -16,8 +16,7 @@ column by column) one loop of lookups per line into a `Mat`, both on the
 table's integers, with no `Fraction`.  Every diagnostic is raised where it
 is found, at its line.  The writers print a vector (`fmt_vec`) and a block
 (`block_lines`) from their integers: a / d in lowest terms as `str` of
-integers, the text of `str(Fraction(a, d))`, each distinct (a, d) of one
-text once when the writer passes its memo (`RatioTexts`).
+integers, the text of `str(Fraction(a, d))`.
 """
 
 from __future__ import annotations
@@ -78,40 +77,24 @@ def fmt_ratio(num, den):
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
-class RatioTexts(dict):
-    """A memo from (num, den), den > 0, to `fmt_ratio(num, den)`, each pair
-    printed at its first lookup.  A writer makes one for one text, whose
-    entries repeat, and drops it with the text."""
-
-    __slots__ = ()
-
-    def __missing__(self, key):
-        self[key] = text = fmt_ratio(*key)
-        return text
-
-
-def block_lines(m, texts=None):
+def block_lines(m):
     """The lines of a matrix block, one per column (the image of a basis
-    vector), printed from the matrix's integers through the memo `texts`
-    (a `RatioTexts`), by default one of this block alone."""
+    vector), printed from the matrix's integers."""
     den, rows = m.scaled()
-    texts = RatioTexts() if texts is None else texts
     cols = [["0"] * len(rows) for _ in range(m.ncols)]
     for i, (js, nums) in enumerate(rows):
         for j, a in zip(js, nums):
-            cols[j][i] = texts[a, den]
+            cols[j][i] = fmt_ratio(a, den)
     return [" ".join(col) for col in cols]
 
 
-def fmt_vec(v, texts=None):
-    """The entries of the scaled vector v = (d, ints): `str` of each integer
-    when d = 1, else each as `fmt_ratio`, through the memo `texts` (a
-    `RatioTexts`), by default one of this vector alone."""
+def fmt_vec(v):
+    """The entries of the scaled vector v = (d, ints), each as `fmt_ratio`:
+    `str` of each integer when d = 1."""
     den, ints = v
     if den == 1:
         return " ".join(map(str, ints))
-    texts = RatioTexts() if texts is None else texts
-    return " ".join([texts[a, den] for a in ints])
+    return " ".join([fmt_ratio(a, den) for a in ints])
 
 
 def word_text(word, alphabet):

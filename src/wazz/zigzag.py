@@ -43,7 +43,7 @@ from operator import mul
 
 from .automata import (_TAGS, LinearCoalgebra, SemiringTag, TagViolation, _scalar_rules,
                        check_weights, pair_quotient, pair_submodule)
-from .formats import LineReader, RatioTexts, block_lines, fmt_ratio, fmt_vec
+from .formats import LineReader, block_lines, fmt_ratio, fmt_vec
 from .hilbert import nat_restriction
 from .linalg import (Lattice, Mat, _concat, _lowest_terms, _selection, hnf, lattice_member,
                      scaled_dot, scaled_equal, unit)
@@ -365,22 +365,18 @@ def _diagonal(gens, dim):
 def _diagonal_carrier(tag, pca, big, weights):
     """The free carrier on the generators c_j e_j of `_diagonal`, decided by
     the coordinates (e L, [w_j xs_j]) of v = (e, xs), which are v itself for
-    the standard basis (L = 1 and every w_j = 1), read there with no
-    weighted copy: a module's by the tag's scalar rules, a subconvex one's,
-    the simplex on the c_j e_j, by the gauge, their sum when none is
+    the standard basis: a module's by the tag's scalar rules, a subconvex
+    one's, the simplex on the c_j e_j, by the gauge, their sum when none is
     negative and INFINITY otherwise.  These are the values the unique
     coordinates of a `_Span` give."""
-    standard = big == 1 and all(w == 1 for w in weights)
     if pca:
         def gauge(v):
             e, xs = v
             if min(xs, default=0) < 0:
                 return INFINITY
-            return (sum(xs), e) if standard else (sum(map(mul, weights, xs)), e * big)
+            return sum(map(mul, weights, xs)), e * big
         return _Carrier("", lambda v: (r := gauge(v)) is not INFINITY and r[0] <= r[1], gauge)
     rules = _scalar_rules(tag)
-    if standard:
-        return _Carrier("", lambda v: rules(*v))
     return _Carrier("", lambda v: rules(v[0] * big, [w * a for w, a in zip(weights, v[1])]))
 
 
@@ -442,7 +438,8 @@ def _carrier(tag, node):
 def _columns(m):
     """The columns of the `Mat` m as lists of its integers den * entry,
     zeros included, read in one pass over its sparse rows."""
-    cols = [[0] * m.nrows for _ in range(m.ncols)]
+    nrows = m.nrows
+    cols = [[0] * nrows for _ in range(m.ncols)]
     for i, (js, nums) in enumerate(m.sparse):
         for j, a in zip(js, nums):
             cols[j][i] = a
@@ -713,15 +710,14 @@ def zigzag_to_text(z):
     lines = [f"zigzag {z.functor} {z.tag.value}",
              "alphabet " + " ".join(z.alphabet),
              f"nodes {len(z.nodes)}"]
-    texts = RatioTexts()  # this witness's ratios, each printed once
     blocks = {}  # id of a Mat -> its lines: nodes may share a letter matrix, formatted once
     for m in [m for nd in z.nodes for m in nd.coalgebra.trans] + [f.matrix for f in z.morphisms]:
         if id(m) not in blocks:
-            blocks[id(m)] = block_lines(m, texts)
+            blocks[id(m)] = block_lines(m)
     for i, node in enumerate(z.nodes):
         lines.append(f"node {i} {node.kind} dim {node.dim} generators {len(node.generators)}")
-        lines += [fmt_vec(g, texts) for g in node.generators]
-        lines.append(("out " + fmt_vec(node.coalgebra.out, texts)).rstrip())
+        lines += map(fmt_vec, node.generators)
+        lines.append(("out " + fmt_vec(node.coalgebra.out)).rstrip())
         for a, m in zip(z.alphabet, node.coalgebra.trans):
             lines.append(f"trans {a}")
             lines += blocks[id(m)]
@@ -730,9 +726,9 @@ def zigzag_to_text(z):
         lines.append(f"morphism {mor.src} {mor.dst}")
         lines += blocks[id(mor.matrix)]
     lines.append(f"relating {len(z.relating)}")
-    lines += [(f"at {i} " + fmt_vec(v, texts)).rstrip() for i, v in z.relating]
-    lines.append(("left " + fmt_vec(z.endpoints[0], texts)).rstrip())
-    lines.append(("right " + fmt_vec(z.endpoints[1], texts)).rstrip())
+    lines += [(f"at {i} " + fmt_vec(v)).rstrip() for i, v in z.relating]
+    lines.append(("left " + fmt_vec(z.endpoints[0])).rstrip())
+    lines.append(("right " + fmt_vec(z.endpoints[1])).rstrip())
     return "\n".join(line for line in lines if line) + "\n"
 
 
