@@ -25,6 +25,8 @@ from .polyhedra import (INFINITY, InternalError, SearchBudgetExceeded, dd_h_to_v
 from .zigzag import cubic_zigzag, ghat_zigzag, parse_zigzag, verify_zigzag, zigzag_to_text
 
 MAX_DIGITS = 100_000  # Python's default is 4300; a 100000-digit number prints in 0.2 s
+TRACE_LETTERS = 2_000_000  # the most letters the words `trace` lists may hold in all:
+# 131071 words to depth 16 over two letters, 2000 words to depth 1999 over one
 
 
 def _read(path):
@@ -69,10 +71,24 @@ def _load_pair(args):
     return aut1, x1, aut2, x2
 
 
+def _trace_size(letters, depth):
+    """(words, letters in them) of a trace to `depth` over `letters` letters,
+    counted to length 64 at most: past it, two lower bounds."""
+    if letters == 1:
+        return depth + 1, depth * (depth + 1) // 2
+    powers = [letters ** length for length in range(min(depth, 64) + 1)]
+    return sum(powers), sum(length * p for length, p in enumerate(powers))
+
+
 def _cmd_trace(args):
     aut, state = parse_automaton(_read(args.automaton), args.automaton)
     x = _pick_state(aut, state, args.state_index, args.automaton)
     depth = args.depth if args.depth is not None else aut.n
+    words, size = _trace_size(len(aut.alphabet), depth)
+    if size > TRACE_LETTERS:
+        more = "at least " if depth > 64 and len(aut.alphabet) > 1 else ""
+        raise ValueError(f"a trace to depth {depth} lists {more}{words} words, {more}{size} "
+                         f"letters in all, past {TRACE_LETTERS}; give a smaller --depth")
     tr = trace(aut, x, depth)
     for word, value in tr.items():
         print(f"{word_text(word, aut.alphabet)} {fmt_rat(value)}")

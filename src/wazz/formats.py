@@ -172,7 +172,10 @@ class LineReader:
     def integer(self, token, line, minimum=None):
         if not _INT_RE.match(token):
             self.error(line, f"expected an integer, got {token!r}")
-        value = int(token)
+        try:
+            value = int(token)
+        except ValueError as exc:  # past the interpreter's bound on an integer's digits
+            self.error(line, str(exc))
         if minimum is not None and value < minimum:
             self.error(line, f"expected an integer >= {minimum}, got {value}")
         return value

@@ -567,9 +567,3 @@ def parse_pca_polytope(text, source="<pca>"):
         gens.append(g)
     return PcaPolytope(dim, tuple(gens))
 
-
-def pca_polytope_to_text(p):
-    lines = [f"pca {p.dim}"]
-    for g in p.generators:
-        lines.append(("gen " + fmt_vec(g)).rstrip())
-    return "\n".join(lines) + "\n"

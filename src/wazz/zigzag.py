@@ -584,13 +584,16 @@ def verify_zigzag(z, inputs=None):
     last node, and the endpoints, to them (`_input_ok`): a valid witness of
     another pair does not pass for one of these.
 
-    Right after the shape check, every letter image of a generator and
-    every morphism image of a source generator is taken once (`_images`):
-    read off the matrix's columns for a generator with one nonzero entry,
-    each matrix's columns read at most once for the whole witness, and
-    multiplied out by `Mat.apply_scaled` for any other.  The checks read
-    those images; `chain` takes one product per relating element into a
-    sink."""
+    The `shape` check states what a zig-zag is: n >= 3 nodes, n odd, one
+    morphism between each two adjacent nodes and no other, no node both a
+    source and a target (so the arrows alternate), each matrix dim(dst) x
+    dim(src), and fitting endpoints, relating nodes, functor and alphabet.
+    Right after it, every letter image of a generator and every morphism
+    image of a source generator is taken once (`_images`): read off the
+    matrix's columns for a generator with one nonzero entry, each matrix's
+    columns read at most once for the whole witness, and multiplied out by
+    `Mat.apply_scaled` for any other.  The checks read those images;
+    `chain` takes one product per relating element into a sink."""
     checks = []
 
     def add(name, ok, detail=""):
@@ -604,41 +607,22 @@ def verify_zigzag(z, inputs=None):
             ok, detail = False, str(exc)
         add(name, ok, detail)
 
-    nodes = z.nodes
+    nodes, mors = z.nodes, z.morphisms
     n = len(nodes)
-    shape_ok = n >= 3 and n % 2 == 1
-    incoming = {i: [] for i in range(n)}
-    outgoing = {i: [] for i in range(n)}
-    seen_edges = set()
-    for k, mor in enumerate(z.morphisms):
-        if not (0 <= mor.src < n and 0 <= mor.dst < n and abs(mor.src - mor.dst) == 1):
-            shape_ok = False
-            continue
-        seen_edges.add((min(mor.src, mor.dst), max(mor.src, mor.dst)))
-        outgoing[mor.src].append(k)
-        incoming[mor.dst].append(k)
-        expect_rows = nodes[mor.dst].dim
-        expect_cols = nodes[mor.src].dim
-        if mor.matrix.nrows != expect_rows or mor.matrix.ncols != expect_cols:
-            shape_ok = False
-    if len(seen_edges) != n - 1 or len(z.morphisms) != n - 1:
-        shape_ok = False
-    sources = [i for i in range(n) if outgoing[i] and not incoming[i]]
-    sinks = [i for i in range(n) if incoming[i] and not outgoing[i]]
-    if sorted(sources + sinks) != list(range(n)):
-        shape_ok = False
     x1, x2 = z.endpoints
-    if not nodes or len(x1[1]) != nodes[0].dim or len(x2[1]) != nodes[-1].dim:
-        shape_ok = False
+    sources = sorted({mor.src for mor in mors})
+    sinks = sorted({mor.dst for mor in mors})
     indices = [i for i, _ in z.relating]
-    if len(set(indices)) != len(indices):
-        shape_ok = False
-    if z.functor == GHAT and z.tag is not SemiringTag.PCA:
-        shape_ok = False
-    if z.functor == CUBIC and z.tag is SemiringTag.PCA:
-        shape_ok = False
-    if any(node.coalgebra.alphabet != z.alphabet for node in nodes):
-        shape_ok = False
+    shape_ok = (n >= 3 and n % 2 == 1
+                and sorted((min(m.src, m.dst), max(m.src, m.dst)) for m in mors)
+                == [(i, i + 1) for i in range(n - 1)]
+                and set(sources).isdisjoint(sinks)
+                and all((m.matrix.nrows, m.matrix.ncols) == (nodes[m.dst].dim, nodes[m.src].dim)
+                        for m in mors)
+                and len(x1[1]) == nodes[0].dim and len(x2[1]) == nodes[-1].dim
+                and len(set(indices)) == len(indices)
+                and (z.functor, z.tag is SemiringTag.PCA) not in ((GHAT, False), (CUBIC, True))
+                and all(node.coalgebra.alphabet == z.alphabet for node in nodes))
     add("shape", shape_ok,
         "" if shape_ok else "not an alternating chain of adjacent morphisms")
     if not shape_ok:
@@ -647,7 +631,7 @@ def verify_zigzag(z, inputs=None):
     columns = {}
     letter_images = [_images(node.coalgebra.trans, node.generators, columns) for node in nodes]
     mor_images = [[fg for fg, in _images((mor.matrix,), nodes[mor.src].generators, columns)]
-                  for mor in z.morphisms]
+                  for mor in mors]
     carriers = [_carrier(z.tag, node) for node in nodes]
     for i, node in enumerate(nodes):
         detail = carriers[i].kind_detail
@@ -659,7 +643,7 @@ def verify_zigzag(z, inputs=None):
         add_guarded(f"node-coalgebra[{i}]", _coalgebra_self_map_ok, z, node, carriers[i],
                     letter_images[i])
 
-    for k, mor in enumerate(z.morphisms):
+    for k, mor in enumerate(mors):
         i, j = mor.src, mor.dst
         add_guarded(f"morphism-carrier[{k}]", _morphism_carrier_ok, nodes[i],
                     carriers[j].member, mor_images[k])
@@ -678,8 +662,7 @@ def verify_zigzag(z, inputs=None):
     for s in sinks:
         pushed = []
         ok, detail = True, ""
-        for k in incoming[s]:
-            mor = z.morphisms[k]
+        for mor in [m for m in mors if m.dst == s]:
             zsrc = relating.get(mor.src)
             if zsrc is None:
                 ok, detail = False, "missing relating element upstream"
@@ -710,21 +693,18 @@ def zigzag_to_text(z):
     lines = [f"zigzag {z.functor} {z.tag.value}",
              "alphabet " + " ".join(z.alphabet),
              f"nodes {len(z.nodes)}"]
-    blocks = {}  # id of a Mat -> its lines: nodes may share a letter matrix, formatted once
-    for m in [m for nd in z.nodes for m in nd.coalgebra.trans] + [f.matrix for f in z.morphisms]:
-        if id(m) not in blocks:
-            blocks[id(m)] = block_lines(m)
+    # each block is printed where it stands; the reader reads a repeated block once
     for i, node in enumerate(z.nodes):
         lines.append(f"node {i} {node.kind} dim {node.dim} generators {len(node.generators)}")
         lines += map(fmt_vec, node.generators)
         lines.append(("out " + fmt_vec(node.coalgebra.out)).rstrip())
         for a, m in zip(z.alphabet, node.coalgebra.trans):
             lines.append(f"trans {a}")
-            lines += blocks[id(m)]
+            lines += block_lines(m)
     lines.append(f"morphisms {len(z.morphisms)}")
     for mor in z.morphisms:
         lines.append(f"morphism {mor.src} {mor.dst}")
-        lines += blocks[id(mor.matrix)]
+        lines += block_lines(mor.matrix)
     lines.append(f"relating {len(z.relating)}")
     lines += [(f"at {i} " + fmt_vec(v)).rstrip() for i, v in z.relating]
     lines.append(("left " + fmt_vec(z.endpoints[0])).rstrip())

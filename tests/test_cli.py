@@ -1,11 +1,13 @@
 import random
 import sys
+import time
 
 import pytest
 
 from wazz import pca, zigzag
-from wazz.cli import MAX_DIGITS, build_parser, main
-from wazz.automata import SemiringTag, automaton_to_text
+from wazz.cli import MAX_DIGITS, TRACE_LETTERS, build_parser, main
+from wazz.automata import SemiringTag, automaton_to_text, parse_automaton
+from wazz.formats import ParseError
 from wazz.zigzag import parse_zigzag, zigzag_to_text
 
 from genrandom import lifted_pair
@@ -662,6 +664,35 @@ class TestDigitBound:
         assert main(["equiv", a, a]) == 2
         assert f"a.wa:6: Exceeds the limit ({MAX_DIGITS} digits)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, argv, line", [
+        ("a.wa", ["equiv", "{path}", "{path}"], 3),
+        ("w.zz", ["verify", "{path}"], 3),
+        ("h.hrep", ["polytope", "tovertices", "{path}"], 1),
+    ])
+    def test_integer_field_over_the_bound_is_a_parse_error(self, tmp_path, capsys, name, argv,
+                                                           line):
+        # a count, a dimension or a state number past MAX_DIGITS fails at its line
+        big = "1" * (MAX_DIGITS + 1)
+        a = shift_automaton(2, "1")
+        text = {"a.wa": a.replace("states 2", f"states {big}"),
+                "h.hrep": f"hrep {big}\nineq 1 0\n"}.get(name)
+        if text is None:
+            assert main(["zigzag", write(tmp_path, "a.wa", a), write(tmp_path, "a.wa", a),
+                         "-o", str(tmp_path / name)]) == 0
+            text = (tmp_path / name).read_text().replace("\nnodes 3\n", f"\nnodes {big}\n")
+        path = write(tmp_path, name, text)
+        capsys.readouterr()
+        assert main([arg.format(path=path) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"{path}:{line}: Exceeds the limit")
+
+    def test_integer_field_outside_main_is_a_parse_error(self):
+        # past the interpreter's own bound, with no MAX_DIGITS in force
+        big = "1" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ParseError) as info:
+            parse_automaton(shift_automaton(2, "1").replace("states 2", f"states {big}"), "a.wa")
+        assert str(info.value).startswith("a.wa:3: Exceeds the limit")
+
 
 class TestTraceDefaults:
     def test_default_depth_is_state_count(self, tmp_path, capsys):
@@ -669,6 +700,33 @@ class TestTraceDefaults:
         assert main(["trace", path]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3  # eps, a, aa for 2 states over one letter
+
+    @pytest.mark.parametrize("states, depth, counts", [
+        (20, None, "2097151 words, 39845890 letters"),
+        (16, "17", "262143 words, 4194306 letters"),
+        (5, "65", "at least 36893488147419103231 words, "
+                  "at least 2324289753287403503618 letters"),
+    ])
+    def test_trace_over_the_letter_budget_is_refused(self, tmp_path, capsys, states, depth,
+                                                     counts):
+        # two letters: the words up to length d number 2^(d+1) - 1, none of them listed
+        text = shift_automaton(states, "1/2").replace("alphabet a", "alphabet a b")
+        path = write(tmp_path, "t.wa", text + "trans b\n" + text.split("trans a\n")[1])
+        argv = ["trace", path] + ([] if depth is None else ["--depth", depth])
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: a trace to depth {depth or states} lists {counts} in "
+                                  f"all, past {TRACE_LETTERS}; give a smaller --depth\n")
+
+    def test_trace_within_the_letter_budget_is_listed(self, tmp_path, capsys):
+        # one letter: the words to depth d hold d (d + 1) / 2 letters, 1999000 to depth 1999
+        path = write(tmp_path, "h.wa", HALF_LOOP)
+        assert main(["trace", path, "--depth", "1999"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2000
+        assert main(["trace", path, "--depth", "2000"]) == 2
+        assert "lists 2001 words, 2001000 letters in all" in capsys.readouterr().err
 
 
 def _determinism_pair(tag):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from wazz import polyhedra
+from wazz.formats import fmt_vec
 from wazz.linalg import Mat, scaled, unit
 from wazz.polyhedra import (HRep, INFINITY, PRODUCT, SCALED, InternalError, PcaPolytope,
                             cone_member, cone_restriction, dd_h_to_v, dd_v_to_h, gauge,
@@ -28,6 +29,15 @@ def simplex_h(n):
 
 def delta(n):
     return PcaPolytope(n, tuple(unit(n, i) for i in range(n)))
+
+
+def pca_polytope_to_text(p):
+    """The `pca` text that `parse_pca_polytope` reads, one `gen` line per
+    generator: the writer of the round-trip test."""
+    lines = [f"pca {p.dim}"]
+    for g in p.generators:
+        lines.append(("gen " + fmt_vec(g)).rstrip())
+    return "\n".join(lines) + "\n"
 
 
 def rand_point(rng, dim, span=4, den=4):
@@ -345,7 +355,7 @@ class TestTextFormats:
 
     def test_pca_roundtrip_and_validation(self):
         from wazz.formats import ParseError
-        from wazz.polyhedra import parse_pca_polytope, pca_polytope_to_text
+        from wazz.polyhedra import parse_pca_polytope
         p = PcaPolytope(2, (svec(["1/2", 0]), svec([0, 1])))
         assert parse_pca_polytope(pca_polytope_to_text(p)) == p
         with pytest.raises(ParseError):

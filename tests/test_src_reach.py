@@ -15,10 +15,7 @@ SRC = ROOT / "src" / "wazz"
 TRACING = ROOT / "bench" / "tracing.py"
 
 # Kept although only the tests call them.
-ALLOWED = {
-    # the writer of the `pca` text format that `wazz gauge` reads; a round trip pins it
-    "polyhedra.pca_polytope_to_text",
-}
+ALLOWED = set()
 
 
 def public_definitions(tree):

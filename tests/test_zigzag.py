@@ -366,9 +366,10 @@ class TestWitnessFormat:
         back = parse_zigzag(zigzag_to_text(z))
         assert back == z
 
-    def test_shared_matrices_formatted_once(self, monkeypatch):
+    def test_shared_matrices_printed_where_they_stand(self, monkeypatch):
         """Nodes 0/1 and 3/4 of a ghat witness with nothing dropped share
-        their letter matrices; each distinct `Mat` is formatted once."""
+        their letter matrices; each block is formatted where it is printed,
+        so a shared `Mat` is formatted once per place and prints alike."""
         rng = random.Random("shared-blocks")
         z = five_node_zigzag(*lifted_pair(rng, T.PCA, 3, 1, ("a", "b")))
         mats = [m for node in z.nodes for m in node.coalgebra.trans]
@@ -378,10 +379,13 @@ class TestWitnessFormat:
         formatted = []
         original = zigzag.block_lines
         monkeypatch.setattr(zigzag, "block_lines",
-                            lambda m: formatted.append(id(m)) or original(m))
+                            lambda m: formatted.append(m) or original(m))
         assert zigzag_to_text(z) == text
-        assert sorted(formatted) == sorted({id(m) for m in mats})
-        assert len(formatted) < len(mats)
+        assert [id(m) for m in formatted] == [id(m) for m in mats]
+        assert len({id(m) for m in mats}) < len(mats)
+        for node in (0, 3):
+            for a, m in zip(z.alphabet, z.nodes[node].coalgebra.trans):
+                assert text.count("\n".join([f"trans {a}", *original(m), ""])) == 2
 
     def test_parse_shares_repeated_blocks(self):
         """A block whose lines repeat an earlier block of the same witness is
