@@ -187,6 +187,15 @@ class WeightedAutomaton(LinearCoalgebra):
         super().__post_init__()
         check_weights(self.tag, self.out, self.trans)
 
+    @classmethod
+    def _parsed(cls, tag, n, alphabet, out, trans):
+        """The automaton of parts whose shapes their reader has checked, line
+        by line: `check_weights` alone runs here, once."""
+        check_weights(tag, out, trans)
+        aut = object.__new__(cls)
+        vars(aut).update(n=n, alphabet=alphabet, out=out, trans=trans, tag=tag)
+        return aut
+
     @property
     def coalgebra(self):
         """The same maps without the tag."""
@@ -459,8 +468,8 @@ def parse_automaton(text, source="<automaton>"):
     if missing:
         r.error(lines[-1][0], f"missing transition block for {missing[0]!r}")  # at the end
     try:
-        aut = WeightedAutomaton(tag=tag, n=n, alphabet=alphabet, out=out,
-                                trans=tuple(blocks[a][1] for a in alphabet))
+        aut = WeightedAutomaton._parsed(tag, n, alphabet, out,
+                                        tuple([blocks[a][1] for a in alphabet]))
     except TagViolation as exc:
         # reported where reading the file top down first shows the fault:
         # the last line of the (letter index, state) cells the rule reads

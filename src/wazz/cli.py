@@ -7,6 +7,15 @@ an internal error (a bug, reported as `internal error: ...` on stderr), 4
 for an answer with a number of over MAX_DIGITS digits, the bound on an
 integer's text while `main` runs (a longer literal is a parse error).
 Output uses exact rational literals throughout.
+
+An argv is read by one of two routes, to the same namespace.  The direct
+route (`_read_direct`) takes an argv that names a command and then holds
+exactly its positionals, in one run, with each option at most once as a
+separate `--name value` or `-o value` pair and no other token starting
+with `-`; it reads the positional order, option strings, types, defaults
+and `func` that `build_parser` took from that command's own parser.  Every
+other argv, and one whose value a type or `choices` rejects, goes to
+argparse, so every usage error and help text is argparse's own.
 """
 
 from __future__ import annotations
@@ -30,12 +39,12 @@ TRACE_LETTERS = 2_000_000  # the most letters the words `trace` lists may hold i
 
 
 def _read(path):
-    """The file's text, its bytes decoded as UTF-8 once and nothing else
-    translated: a lone carriage return stays in the text, where the readers
-    reject it, as lines end at a line feed alone.  A byte that is not UTF-8
-    fails at its line."""
+    """The file's text, its bytes read in one unbuffered call and decoded as
+    UTF-8 once, nothing else translated: a lone carriage return stays in
+    the text, where the readers reject it, as lines end at a line feed
+    alone.  A byte that is not UTF-8 fails at its line."""
     try:
-        with open(path, "rb") as fh:
+        with open(path, "rb", buffering=0) as fh:
             data = fh.read()
     except OSError as exc:
         raise ParseError(path, 0, f"cannot read file: {exc.strerror}") from None
@@ -253,17 +262,86 @@ def build_parser():
     p.set_defaults(func=_cmd_gauge)
 
     parser.commands = sub.choices
+    parser.grammars = {name: _grammar(command) for name, command in sub.choices.items()}
     return parser
 
 
+def _grammar(command):
+    """What `_read_direct` reads of a command parser's own actions: its
+    positionals in order, how many of them lead as required ones, its
+    options by option string, and the namespace of its defaults; None when
+    an action is of a kind it does not read (`nargs="*"`)."""
+    positionals, options = [], {}
+    defaults = dict(command._defaults)
+    for action in command._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if type(action) is not argparse._StoreAction or action.nargs not in (None, "?"):
+            return None
+        defaults[action.dest] = action.default
+        if action.option_strings:
+            options.update(dict.fromkeys(action.option_strings, action))
+        else:
+            positionals.append(action)
+    return positionals, sum(action.nargs is None for action in positionals), options, defaults
+
+
+def _value(action, text):
+    """The value argparse stores for `text`; ValueError where argparse
+    would report an error."""
+    value = text if action.type is None else action.type(text)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"invalid choice: {value!r}")
+    return value
+
+
+def _read_direct(grammar, argv):
+    """The namespace `command.parse_known_args(argv)[0]` gives, for the
+    arguments after a command's name in the form the module docstring
+    states; None for any other argv, and for a command without a grammar,
+    which argparse then reads."""
+    if grammar is None:
+        return None
+    positionals, required, options, defaults = grammar
+    values = dict(defaults)
+    given, seen, run = [], set(), None  # run: where the positionals' run ended
+    i, end = 0, len(argv)
+    try:
+        while i < end:
+            token = argv[i]
+            if token[:1] != "-":
+                if given and run != i:
+                    return None
+                given.append(token)
+                i = run = i + 1
+                continue
+            action = options.get(token)
+            if action is None or action.dest in seen or i + 1 == end or argv[i + 1][:1] == "-":
+                return None
+            seen.add(action.dest)
+            values[action.dest] = _value(action, argv[i + 1])
+            i += 2
+        if not required <= len(given) <= len(positionals):
+            return None
+        for action, token in zip(positionals, given):
+            values[action.dest] = _value(action, token)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return None
+    return argparse.Namespace(**values)
+
+
 def _parse_args(argv):
-    """The namespace of argv.  A command's own parser reads the arguments
-    after its name, as the top-level parser would hand them over; the
-    top-level parser reads argv when it names no command, and again when
-    arguments are left over, so that every usage error keeps its text."""
+    """The namespace of argv.  The direct route reads an argv of the form
+    the module docstring states.  Else a command's own parser reads the
+    arguments after its name, as the top-level parser would hand them
+    over; the top-level parser reads argv when it names no command, and
+    again when arguments are left over, so that every usage error keeps
+    its text."""
     parser = build_parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is not None:
+        if (args := _read_direct(parser.grammars[argv[0]], argv[1:])) is not None:
+            return args
         args, rest = command.parse_known_args(argv[1:])
         if not rest:
             return args

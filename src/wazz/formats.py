@@ -12,11 +12,12 @@ It keeps one table for the file from literal text to its numerator and
 denominator in lowest terms, each distinct literal parsed at its first
 lookup.  A vector row (`row`) is one loop of lookups into a scaled vector
 (d, ints) in lowest terms (`wazz.linalg`), and a matrix block (`block`,
-column by column) one loop of lookups per line into a `Mat`, both on the
-table's integers, with no `Fraction`.  Every diagnostic is raised where it
-is found, at its line.  The writers print a vector (`fmt_vec`) and a block
-(`block_lines`) from their integers: a / d in lowest terms as `str` of
-integers, the text of `str(Fraction(a, d))`.
+column by column) one loop of lookups per line, written straight into a
+`Mat`'s sparse rows, both on the table's integers, with no `Fraction`.
+Every diagnostic is raised where it is found, at its line.  The writers
+print a vector (`fmt_vec`) and a block (`block_lines`) from their
+integers: a / d in lowest terms as `str` of integers, the text of
+`str(Fraction(a, d))`.
 """
 
 from __future__ import annotations
@@ -196,9 +197,12 @@ class LineReader:
     def block(self, k, nrows, ncols):
         """The nrows x ncols matrix on the ncols meaningful lines from k, line
         k + j being column j (the image of basis vector j): the table's
-        integers over their lcm denominator, coprime to them as the literals
-        are in lowest terms, with no `Fraction`.  A matrix of height 0 has no
-        lines.  Lines repeating an earlier block give its matrix again."""
+        integers over their lcm denominator, written into the matrix's sparse
+        rows in one pass over the columns, with no `Fraction` and no gcd
+        pass: a prime power that divides the lcm divides some literal's
+        denominator, which its numerator is coprime to, so the form is
+        canonical as it stands.  A matrix of height 0 has no lines.  Lines
+        repeating an earlier block give its matrix again."""
         if not nrows:
             return Mat._of_cols(1, [()] * ncols, 0)
         key = nrows, ncols, tuple(self._texts[k:k + ncols])
@@ -215,6 +219,13 @@ class LineReader:
         if len(cols) < ncols:
             self.at(k + len(cols), f"{nrows} rationals")
         den = lcm(*{d for col in cols for _, d in col})
-        self._blocks[key] = m = Mat._of_cols(den, [[a * (den // d) for a, d in col]
-                                                   for col in cols], nrows)
+        rows = [([], []) for _ in range(nrows)]
+        for j, col in enumerate(cols):
+            for (js, nums), (a, d) in zip(rows, col):
+                if a:
+                    js.append(j)
+                    nums.append(a * (den // d))
+        self._blocks[key] = m = object.__new__(Mat)
+        m.ncols, m.den = ncols, den
+        m.sparse = tuple([(tuple(js), tuple(nums)) for js, nums in rows])
         return m

@@ -587,7 +587,8 @@ def verify_zigzag(z, inputs=None):
     The `shape` check states what a zig-zag is: n >= 3 nodes, n odd, one
     morphism between each two adjacent nodes and no other, no node both a
     source and a target (so the arrows alternate), each matrix dim(dst) x
-    dim(src), and fitting endpoints, relating nodes, functor and alphabet.
+    dim(src), and fitting endpoints, relating nodes (distinct, each a node),
+    functor and alphabet.
     Right after it, every letter image of a generator and every morphism
     image of a source generator is taken once (`_images`): read off the
     matrix's columns for a generator with one nonzero entry, each matrix's
@@ -620,7 +621,7 @@ def verify_zigzag(z, inputs=None):
                 and all((m.matrix.nrows, m.matrix.ncols) == (nodes[m.dst].dim, nodes[m.src].dim)
                         for m in mors)
                 and len(x1[1]) == nodes[0].dim and len(x2[1]) == nodes[-1].dim
-                and len(set(indices)) == len(indices)
+                and len(set(indices)) == len(indices) and all(0 <= i < n for i in indices)
                 and (z.functor, z.tag is SemiringTag.PCA) not in ((GHAT, False), (CUBIC, True))
                 and all(node.coalgebra.alphabet == z.alphabet for node in nodes))
     add("shape", shape_ok,

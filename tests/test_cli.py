@@ -1,10 +1,13 @@
+import argparse
+import contextlib
+import io
 import random
 import sys
 import time
 
 import pytest
 
-from wazz import pca, zigzag
+from wazz import cli, pca, zigzag
 from wazz.cli import MAX_DIGITS, TRACE_LETTERS, build_parser, main
 from wazz.automata import SemiringTag, automaton_to_text, parse_automaton
 from wazz.formats import ParseError
@@ -424,16 +427,14 @@ class TestParserBuiltOnce:
         parsed = []  # what each main call parsed, as it was then
 
         def spy(parse):
-            def wrapped(*args, **kwargs):
-                namespace, rest = parse(*args, **kwargs)
+            def wrapped(argv):
+                namespace = parse(argv)
                 parsed.append(dict(vars(namespace)))
-                return namespace, rest
+                return namespace
             return wrapped
 
-        # each command's own parser reads the arguments after its name
-        for command in ("equiv", "zigzag"):
-            sub = parser.commands[command]
-            monkeypatch.setattr(sub, "parse_known_args", spy(sub.parse_known_args))
+        # the namespace `main` runs on, whichever route read the argv
+        monkeypatch.setattr(cli, "_parse_args", spy(cli._parse_args))
         a = write(tmp_path, "a.wa", HALF_OR_ONE)
         b = write(tmp_path, "b.wa", HALF_LOOP)
         out = tmp_path / "w.zz"
@@ -551,6 +552,127 @@ options:
         b = write(tmp_path, "b.wa", DISPATCH_RIGHT)
         assert main(["equiv", a, b]) == 0
         assert capsys.readouterr().out.startswith("EQUIVALENT")
+
+
+def _by_argparse(argv):
+    """The namespace `main` would run on if argparse read argv, as
+    `_parse_args` hands it over; None where argparse exits."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            if command is not None:
+                args, rest = command.parse_known_args(argv[1:])
+                if not rest:
+                    return args
+            return parser.parse_args(argv)
+    except SystemExit:
+        return None
+
+
+# the canonical forms: each command with and without each of its options
+DIRECT = [
+    ["trace", "a.wa"], ["trace", "a.wa", "--state-index", "1"], ["trace", "a.wa", "--depth", "2"],
+    ["trace", "--depth", "2", "a.wa", "--state-index", "1"],
+    ["equiv", "a.wa", "b.wa"], ["equiv", "a.wa", "b.wa", "--left-state", "1"],
+    ["equiv", "a.wa", "b.wa", "--right-state", "2"],
+    ["equiv", "--left-state", "1", "a.wa", "b.wa", "--right-state", "2"],
+    ["zigzag", "a.wa", "b.wa"], ["zigzag", "a.wa", "b.wa", "-o", "w.zz"],
+    ["zigzag", "a.wa", "b.wa", "--output", "w.zz"],
+    ["zigzag", "a.wa", "b.wa", "--left-state", "1", "--right-state", "2", "-o", "w1.zz"],
+    ["verify", "w.zz"], ["verify", "w.zz", "a.wa", "b.wa"],
+    ["verify", "w.zz", "a.wa", "b.wa", "--left-state", "1"],
+    ["verify", "w.zz", "a.wa", "b.wa", "--right-state", "2"],
+    ["verify", "w.zz", "--left-state", "1"], ["verify", "w.zz", "a.wa"],
+    ["hilbert", "cone.txt"], ["polytope", "tovertices", "s.hrep"],
+    ["polytope", "tofacets", "s.vrep"], ["equiv", "", "b.wa"], ["zigzag", "a.wa", "b.wa", "-o", ""],
+]
+
+# argvs argparse reads: every other form, and values a type or choices rejects
+ARGPARSE = [argv for argv, *_ in TestDispatch.PINNED] + [
+    ["gauge", "d2.pca", "1/2", "1/4"], ["gauge", "d2.pca", "-1/2", "1"], ["gauge", "d2.pca"],
+    ["polytope", "sideways", "s.hrep"], ["polytope", "tovertices"],
+    ["equiv", "a.wa", "b.wa", "--left-state=1"], ["zigzag", "a.wa", "b.wa", "-ow.zz"],
+    ["equiv", "a.wa", "b.wa", "--right", "2"], ["zigzag", "a.wa", "b.wa", "--out", "w.zz"],
+    ["equiv", "a.wa", "b.wa", "--left-state", "1", "--left-state", "2"],
+    ["zigzag", "a.wa", "b.wa", "-o", "w.zz", "--output", "w1.zz"],
+    ["equiv", "--", "a.wa", "b.wa"], ["equiv", "a.wa", "b.wa", "--"], ["equiv", "-", "b.wa"],
+    ["equiv", "a.wa", "-b.wa"], ["equiv", "a.wa", "b.wa", "--left-state", "x"],
+    ["equiv", "a.wa", "b.wa", "--left-state", "1.5"], ["equiv", "a.wa", "b.wa", "--left-state"],
+    ["equiv", "a.wa", "b.wa", "--left-state", "-1"], ["zigzag", "a.wa", "b.wa", "-o"],
+    ["zigzag", "a.wa", "b.wa", "-o", "-w.zz"], ["equiv", "a.wa"], ["equiv"],
+    ["equiv", "a.wa", "b.wa", "c.wa"], ["verify"], ["verify", "w.zz", "a.wa", "b.wa", "c.wa"],
+    ["equiv", "a.wa", "--left-state", "1", "b.wa"],
+    ["verify", "w.zz", "--left-state", "1", "a.wa", "b.wa"],
+    ["verify", "w.zz", "a.wa", "--left-state", "1", "b.wa"],
+    ["trace", "a.wa", "--depth", "-1"], ["trace", "a.wa", "-h"], ["hilbert", "-h"],
+    ["hilbert"], ["hilbert", "cone.txt", "more.txt"], ["-h", "equiv"], ["--version"],
+]
+
+
+class TestDirectRoute:
+    """The direct read and argparse agree: the direct read gives argparse's
+    namespace or nothing, and `main` prints the same whichever route reads
+    the argv."""
+
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")
+        write(tmp_path, "a.wa", DISPATCH_LEFT)
+        write(tmp_path, "b.wa", DISPATCH_RIGHT)
+        write(tmp_path, "cone.txt", "2 2\n1 0\n-1 1\n")
+        write(tmp_path, "s.hrep", TestPolytope.SIMPLEX_H)
+        write(tmp_path, "s.vrep", "vrep 2\npoint 0 0\npoint 1 0\npoint 0 1\n")
+        write(tmp_path, "d2.pca", "pca 2\ngen 1 0\ngen 0 1\n")
+        assert main(["zigzag", "a.wa", "b.wa", "-o", "w.zz"]) == 0
+        return tmp_path
+
+    def test_commands_all_covered(self):
+        commands = set(build_parser().commands)
+        assert {argv[0] for argv in DIRECT + ARGPARSE if argv} >= commands
+
+    @pytest.mark.parametrize("argv", DIRECT + ARGPARSE,
+                             ids=lambda argv: " ".join(argv) or "(none)")
+    def test_direct_read_is_argparse_or_nothing(self, argv):
+        grammar = build_parser().grammars.get(argv[0]) if argv else None
+        direct = cli._read_direct(grammar, argv[1:])
+        assert (direct is not None) == (argv in DIRECT)
+        if direct is not None:
+            assert vars(direct) == vars(_by_argparse(argv))
+
+    @pytest.mark.parametrize("argv", DIRECT + ARGPARSE,
+                             ids=lambda argv: " ".join(argv) or "(none)")
+    def test_main_prints_alike_on_both_routes(self, files, capsys, monkeypatch, argv):
+        code = main(argv)
+        direct = code, capsys.readouterr()
+        monkeypatch.setattr(cli, "_read_direct", lambda grammar, argv: None)
+        assert (main(argv), capsys.readouterr()) == direct
+
+    def test_pipeline_never_reaches_argparse(self, files, capsys, monkeypatch):
+        def refuse(self, args=None, namespace=None):
+            raise AssertionError(f"argparse read {args}")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        for argv, code in ((["equiv", "a.wa", "b.wa"], 0),
+                           (["zigzag", "a.wa", "b.wa", "-o", "w.zz"], 0), (["verify", "w.zz"], 0),
+                           (["verify", "w.zz", "a.wa", "b.wa", "--left-state", "1"], 1)):
+            assert main(argv) == code, capsys.readouterr()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [argv for argv, *_ in TestDispatch.PINNED],
+                             ids=[" ".join(argv) or "(none)" for argv, *_ in TestDispatch.PINNED])
+    def test_pinned_argvs_still_reach_argparse(self, files, capsys, monkeypatch, argv):
+        calls, parse = [], argparse.ArgumentParser.parse_known_args
+
+        def spy(self, *args, **kwargs):
+            calls.append(args)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        main(argv)
+        capsys.readouterr()
+        assert calls
 
 
 class TestLineEnds:

@@ -577,6 +577,50 @@ class TestScaledFormAtParse:
         assert shapes == {(True, True), (False, False), (False, True), (True, False)}
 
 
+class TestBlockRows:
+    """`LineReader.block` writes a matrix's sparse rows straight from the
+    column integers: the same matrix `Mat._of_cols` builds from them, with
+    its transpose and gcd pass, for lowest-terms literals."""
+
+    @staticmethod
+    def rand_block(rng, nrows, ncols, zero):
+        """ncols lines of nrows literals in lowest terms, negative ones
+        among them, all zero if `zero`."""
+        def literal():
+            if zero or rng.random() < 0.3:
+                return "0"
+            return fmt_ratio(rng.randint(-30, 30) or 1, rng.choice((1, 1, 2, 3, 4, 6, 9, 10**9)))
+
+        return [" ".join(literal() for _ in range(nrows)) for _ in range(ncols)]
+
+    def test_rows_match_of_cols(self):
+        rng = random.Random("formats/block-rows")
+        shapes = [(0, 3), (3, 0), (2, 2, True)] + [(rng.randint(1, 5), rng.randint(1, 5))
+                                                  for _ in range(200)]
+        lines, blocks = [], []
+        for nrows, ncols, *zero in shapes:
+            block = self.rand_block(rng, nrows, ncols, zero) if nrows else []
+            blocks.append((len(lines), nrows, ncols, block))
+            lines += block
+        reader = LineReader("\n".join(lines), "blocks.txt")
+        negative = False
+        for k, nrows, ncols, block in blocks:
+            cols = [[F(t) for t in line.split()] for line in block] if nrows else [[]] * ncols
+            den = math.lcm(*(a.denominator for col in cols for a in col))
+            want = Mat._of_cols(den, [[int(a * den) for a in col] for col in cols], nrows)
+            m = reader.block(k, nrows, ncols)
+            assert (m.ncols, m.den, m.sparse) == (want.ncols, want.den, want.sparse)
+            negative = negative or any(a < 0 for col in cols for a in col)
+        assert negative and reader.block(*blocks[2][:3]).sparse == (((), ()),) * 2
+
+    def test_repeated_block_is_the_same_object(self):
+        block = ["1/2 -3", "0 4/9"]
+        reader = LineReader("\n".join(block + ["# again"] + block + ["1/2 -3", "0 4/7"]))
+        first = reader.block(0, 2, 2)
+        assert reader.block(2, 2, 2) is first
+        assert reader.block(4, 2, 2) is not first and reader.block(4, 2, 2) != first
+
+
 class TestMatricesStayInteger:
     """The readers read a matrix block and a vector row into integers and the
     writers print them from those: no `Fraction` is built for an entry

@@ -3,8 +3,9 @@
 Witnesses of every producer (the quotient cospans of `cubic_zigzag` and
 `ghat_zigzag`, `span_zigzag` and `five_node_zigzag`) take one or two
 structural mutations: a morphism flipped, duplicated, dropped, retargeted
-or turned into a loop, a node removed, a relating element repeated, the
-morphism list reversed, two matrices swapped, or the chain cut to one node.
+or turned into a loop, a node removed, a relating element repeated or
+given an index that names no node, the morphism list reversed, two
+matrices swapped, or the chain cut to one node.
 Each report, passing or failing, must be the one `tests/verify_oracle.py`
 gives, whose shape check rebuilds the chain from per-node tables."""
 
@@ -67,6 +68,12 @@ def repeat_relating(z, rng):
     return replace(z, relating=z.relating + (rng.choice(z.relating),))
 
 
+def stray_relating(z, rng):
+    """A relating entry at an index that names no node."""
+    index = rng.choice((-1, len(z.nodes), len(z.nodes) + 5))
+    return replace(z, relating=z.relating + ((index, rng.choice(z.relating)[1]),))
+
+
 def reverse(z, rng):
     return replace(z, morphisms=z.morphisms[::-1])
 
@@ -84,8 +91,8 @@ def one_node(z, rng):
                    relating=tuple((i, v) for i, v in z.relating if i == 0))
 
 
-MUTATIONS = (flip, duplicate, drop, retarget, loop, remove_node, repeat_relating, reverse,
-             swap_matrices, one_node)
+MUTATIONS = (flip, duplicate, drop, retarget, loop, remove_node, repeat_relating,
+             stray_relating, reverse, swap_matrices, one_node)
 
 
 # the morphisms a mutation needs
@@ -95,7 +102,8 @@ NEEDS = {flip: 1, duplicate: 1, drop: 1, retarget: 1, loop: 1, swap_matrices: 2}
 def applicable(z):
     """The mutations that z's lists leave room for."""
     return [m for m in MUTATIONS if len(z.morphisms) >= NEEDS.get(m, 0)
-            and (z.relating or m is not repeat_relating) and (z.nodes or m is not remove_node)]
+            and (z.relating or m not in (repeat_relating, stray_relating))
+            and (z.nodes or m is not remove_node)]
 
 
 def producer_witnesses():

@@ -1,16 +1,18 @@
 """Hand-made witnesses for the verifier's rules that no producer witness
 breaks: the dependent `int` carrier, a morphism of the wrong shape, a
 functor that does not fit its tag, a node alphabet other than the
-witness's, and a relating element at a sink.  Each report is checked
+witness's, a relating entry that names no node, and a relating element at
+a sink.  Each report is checked
 through `wazz verify` where the text format can say it, by name and
 detail, and held to `tests/verify_oracle.py`."""
 
 import random
 from dataclasses import replace
+from fractions import Fraction as F
 
 import pytest
 
-from wazz.automata import LinearCoalgebra, SemiringTag as T
+from wazz.automata import LinearCoalgebra, SemiringTag as T, WeightedAutomaton
 from wazz.cli import main
 from wazz.linalg import Mat
 from wazz.zigzag import (CUBIC, GENERATED_MODULE, Morphism, ZigZag, ZigZagNode, cubic_zigzag,
@@ -93,6 +95,17 @@ class TestShape:
                                                               out=c.out, trans=c.trans))
         z = replace(z, nodes=(z.nodes[0], other, z.nodes[2]))
         assert failures(assert_oracle(z)) == [tuple(SHAPE.split(": "))]
+
+    def test_relating_entry_that_names_no_node(self):
+        # nor this: the reader rejects a relating index out of range
+        left = WeightedAutomaton(tag=T.Q, n=1, alphabet=("a",), out=svec([1]),
+                                 trans=(Mat([[F(1, 2)]]),))
+        right = WeightedAutomaton(tag=T.Q, n=2, alphabet=("a",), out=svec([1, 0]),
+                                  trans=(Mat([[F(1, 2), 0], [0, 1]]),))
+        z = cubic_zigzag(left, svec([1]), right, svec([1, 0]))
+        assert verify_zigzag(z).valid
+        stray = replace(z, relating=z.relating + ((7, svec([1])),))
+        assert failures(assert_oracle(stray)) == [tuple(SHAPE.split(": "))]
 
     @pytest.mark.parametrize("tag, header, wrong", [
         (T.PCA, "zigzag ghat pca", "zigzag ghat unit"),

@@ -239,6 +239,8 @@ def verify_zigzag(z):
     indices = [i for i, _ in z.relating]
     if len(set(indices)) != len(indices):
         shape_ok = False
+    if any(not 0 <= i < n for i in indices):
+        shape_ok = False
     if z.functor == GHAT and z.tag is not SemiringTag.PCA:
         shape_ok = False
     if z.functor == CUBIC and z.tag is SemiringTag.PCA:
